@@ -4,6 +4,14 @@ Set-valued cells are stored as bitmasks over carrier indices; carriers are
 capped at 64 elements.  Structures are immutable after construction and all
 checks are pure functions returning a CheckReport with one verdict per axiom.
 The first violation in lexicographic index order is reported as the witness.
+
+The table audits (multigroup, multiring, and the relational axioms and
+lemmas) cost O(n^3) mask operations on an n-element carrier: one scan of
+the triples (x, y, z) in lexicographic order compares (xy)z with x(yz) as
+masks, each distinct cell is expanded to its elements once, and the other
+axioms are per-pair mask tests.  Witnesses stay the first violations in
+lexicographic order; tests/reference_audits.py keeps the naive audits they
+are pinned to.
 """
 
 from __future__ import annotations
@@ -42,6 +50,39 @@ def mask_of(indices: Iterable[int]) -> int:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+class _Elements(dict):
+    """Cell mask -> ascending tuple of its elements, expanded on first use."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        out = self[mask] = tuple(bits(mask))
+        return out
+
+
+def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
+                           ) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (x, y, z, (xy)z, x(yz)) for each triple, in lexicographic order,
+    whose two bracketings differ.  Cells of the n x n mask table may be
+    empty; ``elements`` expands each distinct cell once."""
+    n = len(table)
+    for x, row_x in enumerate(table):
+        for y in range(n):
+            rows_xy = [table[a] for a in elements[row_x[y]]]
+            row_y = table[y]
+            for z in range(n):
+                left = 0
+                for row in rows_xy:
+                    left |= row[z]
+                right = 0
+                for c in elements[row_y[z]]:
+                    right |= row_x[c]
+                if left != right:
+                    yield x, y, z, left, right
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +281,8 @@ def check_multigroup(m: FiniteMultigroup) -> CheckReport:
             w_id = (names[x], names[y])
             break
 
-    w_assoc = None
-    for x, y, z in itertools.product(range(n), repeat=3):
-        left = m.op_masks(1 << x, m.op[y][z])
-        right = m.op_masks(m.op[x][y], 1 << z)
-        if left != right:
-            w_assoc = (names[x], names[y], names[z])
-            break
+    w_assoc = next(((names[x], names[y], names[z]) for x, y, z, _, _
+                    in _reassociation_defects(m.op, _Elements())), None)
 
     w_comm = None
     for x, y in itertools.combinations(range(n), 2):
@@ -298,11 +334,18 @@ def to_relational(m: FiniteMultigroup) -> RelationalMultigroup:
     return RelationalMultigroup(m.carrier, triples, m.inv, m.identity)
 
 
-def from_relational(rel: RelationalMultigroup) -> FiniteMultigroup:
+def _relational_table(rel: RelationalMultigroup) -> list[list[int]]:
+    """The n x n cell masks of the triples; a cell with no triple is 0."""
     n = rel.size
     table = [[0] * n for _ in range(n)]
     for (x, y, z) in rel.pi:
         table[x][y] |= 1 << z
+    return table
+
+
+def from_relational(rel: RelationalMultigroup) -> FiniteMultigroup:
+    n = rel.size
+    table = _relational_table(rel)
     for x, y in itertools.product(range(n), repeat=2):
         if table[x][y] == 0:
             raise InputError(
@@ -312,62 +355,74 @@ def from_relational(rel: RelationalMultigroup) -> FiniteMultigroup:
                             rel.inv, rel.identity)
 
 
-def check_relational_axioms(rel: RelationalMultigroup) -> CheckReport:
-    """Audit axioms I-IV of the triple presentation."""
+def _relational_audit(rel: RelationalMultigroup, cell: list[list[int]],
+                      elements: _Elements
+                      ) -> tuple[tuple[Verdict, ...], Optional[tuple]]:
+    """Verdicts of axioms I-IV on the mask table ``cell`` of ``rel``, and the
+    first (u, v, w, x) met by the III scan with x in u(vw) but not in (uv)w:
+    lemma (e)'s witness whenever III passes, as the scan then runs to the end."""
     n = rel.size
     names = rel.carrier.names
-    pi = rel.pi
     r = rel.inv
-    by_first2: dict[tuple[int, int], list[int]] = {}
-    for (x, y, z) in pi:
-        by_first2.setdefault((x, y), []).append(z)
+    e = rel.identity
 
     w1 = None
-    for t in sorted(pi):
-        x, y, z = t
-        if (z, r[y], x) not in pi or (r[x], z, y) not in pi:
-            w1 = (names[x], names[y], names[z])
+    for x, y in itertools.product(range(n), repeat=2):
+        for z in elements[cell[x][y]]:
+            if not (cell[z][r[y]] >> x) & 1 or not (cell[r[x]][z] >> y) & 1:
+                w1 = (names[x], names[y], names[z])
+                break
+        if w1:
             break
 
     w2 = None
-    for x, y in itertools.product(range(n), repeat=2):
-        if ((x, rel.identity, y) in pi) != (x == y):
-            w2 = (names[x], names[y])
+    for x in range(n):
+        stray = cell[x][e] ^ (1 << x)
+        if stray:
+            w2 = (names[x], names[_lowest_bit(stray)])
             break
 
-    w3 = None
-    for u, v, w, x in itertools.product(range(n), repeat=4):
-        lhs = any((p, w, x) in pi for p in by_first2.get((u, v), ()))
-        if lhs and not any((u, q, x) in pi for q in by_first2.get((v, w), ())):
-            w3 = (names[u], names[v], names[w], names[x])
+    w3 = we = None
+    for u, v, w, left, right in _reassociation_defects(cell, elements):
+        if we is None and right & ~left:
+            we = (names[u], names[v], names[w], names[_lowest_bit(right & ~left)])
+        if left & ~right:
+            w3 = (names[u], names[v], names[w], names[_lowest_bit(left & ~right)])
             break
 
     w4 = None
-    for t in sorted(pi):
-        x, y, z = t
-        if (y, x, z) not in pi:
-            w4 = (names[x], names[y], names[z])
+    for x, y in itertools.product(range(n), repeat=2):
+        missing = cell[x][y] & ~cell[y][x]
+        if missing:
+            w4 = (names[x], names[y], names[_lowest_bit(missing)])
             break
 
-    return CheckReport(
-        subject="relational multigroup",
-        verdicts=(
-            _verdict_all("I-reversibility", w1),
-            _verdict_all("II-identity", w2),
-            _verdict_all("III-reassociation", w3),
-            _verdict_all("IV-commutativity", w4),
-        ),
+    verdicts = (
+        _verdict_all("I-reversibility", w1),
+        _verdict_all("II-identity", w2),
+        _verdict_all("III-reassociation", w3),
+        _verdict_all("IV-commutativity", w4),
     )
+    return verdicts, we
+
+
+def check_relational_axioms(rel: RelationalMultigroup) -> CheckReport:
+    """Audit axioms I-IV of the triple presentation."""
+    verdicts, _ = _relational_audit(rel, _relational_table(rel), _Elements())
+    return CheckReport(subject="relational multigroup", verdicts=verdicts)
 
 
 def check_relational_lemmas(rel: RelationalMultigroup) -> CheckReport:
     """Audit the six consequences (a)-(f) of axioms I-III.
 
     Axioms I-III are re-verified first; on a precondition failure the lemma
-    scan is skipped and the axiom verdicts carry the report.
+    scan is skipped and the axiom verdicts carry the report.  Lemma (e)
+    comes from the same reassociation scan as axiom III.
     """
-    ax = check_relational_axioms(rel)
-    pre = [v for v in ax.verdicts if v.axiom != "IV-commutativity"]
+    cell = _relational_table(rel)
+    elements = _Elements()
+    axioms, we = _relational_audit(rel, cell, elements)
+    pre = [v for v in axioms if v.axiom != "IV-commutativity"]
     if not all(v.passed for v in pre):
         note = Verdict("lemmas", False, None,
                        "skipped: axioms I-III failed", informational=True)
@@ -375,12 +430,8 @@ def check_relational_lemmas(rel: RelationalMultigroup) -> CheckReport:
 
     n = rel.size
     names = rel.carrier.names
-    pi = rel.pi
     r = rel.inv
     e = rel.identity
-    by_first2: dict[tuple[int, int], list[int]] = {}
-    for (x, y, z) in pi:
-        by_first2.setdefault((x, y), []).append(z)
 
     wa = None if r[e] == e else (names[e],)
 
@@ -390,28 +441,31 @@ def check_relational_lemmas(rel: RelationalMultigroup) -> CheckReport:
             wb = (names[x],)
             break
 
+    # (x, y, z) in pi iff (r(y), r(x), r(z)) in pi: compare cell (x, y) with
+    # the preimage under r of cell (r(y), r(x)); r need not be an involution.
+    preimage = [0] * n
+    for z in range(n):
+        preimage[r[z]] |= 1 << z
     wc = None
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if ((x, y, z) in pi) != ((r[y], r[x], r[z]) in pi):
-            wc = (names[x], names[y], names[z])
+    for x, y in itertools.product(range(n), repeat=2):
+        back = 0
+        for z in elements[cell[r[y]][r[x]]]:
+            back |= preimage[z]
+        differ = cell[x][y] ^ back
+        if differ:
+            wc = (names[x], names[y], names[_lowest_bit(differ)])
             break
 
     wd = None
-    for x, y in itertools.product(range(n), repeat=2):
-        if ((e, x, y) in pi) != (x == y):
-            wd = (names[x], names[y])
-            break
-
-    we = None
-    for u, v, w, x in itertools.product(range(n), repeat=4):
-        lhs = any((u, q, x) in pi for q in by_first2.get((v, w), ()))
-        if lhs and not any((p, w, x) in pi for p in by_first2.get((u, v), ())):
-            we = (names[u], names[v], names[w], names[x])
+    for x in range(n):
+        stray = cell[e][x] ^ (1 << x)
+        if stray:
+            wd = (names[x], names[_lowest_bit(stray)])
             break
 
     wf = None
     for a, b in itertools.product(range(n), repeat=2):
-        if (a, b) not in by_first2:
+        if not cell[a][b]:
             wf = (names[a], names[b])
             break
 
@@ -586,15 +640,22 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
             break
     verdicts.append(_verdict_all("zero-absorbing", w))
 
+    elements = _Elements()
     w_weak = None
     w_full = None
-    for a, b, d in itertools.product(range(n), repeat=3):
-        left = r.mul_masks(r.add[a][b], 1 << d)
-        right = r.add[r.mul[a][d]][r.mul[b][d]]
-        if w_weak is None and left & ~right:
-            w_weak = (names[a], names[b], names[d])
-        if w_full is None and left != right:
-            w_full = (names[a], names[b], names[d])
+    for a, b in itertools.product(range(n), repeat=2):
+        rows = [r.mul[c] for c in elements[r.add[a][b]]]
+        mul_a, mul_b = r.mul[a], r.mul[b]
+        for d in range(n):
+            left = 0
+            for row in rows:
+                left |= 1 << row[d]
+            right = r.add[mul_a[d]][mul_b[d]]
+            if left != right:
+                if w_full is None:
+                    w_full = (names[a], names[b], names[d])
+                if w_weak is None and left & ~right:
+                    w_weak = (names[a], names[b], names[d])
         if w_weak and w_full:
             break
     verdicts.append(_verdict_all("distributivity-weak", w_weak))

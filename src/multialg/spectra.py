@@ -85,8 +85,7 @@ def enumerate_primes(a: FiniteMultiring) -> list[Ideal]:
     return [i for i in enumerate_ideals(a) if is_prime_mask(a, i.members)]
 
 
-def enumerate_maximals(a: FiniteMultiring) -> list[Ideal]:
-    ideals = enumerate_ideals(a)
+def _maximal_ideals(ideals: list[Ideal]) -> list[Ideal]:
     proper = [i for i in ideals if i.is_proper()]
     out = []
     for i in proper:
@@ -96,12 +95,16 @@ def enumerate_maximals(a: FiniteMultiring) -> list[Ideal]:
     return out
 
 
+def enumerate_maximals(a: FiniteMultiring) -> list[Ideal]:
+    return _maximal_ideals(enumerate_ideals(a))
+
+
 def check_quotient_characterizations(a: FiniteMultiring) -> CheckReport:
     """prime iff quotient is a multidomain, maximal iff multifield, with the
     quotient additionally required to be nondegenerate (1 != 0)."""
     ideals = enumerate_ideals(a)
-    primes = {i.members for i in enumerate_primes(a)}
-    maximals = {i.members for i in enumerate_maximals(a)}
+    primes = {i.members for i in ideals if is_prime_mask(a, i.members)}
+    maximals = {i.members for i in _maximal_ideals(ideals)}
     w_prime = w_max = w_chain = None
     for ideal in ideals:
         q, _ = quotient_by_ideal(a, ideal)

@@ -360,3 +360,16 @@ def test_c12_enumeration_oracle():
     gate(12, f"enumeration matches the independent brute force "
              f"({len(expected)} classes) and contains the landmarks",
          ok, time.monotonic() - t0, 120.0)
+
+
+def test_c13_core_audits_at_the_carrier_cap():
+    # Keeps the audits O(n^3): an n^4 lemma scan of K^6 alone takes about a minute.
+    t0 = time.monotonic()
+    from multialg.constructions import product
+    ok = True
+    for r in (core.ring_multiring(64), product([krasner()] * 6)):
+        ok = ok and r.size == core.CARRIER_CAP and check_multiring(r).overall
+        ok = ok and check_relational_lemmas(
+            to_relational(r.additive_multigroup())).overall
+    gate(13, "multiring audit and relational lemmas on Z/64 and K^6",
+         ok, time.monotonic() - t0, 10.0)
