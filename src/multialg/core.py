@@ -12,6 +12,17 @@ masks, each distinct cell is expanded to its elements once, and the other
 axioms are per-pair mask tests.  Witnesses stay the first violations in
 lexicographic order; tests/reference_audits.py keeps the naive audits they
 are pinned to.
+
+The searches for maps (morphisms, isomorphisms, and the other modules'
+morphisms and spectrum vectors) run on one kernel, ``_table_maps``.  Each
+variable's domain is a bitmask of target values; assigning f(x) narrows the
+domains it reaches through neg, products, addition cells and injectivity,
+and a branch with an empty domain is cut.  Variables go in index order and
+values in ascending order, and only subtrees without a solution are cut, so
+results come in lexicographic order of their mappings and find_isomorphism
+returns the first isomorphism in that order.  Every map the kernel yields
+still passes the caller's full check; tests/reference_searches.py keeps the
+searches the kernel replaced.
 """
 
 from __future__ import annotations
@@ -822,117 +833,112 @@ def is_multiring_morphism(f: StructureMap) -> bool:
     return check_morphism(f).overall
 
 
+_Table = Sequence[Sequence[int]]
+
+
+def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
+                unary: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
+                ops: Sequence[tuple[_Table, _Table]] = (),
+                cells: Sequence[tuple[_Table, _Table]] = (),
+                bijective: bool = False) -> Iterator[tuple[int, ...]]:
+    """Candidate maps {0..n-1} -> {0..m-1} in lexicographic order, as tuples.
+
+    Each (source, target) pair of tables is a condition every wanted map
+    meets: ``fixed`` pins f(i) = v, ``unary`` asks f(u(x)) = u'(f(x)),
+    ``ops`` asks f(xy) = f(x)f(y) on value tables and ``cells`` asks
+    f(cell(x, y)) <= cell'(f(x), f(y)) on mask tables; ``bijective`` adds
+    injectivity and f(c) in cell'(f(x), f(y)) only if c in cell(x, y).
+    Assigning f(x) narrows the other variables' domains, and a branch with
+    an empty domain is cut.  Only maps breaking a condition are cut, so the
+    caller's leaf check decides and its results keep their order.
+    """
+    start = [(1 << m) - 1] * n
+    for i, v in fixed:
+        start[i] &= 1 << v
+    if bijective:
+        for i, v in fixed:
+            for j in range(n):
+                if j != i:
+                    start[j] &= ~(1 << v)
+    # Each unary pair with its source preimage lists and target preimage masks.
+    unaries = [(src, tgt,
+                [[x for x in range(n) if src[x] == y] for y in range(n)],
+                [mask_of(w for w in range(m) if tgt[w] == v) for v in range(m)])
+               for src, tgt in unary]
+    outside = full_mask(n)
+    elements = _Elements()
+    vals = [0] * n
+
+    def extend(i: int, dom: list[int]) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(vals)
+            return
+        choices = dom[i]
+        while choices:
+            low = choices & -choices
+            choices ^= low
+            v = low.bit_length() - 1
+            vals[i] = v
+            d = dom.copy()
+            d[i] = low
+            if bijective:
+                for j in range(i + 1, n):
+                    d[j] &= ~low
+            for src, tgt, back, pre in unaries:
+                d[src[i]] &= 1 << tgt[v]
+                for x in back[i]:
+                    d[x] &= pre[v]
+            for src, tgt in ops:
+                src_i, tgt_v = src[i], tgt[v]
+                for j in range(i + 1):
+                    w = vals[j]
+                    d[src_i[j]] &= 1 << tgt_v[w]
+                    d[src[j][i]] &= 1 << tgt[w][v]
+            later = outside >> (i + 1) << (i + 1)
+            for src, tgt in cells:
+                src_i, tgt_v = src[i], tgt[v]
+                for j in range(i + 1):
+                    w = vals[j]
+                    # Both orders; a set, as the tables are mostly commutative.
+                    for cell, image in {(src_i[j], tgt_v[w]), (src[j][i], tgt[w][v])}:
+                        for c in elements[cell]:
+                            d[c] &= image
+                        if bijective:
+                            if cell.bit_count() != image.bit_count():
+                                d[i] = 0  # no bijection matches the two cells
+                            for c in elements[later & ~cell]:
+                                d[c] &= ~image
+            if 0 not in d:
+                yield from extend(i + 1, d)
+
+    return extend(0, start)
+
+
 def enumerate_multiring_morphisms(a: FiniteMultiring,
                                   b: FiniteMultiring) -> list[StructureMap]:
-    """All morphisms a -> b, by backtracking in canonical element order."""
-    n, m = a.size, b.size
-    assign = [-1] * n
-    out: list[StructureMap] = []
-
-    def consistent(i: int) -> bool:
-        v = assign[i]
-        if i == a.zero and v != b.zero:
-            return False
-        if i == a.one and v != b.one:
-            return False
-        for j in range(n):
-            w = assign[j]
-            if w < 0:
-                continue
-            if a.neg[j] == i and b.neg[w] != v:
-                return False
-            if a.neg[i] == j and b.neg[v] != w:
-                return False
-            p = a.mul[i][j]
-            if assign[p] >= 0 and b.mul[v][w] != assign[p]:
-                return False
-            for k in range(n):
-                u = assign[k]
-                if u < 0:
-                    continue
-                if a.mul[j][k] == i and b.mul[w][u] != v:
-                    return False
-                if (a.add[j][k] >> i) & 1 and not (b.add[w][u] >> v) & 1:
-                    return False
-        return True
-
-    def extend(i: int) -> None:
-        if i == n:
-            f = StructureMap(a, b, tuple(assign))
-            if check_morphism(f).overall:
-                out.append(f)
-            return
-        for v in range(m):
-            assign[i] = v
-            if consistent(i):
-                extend(i + 1)
-        assign[i] = -1
-
-    extend(0)
-    return out
+    """All morphisms a -> b, in lexicographic order of their mappings."""
+    maps = _table_maps(a.size, b.size, ((a.zero, b.zero), (a.one, b.one)),
+                       unary=((a.neg, b.neg),), ops=((a.mul, b.mul),),
+                       cells=((a.add, b.add),))
+    return [f for f in (StructureMap(a, b, mp) for mp in maps)
+            if check_morphism(f).overall]
 
 
 def find_isomorphism(a: FiniteMultiring,
                      b: FiniteMultiring) -> Optional[StructureMap]:
-    """First isomorphism in backtracking order over canonical element order,
-    or None.  Label-insensitive: only the tables must match."""
+    """First isomorphism in lexicographic order of the mappings, or None.
+    Label-insensitive: only the tables must match."""
     n = a.size
     if n != b.size:
         return None
-    assign = [-1] * n
-    used = [False] * b.size
-
-    def consistent(i: int) -> bool:
-        v = assign[i]
-        if (i == a.zero) != (v == b.zero):
-            return False
-        if (i == a.one) != (v == b.one):
-            return False
-        for j in range(n):
-            w = assign[j]
-            if w < 0:
-                continue
-            if a.neg[i] == j and b.neg[v] != w:
-                return False
-            if a.neg[j] == i and b.neg[w] != v:
-                return False
-            p = a.mul[i][j]
-            if assign[p] >= 0 and b.mul[v][w] != assign[p]:
-                return False
-            q = a.mul[j][i]
-            if assign[q] >= 0 and b.mul[w][v] != assign[q]:
-                return False
-            if a.add[i][j].bit_count() != b.add[v][w].bit_count():
-                return False
-        return True
-
-    def full_match() -> bool:
-        for x, y in itertools.product(range(n), repeat=2):
-            if mask_of(assign[c] for c in bits(a.add[x][y])) != b.add[assign[x]][assign[y]]:
-                return False
-            if assign[a.mul[x][y]] != b.mul[assign[x]][assign[y]]:
-                return False
-        return True
-
-    def extend(i: int) -> Optional[StructureMap]:
-        if i == n:
-            if full_match():
-                return StructureMap(a, b, tuple(assign))
-            return None
-        for v in range(n):
-            if used[v]:
-                continue
-            assign[i] = v
-            used[v] = True
-            if consistent(i):
-                found = extend(i + 1)
-                if found is not None:
-                    return found
-            used[v] = False
-        assign[i] = -1
-        return None
-
-    return extend(0)
+    pairs = list(itertools.product(range(n), repeat=2))
+    for f in _table_maps(n, n, ((a.zero, b.zero), (a.one, b.one)),
+                         unary=((a.neg, b.neg),), ops=((a.mul, b.mul),),
+                         cells=((a.add, b.add),), bijective=True):
+        if all(mask_of(f[c] for c in bits(a.add[x][y])) == b.add[f[x]][f[y]]
+               and f[a.mul[x][y]] == b.mul[f[x]][f[y]] for x, y in pairs):
+            return StructureMap(a, b, f)
+    return None
 
 
 def is_isomorphic(a: FiniteMultiring, b: FiniteMultiring) -> bool:

@@ -23,6 +23,7 @@ from .core import (
     StructureMap,
     Verdict,
     bits,
+    find_isomorphism,
     full_mask,
     mask_of,
 )
@@ -845,7 +846,6 @@ def aos_mf_roundtrip(s: SignSpace) -> CheckReport:
 
 
 def mf_aos_roundtrip(f: FiniteMultiring) -> CheckReport:
-    from .core import find_isomorphism
     s, bij = mfred_to_aos(f)
     aos = check_aos(s)
     f2 = aos_to_mfred(s)
@@ -879,7 +879,6 @@ def ars_mr_roundtrip(s: SignSpace) -> CheckReport:
 
 
 def mr_ars_roundtrip(a: FiniteMultiring) -> CheckReport:
-    from .core import find_isomorphism
     s, audit = mrred_to_ars(a)
     ars = check_ars(s)
     a2 = ars_to_mrred(s)

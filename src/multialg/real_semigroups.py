@@ -22,6 +22,7 @@ from .core import (
     StructureMap,
     StructuralAnomaly,
     Verdict,
+    _table_maps,
     bits,
     full_mask,
     mask_of,
@@ -456,38 +457,10 @@ def is_rs_morphism(fmap: StructureMap) -> bool:
 
 
 def enumerate_rs_morphisms(s: RealSemigroup, t: RealSemigroup) -> list[StructureMap]:
-    n, m = s.size, t.size
-    assign = [-1] * n
-    out: list[StructureMap] = []
-    consts = {s.one: t.one, s.zero: t.zero, s.minus_one: t.minus_one}
-
-    def consistent(i: int) -> bool:
-        v = assign[i]
-        if i in consts and v != consts[i]:
-            return False
-        for j in range(n):
-            w = assign[j]
-            if w < 0:
-                continue
-            p = s.mul[i][j]
-            if assign[p] >= 0 and t.mul[v][w] != assign[p]:
-                return False
-        return True
-
-    def extend(i: int) -> None:
-        if i == n:
-            f = StructureMap(s, t, tuple(assign))
-            if is_rs_morphism(f):
-                out.append(f)
-            return
-        for v in range(m):
-            assign[i] = v
-            if consistent(i):
-                extend(i + 1)
-        assign[i] = -1
-
-    extend(0)
-    return out
+    maps = _table_maps(s.size, t.size, ((s.one, t.one), (s.zero, t.zero),
+                                        (s.minus_one, t.minus_one)),
+                       ops=((s.mul, t.mul),), cells=((s.d, t.d),))
+    return [f for f in (StructureMap(s, t, mp) for mp in maps) if is_rs_morphism(f)]
 
 
 def hom_to_3(s: RealSemigroup) -> list[StructureMap]:

@@ -21,6 +21,7 @@ from .core import (
     InputError,
     StructureMap,
     Verdict,
+    _table_maps,
     bits,
     classify,
     full_mask,
@@ -620,39 +621,9 @@ def is_sg_morphism(fmap: StructureMap) -> bool:
 
 
 def enumerate_sg_morphisms(g: SpecialGroup, h: SpecialGroup) -> list[StructureMap]:
-    n, m = g.size, h.size
-    assign = [-1] * n
-    out: list[StructureMap] = []
-
-    def consistent(i: int) -> bool:
-        v = assign[i]
-        if i == g.one and v != h.one:
-            return False
-        if i == g.minus_one and v != h.minus_one:
-            return False
-        for j in range(n):
-            w = assign[j]
-            if w < 0:
-                continue
-            p = g.mul[i][j]
-            if assign[p] >= 0 and h.mul[v][w] != assign[p]:
-                return False
-        return True
-
-    def extend(i: int) -> None:
-        if i == n:
-            f = StructureMap(g, h, tuple(assign))
-            if is_sg_morphism(f):
-                out.append(f)
-            return
-        for v in range(m):
-            assign[i] = v
-            if consistent(i):
-                extend(i + 1)
-        assign[i] = -1
-
-    extend(0)
-    return out
+    maps = _table_maps(g.size, h.size, ((g.one, h.one), (g.minus_one, h.minus_one)),
+                       ops=((g.mul, h.mul),))
+    return [f for f in (StructureMap(g, h, mp) for mp in maps) if is_sg_morphism(f)]
 
 
 def sg_map_to_mf_map(fmap: StructureMap, mf_source: FiniteMultiring,

@@ -17,6 +17,7 @@ from .core import (
     InputError,
     StructureMap,
     Verdict,
+    _table_maps,
     bits,
     check_morphism,
     classify,
@@ -157,43 +158,10 @@ def _satisfies_spec_relations(a: FiniteMultiring, vec: tuple[int, ...]) -> bool:
 
 
 def _enumerate_relation_vectors(a: FiniteMultiring) -> list[tuple[int, ...]]:
-    n = a.size
-    out: list[tuple[int, ...]] = []
-    vec = [-1] * n
-
-    def consistent(i: int) -> bool:
-        if i == a.zero and vec[i] != 0:
-            return False
-        if i == a.one and vec[i] != 1:
-            return False
-        for j in range(n):
-            if vec[j] < 0:
-                continue
-            for x, y in ((i, j), (j, i)):
-                p = a.mul[x][y]
-                if vec[p] >= 0 and vec[p] != (vec[x] & vec[y]):
-                    return False
-                if vec[x] == 0 and vec[y] == 0:
-                    for c in bits(a.add[x][y]):
-                        if vec[c] == 0 or vec[c] < 0:
-                            continue
-                        return False
-        return True
-
-    def extend(i: int) -> None:
-        if i == n:
-            t = tuple(vec)
-            if _satisfies_spec_relations(a, t):
-                out.append(t)
-            return
-        for v in (0, 1):
-            vec[i] = v
-            if consistent(i):
-                extend(i + 1)
-        vec[i] = -1
-
-    extend(0)
-    return out
+    vectors = _table_maps(a.size, 2, ((a.zero, 0), (a.one, 1)),
+                          ops=((a.mul, ((0, 0), (0, 1))),),
+                          cells=((a.add, ((1, 3), (3, 3))),))
+    return [t for t in vectors if _satisfies_spec_relations(a, t)]
 
 
 def spec_topology(a: FiniteMultiring) -> SpectrumReport:

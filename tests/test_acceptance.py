@@ -63,6 +63,7 @@ from multialg.special_groups import (
 from multialg.spectra import (
     enumerate_orderings,
     enumerate_preorderings,
+    hom_to_q2,
     is_real,
     ordering_hom_bijection_check,
     preordering_intersection_check,
@@ -372,4 +373,60 @@ def test_c13_core_audits_at_the_carrier_cap():
         ok = ok and check_relational_lemmas(
             to_relational(r.additive_multigroup())).overall
     gate(13, "multiring audit and relational lemmas on Z/64 and K^6",
+         ok, time.monotonic() - t0, 10.0)
+
+
+def _shuffled(r, seed):
+    """Copy of multiring r with element x moved to a seeded index perm[x]."""
+    n = r.size
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    old = [0] * n
+    for x, new in enumerate(perm):
+        old[new] = x
+
+    def move(mask):
+        return sum(1 << perm[c] for c in range(n) if (mask >> c) & 1)
+
+    return core.FiniteMultiring(
+        core.Carrier(tuple(r.names[old[i]] for i in range(n))),
+        tuple(tuple(move(r.add[old[i]][old[j]]) for j in range(n)) for i in range(n)),
+        tuple(tuple(perm[r.mul[old[i]][old[j]]] for j in range(n)) for i in range(n)),
+        tuple(perm[r.neg[old[i]]] for i in range(n)),
+        perm[r.zero], perm[r.one])
+
+
+def _relabels_into(a, b, f, onto):
+    """f: a -> b preserves the constants, neg and mul, and maps every add
+    cell into (with ``onto``: onto) the image cell; checked on the tables."""
+    n = a.size
+    ok = f[a.zero] == b.zero and f[a.one] == b.one
+    for x, y in itertools.product(range(n), repeat=2):
+        moved = sum(1 << v for v in {f[c] for c in range(n) if (a.add[x][y] >> c) & 1})
+        image = b.add[f[x]][f[y]]
+        ok = ok and f[a.neg[x]] == b.neg[f[x]] \
+            and f[a.mul[x][y]] == b.mul[f[x]][f[y]] \
+            and (moved == image if onto else moved & ~image == 0)
+    return ok
+
+
+def test_c14_searches_at_the_carrier_cap():
+    # A search that only checks assigned pairs ran over 290 s on shuffled Z/64.
+    t0 = time.monotonic()
+    from multialg.constructions import product
+    k = krasner()
+    cases = ([(core.ring_multiring(64), seed) for seed in (0, 1)]
+             + [(product([k] * 6), 0)]
+             + [(product([q2(), q2(), k, k]), seed) for seed in range(8)])
+    ok = True
+    for r, seed in cases:
+        s = _shuffled(r, seed)
+        iso = core.find_isomorphism(r, s)
+        ok = ok and iso is not None and sorted(iso.mapping) == list(range(r.size)) \
+            and _relabels_into(r, s, iso.mapping, onto=True)
+    cube = q2cube()
+    homs = hom_to_q2(cube)
+    ok = ok and len(homs) == 3 and all(
+        _relabels_into(cube, q2(), f.mapping, onto=False) for f in homs)
+    gate(14, "isomorphisms of shuffled Z/64, K^6 and q2^2 x K^2; hom(q2^3, q2)",
          ok, time.monotonic() - t0, 10.0)

@@ -1,0 +1,204 @@
+"""The searches built on the propagating kernel agree with the old ones.
+
+``reference_searches`` holds the five searches as they were before
+``core._table_maps``: each its own backtracking loop that checks assigned
+pairs and narrows nothing.  Here the library's
+``enumerate_multiring_morphisms``, ``enumerate_sg_morphisms``,
+``enumerate_rs_morphisms`` and ``_enumerate_relation_vectors`` must return
+the same lists in the same order, and ``find_isomorphism`` the same first
+map, on the corpus, on every candidate table of order <= 3, on seeded
+shuffles and on degenerate inputs that no audit has passed.
+"""
+
+import dataclasses
+import functools
+import itertools
+import random
+
+import pytest
+
+import reference_searches as reference
+from multialg import core
+from multialg.constructions import product
+from multialg.corpus import (
+    corpus_multirings,
+    corpus_real_reduced_multifields,
+    corpus_real_semigroups,
+    corpus_special_groups,
+    q2cube,
+)
+from multialg.enumeration import _addition_tables, _involutions_fixing, _labels, _monoid_tables
+from multialg.real_semigroups import enumerate_rs_morphisms
+from multialg.special_groups import enumerate_sg_morphisms
+from multialg.spectra import _enumerate_relation_vectors
+
+
+def mappings(maps):
+    return [f.mapping for f in maps]
+
+
+def assert_isomorphisms_agree(a, b):
+    new, old = core.find_isomorphism(a, b), reference.find_isomorphism(a, b)
+    assert (new and new.mapping) == (old and old.mapping)
+
+
+def assert_multiring_searches_agree(a, b):
+    assert mappings(core.enumerate_multiring_morphisms(a, b)) == \
+        mappings(reference.enumerate_multiring_morphisms(a, b))
+    assert_isomorphisms_agree(a, b)
+
+
+def assert_vectors_agree(a):
+    assert _enumerate_relation_vectors(a) == reference._enumerate_relation_vectors(a)
+
+
+def shuffled(r, seed):
+    """Copy of multiring r with element x moved to a seeded index perm[x]."""
+    n = r.size
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    old = [0] * n
+    for x, new in enumerate(perm):
+        old[new] = x
+    return core.FiniteMultiring(
+        core.Carrier(tuple(r.names[old[i]] for i in range(n))),
+        tuple(tuple(core.mask_of(perm[c] for c in core.bits(r.add[old[i]][old[j]]))
+                    for j in range(n)) for i in range(n)),
+        tuple(tuple(perm[r.mul[old[i]][old[j]]] for j in range(n)) for i in range(n)),
+        tuple(perm[r.neg[old[i]]] for i in range(n)),
+        perm[r.zero], perm[r.one])
+
+
+@functools.cache
+def corpus_rings():
+    out = dict(corpus_multirings())
+    out.update(corpus_real_reduced_multifields())
+    return out
+
+
+def test_corpus_multiring_pairs():
+    rings = corpus_rings()
+    for a, b in itertools.product(rings.values(), repeat=2):
+        assert_multiring_searches_agree(a, b)
+
+
+def test_corpus_special_group_pairs():
+    groups = corpus_special_groups()
+    for g, h in itertools.product(groups.values(), repeat=2):
+        assert mappings(enumerate_sg_morphisms(g, h)) == \
+            mappings(reference.enumerate_sg_morphisms(g, h))
+
+
+def test_corpus_real_semigroup_pairs():
+    semigroups = corpus_real_semigroups()
+    for s, t in itertools.product(semigroups.values(), repeat=2):
+        assert mappings(enumerate_rs_morphisms(s, t)) == \
+            mappings(reference.enumerate_rs_morphisms(s, t))
+
+
+def test_corpus_relation_vectors():
+    for a in list(corpus_rings().values()) + [q2cube()]:
+        assert_vectors_agree(a)
+
+
+def test_every_candidate_of_order_at_most_three():
+    """All candidate multiring tables, failing ones included: relation
+    vectors, morphisms to and from q2, and a relabelled copy."""
+    q2 = core.q2()
+    seen = 0
+    for n in (1, 2, 3):
+        carrier = core.Carrier(_labels(n))
+        for zero, one in itertools.permutations(range(n), 2):
+            for neg in _involutions_fixing(n, zero):
+                for mul in _monoid_tables(n, zero, one):
+                    for add in _addition_tables(n, zero, neg):
+                        a = core.FiniteMultiring(carrier, add, mul, neg, zero, one)
+                        assert_vectors_agree(a)
+                        assert_multiring_searches_agree(a, q2)
+                        assert_multiring_searches_agree(q2, a)
+                        assert_multiring_searches_agree(a, shuffled(a, seen))
+                        seen += 1
+    assert seen == 616
+
+
+@pytest.mark.parametrize("name", ["q2cube", "q2xk2", "z12"])
+def test_first_isomorphism_of_shuffles(name):
+    q2, k = core.q2(), core.krasner()
+    r = {"q2cube": q2cube, "q2xk2": lambda: product([q2, k, k]),
+         "z12": lambda: core.ring_multiring(12)}[name]()
+    for seed in range(3):
+        s = shuffled(r, seed)
+        assert_isomorphisms_agree(r, s)
+        assert_isomorphisms_agree(s, r)
+
+
+def test_size_mismatch():
+    q2, k = core.q2(), core.krasner()
+    assert_multiring_searches_agree(q2, k)
+    assert_multiring_searches_agree(k, q2)
+    assert core.find_isomorphism(q2, k) is None
+
+
+def test_zero_equal_to_one_on_one_side():
+    q2, k, z3 = core.q2(), core.krasner(), core.ring_multiring(3)
+    for r in (q2, k, z3):
+        for collapsed in (dataclasses.replace(r, one=r.zero),
+                          dataclasses.replace(r, zero=r.one)):
+            for other in (q2, k, z3, collapsed):
+                assert_multiring_searches_agree(collapsed, other)
+                assert_multiring_searches_agree(other, collapsed)
+            assert_vectors_agree(collapsed)
+
+
+def _replace_cell(table, i, j, value):
+    rows = [list(row) for row in table]
+    rows[i][j] = value
+    return tuple(tuple(row) for row in rows)
+
+
+def _multiring_mutants(base, rng, count):
+    """Seeded single-cell mutants of add, mul or neg, audited by nothing."""
+    n = base.size
+    for _ in range(count):
+        i, j, value = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        table = rng.choice(("add", "mul", "neg"))
+        if table == "add":
+            flipped = base.add[i][j] ^ (1 << value)
+            if flipped:
+                yield dataclasses.replace(base, add=_replace_cell(base.add, i, j, flipped))
+        elif table == "mul":
+            yield dataclasses.replace(base, mul=_replace_cell(base.mul, i, j, value))
+        else:
+            neg = list(base.neg)
+            neg[i] = value
+            yield dataclasses.replace(base, neg=tuple(neg))
+
+
+def test_single_cell_multiring_mutants():
+    rng = random.Random(3)
+    q2, k = core.q2(), core.krasner()
+    for base in (core.ring_multiring(8), product([q2, q2]), product([q2, k, k])):
+        for mutant in _multiring_mutants(base, rng, 20):
+            assert_vectors_agree(mutant)
+            for other in (q2, base):
+                assert_multiring_searches_agree(mutant, other)
+                assert_multiring_searches_agree(other, mutant)
+
+
+def test_single_cell_real_semigroup_mutants():
+    rng = random.Random(5)
+    semigroups = corpus_real_semigroups()
+    for name in ("rs3x3", "rs_q2xq2"):
+        base = semigroups[name]
+        n = base.size
+        for _ in range(20):
+            i, j, value = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.5:
+                mutant = dataclasses.replace(
+                    base, d=_replace_cell(base.d, i, j, base.d[i][j] ^ (1 << value)))
+            else:
+                mutant = dataclasses.replace(
+                    base, mul=_replace_cell(base.mul, i, j, value))
+            for s, t in ((mutant, semigroups["rs3"]), (base, mutant), (mutant, mutant)):
+                assert mappings(enumerate_rs_morphisms(s, t)) == \
+                    mappings(reference.enumerate_rs_morphisms(s, t))
