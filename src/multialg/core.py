@@ -9,7 +9,9 @@ The table audits (multigroup, multiring, and the relational axioms and
 lemmas) cost O(n^3) mask operations on an n-element carrier: one scan of
 the triples (x, y, z) in lexicographic order compares (xy)z with x(yz) as
 masks, each distinct cell is expanded to its elements once, and the other
-axioms are per-pair mask tests.  Witnesses stay the first violations in
+axioms are per-pair mask tests.  The associativity audits of real
+semigroups and sign spaces read the same scan, strong associativity through
+``_reassociation_failures``.  Witnesses stay the first violations in
 lexicographic order; tests/reference_audits.py keeps the naive audits they
 are pinned to.
 
@@ -94,6 +96,20 @@ def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
                     right |= row_x[c]
                 if left != right:
                     yield x, y, z, left, right
+
+
+def _reassociation_failures(table: Sequence[Sequence[int]], elements: _Elements
+                            ) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (a, x, c, y, z) for each c in table[y][z] and a in table[x][c]
+    with a outside (xy)z, taking only the least such a per c: the failures
+    of strong associativity x(yz) inside (xy)z.  (x, y, z) go in
+    lexicographic order, and c ascending."""
+    for x, y, z, left, _ in _reassociation_defects(table, elements):
+        row_x = table[x]
+        for c in elements[table[y][z]]:
+            missing = row_x[c] & ~left
+            if missing:
+                yield _lowest_bit(missing), x, c, y, z
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ The character condition AX2 is audited by exhaustive enumeration: characters
 of the function group in the two-valued case, candidate cones over sign
 pairs in the three-valued case.  Every admissible candidate must come from a
 point.
+
+The associativity audits (AX3 of ``check_aos`` and ``check_ars``, and
+``value_set_reassociation_check``) read core's O(n^3) reassociation scan
+(``_reassociation_defects``, ``_reassociation_failures``) over the value or
+transversal table; each witness is still the first failure in the
+lexicographic order of the nested loops kept in tests/reference_audits.py.
 """
 
 from __future__ import annotations
@@ -22,6 +28,10 @@ from .core import (
     InputError,
     StructureMap,
     Verdict,
+    _Elements,
+    _lowest_bit,
+    _reassociation_defects,
+    _reassociation_failures,
     bits,
     find_isomorphism,
     full_mask,
@@ -268,21 +278,11 @@ def check_aos(s: SignSpace) -> CheckReport:
         verdicts.append(Verdict("AX2-characters-are-points", False, None,
                                 "skipped: AX1 failed"))
 
-    w3 = None
-    n = s.nfunctions
-    for a, b, c in itertools.product(range(n), repeat=3):
-        lhs = 0
-        for r in bits(dtab[b][c]):
-            lhs |= dtab[a][r]
-        for t in bits(lhs):
-            if not any((dtab[sx][c] >> t) & 1 for sx in bits(dtab[a][b])):
-                w3 = (function_label(s.functions[a]),
-                      function_label(s.functions[b]),
-                      function_label(s.functions[c]),
-                      function_label(s.functions[t]))
-                break
-        if w3:
-            break
+    # AX3: a(bc) inside (ab)c; the witness is the least element outside.
+    w3 = next((tuple(function_label(s.functions[i])
+                     for i in (a, b, c, _lowest_bit(right & ~left)))
+               for a, b, c, left, right in _reassociation_defects(dtab, _Elements())
+               if right & ~left), None)
     verdicts.append(Verdict("AX3-associativity", w3 is None, w3))
     return CheckReport("abstract ordering space", tuple(verdicts))
 
@@ -378,43 +378,22 @@ def check_ars(s: SignSpace) -> CheckReport:
         verdicts.append(Verdict("AX2-cones-are-points", False, None,
                                 "skipped: AX1 failed"))
 
-    w3 = None
-    dt = transversal_table(s)
-    n = s.nfunctions
-    for a, b, c in itertools.product(range(n), repeat=3):
-        for q in bits(dt[b][c]):
-            for p in bits(dt[a][q]):
-                if not any((dt[r][c] >> p) & 1 for r in bits(dt[a][b])):
-                    w3 = (function_label(s.functions[a]),
-                          function_label(s.functions[b]),
-                          function_label(s.functions[c]),
-                          function_label(s.functions[p]))
-                    break
-            if w3:
-                break
-        if w3:
-            break
+    # AX3: a(bc) inside (ab)c; the witness p is the least element of D^t(a, q)
+    # outside (ab)c for the least q in D^t(b, c) that has one.
+    w3 = next((tuple(function_label(s.functions[i]) for i in (a, b, c, p))
+               for p, a, _, b, c in _reassociation_failures(transversal_table(s),
+                                                            _Elements())), None)
     verdicts.append(Verdict("AX3-strong-associativity", w3 is None, w3))
     return CheckReport("abstract real spectrum", tuple(verdicts))
 
 
 def value_set_reassociation_check(s: SignSpace) -> CheckReport:
     """Union re-association of value sets, the inductive step behind the
-    associativity of the derived multifield sums."""
-    dtab = value_table(s)
-    n = s.nfunctions
-    w = None
-    for a, b, c in itertools.product(range(n), repeat=3):
-        left = 0
-        for g in bits(dtab[a][b]):
-            left |= dtab[c][g]
-        right = 0
-        for h in bits(dtab[b][c]):
-            right |= dtab[h][a]
-        if left != right:
-            w = (function_label(s.functions[a]), function_label(s.functions[b]),
-                 function_label(s.functions[c]))
-            break
+    associativity of the derived multifield sums.  The value table is
+    symmetric, so the unions are (ab)c and a(bc) of the scan."""
+    w = next((tuple(function_label(s.functions[i]) for i in (a, b, c))
+              for a, b, c, _, _ in _reassociation_defects(value_table(s), _Elements())),
+             None)
     return CheckReport("value set reassociation",
                        (Verdict("union-reassociation", w is None, w),))
 

@@ -5,6 +5,14 @@ D is stored explicitly; the transversal relation D^t is always derived from
 it, never stored, so the two can not drift apart.  The canonical three-element
 structure and its uniqueness audit live here, as does the passage to and from
 real reduced multirings (sums become transversal representation sets).
+
+``check_rs`` and ``check_rs_derived`` run on cell masks.  Strong
+associativity RS3 (on D^t) and weak associativity xvi (on D) read core's
+O(n^3) reassociation scan through ``_reassociation_failures``; RS4, RS5 and
+the monotonicity consequence xiii are mask tests over distinct squares,
+agreement sets and distinct cells.  Each witness keeps the lexicographic
+order of the quantifier it comes from; tests/reference_audits.py keeps the
+nested loops they are pinned to.
 """
 
 from __future__ import annotations
@@ -22,6 +30,9 @@ from .core import (
     StructureMap,
     StructuralAnomaly,
     Verdict,
+    _Elements,
+    _lowest_bit,
+    _reassociation_failures,
     _table_maps,
     bits,
     full_mask,
@@ -202,43 +213,51 @@ def check_rs(s: RealSemigroup) -> CheckReport:
         if w2:
             break
 
+    # RS3: the least (b, c, a, d, e) with a in D^t(b, c), c in D^t(d, e)
+    # and a outside the union of D^t(x, e) over x in D^t(b, d); b is the
+    # first row of the scan with a failure.
     w3 = None
-    for b, c in itertools.product(range(n), repeat=2):
-        for a in bits(dt[b][c]):
-            for dd, e in itertools.product(range(n), repeat=2):
-                if not (dt[dd][e] >> c) & 1:
-                    continue
-                if not any((dt[b][dd] >> x) & 1 and (dt[x][e] >> a) & 1
-                           for x in range(n)):
-                    w3 = (names[a], names[b], names[c], names[dd], names[e])
-                    break
-            if w3:
-                break
-        if w3:
+    for a, b, c, dd, e in _reassociation_failures(dt, _Elements()):
+        if w3 is not None and b != w3[0]:
             break
+        if w3 is None or (b, c, a, dd, e) < w3:
+            w3 = (b, c, a, dd, e)
+    if w3 is not None:
+        b, c, a, dd, e = w3
+        w3 = (names[a], names[b], names[c], names[dd], names[e])
 
+    # RS4: D(c^2 a, e^2 b) depends on (c, e) only through the distinct
+    # squares, so their union is tested first and (c, e) scanned on failure.
     w4 = None
-    for a, b, c, e in itertools.product(range(n), repeat=4):
-        lhs = d[s.mul[s.mul[c][c]][a]][s.mul[s.mul[e][e]][b]]
-        for x in bits(lhs):
-            if not (d[a][b] >> x) & 1:
-                w4 = (names[x], names[a], names[b], names[c], names[e])
+    squares = {s.mul[c][c] for c in range(n)}
+    scaled = [{s.mul[q][x] for q in squares} for x in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        lhs = 0
+        for u in scaled[a]:
+            for v in scaled[b]:
+                lhs |= d[u][v]
+        if not lhs & ~d[a][b]:
+            continue
+        for c, e in itertools.product(range(n), repeat=2):
+            missing = d[s.mul[s.mul[c][c]][a]][s.mul[s.mul[e][e]][b]] & ~d[a][b]
+            if missing:
+                w4 = (names[_lowest_bit(missing)], names[a], names[b],
+                      names[c], names[e])
                 break
-        if w4:
-            break
+        break
 
+    # RS5: D(d, e) must stay inside the set where a and b agree whenever d
+    # and e are in it.
     w5 = None
     for a, b in itertools.product(range(n), repeat=2):
-        for dd, e in itertools.product(range(n), repeat=2):
-            if s.mul[a][dd] != s.mul[b][dd] or s.mul[a][e] != s.mul[b][e]:
-                continue
-            for c in bits(d[dd][e]):
-                if s.mul[a][c] != s.mul[b][c]:
-                    w5 = (names[a], names[b], names[c], names[dd], names[e])
-                    break
-            if w5:
-                break
-        if w5:
+        agree = mask_of(x for x in range(n) if s.mul[a][x] == s.mul[b][x])
+        inside = tuple(bits(agree))
+        found = next(((dd, e) for dd in inside for e in inside
+                      if d[dd][e] & ~agree), None)
+        if found:
+            dd, e = found
+            w5 = (names[a], names[b], names[_lowest_bit(d[dd][e] & ~agree)],
+                  names[dd], names[e])
             break
 
     w6 = None
@@ -290,6 +309,7 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
     dt = dt_table(s)
     mul = s.mul
     neg = s.neg
+    elements = _Elements()
     verdicts = []
 
     def quantify(axiom: str, pred, arity: int) -> None:
@@ -334,22 +354,27 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
              lambda a, b: (d[s.one][neg(mul[a][a])] >> mul[a][b]) & 1, 2)
     quantify("xii-zero-transversal",
              lambda a, b: ((dt[a][b] >> s.zero) & 1) == (a == neg(b)), 2)
-    quantify("xiii-monotone",
-             lambda a, b, c, x, y: not ((d[b][c] >> a) & 1
-                                        and (d[x][y] >> b) & 1
-                                        and (d[x][y] >> c) & 1)
-             or (d[x][y] >> a) & 1, 5)
+    # xiii: every cell K = D(x, y) holds D(b, c) for b, c in K; each
+    # distinct cell is tested once, at its first position.
+    first_at: dict[int, tuple[int, int]] = {}
+    for x, y in itertools.product(range(n), repeat=2):
+        first_at.setdefault(d[x][y], (x, y))
+    w13 = min(((_lowest_bit(d[b][c] & ~cell), b, c) + first_at[cell]
+               for cell in first_at for b in elements[cell]
+               for c in elements[cell] if d[b][c] & ~cell), default=None)
+    verdicts.append(Verdict("xiii-monotone", w13 is None,
+                            None if w13 is None
+                            else tuple(names[i] for i in w13)))
     quantify("xiv-product-form",
              lambda a, b, c: ((d[b][c] >> a) & 1)
              == ((d[s.one][mul[b][c]] >> mul[a][b]) & 1
                  and (d[s.one][mul[b][c]] >> mul[a][c]) & 1
                  and (d[mul[b][b]][mul[c][c]] >> mul[a][a]) & 1), 3)
     quantify("xv-transversal-nonempty", lambda a, b: dt[a][b] != 0, 2)
-    quantify("xvi-weak-associativity",
-             lambda a, b, c, dd, e: not ((d[b][c] >> a) & 1
-                                         and (d[dd][e] >> c) & 1)
-             or any((d[b][dd] >> x) & 1 and (d[x][e] >> a) & 1
-                    for x in range(n)), 5)
+    w16 = min(_reassociation_failures(d, elements), default=None)
+    verdicts.append(Verdict("xvi-weak-associativity", w16 is None,
+                            None if w16 is None
+                            else tuple(names[i] for i in w16)))
     quantify("xvii-square-transversal",
              lambda a, b, c: ((d[b][c] >> a) & 1)
              == ((dt[mul[mul[a][a]][b]][mul[mul[a][a]][c]] >> a) & 1), 3)

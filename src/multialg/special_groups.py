@@ -617,7 +617,16 @@ def check_sg_morphism(fmap: StructureMap) -> CheckReport:
 
 
 def is_sg_morphism(fmap: StructureMap) -> bool:
-    return check_sg_morphism(fmap).overall
+    """The required part of check_sg_morphism: homomorphism, -1 and forward
+    isometry, without the report's informational reverse scan."""
+    g: SpecialGroup = fmap.source  # type: ignore[assignment]
+    h: SpecialGroup = fmap.target  # type: ignore[assignment]
+    m = fmap.mapping
+    clsh, _ = _pair_classes(h)
+    return m[g.minus_one] == h.minus_one \
+        and all(m[g.mul[a][b]] == h.mul[m[a]][m[b]]
+                for a, b in itertools.product(range(g.size), repeat=2)) \
+        and all(clsh[m[a]][m[b]] == clsh[m[c]][m[d]] for (a, b, c, d) in g.iso)
 
 
 def enumerate_sg_morphisms(g: SpecialGroup, h: SpecialGroup) -> list[StructureMap]:

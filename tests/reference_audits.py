@@ -2,9 +2,12 @@
 
 These are the original n^4 set-probe versions of ``check_multigroup``,
 ``check_relational_axioms``, ``check_relational_lemmas`` and
-``check_multiring``, kept verbatim as the naive reference that
-``tests/test_audit_kernel.py`` pins the library's audits to: every verdict,
-witness, note and informational flag must agree.
+``check_multiring``, and the original nested-loop versions of the
+real-semigroup audits ``check_rs`` and ``check_rs_derived`` and the
+sign-space audits ``check_aos``, ``check_ars`` and
+``value_set_reassociation_check``.  They are kept verbatim as the naive
+reference that ``tests/test_audit_kernel.py`` pins the library's audits to:
+every verdict, witness, note and informational flag must agree.
 """
 
 import itertools
@@ -13,11 +16,27 @@ from multialg.core import (
     CheckReport,
     FiniteMultigroup,
     FiniteMultiring,
+    InputError,
     RelationalMultigroup,
     Verdict,
     _verdict_all,
     bits,
+    full_mask,
+    mask_of,
 )
+from multialg.ordering_spaces import (
+    AOS,
+    ARS,
+    SignSpace,
+    _ars_point_cones,
+    _ax1_verdicts,
+    _characters,
+    _enumerate_ars_cones,
+    function_label,
+    transversal_table,
+    value_table,
+)
+from multialg.real_semigroups import RealSemigroup, check_ts, dt_table
 
 
 def check_multigroup(m: FiniteMultigroup) -> CheckReport:
@@ -240,3 +259,308 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
                                  note="informational", informational=True))
 
     return CheckReport("multiring", tuple(verdicts))
+
+
+def check_rs(s: RealSemigroup) -> CheckReport:
+    """TS1-TS5 followed by RS0-RS8, with D^t derived internally."""
+    ts = check_ts(s)
+    n = s.size
+    names = s.names
+    d = s.d
+    dt = dt_table(s)
+
+    w0 = None
+    for b, c in itertools.combinations(range(n), 2):
+        if d[b][c] != d[c][b]:
+            w0 = (names[b], names[c])
+            break
+
+    w1 = None
+    for a, b in itertools.product(range(n), repeat=2):
+        if not (d[a][b] >> a) & 1:
+            w1 = (names[a], names[b])
+            break
+
+    w2 = None
+    for b, c in itertools.product(range(n), repeat=2):
+        for a in bits(d[b][c]):
+            for e in range(n):
+                if not (d[s.mul[b][e]][s.mul[c][e]] >> s.mul[a][e]) & 1:
+                    w2 = (names[a], names[b], names[c], names[e])
+                    break
+            if w2:
+                break
+        if w2:
+            break
+
+    w3 = None
+    for b, c in itertools.product(range(n), repeat=2):
+        for a in bits(dt[b][c]):
+            for dd, e in itertools.product(range(n), repeat=2):
+                if not (dt[dd][e] >> c) & 1:
+                    continue
+                if not any((dt[b][dd] >> x) & 1 and (dt[x][e] >> a) & 1
+                           for x in range(n)):
+                    w3 = (names[a], names[b], names[c], names[dd], names[e])
+                    break
+            if w3:
+                break
+        if w3:
+            break
+
+    w4 = None
+    for a, b, c, e in itertools.product(range(n), repeat=4):
+        lhs = d[s.mul[s.mul[c][c]][a]][s.mul[s.mul[e][e]][b]]
+        for x in bits(lhs):
+            if not (d[a][b] >> x) & 1:
+                w4 = (names[x], names[a], names[b], names[c], names[e])
+                break
+        if w4:
+            break
+
+    w5 = None
+    for a, b in itertools.product(range(n), repeat=2):
+        for dd, e in itertools.product(range(n), repeat=2):
+            if s.mul[a][dd] != s.mul[b][dd] or s.mul[a][e] != s.mul[b][e]:
+                continue
+            for c in bits(d[dd][e]):
+                if s.mul[a][c] != s.mul[b][c]:
+                    w5 = (names[a], names[b], names[c], names[dd], names[e])
+                    break
+            if w5:
+                break
+        if w5:
+            break
+
+    w6 = None
+    for a, b in itertools.product(range(n), repeat=2):
+        for c in bits(d[a][b]):
+            c2 = s.mul[c][c]
+            if not (dt[s.mul[c2][a]][s.mul[c2][b]] >> c) & 1:
+                w6 = (names[c], names[a], names[b])
+                break
+        if w6:
+            break
+
+    w7 = None
+    for a, b in itertools.product(range(n), repeat=2):
+        if a != b and dt[a][s.neg(b)] & dt[b][s.neg(a)]:
+            w7 = (names[a], names[b])
+            break
+
+    w8 = None
+    for b, c in itertools.product(range(n), repeat=2):
+        for a in bits(d[b][c]):
+            if not (d[s.mul[b][b]][s.mul[c][c]] >> s.mul[a][a]) & 1:
+                w8 = (names[a], names[b], names[c])
+                break
+        if w8:
+            break
+
+    return CheckReport(
+        subject="real semigroup",
+        verdicts=ts.verdicts + (
+            Verdict("RS0-symmetry", w0 is None, w0),
+            Verdict("RS1-reflexive", w1 is None, w1),
+            Verdict("RS2-scaling", w2 is None, w2),
+            Verdict("RS3-strong-associativity", w3 is None, w3),
+            Verdict("RS4-square-cancel", w4 is None, w4),
+            Verdict("RS5-congruence", w5 is None, w5),
+            Verdict("RS6-transversal-lift", w6 is None, w6),
+            Verdict("RS7-reduction", w7 is None, w7),
+            Verdict("RS8-squares", w8 is None, w8),
+        ),
+    )
+
+
+def check_rs_derived(s: RealSemigroup) -> CheckReport:
+    """Seventeen consequences that must hold in any real semigroup."""
+    n = s.size
+    names = s.names
+    d = s.d
+    dt = dt_table(s)
+    mul = s.mul
+    neg = s.neg
+    verdicts = []
+
+    def quantify(axiom: str, pred, arity: int) -> None:
+        witness = None
+        for combo in itertools.product(range(n), repeat=arity):
+            if not pred(*combo):
+                witness = tuple(names[i] for i in combo)
+                break
+        verdicts.append(Verdict(axiom, witness is None, witness))
+
+    quantify("i-transversal-shift",
+             lambda a, b, c: not (dt[b][c] >> a) & 1
+             or (dt[neg(a)][c] >> neg(b)) & 1, 3)
+    quantify("ii-zero-represented", lambda a, b: (d[a][b] >> s.zero) & 1, 2)
+    quantify("iii-transversal-scaling",
+             lambda a, b, c, e: not (dt[b][c] >> a) & 1
+             or (dt[mul[b][e]][mul[c][e]] >> mul[a][e]) & 1, 4)
+    quantify("iv-idempotent-on-0-1",
+             lambda a: not ((d[s.zero][s.one] >> a) & 1
+                            or (d[s.one][s.one] >> a) & 1)
+             or mul[a][a] == a, 1)
+    quantify("v-common-factor",
+             lambda dd, c, a, b: not (d[mul[c][a]][mul[c][b]] >> dd) & 1
+             or mul[mul[c][c]][dd] == dd, 4)
+    quantify("vi-squares-represented",
+             lambda a, b: (d[s.one][b] >> mul[a][a]) & 1, 2)
+    idem = mask_of(a for a in range(n) if mul[a][a] == a)
+    verdicts.append(Verdict("vi-idempotents-are-d11",
+                            d[s.one][s.one] == idem,
+                            None if d[s.one][s.one] == idem
+                            else (s.carrier.labels(d[s.one][s.one]),
+                                  s.carrier.labels(idem))))
+    quantify("vii-transversal-diagonal",
+             lambda a, b: ((dt[b][b] >> a) & 1) == (a == b), 2)
+    quantify("viii-zero-zero", lambda a: ((d[s.zero][s.zero] >> a) & 1) == (a == s.zero), 1)
+    quantify("ix-one-absorbs", lambda a: (dt[s.one][a] >> s.one) & 1, 1)
+    verdicts.append(Verdict("x-full-opposite",
+                            dt[s.one][s.minus_one] == full_mask(n),
+                            None if dt[s.one][s.minus_one] == full_mask(n)
+                            else s.carrier.labels(dt[s.one][s.minus_one])))
+    quantify("xi-product-vs-minus-square",
+             lambda a, b: (d[s.one][neg(mul[a][a])] >> mul[a][b]) & 1, 2)
+    quantify("xii-zero-transversal",
+             lambda a, b: ((dt[a][b] >> s.zero) & 1) == (a == neg(b)), 2)
+    quantify("xiii-monotone",
+             lambda a, b, c, x, y: not ((d[b][c] >> a) & 1
+                                        and (d[x][y] >> b) & 1
+                                        and (d[x][y] >> c) & 1)
+             or (d[x][y] >> a) & 1, 5)
+    quantify("xiv-product-form",
+             lambda a, b, c: ((d[b][c] >> a) & 1)
+             == ((d[s.one][mul[b][c]] >> mul[a][b]) & 1
+                 and (d[s.one][mul[b][c]] >> mul[a][c]) & 1
+                 and (d[mul[b][b]][mul[c][c]] >> mul[a][a]) & 1), 3)
+    quantify("xv-transversal-nonempty", lambda a, b: dt[a][b] != 0, 2)
+    quantify("xvi-weak-associativity",
+             lambda a, b, c, dd, e: not ((d[b][c] >> a) & 1
+                                         and (d[dd][e] >> c) & 1)
+             or any((d[b][dd] >> x) & 1 and (d[x][e] >> a) & 1
+                    for x in range(n)), 5)
+    quantify("xvii-square-transversal",
+             lambda a, b, c: ((d[b][c] >> a) & 1)
+             == ((dt[mul[mul[a][a]][b]][mul[mul[a][a]][c]] >> a) & 1), 3)
+
+    return CheckReport("real semigroup consequences", tuple(verdicts))
+
+
+
+def check_aos(s: SignSpace) -> CheckReport:
+    if s.mode != AOS:
+        raise InputError("two-valued audit on a three-valued space")
+    verdicts = _ax1_verdicts(s)
+    dtab = value_table(s)
+
+    ax1_ok = all(v.passed for v in verdicts[:2])
+    if ax1_ok:
+        minus = s.constant(-1)
+        w2 = None
+        evaluations = {tuple(f[x] for f in s.functions) for x in range(s.npoints)}
+        for chi in _characters(s):
+            if chi[minus] != -1:
+                continue
+            ker = mask_of(i for i, v in enumerate(chi) if v == 1)
+            closed = True
+            for i in bits(ker):
+                for j in bits(ker):
+                    if dtab[i][j] & ~ker:
+                        closed = False
+                        break
+                if not closed:
+                    break
+            if closed and chi not in evaluations:
+                w2 = ("character " + function_label(chi),)
+                break
+        verdicts.append(Verdict("AX2-characters-are-points", w2 is None, w2))
+    else:
+        verdicts.append(Verdict("AX2-characters-are-points", False, None,
+                                "skipped: AX1 failed"))
+
+    w3 = None
+    n = s.nfunctions
+    for a, b, c in itertools.product(range(n), repeat=3):
+        lhs = 0
+        for r in bits(dtab[b][c]):
+            lhs |= dtab[a][r]
+        for t in bits(lhs):
+            if not any((dtab[sx][c] >> t) & 1 for sx in bits(dtab[a][b])):
+                w3 = (function_label(s.functions[a]),
+                      function_label(s.functions[b]),
+                      function_label(s.functions[c]),
+                      function_label(s.functions[t]))
+                break
+        if w3:
+            break
+    verdicts.append(Verdict("AX3-associativity", w3 is None, w3))
+    return CheckReport("abstract ordering space", tuple(verdicts))
+
+
+
+def check_ars(s: SignSpace) -> CheckReport:
+    if s.mode != ARS:
+        raise InputError("three-valued audit on a two-valued space")
+    verdicts = _ax1_verdicts(s)
+    ax1_ok = all(v.passed for v in verdicts[:2])
+
+    if ax1_ok:
+        cones = _enumerate_ars_cones(s)
+        point_cones = _ars_point_cones(s)
+        w2 = None
+        for p in cones:
+            if p not in point_cones:
+                w2 = tuple(function_label(s.functions[i]) for i in bits(p))
+                break
+        if w2 is None:
+            for p in point_cones:
+                if p not in cones:
+                    w2 = ("missing point cone",) + tuple(
+                        function_label(s.functions[i]) for i in bits(p))
+                    break
+        verdicts.append(Verdict("AX2-cones-are-points", w2 is None, w2))
+    else:
+        verdicts.append(Verdict("AX2-cones-are-points", False, None,
+                                "skipped: AX1 failed"))
+
+    w3 = None
+    dt = transversal_table(s)
+    n = s.nfunctions
+    for a, b, c in itertools.product(range(n), repeat=3):
+        for q in bits(dt[b][c]):
+            for p in bits(dt[a][q]):
+                if not any((dt[r][c] >> p) & 1 for r in bits(dt[a][b])):
+                    w3 = (function_label(s.functions[a]),
+                          function_label(s.functions[b]),
+                          function_label(s.functions[c]),
+                          function_label(s.functions[p]))
+                    break
+            if w3:
+                break
+        if w3:
+            break
+    verdicts.append(Verdict("AX3-strong-associativity", w3 is None, w3))
+    return CheckReport("abstract real spectrum", tuple(verdicts))
+
+
+def value_set_reassociation_check(s: SignSpace) -> CheckReport:
+    """Union re-association of value sets, the inductive step behind the
+    associativity of the derived multifield sums."""
+    dtab = value_table(s)
+    n = s.nfunctions
+    w = None
+    for a, b, c in itertools.product(range(n), repeat=3):
+        left = 0
+        for g in bits(dtab[a][b]):
+            left |= dtab[c][g]
+        right = 0
+        for h in bits(dtab[b][c]):
+            right |= dtab[h][a]
+        if left != right:
+            w = (function_label(s.functions[a]), function_label(s.functions[b]),
+                 function_label(s.functions[c]))
+            break
+    return CheckReport("value set reassociation",
+                       (Verdict("union-reassociation", w is None, w),))

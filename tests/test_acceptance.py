@@ -37,15 +37,24 @@ from multialg.enumeration import enumerate_structures
 from multialg.ordering_spaces import (
     aos_mf_roundtrip,
     ars_mr_roundtrip,
+    check_aos,
+    check_ars,
+    fan_aos,
     mf_aos_roundtrip,
     mr_ars_roundtrip,
+    mrred_to_ars,
+    value_set_reassociation_check,
 )
 from multialg.real_semigroups import (
     canonical_3,
+    check_rs,
+    check_rs_derived,
     dt_table,
     enumerate_rs_morphisms,
     mr_rs_roundtrip,
+    mrred_to_rs,
     rs_mr_roundtrip,
+    rs_product,
     rs_to_mrred,
     separation_audit,
     unique_rs_search_on_3,
@@ -429,4 +438,19 @@ def test_c14_searches_at_the_carrier_cap():
     ok = ok and len(homs) == 3 and all(
         _relabels_into(cube, q2(), f.mapping, onto=False) for f in homs)
     gate(14, "isomorphisms of shuffled Z/64, K^6 and q2^2 x K^2; hom(q2^3, q2)",
+         ok, time.monotonic() - t0, 10.0)
+
+
+def test_c15_representation_audits_at_scale():
+    # Nested reassociation loops took about 20 s on these calls.
+    t0 = time.monotonic()
+    rs3_cube = rs_product([canonical_3()] * 3)
+    ok = check_rs(rs3_cube).overall and check_rs_derived(rs3_cube).overall
+    cube = q2cube()
+    ok = ok and check_rs(mrred_to_rs(cube)).overall \
+        and check_ars(mrred_to_ars(cube)[0]).overall
+    fan = fan_aos(5)
+    ok = ok and check_aos(fan).overall and value_set_reassociation_check(fan).overall
+    gate(15, "real semigroup, spectrum and ordering space audits on rs3^3, "
+         "the images of q2^3 and the fan on five points",
          ok, time.monotonic() - t0, 10.0)

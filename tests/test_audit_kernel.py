@@ -8,6 +8,15 @@ axiom, pass flag, first witness, note and informational flag for every
 verdict -- on the corpus, on every candidate table of order <= 3, on a
 seeded sample of the order-4 candidates, on single-cell mutants and on
 relational presentations built from arbitrary triple sets.
+
+The real-semigroup audits ``check_rs`` and ``check_rs_derived`` and the
+sign-space audits ``check_aos``, ``check_ars`` and
+``value_set_reassociation_check`` are pinned the same way: on the corpus,
+on rs3^3 and the real semigroup and spectrum images of q2^2 and q2^3, on
+fans, on every candidate representation relation on the sign semigroup, on
+seeded single-cell mutants and on sets of sign vectors on few points.  The
+derived consequences follow from RS0-RS8, so only failing inputs tell two
+versions of them apart.
 """
 
 import dataclasses
@@ -20,16 +29,32 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_audits as reference
-from multialg import core, io
+from multialg import core, io, ordering_spaces, real_semigroups
 from multialg.constructions import product
+from multialg.corpus import corpus_real_semigroups, corpus_sign_spaces, q2cube, q2xq2
 from multialg.enumeration import (
     _addition_tables,
     _involutions_fixing,
     _labels,
     _monoid_tables,
 )
-from multialg.ordering_spaces import AOS, aos_to_mfred, ars_to_mrred, fan_aos
-from multialg.real_semigroups import RealSemigroup, rs_to_mrred
+from multialg.ordering_spaces import (
+    AOS,
+    ARS,
+    SignSpace,
+    aos_to_mfred,
+    ars_to_mrred,
+    fan_aos,
+    make_sign_space,
+    mrred_to_ars,
+)
+from multialg.real_semigroups import (
+    RealSemigroup,
+    canonical_3,
+    mrred_to_rs,
+    rs_product,
+    rs_to_mrred,
+)
 from multialg.special_groups import SpecialGroup, sg_to_mf
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -198,3 +223,131 @@ def test_every_presentation_on_two_elements():
             for identity in range(2):
                 assert_relational_agrees(
                     core.RelationalMultigroup(carrier, pi, inv, identity))
+
+
+def assert_rs_agrees(s, derived=True):
+    assert real_semigroups.check_rs(s) == reference.check_rs(s)
+    if derived:
+        assert real_semigroups.check_rs_derived(s) == reference.check_rs_derived(s)
+
+
+def assert_space_agrees(s):
+    audit = "check_aos" if s.mode == AOS else "check_ars"
+    assert getattr(ordering_spaces, audit)(s) == getattr(reference, audit)(s)
+    assert ordering_spaces.value_set_reassociation_check(s) \
+        == reference.value_set_reassociation_check(s)
+
+
+def sign_spaces():
+    """The corpus sign spaces, the spectrum images of q2^2 and q2^3, and
+    the fans on two to four points."""
+    spaces = list(corpus_sign_spaces().values())
+    spaces += [mrred_to_ars(r)[0] for r in (q2xq2(), q2cube())]
+    return spaces + [fan_aos(k) for k in (2, 3, 4)]
+
+
+def test_real_semigroup_corpus_and_images():
+    for s in corpus_real_semigroups().values():
+        assert_rs_agrees(s)
+    assert_rs_agrees(mrred_to_rs(q2xq2()))
+    # The reference consequences take about 14 s on a 27-element structure,
+    # so q2^3's image gets the axioms and rs3^3 below both.
+    assert_rs_agrees(mrred_to_rs(q2cube()), derived=False)
+    for s in sign_spaces():
+        assert_space_agrees(s)
+
+
+def test_rs3_cube():
+    assert_rs_agrees(rs_product([canonical_3()] * 3))
+
+
+def test_every_representation_on_the_sign_semigroup():
+    """The 512 symmetric, reflexive candidates of unique_rs_search_on_3."""
+    base = canonical_3()
+    pairs = [(b, c) for b in range(3) for c in range(b, 3)]
+    free = [[(b, c, a) for a in range(3) if a not in (b, c)] for b, c in pairs]
+    choices = [t for cell in free for t in cell]
+    assert len(choices) == 9
+    for chosen in range(1 << len(choices)):
+        d = [[(1 << b) | (1 << c) for c in range(3)] for b in range(3)]
+        for k, (b, c, a) in enumerate(choices):
+            if (chosen >> k) & 1:
+                d[b][c] |= 1 << a
+                d[c][b] |= 1 << a
+        assert_rs_agrees(dataclasses.replace(base, d=tuple(map(tuple, d))))
+
+
+def test_real_semigroup_mutants():
+    """Seeded single-cell mutants of D and of the multiplication, each made
+    symmetric half of the time so that RS0 and TS1 can still pass."""
+    rng = random.Random(15)
+    for s in corpus_real_semigroups().values():
+        n = s.size
+        for _ in range(60):
+            b, c, a = (rng.randrange(n) for _ in range(3))
+            twice = rng.random() < 0.5
+            if rng.random() < 0.5:
+                d = _replace_cell(s.d, b, c, s.d[b][c] ^ (1 << a))
+                if twice:
+                    d = _replace_cell(d, c, b, d[b][c])
+                mutant = dataclasses.replace(s, d=d)
+            else:
+                mul = _replace_cell(s.mul, b, c, a)
+                if twice:
+                    mul = _replace_cell(mul, c, b, a)
+                mutant = dataclasses.replace(s, mul=mul)
+            assert_rs_agrees(mutant)
+
+
+def _space_mutants(s: SignSpace):
+    """Every space with one value of one function changed, or one function
+    dropped; changes that duplicate a function are skipped."""
+    values = (-1, 1) if s.mode == AOS else (-1, 0, 1)
+    funcs = [list(f) for f in s.functions]
+    for i, x in itertools.product(range(s.nfunctions), range(s.npoints)):
+        for v in values:
+            if v == funcs[i][x]:
+                continue
+            changed = [list(f) for f in funcs]
+            changed[i][x] = v
+            if len(set(map(tuple, changed))) == len(changed):
+                yield make_sign_space(s.mode, s.points, changed)
+    if s.nfunctions > 1:
+        for i in range(s.nfunctions):
+            yield make_sign_space(s.mode, s.points, funcs[:i] + funcs[i + 1:])
+
+
+def test_sign_space_mutants():
+    seen = 0
+    for s in sign_spaces():
+        for mutant in _space_mutants(s):
+            assert_space_agrees(mutant)
+            seen += 1
+    assert seen == 90
+
+
+def _function_sets(mode, points, chosen):
+    values = (-1, 1) if mode == AOS else (-1, 0, 1)
+    vectors = list(itertools.product(values, repeat=points))
+    names = [f"x{i}" for i in range(points)]
+    for pick in chosen(len(vectors)):
+        yield make_sign_space(mode, names, [f for k, f in enumerate(vectors)
+                                            if (pick >> k) & 1])
+
+
+def test_function_sets_on_few_points():
+    """Every set of sign vectors on three points, two-valued, and on two
+    points, three-valued, and seeded samples on four and three points: most
+    fail AX3, on four points often at several elements at once."""
+    rng = random.Random(3)
+
+    def every(k):
+        return range(1, 1 << k)
+
+    def sample(k):
+        return [rng.randrange(1, 1 << k) for _ in range(150)]
+
+    for mode, points, chosen in ((AOS, 3, every), (ARS, 2, every),
+                                 (AOS, 4, sample), (ARS, 3, sample)):
+        for space in _function_sets(mode, points, chosen):
+            assert_space_agrees(space)

@@ -29,7 +29,7 @@ from multialg.corpus import (
 )
 from multialg.enumeration import _addition_tables, _involutions_fixing, _labels, _monoid_tables
 from multialg.real_semigroups import enumerate_rs_morphisms
-from multialg.special_groups import enumerate_sg_morphisms
+from multialg.special_groups import check_sg_morphism, enumerate_sg_morphisms, is_sg_morphism
 from multialg.spectra import _enumerate_relation_vectors
 
 
@@ -87,6 +87,25 @@ def test_corpus_special_group_pairs():
     for g, h in itertools.product(groups.values(), repeat=2):
         assert mappings(enumerate_sg_morphisms(g, h)) == \
             mappings(reference.enumerate_sg_morphisms(g, h))
+
+
+def test_sg_leaf_check_matches_the_report():
+    """The reference search calls is_sg_morphism too, so its decision is
+    pinned to check_sg_morphism's report here: on every kernel leaf of the
+    corpus pairs, and on every map between groups of at most four elements."""
+    groups = corpus_special_groups()
+    seen = 0
+    for g, h in itertools.product(groups.values(), repeat=2):
+        maps = list(core._table_maps(g.size, h.size,
+                                     ((g.one, h.one), (g.minus_one, h.minus_one)),
+                                     ops=((g.mul, h.mul),)))
+        if g.size <= 4 and h.size <= 4:
+            maps += itertools.product(range(h.size), repeat=g.size)
+        for mp in maps:
+            f = core.StructureMap(g, h, tuple(mp))
+            assert is_sg_morphism(f) == check_sg_morphism(f).overall
+            seen += 1
+    assert seen == 1646
 
 
 def test_corpus_real_semigroup_pairs():
