@@ -33,6 +33,7 @@ from .core import (
     multiring_from_labels,
     q2,
     ring_multiring,
+    same_tables,
     to_relational,
 )
 
@@ -63,6 +64,7 @@ __all__ = [
     "multiring_from_labels",
     "q2",
     "ring_multiring",
+    "same_tables",
     "to_relational",
 ]
 

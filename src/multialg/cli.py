@@ -292,23 +292,24 @@ def cmd_functor(args) -> int:
     return 0
 
 
+_ROUNDTRIPS = {
+    ("sg-smf", "special_group"): spg.sg_smf_roundtrip,
+    ("sg-smf", "multiring"): spg.smf_sg_roundtrip,
+    ("rs-mr", "real_semigroup"): rsg.rs_mr_roundtrip,
+    ("rs-mr", "multiring"): rsg.mr_rs_roundtrip,
+    ("aos-mf", "sign_space"): osp.aos_mf_roundtrip,
+    ("aos-mf", "multiring"): osp.mf_aos_roundtrip,
+    ("ars-mr", "sign_space"): osp.ars_mr_roundtrip,
+    ("ars-mr", "multiring"): osp.mr_ars_roundtrip,
+}
+
+
 def cmd_roundtrip(args) -> int:
     obj = mio.read_structure(args.file)
-    pair = args.pair
-    if pair == "sg-smf":
-        report = spg.sg_smf_roundtrip(obj) if isinstance(obj, SpecialGroup) \
-            else spg.smf_sg_roundtrip(obj)
-    elif pair == "rs-mr":
-        report = rsg.rs_mr_roundtrip(obj) if isinstance(obj, RealSemigroup) \
-            else rsg.mr_rs_roundtrip(obj)
-    elif pair == "aos-mf":
-        report = osp.aos_mf_roundtrip(obj) if isinstance(obj, SignSpace) \
-            else osp.mf_aos_roundtrip(obj)
-    elif pair == "ars-mr":
-        report = osp.ars_mr_roundtrip(obj) if isinstance(obj, SignSpace) \
-            else osp.mr_ars_roundtrip(obj)
-    else:
-        raise InputError(f"unknown pair {pair!r}")
+    kind = mio.kind_of(obj)
+    if (args.pair, kind) not in _ROUNDTRIPS:
+        raise InputError(f"round-trip {args.pair} does not take a {kind} file")
+    report = _ROUNDTRIPS[args.pair, kind](obj)
     _emit_report(report, args.format)
     return 0 if report.overall else 1
 
@@ -328,8 +329,8 @@ def cmd_hom(args) -> int:
     else:
         raise InputError(f"hom enumeration not supported for kind {ka}")
     print(f"morphisms: {len(homs)}")
-    src_names = a.carrier.names if hasattr(a, "carrier") else a.names
-    dst_names = b.carrier.names if hasattr(b, "carrier") else b.names
+    src_names = a.carrier.names
+    dst_names = b.carrier.names
     for i, f in enumerate(homs):
         desc = ", ".join(f"{src_names[x]}->{dst_names[v]}"
                          for x, v in enumerate(f.mapping))

@@ -131,9 +131,10 @@ def product(factors: Sequence[FiniteMultiring],
 # ---------------------------------------------------------------------------
 # ideals
 
-def ideal_generated(a: FiniteMultiring, labels: Sequence[str]) -> Ideal:
-    """Least ideal containing the given elements, by closure iteration."""
-    members = (1 << a.zero) | mask_of(a.carrier.index(l) for l in labels)
+def _ideal_closure(a: FiniteMultiring, members: int) -> int:
+    """Mask of the least ideal containing ``members``, by closure iteration:
+    absorb products, then close under sums, until nothing changes."""
+    members |= 1 << a.zero
     while True:
         grown = members
         for x in range(a.size):
@@ -143,8 +144,13 @@ def ideal_generated(a: FiniteMultiring, labels: Sequence[str]) -> Ideal:
             for y in bits(grown):
                 grown |= a.add[x][y]
         if grown == members:
-            return Ideal(a, members)
+            return members
         members = grown
+
+
+def ideal_generated(a: FiniteMultiring, labels: Sequence[str]) -> Ideal:
+    """Least ideal containing the given elements."""
+    return Ideal(a, _ideal_closure(a, mask_of(a.carrier.index(l) for l in labels)))
 
 
 # ---------------------------------------------------------------------------

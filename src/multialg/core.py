@@ -25,6 +25,12 @@ results come in lexicographic order of their mappings and find_isomorphism
 returns the first isomorphism in that order.  Every map the kernel yields
 still passes the caller's full check; tests/reference_searches.py keeps the
 searches the kernel replaced.
+
+Each structure declares its tables once, as ``tables``: (constants, unary
+tables, value tables, cell tables) and, for special groups, the isometry
+relation.  ``_relabel`` moves them along a bijection, and comparing the
+result is the one relabel-and-compare behind ``same_tables``, the leaf check
+of ``find_isomorphism`` and the canonical keys of enumeration.
 """
 
 from __future__ import annotations
@@ -215,6 +221,10 @@ class FiniteMultigroup:
 
     def cell(self, x: int, y: int) -> int:
         return self.op[x][y]
+
+    @property
+    def tables(self) -> tuple:
+        return (self.identity,), (self.inv,), (), (self.op,)
 
     def op_masks(self, xmask: int, ymask: int) -> int:
         """Union-extended operation on subsets."""
@@ -540,6 +550,10 @@ class FiniteMultiring:
     def names(self) -> tuple[str, ...]:
         return self.carrier.names
 
+    @property
+    def tables(self) -> tuple:
+        return (self.zero, self.one), (self.neg,), (self.mul,), (self.add,)
+
     def add_set(self, a: int, b: int) -> int:
         return self.add[a][b]
 
@@ -845,11 +859,49 @@ def embedding_kind(f: StructureMap) -> str:
     return "submultiring"
 
 
-def is_multiring_morphism(f: StructureMap) -> bool:
-    return check_morphism(f).overall
-
-
 _Table = Sequence[Sequence[int]]
+
+
+class _Moved(dict):
+    """Mask -> its image under the map f, computed on first use."""
+
+    def __init__(self, f: Sequence[int]) -> None:
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, mask: int) -> int:
+        out = self[mask] = mask_of(self.f[c] for c in bits(mask))
+        return out
+
+
+def _relabel(f: Sequence[int], tables: tuple) -> tuple:
+    """``tables`` moved along the bijection f, element x becoming f[x], with
+    rows in the new index order: the constants, the unary, value and cell
+    (mask) tables, and any relations given as sets of tuples after them."""
+    constants, unary, values, cells, *relations = tables
+    order = [0] * len(f)
+    for old, new in enumerate(f):
+        order[new] = old
+
+    def table(t: _Table, image: Sequence[int] | _Moved) -> tuple:
+        rows = [t[x] for x in order]
+        return tuple(tuple([image[row[y]] for y in order]) for row in rows)
+
+    moved = _Moved(f)
+    return (tuple([f[c] for c in constants]),
+            tuple(tuple([f[u[x]] for x in order]) for u in unary),
+            tuple(table(t, f) for t in values),
+            tuple(table(t, moved) for t in cells),
+            *(frozenset(tuple(f[v] for v in q) for q in rel) for rel in relations))
+
+
+def same_tables(a, b) -> bool:
+    """True when a and b have the same tables once the elements with equal
+    labels are identified."""
+    if set(a.carrier.names) != set(b.carrier.names):
+        return False
+    return _relabel([b.carrier.index(x) for x in a.carrier.names],
+                    a.tables) == b.tables
 
 
 def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
@@ -947,12 +999,11 @@ def find_isomorphism(a: FiniteMultiring,
     n = a.size
     if n != b.size:
         return None
-    pairs = list(itertools.product(range(n), repeat=2))
+    target = b.tables
     for f in _table_maps(n, n, ((a.zero, b.zero), (a.one, b.one)),
                          unary=((a.neg, b.neg),), ops=((a.mul, b.mul),),
                          cells=((a.add, b.add),), bijective=True):
-        if all(mask_of(f[c] for c in bits(a.add[x][y])) == b.add[f[x]][f[y]]
-               and f[a.mul[x][y]] == b.mul[f[x]][f[y]] for x, y in pairs):
+        if _relabel(f, a.tables) == target:
             return StructureMap(a, b, f)
     return None
 

@@ -11,13 +11,14 @@ all relabelings.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 from .core import (
     Carrier,
     FiniteMultigroup,
     FiniteMultiring,
     InputError,
+    _relabel,
     bits,
     check_multigroup,
     check_multiring,
@@ -149,52 +150,29 @@ def generate_multigroups(n: int) -> Iterator[FiniteMultigroup]:
                     yield cand
 
 
+def _canonical_key(s) -> tuple:
+    """Lexicographically least (size, relabelled tables) over all
+    relabelings."""
+    tables = s.tables
+    return (s.size,) + min(_relabel(perm, tables)
+                           for perm in itertools.permutations(range(s.size)))
+
+
 def multiring_canonical_key(r: FiniteMultiring) -> tuple:
-    """Lexicographically least serialization over all relabelings."""
-    n = r.size
-    best: Optional[tuple] = None
-    for perm in itertools.permutations(range(n)):
-        add = tuple(tuple(mask_of(perm[c] for c in bits(r.add[x][y]))
-                          for y in _inv_perm_order(perm, n))
-                    for x in _inv_perm_order(perm, n))
-        mul = tuple(tuple(perm[r.mul[x][y]] for y in _inv_perm_order(perm, n))
-                    for x in _inv_perm_order(perm, n))
-        neg = tuple(perm[r.neg[x]] for x in _inv_perm_order(perm, n))
-        key = (n, perm[r.zero], perm[r.one], neg, mul, add)
-        if best is None or key < best:
-            best = key
-    return best  # type: ignore[return-value]
-
-
-def _inv_perm_order(perm: Sequence[int], n: int) -> list[int]:
-    """Old indices listed in order of their new names."""
-    out = [0] * n
-    for old, new in enumerate(perm):
-        out[new] = old
-    return out
+    return _canonical_key(r)
 
 
 def multigroup_canonical_key(m: FiniteMultigroup) -> tuple:
-    n = m.size
-    best: Optional[tuple] = None
-    for perm in itertools.permutations(range(n)):
-        order = _inv_perm_order(perm, n)
-        op = tuple(tuple(mask_of(perm[c] for c in bits(m.op[x][y]))
-                         for y in order) for x in order)
-        inv = tuple(perm[m.inv[x]] for x in order)
-        key = (n, perm[m.identity], inv, op)
-        if best is None or key < best:
-            best = key
-    return best  # type: ignore[return-value]
+    return _canonical_key(m)
 
 
 def multiring_from_key(key: tuple) -> FiniteMultiring:
-    n, zero, one, neg, mul, add = key
+    n, (zero, one), (neg,), (mul,), (add,) = key
     return FiniteMultiring(Carrier(_labels(n)), add, mul, neg, zero, one)
 
 
 def multigroup_from_key(key: tuple) -> FiniteMultigroup:
-    n, identity, inv, op = key
+    n, (identity,), (inv,), _, (op,) = key
     return FiniteMultigroup(Carrier(_labels(n)), op, inv, identity)
 
 

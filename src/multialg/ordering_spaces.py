@@ -5,7 +5,8 @@ the constructions to and from real reduced multifields and multirings.
 The character condition AX2 is audited by exhaustive enumeration: characters
 of the function group in the two-valued case, candidate cones over sign
 pairs in the three-valued case.  Every admissible candidate must come from a
-point.
+point.  The cones are searched by ``spectra._sign_cones``, the search that
+also yields the orderings of a multiring.
 
 The associativity audits (AX3 of ``check_aos`` and ``check_ars``, and
 ``value_set_reassociation_check``) read core's O(n^3) reassociation scan
@@ -37,7 +38,12 @@ from .core import (
     full_mask,
     mask_of,
 )
-from .spectra import enumerate_orderings, is_real_reduced_mf, is_real_reduced_mr
+from .spectra import (
+    _sign_cones,
+    enumerate_orderings,
+    is_real_reduced_mf,
+    is_real_reduced_mr,
+)
 
 AOS = "aos"
 ARS = "ars"
@@ -295,62 +301,31 @@ def _ars_point_cones(s: SignSpace) -> set[int]:
 
 
 def _enumerate_ars_cones(s: SignSpace) -> list[int]:
-    """Submonoids P with P u -P = G, -1 not in P, D-closure and the prime
-    support condition, enumerated over sign pairs {a,-a}."""
+    """The sign cones of ``spectra._sign_cones`` over the function group with
+    -1 outside, 1 inside, closure under products and value sets, and a prime
+    support, in the search's depth-first order.  Needs AX1: closure under
+    products and the constants."""
     n = s.nfunctions
     dtab = value_table(s)
-    neg_index = [s.index(s.negation(i)) for i in range(n)]
-    if any(v is None for v in neg_index):
-        return []
-    singles = mask_of(i for i in range(n) if neg_index[i] == i)
+    mul = [[s.index(s.pointwise_mul(i, j)) for j in range(n)] for i in range(n)]
+    neg = [s.index(s.negation(i)) for i in range(n)]
     one = s.constant(1)
     minus = s.constant(-1)
-    pairs = sorted({(min(i, neg_index[i]), max(i, neg_index[i]))
-                    for i in range(n) if neg_index[i] != i})
-    out: list[int] = []
 
-    def compatible(p: int, decided: int, new: int) -> bool:
-        for u in bits(new):
-            for v in bits(p):
-                w = s.index(s.pointwise_mul(u, v))
-                if w is None or ((decided >> w) & 1 and not (p >> w) & 1):
-                    return False
-                if dtab[u][v] & decided & ~p or dtab[v][u] & decided & ~p:
-                    return False
-        return True
-
-    def leaf(p: int) -> None:
+    def is_cone(p: int) -> bool:
         if (p >> minus) & 1 or not (p >> one) & 1:
-            return
+            return False
         # full re-verification of closure and value-set stability
         for i in bits(p):
             for j in bits(p):
-                w = s.index(s.pointwise_mul(i, j))
-                if w is None or not (p >> w) & 1:
-                    return
-                if dtab[i][j] & ~p:
-                    return
-        supp = p & mask_of(neg_index[i] for i in bits(p))
-        for i, j in itertools.product(range(n), repeat=2):
-            w = s.index(s.pointwise_mul(i, j))
-            if (supp >> w) & 1 and not (supp >> i) & 1 and not (supp >> j) & 1:
-                return
-        out.append(p)
+                if not (p >> mul[i][j]) & 1 or dtab[i][j] & ~p:
+                    return False
+        supp = p & mask_of(neg[i] for i in bits(p))
+        return not any((supp >> mul[i][j]) & 1 and not (supp >> i) & 1
+                       and not (supp >> j) & 1
+                       for i, j in itertools.product(range(n), repeat=2))
 
-    def dfs(k: int, p: int, decided: int) -> None:
-        if k == len(pairs):
-            leaf(p)
-            return
-        i, j = pairs[k]
-        for extra in (1 << i, 1 << j, (1 << i) | (1 << j)):
-            q = p | extra
-            d = decided | (1 << i) | (1 << j)
-            if compatible(q, d, extra):
-                dfs(k + 1, q, d)
-
-    if compatible(singles, singles, singles):
-        dfs(0, singles, singles)
-    return out
+    return list(filter(is_cone, _sign_cones(neg, mul, dtab)))
 
 
 def check_ars(s: SignSpace) -> CheckReport:
@@ -679,16 +654,12 @@ def space_morphism_check(m: SpaceMap) -> CheckReport:
     )
 
 
-def is_space_morphism(m: SpaceMap) -> bool:
-    return space_morphism_check(m).overall
-
-
 def enumerate_space_morphisms(s: SignSpace, t: SignSpace) -> list[SpaceMap]:
     """All point maps whose pullbacks land in the source function set."""
     out = []
     for point_map in itertools.product(range(t.npoints), repeat=s.npoints):
         m = SpaceMap(s, t, point_map)
-        if is_space_morphism(m):
+        if space_morphism_check(m).overall:
             out.append(m)
     return out
 

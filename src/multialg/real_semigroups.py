@@ -37,6 +37,7 @@ from .core import (
     bits,
     full_mask,
     mask_of,
+    same_tables,
 )
 from .spectra import is_real_reduced_mr
 
@@ -80,6 +81,10 @@ class RealSemigroup:
     @property
     def names(self) -> tuple[str, ...]:
         return self.carrier.names
+
+    @property
+    def tables(self) -> tuple:
+        return (self.one, self.zero, self.minus_one), (), (self.mul,), (self.d,)
 
     def neg(self, a: int) -> int:
         return self.mul[self.minus_one][a]
@@ -477,15 +482,12 @@ def check_rs_morphism(fmap: StructureMap) -> CheckReport:
     )
 
 
-def is_rs_morphism(fmap: StructureMap) -> bool:
-    return check_rs_morphism(fmap).overall
-
-
 def enumerate_rs_morphisms(s: RealSemigroup, t: RealSemigroup) -> list[StructureMap]:
     maps = _table_maps(s.size, t.size, ((s.one, t.one), (s.zero, t.zero),
                                         (s.minus_one, t.minus_one)),
                        ops=((s.mul, t.mul),), cells=((s.d, t.d),))
-    return [f for f in (StructureMap(s, t, mp) for mp in maps) if is_rs_morphism(f)]
+    return [f for f in (StructureMap(s, t, mp) for mp in maps)
+            if check_rs_morphism(f).overall]
 
 
 def hom_to_3(s: RealSemigroup) -> list[StructureMap]:
@@ -573,26 +575,12 @@ def mrred_to_rs(a: FiniteMultiring) -> RealSemigroup:
     return s
 
 
-def rs_equal(s: RealSemigroup, t: RealSemigroup) -> bool:
-    if set(s.names) != set(t.names):
-        return False
-    to_t = [t.carrier.index(name) for name in s.names]
-    if (to_t[s.one], to_t[s.zero], to_t[s.minus_one]) != (t.one, t.zero, t.minus_one):
-        return False
-    for x, y in itertools.product(range(s.size), repeat=2):
-        if to_t[s.mul[x][y]] != t.mul[to_t[x]][to_t[y]]:
-            return False
-        if mask_of(to_t[c] for c in bits(s.d[x][y])) != t.d[to_t[x]][to_t[y]]:
-            return False
-    return True
-
-
 def rs_mr_roundtrip(s: RealSemigroup) -> CheckReport:
     """Real semigroup -> multiring -> real semigroup restores the tables."""
     a = rs_to_mrred(s)
     reduced = is_real_reduced_mr(a)
     s2 = mrred_to_rs(a)
-    same = rs_equal(s, s2)
+    same = same_tables(s, s2)
     return CheckReport(
         subject="real semigroup round-trip",
         verdicts=(
@@ -610,9 +598,7 @@ def mr_rs_roundtrip(a: FiniteMultiring) -> CheckReport:
     s = mrred_to_rs(a)
     rs = check_rs(s)
     a2 = rs_to_mrred(s)
-    same = a2.add == a.add and a2.mul == a.mul and a2.neg == a.neg \
-        and a2.zero == a.zero and a2.one == a.one \
-        and a2.carrier == a.carrier
+    same = a2 == a
     return CheckReport(
         subject="real reduced multiring round-trip",
         verdicts=(

@@ -25,7 +25,7 @@ from .core import (
     bits,
     classify,
     full_mask,
-    mask_of,
+    same_tables,
 )
 
 
@@ -70,6 +70,10 @@ class SpecialGroup:
     @property
     def names(self) -> tuple[str, ...]:
         return self.carrier.names
+
+    @property
+    def tables(self) -> tuple:
+        return (self.one, self.minus_one), (), (self.mul,), (), self.iso
 
     def neg(self, a: int) -> int:
         return self.mul[self.minus_one][a]
@@ -564,6 +568,9 @@ def check_smf(f: FiniteMultiring) -> CheckReport:
 def mf_to_sg(f: FiniteMultiring) -> SpecialGroup:
     """Nonzero part with isometry: equal products plus membership a in c+d."""
     nz = [x for x in range(f.size) if x != f.zero]
+    if any(f.mul[x][y] == f.zero for x in nz for y in nz):
+        raise InputError("special group construction requires a multifield: "
+                         "a product of nonzero elements is zero")
     names = [f.names[x] for x in nz]
     back = {x: i for i, x in enumerate(nz)}
     mul = [[names[back[f.mul[x][y]]] for y in nz] for x in nz]
@@ -654,45 +661,12 @@ def mf_map_to_sg_map(fmap: StructureMap, sg_source: SpecialGroup,
     return StructureMap(sg_source, sg_target, mapping)
 
 
-def sg_equal(g: SpecialGroup, h: SpecialGroup) -> bool:
-    """Same labels and identical tables under the label identification."""
-    if set(g.names) != set(h.names):
-        return False
-    to_h = [h.carrier.index(name) for name in g.names]
-    if to_h[g.one] != h.one or to_h[g.minus_one] != h.minus_one:
-        return False
-    for a, b in itertools.product(range(g.size), repeat=2):
-        if to_h[g.mul[a][b]] != h.mul[to_h[a]][to_h[b]]:
-            return False
-    mapped = {(to_h[a], to_h[b], to_h[c], to_h[d]) for (a, b, c, d) in g.iso}
-    return mapped == set(h.iso)
-
-
-def multiring_equal(a: FiniteMultiring, b: FiniteMultiring) -> bool:
-    """Table-level equality under the label identification."""
-    if set(a.names) != set(b.names):
-        return False
-    to_b = [b.carrier.index(name) for name in a.names]
-    if to_b[a.zero] != b.zero or to_b[a.one] != b.one:
-        return False
-    for x in range(a.size):
-        if to_b[a.neg[x]] != b.neg[to_b[x]]:
-            return False
-        for y in range(a.size):
-            if to_b[a.mul[x][y]] != b.mul[to_b[x]][to_b[y]]:
-                return False
-            if mask_of(to_b[c] for c in bits(a.add[x][y])) \
-                    != b.add[to_b[x]][to_b[y]]:
-                return False
-    return True
-
-
 def sg_smf_roundtrip(g: SpecialGroup) -> CheckReport:
     """Through the multifield and back: tables are restored exactly."""
     f = sg_to_mf(g)
     smf = check_smf(f)
     g2 = mf_to_sg(f)
-    same = sg_equal(g, g2)
+    same = same_tables(g, g2)
     return CheckReport(
         subject="special group round-trip",
         verdicts=(
@@ -709,7 +683,7 @@ def smf_sg_roundtrip(f: FiniteMultiring) -> CheckReport:
     g = mf_to_sg(f)
     sg = check_sg(g)
     f2 = sg_to_mf(g, zero_label=f.names[f.zero])
-    same = multiring_equal(f, f2)
+    same = same_tables(f, f2)
     return CheckReport(
         subject="special multifield round-trip",
         verdicts=(

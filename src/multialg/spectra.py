@@ -4,12 +4,18 @@ Prime/maximal enumeration, the patch-topology relations of the spectrum
 embedding into {0,1}^A, orderings and their bijection with morphisms to the
 sign multifield, preorderings, real and real-reduced characterizations, and
 the componentwise evaluation embedding into a power of the sign multifield.
+
+Orderings come from ``_sign_cones``, a depth-first search over the pairs
+{x, -x} that ordering_spaces shares for the cones of abstract real spectra;
+each caller keeps its own leaf test.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator, Sequence
+
 from .core import (
     CARRIER_CAP,
     CheckReport,
@@ -29,6 +35,7 @@ from .core import (
 from .constructions import (
     Ideal,
     MultiplicativeSet,
+    _ideal_closure,
     marshall_quotient,
     product,
     q_red,
@@ -38,21 +45,6 @@ from .constructions import (
 
 # ---------------------------------------------------------------------------
 # ideal enumeration
-
-def _ideal_closure(a: FiniteMultiring, members: int) -> int:
-    members |= 1 << a.zero
-    while True:
-        grown = members
-        for x in range(a.size):
-            for y in bits(members):
-                grown |= 1 << a.mul[x][y]
-        for x in bits(grown):
-            for y in bits(grown):
-                grown |= a.add[x][y]
-        if grown == members:
-            return members
-        members = grown
-
 
 def enumerate_ideals(a: FiniteMultiring) -> list[Ideal]:
     """All ideals, by closing each reachable ideal under one more generator."""
@@ -267,59 +259,64 @@ def ordering_of_sign_map(f: StructureMap) -> Ordering:
     return Ordering(a, positive)
 
 
-def enumerate_orderings(a: FiniteMultiring) -> list[Ordering]:
-    """Subset scan over positive cones, pruned pair-by-pair on {x,-x} orbits
-    with incremental sum/product closure."""
-    n = a.size
-    neg = a.neg
+def _sign_cones(neg: Sequence[int], mul: Sequence[Sequence[int]],
+                cell: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Candidate positive cones P as masks, in depth-first order.
+
+    P holds every fixed point of ``neg``; the pairs {x, -x} are walked in
+    ascending order, and each adds x, -x or both.  A branch is cut when a
+    decided product u*v or a cell of u+v (in either order), for u, v in P,
+    falls outside P.  The callers keep their own full leaf test."""
+    n = len(neg)
     singles = mask_of(x for x in range(n) if neg[x] == x)
     pairs = sorted({(min(x, neg[x]), max(x, neg[x]))
                     for x in range(n) if neg[x] != x})
-    found: list[int] = []
 
-    def compatible(p: int, decided: int, new_elems: int) -> bool:
-        for u in bits(new_elems):
+    def compatible(p: int, decided: int, new: int) -> bool:
+        for u in bits(new):
             for v in bits(p):
-                w = a.mul[u][v]
+                w = mul[u][v]
                 if (decided >> w) & 1 and not (p >> w) & 1:
                     return False
-                cell = a.add[u][v] | a.add[v][u]
-                if cell & decided & ~p:
+                if (cell[u][v] | cell[v][u]) & decided & ~p:
                     return False
         return True
 
-    def closed(p: int) -> bool:
-        # full re-verification: the incremental pruning sees a violation
-        # only once both sides of a cell are decided
+    def dfs(i: int, p: int, decided: int) -> Iterator[int]:
+        if i == len(pairs):
+            yield p
+            return
+        x, y = pairs[i]
+        d = decided | (1 << x) | (1 << y)
+        for extra in (1 << x, 1 << y, (1 << x) | (1 << y)):
+            q = p | extra
+            if compatible(q, d, extra):
+                yield from dfs(i + 1, q, d)
+
+    if compatible(singles, singles, singles):
+        yield from dfs(0, singles, singles)
+
+
+def enumerate_orderings(a: FiniteMultiring) -> list[Ordering]:
+    """The sign cones of ``_sign_cones`` that are closed under sums and
+    products and whose support is a prime ideal, in ascending mask order."""
+
+    def is_ordering(p: int) -> bool:
+        # full re-verification: the search sees a violation only once both
+        # sides of a cell are decided
         for x in bits(p):
             for y in bits(p):
                 if a.add[x][y] & ~p or not (p >> a.mul[x][y]) & 1:
                     return False
-        return True
+        supp = p & a.neg_mask(p)
+        try:
+            Ideal(a, supp)
+        except InputError:
+            return False
+        return is_prime_mask(a, supp)
 
-    def dfs(i: int, p: int, decided: int) -> None:
-        if i == len(pairs):
-            if not closed(p):
-                return
-            supp = p & a.neg_mask(p)
-            try:
-                Ideal(a, supp)
-            except InputError:
-                return
-            if is_prime_mask(a, supp):
-                found.append(p)
-            return
-        x, y = pairs[i]
-        for extra in (1 << x, 1 << y, (1 << x) | (1 << y)):
-            q = p | extra
-            d = decided | (1 << x) | (1 << y)
-            if compatible(q, d, extra):
-                dfs(i + 1, q, d)
-
-    if not compatible(singles, singles, singles):
-        return []
-    dfs(0, singles, singles)
-    return [Ordering(a, p) for p in sorted(found)]
+    return [Ordering(a, p) for p in sorted(filter(is_ordering,
+                                                  _sign_cones(a.neg, a.mul, a.add)))]
 
 
 def ordering_hom_bijection_check(a: FiniteMultiring) -> CheckReport:

@@ -31,12 +31,12 @@ from multialg.ordering_spaces import (
     _ars_point_cones,
     _ax1_verdicts,
     _characters,
-    _enumerate_ars_cones,
     function_label,
     transversal_table,
     value_table,
 )
 from multialg.real_semigroups import RealSemigroup, check_ts, dt_table
+from reference_searches import _enumerate_ars_cones
 
 
 def check_multigroup(m: FiniteMultigroup) -> CheckReport:

@@ -1,19 +1,37 @@
-"""The five backtracking searches as they were before the search kernel.
+"""Searches and comparisons as they were before the shared kernels.
 
-``enumerate_multiring_morphisms``, ``find_isomorphism``,
-``enumerate_sg_morphisms``, ``enumerate_rs_morphisms`` and
-``_enumerate_relation_vectors`` are kept verbatim, each with its own
+The five backtracking searches ``enumerate_multiring_morphisms``,
+``find_isomorphism``, ``enumerate_sg_morphisms``, ``enumerate_rs_morphisms``
+and ``_enumerate_relation_vectors`` are kept verbatim, each with its own
 assign/consistent/extend loop, as the reference that
 ``tests/test_search_kernel.py`` pins the library's searches to: the same
 result lists in the same order, and the same first isomorphism.
+
+The per-kind equalities ``sg_equal``, ``multiring_equal`` and ``rs_equal``,
+the canonical keys ``multiring_canonical_key`` and
+``multigroup_canonical_key`` with ``_inv_perm_order``, and the two sign-cone
+searches ``enumerate_orderings`` and ``_enumerate_ars_cones`` are kept
+verbatim too, as the reference that ``tests/test_relabel_and_cones.py`` pins
+``core.same_tables``, the library's canonical keys and ``spectra._sign_cones``
+to.
 """
 
 import itertools
-from typing import Optional
+from typing import Optional, Sequence
 
-from multialg.core import FiniteMultiring, StructureMap, bits, check_morphism, mask_of
-from multialg.real_semigroups import RealSemigroup, is_rs_morphism
-from multialg.spectra import _satisfies_spec_relations
+from multialg.constructions import Ideal
+from multialg.core import (
+    FiniteMultigroup,
+    FiniteMultiring,
+    InputError,
+    StructureMap,
+    bits,
+    check_morphism,
+    mask_of,
+)
+from multialg.ordering_spaces import SignSpace, value_table
+from multialg.real_semigroups import RealSemigroup, check_rs_morphism
+from multialg.spectra import Ordering, _satisfies_spec_relations, is_prime_mask
 from multialg.special_groups import SpecialGroup, is_sg_morphism
 
 
@@ -188,7 +206,7 @@ def enumerate_rs_morphisms(s: RealSemigroup, t: RealSemigroup) -> list[Structure
     def extend(i: int) -> None:
         if i == n:
             f = StructureMap(s, t, tuple(assign))
-            if is_rs_morphism(f):
+            if check_rs_morphism(f).overall:
                 out.append(f)
             return
         for v in range(m):
@@ -238,4 +256,204 @@ def _enumerate_relation_vectors(a: FiniteMultiring) -> list[tuple[int, ...]]:
         vec[i] = -1
 
     extend(0)
+    return out
+
+
+def sg_equal(g: SpecialGroup, h: SpecialGroup) -> bool:
+    """Same labels and identical tables under the label identification."""
+    if set(g.names) != set(h.names):
+        return False
+    to_h = [h.carrier.index(name) for name in g.names]
+    if to_h[g.one] != h.one or to_h[g.minus_one] != h.minus_one:
+        return False
+    for a, b in itertools.product(range(g.size), repeat=2):
+        if to_h[g.mul[a][b]] != h.mul[to_h[a]][to_h[b]]:
+            return False
+    mapped = {(to_h[a], to_h[b], to_h[c], to_h[d]) for (a, b, c, d) in g.iso}
+    return mapped == set(h.iso)
+
+
+def multiring_equal(a: FiniteMultiring, b: FiniteMultiring) -> bool:
+    """Table-level equality under the label identification."""
+    if set(a.names) != set(b.names):
+        return False
+    to_b = [b.carrier.index(name) for name in a.names]
+    if to_b[a.zero] != b.zero or to_b[a.one] != b.one:
+        return False
+    for x in range(a.size):
+        if to_b[a.neg[x]] != b.neg[to_b[x]]:
+            return False
+        for y in range(a.size):
+            if to_b[a.mul[x][y]] != b.mul[to_b[x]][to_b[y]]:
+                return False
+            if mask_of(to_b[c] for c in bits(a.add[x][y])) \
+                    != b.add[to_b[x]][to_b[y]]:
+                return False
+    return True
+
+
+def rs_equal(s: RealSemigroup, t: RealSemigroup) -> bool:
+    if set(s.names) != set(t.names):
+        return False
+    to_t = [t.carrier.index(name) for name in s.names]
+    if (to_t[s.one], to_t[s.zero], to_t[s.minus_one]) != (t.one, t.zero, t.minus_one):
+        return False
+    for x, y in itertools.product(range(s.size), repeat=2):
+        if to_t[s.mul[x][y]] != t.mul[to_t[x]][to_t[y]]:
+            return False
+        if mask_of(to_t[c] for c in bits(s.d[x][y])) != t.d[to_t[x]][to_t[y]]:
+            return False
+    return True
+
+
+def multiring_canonical_key(r: FiniteMultiring) -> tuple:
+    """Lexicographically least serialization over all relabelings."""
+    n = r.size
+    best: Optional[tuple] = None
+    for perm in itertools.permutations(range(n)):
+        add = tuple(tuple(mask_of(perm[c] for c in bits(r.add[x][y]))
+                          for y in _inv_perm_order(perm, n))
+                    for x in _inv_perm_order(perm, n))
+        mul = tuple(tuple(perm[r.mul[x][y]] for y in _inv_perm_order(perm, n))
+                    for x in _inv_perm_order(perm, n))
+        neg = tuple(perm[r.neg[x]] for x in _inv_perm_order(perm, n))
+        key = (n, perm[r.zero], perm[r.one], neg, mul, add)
+        if best is None or key < best:
+            best = key
+    return best  # type: ignore[return-value]
+
+
+def _inv_perm_order(perm: Sequence[int], n: int) -> list[int]:
+    """Old indices listed in order of their new names."""
+    out = [0] * n
+    for old, new in enumerate(perm):
+        out[new] = old
+    return out
+
+
+def multigroup_canonical_key(m: FiniteMultigroup) -> tuple:
+    n = m.size
+    best: Optional[tuple] = None
+    for perm in itertools.permutations(range(n)):
+        order = _inv_perm_order(perm, n)
+        op = tuple(tuple(mask_of(perm[c] for c in bits(m.op[x][y]))
+                         for y in order) for x in order)
+        inv = tuple(perm[m.inv[x]] for x in order)
+        key = (n, perm[m.identity], inv, op)
+        if best is None or key < best:
+            best = key
+    return best  # type: ignore[return-value]
+
+
+def enumerate_orderings(a: FiniteMultiring) -> list[Ordering]:
+    """Subset scan over positive cones, pruned pair-by-pair on {x,-x} orbits
+    with incremental sum/product closure."""
+    n = a.size
+    neg = a.neg
+    singles = mask_of(x for x in range(n) if neg[x] == x)
+    pairs = sorted({(min(x, neg[x]), max(x, neg[x]))
+                    for x in range(n) if neg[x] != x})
+    found: list[int] = []
+
+    def compatible(p: int, decided: int, new_elems: int) -> bool:
+        for u in bits(new_elems):
+            for v in bits(p):
+                w = a.mul[u][v]
+                if (decided >> w) & 1 and not (p >> w) & 1:
+                    return False
+                cell = a.add[u][v] | a.add[v][u]
+                if cell & decided & ~p:
+                    return False
+        return True
+
+    def closed(p: int) -> bool:
+        # full re-verification: the incremental pruning sees a violation
+        # only once both sides of a cell are decided
+        for x in bits(p):
+            for y in bits(p):
+                if a.add[x][y] & ~p or not (p >> a.mul[x][y]) & 1:
+                    return False
+        return True
+
+    def dfs(i: int, p: int, decided: int) -> None:
+        if i == len(pairs):
+            if not closed(p):
+                return
+            supp = p & a.neg_mask(p)
+            try:
+                Ideal(a, supp)
+            except InputError:
+                return
+            if is_prime_mask(a, supp):
+                found.append(p)
+            return
+        x, y = pairs[i]
+        for extra in (1 << x, 1 << y, (1 << x) | (1 << y)):
+            q = p | extra
+            d = decided | (1 << x) | (1 << y)
+            if compatible(q, d, extra):
+                dfs(i + 1, q, d)
+
+    if not compatible(singles, singles, singles):
+        return []
+    dfs(0, singles, singles)
+    return [Ordering(a, p) for p in sorted(found)]
+
+
+def _enumerate_ars_cones(s: SignSpace) -> list[int]:
+    """Submonoids P with P u -P = G, -1 not in P, D-closure and the prime
+    support condition, enumerated over sign pairs {a,-a}."""
+    n = s.nfunctions
+    dtab = value_table(s)
+    neg_index = [s.index(s.negation(i)) for i in range(n)]
+    if any(v is None for v in neg_index):
+        return []
+    singles = mask_of(i for i in range(n) if neg_index[i] == i)
+    one = s.constant(1)
+    minus = s.constant(-1)
+    pairs = sorted({(min(i, neg_index[i]), max(i, neg_index[i]))
+                    for i in range(n) if neg_index[i] != i})
+    out: list[int] = []
+
+    def compatible(p: int, decided: int, new: int) -> bool:
+        for u in bits(new):
+            for v in bits(p):
+                w = s.index(s.pointwise_mul(u, v))
+                if w is None or ((decided >> w) & 1 and not (p >> w) & 1):
+                    return False
+                if dtab[u][v] & decided & ~p or dtab[v][u] & decided & ~p:
+                    return False
+        return True
+
+    def leaf(p: int) -> None:
+        if (p >> minus) & 1 or not (p >> one) & 1:
+            return
+        # full re-verification of closure and value-set stability
+        for i in bits(p):
+            for j in bits(p):
+                w = s.index(s.pointwise_mul(i, j))
+                if w is None or not (p >> w) & 1:
+                    return
+                if dtab[i][j] & ~p:
+                    return
+        supp = p & mask_of(neg_index[i] for i in bits(p))
+        for i, j in itertools.product(range(n), repeat=2):
+            w = s.index(s.pointwise_mul(i, j))
+            if (supp >> w) & 1 and not (supp >> i) & 1 and not (supp >> j) & 1:
+                return
+        out.append(p)
+
+    def dfs(k: int, p: int, decided: int) -> None:
+        if k == len(pairs):
+            leaf(p)
+            return
+        i, j = pairs[k]
+        for extra in (1 << i, 1 << j, (1 << i) | (1 << j)):
+            q = p | extra
+            d = decided | (1 << i) | (1 << j)
+            if compatible(q, d, extra):
+                dfs(k + 1, q, d)
+
+    if compatible(singles, singles, singles):
+        dfs(0, singles, singles)
     return out

@@ -167,6 +167,21 @@ class TestCli:
             assert main(["roundtrip", "--pair", pair, corpus_path(name)]) == 0, \
                 (pair, name)
 
+    def test_roundtrip_on_every_corpus_file_exits_cleanly(self, capsys):
+        """Every pair on every file ends in a verdict or an input error,
+        never in a traceback, whatever the file's kind."""
+        for fname in sorted(os.listdir(CORPUS)):
+            for pair in ("sg-smf", "rs-mr", "aos-mf", "ars-mr"):
+                code = main(["roundtrip", "--pair", pair,
+                             os.path.join(CORPUS, fname)])
+                capsys.readouterr()
+                assert code in (0, 1, 2), (pair, fname)
+
+    def test_roundtrip_on_a_file_of_the_wrong_kind_exits_2(self, capsys):
+        assert main(["roundtrip", "--pair", "rs-mr", corpus_path("aos_fan2")]) == 2
+        assert "input error: round-trip rs-mr does not take a sign_space file" \
+            in capsys.readouterr().err
+
     def test_hom_command(self, capsys):
         assert main(["hom", corpus_path("rs3x3"), corpus_path("rs3")]) == 0
         assert "morphisms: 2" in capsys.readouterr().out
