@@ -5,6 +5,9 @@ argument swap; raw input is closed at load time and the number of added
 quadruples is reported on the structure.  Triple isometry is derived from the
 binary relation through the usual existential expansion, which is what the
 3-transitivity axiom SG6 and the equivalent SG7/SG8/SG9 are audited against.
+One cached relation serves SG6, SG8 and SG9: triples are grouped by first
+element and tail pair class, and the k = n * ncls groups (ncls pair classes)
+get one k-bit row each, built by ORing per-(z, class) masks of groups.
 """
 
 from __future__ import annotations
@@ -267,59 +270,41 @@ def check_psg(g: SpecialGroup) -> CheckReport:
 
 
 @lru_cache(maxsize=None)
-def _triple_iso_tables(g: SpecialGroup):
-    """Group triples by (first element, class of the tail pair) and tabulate
-    the existential triple-isometry between groups."""
+def _triple_relation(g: SpecialGroup) -> tuple[int, tuple[int, ...]]:
+    """Existential triple isometry between triple groups, as bit rows.
+
+    Group ``a * ncls + c`` holds the triples (a, x, y) with (x, y) in pair
+    class c, so groups run over (a, c) in lexicographic order.  Its reach at
+    z is the mask of classes cls(a, x) over the x with cls(x, z) = c; two
+    groups are isometric when their reaches meet at some z."""
     n = g.size
-    cls, _ = _pair_classes(g)
-    ncls = max(max(row) for row in cls) + 1
-    members: dict[tuple[int, int], list[int]] = {}
-    for c in range(ncls):
+    cls, reps = _pair_classes(g)
+    ncls = len(reps)
+    reach = [[0] * n for _ in range(n * ncls)]
+    for x, z in itertools.product(range(n), repeat=2):
+        c = cls[x][z]
+        for a in range(n):
+            reach[a * ncls + c][z] |= 1 << cls[a][x]
+    # cols[z][v]: mask of groups whose reach at z contains class v
+    cols = [[0] * ncls for _ in range(n)]
+    for i, r in enumerate(reach):
         for z in range(n):
-            members[(c, z)] = [x for x in range(n) if cls[x][z] == c]
-    # reach[a][c][z]: mask over class ids {cls(a,x) : cls(x,z)=c}
-    reach = [[[0] * n for _ in range(ncls)] for _ in range(n)]
-    for a in range(n):
-        for c in range(ncls):
-            for z in range(n):
-                m = 0
-                for x in members[(c, z)]:
-                    m |= 1 << cls[a][x]
-                reach[a][c][z] = m
-
-    @lru_cache(maxsize=None)
-    def group_iso(a1: int, ca: int, b1: int, cb: int) -> bool:
-        ra, rb = reach[a1][ca], reach[b1][cb]
-        return any(ra[z] & rb[z] for z in range(n))
-
-    return cls, group_iso
+            for v in bits(r[z]):
+                cols[z][v] |= 1 << i
+    rows = []
+    for r in reach:
+        row = 0
+        for z in range(n):
+            for v in bits(r[z]):
+                row |= cols[z][v]
+        rows.append(row)
+    return ncls, tuple(rows)
 
 
-def triple_iso(g: SpecialGroup, t1: tuple[int, int, int],
-               t2: tuple[int, int, int]) -> bool:
-    """Existential triple isometry: some common first residue splits both."""
-    cls, group_iso = _triple_iso_tables(g)
-    return group_iso(t1[0], cls[t1[1]][t1[2]], t2[0], cls[t2[1]][t2[2]])
-
-
-def _triple_groups(g: SpecialGroup) -> tuple[list[tuple[int, int]],
-                                             dict[tuple[int, int], int]]:
-    cls, _ = _pair_classes(g)
+def _group_triple_rep(g: SpecialGroup, i: int) -> tuple[str, str, str]:
+    cls, reps = _pair_classes(g)
     n = g.size
-    seen: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for a1, a2, a3 in itertools.product(range(n), repeat=3):
-        key = (a1, cls[a2][a3])
-        if key not in seen:
-            seen[key] = len(order)
-            order.append(key)
-    return order, seen
-
-
-def _group_triple_rep(g: SpecialGroup, key: tuple[int, int]) -> tuple[str, str, str]:
-    cls, _ = _pair_classes(g)
-    n = g.size
-    a1, c = key
+    a1, c = divmod(i, len(reps))
     for a2, a3 in itertools.product(range(n), repeat=2):
         if cls[a2][a3] == c:
             return (g.names[a1], g.names[a2], g.names[a3])
@@ -327,49 +312,35 @@ def _group_triple_rep(g: SpecialGroup, key: tuple[int, int]) -> tuple[str, str, 
 
 
 def _sg6_witness(g: SpecialGroup) -> Optional[tuple]:
-    order, index = _triple_groups(g)
-    _, group_iso = _triple_iso_tables(g)
-    k = len(order)
-    rows = [0] * k
-    for i, (a1, ca) in enumerate(order):
-        for j, (b1, cb) in enumerate(order):
-            if group_iso(a1, ca, b1, cb):
-                rows[i] |= 1 << j
-    for i in range(k):
-        row = rows[i]
+    _, rows = _triple_relation(g)
+    for i, row in enumerate(rows):
         for j in bits(row):
             extra = rows[j] & ~row
             if extra:
                 m = next(bits(extra))
-                return (_group_triple_rep(g, order[i]),
-                        _group_triple_rep(g, order[j]),
-                        _group_triple_rep(g, order[m]))
+                return (_group_triple_rep(g, i), _group_triple_rep(g, j),
+                        _group_triple_rep(g, m))
     return None
 
 
 def _sg7_witness(g: SpecialGroup) -> Optional[tuple]:
     n = g.size
+    cls, reps = _pair_classes(g)
     for x, y in itertools.product(range(n), repeat=2):
         left = 0
-        for t in bits(represented(g, g.one, y)):
-            left |= represented(g, x, t)
+        for t in bits(reps[cls[g.one][y]]):
+            left |= reps[cls[x][t]]
         right = 0
-        for s in bits(represented(g, g.one, x)):
-            right |= represented(g, y, s)
+        for s in bits(reps[cls[g.one][x]]):
+            right |= reps[cls[y][s]]
         if left != right:
             return (g.names[x], g.names[y])
     return None
 
 
 def _sg8_witness(g: SpecialGroup) -> Optional[tuple]:
-    order, _ = _triple_groups(g)
-    _, group_iso = _triple_iso_tables(g)
-    k = len(order)
-    rows = [0] * k
-    for i, (a1, ca) in enumerate(order):
-        for j, (b1, cb) in enumerate(order):
-            if group_iso(a1, ca, b1, cb):
-                rows[i] |= 1 << j
+    ncls, rows = _triple_relation(g)
+    k = len(rows)
     # reachability closure over chains
     reach = list(rows)
     changed = True
@@ -382,23 +353,26 @@ def _sg8_witness(g: SpecialGroup) -> Optional[tuple]:
             if acc != reach[i]:
                 reach[i] = acc
                 changed = True
-    for i, (a1, ca) in enumerate(order):
+    for i in range(k):
         for j in bits(reach[i] | (1 << i)):
-            b1, cb = order[j]
-            if a1 == b1 and ca != cb:
-                return (_group_triple_rep(g, order[i]),
-                        _group_triple_rep(g, order[j]))
+            if i // ncls == j // ncls and i != j:
+                return (_group_triple_rep(g, i), _group_triple_rep(g, j))
     return None
 
 
 def _sg9_witness(g: SpecialGroup) -> Optional[tuple]:
     n = g.size
-    cls, group_iso = _triple_iso_tables(g)
-    for a, b, c, d in itertools.product(range(n), repeat=4):
-        ab, cd = g.mul[a][b], g.mul[c][d]
-        if group_iso(a, cls[b][ab], c, cls[d][cd]) \
-                and not group_iso(b, cls[a][ab], c, cls[d][cd]):
-            return (g.names[a], g.names[b], g.names[c], g.names[d])
+    cls, _ = _pair_classes(g)
+    ncls, rows = _triple_relation(g)
+    pairs = list(itertools.product(range(n), repeat=2))
+    for a, b in pairs:
+        ab = g.mul[a][b]
+        bad = rows[a * ncls + cls[b][ab]] & ~rows[b * ncls + cls[a][ab]]
+        if bad:
+            # the least (c, d) whose triple (c, d, cd) lies in a bad group
+            for c, d in pairs:
+                if (bad >> (c * ncls + cls[d][g.mul[c][d]])) & 1:
+                    return (g.names[a], g.names[b], g.names[c], g.names[d])
     return None
 
 
@@ -462,6 +436,7 @@ def sg_to_mf(g: SpecialGroup, zero_label: str = "0") -> FiniteMultiring:
     if zero_label in g.names:
         raise InputError(f"zero label {zero_label!r} collides with a group element")
     n = g.size
+    cls, reps = _pair_classes(g)
     names = g.names + (zero_label,)
     zero = n
     total = full_mask(n + 1)
@@ -473,7 +448,7 @@ def sg_to_mf(g: SpecialGroup, zero_label: str = "0") -> FiniteMultiring:
             if b == g.neg(a):
                 add[a][b] = total
             else:
-                add[a][b] = represented(g, a, b)
+                add[a][b] = reps[cls[a][b]]
     add[zero][zero] = 1 << zero
     mul = [[0] * (n + 1) for _ in range(n + 1)]
     for a in range(n):

@@ -8,9 +8,17 @@ sign-space audits ``check_aos``, ``check_ars`` and
 ``value_set_reassociation_check``.  They are kept verbatim as the naive
 reference that ``tests/test_audit_kernel.py`` pins the library's audits to:
 every verdict, witness, note and informational flag must agree.
+
+The special-group witnesses ``_sg6_witness`` to ``_sg9_witness`` are the
+versions that built the triple-isometry rows pair by pair through the cached
+closure of ``_triple_iso_tables``, with ``check_sg``, ``check_reduced`` and
+``check_sg789`` built on them; ``tests/test_triple_relation.py`` pins the
+library's single relation to them.
 """
 
 import itertools
+from functools import lru_cache
+from typing import Optional
 
 from multialg.core import (
     CheckReport,
@@ -36,6 +44,12 @@ from multialg.ordering_spaces import (
     value_table,
 )
 from multialg.real_semigroups import RealSemigroup, check_ts, dt_table
+from multialg.special_groups import (
+    SpecialGroup,
+    _pair_classes,
+    check_psg,
+    represented,
+)
 from reference_searches import _enumerate_ars_cones
 
 
@@ -564,3 +578,190 @@ def value_set_reassociation_check(s: SignSpace) -> CheckReport:
             break
     return CheckReport("value set reassociation",
                        (Verdict("union-reassociation", w is None, w),))
+
+
+@lru_cache(maxsize=None)
+def _triple_iso_tables(g: SpecialGroup):
+    """Group triples by (first element, class of the tail pair) and tabulate
+    the existential triple-isometry between groups."""
+    n = g.size
+    cls, _ = _pair_classes(g)
+    ncls = max(max(row) for row in cls) + 1
+    members: dict[tuple[int, int], list[int]] = {}
+    for c in range(ncls):
+        for z in range(n):
+            members[(c, z)] = [x for x in range(n) if cls[x][z] == c]
+    # reach[a][c][z]: mask over class ids {cls(a,x) : cls(x,z)=c}
+    reach = [[[0] * n for _ in range(ncls)] for _ in range(n)]
+    for a in range(n):
+        for c in range(ncls):
+            for z in range(n):
+                m = 0
+                for x in members[(c, z)]:
+                    m |= 1 << cls[a][x]
+                reach[a][c][z] = m
+
+    @lru_cache(maxsize=None)
+    def group_iso(a1: int, ca: int, b1: int, cb: int) -> bool:
+        ra, rb = reach[a1][ca], reach[b1][cb]
+        return any(ra[z] & rb[z] for z in range(n))
+
+    return cls, group_iso
+
+
+def triple_iso(g: SpecialGroup, t1: tuple[int, int, int],
+               t2: tuple[int, int, int]) -> bool:
+    """Existential triple isometry: some common first residue splits both."""
+    cls, group_iso = _triple_iso_tables(g)
+    return group_iso(t1[0], cls[t1[1]][t1[2]], t2[0], cls[t2[1]][t2[2]])
+
+
+def _triple_groups(g: SpecialGroup) -> tuple[list[tuple[int, int]],
+                                             dict[tuple[int, int], int]]:
+    cls, _ = _pair_classes(g)
+    n = g.size
+    seen: dict[tuple[int, int], int] = {}
+    order: list[tuple[int, int]] = []
+    for a1, a2, a3 in itertools.product(range(n), repeat=3):
+        key = (a1, cls[a2][a3])
+        if key not in seen:
+            seen[key] = len(order)
+            order.append(key)
+    return order, seen
+
+
+def _group_triple_rep(g: SpecialGroup, key: tuple[int, int]) -> tuple[str, str, str]:
+    cls, _ = _pair_classes(g)
+    n = g.size
+    a1, c = key
+    for a2, a3 in itertools.product(range(n), repeat=2):
+        if cls[a2][a3] == c:
+            return (g.names[a1], g.names[a2], g.names[a3])
+    raise AssertionError("empty pair class")
+
+
+def _sg6_witness(g: SpecialGroup) -> Optional[tuple]:
+    order, index = _triple_groups(g)
+    _, group_iso = _triple_iso_tables(g)
+    k = len(order)
+    rows = [0] * k
+    for i, (a1, ca) in enumerate(order):
+        for j, (b1, cb) in enumerate(order):
+            if group_iso(a1, ca, b1, cb):
+                rows[i] |= 1 << j
+    for i in range(k):
+        row = rows[i]
+        for j in bits(row):
+            extra = rows[j] & ~row
+            if extra:
+                m = next(bits(extra))
+                return (_group_triple_rep(g, order[i]),
+                        _group_triple_rep(g, order[j]),
+                        _group_triple_rep(g, order[m]))
+    return None
+
+
+def _sg7_witness(g: SpecialGroup) -> Optional[tuple]:
+    n = g.size
+    for x, y in itertools.product(range(n), repeat=2):
+        left = 0
+        for t in bits(represented(g, g.one, y)):
+            left |= represented(g, x, t)
+        right = 0
+        for s in bits(represented(g, g.one, x)):
+            right |= represented(g, y, s)
+        if left != right:
+            return (g.names[x], g.names[y])
+    return None
+
+
+def _sg8_witness(g: SpecialGroup) -> Optional[tuple]:
+    order, _ = _triple_groups(g)
+    _, group_iso = _triple_iso_tables(g)
+    k = len(order)
+    rows = [0] * k
+    for i, (a1, ca) in enumerate(order):
+        for j, (b1, cb) in enumerate(order):
+            if group_iso(a1, ca, b1, cb):
+                rows[i] |= 1 << j
+    # reachability closure over chains
+    reach = list(rows)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k):
+            acc = reach[i]
+            for j in bits(acc):
+                acc |= reach[j]
+            if acc != reach[i]:
+                reach[i] = acc
+                changed = True
+    for i, (a1, ca) in enumerate(order):
+        for j in bits(reach[i] | (1 << i)):
+            b1, cb = order[j]
+            if a1 == b1 and ca != cb:
+                return (_group_triple_rep(g, order[i]),
+                        _group_triple_rep(g, order[j]))
+    return None
+
+
+def _sg9_witness(g: SpecialGroup) -> Optional[tuple]:
+    n = g.size
+    cls, group_iso = _triple_iso_tables(g)
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        ab, cd = g.mul[a][b], g.mul[c][d]
+        if group_iso(a, cls[b][ab], c, cls[d][cd]) \
+                and not group_iso(b, cls[a][ab], c, cls[d][cd]):
+            return (g.names[a], g.names[b], g.names[c], g.names[d])
+    return None
+
+
+def check_sg(g: SpecialGroup) -> CheckReport:
+    psg = check_psg(g)
+    w6 = _sg6_witness(g)
+    return CheckReport(
+        subject="special group",
+        verdicts=psg.verdicts + (Verdict("SG6-3-transitivity", w6 is None, w6),),
+    )
+
+
+def check_reduced(g: SpecialGroup) -> CheckReport:
+    sg = check_sg(g)
+    cls, _ = _pair_classes(g)
+    w_distinct = None if g.one != g.minus_one else (g.names[g.one],)
+    w_rigid = None
+    for a in range(g.size):
+        if cls[a][a] == cls[g.one][g.one] and a != g.one:
+            w_rigid = (g.names[a],)
+            break
+    return CheckReport(
+        subject="reduced special group",
+        verdicts=sg.verdicts + (
+            Verdict("reduced-one-not-minus-one", w_distinct is None, w_distinct),
+            Verdict("reduced-diagonal-rigid", w_rigid is None, w_rigid),
+        ),
+    )
+
+
+def check_sg789(g: SpecialGroup) -> CheckReport:
+    """SG7, SG8, SG9 verdicts plus the three-way agreement with SG6."""
+    w6 = _sg6_witness(g)
+    w7 = _sg7_witness(g)
+    w8 = _sg8_witness(g)
+    w9 = _sg9_witness(g)
+    sg6 = w6 is None
+    sg78 = w7 is None and w8 is None
+    sg9 = w9 is None
+    return CheckReport(
+        subject="SG6/SG7+SG8/SG9 equivalence",
+        verdicts=(
+            Verdict("SG6", sg6, w6, "evaluated"),
+            Verdict("SG7", w7 is None, w7, "evaluated"),
+            Verdict("SG8", w8 is None, w8, "evaluated"),
+            Verdict("SG9", sg9, w9, "evaluated"),
+            Verdict("SG6-iff-SG7-and-SG8", sg6 == sg78,
+                    None if sg6 == sg78 else (sg6, sg78)),
+            Verdict("SG6-iff-SG9", sg6 == sg9,
+                    None if sg6 == sg9 else (sg6, sg9)),
+        ),
+    )

@@ -4,13 +4,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines; every
 criterion carries its stated time budget as a hard assertion.
 """
 
+import contextlib
 import importlib.util
 import itertools
 import os
 import random
 import time
 
-from multialg import core
+from multialg import core, io
+from multialg.cli import main
 from multialg.core import (
     RelationalMultigroup,
     check_multiring,
@@ -36,6 +38,7 @@ from multialg.corpus import (
 from multialg.enumeration import enumerate_structures
 from multialg.ordering_spaces import (
     aos_mf_roundtrip,
+    aos_to_mfred,
     ars_mr_roundtrip,
     check_aos,
     check_ars,
@@ -61,9 +64,13 @@ from multialg.real_semigroups import (
 )
 from multialg.sampling import BrokenTriangleOracle, TriangleOracle, sampled_check
 from multialg.special_groups import (
+    check_reduced,
+    check_sg,
+    check_sg789,
     check_smf,
     enumerate_sg_morphisms,
     mf_map_to_sg_map,
+    mf_to_sg,
     sg_map_to_mf_map,
     sg_smf_roundtrip,
     sg_to_mf,
@@ -454,3 +461,20 @@ def test_c15_representation_audits_at_scale():
     gate(15, "real semigroup, spectrum and ordering space audits on rs3^3, "
          "the images of q2^3 and the fan on five points",
          ok, time.monotonic() - t0, 10.0)
+
+
+def test_c16_special_group_audits_on_fans(tmp_path):
+    # Building the triple-isometry rows pair by pair made fan-4 diagram take
+    # 8 s and fan-5 diagram over 3 min.
+    t0 = time.monotonic()
+    ok = True
+    for k in (4, 5):
+        path = str(tmp_path / f"fan{k}mf.mrs")
+        io.write_structure(path, aos_to_mfred(fan_aos(k)))
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            ok = ok and main(["diagram", path]) == 0
+    g = mf_to_sg(aos_to_mfred(fan_aos(4)))
+    ok = ok and check_sg(g).overall and check_sg789(g).overall \
+        and check_reduced(g).overall
+    gate(16, "diagram on the fan-4 and fan-5 multifields and the special "
+             "group audits on the fan-4 group", ok, time.monotonic() - t0, 10.0)

@@ -1,0 +1,122 @@
+"""The one triple-isometry relation agrees with the pairwise reference.
+
+``reference_audits`` holds the special-group witnesses as they were when
+SG6 and SG8 each built the triple-isometry rows pair by pair through the
+cached closure of ``_triple_iso_tables`` and SG9 called that closure n^4
+times.  ``check_sg``, ``check_sg789`` and ``check_reduced`` must return
+equal ``CheckReport``s -- verdicts and first witnesses -- on the corpus
+groups, the fan groups of at most 8 elements, the square classes of small
+prime fields, the special group of every multifield of order <= 3 that has
+one, and seeded mutants of each: one random quadruple added to the isometry
+relation and re-closed.  On the 16-element fan-4 group, where the reference
+SG6 alone takes seconds, a seeded sample of relation rows and triple pairs
+is compared instead.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import reference_audits as reference
+from multialg import special_groups as spg
+from multialg.core import InputError
+from multialg.corpus import corpus_special_groups
+from multialg.enumeration import enumerate_structures
+from multialg.ordering_spaces import aos_to_mfred, fan_aos
+
+
+def _groups() -> dict:
+    named = dict(corpus_special_groups())
+    for k in (1, 2, 3):
+        named[f"fan{k}"] = spg.mf_to_sg(aos_to_mfred(fan_aos(k)))
+    for p in (3, 5, 7, 11, 13):
+        named[f"f{p}"] = spg.sg_of_finite_field(p)
+    for order in (1, 2, 3):
+        for up_to_iso in (True, False):
+            for i, f in enumerate(enumerate_structures("multifield", order,
+                                                       up_to_iso=up_to_iso)):
+                try:
+                    named[f"mf{order}{'iso' if up_to_iso else ''}_{i}"] = spg.mf_to_sg(f)
+                except InputError:  # not of exponent 2
+                    pass
+    first: dict = {}
+    for name, g in named.items():
+        first.setdefault(g, name)
+    return {name: g for g, name in first.items()}
+
+
+GROUPS = _groups()
+
+
+def _mutants(g, seed: str, count: int = 30) -> list:
+    """Copies of g with one seeded quadruple added to the isometry relation
+    and the relation closed again."""
+    rng = random.Random(seed)
+    n = g.size
+    out = []
+    for _ in range(count):
+        q = tuple(rng.randrange(n) for _ in range(4))
+        iso, added = spg._close_iso(n, g.iso | {q})
+        out.append(spg.SpecialGroup(g.carrier, g.mul, g.one, g.minus_one, iso, added))
+    return out
+
+
+def _reports(module, g) -> tuple:
+    return module.check_sg(g), module.check_sg789(g), module.check_reduced(g)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_reports_match_reference(name):
+    g = GROUPS[name]
+    # the reference builds k^2 row entries per input, k = 8 * ncls at n = 8
+    for h in [g] + _mutants(g, name, 30 if g.size <= 4 else 10):
+        assert _reports(spg, h) == _reports(reference, h), name
+        reference._triple_iso_tables.cache_clear()
+
+
+def test_sg6_sg8_and_sg9_each_fail_on_some_mutant():
+    failed = set()
+    for name, g in GROUPS.items():
+        for h in _mutants(g, name):
+            failed |= {v.axiom for v in spg.check_sg789(h).failures()}
+    assert {"SG6", "SG8", "SG9"} <= failed
+
+
+def _triple_pair_agrees(g, ncls, rows, t1, t2) -> bool:
+    cls, _ = spg._pair_classes(g)
+    i = t1[0] * ncls + cls[t1[1]][t1[2]]
+    j = t2[0] * ncls + cls[t2[1]][t2[2]]
+    return bool((rows[i] >> j) & 1) == reference.triple_iso(g, t1, t2)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, g in GROUPS.items() if g.size <= 4))
+def test_relation_is_triple_iso_on_every_triple_pair(name):
+    g = GROUPS[name]
+    for h in [g] + _mutants(g, name, 5):
+        ncls, rows = spg._triple_relation(h)
+        triples = list(itertools.product(range(h.size), repeat=3))
+        assert all(_triple_pair_agrees(h, ncls, rows, t1, t2)
+                   for t1, t2 in itertools.product(triples, repeat=2)), name
+        reference._triple_iso_tables.cache_clear()
+
+
+def test_fan4_relation_rows_match_reference():
+    g = spg.mf_to_sg(aos_to_mfred(fan_aos(4)))
+    ncls, rows = spg._triple_relation(g)
+    order, _ = reference._triple_groups(g)
+    assert order == [divmod(i, ncls) for i in range(len(rows))]
+    # the uncached closure: a full sweep would fill its cache with k^2 entries
+    _, group_iso = reference._triple_iso_tables(g)
+    group_iso = group_iso.__wrapped__
+    rng = random.Random(4)
+    for i in rng.sample(range(len(rows)), 64):
+        a1, ca = order[i]
+        expected = sum(1 << j for j, (b1, cb) in enumerate(order)
+                       if group_iso(a1, ca, b1, cb))
+        assert rows[i] == expected, i
+    triples = list(itertools.product(range(g.size), repeat=3))
+    for _ in range(2000):
+        t1, t2 = rng.choice(triples), rng.choice(triples)
+        assert _triple_pair_agrees(g, ncls, rows, t1, t2), (t1, t2)
+    reference._triple_iso_tables.cache_clear()
