@@ -3,9 +3,10 @@
 Generation walks zero/one placement, negation, multiplication and then the
 free addition cells in depth-first order, pruning with the axiom fragments
 that are sound to apply early (forced identity rows, zero membership exactly
-at opposite pairs, partial reversibility).  Candidates that survive the full
-audit are canonicalized by the lexicographically least serialization over
-all relabelings.
+at opposite pairs, and full reversibility between decided cells).  Every
+table that survives still goes through the full audit.  Survivors are
+canonicalized by the lexicographically least serialization over the
+relabelings that send the constants to their least indices.
 """
 
 from __future__ import annotations
@@ -76,32 +77,30 @@ def _monoid_tables(n: int, zero: int, one: int) -> Iterator[tuple[tuple[int, ...
 def _addition_tables(n: int, zero: int,
                      neg: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Commutative set-valued tables with the zero row forced, zero membership
-    exactly at opposite pairs, and partial reversibility pruning."""
+    exactly at opposite pairs, and full reversibility on decided cells.
+
+    Given commutativity and the involution neg, reversibility is the bit
+    equation z in x + y <=> x in z + neg(y).  Each new cell is tested against
+    every decided cell that equation pairs it with, so only subtrees in which
+    every table fails reversibility are cut, and the survivors keep their
+    depth-first order."""
     nonzero = [x for x in range(n) if x != zero]
     cells = [(x, y) for i, x in enumerate(nonzero) for y in nonzero[i:]]
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         table[zero][a] = 1 << a
         table[a][zero] = 1 << a
+    subsets = [mask_of(nonzero[i] for i in bits(sub))
+               for sub in range(1 << len(nonzero))]
+    with_zero = [m | (1 << zero) for m in subsets]
+    nonempty = subsets[1:]
 
-    def candidates(x: int, y: int) -> Iterator[int]:
-        others = [e for e in nonzero]
-        for sub in range(1 << len(others)):
-            m = mask_of(others[i] for i in bits(sub))
-            if y == neg[x]:
-                yield m | (1 << zero)
-            elif m:
-                yield m
-
-    def partial_ok(upto: int) -> bool:
-        x, y = cells[upto]
+    def reversible(x: int, y: int) -> bool:
+        # an undecided cell is 0; every decided one holds some element
         cell = table[x][y]
-        for z in bits(cell):
-            if z == zero:
-                continue
-            # reversibility: x in z + neg(y), y in neg(x) + z, when decided
-            for (p, q, want) in ((z, neg[y], x), (neg[x], z, y)):
-                if table[p][q] and not (table[p][q] >> want) & 1:
+        for z in range(n):
+            for a, other in ((x, table[z][neg[y]]), (y, table[z][neg[x]])):
+                if other and (other >> a & 1) != (cell >> z & 1):
                     return False
         return True
 
@@ -110,10 +109,10 @@ def _addition_tables(n: int, zero: int,
             yield tuple(tuple(r) for r in table)
             return
         x, y = cells[idx]
-        for cell in candidates(x, y):
+        for cell in with_zero if y == neg[x] else nonempty:
             table[x][y] = cell
             table[y][x] = cell
-            if partial_ok(idx):
+            if reversible(x, y):
                 yield from fill(idx + 1)
         table[x][y] = table[y][x] = 0
 
@@ -152,10 +151,22 @@ def generate_multigroups(n: int) -> Iterator[FiniteMultigroup]:
 
 def _canonical_key(s) -> tuple:
     """Lexicographically least (size, relabelled tables) over all
-    relabelings."""
-    tables = s.tables
-    return (s.size,) + min(_relabel(perm, tables)
-                           for perm in itertools.permutations(range(s.size)))
+    relabelings.
+
+    The relabelled tables start with the images of the constants, so only
+    the relabelings sending the distinct constants, in order, to 0, 1, ...
+    can give the least; the other elements run over every order."""
+    n, tables = s.size, s.tables
+    fixed = list(dict.fromkeys(tables[0]))
+
+    def relabelled(rest: tuple[int, ...]) -> tuple:
+        f = [0] * n
+        for new, old in enumerate(fixed + list(rest)):
+            f[old] = new
+        return _relabel(f, tables)
+
+    return (n,) + min(map(relabelled, itertools.permutations(
+        [x for x in range(n) if x not in fixed])))
 
 
 def multiring_canonical_key(r: FiniteMultiring) -> tuple:

@@ -182,13 +182,16 @@ def _pair_classes(g: SpecialGroup) -> tuple[tuple[tuple[int, ...], ...],
     """Class id per ordered pair, plus the mask of first components (the
     binary representation set) per class."""
     n = g.size
+    sources: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for c, d, x, y in g.iso:
+        sources.setdefault((x, y), []).append((c, d))
     cls = [[-1] * n for _ in range(n)]
     rep_masks: list[int] = []
     for a, b in itertools.product(range(n), repeat=2):
         if cls[a][b] >= 0:
             continue
         cid = len(rep_masks)
-        members = [(c, d) for (c, d, x, y) in g.iso if (x, y) == (a, b)]
+        members = list(sources.get((a, b), ()))
         if (a, b) not in members:
             members.append((a, b))
         mask = 0

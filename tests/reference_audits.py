@@ -13,7 +13,10 @@ The special-group witnesses ``_sg6_witness`` to ``_sg9_witness`` are the
 versions that built the triple-isometry rows pair by pair through the cached
 closure of ``_triple_iso_tables``, with ``check_sg``, ``check_reduced`` and
 ``check_sg789`` built on them; ``tests/test_triple_relation.py`` pins the
-library's single relation to them.
+library's single relation to them.  They read the pair classes from
+``_pair_classes`` as it was before it grouped the isometry relation by its
+target pair, scanning the whole relation once per class; the same test file
+pins the library's grouping to it.
 """
 
 import itertools
@@ -46,7 +49,6 @@ from multialg.ordering_spaces import (
 from multialg.real_semigroups import RealSemigroup, check_ts, dt_table
 from multialg.special_groups import (
     SpecialGroup,
-    _pair_classes,
     check_psg,
     represented,
 )
@@ -578,6 +580,29 @@ def value_set_reassociation_check(s: SignSpace) -> CheckReport:
             break
     return CheckReport("value set reassociation",
                        (Verdict("union-reassociation", w is None, w),))
+
+
+@lru_cache(maxsize=None)
+def _pair_classes(g: SpecialGroup) -> tuple[tuple[tuple[int, ...], ...],
+                                            tuple[int, ...]]:
+    """Class id per ordered pair, plus the mask of first components (the
+    binary representation set) per class."""
+    n = g.size
+    cls = [[-1] * n for _ in range(n)]
+    rep_masks: list[int] = []
+    for a, b in itertools.product(range(n), repeat=2):
+        if cls[a][b] >= 0:
+            continue
+        cid = len(rep_masks)
+        members = [(c, d) for (c, d, x, y) in g.iso if (x, y) == (a, b)]
+        if (a, b) not in members:
+            members.append((a, b))
+        mask = 0
+        for (c, d) in members:
+            cls[c][d] = cid
+            mask |= 1 << c
+        rep_masks.append(mask)
+    return tuple(tuple(r) for r in cls), tuple(rep_masks)
 
 
 @lru_cache(maxsize=None)

@@ -14,10 +14,16 @@ searches ``enumerate_orderings`` and ``_enumerate_ars_cones`` are kept
 verbatim too, as the reference that ``tests/test_relabel_and_cones.py`` pins
 ``core.same_tables``, the library's canonical keys and ``spectra._sign_cones``
 to.
+
+``_addition_tables`` is the addition-table generator as it was before it
+pruned on full reversibility.  It prunes less, so it still yields the
+failing candidate tables that the audit and search tests run on, and
+``tests/test_enumeration_pruning.py`` pins the pruned generator, after the
+full audit, to it.
 """
 
 import itertools
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from multialg.constructions import Ideal
 from multialg.core import (
@@ -304,6 +310,53 @@ def rs_equal(s: RealSemigroup, t: RealSemigroup) -> bool:
         if mask_of(to_t[c] for c in bits(s.d[x][y])) != t.d[to_t[x]][to_t[y]]:
             return False
     return True
+
+
+def _addition_tables(n: int, zero: int,
+                     neg: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Commutative set-valued tables with the zero row forced, zero membership
+    exactly at opposite pairs, and partial reversibility pruning."""
+    nonzero = [x for x in range(n) if x != zero]
+    cells = [(x, y) for i, x in enumerate(nonzero) for y in nonzero[i:]]
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        table[zero][a] = 1 << a
+        table[a][zero] = 1 << a
+
+    def candidates(x: int, y: int) -> Iterator[int]:
+        others = [e for e in nonzero]
+        for sub in range(1 << len(others)):
+            m = mask_of(others[i] for i in bits(sub))
+            if y == neg[x]:
+                yield m | (1 << zero)
+            elif m:
+                yield m
+
+    def partial_ok(upto: int) -> bool:
+        x, y = cells[upto]
+        cell = table[x][y]
+        for z in bits(cell):
+            if z == zero:
+                continue
+            # reversibility: x in z + neg(y), y in neg(x) + z, when decided
+            for (p, q, want) in ((z, neg[y], x), (neg[x], z, y)):
+                if table[p][q] and not (table[p][q] >> want) & 1:
+                    return False
+        return True
+
+    def fill(idx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if idx == len(cells):
+            yield tuple(tuple(r) for r in table)
+            return
+        x, y = cells[idx]
+        for cell in candidates(x, y):
+            table[x][y] = cell
+            table[y][x] = cell
+            if partial_ok(idx):
+                yield from fill(idx + 1)
+        table[x][y] = table[y][x] = 0
+
+    yield from fill(0)
 
 
 def multiring_canonical_key(r: FiniteMultiring) -> tuple:

@@ -27,7 +27,7 @@ from multialg.corpus import (
     corpus_special_groups,
     q2cube,
 )
-from multialg.enumeration import _addition_tables, _involutions_fixing, _labels, _monoid_tables
+from multialg.enumeration import _involutions_fixing, _labels, _monoid_tables
 from multialg.real_semigroups import enumerate_rs_morphisms
 from multialg.special_groups import check_sg_morphism, enumerate_sg_morphisms, is_sg_morphism
 from multialg.spectra import _enumerate_relation_vectors
@@ -121,8 +121,9 @@ def test_corpus_relation_vectors():
 
 
 def test_every_candidate_of_order_at_most_three():
-    """All candidate multiring tables, failing ones included: relation
-    vectors, morphisms to and from q2, and a relabelled copy."""
+    """All candidate multiring tables of the reference addition-table
+    generator, failing ones included: relation vectors, morphisms to and
+    from q2, and a relabelled copy."""
     q2 = core.q2()
     seen = 0
     for n in (1, 2, 3):
@@ -130,7 +131,7 @@ def test_every_candidate_of_order_at_most_three():
         for zero, one in itertools.permutations(range(n), 2):
             for neg in _involutions_fixing(n, zero):
                 for mul in _monoid_tables(n, zero, one):
-                    for add in _addition_tables(n, zero, neg):
+                    for add in reference._addition_tables(n, zero, neg):
                         a = core.FiniteMultiring(carrier, add, mul, neg, zero, one)
                         assert_vectors_agree(a)
                         assert_multiring_searches_agree(a, q2)

@@ -11,6 +11,11 @@ one, and seeded mutants of each: one random quadruple added to the isometry
 relation and re-closed.  On the 16-element fan-4 group, where the reference
 SG6 alone takes seconds, a seeded sample of relation rows and triple pairs
 is compared instead.
+
+``_pair_classes``, which groups the isometry relation by target pair, must
+give the same classes and representation masks as the reference's scan of
+the whole relation per class, on the corpus groups, the fan-3, fan-4 and
+fan-5 groups and seeded mutants of their relations, re-closed or not.
 """
 
 import itertools
@@ -120,3 +125,36 @@ def test_fan4_relation_rows_match_reference():
         t1, t2 = rng.choice(triples), rng.choice(triples)
         assert _triple_pair_agrees(g, ncls, rows, t1, t2), (t1, t2)
     reference._triple_iso_tables.cache_clear()
+
+
+def _raw_mutants(g, seed: str, count: int) -> list:
+    """Copies of g with seeded quadruples dropped from and added to the
+    isometry relation, left unclosed, so most fail ``check_psg``."""
+    rng = random.Random(seed)
+    n = g.size
+    quads = sorted(g.iso)
+    out = []
+    for _ in range(count):
+        dropped = set(rng.sample(quads, min(len(quads), rng.randint(0, 3))))
+        added = {tuple(rng.randrange(n) for _ in range(4))
+                 for _ in range(rng.randint(1, 3))}
+        iso = frozenset((g.iso - dropped) | added)
+        out.append(spg.SpecialGroup(g.carrier, g.mul, g.one, g.minus_one, iso))
+    return out
+
+
+def test_pair_classes_match_reference():
+    """Grouping the relation by target pair gives the classes and
+    representation masks of the per-class scan, malformed relations too."""
+    groups = dict(corpus_special_groups())
+    for k in (3, 4, 5):
+        groups[f"fan{k}"] = spg.mf_to_sg(aos_to_mfred(fan_aos(k)))
+    checked = failing = 0
+    for name, g in groups.items():
+        count = 3 if g.size > 16 else 10
+        for h in [g] + _mutants(g, name, count) + _raw_mutants(g, name, count):
+            assert spg._pair_classes.__wrapped__(h) == \
+                reference._pair_classes.__wrapped__(h), name
+            checked += 1
+            failing += not spg.check_psg(h).overall
+    assert checked > 100 and failing > 30
