@@ -8,6 +8,17 @@ binary relation through the usual existential expansion, which is what the
 One cached relation serves SG6, SG8 and SG9: triples are grouped by first
 element and tail pair class, and the k = n * ncls groups (ncls pair classes)
 get one k-bit row each, built by ORing per-(z, class) masks of groups.
+
+The special-multifield audit and the functor back to special groups read two
+tables over the nonzero elements, built once per call: ``fiber[x][v]``, the
+mask of y with xy = v, and ``inside[c][a]``, the mask of y with a in c + y.
+They are masks, not inverses, so they serve structures whose nonzero part is
+no group.  Property iii and ``mf_to_sg`` intersect one entry of each per
+triple; property iv keeps, per product fiber, the mask of pairs whose sum
+holds each element; property v builds, per (a, c) on first use, the masks of
+d with a triple-isometry split from fiber and inside entries.  Witnesses are
+the lowest set bits, so they keep the lexicographic order of a scan over
+quadruples.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from .core import (
     InputError,
     StructureMap,
     Verdict,
+    _lowest_bit,
     _table_maps,
     bits,
     classify,
@@ -465,32 +477,49 @@ def sg_to_mf(g: SpecialGroup, zero_label: str = "0") -> FiniteMultiring:
                            tuple(tuple(r) for r in mul), neg, zero, g.one)
 
 
-def _smf_block(f: FiniteMultiring, nz: list[int],
-               a: int, b: int, c: int, d: int) -> bool:
-    """Existence of a triple-isometry split between (a,b,ab) and (c,d,cd)
-    expressed through memberships: some x,y,z with ax=cy, a=xz, c=yz,
-    a in c+y, b in x+z, d in y+z."""
-    add, mul = f.add, f.mul
+def _smf_masks(f: FiniteMultiring, nz: list[int]
+               ) -> tuple[list[list[int]], list[list[int]]]:
+    """Masks over the nonzero elements: fiber[x][v] holds the y with xy = v,
+    inside[c][a] the y with a in c + y.  Rows of the zero stay empty."""
+    fiber = [[0] * f.size for _ in range(f.size)]
+    inside = [[0] * f.size for _ in range(f.size)]
     for x in nz:
-        ax = mul[a][x]
+        mrow, arow, frow, irow = f.mul[x], f.add[x], fiber[x], inside[x]
         for y in nz:
-            if mul[c][y] != ax or not (add[c][y] >> a) & 1:
-                continue
-            for z in nz:
-                if mul[x][z] == a and mul[y][z] == c \
-                        and (add[x][z] >> b) & 1 and (add[y][z] >> d) & 1:
-                    return True
-    return False
+            frow[mrow[y]] |= 1 << y
+            for a in bits(arow[y]):
+                irow[a] |= 1 << y
+    return fiber, inside
+
+
+def _split_row(f: FiniteMultiring, nz: list[int], fiber: list[list[int]],
+               inside: list[list[int]], a: int, c: int) -> list[int]:
+    """For nonzero b, row[b] is the mask of the nonzero d with a
+    triple-isometry split between (a,b,ab) and (c,d,cd): some nonzero x,y,z
+    with ax=cy, a in c+y, a=xz, c=yz, b in x+z and d in y+z."""
+    nzmask = full_mask(f.size) & ~(1 << f.zero)
+    row = [0] * f.size
+    for x in nz:
+        for y in bits(fiber[c][f.mul[a][x]] & inside[c][a]):
+            for z in bits(fiber[x][a] & fiber[y][c]):
+                ds = f.add[y][z] & nzmask
+                for b in bits(f.add[x][z]):
+                    row[b] |= ds
+    return row
 
 
 def check_smf(f: FiniteMultiring) -> CheckReport:
     """The five representation-theoretic properties that make the nonzero
-    part a special group."""
+    part a special group.  iii reads the ``_smf_masks`` tables, iv one mask
+    of pairs per element within each product fiber, and v one
+    ``_split_row`` per (a, c), built from those tables on first use; every
+    witness is the first in lexicographic order over the nonzero elements."""
     if not classify(f).multifield:
         raise InputError("special multifield check requires a multifield")
     names = f.names
     nz = [x for x in range(f.size) if x != f.zero]
     total = full_mask(f.size)
+    fiber, inside = _smf_masks(f, nz)
 
     w1 = None
     for a in nz:
@@ -505,30 +534,44 @@ def check_smf(f: FiniteMultiring) -> CheckReport:
             break
 
     w3 = None
-    for a, b, c, d in itertools.product(nz, repeat=4):
-        if f.mul[a][b] == f.mul[c][d] and (f.add[c][d] >> a) & 1 \
-                and not (f.add[a][b] >> c) & 1:
-            w3 = (names[a], names[b], names[c], names[d])
-            break
+    for a, b, c in itertools.product(nz, repeat=3):
+        if not (f.add[a][b] >> c) & 1:
+            ds = fiber[c][f.mul[a][b]] & inside[c][a]
+            if ds:
+                w3 = (names[a], names[b], names[c], names[_lowest_bit(ds)])
+                break
 
     w4 = None
     fibers: dict[int, list[tuple[int, int]]] = {}
     for x, y in itertools.product(nz, repeat=2):
         fibers.setdefault(f.mul[x][y], []).append((x, y))
     for pairs in fibers.values():
-        for (a, b), (c, d), (e, h) in itertools.product(pairs, repeat=3):
-            if (f.add[c][d] >> a) & 1 and (f.add[e][h] >> c) & 1 \
-                    and not (f.add[e][h] >> a) & 1:
-                w4 = (names[a], names[b], names[c], names[d],
-                      names[e], names[h])
+        holds = [0] * f.size  # holds[e]: the pairs k with e in their sum
+        for k, (x, y) in enumerate(pairs):
+            for e in bits(f.add[x][y]):
+                holds[e] |= 1 << k
+        for (a, b), (j, (c, d)) in itertools.product(pairs, enumerate(pairs)):
+            ks = holds[c] & ~holds[a]
+            if (holds[a] >> j) & 1 and ks:
+                e, h = pairs[_lowest_bit(ks)]
+                w4 = (names[a], names[b], names[c], names[d], names[e], names[h])
                 break
         if w4:
             break
 
     w5 = None
-    for a, b, c, d in itertools.product(nz, repeat=4):
-        if _smf_block(f, nz, a, b, c, d) and not _smf_block(f, nz, b, a, c, d):
-            w5 = (names[a], names[b], names[c], names[d])
+    split: dict[tuple[int, int], list[int]] = {}
+
+    def row(a: int, c: int) -> list[int]:
+        if (a, c) not in split:
+            split[a, c] = _split_row(f, nz, fiber, inside, a, c)
+        return split[a, c]
+
+    for a, b, c in itertools.product(nz, repeat=3):
+        ds = row(a, c)[b]
+        ds = ds and ds & ~row(b, c)[a]
+        if ds:
+            w5 = (names[a], names[b], names[c], names[_lowest_bit(ds)])
             break
 
     return CheckReport(
@@ -552,9 +595,10 @@ def mf_to_sg(f: FiniteMultiring) -> SpecialGroup:
     names = [f.names[x] for x in nz]
     back = {x: i for i, x in enumerate(nz)}
     mul = [[names[back[f.mul[x][y]]] for y in nz] for x in nz]
+    fiber, inside = _smf_masks(f, nz)
     quads = []
-    for a, b, c, d in itertools.product(nz, repeat=4):
-        if f.mul[a][b] == f.mul[c][d] and (f.add[c][d] >> a) & 1:
+    for a, b, c in itertools.product(nz, repeat=3):
+        for d in bits(fiber[c][f.mul[a][b]] & inside[c][a]):
             quads.append((f.names[a], f.names[b], f.names[c], f.names[d]))
     return make_special_group(names, mul, f.names[f.neg[f.one]], quads,
                               one=f.names[f.one])

@@ -17,6 +17,12 @@ library's single relation to them.  They read the pair classes from
 ``_pair_classes`` as it was before it grouped the isometry relation by its
 target pair, scanning the whole relation once per class; the same test file
 pins the library's grouping to it.
+
+``check_smf``, with its existential helper ``_smf_block`` (up to n^3 steps
+for each of the n^4 quadruples of property v), and ``mf_to_sg`` are the
+versions that scanned every quadruple of nonzero elements, before both read
+the product-fiber and membership masks of ``special_groups._smf_masks``;
+``tests/test_smf_masks.py`` pins the library's versions to them.
 """
 
 import itertools
@@ -32,6 +38,7 @@ from multialg.core import (
     Verdict,
     _verdict_all,
     bits,
+    classify,
     full_mask,
     mask_of,
 )
@@ -50,6 +57,7 @@ from multialg.real_semigroups import RealSemigroup, check_ts, dt_table
 from multialg.special_groups import (
     SpecialGroup,
     check_psg,
+    make_special_group,
     represented,
 )
 from reference_searches import _enumerate_ars_cones
@@ -790,3 +798,98 @@ def check_sg789(g: SpecialGroup) -> CheckReport:
                     None if sg6 == sg9 else (sg6, sg9)),
         ),
     )
+
+
+def _smf_block(f: FiniteMultiring, nz: list[int],
+               a: int, b: int, c: int, d: int) -> bool:
+    """Existence of a triple-isometry split between (a,b,ab) and (c,d,cd)
+    expressed through memberships: some x,y,z with ax=cy, a=xz, c=yz,
+    a in c+y, b in x+z, d in y+z."""
+    add, mul = f.add, f.mul
+    for x in nz:
+        ax = mul[a][x]
+        for y in nz:
+            if mul[c][y] != ax or not (add[c][y] >> a) & 1:
+                continue
+            for z in nz:
+                if mul[x][z] == a and mul[y][z] == c \
+                        and (add[x][z] >> b) & 1 and (add[y][z] >> d) & 1:
+                    return True
+    return False
+
+
+def check_smf(f: FiniteMultiring) -> CheckReport:
+    """The five representation-theoretic properties that make the nonzero
+    part a special group."""
+    if not classify(f).multifield:
+        raise InputError("special multifield check requires a multifield")
+    names = f.names
+    nz = [x for x in range(f.size) if x != f.zero]
+    total = full_mask(f.size)
+
+    w1 = None
+    for a in nz:
+        if f.mul[a][a] != f.one:
+            w1 = (names[a],)
+            break
+
+    w2 = None
+    for a in nz:
+        if f.add[a][f.neg[a]] != total:
+            w2 = (names[a],)
+            break
+
+    w3 = None
+    for a, b, c, d in itertools.product(nz, repeat=4):
+        if f.mul[a][b] == f.mul[c][d] and (f.add[c][d] >> a) & 1 \
+                and not (f.add[a][b] >> c) & 1:
+            w3 = (names[a], names[b], names[c], names[d])
+            break
+
+    w4 = None
+    fibers: dict[int, list[tuple[int, int]]] = {}
+    for x, y in itertools.product(nz, repeat=2):
+        fibers.setdefault(f.mul[x][y], []).append((x, y))
+    for pairs in fibers.values():
+        for (a, b), (c, d), (e, h) in itertools.product(pairs, repeat=3):
+            if (f.add[c][d] >> a) & 1 and (f.add[e][h] >> c) & 1 \
+                    and not (f.add[e][h] >> a) & 1:
+                w4 = (names[a], names[b], names[c], names[d],
+                      names[e], names[h])
+                break
+        if w4:
+            break
+
+    w5 = None
+    for a, b, c, d in itertools.product(nz, repeat=4):
+        if _smf_block(f, nz, a, b, c, d) and not _smf_block(f, nz, b, a, c, d):
+            w5 = (names[a], names[b], names[c], names[d])
+            break
+
+    return CheckReport(
+        subject="special multifield",
+        verdicts=(
+            Verdict("i-unit-squares", w1 is None, w1),
+            Verdict("ii-full-opposite-sums", w2 is None, w2),
+            Verdict("iii-symmetry", w3 is None, w3),
+            Verdict("iv-transitivity", w4 is None, w4),
+            Verdict("v-triple-split-swap", w5 is None, w5),
+        ),
+    )
+
+
+def mf_to_sg(f: FiniteMultiring) -> SpecialGroup:
+    """Nonzero part with isometry: equal products plus membership a in c+d."""
+    nz = [x for x in range(f.size) if x != f.zero]
+    if any(f.mul[x][y] == f.zero for x in nz for y in nz):
+        raise InputError("special group construction requires a multifield: "
+                         "a product of nonzero elements is zero")
+    names = [f.names[x] for x in nz]
+    back = {x: i for i, x in enumerate(nz)}
+    mul = [[names[back[f.mul[x][y]]] for y in nz] for x in nz]
+    quads = []
+    for a, b, c, d in itertools.product(nz, repeat=4):
+        if f.mul[a][b] == f.mul[c][d] and (f.add[c][d] >> a) & 1:
+            quads.append((f.names[a], f.names[b], f.names[c], f.names[d]))
+    return make_special_group(names, mul, f.names[f.neg[f.one]], quads,
+                              one=f.names[f.one])

@@ -492,3 +492,23 @@ def test_c17_labelled_multigroups_of_order_four():
     ok = len(keys) == 1560 and len(set(keys)) == 97
     gate(17, "all 1,560 labelled multigroups of order 4 and their 97 classes",
          ok, time.monotonic() - t0, 3.0)
+
+
+def test_c18_special_multifield_audit_on_fan5(tmp_path):
+    # Property v searched up to n^3 splits for each of the n^4 quadruples:
+    # check_smf took about 56 s on the fan-5 multifield, and each command
+    # below about 60 s.
+    t0 = time.monotonic()
+    f = aos_to_mfred(fan_aos(5))
+    ok = check_smf(f).overall
+    mf_path, sg_path = str(tmp_path / "fan5mf.mrs"), str(tmp_path / "fan5sg.mrs")
+    io.write_structure(mf_path, f)
+    io.write_structure(sg_path, mf_to_sg(f))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        ok = ok and main(["check", "--level", "all", "--format", "jsonl",
+                          mf_path]) == 0
+        ok = ok and main(["roundtrip", "--pair", "sg-smf", "--format", "jsonl",
+                          sg_path]) == 0
+    gate(18, "the special multifield audit, check --level all and the sg-smf "
+             "round-trip on the fan-5 multifield and its special group",
+         ok, time.monotonic() - t0, 10.0)

@@ -1,0 +1,146 @@
+"""check_smf and mf_to_sg on product-fiber masks agree with the quadruple scan.
+
+``reference_audits`` holds ``check_smf`` as it was when properties iii-v
+scanned every quadruple of nonzero elements, v through ``_smf_block`` with up
+to n^3 steps per quadruple, and ``mf_to_sg`` as it was when it scanned every
+quadruple for its isometry list.  The library's versions must give equal
+``CheckReport``s -- verdicts and first witnesses -- and equal special groups,
+closure counts and quadruple lists, element for element, on the corpus
+multifields, the fan multifields on 1-4 points, the multifields of the
+square classes of F_p for p <= 13, Z/p for p <= 13 and every multifield of
+order <= 3.  The same holds on mutants: the multifields of special groups
+whose isometry relation gained one seeded quadruple and was closed again,
+and every symmetric single-cell change of the addition (one bit) or of the
+multiplication (one product) of the fan-1..3 multifields and of Z/3, Z/5
+and Z/7.  Where a mutant is no multiring, or no multifield, both sides must
+raise the same ``InputError``; ``mf_to_sg`` still runs on those, and on the
+changed products its fibers hold more than one element.
+"""
+
+import dataclasses
+import itertools
+
+import pytest
+
+import reference_audits as reference
+from multialg import special_groups as spg
+from multialg.core import InputError, ring_multiring
+from multialg.corpus import corpus_multifields, corpus_special_groups
+from multialg.enumeration import enumerate_structures
+from multialg.ordering_spaces import aos_to_mfred, fan_aos
+from test_triple_relation import _mutants
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _multifields() -> dict:
+    named = {f"fan{k}": aos_to_mfred(fan_aos(k)) for k in (1, 2, 3, 4)}
+    named.update(corpus_multifields())
+    for name, g in corpus_special_groups().items():
+        named[f"mf_{name}"] = spg.sg_to_mf(g)
+    for p in PRIMES[1:]:
+        named[f"mf_f{p}"] = spg.sg_to_mf(spg.sg_of_finite_field(p))
+    for p in PRIMES:
+        named[f"z{p}"] = ring_multiring(p)
+    for order in (1, 2, 3):
+        for up_to_iso in (True, False):
+            for i, f in enumerate(enumerate_structures("multifield", order,
+                                                       up_to_iso=up_to_iso)):
+                named[f"mf{order}{'iso' if up_to_iso else ''}_{i}"] = f
+    first: dict = {}
+    for name, f in named.items():
+        first.setdefault(f, name)
+    return {name: f for f, name in first.items()}
+
+
+MULTIFIELDS = _multifields()
+
+
+def _iso_mutants() -> list:
+    """The multifields of re-closed isometry mutants of the corpus groups,
+    the fan-1..3 groups and the square classes of F_p, p <= 13."""
+    groups = dict(corpus_special_groups())
+    for k in (1, 2, 3):
+        groups[f"fan{k}"] = spg.mf_to_sg(aos_to_mfred(fan_aos(k)))
+    for p in PRIMES[1:]:
+        groups[f"f{p}"] = spg.sg_of_finite_field(p)
+    return [spg.sg_to_mf(h) for name, g in sorted(groups.items())
+            for h in _mutants(g, name, 20)]
+
+
+def _cell_mutants(base) -> list:
+    """Every symmetric single-cell change: one bit of an addition cell
+    flipped, leaving it nonempty, or one product replaced."""
+    out = []
+    for i, j in itertools.combinations_with_replacement(range(base.size), 2):
+        flips = (base.add[i][j] ^ (1 << v) for v in range(base.size))
+        changes = [("add", cell) for cell in flips if cell] \
+            + [("mul", v) for v in range(base.size) if v != base.mul[i][j]]
+        for table, cell in changes:
+            rows = [list(row) for row in getattr(base, table)]
+            rows[i][j] = rows[j][i] = cell
+            out.append(dataclasses.replace(base, **{table: tuple(map(tuple, rows))}))
+    return out
+
+
+def _outcome(call, f):
+    try:
+        return call(f)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+def _sg_outcome(module, f, monkeypatch) -> tuple:
+    """mf_to_sg's group, closure count and the quadruple list it hands to
+    make_special_group, or its InputError."""
+    quads: list = []
+    make = module.make_special_group
+
+    def capture(names, mul, minus_one, raw, **kwargs):
+        quads.append(list(raw))
+        return make(names, mul, minus_one, raw, **kwargs)
+
+    monkeypatch.setattr(module, "make_special_group", capture)
+    g = _outcome(module.mf_to_sg, f)
+    monkeypatch.undo()
+    if isinstance(g, spg.SpecialGroup):
+        return g, g.closure_added, quads
+    return g, quads
+
+
+def _assert_agrees(f, label, monkeypatch):
+    report = _outcome(spg.check_smf, f)
+    assert report == _outcome(reference.check_smf, f), label
+    assert _sg_outcome(spg, f, monkeypatch) == \
+        _sg_outcome(reference, f, monkeypatch), label
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(MULTIFIELDS))
+def test_reports_and_groups_match_reference(name, monkeypatch):
+    report = _assert_agrees(MULTIFIELDS[name], name, monkeypatch)
+    assert not isinstance(report, tuple), name
+
+
+def test_iso_mutants_match_reference(monkeypatch):
+    for i, f in enumerate(_iso_mutants()):
+        _assert_agrees(f, i, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["fan1", "fan2", "fan3", "z3", "z5", "z7"])
+def test_cell_mutants_match_reference(name, monkeypatch):
+    raised = 0
+    for i, f in enumerate(_cell_mutants(MULTIFIELDS[name])):
+        raised += isinstance(_assert_agrees(f, (name, i), monkeypatch), tuple)
+    assert raised, name
+
+
+def test_every_property_fails_on_some_input():
+    failed = set()
+    for f in list(MULTIFIELDS.values()) + _iso_mutants() \
+            + _cell_mutants(MULTIFIELDS["fan2"]) + _cell_mutants(MULTIFIELDS["z5"]):
+        report = _outcome(spg.check_smf, f)
+        if not isinstance(report, tuple):
+            failed |= {v.axiom for v in report.failures()}
+    assert failed == {"i-unit-squares", "ii-full-opposite-sums", "iii-symmetry",
+                      "iv-transitivity", "v-triple-split-swap"}
