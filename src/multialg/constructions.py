@@ -131,26 +131,46 @@ def product(factors: Sequence[FiniteMultiring],
 # ---------------------------------------------------------------------------
 # ideals
 
-def _ideal_closure(a: FiniteMultiring, members: int) -> int:
-    """Mask of the least ideal containing ``members``, by closure iteration:
-    absorb products, then close under sums, until nothing changes."""
-    members |= 1 << a.zero
-    while True:
-        grown = members
-        for x in range(a.size):
-            for y in bits(members):
-                grown |= 1 << a.mul[x][y]
-        for x in bits(grown):
-            for y in bits(grown):
-                grown |= a.add[x][y]
-        if grown == members:
-            return members
-        members = grown
+def _multiples(a: FiniteMultiring) -> list[int]:
+    """``multiples[y]``: the mask of x·y over every x in the carrier."""
+    return [mask_of(a.mul[x][y] for x in range(a.size)) for y in range(a.size)]
+
+
+def _ideal_closure(a: FiniteMultiring, members: int, multiples: list[int],
+                   closed: int = 0) -> int:
+    """Mask of the least ideal containing ``members``, 0 and the ideal
+    ``closed``; ``multiples`` is ``_multiples(a)``.
+
+    A worklist expands each element once, lowest pending bit first, by ORing
+    in its multiples and its sums, in both orders, with itself and every
+    element expanded before it.  Invariant: for all expanded e and m the
+    result holds ``multiples[e]`` and ``add[e][m]``.  ``closed`` must already
+    be an ideal, so its members start out expanded.  Reading both orders
+    keeps the result the least set closed under absorption and sums even on
+    tables that break the axioms, non-commutative addition included."""
+    add = a.add
+    expanded = list(bits(closed))
+    done = closed
+    out = closed | members | (1 << a.zero)
+    pending = out & ~done
+    while pending:
+        low = pending & -pending
+        e = low.bit_length() - 1
+        done |= low
+        expanded.append(e)
+        row = add[e]
+        grown = multiples[e]
+        for m in expanded:
+            grown |= row[m] | add[m][e]
+        out |= grown
+        pending = out & ~done
+    return out
 
 
 def ideal_generated(a: FiniteMultiring, labels: Sequence[str]) -> Ideal:
     """Least ideal containing the given elements."""
-    return Ideal(a, _ideal_closure(a, mask_of(a.carrier.index(l) for l in labels)))
+    members = mask_of(a.carrier.index(l) for l in labels)
+    return Ideal(a, _ideal_closure(a, members, _multiples(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,37 +207,36 @@ def quotient_by_ideal(a: FiniteMultiring,
             class_of[y] = x
         class_of[x] = x
     reps, rep_index, names = _class_setup(a, class_of)
+    cls = [rep_index[class_of[x]] for x in range(n)]
+    images: dict[int, int] = {}
 
-    def cls(x: int) -> int:
-        return rep_index[class_of[x]]
+    def image(cell: int) -> int:
+        """Mask of the classes meeting ``cell``, computed once per cell."""
+        out = images.get(cell)
+        if out is None:
+            out = images[cell] = mask_of(cls[c] for c in bits(cell))
+        return out
 
-    k = len(reps)
-    add = [[0] * k for _ in range(k)]
-    mul = [[0] * k for _ in range(k)]
-    for i, x in enumerate(reps):
-        for j, y in enumerate(reps):
-            add[i][j] = mask_of(cls(c) for c in bits(a.add[x][y]))
-            mul[i][j] = cls(a.mul[x][y])
+    add = tuple(tuple(image(a.add[x][y]) for y in reps) for x in reps)
+    mul = tuple(tuple(cls[a.mul[x][y]] for y in reps) for x in reps)
     # representative independence
     for x, y in itertools.product(range(n), repeat=2):
-        i, j = cls(x), cls(y)
-        if mask_of(cls(c) for c in bits(a.add[x][y])) != add[i][j]:
+        i, j = cls[x], cls[y]
+        if image(a.add[x][y]) != add[i][j]:
             raise StructuralAnomaly(
                 f"quotient sum depends on representatives at "
                 f"({a.names[x]},{a.names[y]})")
-        if cls(a.mul[x][y]) != mul[i][j]:
+        if cls[a.mul[x][y]] != mul[i][j]:
             raise StructuralAnomaly(
                 f"quotient product depends on representatives at "
                 f"({a.names[x]},{a.names[y]})")
-        if cls(a.neg[x]) != cls(a.neg[reps[i]]):
+        if cls[a.neg[x]] != cls[a.neg[reps[i]]]:
             raise StructuralAnomaly(
                 f"quotient negation depends on representatives at {a.names[x]}")
 
-    neg = tuple(cls(a.neg[x]) for x in reps)
-    q = FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add),
-                        tuple(tuple(r) for r in mul), neg,
-                        cls(a.zero), cls(a.one))
-    proj = StructureMap(a, q, tuple(cls(x) for x in range(n)))
+    neg = tuple(cls[a.neg[x]] for x in reps)
+    q = FiniteMultiring(Carrier(names), add, mul, neg, cls[a.zero], cls[a.one])
+    proj = StructureMap(a, q, tuple(cls))
     return q, proj
 
 

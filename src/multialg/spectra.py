@@ -1,5 +1,10 @@
 """Ideal and ordering spectra of finite multirings.
 
+The ideal list is computed once per structure (``_ideals``, a module-level
+cache) and shared by its four consumers: ``enumerate_primes``,
+``enumerate_maximals``, ``check_quotient_characterizations`` and
+``spec_topology``.
+
 Prime/maximal enumeration, the patch-topology relations of the spectrum
 embedding into {0,1}^A, orderings and their bijection with morphisms to the
 sign multifield, preorderings, real and real-reduced characterizations, and
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .core import (
@@ -36,6 +42,7 @@ from .constructions import (
     Ideal,
     MultiplicativeSet,
     _ideal_closure,
+    _multiples,
     marshall_quotient,
     product,
     q_red,
@@ -46,9 +53,12 @@ from .constructions import (
 # ---------------------------------------------------------------------------
 # ideal enumeration
 
-def enumerate_ideals(a: FiniteMultiring) -> list[Ideal]:
-    """All ideals, by closing each reachable ideal under one more generator."""
-    bottom = _ideal_closure(a, 0)
+@lru_cache(maxsize=None)
+def _ideals(a: FiniteMultiring) -> tuple[Ideal, ...]:
+    """All ideals in (popcount, mask) order, by extending each reachable
+    ideal by one more generator; only the new elements get expanded."""
+    multiples = _multiples(a)
+    bottom = _ideal_closure(a, 0, multiples)
     seen = {bottom}
     queue = [bottom]
     while queue:
@@ -56,12 +66,17 @@ def enumerate_ideals(a: FiniteMultiring) -> list[Ideal]:
         for x in range(a.size):
             if (current >> x) & 1:
                 continue
-            grown = _ideal_closure(a, current | (1 << x))
+            grown = _ideal_closure(a, 1 << x, multiples, current)
             if grown not in seen:
                 seen.add(grown)
                 queue.append(grown)
     masks = sorted(seen, key=lambda m: (m.bit_count(), m))
-    return [Ideal(a, m) for m in masks]
+    return tuple(Ideal(a, m) for m in masks)
+
+
+def enumerate_ideals(a: FiniteMultiring) -> list[Ideal]:
+    """All ideals, in (popcount, mask) order."""
+    return list(_ideals(a))
 
 
 def is_prime_mask(a: FiniteMultiring, members: int) -> bool:

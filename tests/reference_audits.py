@@ -23,18 +23,29 @@ for each of the n^4 quadruples of property v), and ``mf_to_sg`` are the
 versions that scanned every quadruple of nonzero elements, before both read
 the product-fiber and membership masks of ``special_groups._smf_masks``;
 ``tests/test_smf_masks.py`` pins the library's versions to them.
+
+``_ideal_closure``, ``enumerate_ideals`` and ``quotient_by_ideal`` are the
+versions from before the worklist closure: the closure iterated absorption
+and an n^2 sum loop until nothing changed, ``enumerate_ideals`` reclosed
+every (ideal, element) pair from scratch on each call, and the quotient
+imaged every addition cell anew.  ``tests/test_ideal_lattice.py`` pins the
+library's ideal lattice and quotients to them.
 """
 
 import itertools
 from functools import lru_cache
 from typing import Optional
 
+from multialg.constructions import Ideal, _class_setup
 from multialg.core import (
+    Carrier,
     CheckReport,
     FiniteMultigroup,
     FiniteMultiring,
     InputError,
     RelationalMultigroup,
+    StructuralAnomaly,
+    StructureMap,
     Verdict,
     _verdict_all,
     bits,
@@ -893,3 +904,95 @@ def mf_to_sg(f: FiniteMultiring) -> SpecialGroup:
             quads.append((f.names[a], f.names[b], f.names[c], f.names[d]))
     return make_special_group(names, mul, f.names[f.neg[f.one]], quads,
                               one=f.names[f.one])
+
+
+def _ideal_closure(a: FiniteMultiring, members: int) -> int:
+    """Mask of the least ideal containing ``members``, by closure iteration:
+    absorb products, then close under sums, until nothing changes."""
+    members |= 1 << a.zero
+    while True:
+        grown = members
+        for x in range(a.size):
+            for y in bits(members):
+                grown |= 1 << a.mul[x][y]
+        for x in bits(grown):
+            for y in bits(grown):
+                grown |= a.add[x][y]
+        if grown == members:
+            return members
+        members = grown
+
+
+def enumerate_ideals(a: FiniteMultiring) -> list[Ideal]:
+    """All ideals, by closing each reachable ideal under one more generator."""
+    bottom = _ideal_closure(a, 0)
+    seen = {bottom}
+    queue = [bottom]
+    while queue:
+        current = queue.pop()
+        for x in range(a.size):
+            if (current >> x) & 1:
+                continue
+            grown = _ideal_closure(a, current | (1 << x))
+            if grown not in seen:
+                seen.add(grown)
+                queue.append(grown)
+    masks = sorted(seen, key=lambda m: (m.bit_count(), m))
+    return [Ideal(a, m) for m in masks]
+
+
+def quotient_by_ideal(a: FiniteMultiring,
+                      ideal: Ideal) -> tuple[FiniteMultiring, StructureMap]:
+    """Cosets x + I as elements; returns the quotient and the projection.
+
+    The coset family is required to partition the carrier and the induced
+    operations to be representative independent; both are verified.
+    """
+    if ideal.parent is not a and ideal.parent != a:
+        raise InputError("ideal does not belong to this multiring")
+    n = a.size
+    cosets = [a.add_masks(1 << x, ideal.members) for x in range(n)]
+    class_of = [-1] * n
+    for x in range(n):
+        if class_of[x] >= 0:
+            continue
+        for y in bits(cosets[x]):
+            if cosets[y] != cosets[x]:
+                raise StructuralAnomaly(
+                    f"cosets of {a.names[x]} and {a.names[y]} overlap "
+                    f"without being equal")
+            class_of[y] = x
+        class_of[x] = x
+    reps, rep_index, names = _class_setup(a, class_of)
+
+    def cls(x: int) -> int:
+        return rep_index[class_of[x]]
+
+    k = len(reps)
+    add = [[0] * k for _ in range(k)]
+    mul = [[0] * k for _ in range(k)]
+    for i, x in enumerate(reps):
+        for j, y in enumerate(reps):
+            add[i][j] = mask_of(cls(c) for c in bits(a.add[x][y]))
+            mul[i][j] = cls(a.mul[x][y])
+    # representative independence
+    for x, y in itertools.product(range(n), repeat=2):
+        i, j = cls(x), cls(y)
+        if mask_of(cls(c) for c in bits(a.add[x][y])) != add[i][j]:
+            raise StructuralAnomaly(
+                f"quotient sum depends on representatives at "
+                f"({a.names[x]},{a.names[y]})")
+        if cls(a.mul[x][y]) != mul[i][j]:
+            raise StructuralAnomaly(
+                f"quotient product depends on representatives at "
+                f"({a.names[x]},{a.names[y]})")
+        if cls(a.neg[x]) != cls(a.neg[reps[i]]):
+            raise StructuralAnomaly(
+                f"quotient negation depends on representatives at {a.names[x]}")
+
+    neg = tuple(cls(a.neg[x]) for x in reps)
+    q = FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add),
+                        tuple(tuple(r) for r in mul), neg,
+                        cls(a.zero), cls(a.one))
+    proj = StructureMap(a, q, tuple(cls(x) for x in range(n)))
+    return q, proj
