@@ -6,14 +6,21 @@ checks are pure functions returning a CheckReport with one verdict per axiom.
 The first violation in lexicographic index order is reported as the witness.
 
 The table audits (multigroup, multiring, and the relational axioms and
-lemmas) cost O(n^3) mask operations on an n-element carrier: one scan of
-the triples (x, y, z) in lexicographic order compares (xy)z with x(yz) as
-masks, each distinct cell is expanded to its elements once, and the other
-axioms are per-pair mask tests.  The associativity audits of real
+lemmas) cost O(n^3) mask operations on an n-element carrier, done a row at
+a time: for each pair (x, y) one scan builds the whole rows (xy)z and
+x(yz) over z and compares them as tuples, and only rows that differ are
+walked z by z, so defects still come in lexicographic order of (x, y, z).
+(xy)z is the OR of the table's rows over the cell xy and x(yz) reads entry
+x of the OR of its columns over each cell yz; each OR is built once per
+distinct cell, so apart from those unions the scan's n^3 steps run inside
+``map`` and tuple comparison.  The multiring audit compares the rows
+(ab)c with a(bc) over c and (a+b)d with ad+bd over d the same way.  The
+other axioms are per-pair mask tests.  The associativity audits of real
 semigroups and sign spaces read the same scan, strong associativity through
 ``_reassociation_failures``.  Witnesses stay the first violations in
-lexicographic order; tests/reference_audits.py keeps the naive audits they
-are pinned to.
+lexicographic order; tests/reference_audits.py keeps the naive audits and
+the cell-at-a-time scan they are pinned to.  ``classify`` audits each
+structure once however often its guard runs.
 
 The searches for maps (morphisms, isomorphisms, and the other modules'
 morphisms and spectrum vectors) run on one kernel, ``_table_maps``.  Each
@@ -37,6 +44,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import getitem, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 CARRIER_CAP = 64
@@ -83,25 +92,56 @@ class _Elements(dict):
         return out
 
 
+# The singleton cell masks; zipped with the lines, they prefill a _CellUnion
+# so that singleton cells cost no call.
+_SINGLETONS = tuple(1 << i for i in range(CARRIER_CAP))
+
+
+class _CellUnion(dict):
+    """Cell mask -> elementwise OR of ``lines`` over the cell's elements, as
+    a tuple, on first use; an empty cell gives a line of zeros."""
+
+    __slots__ = ("lines", "elements")
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        lines = self.lines
+        picked = self.elements[mask]
+        if picked:
+            out = tuple(lines[picked[0]])
+            for a in picked[1:]:
+                out = tuple(map(or_, out, lines[a]))
+        else:
+            out = (0,) * len(lines)
+        self[mask] = out
+        return out
+
+
 def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
                            ) -> Iterator[tuple[int, int, int, int, int]]:
     """Yield (x, y, z, (xy)z, x(yz)) for each triple, in lexicographic order,
     whose two bracketings differ.  Cells of the n x n mask table may be
-    empty; ``elements`` expands each distinct cell once."""
+    empty; ``elements`` expands each distinct cell once.
+
+    Each (x, y) compares whole rows over z: (xy)z is the OR of the table's
+    rows over the cell xy, and x(yz) takes entry x of the OR of its columns
+    over each cell yz; each OR is built once per distinct cell.  Only rows
+    that differ are scanned z by z."""
     n = len(table)
+    columns = list(zip(*table))
+    lefts = _CellUnion(zip(_SINGLETONS, map(tuple, table)))
+    rights = _CellUnion(zip(_SINGLETONS, columns))
+    lefts.lines, rights.lines = table, columns
+    lefts.elements = rights.elements = elements
+    over_columns = rights.__getitem__
     for x, row_x in enumerate(table):
-        for y in range(n):
-            rows_xy = [table[a] for a in elements[row_x[y]]]
-            row_y = table[y]
-            for z in range(n):
-                left = 0
-                for row in rows_xy:
-                    left |= row[z]
-                right = 0
-                for c in elements[row_y[z]]:
-                    right |= row_x[c]
-                if left != right:
-                    yield x, y, z, left, right
+        at_x = itemgetter(x)
+        for y, cell in enumerate(row_x):
+            left = lefts[cell]
+            right = tuple(map(at_x, map(over_columns, table[y])))
+            if left != right:
+                for z in range(n):
+                    if left[z] != right[z]:
+                        yield x, y, z, left[z], right[z]
 
 
 def _reassociation_failures(table: Sequence[Sequence[int]], elements: _Elements
@@ -653,10 +693,23 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     addgrp = check_multigroup(r.additive_multigroup())
     verdicts = [Verdict("add-" + v.axiom, v.passed, v.witness) for v in addgrp.verdicts]
 
+    # Rows over c: (ab)c is row ab of mul, and a(bc) is row b read
+    # through row a.
+    mul, add = r.mul, r.add
     w = None
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if r.mul[r.mul[a][b]][c] != r.mul[a][r.mul[b][c]]:
-            w = (names[a], names[b], names[c])
+    for a, row_a in enumerate(mul):
+        through_a = row_a.__getitem__
+        for b, ab in enumerate(row_a):
+            left = mul[ab]
+            right = tuple(map(through_a, mul[b]))
+            if left != right:
+                for c in range(n):
+                    if left[c] != right[c]:
+                        w = (names[a], names[b], names[c])
+                        break
+                if w:
+                    break
+        if w:
             break
     verdicts.append(_verdict_all("mul-associativity", w))
 
@@ -681,22 +734,27 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
             break
     verdicts.append(_verdict_all("zero-absorbing", w))
 
-    elements = _Elements()
+    # Rows over d: (a+b)d is the OR of the rows 1 << cd over c in a+b, and
+    # ad+bd picks column bd of the addition rows of the products ad.
+    shifted = [tuple(map((1).__lshift__, row)) for row in mul]
+    lefts = _CellUnion(zip(_SINGLETONS, shifted))
+    lefts.lines, lefts.elements = shifted, _Elements()
     w_weak = None
     w_full = None
-    for a, b in itertools.product(range(n), repeat=2):
-        rows = [r.mul[c] for c in elements[r.add[a][b]]]
-        mul_a, mul_b = r.mul[a], r.mul[b]
-        for d in range(n):
-            left = 0
-            for row in rows:
-                left |= 1 << row[d]
-            right = r.add[mul_a[d]][mul_b[d]]
+    for a, row_a in enumerate(add):
+        sums_a = list(map(add.__getitem__, mul[a]))
+        for b, cell in enumerate(row_a):
+            left = lefts[cell]
+            right = tuple(map(getitem, sums_a, mul[b]))
             if left != right:
-                if w_full is None:
-                    w_full = (names[a], names[b], names[d])
-                if w_weak is None and left & ~right:
-                    w_weak = (names[a], names[b], names[d])
+                for d in range(n):
+                    if left[d] != right[d]:
+                        if w_full is None:
+                            w_full = (names[a], names[b], names[d])
+                        if w_weak is None and left[d] & ~right[d]:
+                            w_weak = (names[a], names[b], names[d])
+                if w_weak and w_full:
+                    break
         if w_weak and w_full:
             break
     verdicts.append(_verdict_all("distributivity-weak", w_weak))
@@ -731,10 +789,17 @@ def _classify_unchecked(r: FiniteMultiring) -> MultiringKind:
     return MultiringKind(True, domain, fieldlike)
 
 
+@lru_cache(maxsize=None)
+def _passes_multiring_audit(r: FiniteMultiring) -> bool:
+    """check_multiring(r).overall, audited once per structure for the
+    guards of classify."""
+    return check_multiring(r).overall
+
+
 def classify(r: FiniteMultiring, *, verified: bool = False) -> MultiringKind:
     """Flag multidomain / multifield status.  Requires the axioms to hold;
     pass verified=True to skip the re-audit."""
-    if not verified and not check_multiring(r).overall:
+    if not verified and not _passes_multiring_audit(r):
         raise InputError("classify: structure fails the multiring audit")
     return _classify_unchecked(r)
 

@@ -30,11 +30,19 @@ and an n^2 sum loop until nothing changed, ``enumerate_ideals`` reclosed
 every (ideal, element) pair from scratch on each call, and the quotient
 imaged every addition cell anew.  ``tests/test_ideal_lattice.py`` pins the
 library's ideal lattice and quotients to them.
+
+``cellwise_reassociation_defects`` and ``cellwise_check_multiring`` are the
+reassociation scan and the multiring audit as they were before they compared
+whole rows: each (x, y, z) ORed its own two bracketings, and mul-associativity
+and distributivity probed one (a, b, c) or (a, b, d) at a time.  Their own
+additive multigroup audit is the naive ``check_multigroup`` above.
+``tests/test_row_kernel.py`` pins the library's row-at-a-time scan and
+``check_multiring`` to them, defect sequence and report alike.
 """
 
 import itertools
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from multialg.constructions import Ideal, _class_setup
 from multialg.core import (
@@ -47,6 +55,7 @@ from multialg.core import (
     StructuralAnomaly,
     StructureMap,
     Verdict,
+    _Elements,
     _verdict_all,
     bits,
     classify,
@@ -996,3 +1005,88 @@ def quotient_by_ideal(a: FiniteMultiring,
                         cls(a.zero), cls(a.one))
     proj = StructureMap(a, q, tuple(cls(x) for x in range(n)))
     return q, proj
+
+
+def cellwise_reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
+                                   ) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (x, y, z, (xy)z, x(yz)) for each triple, in lexicographic order,
+    whose two bracketings differ.  Cells of the n x n mask table may be
+    empty; ``elements`` expands each distinct cell once."""
+    n = len(table)
+    for x, row_x in enumerate(table):
+        for y in range(n):
+            rows_xy = [table[a] for a in elements[row_x[y]]]
+            row_y = table[y]
+            for z in range(n):
+                left = 0
+                for row in rows_xy:
+                    left |= row[z]
+                right = 0
+                for c in elements[row_y[z]]:
+                    right |= row_x[c]
+                if left != right:
+                    yield x, y, z, left, right
+
+
+def cellwise_check_multiring(r: FiniteMultiring) -> CheckReport:
+    """Audit the multiring axioms.
+
+    Weak distributivity (a+b)d <= ad+bd is the axiom; equality is reported
+    as an extra informational verdict so multifields can be recognised.
+    """
+    n = r.size
+    names = r.names
+    addgrp = check_multigroup(r.additive_multigroup())
+    verdicts = [Verdict("add-" + v.axiom, v.passed, v.witness) for v in addgrp.verdicts]
+
+    w = None
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if r.mul[r.mul[a][b]][c] != r.mul[a][r.mul[b][c]]:
+            w = (names[a], names[b], names[c])
+            break
+    verdicts.append(_verdict_all("mul-associativity", w))
+
+    w = None
+    for a, b in itertools.combinations(range(n), 2):
+        if r.mul[a][b] != r.mul[b][a]:
+            w = (names[a], names[b])
+            break
+    verdicts.append(_verdict_all("mul-commutativity", w))
+
+    w = None
+    for a in range(n):
+        if r.mul[r.one][a] != a:
+            w = (names[a],)
+            break
+    verdicts.append(_verdict_all("mul-identity", w))
+
+    w = None
+    for a in range(n):
+        if r.mul[a][r.zero] != r.zero:
+            w = (names[a],)
+            break
+    verdicts.append(_verdict_all("zero-absorbing", w))
+
+    elements = _Elements()
+    w_weak = None
+    w_full = None
+    for a, b in itertools.product(range(n), repeat=2):
+        rows = [r.mul[c] for c in elements[r.add[a][b]]]
+        mul_a, mul_b = r.mul[a], r.mul[b]
+        for d in range(n):
+            left = 0
+            for row in rows:
+                left |= 1 << row[d]
+            right = r.add[mul_a[d]][mul_b[d]]
+            if left != right:
+                if w_full is None:
+                    w_full = (names[a], names[b], names[d])
+                if w_weak is None and left & ~right:
+                    w_weak = (names[a], names[b], names[d])
+        if w_weak and w_full:
+            break
+    verdicts.append(_verdict_all("distributivity-weak", w_weak))
+    verdicts.append(_verdict_all("distributivity-full", w_full,
+                                 note="informational", informational=True))
+
+    return CheckReport("multiring", tuple(verdicts))

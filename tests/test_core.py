@@ -182,8 +182,10 @@ class TestClassify:
         add[m.one][m.one] = 1 << m.carrier.index("-1")
         bad = FiniteMultiring(m.carrier, tuple(tuple(r) for r in add),
                               m.mul, m.neg, m.zero, m.one)
-        with pytest.raises(InputError):
-            classify(bad)
+        for _ in range(2):  # the second answer comes from the cached guard
+            with pytest.raises(InputError,
+                               match="^classify: structure fails the multiring audit$"):
+                classify(bad)
 
 
 class TestMorphisms:

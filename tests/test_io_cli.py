@@ -3,11 +3,12 @@ import os
 
 import pytest
 
+from multialg import core
 from multialg import io as mio
 from multialg.cli import main
 from multialg.core import InputError, q2
 from multialg.real_semigroups import canonical_3
-from multialg.ordering_spaces import fan_aos
+from multialg.ordering_spaces import aos_to_mfred, fan_aos
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -84,6 +85,22 @@ class TestCli:
         assert main(["check", corpus_path("q2"), "--level", "all"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_check_all_audits_a_multifield_once_for_its_guards(self, tmp_path,
+                                                               monkeypatch, capsys):
+        """The report's own check_multiring, then one audit behind every
+        classify guard of check_smf, is_real_reduced_mf and
+        reduced_characterizations_check."""
+        f = aos_to_mfred(fan_aos(3))
+        path = str(tmp_path / "fan3mf.mrs")
+        mio.write_structure(path, f)
+        audited = []
+        audit = core.check_multiring
+        monkeypatch.setattr(core, "check_multiring",
+                            lambda r: audited.append(r) or audit(r))
+        core._passes_multiring_audit.cache_clear()
+        assert main(["check", path, "--level", "all"]) == 0
+        assert sum(r == f for r in audited) == 2
 
     def test_check_fails_on_a_broken_file(self, tmp_path, capsys):
         doc = mio.to_document(q2())
