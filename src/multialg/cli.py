@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -346,7 +347,6 @@ def cmd_enumerate(args) -> int:
           f"{len(structures)}")
     for i, s in enumerate(structures):
         if args.out_dir:
-            import os
             os.makedirs(args.out_dir, exist_ok=True)
             path = os.path.join(args.out_dir, f"{args.kind}_{i:03d}.mrs")
             mio.write_structure(path, s)
@@ -528,9 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: ``parse_args`` fills a fresh ``Namespace`` on every
+# call, so repeated in-process calls to ``main`` share no parsed state.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

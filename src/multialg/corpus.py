@@ -143,11 +143,6 @@ def corpus_multifields() -> dict[str, FiniteMultiring]:
     }
 
 
-def corpus_spectra_extra() -> dict[str, FiniteMultiring]:
-    """Larger structures used only by the spectra-level sweeps."""
-    return {"q2cube": q2cube()}
-
-
 def corpus_real_reduced_multifields() -> dict[str, FiniteMultiring]:
     return {"q2": q2(), "fan2mf": fan2_multifield(),
             "fan3mf": aos_to_mfred(fan_aos(3))}

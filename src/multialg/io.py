@@ -176,11 +176,6 @@ def write_structure(path: str, obj: Structure, name: Optional[str] = None,
         fh.write(serialize(obj, name, provenance))
 
 
-def structure_name(doc_or_path: str) -> str:
-    import os
-    return os.path.splitext(os.path.basename(doc_or_path))[0]
-
-
 def corpus_documents() -> dict[str, Structure]:
     """The named structures shipped as files under corpus/."""
     from . import corpus as c

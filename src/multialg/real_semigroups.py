@@ -10,7 +10,8 @@ real reduced multirings (sums become transversal representation sets).
 associativity RS3 (on D^t) and weak associativity xvi (on D) read core's
 O(n^3) reassociation scan through ``_reassociation_failures``; RS4, RS5 and
 the monotonicity consequence xiii are mask tests over distinct squares,
-agreement sets and distinct cells.  Each witness keeps the lexicographic
+agreement sets and distinct cells, and the arity-4 consequences iii and v
+are O(n^3) scans of failure masks.  Each witness keeps the lexicographic
 order of the quantifier it comes from; tests/reference_audits.py keeps the
 nested loops they are pinned to.
 """
@@ -325,20 +326,43 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
                 break
         verdicts.append(Verdict(axiom, witness is None, witness))
 
+    def least(axiom: str, witnesses: Iterable[tuple[int, ...]]) -> None:
+        witness = min(witnesses, default=None)
+        verdicts.append(Verdict(axiom, witness is None, None if witness is None
+                                else tuple(names[i] for i in witness)))
+
     quantify("i-transversal-shift",
              lambda a, b, c: not (dt[b][c] >> a) & 1
              or (dt[neg(a)][c] >> neg(b)) & 1, 3)
     quantify("ii-zero-represented", lambda a, b: (d[a][b] >> s.zero) & 1, 2)
-    quantify("iii-transversal-scaling",
-             lambda a, b, c, e: not (dt[b][c] >> a) & 1
-             or (dt[mul[b][e]][mul[c][e]] >> mul[a][e]) & 1, 4)
+    # iii on masks: at (b, c, e) the failing a are D^t(b, c) less the
+    # preimage under x -> xe of D^t(be, ce), kept per (e, target cell).
+    # a leads the order (a, b, c, e), so the least failure leads with the
+    # lowest failing bit.
+    preimages: dict[tuple[int, int], int] = {}
+
+    def preimage(e: int, cell: int) -> int:
+        if (e, cell) not in preimages:
+            preimages[e, cell] = mask_of(a for a in range(n)
+                                         if (cell >> mul[a][e]) & 1)
+        return preimages[e, cell]
+
+    least("iii-transversal-scaling", (
+        (_lowest_bit(bad), b, c, e)
+        for b, c, e in itertools.product(range(n), repeat=3)
+        if (bad := dt[b][c] & ~preimage(e, dt[mul[b][e]][mul[c][e]]))))
     quantify("iv-idempotent-on-0-1",
              lambda a: not ((d[s.zero][s.one] >> a) & 1
                             or (d[s.one][s.one] >> a) & 1)
              or mul[a][a] == a, 1)
-    quantify("v-common-factor",
-             lambda dd, c, a, b: not (d[mul[c][a]][mul[c][b]] >> dd) & 1
-             or mul[mul[c][c]][dd] == dd, 4)
+    # v on masks: at (c, a, b) the failing dd are D(ca, cb) less the
+    # elements that c^2 fixes; dd leads the order (dd, c, a, b).
+    moved = [mask_of(x for x in range(n) if mul[mul[c][c]][x] != x)
+             for c in range(n)]
+    least("v-common-factor", (
+        (_lowest_bit(bad), c, a, b)
+        for c, a, b in itertools.product(range(n), repeat=3)
+        if (bad := d[mul[c][a]][mul[c][b]] & moved[c])))
     quantify("vi-squares-represented",
              lambda a, b: (d[s.one][b] >> mul[a][a]) & 1, 2)
     idem = mask_of(a for a in range(n) if mul[a][a] == a)
@@ -364,22 +388,17 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
     first_at: dict[int, tuple[int, int]] = {}
     for x, y in itertools.product(range(n), repeat=2):
         first_at.setdefault(d[x][y], (x, y))
-    w13 = min(((_lowest_bit(d[b][c] & ~cell), b, c) + first_at[cell]
-               for cell in first_at for b in elements[cell]
-               for c in elements[cell] if d[b][c] & ~cell), default=None)
-    verdicts.append(Verdict("xiii-monotone", w13 is None,
-                            None if w13 is None
-                            else tuple(names[i] for i in w13)))
+    least("xiii-monotone", (
+        (_lowest_bit(d[b][c] & ~cell), b, c) + first_at[cell]
+        for cell in first_at for b in elements[cell]
+        for c in elements[cell] if d[b][c] & ~cell))
     quantify("xiv-product-form",
              lambda a, b, c: ((d[b][c] >> a) & 1)
              == ((d[s.one][mul[b][c]] >> mul[a][b]) & 1
                  and (d[s.one][mul[b][c]] >> mul[a][c]) & 1
                  and (d[mul[b][b]][mul[c][c]] >> mul[a][a]) & 1), 3)
     quantify("xv-transversal-nonempty", lambda a, b: dt[a][b] != 0, 2)
-    w16 = min(_reassociation_failures(d, elements), default=None)
-    verdicts.append(Verdict("xvi-weak-associativity", w16 is None,
-                            None if w16 is None
-                            else tuple(names[i] for i in w16)))
+    least("xvi-weak-associativity", _reassociation_failures(d, elements))
     quantify("xvii-square-transversal",
              lambda a, b, c: ((d[b][c] >> a) & 1)
              == ((dt[mul[mul[a][a]][b]][mul[mul[a][a]][c]] >> a) & 1), 3)

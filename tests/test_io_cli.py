@@ -5,7 +5,7 @@ import pytest
 
 from multialg import core
 from multialg import io as mio
-from multialg.cli import main
+from multialg.cli import build_parser, main
 from multialg.core import InputError, q2
 from multialg.real_semigroups import canonical_3
 from multialg.ordering_spaces import aos_to_mfred, fan_aos
@@ -255,6 +255,65 @@ class TestStability:
                   "--seed", "3", "--broken", "--format", "jsonl"])
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+def _run(capsys, argv) -> tuple:
+    """Exit code (from the return or from SystemExit), stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh_parser_run(capsys, argv) -> tuple:
+    """What a parser built for this call alone prints for argv."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+    raise AssertionError(f"{argv} parsed without exiting")
+
+
+class TestSharedParser:
+    """main parses with one parser per process; no call may leave state
+    behind for the next."""
+
+    def test_same_argv_twice_prints_the_same(self, capsys):
+        argv = ["check", corpus_path("z6"), "--level", "all"]
+        first = _run(capsys, argv)
+        assert first[0] == 0 and first[1]
+        assert _run(capsys, argv) == first
+
+    def test_defaults_come_back_after_options(self, capsys):
+        plain = ["check", corpus_path("q2")]
+        before = _run(capsys, plain)
+        code, out, _ = _run(capsys, plain + ["--level", "all", "--format", "jsonl"])
+        assert code == 0 and all(json.loads(line) for line in out.splitlines())
+        after = _run(capsys, plain)
+        assert after == before
+        assert after[1].startswith(core.check_multiring(mio.read_structure(
+            corpus_path("q2"))).render())
+        assert "classification" not in after[1]
+
+    @pytest.mark.parametrize("argv", [["check"],
+                                      ["check", "x.mrs", "--level", "bogus"],
+                                      ["--help"], ["check", "--help"]])
+    def test_exits_match_a_fresh_parser_and_leave_main_usable(
+            self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = _fresh_parser_run(capsys, argv)
+        assert _run(capsys, argv) == expected
+        if argv[-1] == "--help":
+            assert expected[0] == 0 and expected[1].startswith("usage: multialg")
+        else:
+            assert expected[0] == 2
+            assert expected[2].startswith("usage: multialg check [-h]")
+        code, out, _ = _run(capsys, ["check", corpus_path("q2")])
+        assert code == 0 and "PASS" in out
+        assert _run(capsys, argv) == expected
 
 
 class TestEnumerationClosure:
