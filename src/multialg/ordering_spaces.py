@@ -2,6 +2,9 @@
 abstract real spectra ({-1,0,1}-valued), with value sets, axiom audits, and
 the constructions to and from real reduced multifields and multirings.
 
+The value and transversal tables are ANDs over the points of per-point
+masks, and the pointwise products are one cached table per space.
+
 The character condition AX2 is audited by exhaustive enumeration: characters
 of the function group in the two-valued case, candidate cones over sign
 pairs in the three-valued case.  Every admissible candidate must come from a
@@ -127,24 +130,42 @@ def one_point_ars() -> SignSpace:
 # ---------------------------------------------------------------------------
 # value sets
 
+def _pointwise_table(s: SignSpace, allowed) -> tuple[tuple[int, ...], ...]:
+    """Cell (a, b) masks the functions c with c(x) in allowed(a(x), b(x)) at
+    every point x: an AND over the points of per-point masks, each the OR of
+    the masks at[x][v] of the functions that take value v at x."""
+    at = [dict.fromkeys((-1, 0, 1), 0) for _ in s.points]
+    for k, f in enumerate(s.functions):
+        for x, v in enumerate(f):
+            at[x][v] |= 1 << k
+    cells = []
+    for row in at:
+        cell = {}
+        for u, v in itertools.product((-1, 0, 1), repeat=2):
+            cell[u, v] = 0
+            for w in allowed(u, v):
+                cell[u, v] |= row[w]
+        cells.append(cell)
+    full = full_mask(s.nfunctions)
+    out = []
+    for a in s.functions:
+        row = []
+        for b in s.functions:
+            m = full
+            for cell, u, v in zip(cells, a, b):
+                m &= cell[u, v]
+            row.append(m)
+        out.append(tuple(row))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def value_table(s: SignSpace) -> tuple[tuple[int, ...], ...]:
-    """D(a,b) as masks over function indices."""
-    n = s.nfunctions
-    out = [[0] * n for _ in range(n)]
-    for i, j in itertools.product(range(n), repeat=2):
-        a, b = s.functions[i], s.functions[j]
-        m = 0
-        for k, c in enumerate(s.functions):
-            if s.mode == AOS:
-                ok = all(cv in (av, bv) for cv, av, bv in zip(c, a, b))
-            else:
-                ok = all(av * cv > 0 or bv * cv > 0 or cv == 0
-                         for cv, av, bv in zip(c, a, b))
-            if ok:
-                m |= 1 << k
-        out[i][j] = m
-    return tuple(tuple(r) for r in out)
+    """D(a,b) as masks over function indices: c takes a value of a or b at
+    each point, or, in ars mode, zero."""
+    if s.mode == AOS:
+        return _pointwise_table(s, lambda u, v: {u, v})
+    return _pointwise_table(s, lambda u, v: {0, u, v})
 
 
 @lru_cache(maxsize=None)
@@ -152,17 +173,18 @@ def transversal_table(s: SignSpace) -> tuple[tuple[int, ...], ...]:
     """D^t(a,b): as D but a zero of c forces b = -a at that point."""
     if s.mode != ARS:
         raise InputError("transversal sets exist in ars mode only")
+    return _pointwise_table(
+        s, lambda u, v: {w for w in (u, v) if w} | ({0} if u == -v else set()))
+
+
+@lru_cache(maxsize=None)
+def _product_table(s: SignSpace) -> tuple[tuple[Optional[int], ...], ...]:
+    """Index of the pointwise product of functions i and j; None where the
+    product leaves the function set."""
+    index = {f: k for k, f in enumerate(s.functions)}
     n = s.nfunctions
-    out = [[0] * n for _ in range(n)]
-    for i, j in itertools.product(range(n), repeat=2):
-        a, b = s.functions[i], s.functions[j]
-        m = 0
-        for k, c in enumerate(s.functions):
-            if all(av * cv > 0 or bv * cv > 0 or (cv == 0 and bv == -av)
-                   for cv, av, bv in zip(c, a, b)):
-                m |= 1 << k
-        out[i][j] = m
-    return tuple(tuple(r) for r in out)
+    return tuple(tuple(index.get(s.pointwise_mul(i, j)) for j in range(n))
+                 for i in range(n))
 
 
 def value_set(s: SignSpace, a: tuple[int, ...],
@@ -231,8 +253,9 @@ def _characters(s: SignSpace) -> list[tuple[int, ...]]:
 def _ax1_verdicts(s: SignSpace) -> list[Verdict]:
     verdicts = []
     w_closed = None
+    mul = _product_table(s)
     for i, j in itertools.product(range(s.nfunctions), repeat=2):
-        if s.index(s.pointwise_mul(i, j)) is None:
+        if mul[i][j] is None:
             w_closed = (function_label(s.functions[i]),
                         function_label(s.functions[j]))
             break
@@ -307,7 +330,7 @@ def _enumerate_ars_cones(s: SignSpace) -> list[int]:
     products and the constants."""
     n = s.nfunctions
     dtab = value_table(s)
-    mul = [[s.index(s.pointwise_mul(i, j)) for j in range(n)] for i in range(n)]
+    mul = _product_table(s)
     neg = [s.index(s.negation(i)) for i in range(n)]
     one = s.constant(1)
     minus = s.constant(-1)
@@ -377,6 +400,7 @@ def ars_bridge_check(s: SignSpace) -> CheckReport:
     """Transversal sets refine value sets; scaling by c^2 lifts membership."""
     dtab = value_table(s)
     dt = transversal_table(s)
+    mul = _product_table(s)
     n = s.nfunctions
     w_sub = None
     for a, b in itertools.product(range(n), repeat=2):
@@ -384,24 +408,29 @@ def ars_bridge_check(s: SignSpace) -> CheckReport:
             w_sub = (function_label(s.functions[a]),
                      function_label(s.functions[b]))
             break
-    w_lift = None
+    # A product that leaves the function set before the first failure
+    # skips the lift, as AX2 is skipped when AX1 fails.
+    w_lift = note = None
     for a, b in itertools.product(range(n), repeat=2):
         for c in bits(dtab[a][b]):
-            c2 = s.index(s.pointwise_mul(c, c))
-            ac2 = s.index(s.pointwise_mul(a, c2))
-            bc2 = s.index(s.pointwise_mul(b, c2))
+            c2 = mul[c][c]
+            ac2, bc2 = (None, None) if c2 is None else (mul[a][c2], mul[b][c2])
+            if ac2 is None or bc2 is None:
+                note = "skipped: AX1 failed"
+                break
             if not (dt[ac2][bc2] >> c) & 1:
                 w_lift = (function_label(s.functions[c]),
                           function_label(s.functions[a]),
                           function_label(s.functions[b]))
                 break
-        if w_lift:
+        if w_lift or note:
             break
     return CheckReport(
         subject="value set bridges",
         verdicts=(
             Verdict("transversal-refines", w_sub is None, w_sub),
-            Verdict("square-scaling-lifts", w_lift is None, w_lift),
+            Verdict("square-scaling-lifts", w_lift is None and note is None,
+                    w_lift, note or ""),
         ),
     )
 
@@ -424,28 +453,24 @@ def aos_to_mfred(s: SignSpace, zero_label: str = "0") -> FiniteMultiring:
     neg_index = [s.index(s.negation(i)) for i in range(n)]
     if any(v is None for v in neg_index):
         raise InputError("function set is not closed under negation")
+    prod = _product_table(s)
+    if any(k is None for row in prod for k in row):
+        raise InputError("function set is not closed under products")
     total = full_mask(n + 1)
     add = [[0] * (n + 1) for _ in range(n + 1)]
-    mul = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n):
         add[i][zero] = 1 << i
         add[zero][i] = 1 << i
         for j in range(n):
             add[i][j] = total if j == neg_index[i] else dtab[i][j]
-            k = s.index(s.pointwise_mul(i, j))
-            if k is None:
-                raise InputError("function set is not closed under products")
-            mul[i][j] = k
-        mul[i][zero] = zero
-        mul[zero][i] = zero
     add[zero][zero] = 1 << zero
-    mul[zero][zero] = zero
+    mul = [row + (zero,) for row in prod] + [(zero,) * (n + 1)]
     one = s.constant(1)
     if one is None:
         raise InputError("function set lacks the constant 1")
     neg = tuple(neg_index) + (zero,)
     return FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add),
-                           tuple(tuple(r) for r in mul), neg, zero, one)
+                           tuple(mul), neg, zero, one)
 
 
 def mfred_to_aos(f: FiniteMultiring) -> tuple[SignSpace, CheckReport]:
@@ -557,15 +582,9 @@ def ars_to_mrred(s: SignSpace) -> FiniteMultiring:
                 f"empty transversal set at ({function_label(s.functions[i])},"
                 f"{function_label(s.functions[j])}): not a space of signs")
     names = tuple(function_label(f) for f in s.functions)
-    mul = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            k = s.index(s.pointwise_mul(i, j))
-            if k is None:
-                raise InputError("function set is not closed under products")
-            row.append(k)
-        mul.append(tuple(row))
+    mul = _product_table(s)
+    if any(k is None for row in mul for k in row):
+        raise InputError("function set is not closed under products")
     neg = tuple(s.index(s.negation(i)) for i in range(n))
     if any(v is None for v in neg):
         raise InputError("function set is not closed under negation")
@@ -573,7 +592,7 @@ def ars_to_mrred(s: SignSpace) -> FiniteMultiring:
     one = s.constant(1)
     if zero is None or one is None:
         raise InputError("function set lacks a constant")
-    return FiniteMultiring(Carrier(names), dt, tuple(mul),
+    return FiniteMultiring(Carrier(names), dt, mul,
                            tuple(neg), zero, one)  # type: ignore[arg-type]
 
 

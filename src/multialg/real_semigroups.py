@@ -6,13 +6,14 @@ it, never stored, so the two can not drift apart.  The canonical three-element
 structure and its uniqueness audit live here, as does the passage to and from
 real reduced multirings (sums become transversal representation sets).
 
-``check_rs`` and ``check_rs_derived`` run on cell masks.  Strong
-associativity RS3 (on D^t) and weak associativity xvi (on D) read core's
-O(n^3) reassociation scan through ``_reassociation_failures``; RS4, RS5 and
-the monotonicity consequence xiii are mask tests over distinct squares,
-agreement sets and distinct cells, and the arity-4 consequences iii and v
-are O(n^3) scans of failure masks.  Each witness keeps the lexicographic
-order of the quantifier it comes from; tests/reference_audits.py keeps the
+``check_rs`` and ``check_rs_derived`` run on cell masks.  RS2 images each
+distinct cell under every x -> xe once.  Strong associativity RS3 (on D^t)
+and weak associativity xvi (on D) read core's O(n^3) reassociation scan
+through ``_reassociation_failures``; RS4, RS5 and the monotonicity
+consequence xiii are mask tests over distinct squares, agreement sets and
+distinct cells, and the arity-4 consequences iii and v are O(n^3) scans of
+failure masks.  Each witness keeps the lexicographic order of the
+quantifier it comes from; tests/reference_audits.py keeps the
 nested loops they are pinned to.
 """
 
@@ -207,16 +208,23 @@ def check_rs(s: RealSemigroup) -> CheckReport:
             w1 = (names[a], names[b])
             break
 
+    # RS2: (b, c) fails iff, for some e, the image of D(b, c) under
+    # x -> xe leaves D(be, ce).  Each distinct cell is imaged under every e
+    # once; the first failing (b, c) is rescanned for the least a, then e.
     w2 = None
+    columns = list(zip(*s.mul))
+    elements = _Elements()
+    images: dict[int, list[int]] = {}
     for b, c in itertools.product(range(n), repeat=2):
-        for a in bits(d[b][c]):
-            for e in range(n):
-                if not (d[s.mul[b][e]][s.mul[c][e]] >> s.mul[a][e]) & 1:
-                    w2 = (names[a], names[b], names[c], names[e])
-                    break
-            if w2:
-                break
-        if w2:
+        cell = d[b][c]
+        if cell not in images:
+            images[cell] = [mask_of(col[a] for a in elements[cell])
+                            for col in columns]
+        if any(image & ~d[be][ce]
+               for image, be, ce in zip(images[cell], s.mul[b], s.mul[c])):
+            w2 = next((names[a], names[b], names[c], names[e])
+                      for a in bits(cell) for e in range(n)
+                      if not (d[s.mul[b][e]][s.mul[c][e]] >> s.mul[a][e]) & 1)
             break
 
     # RS3: the least (b, c, a, d, e) with a in D^t(b, c), c in D^t(d, e)
@@ -577,14 +585,19 @@ def mrred_to_rs(a: FiniteMultiring) -> RealSemigroup:
     the derived transversal sets must reproduce the original addition."""
     if not is_real_reduced_mr(a).overall:
         raise InputError("semigroup construction requires a real reduced input")
+    # Whether c is in D(x, y) depends on c only through q = c^2, so D(x, y)
+    # is the union over the distinct squares q of q x + q y cut down to the
+    # elements whose square is q.
     n = a.size
+    roots: dict[int, int] = {}
+    for c in range(n):
+        q = a.mul[c][c]
+        roots[q] = roots.get(q, 0) | 1 << c
     d = [[0] * n for _ in range(n)]
     for x, y in itertools.product(range(n), repeat=2):
         m = 0
-        for c in range(n):
-            c2 = a.mul[c][c]
-            if (a.add[a.mul[c2][x]][a.mul[c2][y]] >> c) & 1:
-                m |= 1 << c
+        for q, root_mask in roots.items():
+            m |= a.add[a.mul[q][x]][a.mul[q][y]] & root_mask
         d[x][y] = m
     s = RealSemigroup(a.carrier, a.mul, a.one, a.zero, a.neg[a.one],
                       tuple(tuple(r) for r in d))

@@ -38,6 +38,18 @@ and distributivity probed one (a, b, c) or (a, b, d) at a time.  Their own
 additive multigroup audit is the naive ``check_multigroup`` above.
 ``tests/test_row_kernel.py`` pins the library's row-at-a-time scan and
 ``check_multiring`` to them, defect sequence and report alike.
+
+``value_table`` and ``transversal_table`` are the sign-space table builders
+from before they became ANDs over the points of per-point value masks: each
+cell tested every function at every point, n^3 p steps.  ``_ax1_verdicts``
+is AX1 from before the cached product table, finding each product with a
+linear ``tuple.index``.  The sign-space audits here read these three.
+``mrred_to_rs`` is the version that tested every element c against every
+pair (x, y), before D became a union over the distinct squares.
+``_rs2_witness``, which ``check_rs`` here reads, is the RS2 loop over
+(b, c), a and e that the library's cell images replaced.
+``tests/test_sign_tables.py`` pins the library's tables, ``mrred_to_rs``
+and RS2 to them.
 """
 
 import itertools
@@ -67,13 +79,11 @@ from multialg.ordering_spaces import (
     ARS,
     SignSpace,
     _ars_point_cones,
-    _ax1_verdicts,
     _characters,
     function_label,
-    transversal_table,
-    value_table,
 )
 from multialg.real_semigroups import RealSemigroup, check_ts, dt_table
+from multialg.spectra import is_real_reduced_mr
 from multialg.special_groups import (
     SpecialGroup,
     check_psg,
@@ -305,6 +315,24 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     return CheckReport("multiring", tuple(verdicts))
 
 
+def _rs2_witness(s: RealSemigroup) -> Optional[tuple[str, ...]]:
+    n = s.size
+    names = s.names
+    d = s.d
+    w2 = None
+    for b, c in itertools.product(range(n), repeat=2):
+        for a in bits(d[b][c]):
+            for e in range(n):
+                if not (d[s.mul[b][e]][s.mul[c][e]] >> s.mul[a][e]) & 1:
+                    w2 = (names[a], names[b], names[c], names[e])
+                    break
+            if w2:
+                break
+        if w2:
+            break
+    return w2
+
+
 def check_rs(s: RealSemigroup) -> CheckReport:
     """TS1-TS5 followed by RS0-RS8, with D^t derived internally."""
     ts = check_ts(s)
@@ -325,17 +353,7 @@ def check_rs(s: RealSemigroup) -> CheckReport:
             w1 = (names[a], names[b])
             break
 
-    w2 = None
-    for b, c in itertools.product(range(n), repeat=2):
-        for a in bits(d[b][c]):
-            for e in range(n):
-                if not (d[s.mul[b][e]][s.mul[c][e]] >> s.mul[a][e]) & 1:
-                    w2 = (names[a], names[b], names[c], names[e])
-                    break
-            if w2:
-                break
-        if w2:
-            break
+    w2 = _rs2_witness(s)
 
     w3 = None
     for b, c in itertools.product(range(n), repeat=2):
@@ -490,6 +508,91 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
              == ((dt[mul[mul[a][a]][b]][mul[mul[a][a]][c]] >> a) & 1), 3)
 
     return CheckReport("real semigroup consequences", tuple(verdicts))
+
+
+@lru_cache(maxsize=None)
+def value_table(s: SignSpace) -> tuple[tuple[int, ...], ...]:
+    """D(a,b) as masks over function indices."""
+    n = s.nfunctions
+    out = [[0] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        a, b = s.functions[i], s.functions[j]
+        m = 0
+        for k, c in enumerate(s.functions):
+            if s.mode == AOS:
+                ok = all(cv in (av, bv) for cv, av, bv in zip(c, a, b))
+            else:
+                ok = all(av * cv > 0 or bv * cv > 0 or cv == 0
+                         for cv, av, bv in zip(c, a, b))
+            if ok:
+                m |= 1 << k
+        out[i][j] = m
+    return tuple(tuple(r) for r in out)
+
+
+@lru_cache(maxsize=None)
+def transversal_table(s: SignSpace) -> tuple[tuple[int, ...], ...]:
+    """D^t(a,b): as D but a zero of c forces b = -a at that point."""
+    if s.mode != ARS:
+        raise InputError("transversal sets exist in ars mode only")
+    n = s.nfunctions
+    out = [[0] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        a, b = s.functions[i], s.functions[j]
+        m = 0
+        for k, c in enumerate(s.functions):
+            if all(av * cv > 0 or bv * cv > 0 or (cv == 0 and bv == -av)
+                   for cv, av, bv in zip(c, a, b)):
+                m |= 1 << k
+        out[i][j] = m
+    return tuple(tuple(r) for r in out)
+
+
+def _ax1_verdicts(s: SignSpace) -> list[Verdict]:
+    verdicts = []
+    w_closed = None
+    for i, j in itertools.product(range(s.nfunctions), repeat=2):
+        if s.index(s.pointwise_mul(i, j)) is None:
+            w_closed = (function_label(s.functions[i]),
+                        function_label(s.functions[j]))
+            break
+    verdicts.append(Verdict("AX1-closed-under-product", w_closed is None, w_closed))
+    needed = (1, -1) if s.mode == AOS else (1, 0, -1)
+    w_const = None
+    for v in needed:
+        if s.constant(v) is None:
+            w_const = (v,)
+            break
+    verdicts.append(Verdict("AX1-constants", w_const is None, w_const))
+    w_sep = None
+    for x, y in itertools.combinations(range(s.npoints), 2):
+        if all(f[x] == f[y] for f in s.functions):
+            w_sep = (s.points[x], s.points[y])
+            break
+    verdicts.append(Verdict("AX1-separates-points", w_sep is None, w_sep))
+    return verdicts
+
+
+def mrred_to_rs(a: FiniteMultiring) -> RealSemigroup:
+    """Representation from scaled sums: d in D(x,y) iff d in d^2 x + d^2 y;
+    the derived transversal sets must reproduce the original addition."""
+    if not is_real_reduced_mr(a).overall:
+        raise InputError("semigroup construction requires a real reduced input")
+    n = a.size
+    d = [[0] * n for _ in range(n)]
+    for x, y in itertools.product(range(n), repeat=2):
+        m = 0
+        for c in range(n):
+            c2 = a.mul[c][c]
+            if (a.add[a.mul[c2][x]][a.mul[c2][y]] >> c) & 1:
+                m |= 1 << c
+        d[x][y] = m
+    s = RealSemigroup(a.carrier, a.mul, a.one, a.zero, a.neg[a.one],
+                      tuple(tuple(r) for r in d))
+    if dt_table(s) != a.add:
+        raise StructuralAnomaly(
+            "derived transversal sets do not match the addition table")
+    return s
 
 
 

@@ -1,5 +1,8 @@
 import json
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -7,10 +10,14 @@ from multialg import core
 from multialg import io as mio
 from multialg.cli import build_parser, main
 from multialg.core import InputError, q2
+from multialg.corpus import ars_q2xq2
 from multialg.real_semigroups import canonical_3
-from multialg.ordering_spaces import aos_to_mfred, fan_aos
+from multialg.ordering_spaces import ARS, aos_to_mfred, fan_aos, make_sign_space
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+UNCLOSED_ARS = make_sign_space(ARS, ("p", "q"),
+                               [(-1, -1), (0, 0), (1, 0), (1, 1)])
 
 
 def corpus_path(name: str) -> str:
@@ -125,6 +132,19 @@ class TestCli:
         rows = [json.loads(line) for line in lines]
         assert rows[-1]["overall"] is True
         assert all("axiom" in r for r in rows[:-1])
+
+    def test_check_on_an_ars_space_not_closed_under_products(self, tmp_path,
+                                                             capsys):
+        """(--)(+0) = (-0) is not a function, so the square-scaling lift
+        is skipped, as AX2 is, instead of indexing with the missing
+        product."""
+        path = tmp_path / "open.mrs"
+        mio.write_structure(str(path), UNCLOSED_ARS)
+        for level in ("derived", "all"):
+            assert main(["check", str(path), "--level", level]) == 1
+            out = capsys.readouterr().out
+            assert "FAIL  AX1-closed-under-product  witness=('--', '+0')" in out
+            assert "FAIL  square-scaling-lifts  [skipped: AX1 failed]" in out
 
     def test_classify(self, capsys):
         assert main(["classify", corpus_path("q2")]) == 0
@@ -255,6 +275,40 @@ class TestStability:
                   "--seed", "3", "--broken", "--format", "jsonl"])
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+def test_check_never_ends_in_a_traceback(tmp_path, capsys):
+    """Every check level on the sign-space and real-semigroup corpus files,
+    on a space not closed under products and on seeded deletions of
+    functions from ars_q2xq2 ends in an exit code, never in an exception."""
+    paths = [os.path.join(CORPUS, f) for f in sorted(os.listdir(CORPUS))
+             if f.startswith(("aos_", "ars_", "rs"))]
+    funcs = list(ars_q2xq2().functions)
+    rng = random.Random(8)
+    spaces = [UNCLOSED_ARS]
+    for k in range(4):
+        kept = rng.sample(funcs, len(funcs) - 1 - k % 2)
+        spaces.append(make_sign_space(ARS, ars_q2xq2().points, kept))
+    for k, space in enumerate(spaces):
+        paths.append(str(tmp_path / f"space{k}.mrs"))
+        mio.write_structure(paths[-1], space)
+    assert len(paths) == 14
+    for path in paths:
+        for level in ("axioms", "derived", "all"):
+            code = main(["check", path, "--level", level])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (path, level)
+            assert "Traceback" not in err, (path, level)
+
+
+def test_python_dash_m_runs_the_cli():
+    path = filter(None, (SRC, os.environ.get("PYTHONPATH")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-m", "multialg", "check",
+                           corpus_path("q2")], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("multiring: PASS")
 
 
 def _run(capsys, argv) -> tuple:

@@ -1,0 +1,134 @@
+"""The sign-space and real-semigroup tables built from masks agree with the
+builders they replaced.
+
+``reference_audits`` keeps the old builders: ``value_table`` and
+``transversal_table`` tested every function at every point for every cell,
+``mrred_to_rs`` tested every element against every pair, and the RS2 loop
+of ``check_rs`` walked (b, c), a and e.  Here the library's per-point value
+masks, its union over distinct squares and its cell images must give
+equal tables and the same RS2 verdict and witness.
+"""
+
+import dataclasses
+import itertools
+import random
+
+import pytest
+
+import reference_audits as reference
+from multialg import ordering_spaces, real_semigroups
+from multialg.constructions import product
+from multialg.core import (
+    CheckReport,
+    InputError,
+    StructuralAnomaly,
+    Verdict,
+    krasner,
+    q2,
+    ring_multiring,
+)
+from multialg.corpus import corpus_sign_spaces, q2cube, q2xq2
+from multialg.ordering_spaces import AOS, ARS, fan_aos, make_sign_space, mrred_to_ars
+from multialg.real_semigroups import mrred_to_rs
+
+
+def random_function_sets(count, seed):
+    """Seeded sets of at most 16 sign vectors on one to four points,
+    alternately two- and three-valued."""
+    rng = random.Random(seed)
+    for k in range(count):
+        mode = (AOS, ARS)[k % 2]
+        points = rng.randint(1, 4)
+        vectors = list(itertools.product((-1, 1) if mode == AOS else (-1, 0, 1),
+                                         repeat=points))
+        chosen = rng.sample(vectors, rng.randint(1, min(len(vectors), 16)))
+        yield make_sign_space(mode, [f"x{i}" for i in range(points)], chosen)
+
+
+def table_inputs():
+    spaces = list(corpus_sign_spaces().values())
+    spaces += [fan_aos(k) for k in range(1, 6)]
+    spaces += [mrred_to_ars(r)[0] for r in (q2(), q2xq2(), q2cube())]
+    return spaces + list(random_function_sets(300, 12))
+
+
+def test_value_and_transversal_tables():
+    spaces = table_inputs()
+    assert len(spaces) == 313
+    for s in spaces:
+        assert ordering_spaces.value_table(s) == reference.value_table(s), s
+        if s.mode == ARS:
+            assert ordering_spaces.transversal_table(s) \
+                == reference.transversal_table(s), s
+
+
+def scaling_multirings():
+    rings = [ring_multiring(n) for n in range(2, 20)]
+    rings += [krasner(), product([krasner()] * 3), product([q2(), krasner()])]
+    return rings + [q2(), q2xq2(), q2cube()]
+
+
+def outcome(construct, a):
+    try:
+        return construct(a)
+    except (InputError, StructuralAnomaly) as exc:
+        return type(exc), str(exc)
+
+
+def scaled_sums(module, a, monkeypatch):
+    """The D table that ``module.mrred_to_rs`` builds from a, with the real
+    reduced guard and the closing transversal check stubbed out, so that the
+    loop runs on any multiring."""
+    built = []
+    monkeypatch.setattr(module, "is_real_reduced_mr",
+                        lambda _: CheckReport("stub", ()))
+    monkeypatch.setattr(module, "dt_table",
+                        lambda s: built.append(s.d) or a.add)
+    module.mrred_to_rs(a)
+    return built[0]
+
+
+def test_scaled_sum_tables(monkeypatch):
+    rings = scaling_multirings()
+    assert len(rings) == 24
+    for a in rings:
+        assert outcome(mrred_to_rs, a) == outcome(reference.mrred_to_rs, a)
+    with monkeypatch.context() as patch:
+        for a in rings:
+            assert scaled_sums(real_semigroups, a, patch) \
+                == scaled_sums(reference, a, patch), a.names
+
+
+def q2cube_mutants(count, seed):
+    """Seeded single-cell mutants of q2^3's 27-element real semigroup, half
+    in D and half in the multiplication, each made symmetric half of the
+    time."""
+    s = mrred_to_rs(q2cube())
+    rng = random.Random(seed)
+    n = s.size
+    for k in range(count):
+        b, c, a = (rng.randrange(n) for _ in range(3))
+        twice = rng.random() < 0.5
+        if k % 2:
+            rows = [list(row) for row in s.d]
+            rows[b][c] ^= 1 << a
+            if twice:
+                rows[c][b] = rows[b][c]
+            yield dataclasses.replace(s, d=tuple(map(tuple, rows)))
+        else:
+            rows = [list(row) for row in s.mul]
+            rows[b][c] = a
+            if twice:
+                rows[c][b] = a
+            yield dataclasses.replace(s, mul=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_rs2_on_q2cube_mutants(seed):
+    failing = 0
+    for s in q2cube_mutants(24, seed):
+        w = reference._rs2_witness(s)
+        assert real_semigroups.check_rs(s).verdict("RS2-scaling") \
+            == Verdict("RS2-scaling", w is None, w)
+        failing += w is not None
+    assert failing
