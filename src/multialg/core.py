@@ -29,15 +29,18 @@ domains it reaches through neg, products, addition cells and injectivity,
 and a branch with an empty domain is cut.  Variables go in index order and
 values in ascending order, and only subtrees without a solution are cut, so
 results come in lexicographic order of their mappings and find_isomorphism
-returns the first isomorphism in that order.  Every map the kernel yields
-still passes the caller's full check; tests/reference_searches.py keeps the
-searches the kernel replaced.
+returns the first isomorphism in that order.  Each pair condition is applied
+when the later of its two variables is assigned and narrows every variable
+it names, assigned or not, so every map yielded meets every condition; with
+bijectivity, equal cell sizes plus injectivity give f(cell) = cell'.  The
+conditions are the structures' ``tables``, which ``_map_defects`` audits a
+given map against; tests/reference_searches.py keeps the replaced searches.
 
 Each structure declares its tables once, as ``tables``: (constants, unary
 tables, value tables, cell tables) and, for special groups, the isometry
 relation.  ``_relabel`` moves them along a bijection, and comparing the
-result is the one relabel-and-compare behind ``same_tables``, the leaf check
-of ``find_isomorphism`` and the canonical keys of enumeration.
+result is the one relabel-and-compare behind ``same_tables`` and the
+canonical keys of enumeration.
 """
 
 from __future__ import annotations
@@ -847,43 +850,15 @@ def compose_maps(f: StructureMap, g: StructureMap) -> StructureMap:
 def check_morphism(f: StructureMap) -> CheckReport:
     """Audit the five multiring morphism conditions."""
     a: FiniteMultiring = f.source  # type: ignore[assignment]
-    b: FiniteMultiring = f.target  # type: ignore[assignment]
-    names = a.names
-    fm = f.mapping
-
-    w1 = None
-    for x, y in itertools.product(range(a.size), repeat=2):
-        for c in bits(a.add[x][y]):
-            if not (b.add[fm[x]][fm[y]] >> fm[c]) & 1:
-                w1 = (names[x], names[y], names[c])
-                break
-        if w1:
-            break
-
-    w2 = None
-    for x in range(a.size):
-        if fm[a.neg[x]] != b.neg[fm[x]]:
-            w2 = (names[x],)
-            break
-
-    w3 = None if fm[a.zero] == b.zero else (names[a.zero],)
-
-    w4 = None
-    for x, y in itertools.product(range(a.size), repeat=2):
-        if fm[a.mul[x][y]] != b.mul[fm[x]][fm[y]]:
-            w4 = (names[x], names[y])
-            break
-
-    w5 = None if fm[a.one] == b.one else (names[a.one],)
-
+    missed, (w2,), (w4,), (w1,) = _map_defects(f.mapping, a, f.target)
     return CheckReport(
         subject="morphism",
         verdicts=(
             _verdict_all("i-add-membership", w1),
             _verdict_all("ii-neg", w2),
-            _verdict_all("iii-zero", w3),
+            _verdict_all("iii-zero", (a.names[a.zero],) if 0 in missed else None),
             _verdict_all("iv-mul", w4),
-            _verdict_all("v-one", w5),
+            _verdict_all("v-one", (a.names[a.one],) if 1 in missed else None),
         ),
     )
 
@@ -969,6 +944,32 @@ def same_tables(a, b) -> bool:
                     a.tables) == b.tables
 
 
+def _table_pairs(a, b) -> list[tuple]:
+    """The constants, unary, value and cell tables of a and b, zipped into
+    (source, target) pairs group by group."""
+    return [tuple(zip(s, t)) for s, t in zip(a.tables[:4], b.tables[:4])]
+
+
+def _map_defects(f: Sequence[int], a, b) -> tuple:
+    """The defects of the map f from a to b, one group per group of their
+    ``tables``: the positions of the constants f misses, then the first
+    defect of each unary, value and cell table in lexicographic order, in
+    a's labels, or None: the least (x,) with f(u(x)) != u'(f(x)), the least
+    (x, y) with f(xy) != f(x)f(y), and the least (x, y, c) with c in
+    cell(x, y) and f(c) outside cell'(f(x), f(y))."""
+    constants, unary, values, cells = _table_pairs(a, b)
+    names = a.carrier.names
+    return (tuple(k for k, (x, v) in enumerate(constants) if f[x] != v),
+            [next(((names[x],) for x, y in enumerate(u) if f[y] != u2[f[x]]), None)
+             for u, u2 in unary],
+            [next(((names[x], names[y]) for x, row in enumerate(t)
+                   for y, z in enumerate(row) if f[z] != t2[f[x]][f[y]]), None)
+             for t, t2 in values],
+            [next(((names[x], names[y], names[c]) for x, row in enumerate(t)
+                   for y, cell in enumerate(row) for c in bits(cell)
+                   if not t2[f[x]][f[y]] >> f[c] & 1), None) for t, t2 in cells])
+
+
 def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
                 unary: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
                 ops: Sequence[tuple[_Table, _Table]] = (),
@@ -981,9 +982,11 @@ def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
     ``ops`` asks f(xy) = f(x)f(y) on value tables and ``cells`` asks
     f(cell(x, y)) <= cell'(f(x), f(y)) on mask tables; ``bijective`` adds
     injectivity and f(c) in cell'(f(x), f(y)) only if c in cell(x, y).
-    Assigning f(x) narrows the other variables' domains, and a branch with
-    an empty domain is cut.  Only maps breaking a condition are cut, so the
-    caller's leaf check decides and its results keep their order.
+    The maps yielded are exactly those meeting every condition: each pair
+    condition is applied when the later of its two variables is assigned and
+    narrows every variable it names, assigned or not; an empty domain cuts
+    the branch.  With ``bijective``, equal popcounts plus injectivity give
+    f(cell) = cell'.
     """
     start = [(1 << m) - 1] * n
     for i, v in fixed:
@@ -1047,30 +1050,25 @@ def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
     return extend(0, start)
 
 
+def _table_morphisms(a, b, bijective: bool = False) -> Iterator[tuple[int, ...]]:
+    """The maps a -> b that keep all tables of ``_table_pairs``, in order."""
+    return _table_maps(a.size, b.size, *_table_pairs(a, b), bijective=bijective)
+
+
 def enumerate_multiring_morphisms(a: FiniteMultiring,
                                   b: FiniteMultiring) -> list[StructureMap]:
     """All morphisms a -> b, in lexicographic order of their mappings."""
-    maps = _table_maps(a.size, b.size, ((a.zero, b.zero), (a.one, b.one)),
-                       unary=((a.neg, b.neg),), ops=((a.mul, b.mul),),
-                       cells=((a.add, b.add),))
-    return [f for f in (StructureMap(a, b, mp) for mp in maps)
-            if check_morphism(f).overall]
+    return [StructureMap(a, b, mp) for mp in _table_morphisms(a, b)]
 
 
 def find_isomorphism(a: FiniteMultiring,
                      b: FiniteMultiring) -> Optional[StructureMap]:
     """First isomorphism in lexicographic order of the mappings, or None.
     Label-insensitive: only the tables must match."""
-    n = a.size
-    if n != b.size:
+    if a.size != b.size:
         return None
-    target = b.tables
-    for f in _table_maps(n, n, ((a.zero, b.zero), (a.one, b.one)),
-                         unary=((a.neg, b.neg),), ops=((a.mul, b.mul),),
-                         cells=((a.add, b.add),), bijective=True):
-        if _relabel(f, a.tables) == target:
-            return StructureMap(a, b, f)
-    return None
+    f = next(_table_morphisms(a, b, bijective=True), None)
+    return None if f is None else StructureMap(a, b, f)
 
 
 def is_isomorphic(a: FiniteMultiring, b: FiniteMultiring) -> bool:

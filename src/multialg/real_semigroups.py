@@ -34,8 +34,9 @@ from .core import (
     Verdict,
     _Elements,
     _lowest_bit,
+    _map_defects,
     _reassociation_failures,
-    _table_maps,
+    _table_morphisms,
     bits,
     full_mask,
     mask_of,
@@ -476,29 +477,10 @@ def unique_rs_search_on_3() -> tuple[int, Optional[RealSemigroup]]:
 # morphisms and separation
 
 def check_rs_morphism(fmap: StructureMap) -> CheckReport:
-    s: RealSemigroup = fmap.source  # type: ignore[assignment]
-    t: RealSemigroup = fmap.target  # type: ignore[assignment]
-    m = fmap.mapping
-    names = s.names
-    w_hom = None
-    for a, b in itertools.product(range(s.size), repeat=2):
-        if m[s.mul[a][b]] != t.mul[m[a]][m[b]]:
-            w_hom = (names[a], names[b])
-            break
-    w_const = None
-    for idx, (si, ti) in enumerate(((s.one, t.one), (s.zero, t.zero),
-                                    (s.minus_one, t.minus_one))):
-        if m[si] != ti:
-            w_const = (("1", "0", "-1")[idx],)
-            break
-    w_d = None
-    for b, c in itertools.product(range(s.size), repeat=2):
-        for a in bits(s.d[b][c]):
-            if not (t.d[m[b]][m[c]] >> m[a]) & 1:
-                w_d = (names[a], names[b], names[c])
-                break
-        if w_d:
-            break
+    missed, _, (w_hom,), (w_d,) = _map_defects(fmap.mapping, fmap.source, fmap.target)
+    w_const = (("1", "0", "-1")[missed[0]],) if missed else None
+    if w_d:  # reported as (a, b, c) with a in D(b, c)
+        w_d = (w_d[2], w_d[0], w_d[1])
     return CheckReport(
         subject="real semigroup morphism",
         verdicts=(
@@ -510,11 +492,7 @@ def check_rs_morphism(fmap: StructureMap) -> CheckReport:
 
 
 def enumerate_rs_morphisms(s: RealSemigroup, t: RealSemigroup) -> list[StructureMap]:
-    maps = _table_maps(s.size, t.size, ((s.one, t.one), (s.zero, t.zero),
-                                        (s.minus_one, t.minus_one)),
-                       ops=((s.mul, t.mul),), cells=((s.d, t.d),))
-    return [f for f in (StructureMap(s, t, mp) for mp in maps)
-            if check_rs_morphism(f).overall]
+    return [StructureMap(s, t, mp) for mp in _table_morphisms(s, t)]
 
 
 def hom_to_3(s: RealSemigroup) -> list[StructureMap]:

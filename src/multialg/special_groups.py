@@ -36,7 +36,8 @@ from .core import (
     StructureMap,
     Verdict,
     _lowest_bit,
-    _table_maps,
+    _map_defects,
+    _table_morphisms,
     bits,
     classify,
     full_mask,
@@ -615,13 +616,9 @@ def check_sg_morphism(fmap: StructureMap) -> CheckReport:
     m = fmap.mapping
     names = g.names
     clsh, _ = _pair_classes(h)
-
-    w_hom = None
-    for a, b in itertools.product(range(g.size), repeat=2):
-        if m[g.mul[a][b]] != h.mul[m[a]][m[b]]:
-            w_hom = (names[a], names[b])
-            break
-    w_minus = None if m[g.minus_one] == h.minus_one else (names[g.minus_one],)
+    # The constants are (one, minus_one): position 1 is -1.
+    missed, _, (w_hom,), _ = _map_defects(m, g, h)
+    w_minus = (names[g.minus_one],) if 1 in missed else None
     w_fwd = None
     for (a, b, c, d) in sorted(g.iso):
         if clsh[m[a]][m[b]] != clsh[m[c]][m[d]]:
@@ -652,16 +649,16 @@ def is_sg_morphism(fmap: StructureMap) -> bool:
     h: SpecialGroup = fmap.target  # type: ignore[assignment]
     m = fmap.mapping
     clsh, _ = _pair_classes(h)
-    return m[g.minus_one] == h.minus_one \
-        and all(m[g.mul[a][b]] == h.mul[m[a]][m[b]]
-                for a, b in itertools.product(range(g.size), repeat=2)) \
+    missed, _, (w_hom,), _ = _map_defects(m, g, h)
+    return 1 not in missed and w_hom is None \
         and all(clsh[m[a]][m[b]] == clsh[m[c]][m[d]] for (a, b, c, d) in g.iso)
 
 
 def enumerate_sg_morphisms(g: SpecialGroup, h: SpecialGroup) -> list[StructureMap]:
-    maps = _table_maps(g.size, h.size, ((g.one, h.one), (g.minus_one, h.minus_one)),
-                       ops=((g.mul, h.mul),))
-    return [f for f in (StructureMap(g, h, mp) for mp in maps) if is_sg_morphism(f)]
+    """The kernel keeps the constants and products; isometry is checked on
+    its leaves."""
+    maps = (StructureMap(g, h, mp) for mp in _table_morphisms(g, h))
+    return [f for f in maps if is_sg_morphism(f)]
 
 
 def sg_map_to_mf_map(fmap: StructureMap, mf_source: FiniteMultiring,
@@ -679,6 +676,8 @@ def mf_map_to_sg_map(fmap: StructureMap, sg_source: SpecialGroup,
     k: FiniteMultiring = fmap.target  # type: ignore[assignment]
     src_nz = [x for x in range(f.size) if x != f.zero]
     dst_nz = {x: i for i, x in enumerate(y for y in range(k.size) if y != k.zero)}
+    if any(fmap.mapping[x] == k.zero for x in src_nz):
+        raise InputError("mf_map_to_sg_map: a nonzero element maps to zero")
     mapping = tuple(dst_nz[fmap.mapping[x]] for x in src_nz)
     return StructureMap(sg_source, sg_target, mapping)
 

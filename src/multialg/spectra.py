@@ -33,6 +33,7 @@ from .core import (
     bits,
     check_morphism,
     classify,
+    embedding_kind,
     enumerate_multiring_morphisms,
     full_mask,
     mask_of,
@@ -165,10 +166,10 @@ def _satisfies_spec_relations(a: FiniteMultiring, vec: tuple[int, ...]) -> bool:
 
 
 def _enumerate_relation_vectors(a: FiniteMultiring) -> list[tuple[int, ...]]:
-    vectors = _table_maps(a.size, 2, ((a.zero, 0), (a.one, 1)),
-                          ops=((a.mul, ((0, 0), (0, 1))),),
-                          cells=((a.add, ((1, 3), (3, 3))),))
-    return [t for t in vectors if _satisfies_spec_relations(a, t)]
+    """The vectors passing _satisfies_spec_relations, in lexicographic order."""
+    return list(_table_maps(a.size, 2, ((a.zero, 0), (a.one, 1)),
+                            ops=((a.mul, ((0, 0), (0, 1))),),
+                            cells=((a.add, ((1, 3), (3, 3))),)))
 
 
 def spec_topology(a: FiniteMultiring) -> SpectrumReport:
@@ -627,8 +628,10 @@ def sper_embedding_check(a: FiniteMultiring) -> CheckReport:
             power.carrier.index("(" + ",".join(target.names[v] for v in vec) + ")")
             for vec in vectors)
         f = StructureMap(a, power, mapping)
-        from .core import embedding_kind
-        kind = embedding_kind(f) if check_morphism(f).overall else "not-a-morphism"
+        try:
+            kind = embedding_kind(f)
+        except InputError:
+            kind = "not-a-morphism"
         verdicts.append(Verdict(
             "materialized-embedding",
             kind in ("strongly_embedded", "submultiring"),

@@ -50,6 +50,13 @@ pair (x, y), before D became a union over the distinct squares.
 (b, c), a and e that the library's cell images replaced.
 ``tests/test_sign_tables.py`` pins the library's tables, ``mrred_to_rs``
 and RS2 to them.
+
+``check_morphism``, ``check_rs_morphism``, ``check_sg_morphism`` and
+``is_sg_morphism`` are the morphism audits from before they read the one
+defect scan ``core._map_defects`` over the structures' ``tables``: each
+walked its own homomorphism, constant and cell loops.
+``tests/test_morphism_audits.py`` pins the library's reports to them, and
+the searches of ``reference_searches`` check their leaves with them.
 """
 
 import itertools
@@ -90,7 +97,6 @@ from multialg.special_groups import (
     make_special_group,
     represented,
 )
-from reference_searches import _enumerate_ars_cones
 
 
 def check_multigroup(m: FiniteMultigroup) -> CheckReport:
@@ -654,6 +660,8 @@ def check_ars(s: SignSpace) -> CheckReport:
     ax1_ok = all(v.passed for v in verdicts[:2])
 
     if ax1_ok:
+        # Imported here: reference_searches imports this module's audits.
+        from reference_searches import _enumerate_ars_cones
         cones = _enumerate_ars_cones(s)
         point_cones = _ars_point_cones(s)
         w2 = None
@@ -1193,3 +1201,132 @@ def cellwise_check_multiring(r: FiniteMultiring) -> CheckReport:
                                  note="informational", informational=True))
 
     return CheckReport("multiring", tuple(verdicts))
+
+
+def check_morphism(f: StructureMap) -> CheckReport:
+    """Audit the five multiring morphism conditions."""
+    a: FiniteMultiring = f.source  # type: ignore[assignment]
+    b: FiniteMultiring = f.target  # type: ignore[assignment]
+    names = a.names
+    fm = f.mapping
+
+    w1 = None
+    for x, y in itertools.product(range(a.size), repeat=2):
+        for c in bits(a.add[x][y]):
+            if not (b.add[fm[x]][fm[y]] >> fm[c]) & 1:
+                w1 = (names[x], names[y], names[c])
+                break
+        if w1:
+            break
+
+    w2 = None
+    for x in range(a.size):
+        if fm[a.neg[x]] != b.neg[fm[x]]:
+            w2 = (names[x],)
+            break
+
+    w3 = None if fm[a.zero] == b.zero else (names[a.zero],)
+
+    w4 = None
+    for x, y in itertools.product(range(a.size), repeat=2):
+        if fm[a.mul[x][y]] != b.mul[fm[x]][fm[y]]:
+            w4 = (names[x], names[y])
+            break
+
+    w5 = None if fm[a.one] == b.one else (names[a.one],)
+
+    return CheckReport(
+        subject="morphism",
+        verdicts=(
+            _verdict_all("i-add-membership", w1),
+            _verdict_all("ii-neg", w2),
+            _verdict_all("iii-zero", w3),
+            _verdict_all("iv-mul", w4),
+            _verdict_all("v-one", w5),
+        ),
+    )
+
+
+def check_rs_morphism(fmap: StructureMap) -> CheckReport:
+    s: RealSemigroup = fmap.source  # type: ignore[assignment]
+    t: RealSemigroup = fmap.target  # type: ignore[assignment]
+    m = fmap.mapping
+    names = s.names
+    w_hom = None
+    for a, b in itertools.product(range(s.size), repeat=2):
+        if m[s.mul[a][b]] != t.mul[m[a]][m[b]]:
+            w_hom = (names[a], names[b])
+            break
+    w_const = None
+    for idx, (si, ti) in enumerate(((s.one, t.one), (s.zero, t.zero),
+                                    (s.minus_one, t.minus_one))):
+        if m[si] != ti:
+            w_const = (("1", "0", "-1")[idx],)
+            break
+    w_d = None
+    for b, c in itertools.product(range(s.size), repeat=2):
+        for a in bits(s.d[b][c]):
+            if not (t.d[m[b]][m[c]] >> m[a]) & 1:
+                w_d = (names[a], names[b], names[c])
+                break
+        if w_d:
+            break
+    return CheckReport(
+        subject="real semigroup morphism",
+        verdicts=(
+            Verdict("semigroup-homomorphism", w_hom is None, w_hom),
+            Verdict("constants", w_const is None, w_const),
+            Verdict("preserves-representation", w_d is None, w_d),
+        ),
+    )
+
+
+def check_sg_morphism(fmap: StructureMap) -> CheckReport:
+    """Group homomorphism fixing -1 and preserving isometry forward; the
+    reverse preservation is reported separately and not required."""
+    g: SpecialGroup = fmap.source  # type: ignore[assignment]
+    h: SpecialGroup = fmap.target  # type: ignore[assignment]
+    m = fmap.mapping
+    names = g.names
+    clsh, _ = _pair_classes(h)
+
+    w_hom = None
+    for a, b in itertools.product(range(g.size), repeat=2):
+        if m[g.mul[a][b]] != h.mul[m[a]][m[b]]:
+            w_hom = (names[a], names[b])
+            break
+    w_minus = None if m[g.minus_one] == h.minus_one else (names[g.minus_one],)
+    w_fwd = None
+    for (a, b, c, d) in sorted(g.iso):
+        if clsh[m[a]][m[b]] != clsh[m[c]][m[d]]:
+            w_fwd = (names[a], names[b], names[c], names[d])
+            break
+    w_bwd = None
+    clsg, _ = _pair_classes(g)
+    for a, b, c, d in itertools.product(range(g.size), repeat=4):
+        if clsh[m[a]][m[b]] == clsh[m[c]][m[d]] and clsg[a][b] != clsg[c][d]:
+            w_bwd = (names[a], names[b], names[c], names[d])
+            break
+    return CheckReport(
+        subject="special group morphism",
+        verdicts=(
+            Verdict("group-homomorphism", w_hom is None, w_hom),
+            Verdict("fixes-minus-one", w_minus is None, w_minus),
+            Verdict("preserves-isometry", w_fwd is None, w_fwd),
+            Verdict("reflects-isometry", w_bwd is None, w_bwd,
+                    "not required for morphisms", informational=True),
+        ),
+    )
+
+
+def is_sg_morphism(fmap: StructureMap) -> bool:
+    """The required part of check_sg_morphism: homomorphism, -1 and forward
+    isometry, without the report's informational reverse scan."""
+    g: SpecialGroup = fmap.source  # type: ignore[assignment]
+    h: SpecialGroup = fmap.target  # type: ignore[assignment]
+    m = fmap.mapping
+    clsh, _ = _pair_classes(h)
+    return m[g.minus_one] == h.minus_one \
+        and all(m[g.mul[a][b]] == h.mul[m[a]][m[b]]
+                for a, b in itertools.product(range(g.size), repeat=2)) \
+        and all(clsh[m[a]][m[b]] == clsh[m[c]][m[d]] for (a, b, c, d) in g.iso)

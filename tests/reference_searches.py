@@ -5,7 +5,9 @@ The five backtracking searches ``enumerate_multiring_morphisms``,
 and ``_enumerate_relation_vectors`` are kept verbatim, each with its own
 assign/consistent/extend loop, as the reference that
 ``tests/test_search_kernel.py`` pins the library's searches to: the same
-result lists in the same order, and the same first isomorphism.
+result lists in the same order, and the same first isomorphism.  Their
+leaves are checked by the old morphism audits of ``reference_audits``, not
+by the library's.
 
 The per-kind equalities ``sg_equal``, ``multiring_equal`` and ``rs_equal``,
 the canonical keys ``multiring_canonical_key`` and
@@ -19,7 +21,8 @@ to.
 pruned on full reversibility.  It prunes less, so it still yields the
 failing candidate tables that the audit and search tests run on, and
 ``tests/test_enumeration_pruning.py`` pins the pruned generator, after the
-full audit, to it.
+full audit, to it.  ``candidate_multirings`` builds those candidates, and
+``every_map`` lists every map between two structures for brute-force pins.
 """
 
 import itertools
@@ -27,18 +30,20 @@ from typing import Iterator, Optional, Sequence
 
 from multialg.constructions import Ideal
 from multialg.core import (
+    Carrier,
     FiniteMultigroup,
     FiniteMultiring,
     InputError,
     StructureMap,
     bits,
-    check_morphism,
     mask_of,
 )
+from multialg.enumeration import _involutions_fixing, _labels, _monoid_tables
 from multialg.ordering_spaces import SignSpace, value_table
-from multialg.real_semigroups import RealSemigroup, check_rs_morphism
+from multialg.real_semigroups import RealSemigroup
 from multialg.spectra import Ordering, _satisfies_spec_relations, is_prime_mask
-from multialg.special_groups import SpecialGroup, is_sg_morphism
+from multialg.special_groups import SpecialGroup
+from reference_audits import check_morphism, check_rs_morphism, is_sg_morphism
 
 
 def enumerate_multiring_morphisms(a: FiniteMultiring,
@@ -357,6 +362,24 @@ def _addition_tables(n: int, zero: int,
         table[x][y] = table[y][x] = 0
 
     yield from fill(0)
+
+
+def every_map(s, t) -> Iterator[StructureMap]:
+    """Every map s -> t, in ``itertools.product`` order: no search at all."""
+    for mp in itertools.product(range(t.size), repeat=s.size):
+        yield StructureMap(s, t, mp)
+
+
+def candidate_multirings(orders: Sequence[int] = (1, 2, 3)) -> Iterator[FiniteMultiring]:
+    """Every candidate multiring table of the given orders that
+    ``_addition_tables`` yields, failing ones included (616 up to order 3)."""
+    for n in orders:
+        carrier = Carrier(_labels(n))
+        for zero, one in itertools.permutations(range(n), 2):
+            for neg in _involutions_fixing(n, zero):
+                for mul in _monoid_tables(n, zero, one):
+                    for add in _addition_tables(n, zero, neg):
+                        yield FiniteMultiring(carrier, add, mul, neg, zero, one)
 
 
 def multiring_canonical_key(r: FiniteMultiring) -> tuple:

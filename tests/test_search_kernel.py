@@ -2,12 +2,19 @@
 
 ``reference_searches`` holds the five searches as they were before
 ``core._table_maps``: each its own backtracking loop that checks assigned
-pairs and narrows nothing.  Here the library's
+pairs, narrows nothing and checks its leaves with the old morphism audits
+of ``reference_audits``.  Here the library's
 ``enumerate_multiring_morphisms``, ``enumerate_sg_morphisms``,
 ``enumerate_rs_morphisms`` and ``_enumerate_relation_vectors`` must return
 the same lists in the same order, and ``find_isomorphism`` the same first
 map, on the corpus, on every candidate table of order <= 3, on seeded
 shuffles and on degenerate inputs that no audit has passed.
+
+The library's searches take the kernel's maps as final, with no leaf
+check except isometry for special groups.  ``test_kernel_results_are_final``
+pins that without any backtracking search: on small inputs they must
+return exactly the maps of ``itertools.product`` order that pass the old
+audits.
 """
 
 import dataclasses
@@ -17,6 +24,7 @@ import random
 
 import pytest
 
+import reference_audits
 import reference_searches as reference
 from multialg import core
 from multialg.constructions import product
@@ -30,7 +38,7 @@ from multialg.corpus import (
 from multialg.enumeration import _involutions_fixing, _labels, _monoid_tables
 from multialg.real_semigroups import enumerate_rs_morphisms
 from multialg.special_groups import check_sg_morphism, enumerate_sg_morphisms, is_sg_morphism
-from multialg.spectra import _enumerate_relation_vectors
+from multialg.spectra import _enumerate_relation_vectors, _satisfies_spec_relations
 
 
 def mappings(maps):
@@ -92,7 +100,8 @@ def test_corpus_special_group_pairs():
 def test_sg_leaf_check_matches_the_report():
     """The reference search calls is_sg_morphism too, so its decision is
     pinned to check_sg_morphism's report here: on every kernel leaf of the
-    corpus pairs, and on every map between groups of at most four elements."""
+    corpus pairs, and on every map between groups of at most four elements.
+    Both also equal their old versions in reference_audits."""
     groups = corpus_special_groups()
     seen = 0
     for g, h in itertools.product(groups.values(), repeat=2):
@@ -104,6 +113,8 @@ def test_sg_leaf_check_matches_the_report():
         for mp in maps:
             f = core.StructureMap(g, h, tuple(mp))
             assert is_sg_morphism(f) == check_sg_morphism(f).overall
+            assert is_sg_morphism(f) == reference_audits.is_sg_morphism(f)
+            assert check_sg_morphism(f) == reference_audits.check_sg_morphism(f)
             seen += 1
     assert seen == 1646
 
@@ -222,3 +233,42 @@ def test_single_cell_real_semigroup_mutants():
             for s, t in ((mutant, semigroups["rs3"]), (base, mutant), (mutant, mutant)):
                 assert mappings(enumerate_rs_morphisms(s, t)) == \
                     mappings(reference.enumerate_rs_morphisms(s, t))
+
+
+def inverse(f):
+    back = [0] * len(f.mapping)
+    for x, v in enumerate(f.mapping):
+        back[v] = x
+    return core.StructureMap(f.target, f.source, tuple(back))
+
+
+def assert_final_by_brute_force(s, t):
+    """The morphisms s -> t are the maps, in product order, that pass the
+    old audit, and the first isomorphism is the first of them that is a
+    bijection whose inverse passes too."""
+    passing = [f for f in reference.every_map(s, t)
+               if reference_audits.check_morphism(f).overall]
+    assert mappings(core.enumerate_multiring_morphisms(s, t)) == mappings(passing)
+    first = next((f for f in passing if s.size == t.size and f.is_injective()
+                  and reference_audits.check_morphism(inverse(f)).overall), None)
+    found = core.find_isomorphism(s, t)
+    assert (found and found.mapping) == (first and first.mapping)
+
+
+def test_kernel_results_are_final():
+    q2 = core.q2()
+    pairs = 0
+    for a in reference.candidate_multirings():
+        for s, t in ((a, q2), (q2, a), (a, a)):
+            assert_final_by_brute_force(s, t)
+            pairs += 1
+        assert _enumerate_relation_vectors(a) == \
+            [v for v in itertools.product((0, 1), repeat=a.size)
+             if _satisfies_spec_relations(a, v)]
+    assert pairs == 1848
+    semigroups = corpus_real_semigroups()
+    for s in semigroups.values():
+        assert s.size <= 9
+        passing = [f for f in reference.every_map(s, semigroups["rs3"])
+                   if reference_audits.check_rs_morphism(f).overall]
+        assert mappings(enumerate_rs_morphisms(s, semigroups["rs3"])) == mappings(passing)

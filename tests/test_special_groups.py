@@ -15,6 +15,7 @@ from multialg.core import (
     same_tables,
 )
 from multialg.corpus import (
+    fan2_multifield,
     sg_z2_reduced,
     sg_z2_trivial,
     sg_z22_trivial,
@@ -270,6 +271,13 @@ class TestFunctorLaws:
             for sigma in enumerate_multiring_morphisms(fa, fb):
                 restricted = mf_map_to_sg_map(sigma, sgs[na], sgs[nb])
                 assert check_sg_morphism(restricted).overall, (na, nb)
+
+    def test_restricting_a_map_that_kills_a_nonzero_element_is_refused(self):
+        f = fan2_multifield()
+        g = mf_to_sg(f)
+        constant_zero = StructureMap(f, f, (f.zero,) * f.size)
+        with pytest.raises(InputError, match="nonzero element maps to zero"):
+            mf_map_to_sg_map(constant_zero, g, g)
 
     def test_sg_morphism_counts_between_z2_groups(self):
         assert len(enumerate_sg_morphisms(sg_z2_reduced(), sg_z2_trivial())) == 1
