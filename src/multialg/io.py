@@ -8,7 +8,9 @@ stable.  Parse errors carry line/column positions.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional, Union
+from functools import partial
+from itertools import chain, repeat
+from typing import Any, Callable, Optional, Union
 
 from .core import (
     FiniteMultigroup,
@@ -97,9 +99,41 @@ def serialize(obj: Structure, name: Optional[str] = None,
                       ensure_ascii=False) + "\n"
 
 
-def _require(doc: dict, key: str, kind: str) -> Any:
+def _nested(v: Any, depth: int, leaf: type = str,
+            arity: Optional[int] = None) -> bool:
+    """v is a list of lists, depth levels deep, of values of type leaf
+    exactly (so no bools for int); the innermost lists have arity entries
+    when arity is given."""
+    level = [v]
+    for d in range(depth):
+        if not all(map(isinstance, level, repeat(list))) or (
+                arity is not None and d == depth - 1
+                and any(len(x) != arity for x in level)):
+            return False
+        level = list(chain.from_iterable(level))
+    return set(map(type, level)) <= {leaf}
+
+
+def _label_map(elements: list) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, dict) and all(
+        isinstance(v.get(e), str) for e in elements)
+
+
+# JSON shapes of the fields, each with how a message names it.
+_LABELS = partial(_nested, depth=1), "a list of labels"
+_LABEL_TABLE = partial(_nested, depth=2), "a list of rows of labels"
+_CELL_TABLE = partial(_nested, depth=3), "a list of rows of label lists"
+_QUADRUPLES = partial(_nested, depth=2, arity=4), "a list of label quadruples"
+_TRIPLES = partial(_nested, depth=2, arity=3), "a list of label triples"
+_SIGNS = partial(_nested, depth=2, leaf=int), "a list of lists of integer values"
+
+
+def _require(doc: dict, key: str, kind: str,
+             shape: Optional[tuple[Callable[[Any], bool], str]] = None) -> Any:
     if key not in doc:
         raise InputError(f"{kind} file is missing field {key!r}")
+    if shape is not None and not shape[0](doc[key]):
+        raise InputError(f"{kind} field {key!r} must be {shape[1]}")
     return doc[key]
 
 
@@ -115,43 +149,45 @@ def from_document(doc: dict[str, Any]) -> Structure:
         if not isinstance(elements, list) or not all(
                 isinstance(e, str) for e in elements):
             raise InputError("elements must be a list of labels")
+    label_map = (_label_map(elements),
+                 "an object mapping every element to a label")
     if kind == "multiring":
         return multiring_from_labels(
             elements,
-            _require(doc, "add", kind),
-            _require(doc, "mul", kind),
-            _require(doc, "neg", kind),
+            _require(doc, "add", kind, _CELL_TABLE),
+            _require(doc, "mul", kind, _LABEL_TABLE),
+            _require(doc, "neg", kind, label_map),
             _require(doc, "zero", kind),
             _require(doc, "one", kind),
         )
     if kind == "multigroup":
         return multigroup_from_labels(
             elements,
-            _require(doc, "op", kind),
-            _require(doc, "inv", kind),
+            _require(doc, "op", kind, _CELL_TABLE),
+            _require(doc, "inv", kind, label_map),
             _require(doc, "identity", kind),
         )
     if kind == "special_group":
         return make_special_group(
             elements,
-            _require(doc, "mul", kind),
+            _require(doc, "mul", kind, _LABEL_TABLE),
             _require(doc, "minus_one", kind),
-            [tuple(q) for q in _require(doc, "iso", kind)],
+            [tuple(q) for q in _require(doc, "iso", kind, _QUADRUPLES)],
             one=_require(doc, "one", kind),
         )
     if kind == "real_semigroup":
         return make_real_semigroup(
             elements,
-            _require(doc, "mul", kind),
+            _require(doc, "mul", kind, _LABEL_TABLE),
             _require(doc, "one", kind),
             _require(doc, "zero", kind),
             _require(doc, "minus_one", kind),
-            [tuple(t) for t in _require(doc, "d", kind)],
+            [tuple(t) for t in _require(doc, "d", kind, _TRIPLES)],
         )
     return make_sign_space(
         _require(doc, "mode", kind),
-        _require(doc, "points", kind),
-        _require(doc, "functions", kind),
+        _require(doc, "points", kind, _LABELS),
+        _require(doc, "functions", kind, _SIGNS),
     )
 
 

@@ -16,6 +16,14 @@ The associativity audits (AX3 of ``check_aos`` and ``check_ars``, and
 (``_reassociation_defects``, ``_reassociation_failures``) over the value or
 transversal table; each witness is still the first failure in the
 lexicographic order of the nested loops kept in tests/reference_audits.py.
+
+Maps of sign spaces come from one search, ``_point_maps``.  It assigns the
+source points in order and keeps, for each target function h, agree[h]: the
+mask of the source functions equal to h o alpha on the points assigned so
+far.  An empty mask cuts the branch.  The source functions are distinct, so
+at a leaf each mask holds exactly one function, the pullback h o alpha:
+every leaf is a morphism and needs no further check.  The induced point
+maps of morphisms of multifields and multirings share one cone pullback.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     Carrier,
@@ -130,16 +138,21 @@ def one_point_ars() -> SignSpace:
 # ---------------------------------------------------------------------------
 # value sets
 
-def _pointwise_table(s: SignSpace, allowed) -> tuple[tuple[int, ...], ...]:
-    """Cell (a, b) masks the functions c with c(x) in allowed(a(x), b(x)) at
-    every point x: an AND over the points of per-point masks, each the OR of
-    the masks at[x][v] of the functions that take value v at x."""
+def _value_masks(s: SignSpace) -> list[dict[int, int]]:
+    """at[x][v]: the mask of the functions that take value v at point x."""
     at = [dict.fromkeys((-1, 0, 1), 0) for _ in s.points]
     for k, f in enumerate(s.functions):
         for x, v in enumerate(f):
             at[x][v] |= 1 << k
+    return at
+
+
+def _pointwise_table(s: SignSpace, allowed) -> tuple[tuple[int, ...], ...]:
+    """Cell (a, b) masks the functions c with c(x) in allowed(a(x), b(x)) at
+    every point x: an AND over the points of per-point masks, each the OR of
+    the masks at[x][v] of ``_value_masks``."""
     cells = []
-    for row in at:
+    for row in _value_masks(s):
         cell = {}
         for u, v in itertools.product((-1, 0, 1), repeat=2):
             cell[u, v] = 0
@@ -673,65 +686,73 @@ def space_morphism_check(m: SpaceMap) -> CheckReport:
     )
 
 
+def _point_maps(s: SignSpace, t: SignSpace,
+                bijective: bool = False) -> Iterator[tuple[int, ...]]:
+    """The point maps s -> t whose pullbacks all lie in s, injective ones
+    only if ``bijective``, in lexicographic order (see the module docstring)."""
+    # cols[x][y][h]: the functions of s equal to h(y) at x
+    cols = [[tuple(row[h[y]] for h in t.functions) for y in range(t.npoints)]
+            for row in _value_masks(s)]
+    alpha: list[int] = []
+
+    def extend(agree: list[int]) -> Iterator[tuple[int, ...]]:
+        if len(alpha) == s.npoints:
+            yield tuple(alpha)
+            return
+        for y, col in enumerate(cols[len(alpha)]):
+            if bijective and y in alpha:
+                continue
+            narrowed = [a & m for a, m in zip(agree, col)]
+            if all(narrowed):
+                alpha.append(y)
+                yield from extend(narrowed)
+                alpha.pop()
+
+    yield from extend([full_mask(s.nfunctions)] * t.nfunctions)
+
+
 def enumerate_space_morphisms(s: SignSpace, t: SignSpace) -> list[SpaceMap]:
     """All point maps whose pullbacks land in the source function set."""
-    out = []
-    for point_map in itertools.product(range(t.npoints), repeat=s.npoints):
-        m = SpaceMap(s, t, point_map)
-        if space_morphism_check(m).overall:
-            out.append(m)
-    return out
+    return [SpaceMap(s, t, p) for p in _point_maps(s, t)]
 
 
-def _ordering_mask_to_point(f: FiniteMultiring, chars: list) -> dict[int, int]:
-    """Positive-cone mask of each character's ordering, to its point index."""
+def _induced_point_map(sigma: StructureMap, space, cones,
+                       kind: str) -> SpaceMap:
+    """Contravariant induced point map: each cone of the target, pulled back
+    along sigma, must be a cone of the source.  ``space`` builds a
+    structure's sign space, ``cones`` lists its cones in point order."""
+    a, b = sigma.source, sigma.target
+    space_a, _ = space(a)
+    space_b, _ = space(b)
+    a_index = {p: i for i, p in enumerate(cones(a))}
+    point_map = []
+    for p in cones(b):
+        pre = mask_of(x for x in range(a.size) if (p >> sigma.mapping[x]) & 1)
+        if pre not in a_index:
+            raise InputError("preimage of an ordering is not an ordering; "
+                             f"the map is not a morphism of real reduced {kind}")
+        point_map.append(a_index[pre])
+    return SpaceMap(space_b, space_a, tuple(point_map))
+
+
+def _character_cones(f: FiniteMultiring) -> list[int]:
+    """Positive cone of each admissible character's ordering, zero included."""
     nz = [x for x in range(f.size) if x != f.zero]
-    out = {}
-    for j, chi in enumerate(chars):
-        pmask = (1 << f.zero) | mask_of(x for i, x in enumerate(nz)
-                                        if chi[i] == 1)
-        out[pmask] = j
-    return out
+    return [(1 << f.zero) | mask_of(x for x, v in zip(nz, chi) if v == 1)
+            for chi in _admissible_characters(f)]
 
 
 def mf_map_to_aos_map(sigma: StructureMap) -> SpaceMap:
-    """Contravariant induced point map: orderings of the target pull back
-    along the morphism to orderings of the source."""
-    f: FiniteMultiring = sigma.source  # type: ignore[assignment]
-    k: FiniteMultiring = sigma.target  # type: ignore[assignment]
-    space_f, _ = mfred_to_aos(f)
-    space_k, _ = mfred_to_aos(k)
-    f_points = _ordering_mask_to_point(f, _admissible_characters(f))
-    k_points = _ordering_mask_to_point(k, _admissible_characters(k))
-    point_map = [0] * space_k.npoints
-    for pmask, j in k_points.items():
-        pre = mask_of(x for x in range(f.size)
-                      if (pmask >> sigma.mapping[x]) & 1)
-        if pre not in f_points:
-            raise InputError("preimage of an ordering is not an ordering; "
-                             "the map is not a morphism of real reduced "
-                             "multifields")
-        point_map[j] = f_points[pre]
-    return SpaceMap(space_k, space_f, tuple(point_map))
+    """Induced point map on the spaces of orderings of multifields."""
+    return _induced_point_map(sigma, mfred_to_aos, _character_cones,
+                              "multifields")
 
 
 def mr_map_to_ars_map(sigma: StructureMap) -> SpaceMap:
-    """Contravariant induced point map on the sign spectra."""
-    a: FiniteMultiring = sigma.source  # type: ignore[assignment]
-    b: FiniteMultiring = sigma.target  # type: ignore[assignment]
-    space_a, _ = mrred_to_ars(a)
-    space_b, _ = mrred_to_ars(b)
-    a_index = {o.positive: i for i, o in enumerate(enumerate_orderings(a))}
-    point_map = []
-    for o in enumerate_orderings(b):
-        pre = mask_of(x for x in range(a.size)
-                      if (o.positive >> sigma.mapping[x]) & 1)
-        if pre not in a_index:
-            raise InputError("preimage of an ordering is not an ordering; "
-                             "the map is not a morphism of real reduced "
-                             "multirings")
-        point_map.append(a_index[pre])
-    return SpaceMap(space_b, space_a, tuple(point_map))
+    """Induced point map on the sign spectra of multirings."""
+    return _induced_point_map(
+        sigma, mrred_to_ars,
+        lambda a: [o.positive for o in enumerate_orderings(a)], "multirings")
 
 
 def induced_function_map(m: SpaceMap) -> dict[int, int]:
@@ -759,39 +780,13 @@ def space_map_to_mf_map(m: SpaceMap, mf_target_space: FiniteMultiring,
 
 
 def find_space_isomorphism(s: SignSpace, t: SignSpace) -> Optional[tuple[int, ...]]:
-    """Point bijection whose pullback matches the function sets exactly."""
+    """Point bijection whose pullback matches the function sets exactly: with
+    as many points and functions on both sides, h -> h o alpha is injective,
+    so the pullbacks fill the source function set."""
     if s.mode != t.mode or s.npoints != t.npoints \
             or s.nfunctions != t.nfunctions:
         return None
-
-    def signature(space: SignSpace, x: int) -> tuple[int, ...]:
-        return tuple(sorted(f[x] for f in space.functions))
-
-    sig_s = [signature(s, x) for x in range(s.npoints)]
-    sig_t = [signature(t, x) for x in range(t.npoints)]
-    assign: list[int] = [-1] * s.npoints
-    used = [False] * t.npoints
-
-    def extend(x: int) -> Optional[tuple[int, ...]]:
-        if x == s.npoints:
-            pulled = {tuple(f[assign[i]] for i in range(s.npoints))
-                      for f in t.functions}
-            if pulled == set(s.functions):
-                return tuple(assign)
-            return None
-        for y in range(t.npoints):
-            if used[y] or sig_s[x] != sig_t[y]:
-                continue
-            assign[x] = y
-            used[y] = True
-            found = extend(x + 1)
-            if found is not None:
-                return found
-            used[y] = False
-        assign[x] = -1
-        return None
-
-    return extend(0)
+    return next(_point_maps(s, t, bijective=True), None)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,16 @@ failing candidate tables that the audit and search tests run on, and
 ``tests/test_enumeration_pruning.py`` pins the pruned generator, after the
 full audit, to it.  ``candidate_multirings`` builds those candidates, and
 ``every_map`` lists every map between two structures for brute-force pins.
+
+The sign-space searches ``enumerate_space_morphisms`` (every point map, each
+audited by ``space_morphism_check``) and ``find_space_isomorphism`` (its own
+backtracking over point bijections, pruned on sorted value signatures and
+tested at the leaves), and the induced point maps ``mf_map_to_aos_map`` with
+``_ordering_mask_to_point`` and ``mr_map_to_ars_map``, are kept verbatim as
+the reference that ``tests/test_space_maps.py`` pins the library's one
+point-map search and one cone pullback to.  ``mr_map_to_ars_map`` here reads
+this module's ``enumerate_orderings``, which gives the library's orderings
+in the same order.
 """
 
 import itertools
@@ -39,7 +49,15 @@ from multialg.core import (
     mask_of,
 )
 from multialg.enumeration import _involutions_fixing, _labels, _monoid_tables
-from multialg.ordering_spaces import SignSpace, value_table
+from multialg.ordering_spaces import (
+    SignSpace,
+    SpaceMap,
+    _admissible_characters,
+    mfred_to_aos,
+    mrred_to_ars,
+    space_morphism_check,
+    value_table,
+)
 from multialg.real_semigroups import RealSemigroup
 from multialg.spectra import Ordering, _satisfies_spec_relations, is_prime_mask
 from multialg.special_groups import SpecialGroup
@@ -533,3 +551,100 @@ def _enumerate_ars_cones(s: SignSpace) -> list[int]:
     if compatible(singles, singles, singles):
         dfs(0, singles, singles)
     return out
+
+
+def enumerate_space_morphisms(s: SignSpace, t: SignSpace) -> list[SpaceMap]:
+    """All point maps whose pullbacks land in the source function set."""
+    out = []
+    for point_map in itertools.product(range(t.npoints), repeat=s.npoints):
+        m = SpaceMap(s, t, point_map)
+        if space_morphism_check(m).overall:
+            out.append(m)
+    return out
+
+
+def _ordering_mask_to_point(f: FiniteMultiring, chars: list) -> dict[int, int]:
+    """Positive-cone mask of each character's ordering, to its point index."""
+    nz = [x for x in range(f.size) if x != f.zero]
+    out = {}
+    for j, chi in enumerate(chars):
+        pmask = (1 << f.zero) | mask_of(x for i, x in enumerate(nz)
+                                        if chi[i] == 1)
+        out[pmask] = j
+    return out
+
+
+def mf_map_to_aos_map(sigma: StructureMap) -> SpaceMap:
+    """Contravariant induced point map: orderings of the target pull back
+    along the morphism to orderings of the source."""
+    f: FiniteMultiring = sigma.source  # type: ignore[assignment]
+    k: FiniteMultiring = sigma.target  # type: ignore[assignment]
+    space_f, _ = mfred_to_aos(f)
+    space_k, _ = mfred_to_aos(k)
+    f_points = _ordering_mask_to_point(f, _admissible_characters(f))
+    k_points = _ordering_mask_to_point(k, _admissible_characters(k))
+    point_map = [0] * space_k.npoints
+    for pmask, j in k_points.items():
+        pre = mask_of(x for x in range(f.size)
+                      if (pmask >> sigma.mapping[x]) & 1)
+        if pre not in f_points:
+            raise InputError("preimage of an ordering is not an ordering; "
+                             "the map is not a morphism of real reduced "
+                             "multifields")
+        point_map[j] = f_points[pre]
+    return SpaceMap(space_k, space_f, tuple(point_map))
+
+
+def mr_map_to_ars_map(sigma: StructureMap) -> SpaceMap:
+    """Contravariant induced point map on the sign spectra."""
+    a: FiniteMultiring = sigma.source  # type: ignore[assignment]
+    b: FiniteMultiring = sigma.target  # type: ignore[assignment]
+    space_a, _ = mrred_to_ars(a)
+    space_b, _ = mrred_to_ars(b)
+    a_index = {o.positive: i for i, o in enumerate(enumerate_orderings(a))}
+    point_map = []
+    for o in enumerate_orderings(b):
+        pre = mask_of(x for x in range(a.size)
+                      if (o.positive >> sigma.mapping[x]) & 1)
+        if pre not in a_index:
+            raise InputError("preimage of an ordering is not an ordering; "
+                             "the map is not a morphism of real reduced "
+                             "multirings")
+        point_map.append(a_index[pre])
+    return SpaceMap(space_b, space_a, tuple(point_map))
+
+
+def find_space_isomorphism(s: SignSpace, t: SignSpace) -> Optional[tuple[int, ...]]:
+    """Point bijection whose pullback matches the function sets exactly."""
+    if s.mode != t.mode or s.npoints != t.npoints \
+            or s.nfunctions != t.nfunctions:
+        return None
+
+    def signature(space: SignSpace, x: int) -> tuple[int, ...]:
+        return tuple(sorted(f[x] for f in space.functions))
+
+    sig_s = [signature(s, x) for x in range(s.npoints)]
+    sig_t = [signature(t, x) for x in range(t.npoints)]
+    assign: list[int] = [-1] * s.npoints
+    used = [False] * t.npoints
+
+    def extend(x: int) -> Optional[tuple[int, ...]]:
+        if x == s.npoints:
+            pulled = {tuple(f[assign[i]] for i in range(s.npoints))
+                      for f in t.functions}
+            if pulled == set(s.functions):
+                return tuple(assign)
+            return None
+        for y in range(t.npoints):
+            if used[y] or sig_s[x] != sig_t[y]:
+                continue
+            assign[x] = y
+            used[y] = True
+            found = extend(x + 1)
+            if found is not None:
+                return found
+            used[y] = False
+        assign[x] = -1
+        return None
+
+    return extend(0)

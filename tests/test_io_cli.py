@@ -123,6 +123,33 @@ class TestCli:
         assert main(["check", str(path)]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, name, change", [
+        ("functions", "aos_point", {"functions": 5}),
+        ("functions", "aos_point", {"functions": [["x"]]}),
+        ("functions", "aos_point", {"functions": [[1.5], [-1]]}),
+        ("functions", "aos_point", {"functions": [[True], [-1]]}),
+        ("points", "aos_point", {"points": "ab",
+                                 "functions": [[1, 1], [-1, -1]]}),
+        ("neg", "q2", {"neg": ["1", "0", "-1"]}),
+        ("add", "q2", {"add": 5}),
+        ("add", "q2", {"add": [["0"] * 3] * 3}),
+        ("inv", "z2", {"kind": "multigroup", "identity": "0",
+                       "inv": {"0": "0"}, "op": [[["0"], ["1"]]] * 2}),
+        ("iso", "sg_z2_reduced", {"iso": [["1"]]}),
+        ("iso", "sg_z2_reduced", {"iso": 5}),
+        ("d", "rs3", {"d": [[1, 2]]}),
+    ])
+    def test_wrongly_typed_field_exits_2(self, tmp_path, capsys, field, name,
+                                         change):
+        with open(corpus_path(name), encoding="utf-8") as fh:
+            doc = dict(json.load(fh), **change)
+        path = tmp_path / "bad.mrs"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and repr(field) in err, err
+        assert "Traceback" not in err
+
     def test_missing_file_exits_2(self):
         assert main(["check", "no/such/file.mrs"]) == 2
 
