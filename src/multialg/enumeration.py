@@ -1,17 +1,24 @@
 """Exhaustive enumeration of small structures up to isomorphism.
 
-Generation walks zero/one placement, negation, multiplication and then the
-free addition cells in depth-first order, pruning with the axiom fragments
-that are sound to apply early (forced identity rows, zero membership exactly
-at opposite pairs, and full reversibility between decided cells).  Every
-table that survives still goes through the full audit.  Survivors are
+Only one placement of the constants per order is searched and audited: the
+slice with the zero at 0 and the one at 1, or the identity at 0.  The
+search walks negation, multiplication and then the free addition cells in
+depth-first order, pruning with the axiom fragments that are sound to apply
+early (forced identity rows, zero membership exactly at opposite pairs, and
+full reversibility between decided cells), and every table that survives
+goes through the full audit.  The structures on any other placement are the
+slice's moved along one bijection that sends the constants there, so they
+are relabelled copies, sorted into the depth-first order their own search
+would give, which is lexicographic order on the tables.  Survivors are
 canonicalized by the lexicographically least serialization over the
-relabelings that send the constants to their least indices.
+relabelings that send the constants to their least indices, narrowed row by
+row.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterator
 
 from .core import (
@@ -19,6 +26,7 @@ from .core import (
     FiniteMultigroup,
     FiniteMultiring,
     InputError,
+    _Moved,
     _relabel,
     bits,
     check_multigroup,
@@ -123,30 +131,57 @@ def _labels(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
+def _multiring_slice(n: int) -> Iterator[FiniteMultiring]:
+    """The labeled multirings on n elements with zero 0 and one 1 (one 0
+    when n = 1) passing the full audit, in depth-first order."""
+    carrier = Carrier(_labels(n))
+    if n == 1:
+        yield FiniteMultiring(carrier, ((1,),), ((0,),), (0,), 0, 0)
+        return
+    for neg in _involutions_fixing(n, 0):
+        for mul in _monoid_tables(n, 0, 1):
+            for add in _addition_tables(n, 0, neg):
+                cand = FiniteMultiring(carrier, add, mul, neg, 0, 1)
+                if check_multiring(cand).overall:
+                    yield cand
+
+
+def _multigroup_slice(n: int) -> Iterator[FiniteMultigroup]:
+    """The labeled multigroups on n elements with identity 0 passing the
+    full audit, in depth-first order."""
+    carrier = Carrier(_labels(n))
+    for inv in _involutions_fixing(n, 0):
+        for op in _addition_tables(n, 0, inv):
+            cand = FiniteMultigroup(carrier, op, inv, 0)
+            if check_multigroup(cand).overall:
+                yield cand
+
+
+def _placed(n: int, k: int, found: list, from_key) -> Iterator:
+    """``found``, the slice with the k constants at 0, ..., k - 1, then its
+    copies under every other placement of the constants, in
+    ``itertools.permutations`` order.  The copies on a placement c are moved
+    along f: i -> c[i] for i < k, the other elements to the rest in
+    increasing order, and sorted by their tables.  That is the depth-first
+    order of the search on c, since it takes the involutions, the table
+    cells in row-major order and each cell's values in increasing order."""
+    yield from found
+    for placement in itertools.permutations(range(n), k):
+        if placement != tuple(range(k)):
+            f = list(placement) + [x for x in range(n) if x not in placement]
+            for tables in sorted(_relabel(f, s.tables) for s in found):
+                yield from_key((n,) + tables)
+
+
 def generate_multirings(n: int) -> Iterator[FiniteMultiring]:
     """All labeled multirings on n elements passing the full audit."""
-    if n == 1:
-        yield FiniteMultiring(Carrier(_labels(1)), ((1,),), ((0,),), (0,), 0, 0)
-        return
-    carrier = Carrier(_labels(n))
-    for zero, one in itertools.permutations(range(n), 2):
-        for neg in _involutions_fixing(n, zero):
-            for mul in _monoid_tables(n, zero, one):
-                for add in _addition_tables(n, zero, neg):
-                    cand = FiniteMultiring(carrier, add, mul, neg, zero, one)
-                    if check_multiring(cand).overall:
-                        yield cand
+    yield from _placed(n, min(n, 2), list(_multiring_slice(n)),
+                       multiring_from_key)
 
 
 def generate_multigroups(n: int) -> Iterator[FiniteMultigroup]:
     """All labeled commutative multigroups on n elements."""
-    carrier = Carrier(_labels(n))
-    for identity in range(n):
-        for inv in _involutions_fixing(n, identity):
-            for op in _addition_tables(n, identity, inv):
-                cand = FiniteMultigroup(carrier, op, inv, identity)
-                if check_multigroup(cand).overall:
-                    yield cand
+    yield from _placed(n, 1, list(_multigroup_slice(n)), multigroup_from_key)
 
 
 def _canonical_key(s) -> tuple:
@@ -155,18 +190,43 @@ def _canonical_key(s) -> tuple:
 
     The relabelled tables start with the images of the constants, so only
     the relabelings sending the distinct constants, in order, to 0, 1, ...
-    can give the least; the other elements run over every order."""
+    can give the least; the other elements run over every order.  Those are
+    narrowed to the ones giving the least unary tables, then the least rows
+    of the value tables and of the cell tables, one row at a time, until
+    one is left or the rows run out."""
     n, tables = s.size, s.tables
-    fixed = list(dict.fromkeys(tables[0]))
+    _, unary, values, cells = tables
 
-    def relabelled(rest: tuple[int, ...]) -> tuple:
-        f = [0] * n
-        for new, old in enumerate(fixed + list(rest)):
+    def rows(order: list[int], f: list[int], moved: _Moved) -> Iterator[list]:
+        yield from ([f[u[x]] for x in order] for u in unary)
+        for t in values:
+            yield from ([f[t[x][y]] for y in order] for x in order)
+        for t in cells:
+            yield from ([moved[t[x][y]] for y in order] for x in order)
+
+    candidates = [(f, rows(order, f, moved)) for order, f, moved
+                  in _relabelings(n, tuple(dict.fromkeys(tables[0])))]
+    while len(candidates) > 1:
+        images = [next(r, None) for _, r in candidates]
+        if images[0] is None:
+            break
+        least = min(images)
+        candidates = [c for c, image in zip(candidates, images) if image == least]
+    return (n,) + _relabel(candidates[0][0], tables)
+
+
+@lru_cache(maxsize=64)
+def _relabelings(n: int, fixed: tuple[int, ...]) -> list[tuple]:
+    """(order, f, mask images under f) for each relabeling f that sends the
+    fixed elements, in order, to 0, 1, ...; order lists the old elements by
+    their new index.  The images fill in as the keys ask for them."""
+    out = []
+    for rest in itertools.permutations([x for x in range(n) if x not in fixed]):
+        order, f = list(fixed + rest), [0] * n
+        for new, old in enumerate(order):
             f[old] = new
-        return _relabel(f, tables)
-
-    return (n,) + min(map(relabelled, itertools.permutations(
-        [x for x in range(n) if x not in fixed])))
+        out.append((order, f, _Moved(f)))
+    return out
 
 
 def multiring_canonical_key(r: FiniteMultiring) -> tuple:
@@ -191,7 +251,9 @@ def enumerate_structures(kind: str, order: int, up_to_iso: bool = True):
     """All structures of the given kind with 1..order elements.
 
     With up_to_iso one canonical representative per isomorphism class is
-    returned; otherwise every labeled structure."""
+    returned; otherwise every labeled structure.  Every class has a member
+    in the slice with the constants at the least indices, and the slice
+    comes first, so up to isomorphism only the slice is searched."""
     if kind not in ENUMERABLE_KINDS:
         raise InputError(f"cannot enumerate kind {kind!r}; "
                          f"supported: {', '.join(ENUMERABLE_KINDS)}")
@@ -205,7 +267,7 @@ def enumerate_structures(kind: str, order: int, up_to_iso: bool = True):
     seen = set()
     for n in range(1, order + 1):
         if kind == "multigroup":
-            for m in generate_multigroups(n):
+            for m in (_multigroup_slice if up_to_iso else generate_multigroups)(n):
                 if not up_to_iso:
                     out.append(m)
                     continue
@@ -214,7 +276,7 @@ def enumerate_structures(kind: str, order: int, up_to_iso: bool = True):
                     seen.add(key)
                     out.append(multigroup_from_key(key))
             continue
-        for r in generate_multirings(n):
+        for r in (_multiring_slice if up_to_iso else generate_multirings)(n):
             flags = classify(r, verified=True)
             if kind == "multidomain" and not flags.multidomain:
                 continue

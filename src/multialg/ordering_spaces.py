@@ -71,6 +71,8 @@ class SignSpace:
     def __post_init__(self) -> None:
         if self.mode not in (AOS, ARS):
             raise InputError(f"unknown sign space mode {self.mode!r}")
+        if isinstance(self.points, str):
+            raise InputError("points must be a sequence of labels, not a string")
         if not self.points:
             raise InputError("empty point set")
         if len(set(self.points)) != len(self.points):
@@ -80,7 +82,7 @@ class SignSpace:
         for f in self.functions:
             if len(f) != len(self.points):
                 raise InputError("function arity does not match points")
-            if any(v not in allowed for v in f):
+            if any(v not in allowed for v in _integers(f)):
                 raise InputError(f"function value outside {allowed}")
             if f in seen:
                 raise InputError(f"duplicate function {f}")
@@ -116,10 +118,21 @@ def function_label(f: tuple[int, ...]) -> str:
     return "".join("+" if v > 0 else "-" if v < 0 else "0" for v in f)
 
 
+def _integers(f: Sequence[int]) -> tuple[int, ...]:
+    """f as a tuple, if every value has type int (a bool, float or str
+    value is an input error)."""
+    f = tuple(f)
+    for v in f:
+        if type(v) is not int:
+            raise InputError(f"function value {v!r} is not an integer")
+    return f
+
+
 def make_sign_space(mode: str, points: Sequence[str],
                     functions: Sequence[Sequence[int]]) -> SignSpace:
-    return SignSpace(mode, tuple(points),
-                     tuple(sorted(tuple(int(v) for v in f) for f in functions)))
+    if isinstance(points, str):
+        raise InputError("points must be a sequence of labels, not a string")
+    return SignSpace(mode, tuple(points), tuple(sorted(map(_integers, functions))))
 
 
 def fan_aos(k: int) -> SignSpace:

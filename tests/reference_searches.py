@@ -24,6 +24,15 @@ failing candidate tables that the audit and search tests run on, and
 full audit, to it.  ``candidate_multirings`` builds those candidates, and
 ``every_map`` lists every map between two structures for brute-force pins.
 
+``generate_multirings``, ``generate_multigroups`` and ``_canonical_key`` are
+the generators and canonical key as they were when the generators searched
+and audited every placement of the constants, and the key tried every
+relabeling that sends the constants to the least indices.  They are kept
+verbatim, except that they call the library's pruned addition-table
+generator as ``_pruned_addition_tables``, as the reference that
+``tests/test_enumeration_pruning.py`` pins the relabelled placements, the
+slice-only ``enumerate_structures`` and the narrowed key to.
+
 The sign-space searches ``enumerate_space_morphisms`` (every point map, each
 audited by ``space_morphism_check``) and ``find_space_isomorphism`` (its own
 backtracking over point bijections, pruned on sorted value signatures and
@@ -45,9 +54,13 @@ from multialg.core import (
     FiniteMultiring,
     InputError,
     StructureMap,
+    _relabel,
     bits,
+    check_multigroup,
+    check_multiring,
     mask_of,
 )
+from multialg.enumeration import _addition_tables as _pruned_addition_tables
 from multialg.enumeration import _involutions_fixing, _labels, _monoid_tables
 from multialg.ordering_spaces import (
     SignSpace,
@@ -398,6 +411,52 @@ def candidate_multirings(orders: Sequence[int] = (1, 2, 3)) -> Iterator[FiniteMu
                 for mul in _monoid_tables(n, zero, one):
                     for add in _addition_tables(n, zero, neg):
                         yield FiniteMultiring(carrier, add, mul, neg, zero, one)
+
+
+def generate_multirings(n: int) -> Iterator[FiniteMultiring]:
+    """All labeled multirings on n elements passing the full audit."""
+    if n == 1:
+        yield FiniteMultiring(Carrier(_labels(1)), ((1,),), ((0,),), (0,), 0, 0)
+        return
+    carrier = Carrier(_labels(n))
+    for zero, one in itertools.permutations(range(n), 2):
+        for neg in _involutions_fixing(n, zero):
+            for mul in _monoid_tables(n, zero, one):
+                for add in _pruned_addition_tables(n, zero, neg):
+                    cand = FiniteMultiring(carrier, add, mul, neg, zero, one)
+                    if check_multiring(cand).overall:
+                        yield cand
+
+
+def generate_multigroups(n: int) -> Iterator[FiniteMultigroup]:
+    """All labeled commutative multigroups on n elements."""
+    carrier = Carrier(_labels(n))
+    for identity in range(n):
+        for inv in _involutions_fixing(n, identity):
+            for op in _pruned_addition_tables(n, identity, inv):
+                cand = FiniteMultigroup(carrier, op, inv, identity)
+                if check_multigroup(cand).overall:
+                    yield cand
+
+
+def _canonical_key(s) -> tuple:
+    """Lexicographically least (size, relabelled tables) over all
+    relabelings.
+
+    The relabelled tables start with the images of the constants, so only
+    the relabelings sending the distinct constants, in order, to 0, 1, ...
+    can give the least; the other elements run over every order."""
+    n, tables = s.size, s.tables
+    fixed = list(dict.fromkeys(tables[0]))
+
+    def relabelled(rest: tuple[int, ...]) -> tuple:
+        f = [0] * n
+        for new, old in enumerate(fixed + list(rest)):
+            f[old] = new
+        return _relabel(f, tables)
+
+    return (n,) + min(map(relabelled, itertools.permutations(
+        [x for x in range(n) if x not in fixed])))
 
 
 def multiring_canonical_key(r: FiniteMultiring) -> tuple:

@@ -38,7 +38,9 @@ from multialg.corpus import (
 from multialg.enumeration import (
     enumerate_structures,
     generate_multigroups,
+    generate_multirings,
     multigroup_canonical_key,
+    multiring_canonical_key,
 )
 from multialg.ordering_spaces import (
     aos_mf_roundtrip,
@@ -554,3 +556,16 @@ def test_c20_sign_space_maps_on_many_points():
     ok = ok and find_space_isomorphism(fan7, moved) is not None
     gate(20, "the 36 point maps from an eight-point space into the fan-6 "
              "space, and a fan-7 isomorphism", ok, time.monotonic() - t0, 10.0)
+
+
+def test_c21_labelled_multirings_of_order_four():
+    # Every placement of the zero and the one was searched and audited:
+    # about 30 s for the 5,136 labelled multirings of order 4.
+    t0 = time.monotonic()
+    found = list(generate_multirings(4))
+    classes = {multiring_canonical_key(r): r for r in found}
+    orbits = sum(24 // len(list(core._table_morphisms(r, r, bijective=True)))
+                 for r in classes.values())
+    ok = len(found) == orbits == 5136 and len(classes) == 219
+    gate(21, "all 5,136 labelled multirings of order 4 in 219 classes, "
+             "each class 24/|Aut| of them", ok, time.monotonic() - t0, 10.0)

@@ -1,4 +1,4 @@
-"""The reversibility-pruned generators agree with the unpruned reference.
+"""The generators agree with the unpruned and the all-placement references.
 
 ``reference_searches._addition_tables`` is the addition-table generator as it
 was when it pruned on one direction of reversibility only.  Run through the
@@ -8,9 +8,23 @@ order 4 with identity 0, and every multiring of order <= 3.  The same holds
 for ``enumerate_structures`` of every kind at order 3, with and without
 ``up_to_iso``, when its generator is swapped for the reference.  The number
 of tables the pruned search reaches is pinned too.
+
+The library audits one placement of the constants per order, the slice with
+the identity at 0 or the zero at 0 and the one at 1, and gives every other
+placement as relabelled copies of the slice's survivors.
+``reference_searches.generate_multigroups``, ``generate_multirings`` and
+``_canonical_key`` search and audit every placement and try every candidate
+relabeling; the library must give the same lists in the same order (all
+1,560 multigroups of order 4, the multirings of order <= 3 and the 428 of
+order 4 on the slice), the same canonical keys, and the same
+``enumerate_structures`` when that searches the slice only.  The number of
+audits is pinned.  The orbit-stabilizer count, the sum of n!/|Aut| over the
+classes with the automorphisms found by the map search, checks that each
+labelled list holds every labelled structure exactly once.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -23,6 +37,8 @@ from multialg.enumeration import (
     _monoid_tables,
     generate_multigroups,
     generate_multirings,
+    multigroup_canonical_key,
+    multiring_canonical_key,
 )
 
 
@@ -52,7 +68,9 @@ def reference_multirings(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_multigroups_of_order_at_most_three(n):
-    assert list(generate_multigroups(n)) == list(reference_multigroups(n, range(n)))
+    found = list(generate_multigroups(n))
+    assert found == list(reference_multigroups(n, range(n)))
+    assert found == list(reference.generate_multigroups(n))
 
 
 def test_multigroups_of_order_four_with_identity_zero():
@@ -62,9 +80,33 @@ def test_multigroups_of_order_four_with_identity_zero():
     assert len(pruned) == 390
 
 
+def test_multigroups_of_order_four_and_their_keys():
+    found = list(generate_multigroups(4))
+    assert found == list(reference.generate_multigroups(4))
+    assert len(found) == 1560
+    assert [multigroup_canonical_key(m) for m in found] == \
+        [reference._canonical_key(m) for m in found]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_multirings_of_order_at_most_three(n):
-    assert list(generate_multirings(n)) == list(reference_multirings(n))
+    found = list(generate_multirings(n))
+    assert found == list(reference_multirings(n))
+    assert found == list(reference.generate_multirings(n))
+    assert [multiring_canonical_key(r) for r in found] == \
+        [reference._canonical_key(r) for r in found]
+
+
+def test_multirings_of_order_four_with_zero_zero_and_one_one():
+    def on_slice(r):
+        return (r.zero, r.one) == (0, 1)
+
+    found = list(itertools.takewhile(on_slice, generate_multirings(4)))
+    assert found == list(itertools.takewhile(on_slice,
+                                             reference.generate_multirings(4)))
+    assert len(found) == 428
+    assert [multiring_canonical_key(r) for r in found] == \
+        [reference._canonical_key(r) for r in found]
 
 
 @pytest.mark.parametrize("up_to_iso", [True, False])
@@ -73,6 +115,59 @@ def test_enumerated_structures_of_order_three(kind, up_to_iso, monkeypatch):
     pruned = enumeration.enumerate_structures(kind, 3, up_to_iso)
     monkeypatch.setattr(enumeration, "_addition_tables", reference._addition_tables)
     assert pruned == enumeration.enumerate_structures(kind, 3, up_to_iso)
+
+
+@pytest.mark.parametrize("up_to_iso", [True, False])
+@pytest.mark.parametrize("kind", enumeration.ENUMERABLE_KINDS)
+def test_enumerated_structures_match_every_placement(kind, up_to_iso, monkeypatch):
+    found = enumeration.enumerate_structures(kind, 3, up_to_iso)
+    for name in ("generate_multigroups", "generate_multirings", "_canonical_key"):
+        monkeypatch.setattr(enumeration, name, getattr(reference, name))
+    monkeypatch.setattr(enumeration, "_multigroup_slice", reference.generate_multigroups)
+    monkeypatch.setattr(enumeration, "_multiring_slice", reference.generate_multirings)
+    assert found == enumeration.enumerate_structures(kind, 3, up_to_iso)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_involutions_in_lexicographic_order(n):
+    # The relabelled placements are sorted by their tables, which is the
+    # search order only because the involutions come in this order.
+    for fixed in range(n):
+        involutions = list(_involutions_fixing(n, fixed))
+        assert involutions == sorted(set(involutions))
+
+
+def _audits(monkeypatch, generate, orders):
+    calls = [0]
+    for name in ("check_multigroup", "check_multiring"):
+        def counted(s, _audit=getattr(core, name)):
+            calls[0] += 1
+            return _audit(s)
+        monkeypatch.setattr(enumeration, name, counted)
+    for n in orders:
+        for _ in generate(n):
+            pass
+    return calls[0]
+
+
+def test_audits_made(monkeypatch):
+    assert _audits(monkeypatch, generate_multigroups, [4]) == 878
+    assert _audits(monkeypatch, generate_multirings, [1, 2, 3]) == 47
+
+
+@pytest.mark.parametrize("generate, n, labelled, classes", [
+    (generate_multigroups, 4, 1560, 97),
+    (generate_multirings, 2, 4, 2),
+    (generate_multirings, 3, 84, 14),
+])
+def test_orbit_stabilizer(generate, n, labelled, classes):
+    found = list(generate(n))
+    representatives = {reference._canonical_key(s): s for s in found}
+    orbits = sum(math.factorial(n) // len(list(
+        core._table_morphisms(s, s, bijective=True)))
+        for s in representatives.values())
+    assert len({s.tables for s in found}) == len(found) == orbits == labelled
+    assert len(representatives) == classes
 
 
 def _multigroup_leaves(n):

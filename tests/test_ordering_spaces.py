@@ -5,6 +5,7 @@ import pytest
 from multialg.core import InputError, check_morphism, is_isomorphic, q2
 from multialg.corpus import ars_q2xq2, q2xq2
 from multialg.ordering_spaces import (
+    SignSpace,
     SpaceMap,
     aos_mf_roundtrip,
     aos_to_mfred,
@@ -52,6 +53,27 @@ class TestValueSets:
     def test_arguments_must_belong(self):
         with pytest.raises(InputError):
             value_set(fan_aos(1), (1,), (0,))
+
+
+class TestWronglyTypedInput:
+    @pytest.mark.parametrize("points, functions, message", [
+        (["a"], [[1.5], [True]], "function value 1.5 is not an integer"),
+        (["a"], [["1"]], "function value '1' is not an integer"),
+        (["a"], [[True]], "function value True is not an integer"),
+        ("ab", [[1, 1]], "points must be a sequence of labels"),
+    ])
+    def test_make_sign_space_rejects(self, points, functions, message):
+        with pytest.raises(InputError, match=message):
+            make_sign_space("aos", points, functions)
+
+    @pytest.mark.parametrize("points, functions", [
+        (("a",), ((True,),)),
+        (("a",), ((1.0,),)),
+        ("a", ((1,),)),
+    ])
+    def test_sign_space_rejects(self, points, functions):
+        with pytest.raises(InputError):
+            SignSpace("aos", points, functions)
 
 
 class TestAxioms:
