@@ -7,20 +7,25 @@ The first violation in lexicographic index order is reported as the witness.
 
 The table audits (multigroup, multiring, and the relational axioms and
 lemmas) cost O(n^3) mask operations on an n-element carrier, done a row at
-a time: for each pair (x, y) one scan builds the whole rows (xy)z and
-x(yz) over z and compares them as tuples, and only rows that differ are
-walked z by z, so defects still come in lexicographic order of (x, y, z).
-(xy)z is the OR of the table's rows over the cell xy and x(yz) reads entry
-x of the OR of its columns over each cell yz; each OR is built once per
-distinct cell, so apart from those unions the scan's n^3 steps run inside
-``map`` and tuple comparison.  The multiring audit compares the rows
-(ab)c with a(bc) over c and (a+b)d with ad+bd over d the same way.  The
+a time: for each pair (x, y) one scan compares the whole rows (xy)z and
+x(yz) over z as tuples, and only rows that differ are walked z by z, so
+defects still come in lexicographic order of (x, y, z).  (xy)z is the OR
+of the table's rows over the cell xy.  x(yz) comes from the ORs of the
+table's columns over the cells yz: for each y the column ORs of row y are
+transposed lazily, one ``zip`` per y, and each step of it yields x(yz)
+over z for the next x, so the scan's n^3 steps run inside ``zip``,
+``map`` and tuple comparison; each OR is built once per distinct cell.
+Associativity of a value table (multiring multiplication, ternary
+semigroups, special groups, the enumerated monoids) is one audit,
+``_associativity_defect``: the rows are bytes, and (ab)c over c is row ab
+while a(bc) is row b translated through row a, compared inside C.  The
+multiring audit compares (a+b)d with ad+bd over d by rows too.  The
 other axioms are per-pair mask tests.  The associativity audits of real
 semigroups and sign spaces read the same scan, strong associativity through
 ``_reassociation_failures``.  Witnesses stay the first violations in
 lexicographic order; tests/reference_audits.py keeps the naive audits and
-the cell-at-a-time scan they are pinned to.  ``classify`` audits each
-structure once however often its guard runs.
+the cell-at-a-time and row-through-a-getter versions they are pinned to.
+``classify`` audits each structure once however often its guard runs.
 
 The searches for maps (morphisms, isomorphisms, and the other modules'
 morphisms and spectrum vectors) run on one kernel, ``_table_maps``.  Each
@@ -47,8 +52,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import getitem, itemgetter, or_
+from functools import cached_property, lru_cache
+from operator import getitem, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 CARRIER_CAP = 64
@@ -126,9 +131,9 @@ def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
     empty; ``elements`` expands each distinct cell once.
 
     Each (x, y) compares whole rows over z: (xy)z is the OR of the table's
-    rows over the cell xy, and x(yz) takes entry x of the OR of its columns
-    over each cell yz; each OR is built once per distinct cell.  Only rows
-    that differ are scanned z by z."""
+    rows over the cell xy, and x(yz) is the next step of the transposed ORs
+    of its columns over the cells of row y; each OR is built once per
+    distinct cell.  Only rows that differ are scanned z by z."""
     n = len(table)
     columns = list(zip(*table))
     lefts = _CellUnion(zip(_SINGLETONS, map(tuple, table)))
@@ -136,15 +141,32 @@ def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
     lefts.lines, rights.lines = table, columns
     lefts.elements = rights.elements = elements
     over_columns = rights.__getitem__
+    # Step x of right_rows[y] is the row x(yz) over z.
+    right_rows = [zip(*map(over_columns, row_y)) for row_y in table]
     for x, row_x in enumerate(table):
-        at_x = itemgetter(x)
-        for y, cell in enumerate(row_x):
+        for y, (cell, right) in enumerate(zip(row_x, map(next, right_rows))):
             left = lefts[cell]
-            right = tuple(map(at_x, map(over_columns, table[y])))
             if left != right:
                 for z in range(n):
                     if left[z] != right[z]:
                         yield x, y, z, left[z], right[z]
+
+
+def _associativity_defect(table: Sequence[Sequence[int]]
+                          ) -> Optional[tuple[int, int, int]]:
+    """The least (a, b, c) with (ab)c != a(bc) in the value table, or None.
+
+    Each (a, b) compares whole rows over c as bytes: (ab)c is row ab, and
+    a(bc) is row b translated through row a.  Entries are carrier indices,
+    below 64, so each fits in a byte."""
+    rows = list(map(bytes, table))
+    for a, row_a in enumerate(rows):
+        through_a = row_a.ljust(256, b"\0")
+        for b, ab in enumerate(row_a):
+            left, right = rows[ab], rows[b].translate(through_a)
+            if left != right:
+                return a, b, next(c for c, v in enumerate(left) if v != right[c])
+    return None
 
 
 def _reassociation_failures(table: Sequence[Sequence[int]], elements: _Elements
@@ -181,10 +203,14 @@ class Carrier:
     def size(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except (KeyError, TypeError):
             raise InputError(f"unknown element label {name!r}") from None
 
     def labels(self, mask: int) -> tuple[str, ...]:
@@ -398,9 +424,15 @@ class RelationalMultigroup:
         _validate_unary("inv", self.inv, n)
         if not 0 <= self.identity < n:
             raise InputError("identity index out of range")
-        for t in self.pi:
-            if len(t) != 3 or any(not 0 <= v < n for v in t):
-                raise InputError(f"triple {t} outside carrier")
+        try:  # all at once; the loop below names the first bad triple
+            valid = (set(map(len, self.pi)) <= {3} and set(
+                itertools.chain.from_iterable(self.pi)) <= set(range(n)))
+        except TypeError:
+            valid = False
+        if not valid:
+            for t in self.pi:
+                if len(t) != 3 or any(not 0 <= v < n for v in t):
+                    raise InputError(f"triple {t} outside carrier")
 
     @property
     def size(self) -> int:
@@ -696,25 +728,10 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     addgrp = check_multigroup(r.additive_multigroup())
     verdicts = [Verdict("add-" + v.axiom, v.passed, v.witness) for v in addgrp.verdicts]
 
-    # Rows over c: (ab)c is row ab of mul, and a(bc) is row b read
-    # through row a.
     mul, add = r.mul, r.add
-    w = None
-    for a, row_a in enumerate(mul):
-        through_a = row_a.__getitem__
-        for b, ab in enumerate(row_a):
-            left = mul[ab]
-            right = tuple(map(through_a, mul[b]))
-            if left != right:
-                for c in range(n):
-                    if left[c] != right[c]:
-                        w = (names[a], names[b], names[c])
-                        break
-                if w:
-                    break
-        if w:
-            break
-    verdicts.append(_verdict_all("mul-associativity", w))
+    w = _associativity_defect(mul)
+    verdicts.append(_verdict_all("mul-associativity",
+                                 w and tuple(names[i] for i in w)))
 
     w = None
     for a, b in itertools.combinations(range(n), 2):

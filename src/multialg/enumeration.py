@@ -27,6 +27,7 @@ from .core import (
     FiniteMultiring,
     InputError,
     _Moved,
+    _associativity_defect,
     _relabel,
     bits,
     check_multigroup,
@@ -63,10 +64,8 @@ def _monoid_tables(n: int, zero: int, one: int) -> Iterator[tuple[tuple[int, ...
 
     def fill(idx: int, table: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
         if idx == len(cells):
-            for a, b, c in itertools.product(range(n), repeat=3):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    return
-            yield tuple(tuple(r) for r in table)
+            if _associativity_defect(table) is None:
+                yield tuple(tuple(r) for r in table)
             return
         x, y = cells[idx]
         for v in range(n):

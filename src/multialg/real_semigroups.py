@@ -6,15 +6,16 @@ it, never stored, so the two can not drift apart.  The canonical three-element
 structure and its uniqueness audit live here, as does the passage to and from
 real reduced multirings (sums become transversal representation sets).
 
-``check_rs`` and ``check_rs_derived`` run on cell masks.  RS2 images each
-distinct cell under every x -> xe once.  Strong associativity RS3 (on D^t)
-and weak associativity xvi (on D) read core's O(n^3) reassociation scan
-through ``_reassociation_failures``; RS4, RS5 and the monotonicity
-consequence xiii are mask tests over distinct squares, agreement sets and
-distinct cells, and the arity-4 consequences iii and v are O(n^3) scans of
-failure masks.  Each witness keeps the lexicographic order of the
-quantifier it comes from; tests/reference_audits.py keeps the
-nested loops they are pinned to.
+TS1's associativity is core's byte compare of multiplication rows,
+``_associativity_defect``.  ``check_rs`` and ``check_rs_derived`` run on
+cell masks.  RS2 images each distinct cell under every x -> xe once.
+Strong associativity RS3 (on D^t) and weak associativity xvi (on D) read
+core's O(n^3) reassociation scan through ``_reassociation_failures``; RS4,
+RS5 and the monotonicity consequence xiii are mask tests over distinct
+squares, agreement sets and distinct cells, and the arity-4 consequences
+iii and v are O(n^3) scans of failure masks.  Each witness keeps the
+lexicographic order of the quantifier it comes from;
+tests/reference_audits.py keeps the nested loops they are pinned to.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     StructuralAnomaly,
     Verdict,
     _Elements,
+    _associativity_defect,
     _lowest_bit,
     _map_defects,
     _reassociation_failures,
@@ -141,11 +143,8 @@ def check_ts(s: RealSemigroup) -> CheckReport:
     n = s.size
     names = s.names
 
-    w_assoc = None
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if s.mul[s.mul[a][b]][c] != s.mul[a][s.mul[b][c]]:
-            w_assoc = (names[a], names[b], names[c])
-            break
+    w_assoc = _associativity_defect(s.mul)
+    w_assoc = w_assoc and tuple(names[i] for i in w_assoc)
     w_comm = None
     for a, b in itertools.combinations(range(n), 2):
         if s.mul[a][b] != s.mul[b][a]:

@@ -35,6 +35,7 @@ from .core import (
     InputError,
     StructureMap,
     Verdict,
+    _associativity_defect,
     _lowest_bit,
     _map_defects,
     _table_morphisms,
@@ -69,9 +70,8 @@ class SpecialGroup:
                 raise InputError("designated identity is not an identity")
             if self.mul[a][a] != self.one:
                 raise InputError(f"not exponent 2 at {self.carrier.names[a]}")
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
-                raise InputError("multiplication is not associative")
+        if _associativity_defect(self.mul) is not None:
+            raise InputError("multiplication is not associative")
         for a, b in itertools.combinations(range(n), 2):
             if self.mul[a][b] != self.mul[b][a]:
                 raise InputError("multiplication is not commutative")

@@ -39,6 +39,19 @@ additive multigroup audit is the naive ``check_multigroup`` above.
 ``tests/test_row_kernel.py`` pins the library's row-at-a-time scan and
 ``check_multiring`` to them, defect sequence and report alike.
 
+``rowwise_reassociation_defects`` is the row-at-a-time scan as it was
+before x(yz) came from lazily transposed column unions: each (x, y) read
+entry x of every column union of row y through an ``itemgetter``.
+``rowwise_mul_associativity`` is ``check_multiring``'s mul-associativity
+loop as it was before the byte compare, reading a(bc) through row a's
+``__getitem__``, and ``associativity_defect`` is the triple loop that
+``check_ts``, ``SpecialGroup`` and the monoid-table generator each ran.
+``check_ts`` and ``LoopCheckedSpecialGroup`` are the ternary-semigroup
+audit and the special-group validation with that loop; ``check_rs`` here
+reads this ``check_ts``.  ``tests/test_row_kernel.py`` pins the
+transposed scan and ``core._associativity_defect``, with its four callers,
+to them.
+
 ``value_table`` and ``transversal_table`` are the sign-space table builders
 from before they became ANDs over the points of per-point value masks: each
 cell tested every function at every point, n^3 p steps.  ``_ax1_verdicts``
@@ -61,6 +74,7 @@ the searches of ``reference_searches`` check their leaves with them.
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from multialg.constructions import Ideal, _class_setup
@@ -74,6 +88,8 @@ from multialg.core import (
     StructuralAnomaly,
     StructureMap,
     Verdict,
+    _SINGLETONS,
+    _CellUnion,
     _Elements,
     _verdict_all,
     bits,
@@ -89,7 +105,7 @@ from multialg.ordering_spaces import (
     _characters,
     function_label,
 )
-from multialg.real_semigroups import RealSemigroup, check_ts, dt_table
+from multialg.real_semigroups import RealSemigroup, dt_table
 from multialg.spectra import is_real_reduced_mr
 from multialg.special_groups import (
     SpecialGroup,
@@ -319,6 +335,58 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
                                  note="informational", informational=True))
 
     return CheckReport("multiring", tuple(verdicts))
+
+
+def check_ts(s: RealSemigroup) -> CheckReport:
+    n = s.size
+    names = s.names
+
+    w_assoc = None
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if s.mul[s.mul[a][b]][c] != s.mul[a][s.mul[b][c]]:
+            w_assoc = (names[a], names[b], names[c])
+            break
+    w_comm = None
+    for a, b in itertools.combinations(range(n), 2):
+        if s.mul[a][b] != s.mul[b][a]:
+            w_comm = (names[a], names[b])
+            break
+    w_unit = None
+    for a in range(n):
+        if s.mul[s.one][a] != a:
+            w_unit = (names[a],)
+            break
+    w_cube = None
+    for a in range(n):
+        if s.mul[s.mul[a][a]][a] != a:
+            w_cube = (names[a],)
+            break
+    w_sign = None
+    if s.minus_one == s.one or s.mul[s.minus_one][s.minus_one] != s.one:
+        w_sign = (names[s.minus_one],)
+    w_zero = None
+    for a in range(n):
+        if s.mul[a][s.zero] != s.zero:
+            w_zero = (names[a],)
+            break
+    w_fix = None
+    for a in range(n):
+        if s.neg(a) == a and a != s.zero:
+            w_fix = (names[a],)
+            break
+
+    return CheckReport(
+        subject="ternary semigroup",
+        verdicts=(
+            Verdict("TS1-assoc", w_assoc is None, w_assoc),
+            Verdict("TS1-comm", w_comm is None, w_comm),
+            Verdict("TS1-unit", w_unit is None, w_unit),
+            Verdict("TS2-cube", w_cube is None, w_cube),
+            Verdict("TS3-sign", w_sign is None, w_sign),
+            Verdict("TS4-zero", w_zero is None, w_zero),
+            Verdict("TS5-no-fixed-negation", w_fix is None, w_fix),
+        ),
+    )
 
 
 def _rs2_witness(s: RealSemigroup) -> Optional[tuple[str, ...]]:
@@ -1201,6 +1269,102 @@ def cellwise_check_multiring(r: FiniteMultiring) -> CheckReport:
                                  note="informational", informational=True))
 
     return CheckReport("multiring", tuple(verdicts))
+
+
+def rowwise_reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
+                                  ) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (x, y, z, (xy)z, x(yz)) for each triple, in lexicographic order,
+    whose two bracketings differ.  Cells of the n x n mask table may be
+    empty; ``elements`` expands each distinct cell once.
+
+    Each (x, y) compares whole rows over z: (xy)z is the OR of the table's
+    rows over the cell xy, and x(yz) takes entry x of the OR of its columns
+    over each cell yz; each OR is built once per distinct cell.  Only rows
+    that differ are scanned z by z."""
+    n = len(table)
+    columns = list(zip(*table))
+    lefts = _CellUnion(zip(_SINGLETONS, map(tuple, table)))
+    rights = _CellUnion(zip(_SINGLETONS, columns))
+    lefts.lines, rights.lines = table, columns
+    lefts.elements = rights.elements = elements
+    over_columns = rights.__getitem__
+    for x, row_x in enumerate(table):
+        at_x = itemgetter(x)
+        for y, cell in enumerate(row_x):
+            left = lefts[cell]
+            right = tuple(map(at_x, map(over_columns, table[y])))
+            if left != right:
+                for z in range(n):
+                    if left[z] != right[z]:
+                        yield x, y, z, left[z], right[z]
+
+
+def rowwise_mul_associativity(r: FiniteMultiring) -> Optional[tuple[str, str, str]]:
+    """``check_multiring``'s mul-associativity witness, read row by row."""
+    n = r.size
+    names = r.names
+
+    # Rows over c: (ab)c is row ab of mul, and a(bc) is row b read
+    # through row a.
+    mul = r.mul
+    w = None
+    for a, row_a in enumerate(mul):
+        through_a = row_a.__getitem__
+        for b, ab in enumerate(row_a):
+            left = mul[ab]
+            right = tuple(map(through_a, mul[b]))
+            if left != right:
+                for c in range(n):
+                    if left[c] != right[c]:
+                        w = (names[a], names[b], names[c])
+                        break
+                if w:
+                    break
+        if w:
+            break
+    return w
+
+
+def associativity_defect(table: Sequence[Sequence[int]]
+                         ) -> Optional[tuple[int, int, int]]:
+    """The least (a, b, c) with (ab)c != a(bc) in the value table, or None:
+    the triple loop of ``check_ts``, ``SpecialGroup`` and the monoid-table
+    generator."""
+    n = len(table)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return a, b, c
+    return None
+
+
+class LoopCheckedSpecialGroup(SpecialGroup):
+    """``SpecialGroup`` with the validation it had when associativity was a
+    triple loop."""
+
+    def __post_init__(self) -> None:
+        n = self.carrier.size
+        if len(self.mul) != n or any(len(r) != n for r in self.mul):
+            raise InputError("ragged multiplication table")
+        for row in self.mul:
+            for v in row:
+                if not 0 <= v < n:
+                    raise InputError("multiplication entry out of range")
+        if not 0 <= self.one < n or not 0 <= self.minus_one < n:
+            raise InputError("distinguished element out of range")
+        for a in range(n):
+            if self.mul[self.one][a] != a:
+                raise InputError("designated identity is not an identity")
+            if self.mul[a][a] != self.one:
+                raise InputError(f"not exponent 2 at {self.carrier.names[a]}")
+        for a, b, c in itertools.product(range(n), repeat=3):
+            if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
+                raise InputError("multiplication is not associative")
+        for a, b in itertools.combinations(range(n), 2):
+            if self.mul[a][b] != self.mul[b][a]:
+                raise InputError("multiplication is not commutative")
+        for q in self.iso:
+            if len(q) != 4 or any(not 0 <= v < n for v in q):
+                raise InputError(f"isometry quadruple {q} outside carrier")
 
 
 def check_morphism(f: StructureMap) -> CheckReport:

@@ -21,7 +21,9 @@ to.
 pruned on full reversibility.  It prunes less, so it still yields the
 failing candidate tables that the audit and search tests run on, and
 ``tests/test_enumeration_pruning.py`` pins the pruned generator, after the
-full audit, to it.  ``candidate_multirings`` builds those candidates, and
+full audit, to it.  ``_monoid_tables`` is the multiplication-table
+generator as it was when its leaves ran the associativity triple loop; the
+generators here read it.  ``candidate_multirings`` builds those candidates, and
 ``every_map`` lists every map between two structures for brute-force pins.
 
 ``generate_multirings``, ``generate_multigroups`` and ``_canonical_key`` are
@@ -61,7 +63,7 @@ from multialg.core import (
     mask_of,
 )
 from multialg.enumeration import _addition_tables as _pruned_addition_tables
-from multialg.enumeration import _involutions_fixing, _labels, _monoid_tables
+from multialg.enumeration import _involutions_fixing, _labels
 from multialg.ordering_spaces import (
     SignSpace,
     SpaceMap,
@@ -399,6 +401,32 @@ def every_map(s, t) -> Iterator[StructureMap]:
     """Every map s -> t, in ``itertools.product`` order: no search at all."""
     for mp in itertools.product(range(t.size), repeat=s.size):
         yield StructureMap(s, t, mp)
+
+
+def _monoid_tables(n: int, zero: int, one: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Commutative, associative tables with forced unit and absorbing zero."""
+    free = [x for x in range(n) if x not in (zero, one)]
+    cells = [(x, y) for i, x in enumerate(free) for y in free[i:]]
+
+    def fill(idx: int, table: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if idx == len(cells):
+            for a, b, c in itertools.product(range(n), repeat=3):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return
+            yield tuple(tuple(r) for r in table)
+            return
+        x, y = cells[idx]
+        for v in range(n):
+            table[x][y] = v
+            table[y][x] = v
+            yield from fill(idx + 1, table)
+        table[x][y] = table[y][x] = -1
+
+    base = [[-1] * n for _ in range(n)]
+    for a in range(n):
+        base[zero][a] = base[a][zero] = zero
+        base[one][a] = base[a][one] = a
+    yield from fill(0, base)
 
 
 def candidate_multirings(orders: Sequence[int] = (1, 2, 3)) -> Iterator[FiniteMultiring]:

@@ -5,6 +5,7 @@ criterion carries its stated time budget as a hard assertion.
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import itertools
 import os
@@ -569,3 +570,22 @@ def test_c21_labelled_multirings_of_order_four():
     ok = len(found) == orbits == 5136 and len(classes) == 219
     gate(21, "all 5,136 labelled multirings of order 4 in 219 classes, "
              "each class 24/|Aut| of them", ok, time.monotonic() - t0, 10.0)
+
+
+def test_c22_krasner_power_six_at_every_level(tmp_path, capsys):
+    # Each (a, b) row pair of mul-associativity and each (x, y) row of the
+    # reassociation scan made Python calls per element; K^6 was the slowest
+    # input of the check ladder.  The digests are of the reports before.
+    from multialg.constructions import product
+
+    t0 = time.monotonic()
+    path = str(tmp_path / "k6.mrs")
+    io.write_structure(path, product([krasner()] * 6))
+    ok = True
+    for level, digest in (("axioms", "120728845a1b"), ("all", "ef179600f169")):
+        ok = ok and main(["check", "--level", level, "--format", "jsonl",
+                          path]) == 0
+        out = capsys.readouterr().out.encode()
+        ok = ok and hashlib.sha256(out).hexdigest().startswith(digest)
+    gate(22, "check --level axioms and all on K^6, reports unchanged", ok,
+         time.monotonic() - t0, 10.0)

@@ -95,6 +95,23 @@ class TestRelationalPresentation:
         with pytest.raises(InputError, match="non-total"):
             from_relational(bad)
 
+    @pytest.mark.parametrize("bad, error, message", [
+        ((0, 1), InputError, "triple (0, 1) outside carrier"),
+        ((0, 1, 3), InputError, "triple (0, 1, 3) outside carrier"),
+        ((0, 1, -1), InputError, "triple (0, 1, -1) outside carrier"),
+        ((0, 1, "a"), TypeError,
+         "'<=' not supported between instances of 'int' and 'str'"),
+        (1, TypeError, "object of type 'int' has no len()"),
+    ])
+    def test_bad_triples_raise_as_one_at_a_time(self, bad, error, message):
+        """The bulk check falls back to the per-triple loop, whose errors
+        these are."""
+        rel = to_relational(q2_additive())
+        with pytest.raises(error) as raised:
+            core.RelationalMultigroup(rel.carrier, rel.pi | {bad}, rel.inv,
+                                      rel.identity)
+        assert str(raised.value) == message
+
     def test_roundtrip_identity_corpus_wide(self, multigroups):
         for name, m in multigroups.items():
             assert from_relational(to_relational(m)) == m, name
@@ -293,6 +310,25 @@ class TestCarrierValidation:
     def test_size_cap(self):
         with pytest.raises(InputError, match="64"):
             Carrier(tuple(f"e{i}" for i in range(65)))
+
+    def test_index_of_each_label(self):
+        names = tuple(f"e{i}" for i in range(64))
+        carrier = Carrier(names)
+        assert [carrier.index(x) for x in names] == list(range(64))
+        assert Carrier(("1", "0")).index("0") == 1
+
+    @pytest.mark.parametrize("label", ["zz", ["0"], 0, None, ("0",)])
+    def test_unknown_or_unhashable_label(self, label):
+        with pytest.raises(InputError) as raised:
+            Carrier(("0", "1")).index(label)
+        assert str(raised.value) == f"unknown element label {label!r}"
+
+    def test_carriers_compare_and_hash_by_names_only(self):
+        used, fresh = Carrier(("a", "b")), Carrier(("a", "b"))
+        assert used.index("b") == 1
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "Carrier(names=('a', 'b'))"
+        assert used != Carrier(("b", "a"))
 
 
 class TestEnumeratedStructureProperties:

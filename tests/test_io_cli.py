@@ -150,6 +150,16 @@ class TestCli:
         assert err.startswith("input error:") and repr(field) in err, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("zero", [["0"], "zz"])
+    def test_unknown_zero_label_exits_2(self, tmp_path, capsys, zero):
+        with open(corpus_path("q2"), encoding="utf-8") as fh:
+            doc = dict(json.load(fh), zero=zero)
+        path = tmp_path / "bad.mrs"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err \
+            == f"input error: unknown element label {zero!r}\n"
+
     def test_missing_file_exits_2(self):
         assert main(["check", "no/such/file.mrs"]) == 2
 
