@@ -66,8 +66,7 @@ def _reports_for_level(obj, level: str) -> list:
         axioms = core.check_multiring(obj)
         reports.append(axioms)
         if level in ("derived", "all"):
-            reports.append(core.check_relational_lemmas(
-                core.to_relational(obj.additive_multigroup())))
+            reports.append(core.check_relational_lemmas(obj.additive_multigroup()))
             if axioms.overall:
                 flags = core.classify(obj, verified=True)
                 info = {
@@ -93,7 +92,7 @@ def _reports_for_level(obj, level: str) -> list:
     elif isinstance(obj, FiniteMultigroup):
         reports.append(core.check_multigroup(obj))
         if level in ("derived", "all"):
-            reports.append(core.check_relational_lemmas(core.to_relational(obj)))
+            reports.append(core.check_relational_lemmas(obj))
     elif isinstance(obj, SpecialGroup):
         reports.append(spg.check_sg(obj))
         if level in ("derived", "all"):

@@ -14,17 +14,24 @@ of the table's rows over the cell xy.  x(yz) comes from the ORs of the
 table's columns over the cells yz: for each y the column ORs of row y are
 transposed lazily, one ``zip`` per y, and each step of it yields x(yz)
 over z for the next x, so the scan's n^3 steps run inside ``zip``,
-``map`` and tuple comparison; each OR is built once per distinct cell.
-Associativity of a value table (multiring multiplication, ternary
-semigroups, special groups, the enumerated monoids) is one audit,
-``_associativity_defect``: the rows are bytes, and (ab)c over c is row ab
-while a(bc) is row b translated through row a, compared inside C.  The
-multiring audit compares (a+b)d with ad+bd over d by rows too.  The
-other axioms are per-pair mask tests.  The associativity audits of real
+``map`` and tuple comparison.  Each OR is built once per distinct cell, in
+``_CellUnion``: the first cell with two or more elements packs every line
+(row or column) into one int, 64 bits per entry, so a union is one
+``reduce`` of ints, unpacked once.  Associativity of a value table
+(multiring multiplication, ternary semigroups, special groups, the
+enumerated monoids) is one audit, ``_associativity_defect``: the rows are
+bytes, and (ab)c over c is row ab while a(bc) is row b translated through
+row a, compared inside C.  The multiring audit compares (a+b)d with ad+bd
+as rows over b, for each (a, d): (a+b)d is a step of the lazily transposed
+unions of the rows 1 << cd, and ad+bd is one ``itemgetter`` call that
+gathers column d of mul from the addition row of ad; each witness is the
+least (b, d) at the first a where it fails.  The other
+axioms are per-pair mask tests.  The associativity audits of real
 semigroups and sign spaces read the same scan, strong associativity through
 ``_reassociation_failures``.  Witnesses stay the first violations in
-lexicographic order; tests/reference_audits.py keeps the naive audits and
-the cell-at-a-time and row-through-a-getter versions they are pinned to.
+lexicographic order; tests/reference_audits.py keeps the naive audits,
+the cell-at-a-time and row-through-a-getter versions, the tuple unions and
+the distributivity rows over d that they are pinned to.
 ``classify`` audits each structure once however often its guard runs.
 
 The searches for maps (morphisms, isomorphisms, and the other modules'
@@ -51,9 +58,11 @@ canonical keys of enumeration.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import getitem, or_
+from functools import cached_property, lru_cache, reduce
+from itertools import compress, count, repeat, starmap
+from operator import itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 CARRIER_CAP = 64
@@ -105,23 +114,41 @@ class _Elements(dict):
 _SINGLETONS = tuple(1 << i for i in range(CARRIER_CAP))
 
 
+# One little-endian codec per carrier size: a line of n masks, each below
+# 2^64, packs into n 64-bit fields of one int.
+_CODECS = tuple(struct.Struct(f"<{n}Q") for n in range(CARRIER_CAP + 1))
+
+
 class _CellUnion(dict):
     """Cell mask -> elementwise OR of ``lines`` over the cell's elements, as
-    a tuple, on first use; an empty cell gives a line of zeros."""
+    a tuple, on first use; an empty cell gives a line of zeros.
 
-    __slots__ = ("lines", "elements")
+    Callers prefill the singleton cells with their lines and set ``packed``
+    to None.  The first larger cell packs every line into one int, 64 bits
+    per entry; each larger cell is then one OR of ints, unpacked once."""
+
+    __slots__ = ("lines", "elements", "packed")
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
-        lines = self.lines
         picked = self.elements[mask]
+        lines = self.lines
+        codec = _CODECS[len(lines)]
         if picked:
-            out = tuple(lines[picked[0]])
-            for a in picked[1:]:
-                out = tuple(map(or_, out, lines[a]))
+            packed = self.packed
+            if packed is None:
+                packed = self.packed = list(map(
+                    int.from_bytes, starmap(codec.pack, lines), repeat("little")))
+            union = reduce(or_, map(packed.__getitem__, picked))
+            out = codec.unpack(union.to_bytes(codec.size, "little"))
         else:
             out = (0,) * len(lines)
         self[mask] = out
         return out
+
+
+def _first_difference(left: Sequence[int], right: Sequence[int]) -> int:
+    """The first index at which two rows that differ differ."""
+    return next(compress(count(), map(ne, left, right)))
 
 
 def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
@@ -140,6 +167,7 @@ def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
     rights = _CellUnion(zip(_SINGLETONS, columns))
     lefts.lines, rights.lines = table, columns
     lefts.elements = rights.elements = elements
+    lefts.packed = rights.packed = None
     over_columns = rights.__getitem__
     # Step x of right_rows[y] is the row x(yz) over z.
     right_rows = [zip(*map(over_columns, row_y)) for row_y in table]
@@ -165,7 +193,7 @@ def _associativity_defect(table: Sequence[Sequence[int]]
         for b, ab in enumerate(row_a):
             left, right = rows[ab], rows[b].translate(through_a)
             if left != right:
-                return a, b, next(c for c, v in enumerate(left) if v != right[c])
+                return a, b, _first_difference(left, right)
     return None
 
 
@@ -524,14 +552,17 @@ def check_relational_axioms(rel: RelationalMultigroup) -> CheckReport:
     return CheckReport(subject="relational multigroup", verdicts=verdicts)
 
 
-def check_relational_lemmas(rel: RelationalMultigroup) -> CheckReport:
+def check_relational_lemmas(rel: RelationalMultigroup | FiniteMultigroup
+                            ) -> CheckReport:
     """Audit the six consequences (a)-(f) of axioms I-III.
 
     Axioms I-III are re-verified first; on a precondition failure the lemma
     scan is skipped and the axiom verdicts carry the report.  Lemma (e)
-    comes from the same reassociation scan as axiom III.
+    comes from the same reassociation scan as axiom III.  A FiniteMultigroup,
+    whose fields carry the same names, is audited on its own ``op`` table,
+    the mask table of ``to_relational(rel)``.
     """
-    cell = _relational_table(rel)
+    cell = rel.op if isinstance(rel, FiniteMultigroup) else _relational_table(rel)
     elements = _Elements()
     axioms, we = _relational_audit(rel, cell, elements)
     pre = [v for v in axioms if v.axiom != "IV-commutativity"]
@@ -754,27 +785,37 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
             break
     verdicts.append(_verdict_all("zero-absorbing", w))
 
-    # Rows over d: (a+b)d is the OR of the rows 1 << cd over c in a+b, and
-    # ad+bd picks column bd of the addition rows of the products ad.
+    # Rows over b, for each (a, d): (a+b)d is step d of the transposed ORs
+    # of the rows 1 << cd over the cells c in a+b, and ad+bd gathers column
+    # d of mul from the addition row of ad in one call.  With n = 1
+    # itemgetter would return the entry, not a row; the one row is whole.
     shifted = [tuple(map((1).__lshift__, row)) for row in mul]
     lefts = _CellUnion(zip(_SINGLETONS, shifted))
-    lefts.lines, lefts.elements = shifted, _Elements()
+    lefts.lines, lefts.elements, lefts.packed = shifted, _Elements(), None
+    gathers = [itemgetter(*column) for column in zip(*mul)] if n > 1 else [tuple]
     w_weak = None
     w_full = None
     for a, row_a in enumerate(add):
-        sums_a = list(map(add.__getitem__, mul[a]))
-        for b, cell in enumerate(row_a):
-            left = lefts[cell]
-            right = tuple(map(getitem, sums_a, mul[b]))
-            if left != right:
-                for d in range(n):
-                    if left[d] != right[d]:
-                        if w_full is None:
-                            w_full = (names[a], names[b], names[d])
-                        if w_weak is None and left[d] & ~right[d]:
-                            w_weak = (names[a], names[b], names[d])
-                if w_weak and w_full:
-                    break
+        full = weak = None  # the least (b, d) of each, for this a
+        lefts_by_d = zip(*map(lefts.__getitem__, row_a))
+        for d, (left, ad, gather) in enumerate(zip(lefts_by_d, mul[a], gathers)):
+            right = gather(add[ad])
+            if left == right:
+                continue
+            if w_full is None:
+                b = _first_difference(left, right)
+                if full is None or b < full[0]:
+                    full = b, d
+            if w_weak is None:
+                joined = tuple(map(or_, left, right))
+                if joined != right:
+                    b = _first_difference(joined, right)
+                    if weak is None or b < weak[0]:
+                        weak = b, d
+        if full:
+            w_full = (names[a], names[full[0]], names[full[1]])
+        if weak:
+            w_weak = (names[a], names[weak[0]], names[weak[1]])
         if w_weak and w_full:
             break
     verdicts.append(_verdict_all("distributivity-weak", w_weak))

@@ -12,15 +12,20 @@ the componentwise evaluation embedding into a power of the sign multifield.
 
 Orderings come from ``_sign_cones``, a depth-first search over the pairs
 {x, -x} that ordering_spaces shares for the cones of abstract real spectra;
-each caller keeps its own leaf test.
+each caller keeps its own leaf test.  Like the ideal list, the orderings
+are computed once per structure (``_orderings``), however many of the
+checks and functors that read them run.  The evaluation embedding meets,
+for each pair (x, y), the preimages of sigma(x) + sigma(y) over the sign
+maps sigma of the orderings as one mask.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     CARRIER_CAP,
@@ -29,6 +34,7 @@ from .core import (
     InputError,
     StructureMap,
     Verdict,
+    _lowest_bit,
     _table_maps,
     bits,
     check_morphism,
@@ -313,7 +319,8 @@ def _sign_cones(neg: Sequence[int], mul: Sequence[Sequence[int]],
         yield from dfs(0, singles, singles)
 
 
-def enumerate_orderings(a: FiniteMultiring) -> list[Ordering]:
+@lru_cache(maxsize=None)
+def _orderings(a: FiniteMultiring) -> tuple[Ordering, ...]:
     """The sign cones of ``_sign_cones`` that are closed under sums and
     products and whose support is a prime ideal, in ascending mask order."""
 
@@ -331,8 +338,13 @@ def enumerate_orderings(a: FiniteMultiring) -> list[Ordering]:
             return False
         return is_prime_mask(a, supp)
 
-    return [Ordering(a, p) for p in sorted(filter(is_ordering,
-                                                  _sign_cones(a.neg, a.mul, a.add)))]
+    return tuple(Ordering(a, p) for p in sorted(filter(is_ordering,
+                                                       _sign_cones(a.neg, a.mul, a.add))))
+
+
+def enumerate_orderings(a: FiniteMultiring) -> list[Ordering]:
+    """All orderings, in ascending mask order."""
+    return list(_orderings(a))
 
 
 def ordering_hom_bijection_check(a: FiniteMultiring) -> CheckReport:
@@ -569,6 +581,39 @@ def reduced_characterizations_check(f: FiniteMultiring) -> CheckReport:
 # ---------------------------------------------------------------------------
 # local-global evaluation embedding
 
+def _evaluation_defects(a: FiniteMultiring, sigmas: Sequence[Sequence[int]]
+                        ) -> tuple[Optional[tuple[int, int, int]],
+                                   Optional[tuple[int, int, int]]]:
+    """The least (x, y, c) with c in x + y but outside E(x, y), where the
+    evaluation at the sign maps ``sigmas`` is not a morphism, and the least
+    with c in E(x, y) but outside x + y, where it is not strong.  E(x, y) is
+    the set of c whose sign lies in sigma(x) + sigma(y) at every sigma: the
+    meet over sigma of the preimages of the sign sums, one 3 x 3 table of
+    preimage masks per sigma."""
+    target = q2()
+    within = []
+    for s in sigmas:
+        preimage = [0] * target.size
+        for x, v in enumerate(s):
+            preimage[v] |= 1 << x
+        within.append([[reduce(or_, map(preimage.__getitem__, bits(cell)), 0)
+                        for cell in row] for row in target.add])
+    everything = full_mask(a.size)
+    w_mor = w_strong = None
+    for x, y in itertools.product(range(a.size), repeat=2):
+        agree = everything
+        for s, table in zip(sigmas, within):
+            agree &= table[s[x]][s[y]]
+        cell = a.add[x][y]
+        if w_mor is None and cell & ~agree:
+            w_mor = x, y, _lowest_bit(cell & ~agree)
+        if w_strong is None and agree & ~cell:
+            w_strong = x, y, _lowest_bit(agree & ~cell)
+        if w_mor and w_strong:
+            break
+    return w_mor, w_strong
+
+
 def sper_embedding_check(a: FiniteMultiring) -> CheckReport:
     """Evaluation a -> (sign of a at each ordering): injective, a morphism,
     and strong (componentwise sums reflect back), checked componentwise.
@@ -595,26 +640,8 @@ def sper_embedding_check(a: FiniteMultiring) -> CheckReport:
             break
         seen[v] = x
 
-    target = q2()
-    w_mor = None
-    for x, y in itertools.product(range(a.size), repeat=2):
-        for c in bits(a.add[x][y]):
-            for s in sigmas:
-                if not (target.add[s[x]][s[y]] >> s[c]) & 1:
-                    w_mor = (names[x], names[y], names[c])
-                    break
-            if w_mor:
-                break
-        if w_mor:
-            break
-
-    w_strong = None
-    for x, y, c in itertools.product(range(a.size), repeat=3):
-        if (a.add[x][y] >> c) & 1:
-            continue
-        if all((target.add[s[x]][s[y]] >> s[c]) & 1 for s in sigmas):
-            w_strong = (names[x], names[y], names[c])
-            break
+    w_mor, w_strong = (w and tuple(names[i] for i in w)
+                       for w in _evaluation_defects(a, sigmas))
 
     verdicts = [
         Verdict("sper-nonempty", True, None),
@@ -623,6 +650,7 @@ def sper_embedding_check(a: FiniteMultiring) -> CheckReport:
         Verdict("strong", w_strong is None, w_strong),
     ]
     if 3 ** len(sigmas) <= CARRIER_CAP:
+        target = q2()
         power = product([target] * len(sigmas))
         mapping = tuple(
             power.carrier.index("(" + ",".join(target.names[v] for v in vec) + ")")

@@ -52,6 +52,18 @@ reads this ``check_ts``.  ``tests/test_row_kernel.py`` pins the
 transposed scan and ``core._associativity_defect``, with its four callers,
 to them.
 
+``_CellUnion`` is the cell-union cache as it was before it packed each
+line into one int: a union ORed the tuples of the cell's lines element by
+element; ``rowwise_reassociation_defects`` reads it.
+``rowwise_distributivity`` is ``check_multiring``'s distributivity loop as
+it was before it compared rows over b for each (a, d): each (a, b) gathered
+ad+bd over d through ``map(getitem, ...)``.  ``evaluation_witnesses`` is
+the morphism and strong loop pair of ``spectra.sper_embedding_check`` as it
+was before it met per-ordering preimage masks: one probe per (x, y, c) and
+sign map.  ``tests/test_row_kernel.py`` pins the packed unions and the
+column-wise distributivity to the first two, and ``tests/test_spectra.py``
+pins the evaluation masks to the third.
+
 ``value_table`` and ``transversal_table`` are the sign-space table builders
 from before they became ANDs over the points of per-point value masks: each
 cell tested every function at every point, n^3 p steps.  ``_ax1_verdicts``
@@ -74,7 +86,7 @@ the searches of ``reference_searches`` check their leaves with them.
 
 import itertools
 from functools import lru_cache
-from operator import itemgetter
+from operator import getitem, itemgetter, or_
 from typing import Iterator, Optional, Sequence
 
 from multialg.constructions import Ideal, _class_setup
@@ -89,13 +101,13 @@ from multialg.core import (
     StructureMap,
     Verdict,
     _SINGLETONS,
-    _CellUnion,
     _Elements,
     _verdict_all,
     bits,
     classify,
     full_mask,
     mask_of,
+    q2,
 )
 from multialg.ordering_spaces import (
     AOS,
@@ -1269,6 +1281,87 @@ def cellwise_check_multiring(r: FiniteMultiring) -> CheckReport:
                                  note="informational", informational=True))
 
     return CheckReport("multiring", tuple(verdicts))
+
+
+class _CellUnion(dict):
+    """Cell mask -> elementwise OR of ``lines`` over the cell's elements, as
+    a tuple, on first use; an empty cell gives a line of zeros."""
+
+    __slots__ = ("lines", "elements")
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        lines = self.lines
+        picked = self.elements[mask]
+        if picked:
+            out = tuple(lines[picked[0]])
+            for a in picked[1:]:
+                out = tuple(map(or_, out, lines[a]))
+        else:
+            out = (0,) * len(lines)
+        self[mask] = out
+        return out
+
+
+def rowwise_distributivity(r: FiniteMultiring
+                           ) -> tuple[Optional[tuple], Optional[tuple]]:
+    """The witnesses of ``check_multiring``'s weak and full distributivity
+    verdicts, compared by rows over d for each (a, b)."""
+    n = r.size
+    names = r.names
+    mul, add = r.mul, r.add
+
+    # Rows over d: (a+b)d is the OR of the rows 1 << cd over c in a+b, and
+    # ad+bd picks column bd of the addition rows of the products ad.
+    shifted = [tuple(map((1).__lshift__, row)) for row in mul]
+    lefts = _CellUnion(zip(_SINGLETONS, shifted))
+    lefts.lines, lefts.elements = shifted, _Elements()
+    w_weak = None
+    w_full = None
+    for a, row_a in enumerate(add):
+        sums_a = list(map(add.__getitem__, mul[a]))
+        for b, cell in enumerate(row_a):
+            left = lefts[cell]
+            right = tuple(map(getitem, sums_a, mul[b]))
+            if left != right:
+                for d in range(n):
+                    if left[d] != right[d]:
+                        if w_full is None:
+                            w_full = (names[a], names[b], names[d])
+                        if w_weak is None and left[d] & ~right[d]:
+                            w_weak = (names[a], names[b], names[d])
+                if w_weak and w_full:
+                    break
+        if w_weak and w_full:
+            break
+    return w_weak, w_full
+
+
+def evaluation_witnesses(a: FiniteMultiring, sigmas: Sequence[Sequence[int]]
+                         ) -> tuple[Optional[tuple], Optional[tuple]]:
+    """The morphism and strong witnesses of ``sper_embedding_check`` for the
+    sign maps ``sigmas``, probed per (x, y, c) and per sign map."""
+    names = a.names
+    target = q2()
+    w_mor = None
+    for x, y in itertools.product(range(a.size), repeat=2):
+        for c in bits(a.add[x][y]):
+            for s in sigmas:
+                if not (target.add[s[x]][s[y]] >> s[c]) & 1:
+                    w_mor = (names[x], names[y], names[c])
+                    break
+            if w_mor:
+                break
+        if w_mor:
+            break
+
+    w_strong = None
+    for x, y, c in itertools.product(range(a.size), repeat=3):
+        if (a.add[x][y] >> c) & 1:
+            continue
+        if all((target.add[s[x]][s[y]] >> s[c]) & 1 for s in sigmas):
+            w_strong = (names[x], names[y], names[c])
+            break
+    return w_mor, w_strong
 
 
 def rowwise_reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements

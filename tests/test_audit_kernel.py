@@ -8,6 +8,8 @@ axiom, pass flag, first witness, note and informational flag for every
 verdict -- on the corpus, on every candidate table of order <= 3, on a
 seeded sample of the order-4 candidates, on single-cell mutants and on
 relational presentations built from arbitrary triple sets.
+``check_relational_lemmas`` on a multigroup itself, read off its own
+table, must equal it on the triples of ``to_relational``.
 
 The real-semigroup audits ``check_rs`` and ``check_rs_derived`` and the
 sign-space audits ``check_aos``, ``check_ars`` and
@@ -32,7 +34,13 @@ import reference_audits as reference
 import reference_searches
 from multialg import core, io, ordering_spaces, real_semigroups
 from multialg.constructions import product
-from multialg.corpus import corpus_real_semigroups, corpus_sign_spaces, q2cube, q2xq2
+from multialg.corpus import (
+    corpus_multigroups,
+    corpus_real_semigroups,
+    corpus_sign_spaces,
+    q2cube,
+    q2xq2,
+)
 from multialg.enumeration import (
     _involutions_fixing,
     _labels,
@@ -67,7 +75,10 @@ def assert_relational_agrees(rel):
 
 def assert_multigroup_agrees(m):
     assert core.check_multigroup(m) == reference.check_multigroup(m)
-    assert_relational_agrees(core.to_relational(m))
+    rel = core.to_relational(m)
+    assert_relational_agrees(rel)
+    # The lemmas on the multigroup's own table, as the CLI audits them.
+    assert core.check_relational_lemmas(m) == core.check_relational_lemmas(rel)
 
 
 def assert_multiring_agrees(r):
@@ -95,6 +106,34 @@ def test_corpus_structures():
             assert_multiring_agrees(obj)
         else:
             assert_multigroup_agrees(obj)
+
+
+def test_lemmas_on_mutant_pool_tables():
+    """The lemma audit of a multigroup read off its own table equals the one
+    on its triples: on the corpus multigroups, the additive groups of the
+    multirings of the check-mutants bench, and 96 seeded one-element flips
+    of a cell of each, as that bench's pool makes them."""
+    rng = random.Random(20)
+    q2, k = core.q2(), core.krasner()
+    groups = list(corpus_multigroups().values()) + [
+        r.additive_multigroup() for r in (
+            core.ring_multiring(8), core.ring_multiring(12), core.ring_multiring(16),
+            q2xq2(), product([q2, k, k]), aos_to_mfred(fan_aos(3)))]
+    failing = 0
+    for m in groups:
+        n = m.size
+        for trial in range(97):
+            g = m
+            if trial:
+                i, j = rng.randrange(n), rng.randrange(n)
+                flipped = m.op[i][j] ^ (1 << rng.randrange(n))
+                if not flipped:
+                    continue
+                g = dataclasses.replace(m, op=_replace_cell(m.op, i, j, flipped))
+            report = core.check_relational_lemmas(g)
+            assert report == core.check_relational_lemmas(core.to_relational(g))
+            failing += not report.overall
+    assert failing > 500
 
 
 def test_every_candidate_of_order_at_most_three():

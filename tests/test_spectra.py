@@ -1,5 +1,9 @@
+import dataclasses
+import random
+
 import pytest
 
+import reference_audits as reference
 from multialg.core import (
     InputError,
     check_morphism,
@@ -9,6 +13,7 @@ from multialg.core import (
     ring_multiring,
 )
 from multialg.corpus import fan2_multifield, q2cube, q2xq2, trivial_sg_multifield
+from multialg.ordering_spaces import aos_to_mfred, fan_aos
 from multialg.spectra import (
     Ordering,
     Preordering,
@@ -29,6 +34,8 @@ from multialg.spectra import (
     spec_topology,
     sper_embedding_check,
     sums_of_squares_set,
+    _evaluation_defects,
+    _orderings,
 )
 
 
@@ -137,6 +144,16 @@ class TestOrderings:
         with pytest.raises(InputError):
             Ordering(q2(), 0b111)  # everything: support is not prime
 
+    def test_computed_once_per_structure(self):
+        """Each call gets its own list of the one cached tuple."""
+        a = q2cube()
+        _orderings.cache_clear()
+        first = enumerate_orderings(a)
+        first.clear()
+        again = enumerate_orderings(a)
+        assert len(again) == 3 and again is not enumerate_orderings(a)
+        assert _orderings.cache_info().misses == 1
+
 
 class TestPreorderings:
     def test_q2_proper_preordering_is_its_ordering(self):
@@ -235,6 +252,38 @@ class TestSperEmbedding:
     def test_non_reduced_input_is_a_precondition_error(self):
         with pytest.raises(InputError):
             sper_embedding_check(ring_multiring(6))
+
+    def test_defect_masks_match_the_moved_loops(self):
+        """The morphism and strong witnesses of the meet over the sign maps
+        equal those of the per-(x, y, c, sigma) loops, on random sign vectors
+        and on the real sign maps of real reduced structures and of their
+        one-cell addition mutants."""
+        rng = random.Random(19)
+        bases = [q2(), q2xq2(), fan2_multifield(), aos_to_mfred(fan_aos(3)),
+                 krasner(), ring_multiring(5), q2cube()]
+        failing = 0
+        for base in bases:
+            n = base.size
+            real = [o.sign_map().mapping for o in enumerate_orderings(base)]
+            for trial in range(20 if n > 9 else 100):
+                a = base
+                if trial % 2:
+                    i, j, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                    if a.add[i][j] ^ (1 << v):
+                        add = [list(row) for row in a.add]
+                        add[i][j] ^= 1 << v
+                        a = dataclasses.replace(
+                            a, add=tuple(tuple(row) for row in add))
+                if trial % 3 == 2 and real:
+                    sigmas = rng.sample(real, rng.randint(1, len(real)))
+                else:
+                    sigmas = [tuple(rng.randrange(3) for _ in range(n))
+                              for _ in range(rng.randrange(4))]
+                got = tuple(w and tuple(a.names[i] for i in w)
+                            for w in _evaluation_defects(a, sigmas))
+                assert got == reference.evaluation_witnesses(a, sigmas)
+                failing += got != (None, None)
+        assert failing > 300
 
 
 class TestQT:
