@@ -15,9 +15,13 @@ table's columns over the cells yz: for each y the column ORs of row y are
 transposed lazily, one ``zip`` per y, and each step of it yields x(yz)
 over z for the next x, so the scan's n^3 steps run inside ``zip``,
 ``map`` and tuple comparison.  Each OR is built once per distinct cell, in
-``_CellUnion``: the first cell with two or more elements packs every line
-(row or column) into one int, 64 bits per entry, so a union is one
-``reduce`` of ints, unpacked once.  Associativity of a value table
+``_CellUnion``.  On tables of 8 to 64 lines, each line (row or column)
+that a cell of two or more elements needs is packed into one int, 64 bits
+per entry, so a union is one ``reduce`` of ints, unpacked once; smaller
+tables, and sign-space tables of more functions than the cap, OR tuples.
+The multiring audit reads its addition through the multigroup audit's
+verdicts, named ``add-``, without building the additive multigroup.
+Associativity of a value table
 (multiring multiplication, ternary semigroups, special groups, the
 enumerated monoids) is one audit, ``_associativity_defect``: the rows are
 bytes, and (ab)c over c is row ab while a(bc) is row b translated through
@@ -61,7 +65,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import compress, count, repeat, starmap
+from itertools import compress, count
 from operator import itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -114,34 +118,62 @@ class _Elements(dict):
 _SINGLETONS = tuple(1 << i for i in range(CARRIER_CAP))
 
 
-# One little-endian codec per carrier size: a line of n masks, each below
-# 2^64, packs into n 64-bit fields of one int.
-_CODECS = tuple(struct.Struct(f"<{n}Q") for n in range(CARRIER_CAP + 1))
+# One little-endian codec per table size that packs: a line of n masks, each
+# below 2^64, packs into n 64-bit fields of one int.  Below 8 lines, ORing
+# the few short tuples of a cell costs less than packing its lines (the scan
+# of a 3-line table takes about 20% longer packed, and the two break even
+# near 8 lines); beyond the cap, sign-space masks do not fit in 64 bits.
+_CODECS = {n: struct.Struct(f"<{n}Q") for n in range(8, CARRIER_CAP + 1)}
+
+
+class _PackedLines(dict):
+    """Line index -> the line packed into one int by ``codec``, on first use."""
+
+    __slots__ = ("lines", "codec")
+
+    def __init__(self, lines: Sequence[Sequence[int]], codec: struct.Struct) -> None:
+        super().__init__()
+        self.lines, self.codec = lines, codec
+
+    def __missing__(self, i: int) -> int:
+        out = self[i] = int.from_bytes(self.codec.pack(*self.lines[i]), "little")
+        return out
 
 
 class _CellUnion(dict):
     """Cell mask -> elementwise OR of ``lines`` over the cell's elements, as
-    a tuple, on first use; an empty cell gives a line of zeros.
+    a tuple, on first use; an empty cell gives a line of zeros, and the
+    singleton cells are prefilled with their lines.
 
-    Callers prefill the singleton cells with their lines and set ``packed``
-    to None.  The first larger cell packs every line into one int, 64 bits
-    per entry; each larger cell is then one OR of ints, unpacked once."""
+    A table with a codec in ``_CODECS`` packs each line that a larger cell
+    needs into one int, so that the union is one OR of ints, unpacked once;
+    other tables OR tuples entry by entry."""
 
     __slots__ = ("lines", "elements", "packed")
 
+    @classmethod
+    def over(cls, lines: Sequence[Sequence[int]], elements: _Elements) -> _CellUnion:
+        """The unions of ``lines``, with ``elements`` expanding the cells.
+        Not ``__init__``: a Python ``__init__`` on a dict subclass slows each
+        construction, and the n <= 4 audits build two per scan."""
+        out = cls(zip(_SINGLETONS, map(tuple, lines)))
+        out.lines, out.elements = lines, elements
+        codec = _CODECS.get(len(lines))
+        out.packed = _PackedLines(lines, codec) if codec else None
+        return out
+
     def __missing__(self, mask: int) -> tuple[int, ...]:
         picked = self.elements[mask]
-        lines = self.lines
-        codec = _CODECS[len(lines)]
-        if picked:
-            packed = self.packed
-            if packed is None:
-                packed = self.packed = list(map(
-                    int.from_bytes, starmap(codec.pack, lines), repeat("little")))
-            union = reduce(or_, map(packed.__getitem__, picked))
-            out = codec.unpack(union.to_bytes(codec.size, "little"))
-        else:
+        lines, packed = self.lines, self.packed
+        if not picked:
             out = (0,) * len(lines)
+        elif packed is None:
+            out = tuple(lines[picked[0]])
+            for a in picked[1:]:
+                out = tuple(map(or_, out, lines[a]))
+        else:
+            union = reduce(or_, map(packed.__getitem__, picked))
+            out = packed.codec.unpack(union.to_bytes(packed.codec.size, "little"))
         self[mask] = out
         return out
 
@@ -163,11 +195,8 @@ def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
     distinct cell.  Only rows that differ are scanned z by z."""
     n = len(table)
     columns = list(zip(*table))
-    lefts = _CellUnion(zip(_SINGLETONS, map(tuple, table)))
-    rights = _CellUnion(zip(_SINGLETONS, columns))
-    lefts.lines, rights.lines = table, columns
-    lefts.elements = rights.elements = elements
-    lefts.packed = rights.packed = None
+    lefts = _CellUnion.over(table, elements)
+    rights = _CellUnion.over(columns, elements)
     over_columns = rights.__getitem__
     # Step x of right_rows[y] is the row x(yz) over z.
     right_rows = [zip(*map(over_columns, row_y)) for row_y in table]
@@ -393,15 +422,23 @@ def group_as_multigroup(names: Sequence[str],
 
 def check_multigroup(m: FiniteMultigroup) -> CheckReport:
     """Audit the four multigroup axioms; commutativity is reported separately."""
-    n = m.size
-    names = m.carrier.names
-    r = m.inv
+    return CheckReport(subject="multigroup", verdicts=_multigroup_verdicts(
+        m.op, m.inv, m.identity, m.carrier.names, ""))
+
+
+def _multigroup_verdicts(op: Sequence[Sequence[int]], r: Sequence[int],
+                         identity: int, names: Sequence[str], prefix: str
+                         ) -> tuple[Verdict, ...]:
+    """The verdicts of ``check_multigroup`` on a validated table, each axiom
+    named with ``prefix``: the multiring audit reads its addition here
+    without building the additive multigroup."""
+    n = len(names)
 
     w_rev = None
     for x, y in itertools.product(range(n), repeat=2):
-        cell = m.op[x][y]
+        cell = op[x][y]
         for z in bits(cell):
-            if not (m.op[z][r[y]] >> x) & 1 or not (m.op[r[x]][z] >> y) & 1:
+            if not (op[z][r[y]] >> x) & 1 or not (op[r[x]][z] >> y) & 1:
                 w_rev = (names[x], names[y], names[z])
                 break
         if w_rev:
@@ -409,29 +446,26 @@ def check_multigroup(m: FiniteMultigroup) -> CheckReport:
 
     w_id = None
     for x in range(n):
-        cell = m.op[m.identity][x]
+        cell = op[identity][x]
         if cell != 1 << x:
             y = next(i for i in bits(cell ^ (1 << x)))
             w_id = (names[x], names[y])
             break
 
     w_assoc = next(((names[x], names[y], names[z]) for x, y, z, _, _
-                    in _reassociation_defects(m.op, _Elements())), None)
+                    in _reassociation_defects(op, _Elements())), None)
 
     w_comm = None
     for x, y in itertools.combinations(range(n), 2):
-        if m.op[x][y] != m.op[y][x]:
+        if op[x][y] != op[y][x]:
             w_comm = (names[x], names[y])
             break
 
-    return CheckReport(
-        subject="multigroup",
-        verdicts=(
-            _verdict_all("i-reversibility", w_rev),
-            _verdict_all("ii-identity", w_id),
-            _verdict_all("iii-associativity", w_assoc),
-            _verdict_all("iv-commutativity", w_comm),
-        ),
+    return (
+        _verdict_all(prefix + "i-reversibility", w_rev),
+        _verdict_all(prefix + "ii-identity", w_id),
+        _verdict_all(prefix + "iii-associativity", w_assoc),
+        _verdict_all(prefix + "iv-commutativity", w_comm),
     )
 
 
@@ -647,6 +681,14 @@ class FiniteMultiring:
         for idx, what in ((self.zero, "zero"), (self.one, "one")):
             if not 0 <= idx < n:
                 raise InputError(f"{what} index out of range")
+        # Rows given as lists are kept as tuples: the per-structure caches
+        # (classify's audit, the ideals and orderings of spectra) hash it.
+        # Tables that are tuples already stay shared with their source.
+        for name in ("add", "mul"):
+            table = getattr(self, name)
+            if type(table) is not tuple or any(type(row) is not tuple for row in table):
+                object.__setattr__(self, name, tuple(map(tuple, table)))
+        object.__setattr__(self, "neg", tuple(self.neg))
 
     @property
     def size(self) -> int:
@@ -756,8 +798,7 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     """
     n = r.size
     names = r.names
-    addgrp = check_multigroup(r.additive_multigroup())
-    verdicts = [Verdict("add-" + v.axiom, v.passed, v.witness) for v in addgrp.verdicts]
+    verdicts = list(_multigroup_verdicts(r.add, r.neg, r.zero, names, "add-"))
 
     mul, add = r.mul, r.add
     w = _associativity_defect(mul)
@@ -790,9 +831,8 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     # d of mul from the addition row of ad in one call.  With n = 1
     # itemgetter would return the entry, not a row; the one row is whole.
     shifted = [tuple(map((1).__lshift__, row)) for row in mul]
-    lefts = _CellUnion(zip(_SINGLETONS, shifted))
-    lefts.lines, lefts.elements, lefts.packed = shifted, _Elements(), None
-    gathers = [itemgetter(*column) for column in zip(*mul)] if n > 1 else [tuple]
+    lefts = _CellUnion.over(shifted, _Elements())
+    gathers = list(map(itemgetter, *mul)) if n > 1 else [tuple]
     w_weak = None
     w_full = None
     for a, row_a in enumerate(add):

@@ -15,13 +15,16 @@ of Z/8, q2 x K^2 and the fan-3 multifield.  The mutants include
 non-commutative cells and, for the scan alone, emptied cells, which
 relational tables have.
 
-``core._CellUnion`` packs lines into ints; on every table scanned, its
-union of every cell, rows and columns, must equal that of the moved tuple
-version ``reference_audits._CellUnion``.  ``check_multiring``'s
-distributivity witnesses, now the least (b, d) over rows for each (a, d),
-must equal those of the moved per-(a, b) loop
+``core._CellUnion`` packs lines into ints on tables of 8 to 64 lines; on
+every table scanned, its union of every cell, rows and columns, must equal
+that of the moved tuple version ``reference_audits._CellUnion``.  Sign
+spaces of more than 64 functions keep tuple unions: their scans, AX3 and
+value-set witnesses must match the moved row-at-a-time scan.
+``check_multiring``'s distributivity witnesses, now the least (b, d) over
+rows for each (a, d), must equal those of the moved per-(a, b) loop
 ``reference_audits.rowwise_distributivity`` on the inputs above, on
-two-cell mutants and on tables given as list rows.
+two-cell mutants and on tables given as list rows, which a multiring keeps
+as tuples.
 
 ``core._associativity_defect`` must give the witness of the moved triple
 loop ``reference_audits.associativity_defect``, and its four callers the
@@ -37,11 +40,22 @@ import random
 
 import reference_audits as reference
 import reference_searches
-from multialg import core
+from multialg import core, spectra
 from multialg.constructions import product
 from multialg.corpus import corpus_real_semigroups, corpus_special_groups
 from multialg.enumeration import _involutions_fixing, _labels, _monoid_tables
-from multialg.ordering_spaces import aos_to_mfred, fan_aos
+from multialg.ordering_spaces import (
+    ARS,
+    aos_to_mfred,
+    check_aos,
+    check_ars,
+    fan_aos,
+    function_label,
+    make_sign_space,
+    transversal_table,
+    value_set_reassociation_check,
+    value_table,
+)
 from multialg.real_semigroups import canonical_3, check_ts, rs_product
 from multialg.special_groups import SpecialGroup, mf_to_sg
 
@@ -51,14 +65,14 @@ def defects(scan, table):
 
 
 def assert_unions_agree(lines, cells):
-    """The packed cell unions equal the moved tuple unions on every cell."""
+    """The cell unions, packed or not, equal the moved tuple unions on every
+    cell and on the cell of all lines."""
     elements = core._Elements()
-    packed = core._CellUnion(zip(core._SINGLETONS, map(tuple, lines)))
-    packed.lines, packed.elements, packed.packed = lines, elements, None
+    unions = core._CellUnion.over(lines, elements)
     moved = reference._CellUnion(zip(core._SINGLETONS, map(tuple, lines)))
     moved.lines, moved.elements = lines, elements
-    for cell in cells:
-        assert packed[cell] == moved[cell]
+    for cell in [*cells, (1 << len(lines)) - 1]:
+        assert unions[cell] == moved[cell]
 
 
 def assert_scan_agrees(table):
@@ -206,8 +220,9 @@ def test_two_cell_mutants():
 
 
 def test_tables_as_list_rows():
-    """Rows given as lists, as a caller may build them, audit as tuples do;
-    Z/1 and the one-element candidates cover n = 1."""
+    """Rows given as lists, as a caller may build them, are kept as tuples,
+    so the structure equals and hashes as the tuple one does and the cached
+    orderings read it; Z/1 and the one-element candidates cover n = 1."""
     rng = random.Random(17)
     k = core.krasner()
     bases = [core.ring_multiring(n) for n in (1, 2, 3, 8)]
@@ -219,9 +234,44 @@ def test_tables_as_list_rows():
                                     rng.randrange(n))) for _ in range(10)]
         for r in mutants:
             listed = dataclasses.replace(r, add=[list(row) for row in r.add],
-                                         mul=[list(row) for row in r.mul])
+                                         mul=[list(row) for row in r.mul],
+                                         neg=list(r.neg))
+            assert listed == r and hash(listed) == hash(r)
             assert core.check_multiring(listed) == core.check_multiring(r)
             assert_multiring_agrees(listed)
+        assert spectra.enumerate_orderings(dataclasses.replace(
+            base, add=[list(row) for row in base.add])) == spectra.enumerate_orderings(base)
+
+
+def test_sign_space_tables_beyond_the_cap():
+    """A sign space may have more functions than the carrier cap, and its
+    tables masks wider than 64 bits: their unions stay tuple ORs.  The fan
+    on seven points (128 functions) passes.  On two of its subsets of more
+    than 64 functions the scan equals the moved row-at-a-time scan, and the
+    AX3 and value-set witnesses come from its first defects; on the
+    three-valued space of all 81 sign vectors on four points less one, the
+    transversal scan equals it and AX3 fails."""
+    fan = fan_aos(7)
+    assert fan.nfunctions > core.CARRIER_CAP
+    assert check_aos(fan).overall and value_set_reassociation_check(fan).overall
+    for keep in (fan.functions[1:73], fan.functions[:5] + fan.functions[6:80]):
+        s = make_sign_space(fan.mode, fan.points, keep)
+        table = value_table(s)
+        found = defects(core._reassociation_defects, table)
+        assert found and found == defects(reference.rowwise_reassociation_defects, table)
+        ax3 = next(((a, b, c, core._lowest_bit(right & ~left))
+                    for a, b, c, left, right in found if right & ~left), None)
+        for verdict, want in ((check_aos(s).verdict("AX3-associativity"), ax3),
+                              (value_set_reassociation_check(s).verdicts[0], found[0][:3])):
+            assert verdict.witness == (want and tuple(
+                function_label(s.functions[i]) for i in want))
+
+    vectors = list(itertools.product((-1, 0, 1), repeat=4))
+    s = make_sign_space(ARS, ["p0", "p1", "p2", "p3"], vectors[:40] + vectors[41:])
+    table = transversal_table(s)
+    assert defects(core._reassociation_defects, table) \
+        == defects(reference.rowwise_reassociation_defects, table)
+    assert not check_ars(s).verdict("AX3-strong-associativity").passed
 
 
 def monoid_leaves(n, zero, one):
