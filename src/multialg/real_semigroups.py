@@ -6,26 +6,38 @@ it, never stored, so the two can not drift apart.  The canonical three-element
 structure and its uniqueness audit live here, as does the passage to and from
 real reduced multirings (sums become transversal representation sets).
 
-TS1's associativity is core's byte compare of multiplication rows,
-``_associativity_defect``.  ``check_rs`` and ``check_rs_derived`` run on
-cell masks.  RS2 images each distinct cell under every x -> xe once.
-Strong associativity RS3 (on D^t) and weak associativity xvi (on D) read
-core's O(n^3) reassociation scan through ``_reassociation_failures``; RS4,
-RS5 and the monotonicity consequence xiii are mask tests over distinct
-squares, agreement sets and distinct cells, and the arity-4 consequences
-iii and v are O(n^3) scans of failure masks.  Each witness keeps the
-lexicographic order of the quantifier it comes from;
+The layer works on whole masks: D(b, c) is the mask of the a it represents,
+and each audit tests that mask, or a row of them, at once.  D^t is D cut by
+two transposes of D taken with rows indexed by -a, each an n x n bit matrix
+transposed in a few big-int operations (``_transposed``).  TS1's
+associativity is core's byte compare of multiplication rows,
+``_associativity_defect``.  In ``check_rs``, RS2 images each distinct cell
+under every x -> xe at once, through core's ``_CellUnion`` of the lines
+(1 << xe) over e; RS4 and RS5 test the union of D over the scaled sets
+{q x : q a square} and over the agreement sets {x : ax = bx}, one union per
+distinct set; RS6 and RS8 group the c of D(a, b) by their square.  Strong
+associativity RS3 (on D^t) and weak associativity xvi (on D) read core's
+O(n^3) reassociation scan through ``_reassociation_failures``; the
+monotonicity consequence xiii is a mask test over distinct cells, and the
+arity-4 consequences iii and v are O(n^3) scans of failure masks.  The
+separation audit meets the preimages of the three-element tables under each
+morphism, per (b, c).  Only a failing (b, c) is rescanned, so each witness
+keeps the lexicographic order of the quantifier it comes from;
 tests/reference_audits.py keeps the nested loops they are pinned to.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain, repeat
+from operator import and_, getitem, itemgetter, lshift, or_
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    CARRIER_CAP,
     Carrier,
     CheckReport,
     FiniteMultiring,
@@ -33,6 +45,7 @@ from .core import (
     StructureMap,
     StructuralAnomaly,
     Verdict,
+    _CellUnion,
     _Elements,
     _associativity_defect,
     _lowest_bit,
@@ -78,6 +91,12 @@ class RealSemigroup:
             for cell in row:
                 if cell & ~top:
                     raise InputError("representation set outside carrier")
+        # Rows given as lists are kept as tuples: dt_table's cache and the
+        # multiring image hash the structure.
+        for name in ("mul", "d"):
+            table = getattr(self, name)
+            if type(table) is not tuple or any(type(row) is not tuple for row in table):
+                object.__setattr__(self, name, tuple(map(tuple, table)))
 
     @property
     def size(self) -> int:
@@ -108,28 +127,86 @@ def make_real_semigroup(names: Sequence[str],
     n = carrier.size
     if len(mul) != n or any(len(r) != n for r in mul):
         raise InputError("ragged multiplication table")
-    table = tuple(tuple(carrier.index(v) for v in row) for row in mul)
+    index = carrier.index
+    table = tuple(tuple(map(index, row)) for row in mul)
+    # One dict lookup per label; a label it lacks is looked up again, in
+    # the order (b, c, a), to raise the carrier's own error.
+    position = carrier._positions
     d = [[0] * n for _ in range(n)]
-    for (a, b, c) in d_triples:
-        d[carrier.index(b)][carrier.index(c)] |= 1 << carrier.index(a)
-    return RealSemigroup(carrier, table, carrier.index(one),
-                         carrier.index(zero), carrier.index(minus_one),
-                         tuple(tuple(r) for r in d))
+    for a, b, c in d_triples:
+        try:
+            d[position[b]][position[c]] |= 1 << position[a]
+        except (KeyError, TypeError):
+            index(b), index(c), index(a)
+            raise
+    return RealSemigroup(carrier, table, index(one), index(zero),
+                         index(minus_one), tuple(map(tuple, d)))
+
+
+# ---------------------------------------------------------------------------
+# bit-matrix transposition
+
+def _block_swaps(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) for each block size j = w/2, ..., 1 of a w x w bit
+    matrix packed row by row into one int, entry (x, t) at bit x w + t.
+    The mask marks the entries with bit j clear in x and set in t; each
+    trades places with (x + j, t - j), ``shift`` bits higher.  Swapping them
+    for every j moves (x, t) to (t, x)."""
+    swaps = []
+    j = w // 2
+    while j:
+        row = mask_of(t for t in range(w) if t & j)
+        swaps.append((j * (w - 1),
+                      sum(row << x * w for x in range(w) if not x & j)))
+        j //= 2
+    return tuple(swaps)
+
+
+_FIELDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+_SWAPS = {w: _block_swaps(w) for w in _FIELDS}
+
+
+def _transposer(n: int) -> tuple[struct.Struct, int, tuple[tuple[int, int], ...]]:
+    """The codec of n rows of w bits, w the least of 8, 16, 32 and 64 not
+    below n; the byte length of w such rows; and the swaps of width w."""
+    w = max(8, 1 << (n - 1).bit_length())
+    return struct.Struct(f"<{n}{_FIELDS[w]}"), w * w // 8, _SWAPS[w]
+
+
+_TRANSPOSERS = {n: _transposer(n) for n in range(1, CARRIER_CAP + 1)}
+
+
+def _transposed(rows: Sequence[int]) -> tuple[int, ...]:
+    """The n x n bit matrix ``rows`` transposed: entry t holds x iff rows[x]
+    holds t.  Each row is a mask below 2^n."""
+    codec, size, swaps = _TRANSPOSERS[len(rows)]
+    m = int.from_bytes(codec.pack(*rows), "little")
+    for shift, mask in swaps:
+        flip = ((m >> shift) ^ m) & mask
+        m ^= flip ^ (flip << shift)
+    return codec.unpack_from(m.to_bytes(size, "little"))
 
 
 @lru_cache(maxsize=None)
 def dt_table(s: RealSemigroup) -> tuple[tuple[int, ...], ...]:
     """Transversal representation, derived: a in D^t(b,c) iff a in D(b,c),
-    -b in D(-a,c) and -c in D(b,-a)."""
-    n = s.size
-    out = [[0] * n for _ in range(n)]
-    for b, c in itertools.product(range(n), repeat=2):
-        m = 0
-        for a in bits(s.d[b][c]):
-            if s.in_d(s.neg(b), s.neg(a), c) and s.in_d(s.neg(c), b, s.neg(a)):
-                m |= 1 << a
-        out[b][c] = m
-    return tuple(tuple(r) for r in out)
+    -b in D(-a,c) and -c in D(b,-a).
+
+    Row a of (D(-a, c))_a holds -b exactly when a meets the second
+    condition, so transposing it gives, at -b, the a that meet it for
+    every b at once; (D(b, -a))_a transposed gives the third at -c.
+    Indexing the rows by -a takes preimages under x -> -x, which on a
+    structure that fails the axioms need not be a bijection."""
+    d = s.d
+    neg = s.mul[s.minus_one]
+    # left[t][c]: the a with t in D(-a, c); right[b][t]: the a with t in D(b, -a)
+    left = list(zip(*(_transposed(list(map(column.__getitem__, neg)))
+                      for column in zip(*d))))
+    right = [_transposed(list(map(row.__getitem__, neg))) for row in d]
+    return tuple(
+        tuple(map(and_, row, map(and_, left[neg[b]],
+                                 map(right[b].__getitem__, neg))))
+        for b, row in enumerate(d))
 
 
 def in_dt(s: RealSemigroup, a: int, b: int, c: int) -> bool:
@@ -188,13 +265,37 @@ def check_ts(s: RealSemigroup) -> CheckReport:
     )
 
 
+def _roots(mul: Sequence[Sequence[int]]) -> dict[int, int]:
+    """Each square q -> the mask of the c with c^2 = q."""
+    roots: dict[int, int] = {}
+    for c, row in enumerate(mul):
+        q = row[c]
+        roots[q] = roots.get(q, 0) | 1 << c
+    return roots
+
+
+def _agreements(mul: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """agree[a][b] is the mask of the x with ax = bx.
+
+    fibres[x][v] is the mask of the b with bx = v, so for each a the masks
+    fibres[x][ax] over x, transposed, give the agreement sets of a."""
+    fibres = [_transposed(list(map(lshift, repeat(1), column)))
+              for column in zip(*mul)]
+    return [_transposed(list(map(getitem, fibres, row))) for row in mul]
+
+
 def check_rs(s: RealSemigroup) -> CheckReport:
     """TS1-TS5 followed by RS0-RS8, with D^t derived internally."""
     ts = check_ts(s)
     n = s.size
     names = s.names
     d = s.d
+    mul = s.mul
     dt = dt_table(s)
+    elements = _Elements()
+    roots = _roots(mul)
+    # unions[S][v]: the union of D(u, v) over u in S, one per distinct S
+    unions = _CellUnion.over(d, elements)
 
     w0 = None
     for b, c in itertools.combinations(range(n), 2):
@@ -209,22 +310,24 @@ def check_rs(s: RealSemigroup) -> CheckReport:
             break
 
     # RS2: (b, c) fails iff, for some e, the image of D(b, c) under
-    # x -> xe leaves D(be, ce).  Each distinct cell is imaged under every e
-    # once; the first failing (b, c) is rescanned for the least a, then e.
+    # x -> xe leaves D(be, ce).  images[cell] holds those images over e,
+    # the union of the lines (1 << xe)_e over x in the cell.  Each b
+    # compares them with (D(be, ce))_e for every c at once, gathering
+    # D(be, ce) over c with one getter per column e of mul; only the first
+    # failing b is rescanned, for the least c, a and e.
     w2 = None
-    columns = list(zip(*s.mul))
-    elements = _Elements()
-    images: dict[int, list[int]] = {}
-    for b, c in itertools.product(range(n), repeat=2):
-        cell = d[b][c]
-        if cell not in images:
-            images[cell] = [mask_of(col[a] for a in elements[cell])
-                            for col in columns]
-        if any(image & ~d[be][ce]
-               for image, be, ce in zip(images[cell], s.mul[b], s.mul[c])):
+    images = _CellUnion.over([tuple(map(lshift, repeat(1), row)) for row in mul],
+                             elements)
+    # With one element, an itemgetter of one index would return a scalar.
+    columns = [itemgetter(*column) if n > 1 else tuple for column in zip(*mul)]
+    for b, row in enumerate(d):
+        targets = tuple(chain.from_iterable(
+            zip(*[column(d[be]) for column, be in zip(columns, mul[b])])))
+        imaged = chain.from_iterable(map(images.__getitem__, row))
+        if tuple(map(or_, imaged, targets)) != targets:
             w2 = next((names[a], names[b], names[c], names[e])
-                      for a in bits(cell) for e in range(n)
-                      if not (d[s.mul[b][e]][s.mul[c][e]] >> s.mul[a][e]) & 1)
+                      for c in range(n) for a in bits(row[c]) for e in range(n)
+                      if not (d[mul[b][e]][mul[c][e]] >> mul[a][e]) & 1)
             break
 
     # RS3: the least (b, c, a, d, e) with a in D^t(b, c), c in D^t(d, e)
@@ -240,20 +343,22 @@ def check_rs(s: RealSemigroup) -> CheckReport:
         b, c, a, dd, e = w3
         w3 = (names[a], names[b], names[c], names[dd], names[e])
 
-    # RS4: D(c^2 a, e^2 b) depends on (c, e) only through the distinct
-    # squares, so their union is tested first and (c, e) scanned on failure.
+    # RS4: the union of D(c^2 a, e^2 b) over (c, e) is the union of D over
+    # S_a x S_b, S_x = {q x : q a square}; it is built once per distinct
+    # pair of sets, and (c, e) is scanned only at the first failing (a, b).
     w4 = None
-    squares = {s.mul[c][c] for c in range(n)}
-    scaled = [{s.mul[q][x] for q in squares} for x in range(n)]
+    scaled = [mask_of(mul[q][x] for q in roots) for x in range(n)]
+    lhs_of: dict[tuple[int, int], int] = {}
     for a, b in itertools.product(range(n), repeat=2):
-        lhs = 0
-        for u in scaled[a]:
-            for v in scaled[b]:
-                lhs |= d[u][v]
+        key = scaled[a], scaled[b]
+        lhs = lhs_of.get(key)
+        if lhs is None:
+            lhs = lhs_of[key] = reduce(
+                or_, map(unions[key[0]].__getitem__, elements[key[1]]), 0)
         if not lhs & ~d[a][b]:
             continue
         for c, e in itertools.product(range(n), repeat=2):
-            missing = d[s.mul[s.mul[c][c]][a]][s.mul[s.mul[e][e]][b]] & ~d[a][b]
+            missing = d[mul[mul[c][c]][a]][mul[mul[e][e]][b]] & ~d[a][b]
             if missing:
                 w4 = (names[_lowest_bit(missing)], names[a], names[b],
                       names[c], names[e])
@@ -261,27 +366,37 @@ def check_rs(s: RealSemigroup) -> CheckReport:
         break
 
     # RS5: D(d, e) must stay inside the set where a and b agree whenever d
-    # and e are in it.
+    # and e are in it, so the union of D over that set squared must; it is
+    # built once per distinct agreement set, and (d, e) is scanned only at
+    # the first failing (a, b).
     w5 = None
-    for a, b in itertools.product(range(n), repeat=2):
-        agree = mask_of(x for x in range(n) if s.mul[a][x] == s.mul[b][x])
-        inside = tuple(bits(agree))
-        found = next(((dd, e) for dd in inside for e in inside
-                      if d[dd][e] & ~agree), None)
-        if found:
-            dd, e = found
-            w5 = (names[a], names[b], names[_lowest_bit(d[dd][e] & ~agree)],
-                  names[dd], names[e])
+    inner: dict[int, int] = {}
+    for a, row in enumerate(_agreements(mul)):
+        for b, agree in enumerate(row):
+            union = inner.get(agree)
+            if union is None:
+                union = inner[agree] = reduce(
+                    or_, map(unions[agree].__getitem__, elements[agree]), 0)
+            if union & ~agree:
+                inside = elements[agree]
+                dd, e = next((dd, e) for dd in inside for e in inside
+                             if d[dd][e] & ~agree)
+                w5 = (names[a], names[b],
+                      names[_lowest_bit(d[dd][e] & ~agree)], names[dd], names[e])
+                break
+        if w5:
             break
 
+    # RS6: each c in D(a, b) must lie in D^t(c^2 a, c^2 b); the c with
+    # square q fail at D(a, b) & roots(q) less D^t(qa, qb).
     w6 = None
     for a, b in itertools.product(range(n), repeat=2):
-        for c in bits(d[a][b]):
-            c2 = s.mul[c][c]
-            if not (dt[s.mul[c2][a]][s.mul[c2][b]] >> c) & 1:
-                w6 = (names[c], names[a], names[b])
-                break
-        if w6:
+        cell = d[a][b]
+        bad = 0
+        for q, root_mask in roots.items():
+            bad |= cell & root_mask & ~dt[mul[q][a]][mul[q][b]]
+        if bad:
+            w6 = (names[_lowest_bit(bad)], names[a], names[b])
             break
 
     w7 = None
@@ -290,13 +405,19 @@ def check_rs(s: RealSemigroup) -> CheckReport:
             w7 = (names[a], names[b])
             break
 
+    # RS8: a in D(b, c) must have a^2 in D(b^2, c^2); the a whose square is
+    # in a mask M are the roots of the squares in M, kept per mask.
     w8 = None
+    square_roots: dict[int, int] = {}
     for b, c in itertools.product(range(n), repeat=2):
-        for a in bits(d[b][c]):
-            if not (d[s.mul[b][b]][s.mul[c][c]] >> s.mul[a][a]) & 1:
-                w8 = (names[a], names[b], names[c])
-                break
-        if w8:
+        target = d[mul[b][b]][mul[c][c]]
+        allowed = square_roots.get(target)
+        if allowed is None:
+            allowed = square_roots[target] = reduce(
+                or_, (m for q, m in roots.items() if (target >> q) & 1), 0)
+        bad = d[b][c] & ~allowed
+        if bad:
+            w8 = (names[_lowest_bit(bad)], names[b], names[c])
             break
 
     return CheckReport(
@@ -500,36 +621,53 @@ def hom_to_3(s: RealSemigroup) -> list[StructureMap]:
 
 def separation_audit(s: RealSemigroup) -> CheckReport:
     """Representation, transversal representation and point separation all
-    reduce to the morphisms into the three-element structure."""
+    reduce to the morphisms into the three-element structure.
+
+    For a morphism h, the a with h(a) in a mask M of the three-element
+    carrier are the union of h's fibres over M, kept for all eight M; so
+    the a that every h sends into the three-element table at (hb, hc) are
+    one AND per h, for each (b, c).  The witness is the least differing
+    (a, b, c), a first, so every (b, c) is scanned unless a = 0 differs."""
     three = canonical_3()
-    homs = hom_to_3(s)
+    homs = [h.mapping for h in hom_to_3(s)]
     n = s.size
     names = s.names
-    dt = dt_table(s)
-    dt3 = dt_table(three)
+    top = full_mask(n)
+    preimages = []
+    for h in homs:
+        fibres = [0, 0, 0]
+        for x, v in enumerate(h):
+            fibres[v] |= 1 << x
+        preimages.append([reduce(or_, (fibres[v] for v in bits(m)), 0)
+                          for m in range(8)])
+    maps = tuple(zip(homs, preimages))
 
-    w_d = None
-    for a, b, c in itertools.product(range(n), repeat=3):
-        direct = s.in_d(a, b, c)
-        via = all((three.d[h.mapping[b]][h.mapping[c]] >> h.mapping[a]) & 1
-                  for h in homs)
-        if direct != via:
-            w_d = (names[a], names[b], names[c])
-            break
+    def least_difference(table, table3) -> Optional[tuple[str, str, str]]:
+        found = None
+        for b, c in itertools.product(range(n), repeat=2):
+            via = top
+            for h, preimage in maps:
+                via &= preimage[table3[h[b]][h[c]]]
+            differ = via ^ table[b][c]
+            if differ and (found is None or _lowest_bit(differ) < found[0]):
+                found = (_lowest_bit(differ), b, c)
+                if found[0] == 0:
+                    break
+        return found and tuple(names[i] for i in found)
 
-    w_dt = None
-    for a, b, c in itertools.product(range(n), repeat=3):
-        direct = bool((dt[b][c] >> a) & 1)
-        via = all((dt3[h.mapping[b]][h.mapping[c]] >> h.mapping[a]) & 1
-                  for h in homs)
-        if direct != via:
-            w_dt = (names[a], names[b], names[c])
-            break
+    w_d = least_difference(s.d, three.d)
+    w_dt = least_difference(dt_table(s), dt_table(three))
 
+    # a and b are separated unless each h sends b to h(a); the witness is
+    # the least such a, with its least b above it.
     w_sep = None
-    for a, b in itertools.combinations(range(n), 2):
-        if all(h.mapping[a] == h.mapping[b] for h in homs):
-            w_sep = (names[a], names[b])
+    for a in range(n):
+        same = top
+        for h, preimage in maps:
+            same &= preimage[1 << h[a]]
+        above = same >> (a + 1)
+        if above:
+            w_sep = (names[a], names[a + 1 + _lowest_bit(above)])
             break
 
     return CheckReport(
@@ -548,8 +686,9 @@ def separation_audit(s: RealSemigroup) -> CheckReport:
 def rs_to_mrred(s: RealSemigroup) -> FiniteMultiring:
     """Addition is the transversal representation set."""
     dt = dt_table(s)
-    for a, b in itertools.product(range(s.size), repeat=2):
-        if dt[a][b] == 0:
+    for a, row in enumerate(dt):
+        if 0 in row:
+            b = row.index(0)
             raise StructuralAnomaly(
                 f"empty transversal set at ({s.names[a]},{s.names[b]}): "
                 "the structure fails the real semigroup consequences")
@@ -557,27 +696,28 @@ def rs_to_mrred(s: RealSemigroup) -> FiniteMultiring:
     return FiniteMultiring(s.carrier, dt, s.mul, neg, s.zero, s.one)
 
 
+@lru_cache(maxsize=None)
 def mrred_to_rs(a: FiniteMultiring) -> RealSemigroup:
     """Representation from scaled sums: d in D(x,y) iff d in d^2 x + d^2 y;
-    the derived transversal sets must reproduce the original addition."""
+    the derived transversal sets must reproduce the original addition.
+    Built once per structure: ``diagram`` reads it after the round-trip."""
     if not is_real_reduced_mr(a).overall:
         raise InputError("semigroup construction requires a real reduced input")
-    # Whether c is in D(x, y) depends on c only through q = c^2, so D(x, y)
-    # is the union over the distinct squares q of q x + q y cut down to the
-    # elements whose square is q.
+    # Whether c is in D(x, y) depends on c only through q = c^2, so row x
+    # of D is the union over the distinct squares q of the row (qx + qy)_y
+    # cut down to the elements whose square is q.
     n = a.size
-    roots: dict[int, int] = {}
-    for c in range(n):
-        q = a.mul[c][c]
-        roots[q] = roots.get(q, 0) | 1 << c
-    d = [[0] * n for _ in range(n)]
-    for x, y in itertools.product(range(n), repeat=2):
-        m = 0
-        for q, root_mask in roots.items():
-            m |= a.add[a.mul[q][x]][a.mul[q][y]] & root_mask
-        d[x][y] = m
-    s = RealSemigroup(a.carrier, a.mul, a.one, a.zero, a.neg[a.one],
-                      tuple(tuple(r) for r in d))
+    add, mul = a.add, a.mul
+    roots = _roots(mul).items()
+    d = []
+    for x in range(n):
+        row = (0,) * n
+        for q, root_mask in roots:
+            sums = add[mul[q][x]]
+            row = tuple(map(or_, row, map(and_, map(sums.__getitem__, mul[q]),
+                                          repeat(root_mask))))
+        d.append(row)
+    s = RealSemigroup(a.carrier, a.mul, a.one, a.zero, a.neg[a.one], tuple(d))
     if dt_table(s) != a.add:
         raise StructuralAnomaly(
             "derived transversal sets do not match the addition table")

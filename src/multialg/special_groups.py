@@ -78,6 +78,12 @@ class SpecialGroup:
         for q in self.iso:
             if len(q) != 4 or any(not 0 <= v < n for v in q):
                 raise InputError(f"isometry quadruple {q} outside carrier")
+        # Rows given as lists, and an isometry relation given as a set, are
+        # kept as tuples and a frozenset: the per-group caches hash the group.
+        if type(self.mul) is not tuple or any(type(row) is not tuple for row in self.mul):
+            object.__setattr__(self, "mul", tuple(map(tuple, self.mul)))
+        if type(self.iso) is not frozenset:
+            object.__setattr__(self, "iso", frozenset(map(tuple, self.iso)))
 
     @property
     def size(self) -> int:

@@ -76,6 +76,16 @@ pair (x, y), before D became a union over the distinct squares.
 ``tests/test_sign_tables.py`` pins the library's tables, ``mrred_to_rs``
 and RS2 to them.
 
+``dt_table``, ``squarewise_mrred_to_rs``, ``rs_to_mrred`` and
+``separation_audit`` are the real-semigroup layer as it was before it
+worked on transposed masks: D^t tested the two transversal conditions one
+a at a time, D was built one (x, y) at a time as a union over the distinct
+squares, the empty transversal sets were sought one (a, b) at a time, and
+separation tested every (a, b, c) against every morphism into the
+three-element structure.  The real-semigroup audits here read this
+``dt_table``.  ``tests/test_rs_masks.py`` pins the library's versions to
+them, and ``check_rs`` to the ``check_rs`` above.
+
 ``check_morphism``, ``check_rs_morphism``, ``check_sg_morphism`` and
 ``is_sg_morphism`` are the morphism audits from before they read the one
 defect scan ``core._map_defects`` over the structures' ``tables``: each
@@ -117,7 +127,7 @@ from multialg.ordering_spaces import (
     _characters,
     function_label,
 )
-from multialg.real_semigroups import RealSemigroup, dt_table
+from multialg.real_semigroups import RealSemigroup, canonical_3, hom_to_3
 from multialg.spectra import is_real_reduced_mr
 from multialg.special_groups import (
     SpecialGroup,
@@ -347,6 +357,21 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
                                  note="informational", informational=True))
 
     return CheckReport("multiring", tuple(verdicts))
+
+
+@lru_cache(maxsize=None)
+def dt_table(s: RealSemigroup) -> tuple[tuple[int, ...], ...]:
+    """Transversal representation, derived: a in D^t(b,c) iff a in D(b,c),
+    -b in D(-a,c) and -c in D(b,-a)."""
+    n = s.size
+    out = [[0] * n for _ in range(n)]
+    for b, c in itertools.product(range(n), repeat=2):
+        m = 0
+        for a in bits(s.d[b][c]):
+            if s.in_d(s.neg(b), s.neg(a), c) and s.in_d(s.neg(c), b, s.neg(a)):
+                m |= 1 << a
+        out[b][c] = m
+    return tuple(tuple(r) for r in out)
 
 
 def check_ts(s: RealSemigroup) -> CheckReport:
@@ -680,6 +705,88 @@ def mrred_to_rs(a: FiniteMultiring) -> RealSemigroup:
             "derived transversal sets do not match the addition table")
     return s
 
+
+def squarewise_mrred_to_rs(a: FiniteMultiring) -> RealSemigroup:
+    """Representation from scaled sums: d in D(x,y) iff d in d^2 x + d^2 y;
+    the derived transversal sets must reproduce the original addition."""
+    if not is_real_reduced_mr(a).overall:
+        raise InputError("semigroup construction requires a real reduced input")
+    # Whether c is in D(x, y) depends on c only through q = c^2, so D(x, y)
+    # is the union over the distinct squares q of q x + q y cut down to the
+    # elements whose square is q.
+    n = a.size
+    roots: dict[int, int] = {}
+    for c in range(n):
+        q = a.mul[c][c]
+        roots[q] = roots.get(q, 0) | 1 << c
+    d = [[0] * n for _ in range(n)]
+    for x, y in itertools.product(range(n), repeat=2):
+        m = 0
+        for q, root_mask in roots.items():
+            m |= a.add[a.mul[q][x]][a.mul[q][y]] & root_mask
+        d[x][y] = m
+    s = RealSemigroup(a.carrier, a.mul, a.one, a.zero, a.neg[a.one],
+                      tuple(tuple(r) for r in d))
+    if dt_table(s) != a.add:
+        raise StructuralAnomaly(
+            "derived transversal sets do not match the addition table")
+    return s
+
+
+def rs_to_mrred(s: RealSemigroup) -> FiniteMultiring:
+    """Addition is the transversal representation set."""
+    dt = dt_table(s)
+    for a, b in itertools.product(range(s.size), repeat=2):
+        if dt[a][b] == 0:
+            raise StructuralAnomaly(
+                f"empty transversal set at ({s.names[a]},{s.names[b]}): "
+                "the structure fails the real semigroup consequences")
+    neg = tuple(s.neg(a) for a in range(s.size))
+    return FiniteMultiring(s.carrier, dt, s.mul, neg, s.zero, s.one)
+
+
+def separation_audit(s: RealSemigroup) -> CheckReport:
+    """Representation, transversal representation and point separation all
+    reduce to the morphisms into the three-element structure."""
+    three = canonical_3()
+    homs = hom_to_3(s)
+    n = s.size
+    names = s.names
+    dt = dt_table(s)
+    dt3 = dt_table(three)
+
+    w_d = None
+    for a, b, c in itertools.product(range(n), repeat=3):
+        direct = s.in_d(a, b, c)
+        via = all((three.d[h.mapping[b]][h.mapping[c]] >> h.mapping[a]) & 1
+                  for h in homs)
+        if direct != via:
+            w_d = (names[a], names[b], names[c])
+            break
+
+    w_dt = None
+    for a, b, c in itertools.product(range(n), repeat=3):
+        direct = bool((dt[b][c] >> a) & 1)
+        via = all((dt3[h.mapping[b]][h.mapping[c]] >> h.mapping[a]) & 1
+                  for h in homs)
+        if direct != via:
+            w_dt = (names[a], names[b], names[c])
+            break
+
+    w_sep = None
+    for a, b in itertools.combinations(range(n), 2):
+        if all(h.mapping[a] == h.mapping[b] for h in homs):
+            w_sep = (names[a], names[b])
+            break
+
+    return CheckReport(
+        subject="separation",
+        verdicts=(
+            Verdict("i-representation-pointwise", w_d is None, w_d),
+            Verdict("ii-transversal-pointwise", w_dt is None, w_dt),
+            Verdict("iii-points-separated", w_sep is None, w_sep),
+        ),
+    )
 
 
 def check_aos(s: SignSpace) -> CheckReport:

@@ -78,13 +78,19 @@ def outcome(construct, a):
 def scaled_sums(module, a, monkeypatch):
     """The D table that ``module.mrred_to_rs`` builds from a, with the real
     reduced guard and the closing transversal check stubbed out, so that the
-    loop runs on any multiring."""
+    loop runs on any multiring.  The library keeps one image per structure,
+    so its cache is emptied before the stubbed call and after it."""
     built = []
+    clear = getattr(module.mrred_to_rs, "cache_clear", lambda: None)
     monkeypatch.setattr(module, "is_real_reduced_mr",
                         lambda _: CheckReport("stub", ()))
     monkeypatch.setattr(module, "dt_table",
                         lambda s: built.append(s.d) or a.add)
-    module.mrred_to_rs(a)
+    clear()
+    try:
+        module.mrred_to_rs(a)
+    finally:
+        clear()
     return built[0]
 
 
