@@ -37,7 +37,6 @@ from operator import and_, getitem, itemgetter, lshift, or_
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    CARRIER_CAP,
     Carrier,
     CheckReport,
     FiniteMultiring,
@@ -162,29 +161,23 @@ def _block_swaps(w: int) -> tuple[tuple[int, int], ...]:
     return tuple(swaps)
 
 
-_FIELDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
-_SWAPS = {w: _block_swaps(w) for w in _FIELDS}
-
-
-def _transposer(n: int) -> tuple[struct.Struct, int, tuple[tuple[int, int], ...]]:
-    """The codec of n rows of w bits, w the least of 8, 16, 32 and 64 not
-    below n; the byte length of w such rows; and the swaps of width w."""
-    w = max(8, 1 << (n - 1).bit_length())
-    return struct.Struct(f"<{n}{_FIELDS[w]}"), w * w // 8, _SWAPS[w]
-
-
-_TRANSPOSERS = {n: _transposer(n) for n in range(1, CARRIER_CAP + 1)}
+# One codec and one swap list per width w: a matrix of n rows is padded to
+# w rows of w bits, w the least of 8, 16, 32 and 64 not below n.
+_TRANSPOSERS = {w: (struct.Struct(f"<{w}{field}"), _block_swaps(w))
+                for w, field in ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))}
 
 
 def _transposed(rows: Sequence[int]) -> tuple[int, ...]:
     """The n x n bit matrix ``rows`` transposed: entry t holds x iff rows[x]
     holds t.  Each row is a mask below 2^n."""
-    codec, size, swaps = _TRANSPOSERS[len(rows)]
-    m = int.from_bytes(codec.pack(*rows), "little")
+    n = len(rows)
+    w = max(8, 1 << (n - 1).bit_length())
+    codec, swaps = _TRANSPOSERS[w]
+    m = int.from_bytes(codec.pack(*rows, *repeat(0, w - n)), "little")
     for shift, mask in swaps:
         flip = ((m >> shift) ^ m) & mask
         m ^= flip ^ (flip << shift)
-    return codec.unpack_from(m.to_bytes(size, "little"))
+    return codec.unpack(m.to_bytes(codec.size, "little"))[:n]
 
 
 @lru_cache(maxsize=None)
