@@ -90,8 +90,8 @@ class RealSemigroup:
             for cell in row:
                 if cell & ~top:
                     raise InputError("representation set outside carrier")
-        # Rows given as lists are kept as tuples: dt_table's cache and the
-        # multiring image hash the structure.
+        # Rows given as lists are kept as tuples: dt_table's cache hashes
+        # the structure.
         for name in ("mul", "d"):
             table = getattr(self, name)
             if type(table) is not tuple or any(type(row) is not tuple for row in table):
@@ -622,18 +622,17 @@ def separation_audit(s: RealSemigroup) -> CheckReport:
     one AND per h, for each (b, c).  The witness is the least differing
     (a, b, c), a first, so every (b, c) is scanned unless a = 0 differs."""
     three = canonical_3()
-    homs = [h.mapping for h in hom_to_3(s)]
     n = s.size
     names = s.names
     top = full_mask(n)
-    preimages = []
-    for h in homs:
+    # (h, the preimage under h of each subset of the three-element carrier)
+    maps = []
+    for h in (f.mapping for f in hom_to_3(s)):
         fibres = [0, 0, 0]
         for x, v in enumerate(h):
             fibres[v] |= 1 << x
-        preimages.append([reduce(or_, (fibres[v] for v in bits(m)), 0)
-                          for m in range(8)])
-    maps = tuple(zip(homs, preimages))
+        maps.append((h, [reduce(or_, (fibres[v] for v in bits(m)), 0)
+                         for m in range(8)]))
 
     def least_difference(table, table3) -> Optional[tuple[str, str, str]]:
         found = None
