@@ -6,12 +6,14 @@
 masks, and the nested-loop ``check_rs``.  Here the library's versions must
 give equal tables, equal reports (every verdict and first witness) and the
 same errors on: the corpus, rs3^3 and the real semigroup images of q2^2,
-q2^3 and the sum-4 multifield; every structure on one element, every D on
-the two-element semigroup {0, 1} and a seeded D on every two-element table;
-the 512 symmetric, reflexive candidates on the sign semigroup; and seeded
-mutants of rs3 x rs3, among them asymmetric D cells and multiplication
-cells that keep x -> -x from being an involution.  ``check_rs`` on rs3^3
-and on q2^3's image is pinned in ``test_audit_kernel.py``.
+q2^3 and the sum-4 and sum-5 multifields; every structure on one element,
+every D on the two-element semigroup {0, 1} and a seeded D on every
+two-element table; the 512 symmetric, reflexive candidates on the sign
+semigroup; and seeded mutants of rs3 x rs3, among them asymmetric D cells
+and multiplication cells that keep x -> -x from being an involution.  ``check_rs`` on rs3^3
+and on q2^3's image is pinned in ``test_audit_kernel.py``.  The bit-matrix
+transpose behind D^t is checked against the naive one at every size up to
+the carrier cap.
 """
 
 import contextlib
@@ -76,6 +78,19 @@ def test_corpus_and_images():
     assert_layer_agrees(mrred_to_rs(sum4_multifield()))
     assert_layer_agrees(mrred_to_rs(q2cube()), audit=False)
     assert_layer_agrees(rs_product([canonical_3()] * 3), audit=False)
+    # 33 elements: the bit matrices are padded to 64 rows.
+    assert_layer_agrees(mrred_to_rs(aos_to_mfred(fan_aos(5))), audit=False)
+
+
+def test_transposed_at_every_size():
+    rng = random.Random(18)
+    for n in range(1, 65):
+        for density in (0.1, 0.5, 0.9):
+            rows = [sum(1 << t for t in range(n) if rng.random() < density)
+                    for _ in range(n)]
+            naive = tuple(sum(((rows[x] >> t) & 1) << x for x in range(n))
+                          for t in range(n))
+            assert real_semigroups._transposed(rows) == naive, (n, density)
 
 
 def test_multiring_images():
