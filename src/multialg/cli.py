@@ -1,7 +1,8 @@
 """Command line surface: audits, constructions, functors, round-trips,
 morphism and structure enumeration, and the whole-diagram consistency walk.
 
-Exit codes: 0 success, 1 failed audit, 2 malformed input.
+Exit codes: 0 success, 1 failed audit, 2 malformed input, 141 (128 +
+SIGPIPE) when the reader of standard output closed it early.
 """
 
 from __future__ import annotations
@@ -27,19 +28,24 @@ from .real_semigroups import RealSemigroup
 from .special_groups import SpecialGroup
 
 
+# One encoder for every verdict line; ``json.dumps`` builds a new one per
+# call when given arguments.
+_ENCODE_VERDICT = json.JSONEncoder(ensure_ascii=False, default=str).encode
+
+
 def _emit_report(report: CheckReport, fmt: str) -> None:
     if fmt == "jsonl":
-        for v in report.verdicts:
-            print(json.dumps({
-                "subject": report.subject,
-                "axiom": v.axiom,
-                "passed": v.passed,
-                "witness": v.witness,
-                "note": v.note,
-                "informational": v.informational,
-            }, ensure_ascii=False, default=str))
-        print(json.dumps({"subject": report.subject,
-                          "overall": report.overall}))
+        lines = [_ENCODE_VERDICT({
+            "subject": report.subject,
+            "axiom": v.axiom,
+            "passed": v.passed,
+            "witness": v.witness,
+            "note": v.note,
+            "informational": v.informational,
+        }) for v in report.verdicts]
+        lines.append(json.dumps({"subject": report.subject,
+                                 "overall": report.overall}))
+        print("\n".join(lines))
     else:
         print(report.render())
 
@@ -533,7 +539,14 @@ _PARSER = build_parser()
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left (``| head``): send what is still buffered to
+        # devnull, so the flush at exit does not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -54,9 +54,10 @@ given map against; tests/reference_searches.py keeps the replaced searches.
 
 Each structure declares its tables once, as ``tables``: (constants, unary
 tables, value tables, cell tables) and, for special groups, the isometry
-relation.  ``_relabel`` moves them along a bijection, and comparing the
-result is the one relabel-and-compare behind ``same_tables`` and the
-canonical keys of enumeration.
+relation.  ``_relabel`` moves them along a bijection, a whole table at a
+time through ``_Moved``'s row picker in C; it is the one relabel behind
+``same_tables`` and enumeration's placed copies, and the canonical keys
+image their tables with the same picker.
 """
 
 from __future__ import annotations
@@ -1001,35 +1002,40 @@ _Table = Sequence[Sequence[int]]
 
 
 class _Moved(dict):
-    """Mask -> its image under the map f, computed on first use."""
+    """Mask -> its image under the bijection f that sends order[i] to i,
+    computed on first use; ``pick`` puts a row's entries, or a table's
+    rows, in that order."""
 
-    def __init__(self, f: Sequence[int]) -> None:
-        super().__init__()
-        self.f = f
+    def __init__(self, order: Sequence[int]) -> None:
+        self.f = sorted(range(len(order)), key=order.__getitem__)
+        self.pick = itemgetter(*order) if len(order) > 1 else tuple
 
     def __missing__(self, mask: int) -> int:
         out = self[mask] = mask_of(self.f[c] for c in bits(mask))
         return out
 
+    def flat(self, t: _Table, image: Callable[[int], int]) -> list:
+        """Table t moved along f, its entries through ``image``, row after row."""
+        pick = self.pick
+        return list(map(image, itertools.chain.from_iterable(map(pick, pick(t)))))
 
-def _relabel(f: Sequence[int], tables: tuple) -> tuple:
-    """``tables`` moved along the bijection f, element x becoming f[x], with
-    rows in the new index order: the constants, the unary, value and cell
-    (mask) tables, and any relations given as sets of tuples after them."""
+
+def _rows(flat: list, n: int) -> tuple:
+    """A flat n x n table cut back into its n rows."""
+    return tuple(zip(*[iter(flat)] * n))
+
+
+def _relabel(moved: _Moved, tables: tuple) -> tuple:
+    """``tables`` moved along the bijection f = ``moved.f``, element x
+    becoming f[x], with rows in the new index order: the constants, the
+    unary, value and cell (mask) tables, and any relations given as sets of
+    tuples after them."""
     constants, unary, values, cells, *relations = tables
-    order = [0] * len(f)
-    for old, new in enumerate(f):
-        order[new] = old
-
-    def table(t: _Table, image: Sequence[int] | _Moved) -> tuple:
-        rows = [t[x] for x in order]
-        return tuple(tuple([image[row[y]] for y in order]) for row in rows)
-
-    moved = _Moved(f)
-    return (tuple([f[c] for c in constants]),
-            tuple(tuple([f[u[x]] for x in order]) for u in unary),
-            tuple(table(t, f) for t in values),
-            tuple(table(t, moved) for t in cells),
+    f = moved.f
+    return (tuple(map(f.__getitem__, constants)),
+            tuple(tuple(map(f.__getitem__, moved.pick(u))) for u in unary),
+            tuple(_rows(moved.flat(t, f.__getitem__), len(f)) for t in values),
+            tuple(_rows(moved.flat(t, moved.__getitem__), len(f)) for t in cells),
             *(frozenset(tuple(f[v] for v in q) for q in rel) for rel in relations))
 
 
@@ -1038,7 +1044,7 @@ def same_tables(a, b) -> bool:
     labels are identified."""
     if set(a.carrier.names) != set(b.carrier.names):
         return False
-    return _relabel([b.carrier.index(x) for x in a.carrier.names],
+    return _relabel(_Moved([a.carrier.index(x) for x in b.carrier.names]),
                     a.tables) == b.tables
 
 

@@ -9,10 +9,12 @@ full reversibility between decided cells), and every table that survives
 goes through the full audit.  The structures on any other placement are the
 slice's moved along one bijection that sends the constants there, so they
 are relabelled copies, sorted into the depth-first order their own search
-would give, which is lexicographic order on the tables.  Survivors are
+would give, which is lexicographic order on the tables; each placement's
+one ``_Moved`` serves all of the slice's structures.  Survivors are
 canonicalized by the lexicographically least serialization over the
-relabelings that send the constants to their least indices, narrowed row by
-row.
+relabelings that send the constants to their least indices, narrowed one
+whole table at a time, each candidate's image of a table built by
+``itemgetter``, ``chain`` and ``map`` in C.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     _Moved,
     _associativity_defect,
     _relabel,
+    _rows,
     bits,
     check_multigroup,
     check_multiring,
@@ -168,7 +171,8 @@ def _placed(n: int, k: int, found: list, from_key) -> Iterator:
     for placement in itertools.permutations(range(n), k):
         if placement != tuple(range(k)):
             f = list(placement) + [x for x in range(n) if x not in placement]
-            for tables in sorted(_relabel(f, s.tables) for s in found):
+            moved = _Moved(sorted(range(n), key=f.__getitem__))
+            for tables in sorted(_relabel(moved, s.tables) for s in found):
                 yield from_key((n,) + tables)
 
 
@@ -190,42 +194,38 @@ def _canonical_key(s) -> tuple:
     The relabelled tables start with the images of the constants, so only
     the relabelings sending the distinct constants, in order, to 0, 1, ...
     can give the least; the other elements run over every order.  Those are
-    narrowed to the ones giving the least unary tables, then the least rows
-    of the value tables and of the cell tables, one row at a time, until
-    one is left or the rows run out."""
-    n, tables = s.size, s.tables
-    _, unary, values, cells = tables
+    narrowed one whole table at a time: to the ones giving the least unary
+    tables, then the least image of each value table and of each cell
+    table, flat in row-major order.  Only the survivors of one table are
+    imaged on the next, and the key is the survivors' least images cut back
+    into rows."""
+    n, (constants, unary, values, cells) = s.size, s.tables
+    survivors = _relabelings(n, tuple(dict.fromkeys(constants)))
 
-    def rows(order: list[int], f: list[int], moved: _Moved) -> Iterator[list]:
-        yield from ([f[u[x]] for x in order] for u in unary)
-        for t in values:
-            yield from ([f[t[x][y]] for y in order] for x in order)
-        for t in cells:
-            yield from ([moved[t[x][y]] for y in order] for x in order)
+    def least(images: list[list]) -> list:
+        nonlocal survivors
+        low = min(images)
+        if len(images) > 1:
+            survivors = [m for m, image in zip(survivors, images) if image == low]
+        return low
 
-    candidates = [(f, rows(order, f, moved)) for order, f, moved
-                  in _relabelings(n, tuple(dict.fromkeys(tables[0])))]
-    while len(candidates) > 1:
-        images = [next(r, None) for _, r in candidates]
-        if images[0] is None:
-            break
-        least = min(images)
-        candidates = [c for c, image in zip(candidates, images) if image == least]
-    return (n,) + _relabel(candidates[0][0], tables)
+    # each comprehension reads survivors as least left them on the table before
+    return (n, tuple(map(survivors[0].f.__getitem__, constants)),
+            tuple(tuple(least([list(map(m.f.__getitem__, m.pick(u)))
+                               for m in survivors])) for u in unary),
+            tuple(_rows(least([m.flat(t, m.f.__getitem__) for m in survivors]), n)
+                  for t in values),
+            tuple(_rows(least([m.flat(t, m.__getitem__) for m in survivors]), n)
+                  for t in cells))
 
 
 @lru_cache(maxsize=64)
-def _relabelings(n: int, fixed: tuple[int, ...]) -> list[tuple]:
-    """(order, f, mask images under f) for each relabeling f that sends the
-    fixed elements, in order, to 0, 1, ...; order lists the old elements by
-    their new index.  The images fill in as the keys ask for them."""
-    out = []
-    for rest in itertools.permutations([x for x in range(n) if x not in fixed]):
-        order, f = list(fixed + rest), [0] * n
-        for new, old in enumerate(order):
-            f[old] = new
-        out.append((order, f, _Moved(f)))
-    return out
+def _relabelings(n: int, fixed: tuple[int, ...]) -> list[_Moved]:
+    """Each relabeling that sends the fixed elements, in order, to 0, 1,
+    ..., and the others in any order to the rest, as a ``_Moved``; its mask
+    images fill in as the keys ask for them."""
+    others = [x for x in range(n) if x not in fixed]
+    return [_Moved(fixed + rest) for rest in itertools.permutations(others)]
 
 
 def multiring_canonical_key(r: FiniteMultiring) -> tuple:

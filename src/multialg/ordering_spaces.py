@@ -499,11 +499,13 @@ def aos_to_mfred(s: SignSpace, zero_label: str = "0") -> FiniteMultiring:
                            tuple(mul), neg, zero, one)
 
 
+@lru_cache(maxsize=None)
 def mfred_to_aos(f: FiniteMultiring) -> tuple[SignSpace, CheckReport]:
     """Points are the characters of the nonzero part whose kernel swallows
     sums; functions are the element evaluations.  The bijection audits
     compare the points with the orderings and the functions with the
-    nonzero elements."""
+    nonzero elements.  Built once per structure: ``diagram`` reads it after
+    the round-trip."""
     if not is_real_reduced_mf(f).overall:
         raise InputError("space construction requires a real reduced multifield")
     nz = [x for x in range(f.size) if x != f.zero]

@@ -33,7 +33,14 @@ relabeling that sends the constants to the least indices.  They are kept
 verbatim, except that they call the library's pruned addition-table
 generator as ``_pruned_addition_tables``, as the reference that
 ``tests/test_enumeration_pruning.py`` pins the relabelled placements, the
-slice-only ``enumerate_structures`` and the narrowed key to.
+slice-only ``enumerate_structures`` and the narrowed key to.  That key reads
+``_relabel``, the table mover as it was when it gathered each row through
+a Python comprehension, and ``_Moved``, the memo of mask images it built
+per call; both are kept verbatim here.  ``_rowwise_canonical_key`` and
+``_relabelings`` are the key as it was when it narrowed its relabelings one
+row at a time, kept verbatim except for the key's name, as the reference
+that ``tests/test_relabel_and_cones.py`` pins the library's key to past
+order 4.
 
 The sign-space searches ``enumerate_space_morphisms`` (every point map, each
 audited by ``space_morphism_check``) and ``find_space_isomorphism`` (its own
@@ -47,6 +54,7 @@ in the same order.
 """
 
 import itertools
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from multialg.constructions import Ideal
@@ -56,7 +64,7 @@ from multialg.core import (
     FiniteMultiring,
     InputError,
     StructureMap,
-    _relabel,
+    _Table,
     bits,
     check_multigroup,
     check_multiring,
@@ -485,6 +493,84 @@ def _canonical_key(s) -> tuple:
 
     return (n,) + min(map(relabelled, itertools.permutations(
         [x for x in range(n) if x not in fixed])))
+
+
+class _Moved(dict):
+    """Mask -> its image under the map f, computed on first use."""
+
+    def __init__(self, f: Sequence[int]) -> None:
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, mask: int) -> int:
+        out = self[mask] = mask_of(self.f[c] for c in bits(mask))
+        return out
+
+
+def _relabel(f: Sequence[int], tables: tuple) -> tuple:
+    """``tables`` moved along the bijection f, element x becoming f[x], with
+    rows in the new index order: the constants, the unary, value and cell
+    (mask) tables, and any relations given as sets of tuples after them."""
+    constants, unary, values, cells, *relations = tables
+    order = [0] * len(f)
+    for old, new in enumerate(f):
+        order[new] = old
+
+    def table(t: _Table, image: Sequence[int] | _Moved) -> tuple:
+        rows = [t[x] for x in order]
+        return tuple(tuple([image[row[y]] for y in order]) for row in rows)
+
+    moved = _Moved(f)
+    return (tuple([f[c] for c in constants]),
+            tuple(tuple([f[u[x]] for x in order]) for u in unary),
+            tuple(table(t, f) for t in values),
+            tuple(table(t, moved) for t in cells),
+            *(frozenset(tuple(f[v] for v in q) for q in rel) for rel in relations))
+
+
+def _rowwise_canonical_key(s) -> tuple:
+    """Lexicographically least (size, relabelled tables) over all
+    relabelings.
+
+    The relabelled tables start with the images of the constants, so only
+    the relabelings sending the distinct constants, in order, to 0, 1, ...
+    can give the least; the other elements run over every order.  Those are
+    narrowed to the ones giving the least unary tables, then the least rows
+    of the value tables and of the cell tables, one row at a time, until
+    one is left or the rows run out."""
+    n, tables = s.size, s.tables
+    _, unary, values, cells = tables
+
+    def rows(order: list[int], f: list[int], moved: _Moved) -> Iterator[list]:
+        yield from ([f[u[x]] for x in order] for u in unary)
+        for t in values:
+            yield from ([f[t[x][y]] for y in order] for x in order)
+        for t in cells:
+            yield from ([moved[t[x][y]] for y in order] for x in order)
+
+    candidates = [(f, rows(order, f, moved)) for order, f, moved
+                  in _relabelings(n, tuple(dict.fromkeys(tables[0])))]
+    while len(candidates) > 1:
+        images = [next(r, None) for _, r in candidates]
+        if images[0] is None:
+            break
+        least = min(images)
+        candidates = [c for c, image in zip(candidates, images) if image == least]
+    return (n,) + _relabel(candidates[0][0], tables)
+
+
+@lru_cache(maxsize=64)
+def _relabelings(n: int, fixed: tuple[int, ...]) -> list[tuple]:
+    """(order, f, mask images under f) for each relabeling f that sends the
+    fixed elements, in order, to 0, 1, ...; order lists the old elements by
+    their new index.  The images fill in as the keys ask for them."""
+    out = []
+    for rest in itertools.permutations([x for x in range(n) if x not in fixed]):
+        order, f = list(fixed + rest), [0] * n
+        for new, old in enumerate(order):
+            f[old] = new
+        out.append((order, f, _Moved(f)))
+    return out
 
 
 def multiring_canonical_key(r: FiniteMultiring) -> tuple:

@@ -8,7 +8,7 @@ import pytest
 
 from multialg import core
 from multialg import io as mio
-from multialg.cli import build_parser, main
+from multialg.cli import _emit_report, build_parser, main
 from multialg.core import InputError, q2
 from multialg.corpus import ars_q2xq2
 from multialg.real_semigroups import canonical_3
@@ -346,6 +346,55 @@ def test_python_dash_m_runs_the_cli():
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("multiring: PASS")
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # The reader is gone before the first write, as with ``| head -1``.
+    path = filter(None, (SRC, os.environ.get("PYTHONPATH")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "multialg", "enumerate",
+                               "--kind", "multiring", "--order", "3",
+                               "--up-to-iso"], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141, done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def _old_emit_jsonl(report) -> None:
+    """The jsonl branch of ``cli._emit_report`` as it was, one ``json.dumps``
+    and one print per line."""
+    for v in report.verdicts:
+        print(json.dumps({
+            "subject": report.subject,
+            "axiom": v.axiom,
+            "passed": v.passed,
+            "witness": v.witness,
+            "note": v.note,
+            "informational": v.informational,
+        }, ensure_ascii=False, default=str))
+    print(json.dumps({"subject": report.subject,
+                      "overall": report.overall}))
+
+
+def test_jsonl_report_bytes_unchanged(capsysbinary):
+    # A non-ASCII label and subject, and a witness only default=str encodes.
+    report = core.CheckReport("Kräsner ≥ 2", (
+        core.Verdict("a-ε", False, ("−1", frozenset({1, 2}), None), "über"),
+        core.Verdict("b", True, informational=True),
+    ))
+    outputs = []
+    for r in (report, core.CheckReport("ε", ())):
+        _old_emit_jsonl(r)
+        outputs.append(capsysbinary.readouterr().out)
+        _emit_report(r, "jsonl")
+        assert capsysbinary.readouterr().out == outputs[-1]
+    # the verdict lines keep UTF-8, the summary line escapes it
+    assert "ε".encode() in outputs[0] and b"\\u03b5" in outputs[1]
 
 
 def _run(capsys, argv) -> tuple:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import itertools
+import os
 
 import pytest
 
+from multialg.cli import main
 from multialg.core import InputError, check_morphism, is_isomorphic, q2
 from multialg.corpus import ars_q2xq2, q2xq2
 from multialg.ordering_spaces import (
@@ -291,3 +295,13 @@ class TestInducedPointMaps:
                 s2 = mf_map_to_aos_map(sigma)  # space(k) -> space(f)
                 composed = tuple(s2.point_map[v] for v in s1.point_map)
                 assert left.point_map == composed
+
+
+def test_diagram_builds_the_space_once():
+    # The round-trip builds the space; the point count then reads the cache.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "fan2mf.mrs")
+    mfred_to_aos.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["diagram", path]) == 0
+    info = mfred_to_aos.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -7,7 +7,10 @@ the two sign-cone searches as they were before ``core._relabel`` and
 structures, seeded shuffles and seeded single-cell mutants; the canonical
 keys must give the same representatives through ``*_from_key``; and
 ``enumerate_orderings`` and ``_enumerate_ars_cones`` must return the same
-cones in the same order.
+cones in the same order.  Past order 4 the keys of K^3, q2^2 and the sum-3
+multifield must equal ``reference._rowwise_canonical_key``, the key as it was
+when it narrowed its relabelings one row at a time, and be the same for
+seeded shuffles of each.
 """
 
 import dataclasses
@@ -44,6 +47,8 @@ from multialg.ordering_spaces import (
     ARS,
     _ax1_verdicts,
     _enumerate_ars_cones,
+    aos_to_mfred,
+    fan_aos,
     make_sign_space,
     mfred_to_aos,
     mrred_to_ars,
@@ -185,6 +190,24 @@ def test_multiring_keys_of_order_at_most_three():
                 _flat_multiring(reference.multiring_canonical_key(r))
             seen += 1
     assert seen > 17
+
+
+PAST_ORDER_FOUR = {
+    "K^3": lambda: product([core.krasner()] * 3),
+    "q2^2": lambda: product([core.q2()] * 2),
+    "sum-3": lambda: aos_to_mfred(fan_aos(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_ORDER_FOUR))
+def test_multiring_keys_past_order_four(name):
+    # Orders 8 and 9: the table-at-a-time key against the row-at-a-time one,
+    # and the same key from every seeded shuffle.
+    r = PAST_ORDER_FOUR[name]()
+    key = multiring_canonical_key(r)
+    assert key == reference._rowwise_canonical_key(r), name
+    for seed in (1, 2, 3):
+        assert multiring_canonical_key(shuffled(r, seed)) == key, (name, seed)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
