@@ -134,10 +134,22 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_classify(args) -> int:
+def _read_multiring(args) -> FiniteMultiring:
     obj = mio.read_structure(args.file)
     if not isinstance(obj, FiniteMultiring):
-        raise InputError("classify expects a multiring file")
+        raise InputError(f"{args.command} expects a multiring file")
+    return obj
+
+
+def _print_orderings(obj: FiniteMultiring) -> None:
+    orderings = spectra.enumerate_orderings(obj)
+    print(f"orderings: {len(orderings)}")
+    for i, o in enumerate(orderings):
+        print(f"  P{i}: {{{', '.join(o.labels)}}}")
+
+
+def cmd_classify(args) -> int:
+    obj = _read_multiring(args)
     report = core.check_multiring(obj)
     if not report.overall:
         _emit_report(report, args.format)
@@ -163,9 +175,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_spec(args) -> int:
-    obj = mio.read_structure(args.file)
-    if not isinstance(obj, FiniteMultiring):
-        raise InputError("spec expects a multiring file")
+    obj = _read_multiring(args)
     report = spectra.spec_topology(obj)
     print(f"prime ideals: {len(report.primes)}")
     for i, p in enumerate(report.primes):
@@ -178,13 +188,8 @@ def cmd_spec(args) -> int:
 
 
 def cmd_sper(args) -> int:
-    obj = mio.read_structure(args.file)
-    if not isinstance(obj, FiniteMultiring):
-        raise InputError("sper expects a multiring file")
-    orderings = spectra.enumerate_orderings(obj)
-    print(f"orderings: {len(orderings)}")
-    for i, o in enumerate(orderings):
-        print(f"  P{i}: {{{', '.join(o.labels)}}}")
+    obj = _read_multiring(args)
+    _print_orderings(obj)
     if not spectra.is_real_reduced_mr(obj).overall:
         print("not real reduced: evaluation embedding not attempted")
         return 0
@@ -194,22 +199,15 @@ def cmd_sper(args) -> int:
 
 
 def cmd_orderings(args) -> int:
-    obj = mio.read_structure(args.file)
-    if not isinstance(obj, FiniteMultiring):
-        raise InputError("orderings expects a multiring file")
-    orderings = spectra.enumerate_orderings(obj)
-    print(f"orderings: {len(orderings)}")
-    for i, o in enumerate(orderings):
-        print(f"  P{i}: {{{', '.join(o.labels)}}}")
+    obj = _read_multiring(args)
+    _print_orderings(obj)
     report = spectra.ordering_hom_bijection_check(obj)
     _emit_report(report, args.format)
     return 0 if report.overall else 1
 
 
 def cmd_real_check(args) -> int:
-    obj = mio.read_structure(args.file)
-    if not isinstance(obj, FiniteMultiring):
-        raise InputError("real-check expects a multiring file")
+    obj = _read_multiring(args)
     print(f"real: {spectra.is_real(obj)}")
     report = spectra.is_real_reduced_mr(obj)
     _emit_report(report, args.format)
@@ -365,9 +363,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    obj = mio.read_structure(args.file)
-    if not isinstance(obj, FiniteMultiring):
-        raise InputError("diagram expects a multiring file")
+    obj = _read_multiring(args)
     ok = True
 
     def edge(name: str, passed: bool) -> None:

@@ -1,6 +1,8 @@
 """Multiring-building constructions: products, quotients by ideals,
 localizations, fraction multifields, Marshall quotients and the reduced
-quotient at sums of unit squares.
+quotient at sums of unit squares.  The componentwise product reads the
+factors' ``tables``, so it serves real semigroups too; the zero adjunction
+of a group of exponent 2 serves both functors into multifields.
 
 Constructions that the theory assumes to be well defined (coset partitions,
 transitivity of the Marshall relation, representative independence) are
@@ -92,40 +94,65 @@ def multiplicative_set(a: FiniteMultiring, labels: Sequence[str]) -> Multiplicat
 
 
 # ---------------------------------------------------------------------------
-# products
+# products and the zero adjunction
 
-def product(factors: Sequence[FiniteMultiring],
-            sep: str = ",") -> FiniteMultiring:
-    """Componentwise product; the empty product is the one-element 1=0 ring."""
-    if not factors:
-        carrier = Carrier(("0",))
-        return FiniteMultiring(carrier, ((1,),), ((0,),), (0,), 0, 0)
+def _cell_product(s: Sequence[Sequence[int]], t: Sequence[Sequence[int]],
+                  m: int) -> list[list[int]]:
+    """The cells of the pairs (x, y) = x*m + y, t over m elements: cell
+    s[x][x'] with bit c moved to bit c*m, times t[y][y'], masks the pairs."""
+    wide = [[sum(1 << c * m for c in bits(cell)) for cell in row] for row in s]
+    return [[w * c for w in row_s for c in row_t] for row_s in wide for row_t in t]
+
+
+def _product_tables(factors: Sequence) -> tuple[Carrier, tuple]:
+    """The componentwise product of nonempty ``factors`` of one kind, read
+    off their ``tables``: the carrier of the tuples in lexicographic order,
+    labelled "(x,y,...)", and (constants, unary, value, cell tables).  The
+    factors are folded in one at a time; with m elements in the next one,
+    the pair (x, y) is element x*m + y, which keeps the lexicographic
+    order."""
     total = 1
     for f in factors:
         total *= f.size
     if total > CARRIER_CAP:
         raise InputError(f"product size {total} exceeds cap {CARRIER_CAP}")
+    names = tuple("(" + ",".join(t) + ")"
+                  for t in itertools.product(*(f.names for f in factors)))
+    constants, unary, values, cells = factors[0].tables
+    for f in factors[1:]:
+        m = f.size
+        constants2, unary2, values2, cells2 = f.tables
+        constants = tuple(x * m + y for x, y in zip(constants, constants2))
+        unary = tuple([x * m + y for x in s for y in t]
+                      for s, t in zip(unary, unary2))
+        values = tuple([[x * m + y for x in r for y in q] for r in s for q in t]
+                       for s, t in zip(values, values2))
+        cells = tuple(map(_cell_product, cells, cells2, itertools.repeat(m)))
+    return Carrier(names), (constants, unary, values, cells)
 
-    index_tuples = list(itertools.product(*(range(f.size) for f in factors)))
-    pos = {t: i for i, t in enumerate(index_tuples)}
-    names = tuple("(" + sep.join(f.names[i] for f, i in zip(factors, t)) + ")"
-                  for t in index_tuples)
 
-    def add_cell(s: tuple[int, ...], t: tuple[int, ...]) -> int:
-        out = 0
-        for combo in itertools.product(
-                *(bits(f.add[x][y]) for f, x, y in zip(factors, s, t))):
-            out |= 1 << pos[combo]
-        return out
+def product(factors: Sequence[FiniteMultiring]) -> FiniteMultiring:
+    """Componentwise product; the empty product is the one-element 1=0 ring."""
+    if not factors:
+        return FiniteMultiring(Carrier(("0",)), ((1,),), ((0,),), (0,), 0, 0)
+    carrier, ((zero, one), (neg,), (mul,), (add,)) = _product_tables(factors)
+    return FiniteMultiring(carrier, add, mul, neg, zero, one)
 
-    add = tuple(tuple(add_cell(s, t) for t in index_tuples) for s in index_tuples)
-    mul = tuple(tuple(pos[tuple(f.mul[x][y] for f, x, y in zip(factors, s, t))]
-                      for t in index_tuples) for s in index_tuples)
-    neg = tuple(pos[tuple(f.neg[x] for f, x in zip(factors, s))]
-                for s in index_tuples)
-    zero = pos[tuple(f.zero for f in factors)]
-    one = pos[tuple(f.one for f in factors)]
-    return FiniteMultiring(Carrier(names), add, mul, neg, zero, one)
+
+def _adjoin_zero(names: Sequence[str], mul: Sequence[Sequence[int]],
+                 neg: Sequence[int], one: int,
+                 d: Sequence[Sequence[int]]) -> FiniteMultiring:
+    """A group of exponent 2 (``mul``, ``neg``, ``one``) with a zero adjoined,
+    named last in ``names``: a + b is the mask d[a][b], except a + (-a),
+    the whole carrier, and a + 0 = {a}; the zero absorbs every product."""
+    n = len(mul)
+    total = full_mask(n + 1)
+    add = [tuple(total if b == neg[a] else cell for b, cell in enumerate(row))
+           + (1 << a,) for a, row in enumerate(d)]
+    add.append(tuple(1 << a for a in range(n + 1)))
+    mul = [tuple(row) + (n,) for row in mul] + [(n,) * (n + 1)]
+    return FiniteMultiring(Carrier(tuple(names)), tuple(add), tuple(mul),
+                           tuple(neg) + (n,), n, one)
 
 
 # ---------------------------------------------------------------------------

@@ -21,21 +21,22 @@ per entry, so a union is one ``reduce`` of ints, unpacked once; smaller
 tables, and sign-space tables of more functions than the cap, OR tuples.
 The multiring audit reads its addition through the multigroup audit's
 verdicts, named ``add-``, without building the additive multigroup.
-Associativity of a value table
-(multiring multiplication, ternary semigroups, special groups, the
-enumerated monoids) is one audit, ``_associativity_defect``: the rows are
-bytes, and (ab)c over c is row ab while a(bc) is row b translated through
-row a, compared inside C.  The multiring audit compares (a+b)d with ad+bd
-as rows over b, for each (a, d): (a+b)d is a step of the lazily transposed
-unions of the rows 1 << cd, and ad+bd is one ``itemgetter`` call that
-gathers column d of mul from the addition row of ad; each witness is the
-least (b, d) at the first a where it fails.  The other
-axioms are per-pair mask tests.  The associativity audits of real
+Associativity of a value table (multiring multiplication, ternary
+semigroups, special groups, the enumerated monoids) is one audit,
+``_associativity_defect``: the rows are bytes, and (ab)c over c is row ab
+while a(bc) is row b translated through row a, compared inside C.
+``_monoid_defects`` adds commutativity, the unit and the absorbing zero, for
+multirings and ternary semigroups alike.  The multiring audit compares
+(a+b)d with ad+bd as rows over b, for each (a, d): (a+b)d is a step of the
+lazily transposed unions of the rows 1 << cd, and ad+bd is one
+``itemgetter`` call that gathers column d of mul from the addition row of
+ad; each witness is the least (b, d) at the first a where it fails.  The
+other axioms are per-pair mask tests.  The associativity audits of real
 semigroups and sign spaces read the same scan, strong associativity through
 ``_reassociation_failures``.  Witnesses stay the first violations in
-lexicographic order; tests/reference_audits.py keeps the naive audits,
-the cell-at-a-time and row-through-a-getter versions, the tuple unions and
-the distributivity rows over d that they are pinned to.
+lexicographic order; tests/reference_audits.py keeps the naive audits, the
+cell-at-a-time and row-through-a-getter versions, the tuple unions and the
+distributivity rows over d that they are pinned to.
 ``classify`` audits each structure once however often its guard runs.
 
 The searches for maps (morphisms, isomorphisms, and the other modules'
@@ -345,9 +346,6 @@ class FiniteMultigroup:
     @property
     def size(self) -> int:
         return self.carrier.size
-
-    def cell(self, x: int, y: int) -> int:
-        return self.op[x][y]
 
     @property
     def tables(self) -> tuple:
@@ -703,9 +701,6 @@ class FiniteMultiring:
     def tables(self) -> tuple:
         return (self.zero, self.one), (self.neg,), (self.mul,), (self.add,)
 
-    def add_set(self, a: int, b: int) -> int:
-        return self.add[a][b]
-
     def add_masks(self, xmask: int, ymask: int) -> int:
         out = 0
         for x in bits(xmask):
@@ -791,6 +786,23 @@ def krasner() -> FiniteMultiring:
     )
 
 
+def _monoid_defects(table: Sequence[Sequence[int]], one: int, zero: int,
+                    names: Sequence[str]) -> tuple[Optional[tuple], ...]:
+    """The first failures, as label tuples or None, of a commutative monoid
+    with an absorbing zero on the value table: the least (a, b, c) with
+    (ab)c != a(bc), the least a < b with ab != ba, the least a with
+    one·a != a and the least a with a·zero != zero."""
+    n = len(table)
+    w = _associativity_defect(table)
+    return (
+        w and tuple(names[i] for i in w),
+        next(((names[a], names[b]) for a, b in itertools.combinations(range(n), 2)
+              if table[a][b] != table[b][a]), None),
+        next(((names[a],) for a in range(n) if table[one][a] != a), None),
+        next(((names[a],) for a in range(n) if table[a][zero] != zero), None),
+    )
+
+
 def check_multiring(r: FiniteMultiring) -> CheckReport:
     """Audit the multiring axioms.
 
@@ -802,30 +814,9 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     verdicts = list(_multigroup_verdicts(r.add, r.neg, r.zero, names, "add-"))
 
     mul, add = r.mul, r.add
-    w = _associativity_defect(mul)
-    verdicts.append(_verdict_all("mul-associativity",
-                                 w and tuple(names[i] for i in w)))
-
-    w = None
-    for a, b in itertools.combinations(range(n), 2):
-        if r.mul[a][b] != r.mul[b][a]:
-            w = (names[a], names[b])
-            break
-    verdicts.append(_verdict_all("mul-commutativity", w))
-
-    w = None
-    for a in range(n):
-        if r.mul[r.one][a] != a:
-            w = (names[a],)
-            break
-    verdicts.append(_verdict_all("mul-identity", w))
-
-    w = None
-    for a in range(n):
-        if r.mul[a][r.zero] != r.zero:
-            w = (names[a],)
-            break
-    verdicts.append(_verdict_all("zero-absorbing", w))
+    verdicts += map(_verdict_all, ("mul-associativity", "mul-commutativity",
+                                   "mul-identity", "zero-absorbing"),
+                    _monoid_defects(mul, r.one, r.zero, names))
 
     # Rows over b, for each (a, d): (a+b)d is step d of the transposed ORs
     # of the rows 1 << cd over the cells c in a+b, and ad+bd gathers column
@@ -924,9 +915,6 @@ class StructureMap:
             raise InputError("map not total on source carrier")
         if any(not 0 <= v < m for v in self.mapping):
             raise InputError("map image outside target carrier")
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
 
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)

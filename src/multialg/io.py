@@ -45,13 +45,10 @@ def kind_of(obj: Structure) -> str:
     raise InputError(f"unknown structure type {type(obj).__name__}")
 
 
-def to_document(obj: Structure, name: Optional[str] = None,
-                provenance: Optional[str] = None) -> dict[str, Any]:
+def to_document(obj: Structure, name: Optional[str] = None) -> dict[str, Any]:
     doc: dict[str, Any] = {"kind": kind_of(obj)}
     if name:
         doc["name"] = name
-    if provenance:
-        doc["provenance"] = provenance
     if isinstance(obj, FiniteMultiring):
         names = obj.names
         doc["elements"] = list(names)
@@ -93,9 +90,8 @@ def to_document(obj: Structure, name: Optional[str] = None,
     return doc
 
 
-def serialize(obj: Structure, name: Optional[str] = None,
-              provenance: Optional[str] = None) -> str:
-    return json.dumps(to_document(obj, name, provenance), indent=2,
+def serialize(obj: Structure, name: Optional[str] = None) -> str:
+    return json.dumps(to_document(obj, name), indent=2,
                       ensure_ascii=False) + "\n"
 
 
@@ -206,10 +202,9 @@ def read_structure(path: str) -> Structure:
         return parse(fh.read())
 
 
-def write_structure(path: str, obj: Structure, name: Optional[str] = None,
-                    provenance: Optional[str] = None) -> None:
+def write_structure(path: str, obj: Structure, name: Optional[str] = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(obj, name, provenance))
+        fh.write(serialize(obj, name))
 
 
 def corpus_documents() -> dict[str, Structure]:

@@ -4,6 +4,8 @@ the constructions to and from real reduced multifields and multirings.
 
 The value and transversal tables are ANDs over the points of per-point
 masks, and the pointwise products are one cached table per space.
+``aos_to_mfred`` hands the value table, as D, to the zero adjunction of
+``constructions``.
 
 The character condition AX2 is audited by exhaustive enumeration: characters
 of the function group in the two-valued case, candidate cones over sign
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
+from .constructions import _adjoin_zero
 from .core import (
     Carrier,
     CheckReport,
@@ -464,39 +467,22 @@ def ars_bridge_check(s: SignSpace) -> CheckReport:
 # ---------------------------------------------------------------------------
 # spaces to multifields / multirings
 
-def aos_to_mfred(s: SignSpace, zero_label: str = "0") -> FiniteMultiring:
+def aos_to_mfred(s: SignSpace) -> FiniteMultiring:
     """Adjoin a zero to the function group; sums are value sets except in the
     forced zero and opposite cases."""
     if s.mode != AOS:
         raise InputError("multifield construction needs a two-valued space")
-    n = s.nfunctions
-    labels = [function_label(f) for f in s.functions]
-    if zero_label in labels:
-        raise InputError("zero label collides with a function label")
-    names = tuple(labels) + (zero_label,)
-    zero = n
-    dtab = value_table(s)
-    neg_index = [s.index(s.negation(i)) for i in range(n)]
+    neg_index = [s.index(s.negation(i)) for i in range(s.nfunctions)]
     if any(v is None for v in neg_index):
         raise InputError("function set is not closed under negation")
     prod = _product_table(s)
     if any(k is None for row in prod for k in row):
         raise InputError("function set is not closed under products")
-    total = full_mask(n + 1)
-    add = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        add[i][zero] = 1 << i
-        add[zero][i] = 1 << i
-        for j in range(n):
-            add[i][j] = total if j == neg_index[i] else dtab[i][j]
-    add[zero][zero] = 1 << zero
-    mul = [row + (zero,) for row in prod] + [(zero,) * (n + 1)]
     one = s.constant(1)
     if one is None:
         raise InputError("function set lacks the constant 1")
-    neg = tuple(neg_index) + (zero,)
-    return FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add),
-                           tuple(mul), neg, zero, one)
+    return _adjoin_zero(tuple(map(function_label, s.functions)) + ("0",),
+                        prod, neg_index, one, value_table(s))
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,9 @@ real reduced multirings (sums become transversal representation sets).
 The layer works on whole masks: D(b, c) is the mask of the a it represents,
 and each audit tests that mask, or a row of them, at once.  D^t is D cut by
 two transposes of D taken with rows indexed by -a, each an n x n bit matrix
-transposed in a few big-int operations (``_transposed``).  TS1's
-associativity is core's byte compare of multiplication rows,
-``_associativity_defect``.  In ``check_rs``, RS2 images each distinct cell
+transposed in a few big-int operations (``_transposed``).  TS1 and TS4
+are core's commutative-monoid audit of the multiplication table,
+``_monoid_defects``.  In ``check_rs``, RS2 images each distinct cell
 under every x -> xe at once, through core's ``_CellUnion`` of the lines
 (1 << xe) over e; RS4 and RS5 test the union of D over the scaled sets
 {q x : q a square} and over the agreement sets {x : ax = bx}, one union per
@@ -24,6 +24,7 @@ separation audit meets the preimages of the three-element tables under each
 morphism, per (b, c).  Only a failing (b, c) is rescanned, so each witness
 keeps the lexicographic order of the quantifier it comes from;
 tests/reference_audits.py keeps the nested loops they are pinned to.
+``rs_product`` is the componentwise product of ``constructions``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from itertools import chain, repeat
 from operator import and_, getitem, itemgetter, lshift, or_
 from typing import Iterable, Optional, Sequence
 
+from .constructions import _product_tables
 from .core import (
     Carrier,
     CheckReport,
@@ -46,9 +48,9 @@ from .core import (
     Verdict,
     _CellUnion,
     _Elements,
-    _associativity_defect,
     _lowest_bit,
     _map_defects,
+    _monoid_defects,
     _reassociation_failures,
     _table_morphisms,
     bits,
@@ -213,18 +215,7 @@ def check_ts(s: RealSemigroup) -> CheckReport:
     n = s.size
     names = s.names
 
-    w_assoc = _associativity_defect(s.mul)
-    w_assoc = w_assoc and tuple(names[i] for i in w_assoc)
-    w_comm = None
-    for a, b in itertools.combinations(range(n), 2):
-        if s.mul[a][b] != s.mul[b][a]:
-            w_comm = (names[a], names[b])
-            break
-    w_unit = None
-    for a in range(n):
-        if s.mul[s.one][a] != a:
-            w_unit = (names[a],)
-            break
+    w_assoc, w_comm, w_unit, w_zero = _monoid_defects(s.mul, s.one, s.zero, names)
     w_cube = None
     for a in range(n):
         if s.mul[s.mul[a][a]][a] != a:
@@ -233,11 +224,6 @@ def check_ts(s: RealSemigroup) -> CheckReport:
     w_sign = None
     if s.minus_one == s.one or s.mul[s.minus_one][s.minus_one] != s.one:
         w_sign = (names[s.minus_one],)
-    w_zero = None
-    for a in range(n):
-        if s.mul[a][s.zero] != s.zero:
-            w_zero = (names[a],)
-            break
     w_fix = None
     for a in range(n):
         if s.neg(a) == a and a != s.zero:
@@ -750,28 +736,9 @@ def mr_rs_roundtrip(a: FiniteMultiring) -> CheckReport:
     )
 
 
-def rs_product(factors: Sequence[RealSemigroup], sep: str = ",") -> RealSemigroup:
+def rs_product(factors: Sequence[RealSemigroup]) -> RealSemigroup:
     """Componentwise product with componentwise representation."""
     if not factors:
         raise InputError("empty real semigroup product")
-    index_tuples = list(itertools.product(*(range(f.size) for f in factors)))
-    pos = {t: i for i, t in enumerate(index_tuples)}
-    names = tuple("(" + sep.join(f.names[i] for f, i in zip(factors, t)) + ")"
-                  for t in index_tuples)
-    mul = tuple(tuple(pos[tuple(f.mul[x][y] for f, x, y in zip(factors, s, t))]
-                      for t in index_tuples) for s in index_tuples)
-    n = len(index_tuples)
-    d = [[0] * n for _ in range(n)]
-    for bi, b in enumerate(index_tuples):
-        for ci, c in enumerate(index_tuples):
-            m = 0
-            for ai, a in enumerate(index_tuples):
-                if all(f.in_d(x, y, z) for f, x, y, z in zip(factors, a, b, c)):
-                    m |= 1 << ai
-            d[bi][ci] = m
-    return RealSemigroup(
-        Carrier(names), mul,
-        pos[tuple(f.one for f in factors)],
-        pos[tuple(f.zero for f in factors)],
-        pos[tuple(f.minus_one for f in factors)],
-        tuple(tuple(r) for r in d))
+    carrier, ((one, zero, minus_one), _, (mul,), (d,)) = _product_tables(factors)
+    return RealSemigroup(carrier, mul, one, zero, minus_one, d)

@@ -18,7 +18,8 @@ triple; property iv keeps, per product fiber, the mask of pairs whose sum
 holds each element; property v builds, per (a, c) on first use, the masks of
 d with a triple-isometry split from fiber and inside entries.  Witnesses are
 the lowest set bits, so they keep the lexicographic order of a scan over
-quadruples.
+quadruples.  ``sg_to_mf`` hands the pair-class masks, as D, to the
+zero adjunction of ``constructions``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
+from .constructions import _adjoin_zero
 from .core import (
     Carrier,
     CheckReport,
@@ -457,31 +459,9 @@ def sg_to_mf(g: SpecialGroup, zero_label: str = "0") -> FiniteMultiring:
     forced cases a+0 and a+(-a)."""
     if zero_label in g.names:
         raise InputError(f"zero label {zero_label!r} collides with a group element")
-    n = g.size
     cls, reps = _pair_classes(g)
-    names = g.names + (zero_label,)
-    zero = n
-    total = full_mask(n + 1)
-    add = [[0] * (n + 1) for _ in range(n + 1)]
-    for a in range(n):
-        add[a][zero] = 1 << a
-        add[zero][a] = 1 << a
-        for b in range(n):
-            if b == g.neg(a):
-                add[a][b] = total
-            else:
-                add[a][b] = reps[cls[a][b]]
-    add[zero][zero] = 1 << zero
-    mul = [[0] * (n + 1) for _ in range(n + 1)]
-    for a in range(n):
-        for b in range(n):
-            mul[a][b] = g.mul[a][b]
-        mul[a][zero] = zero
-        mul[zero][a] = zero
-    mul[zero][zero] = zero
-    neg = tuple(g.neg(a) for a in range(n)) + (zero,)
-    return FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add),
-                           tuple(tuple(r) for r in mul), neg, zero, g.one)
+    return _adjoin_zero(g.names + (zero_label,), g.mul, g.mul[g.minus_one],
+                        g.one, [[reps[c] for c in row] for row in cls])
 
 
 def _smf_masks(f: FiniteMultiring, nz: list[int]

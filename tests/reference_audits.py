@@ -92,6 +92,14 @@ defect scan ``core._map_defects`` over the structures' ``tables``: each
 walked its own homomorphism, constant and cell loops.
 ``tests/test_morphism_audits.py`` pins the library's reports to them, and
 the searches of ``reference_searches`` check their leaves with them.
+
+``product``, ``rs_product``, ``sg_to_mf`` and ``aos_to_mfred`` are the
+constructions as they were before they read the two helpers of
+``constructions``: each product built its own tables, ``rs_product`` by one
+``in_d`` test per factor for every (a, b, c), and each functor adjoined its
+own zero.  Their pair classes and value sets come from the ``_pair_classes``
+and ``value_table`` above.  ``tests/test_products_and_zero.py`` pins the
+library's structures and error messages to them.
 """
 
 import itertools
@@ -101,6 +109,7 @@ from typing import Iterator, Optional, Sequence
 
 from multialg.constructions import Ideal, _class_setup
 from multialg.core import (
+    CARRIER_CAP,
     Carrier,
     CheckReport,
     FiniteMultigroup,
@@ -125,6 +134,7 @@ from multialg.ordering_spaces import (
     SignSpace,
     _ars_point_cones,
     _characters,
+    _product_table,
     function_label,
 )
 from multialg.real_semigroups import RealSemigroup, canonical_3, hom_to_3
@@ -1694,3 +1704,131 @@ def is_sg_morphism(fmap: StructureMap) -> bool:
         and all(m[g.mul[a][b]] == h.mul[m[a]][m[b]]
                 for a, b in itertools.product(range(g.size), repeat=2)) \
         and all(clsh[m[a]][m[b]] == clsh[m[c]][m[d]] for (a, b, c, d) in g.iso)
+
+
+def product(factors: Sequence[FiniteMultiring],
+            sep: str = ",") -> FiniteMultiring:
+    """Componentwise product; the empty product is the one-element 1=0 ring."""
+    if not factors:
+        carrier = Carrier(("0",))
+        return FiniteMultiring(carrier, ((1,),), ((0,),), (0,), 0, 0)
+    total = 1
+    for f in factors:
+        total *= f.size
+    if total > CARRIER_CAP:
+        raise InputError(f"product size {total} exceeds cap {CARRIER_CAP}")
+
+    index_tuples = list(itertools.product(*(range(f.size) for f in factors)))
+    pos = {t: i for i, t in enumerate(index_tuples)}
+    names = tuple("(" + sep.join(f.names[i] for f, i in zip(factors, t)) + ")"
+                  for t in index_tuples)
+
+    def add_cell(s: tuple[int, ...], t: tuple[int, ...]) -> int:
+        out = 0
+        for combo in itertools.product(
+                *(bits(f.add[x][y]) for f, x, y in zip(factors, s, t))):
+            out |= 1 << pos[combo]
+        return out
+
+    add = tuple(tuple(add_cell(s, t) for t in index_tuples) for s in index_tuples)
+    mul = tuple(tuple(pos[tuple(f.mul[x][y] for f, x, y in zip(factors, s, t))]
+                      for t in index_tuples) for s in index_tuples)
+    neg = tuple(pos[tuple(f.neg[x] for f, x in zip(factors, s))]
+                for s in index_tuples)
+    zero = pos[tuple(f.zero for f in factors)]
+    one = pos[tuple(f.one for f in factors)]
+    return FiniteMultiring(Carrier(names), add, mul, neg, zero, one)
+
+
+def rs_product(factors: Sequence[RealSemigroup], sep: str = ",") -> RealSemigroup:
+    """Componentwise product with componentwise representation."""
+    if not factors:
+        raise InputError("empty real semigroup product")
+    index_tuples = list(itertools.product(*(range(f.size) for f in factors)))
+    pos = {t: i for i, t in enumerate(index_tuples)}
+    names = tuple("(" + sep.join(f.names[i] for f, i in zip(factors, t)) + ")"
+                  for t in index_tuples)
+    mul = tuple(tuple(pos[tuple(f.mul[x][y] for f, x, y in zip(factors, s, t))]
+                      for t in index_tuples) for s in index_tuples)
+    n = len(index_tuples)
+    d = [[0] * n for _ in range(n)]
+    for bi, b in enumerate(index_tuples):
+        for ci, c in enumerate(index_tuples):
+            m = 0
+            for ai, a in enumerate(index_tuples):
+                if all(f.in_d(x, y, z) for f, x, y, z in zip(factors, a, b, c)):
+                    m |= 1 << ai
+            d[bi][ci] = m
+    return RealSemigroup(
+        Carrier(names), mul,
+        pos[tuple(f.one for f in factors)],
+        pos[tuple(f.zero for f in factors)],
+        pos[tuple(f.minus_one for f in factors)],
+        tuple(tuple(r) for r in d))
+
+
+def sg_to_mf(g: SpecialGroup, zero_label: str = "0") -> FiniteMultiring:
+    """Adjoin a fresh zero; sums are the representation sets except in the
+    forced cases a+0 and a+(-a)."""
+    if zero_label in g.names:
+        raise InputError(f"zero label {zero_label!r} collides with a group element")
+    n = g.size
+    cls, reps = _pair_classes(g)
+    names = g.names + (zero_label,)
+    zero = n
+    total = full_mask(n + 1)
+    add = [[0] * (n + 1) for _ in range(n + 1)]
+    for a in range(n):
+        add[a][zero] = 1 << a
+        add[zero][a] = 1 << a
+        for b in range(n):
+            if b == g.neg(a):
+                add[a][b] = total
+            else:
+                add[a][b] = reps[cls[a][b]]
+    add[zero][zero] = 1 << zero
+    mul = [[0] * (n + 1) for _ in range(n + 1)]
+    for a in range(n):
+        for b in range(n):
+            mul[a][b] = g.mul[a][b]
+        mul[a][zero] = zero
+        mul[zero][a] = zero
+    mul[zero][zero] = zero
+    neg = tuple(g.neg(a) for a in range(n)) + (zero,)
+    return FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add),
+                           tuple(tuple(r) for r in mul), neg, zero, g.one)
+
+
+def aos_to_mfred(s: SignSpace, zero_label: str = "0") -> FiniteMultiring:
+    """Adjoin a zero to the function group; sums are value sets except in the
+    forced zero and opposite cases."""
+    if s.mode != AOS:
+        raise InputError("multifield construction needs a two-valued space")
+    n = s.nfunctions
+    labels = [function_label(f) for f in s.functions]
+    if zero_label in labels:
+        raise InputError("zero label collides with a function label")
+    names = tuple(labels) + (zero_label,)
+    zero = n
+    dtab = value_table(s)
+    neg_index = [s.index(s.negation(i)) for i in range(n)]
+    if any(v is None for v in neg_index):
+        raise InputError("function set is not closed under negation")
+    prod = _product_table(s)
+    if any(k is None for row in prod for k in row):
+        raise InputError("function set is not closed under products")
+    total = full_mask(n + 1)
+    add = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n):
+        add[i][zero] = 1 << i
+        add[zero][i] = 1 << i
+        for j in range(n):
+            add[i][j] = total if j == neg_index[i] else dtab[i][j]
+    add[zero][zero] = 1 << zero
+    mul = [row + (zero,) for row in prod] + [(zero,) * (n + 1)]
+    one = s.constant(1)
+    if one is None:
+        raise InputError("function set lacks the constant 1")
+    neg = tuple(neg_index) + (zero,)
+    return FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add),
+                           tuple(mul), neg, zero, one)
