@@ -253,11 +253,17 @@ def cmd_construct(args) -> int:
             result, _ = cons.fraction_multifield(obj)
         else:
             raise InputError(f"unknown construction {op!r}")
+    return _write_result(result, args.out, f" ({result.size} elements)")
+
+
+def _write_result(result, out: Optional[str], note: str = "") -> int:
+    """Write ``result``'s file text to ``out`` and confirm it, with ``note``
+    after the path, or print the text when there is no ``out``."""
     text = mio.serialize(result)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {args.out} ({result.size} elements)")
+        print(f"wrote {out}{note}")
     else:
         print(text, end="")
     return 0
@@ -285,15 +291,7 @@ def cmd_functor(args) -> int:
     if mio.kind_of(obj) != expected_kind:
         raise InputError(f"functor {name} expects a {expected_kind} file, "
                          f"got {mio.kind_of(obj)}")
-    result = fn(obj)
-    text = mio.serialize(result)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    return _write_result(fn(obj), args.out)
 
 
 _ROUNDTRIPS = {

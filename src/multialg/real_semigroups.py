@@ -17,12 +17,15 @@ under every x -> xe at once, through core's ``_CellUnion`` of the lines
 {q x : q a square} and over the agreement sets {x : ax = bx}, one union per
 distinct set; RS6 and RS8 group the c of D(a, b) by their square.  Strong
 associativity RS3 (on D^t) and weak associativity xvi (on D) read core's
-O(n^3) reassociation scan through ``_reassociation_failures``; the
-monotonicity consequence xiii is a mask test over distinct cells, and the
-arity-4 consequences iii and v are O(n^3) scans of failure masks.  The
-separation audit meets the preimages of the three-element tables under each
-morphism, per (b, c).  Only a failing (b, c) is rescanned, so each witness
-keeps the lexicographic order of the quantifier it comes from;
+O(n^3) reassociation scan through ``_reassociation_failures``.  The other
+consequences in ``check_rs_derived`` build, per (b, c), the mask of the a
+that fail there, from transposes, from the preimages pre[M][x] = {a : ax in
+M} (a ``_CellUnion`` over the fibres of x -> ax) and from the roots of each
+square; the pair and single-element ones are plain scans.
+docs/axioms.md gives each consequence's formula, witness order and mask.
+The separation audit meets the preimages of the three-element tables under
+each morphism, per (b, c).  Only a failing (b, c) is rescanned, so each
+witness keeps the lexicographic order of the quantifier it comes from;
 tests/reference_audits.py keeps the nested loops they are pinned to.
 ``rs_product`` is the componentwise product of ``constructions``.
 """
@@ -34,8 +37,8 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, repeat
-from operator import and_, getitem, itemgetter, lshift, or_
-from typing import Iterable, Optional, Sequence
+from operator import and_, getitem, invert, itemgetter, lshift, or_, xor
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .constructions import _product_tables
 from .core import (
@@ -113,9 +116,6 @@ class RealSemigroup:
 
     def neg(self, a: int) -> int:
         return self.mul[self.minus_one][a]
-
-    def in_d(self, a: int, b: int, c: int) -> bool:
-        return bool((self.d[b][c] >> a) & 1)
 
 
 def make_real_semigroup(names: Sequence[str],
@@ -204,10 +204,6 @@ def dt_table(s: RealSemigroup) -> tuple[tuple[int, ...], ...]:
         for b, row in enumerate(d))
 
 
-def in_dt(s: RealSemigroup, a: int, b: int, c: int) -> bool:
-    return bool((dt_table(s)[b][c] >> a) & 1)
-
-
 # ---------------------------------------------------------------------------
 # axiom audits
 
@@ -253,13 +249,32 @@ def _roots(mul: Sequence[Sequence[int]]) -> dict[int, int]:
     return roots
 
 
-def _agreements(mul: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """agree[a][b] is the mask of the x with ax = bx.
+def _fibres(mul: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """fibres[x][v] is the mask of the b with bx = v."""
+    return [_transposed(list(map(lshift, repeat(1), column))) for column in zip(*mul)]
 
-    fibres[x][v] is the mask of the b with bx = v, so for each a the masks
+
+def _least_failure(table: Iterable[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+    """The least (a, b, c) with a in the mask ``table[b][c]``, or None: the
+    least a of the first row whose union holds the least a over all rows,
+    at its first c."""
+    found = None
+    below = -1
+    for b, row in enumerate(table):
+        union = reduce(or_, row) & below
+        if union:
+            a = _lowest_bit(union)
+            found = (a, b, next(c for c, cell in enumerate(row) if (cell >> a) & 1))
+            if not a:
+                break
+            below = (1 << a) - 1
+    return found
+
+
+def _agreements(mul: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """agree[a][b] is the mask of the x with ax = bx: for each a the masks
     fibres[x][ax] over x, transposed, give the agreement sets of a."""
-    fibres = [_transposed(list(map(lshift, repeat(1), column)))
-              for column in zip(*mul)]
+    fibres = _fibres(mul)
     return [_transposed(list(map(getitem, fibres, row))) for row in mul]
 
 
@@ -416,109 +431,152 @@ def check_rs(s: RealSemigroup) -> CheckReport:
 
 
 def check_rs_derived(s: RealSemigroup) -> CheckReport:
-    """Seventeen consequences that must hold in any real semigroup."""
+    """Seventeen consequences that must hold in any real semigroup.
+
+    Each quantifier whose leading variable a is a mask bit tests the mask
+    bad(rest) of the failing a at every other position, so its first
+    failure in lexicographic order is the least (lowest bit of bad(rest),
+    *rest); only that position is rescanned for any variable left over."""
     n = s.size
     names = s.names
     d = s.d
     dt = dt_table(s)
     mul = s.mul
-    neg = s.neg
+    one, zero = s.one, s.zero
+    neg = mul[s.minus_one]
     elements = _Elements()
+    roots = _roots(mul)
+    cells = range(n)
+    pairs = tuple(itertools.product(cells, repeat=2))
     verdicts = []
 
-    def quantify(axiom: str, pred, arity: int) -> None:
-        witness = None
-        for combo in itertools.product(range(n), repeat=arity):
-            if not pred(*combo):
-                witness = tuple(names[i] for i in combo)
-                break
-        verdicts.append(Verdict(axiom, witness is None, witness))
-
-    def least(axiom: str, witnesses: Iterable[tuple[int, ...]]) -> None:
-        witness = min(witnesses, default=None)
+    def report(axiom: str, witness: Optional[tuple[int, ...]]) -> None:
         verdicts.append(Verdict(axiom, witness is None, None if witness is None
                                 else tuple(names[i] for i in witness)))
 
-    quantify("i-transversal-shift",
-             lambda a, b, c: not (dt[b][c] >> a) & 1
-             or (dt[neg(a)][c] >> neg(b)) & 1, 3)
-    quantify("ii-zero-represented", lambda a, b: (d[a][b] >> s.zero) & 1, 2)
-    # iii on masks: at (b, c, e) the failing a are D^t(b, c) less the
-    # preimage under x -> xe of D^t(be, ce), kept per (e, target cell).
-    # a leads the order (a, b, c, e), so the least failure leads with the
-    # lowest failing bit.
-    preimages: dict[tuple[int, int], int] = {}
+    def first(axiom: str, witnesses: Iterator[tuple[int, ...]]) -> None:
+        report(axiom, next(witnesses, None))
 
-    def preimage(e: int, cell: int) -> int:
-        if (e, cell) not in preimages:
-            preimages[e, cell] = mask_of(a for a in range(n)
-                                         if (cell >> mul[a][e]) & 1)
-        return preimages[e, cell]
-
-    least("iii-transversal-scaling", (
-        (_lowest_bit(bad), b, c, e)
-        for b, c, e in itertools.product(range(n), repeat=3)
-        if (bad := dt[b][c] & ~preimage(e, dt[mul[b][e]][mul[c][e]]))))
-    quantify("iv-idempotent-on-0-1",
-             lambda a: not ((d[s.zero][s.one] >> a) & 1
-                            or (d[s.one][s.one] >> a) & 1)
-             or mul[a][a] == a, 1)
-    # v on masks: at (c, a, b) the failing dd are D(ca, cb) less the
-    # elements that c^2 fixes; dd leads the order (dd, c, a, b).
-    moved = [mask_of(x for x in range(n) if mul[mul[c][c]][x] != x)
-             for c in range(n)]
-    least("v-common-factor", (
-        (_lowest_bit(bad), c, a, b)
-        for c, a, b in itertools.product(range(n), repeat=3)
-        if (bad := d[mul[c][a]][mul[c][b]] & moved[c])))
-    quantify("vi-squares-represented",
-             lambda a, b: (d[s.one][b] >> mul[a][a]) & 1, 2)
-    idem = mask_of(a for a in range(n) if mul[a][a] == a)
+    # i: a in D^t(b, c) needs -b in D^t(-a, c); shifted[c][t] is the mask
+    # of the a with t in D^t(-a, c), one transpose per column c.
+    shifted = [_transposed(list(map(column.__getitem__, neg))) for column in zip(*dt)]
+    report("i-transversal-shift", _least_failure(
+        tuple(map(and_, row, map(invert, map(itemgetter(neg[b]), shifted))))
+        for b, row in enumerate(dt)))
+    first("ii-zero-represented", ((a, b) for a, b in pairs if not (d[a][b] >> zero) & 1))
+    # iii: bad(b, c) is D^t(b, c) less the meet over e of the preimages
+    # under x -> xe of D^t(be, ce); pre[M][e] is that preimage of M, the
+    # union of the fibres of x -> xe over M.  e is found at the least
+    # failure only.
+    pre = _CellUnion.over(list(zip(*_fibres(mul))), elements)
+    w3 = None
+    below = -1  # the a that would improve on the failure so far
+    for b, row in enumerate(dt):
+        scaled = [dt[be] for be in mul[b]]
+        for c, cell in enumerate(row):
+            if cell & below:
+                bad = cell & below & ~reduce(and_, map(getitem, map(
+                    pre.__getitem__, map(getitem, scaled, mul[c])), cells))
+                if bad:
+                    w3 = (_lowest_bit(bad), b, c)
+                    below = (bad & -bad) - 1
+        if not below:
+            break
+    if w3 is not None:
+        a, b, c = w3
+        w3 += (next(e for e in cells
+                    if not (dt[mul[b][e]][mul[c][e]] >> mul[a][e]) & 1),)
+    report("iii-transversal-scaling", w3)
+    first("iv-idempotent-on-0-1",
+          ((a,) for a in bits(d[zero][one] | d[one][one]) if mul[a][a] != a))
+    # v: dd in D(ca, cb) needs c^2 dd = dd; the failing dd for c are the
+    # union of D over image(c)^2, one union per distinct image, cut by the
+    # elements c^2 moves.  (a, b) is found at the least (dd, c) only.
+    unions = _CellUnion.over(d, elements)
+    images = list(map(mask_of, mul))
+    spans = {image: reduce(or_, map(unions[image].__getitem__, elements[image]), 0)
+             for image in set(images)}
+    w5 = min(((_lowest_bit(bad), c) for c, row in enumerate(mul)
+              if (bad := mask_of(x for x in bits(spans[images[c]])
+                                 if mul[row[c]][x] != x))), default=None)
+    if w5 is not None:
+        dd, c = w5
+        w5 += next((a, b) for a, b in pairs if (d[mul[c][a]][mul[c][b]] >> dd) & 1)
+    report("v-common-factor", w5)
+    first("vi-squares-represented",
+          ((a, b) for a, b in pairs if not (d[one][b] >> mul[a][a]) & 1))
+    idem = mask_of(a for a in cells if mul[a][a] == a)
     verdicts.append(Verdict("vi-idempotents-are-d11",
-                            d[s.one][s.one] == idem,
-                            None if d[s.one][s.one] == idem
-                            else (s.carrier.labels(d[s.one][s.one]),
+                            d[one][one] == idem,
+                            None if d[one][one] == idem
+                            else (s.carrier.labels(d[one][one]),
                                   s.carrier.labels(idem))))
-    quantify("vii-transversal-diagonal",
-             lambda a, b: ((dt[b][b] >> a) & 1) == (a == b), 2)
-    quantify("viii-zero-zero", lambda a: ((d[s.zero][s.zero] >> a) & 1) == (a == s.zero), 1)
-    quantify("ix-one-absorbs", lambda a: (dt[s.one][a] >> s.one) & 1, 1)
+    first("vii-transversal-diagonal",
+          ((a, b) for a, b in pairs if ((dt[b][b] >> a) & 1) != (a == b)))
+    first("viii-zero-zero",
+          ((a,) for a in cells if ((d[zero][zero] >> a) & 1) != (a == zero)))
+    first("ix-one-absorbs", ((a,) for a in cells if not (dt[one][a] >> one) & 1))
     verdicts.append(Verdict("x-full-opposite",
-                            dt[s.one][s.minus_one] == full_mask(n),
-                            None if dt[s.one][s.minus_one] == full_mask(n)
-                            else s.carrier.labels(dt[s.one][s.minus_one])))
-    quantify("xi-product-vs-minus-square",
-             lambda a, b: (d[s.one][neg(mul[a][a])] >> mul[a][b]) & 1, 2)
-    quantify("xii-zero-transversal",
-             lambda a, b: ((dt[a][b] >> s.zero) & 1) == (a == neg(b)), 2)
+                            dt[one][s.minus_one] == full_mask(n),
+                            None if dt[one][s.minus_one] == full_mask(n)
+                            else s.carrier.labels(dt[one][s.minus_one])))
+    first("xi-product-vs-minus-square",
+          ((a, b) for a, b in pairs if not (d[one][neg[mul[a][a]]] >> mul[a][b]) & 1))
+    first("xii-zero-transversal",
+          ((a, b) for a, b in pairs if ((dt[a][b] >> zero) & 1) != (a == neg[b])))
     # xiii: every cell K = D(x, y) holds D(b, c) for b, c in K; each
     # distinct cell is tested once, at its first position.
     first_at: dict[int, tuple[int, int]] = {}
-    for x, y in itertools.product(range(n), repeat=2):
+    for x, y in pairs:
         first_at.setdefault(d[x][y], (x, y))
-    least("xiii-monotone", (
+    report("xiii-monotone", min((
         (_lowest_bit(d[b][c] & ~cell), b, c) + first_at[cell]
         for cell in first_at for b in elements[cell]
-        for c in elements[cell] if d[b][c] & ~cell))
-    quantify("xiv-product-form",
-             lambda a, b, c: ((d[b][c] >> a) & 1)
-             == ((d[s.one][mul[b][c]] >> mul[a][b]) & 1
-                 and (d[s.one][mul[b][c]] >> mul[a][c]) & 1
-                 and (d[mul[b][b]][mul[c][c]] >> mul[a][a]) & 1), 3)
-    quantify("xv-transversal-nonempty", lambda a, b: dt[a][b] != 0, 2)
-    least("xvi-weak-associativity", _reassociation_failures(d, elements))
-    quantify("xvii-square-transversal",
-             lambda a, b, c: ((d[b][c] >> a) & 1)
-             == ((dt[mul[mul[a][a]][b]][mul[mul[a][a]][c]] >> a) & 1), 3)
+        for c in elements[cell] if d[b][c] & ~cell), default=None))
+    # rooted[p][c]: the a with a^2 in D(p, c^2), for each square p
+    squares = [row[x] for x, row in enumerate(mul)]
+    rooted = {}
+    for p in roots:
+        by_square = {q: reduce(or_, map(roots.get, bits(d[p][q]), repeat(0)), 0)
+                     for q in roots}
+        rooted[p] = tuple(map(by_square.__getitem__, squares))
 
+    def product_forms() -> Iterator[tuple[int, ...]]:
+        """xiv: a in D(b, c) iff ab and ac are in D(1, bc) and a^2 is in
+        D(b^2, c^2); the right side is pre[D(1, bc)] at b and at c, met
+        with rooted[b^2][c]."""
+        for b, row in enumerate(d):
+            products = list(map(pre.__getitem__, map(d[one].__getitem__, mul[b])))
+            yield tuple(map(xor, row, map(
+                and_, map(and_, map(getitem, products, repeat(b)),
+                          map(getitem, products, cells)),
+                rooted[squares[b]])))
+
+    report("xiv-product-form", _least_failure(product_forms()))
+    first("xv-transversal-nonempty", ((a, b) for a, b in pairs if not dt[a][b]))
+    report("xvi-weak-associativity",
+           min(_reassociation_failures(d, elements), default=None))
+
+    def square_transversals() -> Iterator[tuple[int, ...]]:
+        """xvii: a in D(b, c) iff a in D^t(a^2 b, a^2 c); the right side is,
+        over the squares q, the roots of q in D^t(qb, qc)."""
+        for b, row in enumerate(d):
+            for q, root_mask in roots.items():
+                row = tuple(map(xor, row, map(and_, map(dt[mul[q][b]].__getitem__, mul[q]),
+                                              repeat(root_mask))))
+            yield row
+
+    report("xvii-square-transversal", _least_failure(square_transversals()))
     return CheckReport("real semigroup consequences", tuple(verdicts))
 
 
 # ---------------------------------------------------------------------------
 # the canonical three-element structure
 
+@lru_cache(maxsize=None)
 def canonical_3() -> RealSemigroup:
-    """Unique real semigroup on the sign ternary semigroup {-1, 0, 1}."""
+    """Unique real semigroup on the sign ternary semigroup {-1, 0, 1}; built
+    once, as every separation audit and map into it reads it."""
     names = ("-1", "0", "1")
     mul = [["1", "0", "-1"], ["0", "0", "0"], ["-1", "0", "1"]]
     triples = []
@@ -605,8 +663,9 @@ def separation_audit(s: RealSemigroup) -> CheckReport:
     For a morphism h, the a with h(a) in a mask M of the three-element
     carrier are the union of h's fibres over M, kept for all eight M; so
     the a that every h sends into the three-element table at (hb, hc) are
-    one AND per h, for each (b, c).  The witness is the least differing
-    (a, b, c), a first, so every (b, c) is scanned unless a = 0 differs."""
+    one AND per h, for each (b, c), a row of them at a time.  The witness is
+    the least differing (a, b, c), a first, so every row is scanned unless
+    a = 0 differs."""
     three = canonical_3()
     n = s.size
     names = s.names
@@ -620,17 +679,16 @@ def separation_audit(s: RealSemigroup) -> CheckReport:
         maps.append((h, [reduce(or_, (fibres[v] for v in bits(m)), 0)
                          for m in range(8)]))
 
-    def least_difference(table, table3) -> Optional[tuple[str, str, str]]:
-        found = None
-        for b, c in itertools.product(range(n), repeat=2):
-            via = top
+    def differences(table, table3) -> Iterator[tuple[int, ...]]:
+        for b, row in enumerate(table):
+            via = (top,) * n
             for h, preimage in maps:
-                via &= preimage[table3[h[b]][h[c]]]
-            differ = via ^ table[b][c]
-            if differ and (found is None or _lowest_bit(differ) < found[0]):
-                found = (_lowest_bit(differ), b, c)
-                if found[0] == 0:
-                    break
+                via = tuple(map(and_, via, map(preimage.__getitem__,
+                                               map(table3[h[b]].__getitem__, h))))
+            yield tuple(map(xor, via, row))
+
+    def least_difference(table, table3) -> Optional[tuple[str, str, str]]:
+        found = _least_failure(differences(table, table3))
         return found and tuple(names[i] for i in found)
 
     w_d = least_difference(s.d, three.d)

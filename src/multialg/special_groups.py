@@ -223,10 +223,6 @@ def _pair_classes(g: SpecialGroup) -> tuple[tuple[tuple[int, ...], ...],
     return tuple(tuple(r) for r in cls), tuple(rep_masks)
 
 
-def pair_class(g: SpecialGroup, a: int, b: int) -> int:
-    return _pair_classes(g)[0][a][b]
-
-
 def represented(g: SpecialGroup, a: int, b: int) -> int:
     """Mask of elements represented by the binary form (a, b)."""
     cls, reps = _pair_classes(g)

@@ -369,6 +369,11 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     return CheckReport("multiring", tuple(verdicts))
 
 
+def in_d(s: RealSemigroup, a: int, b: int, c: int) -> bool:
+    """Whether a is in D(b, c); once ``RealSemigroup.in_d``."""
+    return bool((s.d[b][c] >> a) & 1)
+
+
 @lru_cache(maxsize=None)
 def dt_table(s: RealSemigroup) -> tuple[tuple[int, ...], ...]:
     """Transversal representation, derived: a in D^t(b,c) iff a in D(b,c),
@@ -378,7 +383,7 @@ def dt_table(s: RealSemigroup) -> tuple[tuple[int, ...], ...]:
     for b, c in itertools.product(range(n), repeat=2):
         m = 0
         for a in bits(s.d[b][c]):
-            if s.in_d(s.neg(b), s.neg(a), c) and s.in_d(s.neg(c), b, s.neg(a)):
+            if in_d(s, s.neg(b), s.neg(a), c) and in_d(s, s.neg(c), b, s.neg(a)):
                 m |= 1 << a
         out[b][c] = m
     return tuple(tuple(r) for r in out)
@@ -767,7 +772,7 @@ def separation_audit(s: RealSemigroup) -> CheckReport:
 
     w_d = None
     for a, b, c in itertools.product(range(n), repeat=3):
-        direct = s.in_d(a, b, c)
+        direct = in_d(s, a, b, c)
         via = all((three.d[h.mapping[b]][h.mapping[c]] >> h.mapping[a]) & 1
                   for h in homs)
         if direct != via:
@@ -1756,7 +1761,7 @@ def rs_product(factors: Sequence[RealSemigroup], sep: str = ",") -> RealSemigrou
         for ci, c in enumerate(index_tuples):
             m = 0
             for ai, a in enumerate(index_tuples):
-                if all(f.in_d(x, y, z) for f, x, y, z in zip(factors, a, b, c)):
+                if all(in_d(f, x, y, z) for f, x, y, z in zip(factors, a, b, c)):
                     m |= 1 << ai
             d[bi][ci] = m
     return RealSemigroup(

@@ -378,6 +378,50 @@ def test_real_semigroup_mutants():
             assert_rs_agrees(mutant)
 
 
+# Mutants of rs3 and rs3 x rs3 as lists of edits (table, b, c, x): "d"
+# toggles x in D(b, c), "mul" sets bc to x.  They were drawn from
+# random.Random(2104), one to three edits each, and kept where, on each base,
+# together they make every consequence fail.
+DERIVED_MUTANTS = {
+    "rs3": (
+        (("d", 2, 0, 2), ("d", 1, 1, 2), ("d", 1, 2, 2)),
+        (("mul", 2, 1, 0), ("d", 1, 0, 1), ("mul", 1, 1, 2)),
+    ),
+    "rs3x3": (
+        (("mul", 1, 8, 2), ("mul", 7, 7, 2), ("d", 4, 4, 1)),
+        (("mul", 2, 6, 0), ("d", 0, 0, 0), ("d", 2, 4, 2)),
+        (("d", 2, 6, 4), ("mul", 1, 2, 1)),
+    ),
+}
+
+
+def _edited(s: RealSemigroup, edits) -> RealSemigroup:
+    for table, b, c, x in edits:
+        if table == "d":
+            s = dataclasses.replace(s, d=_replace_cell(s.d, b, c, s.d[b][c] ^ (1 << x)))
+        else:
+            s = dataclasses.replace(s, mul=_replace_cell(s.mul, b, c, x))
+    return s
+
+
+def test_every_consequence_fails_on_a_pinned_mutant():
+    """The consequences follow from RS0-RS8, so only failures tell a mask
+    version from the nested loops: on each base every one of the eighteen
+    verdicts fails on some mutant, with the reference's witness."""
+    three = canonical_3()
+    names = {v.axiom for v in real_semigroups.check_rs_derived(three).verdicts}
+    assert len(names) == 18
+    for base, mutants in ((three, DERIVED_MUTANTS["rs3"]),
+                          (rs_product([three] * 2), DERIVED_MUTANTS["rs3x3"])):
+        failed = set()
+        for edits in mutants:
+            mutant = _edited(base, edits)
+            report = real_semigroups.check_rs_derived(mutant)
+            assert report == reference.check_rs_derived(mutant), edits
+            failed |= {v.axiom for v in report.failures()}
+        assert failed == names, base.size
+
+
 def _space_mutants(s: SignSpace):
     """Every space with one value of one function changed, or one function
     dropped; changes that duplicate a function are skipped."""

@@ -230,6 +230,20 @@ class TestCli:
         assert main(["functor", "sg-mf", str(out), "-o", str(back)]) == 0
         assert mio.kind_of(mio.read_structure(str(back))) == "multiring"
 
+    def test_construct_and_functor_output(self, tmp_path, capsys):
+        """Without -o the file text goes to stdout; with -o it goes to the
+        file, and construct's confirmation also gives the size."""
+        for argv, confirmation in (
+                (["construct", "qred", corpus_path("q2")], " (3 elements)"),
+                (["functor", "mf-sg", corpus_path("q2")], "")):
+            assert main(argv) == 0
+            text = capsys.readouterr().out
+            out = tmp_path / f"{argv[0]}.mrs"
+            assert main(argv + ["-o", str(out)]) == 0
+            assert capsys.readouterr().out == f"wrote {out}{confirmation}\n"
+            assert out.read_text(encoding="utf-8") == text
+            assert text == mio.serialize(mio.parse(text))
+
     def test_functor_kind_mismatch(self):
         assert main(["functor", "rs-mr", corpus_path("q2")]) == 2
 

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -59,6 +60,12 @@ class TestCanonicalThree:
         report = check_rs_derived(s)
         assert report.overall
         assert len(report.verdicts) == 18  # 17 items, one split in two
+
+    def test_every_consequence_is_documented(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "axioms.md")
+        with open(path, encoding="utf-8") as fh:
+            rows = {line.split("|")[1].strip() for line in fh if line.startswith("| `")}
+        assert {f"`{v.axiom}`" for v in check_rs_derived(canonical_3()).verdicts} <= rows
 
     def test_uniqueness_search_finds_exactly_one(self):
         count, survivor = unique_rs_search_on_3()
