@@ -1,8 +1,9 @@
 """Command line surface: audits, constructions, functors, round-trips,
 morphism and structure enumeration, and the whole-diagram consistency walk.
 
-Exit codes: 0 success, 1 failed audit, 2 malformed input, 141 (128 +
-SIGPIPE) when the reader of standard output closed it early.
+Exit codes: 0 success, 1 failed audit, 2 malformed input or a path that
+cannot be read or written (missing, a directory, not UTF-8 text), 141
+(128 + SIGPIPE) when the reader of standard output closed it early.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import constructions as cons
 from . import core
@@ -269,49 +270,64 @@ def _write_result(result, out: Optional[str], note: str = "") -> int:
     return 0
 
 
-_FUNCTORS = {
-    "sg-mf": ("special_group", lambda g: spg.sg_to_mf(g)),
-    "mf-sg": ("multiring", lambda f: spg.mf_to_sg(f)),
-    "rs-mr": ("real_semigroup", lambda s: rsg.rs_to_mrred(s)),
-    "mr-rs": ("multiring", lambda a: rsg.mrred_to_rs(a)),
-    "aos-mf": ("sign_space", lambda s: osp.aos_to_mfred(s)),
-    "mf-aos": ("multiring", lambda f: osp.mfred_to_aos(f)[0]),
-    "ars-mr": ("sign_space", lambda s: osp.ars_to_mrred(s)),
-    "mr-ars": ("multiring", lambda a: osp.mrred_to_ars(a)[0]),
+class _Side(NamedTuple):
+    """One side of an equivalence.  Its lambdas look the library function up
+    on its module at each call, so a rebinding of that name is seen."""
+    kind: str  # the kind of file this side takes
+    functor: str  # the name of the functor that leaves it
+    apply: Callable  # that functor on objects
+    roundtrip: Callable  # this side's round-trip audit
+
+
+# The four equivalences by ``--pair`` name, each with its two sides.
+_PAIRS = {
+    "sg-smf": (_Side("special_group", "sg-mf", lambda g: spg.sg_to_mf(g),
+                     lambda g: spg.sg_smf_roundtrip(g)),
+               _Side("multiring", "mf-sg", lambda f: spg.mf_to_sg(f),
+                     lambda f: spg.smf_sg_roundtrip(f))),
+    "rs-mr": (_Side("real_semigroup", "rs-mr", lambda s: rsg.rs_to_mrred(s),
+                    lambda s: rsg.rs_mr_roundtrip(s)),
+              _Side("multiring", "mr-rs", lambda a: rsg.mrred_to_rs(a),
+                    lambda a: rsg.mr_rs_roundtrip(a))),
+    "aos-mf": (_Side("sign_space", "aos-mf", lambda s: osp.aos_to_mfred(s),
+                     lambda s: osp.aos_mf_roundtrip(s)),
+               _Side("multiring", "mf-aos", lambda f: osp.mfred_to_aos(f)[0],
+                     lambda f: osp.mf_aos_roundtrip(f))),
+    "ars-mr": (_Side("sign_space", "ars-mr", lambda s: osp.ars_to_mrred(s),
+                     lambda s: osp.ars_mr_roundtrip(s)),
+               _Side("multiring", "mr-ars", lambda a: osp.mrred_to_ars(a)[0],
+                     lambda a: osp.mr_ars_roundtrip(a))),
+}
+_SIDES = {side.functor: side for sides in _PAIRS.values() for side in sides}
+
+# The morphism search that ``hom`` runs on two files of one kind.
+_HOM_SEARCHES = {
+    "multiring": lambda a, b: core.enumerate_multiring_morphisms(a, b),
+    "special_group": lambda a, b: spg.enumerate_sg_morphisms(a, b),
+    "real_semigroup": lambda a, b: rsg.enumerate_rs_morphisms(a, b),
 }
 
 
 def cmd_functor(args) -> int:
     name = args.name.replace("->", "-")
-    if name not in _FUNCTORS:
+    if name not in _SIDES:
         raise InputError(f"unknown functor {args.name!r}; expected one of "
-                         + ", ".join(sorted(_FUNCTORS)))
-    expected_kind, fn = _FUNCTORS[name]
+                         + ", ".join(sorted(_SIDES)))
+    side = _SIDES[name]
     obj = mio.read_structure(args.file)
-    if mio.kind_of(obj) != expected_kind:
-        raise InputError(f"functor {name} expects a {expected_kind} file, "
+    if mio.kind_of(obj) != side.kind:
+        raise InputError(f"functor {name} expects a {side.kind} file, "
                          f"got {mio.kind_of(obj)}")
-    return _write_result(fn(obj), args.out)
-
-
-_ROUNDTRIPS = {
-    ("sg-smf", "special_group"): spg.sg_smf_roundtrip,
-    ("sg-smf", "multiring"): spg.smf_sg_roundtrip,
-    ("rs-mr", "real_semigroup"): rsg.rs_mr_roundtrip,
-    ("rs-mr", "multiring"): rsg.mr_rs_roundtrip,
-    ("aos-mf", "sign_space"): osp.aos_mf_roundtrip,
-    ("aos-mf", "multiring"): osp.mf_aos_roundtrip,
-    ("ars-mr", "sign_space"): osp.ars_mr_roundtrip,
-    ("ars-mr", "multiring"): osp.mr_ars_roundtrip,
-}
+    return _write_result(side.apply(obj), args.out)
 
 
 def cmd_roundtrip(args) -> int:
     obj = mio.read_structure(args.file)
     kind = mio.kind_of(obj)
-    if (args.pair, kind) not in _ROUNDTRIPS:
+    side = next((s for s in _PAIRS[args.pair] if s.kind == kind), None)
+    if side is None:
         raise InputError(f"round-trip {args.pair} does not take a {kind} file")
-    report = _ROUNDTRIPS[args.pair, kind](obj)
+    report = side.roundtrip(obj)
     _emit_report(report, args.format)
     return 0 if report.overall else 1
 
@@ -322,14 +338,9 @@ def cmd_hom(args) -> int:
     ka, kb = mio.kind_of(a), mio.kind_of(b)
     if ka != kb:
         raise InputError(f"hom needs matching kinds, got {ka} and {kb}")
-    if ka == "multiring":
-        homs = core.enumerate_multiring_morphisms(a, b)
-    elif ka == "special_group":
-        homs = spg.enumerate_sg_morphisms(a, b)
-    elif ka == "real_semigroup":
-        homs = rsg.enumerate_rs_morphisms(a, b)
-    else:
+    if ka not in _HOM_SEARCHES:
         raise InputError(f"hom enumeration not supported for kind {ka}")
+    homs = _HOM_SEARCHES[ka](a, b)
     print(f"morphisms: {len(homs)}")
     src_names = a.carrier.names
     dst_names = b.carrier.names
@@ -436,32 +447,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=("axioms", "derived", "all"),
                    default="axioms")
     add_format(p)
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("classify", help="multiring flags and realness")
     p.add_argument("file")
     add_format(p)
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("spec", help="prime spectrum and patch relations")
     p.add_argument("file")
     add_format(p)
-    p.set_defaults(fn=cmd_spec)
 
     p = sub.add_parser("sper", help="orderings and the evaluation embedding")
     p.add_argument("file")
     add_format(p)
-    p.set_defaults(fn=cmd_sper)
 
     p = sub.add_parser("orderings", help="orderings and the hom bijection")
     p.add_argument("file")
     add_format(p)
-    p.set_defaults(fn=cmd_orderings)
 
     p = sub.add_parser("real-check", help="real and real reduced audits")
     p.add_argument("file")
     add_format(p)
-    p.set_defaults(fn=cmd_real_check)
 
     p = sub.add_parser("construct", help="build a new structure file")
     p.add_argument("operation", choices=("product", "quotient", "localize",
@@ -470,26 +475,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="comma separated labels (generators or a "
                                  "multiplicative set)")
     p.add_argument("-o", "--out")
-    p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("functor", help="apply one of the eight functors")
-    p.add_argument("name", help="sg-mf, mf-sg, rs-mr, mr-rs, aos-mf, "
-                                "mf-aos, ars-mr, mr-ars (-> also accepted)")
+    p.add_argument("name", help=", ".join(_SIDES) + " (-> also accepted)")
     p.add_argument("file")
     p.add_argument("-o", "--out")
-    p.set_defaults(fn=cmd_functor)
 
     p = sub.add_parser("roundtrip", help="equivalence round-trip audit")
-    p.add_argument("--pair", required=True,
-                   choices=("sg-smf", "rs-mr", "aos-mf", "ars-mr"))
+    p.add_argument("--pair", required=True, choices=tuple(_PAIRS))
     p.add_argument("file")
     add_format(p)
-    p.set_defaults(fn=cmd_roundtrip)
 
     p = sub.add_parser("hom", help="enumerate morphisms between two files")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.set_defaults(fn=cmd_hom)
 
     p = sub.add_parser("enumerate", help="all structures of a kind and order")
     p.add_argument("--kind", required=True, choices=enumeration.ENUMERABLE_KINDS)
@@ -497,16 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum order (all orders up to this are produced)")
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--out-dir")
-    p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("diagram", help="walk the functor diagram from a "
                                        "real reduced multiring or multifield")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_diagram)
 
-    p = sub.add_parser("rs-unique3", help="uniqueness search for the "
-                                          "three-element real semigroup")
-    p.set_defaults(fn=cmd_rs_unique3)
+    sub.add_parser("rs-unique3", help="uniqueness search for the "
+                                      "three-element real semigroup")
 
     p = sub.add_parser("sample", help="seeded membership-oracle trials for "
                                       "the triangle multifield")
@@ -516,11 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--broken", action="store_true",
                    help="use the deliberately broken oracle")
     add_format(p)
-    p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("corpus", help="write the bundled corpus files")
     p.add_argument("--out", default="corpus")
-    p.set_defaults(fn=cmd_corpus)
 
     return parser
 
@@ -533,7 +527,8 @@ _PARSER = build_parser()
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        code = args.fn(args)
+        # ``real-check`` runs ``cmd_real_check``, as bound at this call.
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -541,15 +536,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # devnull, so the flush at exit does not fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except core.StructuralAnomaly as exc:
         print(f"structural anomaly: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -375,6 +375,17 @@ def _validate_cell_table(what: str, table: Sequence[Sequence[int]], n: int) -> N
                 raise InputError(f"{what} cell at ({i},{j}) indexes outside carrier")
 
 
+def _freeze_tables(obj, *names: str) -> None:
+    """Keep the named tables of a frozen structure as tuples of tuples, so
+    that rows given as lists still let the per-structure caches (classify's
+    audit, spectra's ideals and orderings, dt_table) hash it.  Tables that
+    are tuples already stay shared with their source."""
+    for name in names:
+        table = getattr(obj, name)
+        if type(table) is not tuple or any(type(row) is not tuple for row in table):
+            object.__setattr__(obj, name, tuple(map(tuple, table)))
+
+
 def _validate_unary(what: str, table: Sequence[int], n: int) -> None:
     if len(table) != n:
         raise InputError(f"{what} table has {len(table)} entries, expected {n}")
@@ -680,13 +691,7 @@ class FiniteMultiring:
         for idx, what in ((self.zero, "zero"), (self.one, "one")):
             if not 0 <= idx < n:
                 raise InputError(f"{what} index out of range")
-        # Rows given as lists are kept as tuples: the per-structure caches
-        # (classify's audit, the ideals and orderings of spectra) hash it.
-        # Tables that are tuples already stay shared with their source.
-        for name in ("add", "mul"):
-            table = getattr(self, name)
-            if type(table) is not tuple or any(type(row) is not tuple for row in table):
-                object.__setattr__(self, name, tuple(map(tuple, table)))
+        _freeze_tables(self, "add", "mul")
         object.__setattr__(self, "neg", tuple(self.neg))
 
     @property

@@ -194,12 +194,18 @@ def parse(text: str) -> Structure:
         raise InputError(
             f"malformed structure file at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InputError("malformed structure file: nested too deeply") from None
     return from_document(doc)
 
 
 def read_structure(path: str) -> Structure:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse(text)
 
 
 def write_structure(path: str, obj: Structure, name: Optional[str] = None) -> None:

@@ -51,6 +51,7 @@ from .core import (
     Verdict,
     _CellUnion,
     _Elements,
+    _freeze_tables,
     _lowest_bit,
     _map_defects,
     _monoid_defects,
@@ -95,12 +96,7 @@ class RealSemigroup:
             for cell in row:
                 if cell & ~top:
                     raise InputError("representation set outside carrier")
-        # Rows given as lists are kept as tuples: dt_table's cache hashes
-        # the structure.
-        for name in ("mul", "d"):
-            table = getattr(self, name)
-            if type(table) is not tuple or any(type(row) is not tuple for row in table):
-                object.__setattr__(self, name, tuple(map(tuple, table)))
+        _freeze_tables(self, "mul", "d")
 
     @property
     def size(self) -> int:

@@ -38,6 +38,7 @@ from .core import (
     StructureMap,
     Verdict,
     _associativity_defect,
+    _freeze_tables,
     _lowest_bit,
     _map_defects,
     _table_morphisms,
@@ -80,10 +81,9 @@ class SpecialGroup:
         for q in self.iso:
             if len(q) != 4 or any(not 0 <= v < n for v in q):
                 raise InputError(f"isometry quadruple {q} outside carrier")
-        # Rows given as lists, and an isometry relation given as a set, are
-        # kept as tuples and a frozenset: the per-group caches hash the group.
-        if type(self.mul) is not tuple or any(type(row) is not tuple for row in self.mul):
-            object.__setattr__(self, "mul", tuple(map(tuple, self.mul)))
+        # An isometry relation given as a set is kept as a frozenset: the
+        # per-group caches hash the group.
+        _freeze_tables(self, "mul")
         if type(self.iso) is not frozenset:
             object.__setattr__(self, "iso", frozenset(map(tuple, self.iso)))
 

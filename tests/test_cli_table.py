@@ -1,0 +1,145 @@
+"""The functor-pair table of ``cli``: it prints what the commands it replaced
+printed, and every function it reaches is looked up where a rebinding (a
+monkeypatch, the benchmark's tracer) is seen."""
+
+import argparse
+import os
+
+import pytest
+
+import reference_cli
+from multialg import cli, core
+from multialg import ordering_spaces as osp
+from multialg import real_semigroups as rsg
+from multialg import special_groups as spg
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+FILES = [os.path.join(CORPUS, f) for f in sorted(os.listdir(CORPUS))]
+
+
+def corpus_path(name: str) -> str:
+    return os.path.join(CORPUS, f"{name}.mrs")
+
+
+# Each side of each pair: its module, functor name and function, round-trip
+# audit, --pair name and a corpus file it takes.
+SIDES = [
+    (spg, "sg-mf", "sg_to_mf", "sg_smf_roundtrip", "sg-smf", "sg_z22_trivial"),
+    (spg, "mf-sg", "mf_to_sg", "smf_sg_roundtrip", "sg-smf", "q2"),
+    (rsg, "rs-mr", "rs_to_mrred", "rs_mr_roundtrip", "rs-mr", "rs3x3"),
+    (rsg, "mr-rs", "mrred_to_rs", "mr_rs_roundtrip", "rs-mr", "q2xq2"),
+    (osp, "aos-mf", "aos_to_mfred", "aos_mf_roundtrip", "aos-mf", "aos_fan2"),
+    (osp, "mf-aos", "mfred_to_aos", "mf_aos_roundtrip", "aos-mf", "fan2mf"),
+    (osp, "ars-mr", "ars_to_mrred", "ars_mr_roundtrip", "ars-mr", "ars_q2xq2"),
+    (osp, "mr-ars", "mrred_to_ars", "mr_ars_roundtrip", "ars-mr", "q2"),
+]
+
+LIBRARY_CALLS = [
+    *[(module, fn, ["functor", name, corpus_path(f)])
+      for module, name, fn, _, _, f in SIDES],
+    *[(module, audit, ["roundtrip", "--pair", pair, corpus_path(f)])
+      for module, _, _, audit, pair, f in SIDES],
+    (core, "enumerate_multiring_morphisms",
+     ["hom", corpus_path("q2"), corpus_path("q2")]),
+    (spg, "enumerate_sg_morphisms",
+     ["hom", corpus_path("sg_z22_trivial"), corpus_path("sg_z22_trivial")]),
+    (rsg, "enumerate_rs_morphisms",
+     ["hom", corpus_path("rs3"), corpus_path("rs3")]),
+]
+
+# One argv per command; the command itself is replaced, so none runs.
+COMMANDS = {
+    "check": ["check", "x.mrs"],
+    "classify": ["classify", "x.mrs"],
+    "spec": ["spec", "x.mrs"],
+    "sper": ["sper", "x.mrs"],
+    "orderings": ["orderings", "x.mrs"],
+    "real-check": ["real-check", "x.mrs"],
+    "construct": ["construct", "qred", "x.mrs"],
+    "functor": ["functor", "mf-sg", "x.mrs"],
+    "roundtrip": ["roundtrip", "--pair", "sg-smf", "x.mrs"],
+    "hom": ["hom", "x.mrs", "y.mrs"],
+    "enumerate": ["enumerate", "--kind", "multiring", "--order", "1"],
+    "diagram": ["diagram", "x.mrs"],
+    "rs-unique3": ["rs-unique3"],
+    "sample": ["sample", "--axiom", "commutativity"],
+    "corpus": ["corpus"],
+}
+
+
+def _subcommands() -> dict:
+    return next(a for a in cli._PARSER._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _option(command: str, dest: str) -> argparse.Action:
+    return next(a for a in _subcommands()[command]._actions if a.dest == dest)
+
+
+def _run(capsys, argv) -> tuple:
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _cases() -> list:
+    names = [side[1] for side in SIDES] + ["mf->sg", "bogus"]
+    cases = [["functor", name, path] for name in names for path in FILES]
+    cases += [["roundtrip", "--pair", pair, path, "--format", fmt]
+              for pair in reference_cli.PAIR_CHOICES
+              for fmt in ("text", "jsonl") for path in FILES]
+    cases += [["hom", a, b] for a in FILES for b in FILES]
+    return cases
+
+
+def test_functor_help_and_pair_choices_are_the_old_literals():
+    assert _option("functor", "name").help == reference_cli.FUNCTOR_HELP
+    assert tuple(_option("roundtrip", "pair").choices) \
+        == reference_cli.PAIR_CHOICES
+
+
+def test_commands_print_what_the_old_commands_printed(capsys, monkeypatch):
+    """functor, roundtrip and hom over the corpus: exit code, standard
+    output and standard error equal those of the old commands."""
+    cases = _cases()
+    assert len(cases) == 10 * 28 + 4 * 2 * 28 + 28 * 28
+    new = [_run(capsys, argv) for argv in cases]
+    for name in ("cmd_functor", "cmd_roundtrip", "cmd_hom"):
+        monkeypatch.setattr(cli, name, getattr(reference_cli, name))
+    old = [_run(capsys, argv) for argv in cases]
+    for argv, n, o in zip(cases, new, old):
+        assert n == o, argv
+    assert {code for code, _, _ in new} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("module, name, argv", LIBRARY_CALLS,
+                         ids=[f"{m.__name__}.{n}" for m, n, _ in LIBRARY_CALLS])
+def test_main_calls_the_library_function_bound_on_its_module(
+        module, name, argv, capsys, monkeypatch):
+    original = getattr(module, name)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls, f"{argv} did not call {module.__name__}.{name}"
+
+
+def test_every_command_has_an_argv_here():
+    assert set(COMMANDS) == set(_subcommands())
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_main_calls_the_command_bound_on_cli(command, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
+                        lambda args: calls.append(args.command) or 0)
+    assert cli.main(COMMANDS[command]) == 0
+    assert calls == [command]

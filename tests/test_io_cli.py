@@ -163,6 +163,32 @@ class TestCli:
     def test_missing_file_exits_2(self):
         assert main(["check", "no/such/file.mrs"]) == 2
 
+    def test_a_directory_exits_2(self, capsys):
+        assert main(["check", CORPUS]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+    def test_a_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.mrs"
+        path.write_bytes('{"kind": "multiring", "elements": ["\u00e9"]}'
+                         .encode("latin-1"))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"input error: {path} is not UTF-8 text:")
+
+    def test_a_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.mrs"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "input error: malformed structure file: nested too deeply\n"
+
+    def test_an_out_dir_naming_a_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("", encoding="utf-8")
+        assert main(["enumerate", "--kind", "multiring", "--order", "1",
+                     "--out-dir", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_jsonl_output_is_machine_readable(self, capsys):
         assert main(["check", corpus_path("q2"), "--format", "jsonl"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
