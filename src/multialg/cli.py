@@ -354,12 +354,13 @@ def cmd_hom(args) -> int:
 def cmd_enumerate(args) -> int:
     structures = enumeration.enumerate_structures(
         args.kind, args.order, up_to_iso=args.up_to_iso)
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
     print(f"{args.kind} structures of order <= {args.order}"
           f"{' up to isomorphism' if args.up_to_iso else ''}: "
           f"{len(structures)}")
     for i, s in enumerate(structures):
         if args.out_dir:
-            os.makedirs(args.out_dir, exist_ok=True)
             path = os.path.join(args.out_dir, f"{args.kind}_{i:03d}.mrs")
             mio.write_structure(path, s)
         if isinstance(s, FiniteMultiring):

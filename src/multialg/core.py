@@ -26,17 +26,22 @@ semigroups, special groups, the enumerated monoids) is one audit,
 ``_associativity_defect``: the rows are bytes, and (ab)c over c is row ab
 while a(bc) is row b translated through row a, compared inside C.
 ``_monoid_defects`` adds commutativity, the unit and the absorbing zero, for
-multirings and ternary semigroups alike.  The multiring audit compares
-(a+b)d with ad+bd as rows over b, for each (a, d): (a+b)d is a step of the
-lazily transposed unions of the rows 1 << cd, and ad+bd is one
-``itemgetter`` call that gathers column d of mul from the addition row of
-ad; each witness is the least (b, d) at the first a where it fails.  The
-other axioms are per-pair mask tests.  The associativity audits of real
-semigroups and sign spaces read the same scan, strong associativity through
-``_reassociation_failures``.  Witnesses stay the first violations in
-lexicographic order; tests/reference_audits.py keeps the naive audits, the
-cell-at-a-time and row-through-a-getter versions, the tuple unions and the
-distributivity rows over d that they are pinned to.
+multirings and ternary semigroups alike.  Reversibility, the identity and
+commutativity are one helper each (``_reversibility_defect``,
+``_identity_defect``, ``_commutativity_defect``), shared by the multigroup,
+relational and monoid audits; real semigroups' RS0 and the special-group
+validation read the commutativity one, which compares each row with its
+column.  The multiring audit compares (a+b)d with ad+bd as rows over b, for
+each (a, d): (a+b)d is a step of the lazily transposed unions of the rows
+1 << cd, and ad+bd is one ``itemgetter`` call that gathers column d of mul
+from the addition row of ad; each witness is the least (b, d) at the first
+a where it fails.  The other axioms are per-pair mask tests.  The
+associativity audits of real semigroups and sign spaces read the same scan,
+strong associativity through ``_reassociation_failures``.  Witnesses stay
+the first violations in lexicographic order; tests/reference_audits.py
+keeps the naive audits, the cell-at-a-time and row-through-a-getter
+versions, the tuple unions and the distributivity rows over d that they
+are pinned to.
 ``classify`` audits each structure once however often its guard runs.
 
 The searches for maps (morphisms, isomorphisms, and the other modules'
@@ -225,6 +230,43 @@ def _associativity_defect(table: Sequence[Sequence[int]]
             left, right = rows[ab], rows[b].translate(through_a)
             if left != right:
                 return a, b, _first_difference(left, right)
+    return None
+
+
+def _commutativity_defect(table: Sequence[Sequence[int]], names: Sequence[str]
+                          ) -> Optional[tuple[str, str]]:
+    """The least (x, y), x < y, with xy != yx in a value or mask table, in
+    ``names``, or None.  Row x is compared with column x: at the first row
+    that differs the rows before it agree with their columns, so the first
+    difference lies past the diagonal."""
+    for x, (row, column) in enumerate(zip(map(tuple, table), zip(*table))):
+        if row != column:
+            return names[x], names[_first_difference(row, column)]
+    return None
+
+
+def _identity_defect(line: Iterable[int], names: Sequence[str]
+                     ) -> Optional[tuple[str, str]]:
+    """(x, y) for the least x whose cell in ``line`` (the cells ex, or xe,
+    over x) is not {x}, y the least stray element of that cell, or None."""
+    for x, cell in enumerate(line):
+        stray = cell ^ (1 << x)
+        if stray:
+            return names[x], names[_lowest_bit(stray)]
+    return None
+
+
+def _reversibility_defect(op: Sequence[Sequence[int]], r: Sequence[int],
+                          names: Sequence[str]) -> Optional[tuple[str, str, str]]:
+    """The least (x, y, z) with z in xy but x outside z r(y) or y outside
+    r(x) z, in ``names``, or None."""
+    for x, row in enumerate(op):
+        back = op[r[x]]
+        for y, cell in enumerate(row):
+            ry = r[y]
+            for z in bits(cell):
+                if not (op[z][ry] >> x) & 1 or not (back[z] >> y) & 1:
+                    return names[x], names[y], names[z]
     return None
 
 
@@ -442,40 +484,13 @@ def _multigroup_verdicts(op: Sequence[Sequence[int]], r: Sequence[int],
     """The verdicts of ``check_multigroup`` on a validated table, each axiom
     named with ``prefix``: the multiring audit reads its addition here
     without building the additive multigroup."""
-    n = len(names)
-
-    w_rev = None
-    for x, y in itertools.product(range(n), repeat=2):
-        cell = op[x][y]
-        for z in bits(cell):
-            if not (op[z][r[y]] >> x) & 1 or not (op[r[x]][z] >> y) & 1:
-                w_rev = (names[x], names[y], names[z])
-                break
-        if w_rev:
-            break
-
-    w_id = None
-    for x in range(n):
-        cell = op[identity][x]
-        if cell != 1 << x:
-            y = next(i for i in bits(cell ^ (1 << x)))
-            w_id = (names[x], names[y])
-            break
-
     w_assoc = next(((names[x], names[y], names[z]) for x, y, z, _, _
                     in _reassociation_defects(op, _Elements())), None)
-
-    w_comm = None
-    for x, y in itertools.combinations(range(n), 2):
-        if op[x][y] != op[y][x]:
-            w_comm = (names[x], names[y])
-            break
-
     return (
-        _verdict_all(prefix + "i-reversibility", w_rev),
-        _verdict_all(prefix + "ii-identity", w_id),
+        _verdict_all(prefix + "i-reversibility", _reversibility_defect(op, r, names)),
+        _verdict_all(prefix + "ii-identity", _identity_defect(op[identity], names)),
         _verdict_all(prefix + "iii-associativity", w_assoc),
-        _verdict_all(prefix + "iv-commutativity", w_comm),
+        _verdict_all(prefix + "iv-commutativity", _commutativity_defect(op, names)),
     )
 
 
@@ -547,24 +562,8 @@ def _relational_audit(rel: RelationalMultigroup, cell: list[list[int]],
     lemma (e)'s witness whenever III passes, as the scan then runs to the end."""
     n = rel.size
     names = rel.carrier.names
-    r = rel.inv
-    e = rel.identity
-
-    w1 = None
-    for x, y in itertools.product(range(n), repeat=2):
-        for z in elements[cell[x][y]]:
-            if not (cell[z][r[y]] >> x) & 1 or not (cell[r[x]][z] >> y) & 1:
-                w1 = (names[x], names[y], names[z])
-                break
-        if w1:
-            break
-
-    w2 = None
-    for x in range(n):
-        stray = cell[x][e] ^ (1 << x)
-        if stray:
-            w2 = (names[x], names[_lowest_bit(stray)])
-            break
+    w1 = _reversibility_defect(cell, rel.inv, names)
+    w2 = _identity_defect(map(itemgetter(rel.identity), cell), names)
 
     w3 = we = None
     for u, v, w, left, right in _reassociation_defects(cell, elements):
@@ -643,12 +642,7 @@ def check_relational_lemmas(rel: RelationalMultigroup | FiniteMultigroup
             wc = (names[x], names[y], names[_lowest_bit(differ)])
             break
 
-    wd = None
-    for x in range(n):
-        stray = cell[e][x] ^ (1 << x)
-        if stray:
-            wd = (names[x], names[_lowest_bit(stray)])
-            break
+    wd = _identity_defect(cell[e], names)
 
     wf = None
     for a, b in itertools.product(range(n), repeat=2):
@@ -752,7 +746,7 @@ def multiring_from_labels(names: Sequence[str],
                            carrier.index(zero), carrier.index(one))
 
 
-def ring_multiring(n: int, name: Optional[str] = None) -> FiniteMultiring:
+def ring_multiring(n: int) -> FiniteMultiring:
     """Z/n wrapped as a singleton-valued multiring."""
     if n < 1 or n > CARRIER_CAP:
         raise InputError(f"modulus {n} outside 1..{CARRIER_CAP}")
@@ -801,8 +795,7 @@ def _monoid_defects(table: Sequence[Sequence[int]], one: int, zero: int,
     w = _associativity_defect(table)
     return (
         w and tuple(names[i] for i in w),
-        next(((names[a], names[b]) for a, b in itertools.combinations(range(n), 2)
-              if table[a][b] != table[b][a]), None),
+        _commutativity_defect(table, names),
         next(((names[a],) for a in range(n) if table[one][a] != a), None),
         next(((names[a],) for a in range(n) if table[a][zero] != zero), None),
     )

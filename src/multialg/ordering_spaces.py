@@ -10,8 +10,12 @@ masks, and the pointwise products are one cached table per space.
 The character condition AX2 is audited by exhaustive enumeration: characters
 of the function group in the two-valued case, candidate cones over sign
 pairs in the three-valued case.  Every admissible candidate must come from a
-point.  The cones are searched by ``spectra._sign_cones``, the search that
-also yields the orderings of a multiring.
+point.  A character is admissible when its kernel is closed under the value
+sets, ``_closed_under``, the test that also picks the characters of a real
+reduced multifield by their kernels' sums.  The cones are searched by
+``spectra._sign_cones``, the search that also yields the orderings of a
+multiring and tests each leaf for closure; the cones' supports meet
+``spectra._is_prime``, the prime test behind ``is_prime_mask``.
 
 The associativity audits (AX3 of ``check_aos`` and ``check_ars``, and
 ``value_set_reassociation_check``) read core's O(n^3) reassociation scan
@@ -32,7 +36,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterator, Optional, Sequence
 
 from .constructions import _adjoin_zero
@@ -53,6 +58,7 @@ from .core import (
     mask_of,
 )
 from .spectra import (
+    _is_prime,
     _sign_cones,
     enumerate_orderings,
     is_real_reduced_mf,
@@ -276,6 +282,13 @@ def _characters(s: SignSpace) -> list[tuple[int, ...]]:
     return out
 
 
+def _closed_under(cells: Sequence[Sequence[int]], mask: int) -> bool:
+    """True when every cell (x, y) of x, y in ``mask`` lies inside it."""
+    members = tuple(bits(mask))
+    return not any(reduce(or_, map(cells[x].__getitem__, members)) & ~mask
+                   for x in members)
+
+
 # ---------------------------------------------------------------------------
 # axiom audits
 
@@ -320,15 +333,7 @@ def check_aos(s: SignSpace) -> CheckReport:
             if chi[minus] != -1:
                 continue
             ker = mask_of(i for i, v in enumerate(chi) if v == 1)
-            closed = True
-            for i in bits(ker):
-                for j in bits(ker):
-                    if dtab[i][j] & ~ker:
-                        closed = False
-                        break
-                if not closed:
-                    break
-            if closed and chi not in evaluations:
+            if _closed_under(dtab, ker) and chi not in evaluations:
                 w2 = ("character " + function_label(chi),)
                 break
         verdicts.append(Verdict("AX2-characters-are-points", w2 is None, w2))
@@ -353,10 +358,10 @@ def _ars_point_cones(s: SignSpace) -> set[int]:
 
 
 def _enumerate_ars_cones(s: SignSpace) -> list[int]:
-    """The sign cones of ``spectra._sign_cones`` over the function group with
-    -1 outside, 1 inside, closure under products and value sets, and a prime
-    support, in the search's depth-first order.  Needs AX1: closure under
-    products and the constants."""
+    """The sign cones of ``spectra._sign_cones`` over the function group,
+    closed under products and value sets, with -1 outside, 1 inside and a
+    prime support, in the search's depth-first order.  Needs AX1: closure
+    under products and the constants."""
     n = s.nfunctions
     dtab = value_table(s)
     mul = _product_table(s)
@@ -365,17 +370,8 @@ def _enumerate_ars_cones(s: SignSpace) -> list[int]:
     minus = s.constant(-1)
 
     def is_cone(p: int) -> bool:
-        if (p >> minus) & 1 or not (p >> one) & 1:
-            return False
-        # full re-verification of closure and value-set stability
-        for i in bits(p):
-            for j in bits(p):
-                if not (p >> mul[i][j]) & 1 or dtab[i][j] & ~p:
-                    return False
-        supp = p & mask_of(neg[i] for i in bits(p))
-        return not any((supp >> mul[i][j]) & 1 and not (supp >> i) & 1
-                       and not (supp >> j) & 1
-                       for i, j in itertools.product(range(n), repeat=2))
+        return not (p >> minus) & 1 and (p >> one) & 1 \
+            and _is_prime(mul, one, p & mask_of(neg[i] for i in bits(p)))
 
     return list(filter(is_cone, _sign_cones(neg, mul, dtab)))
 
@@ -520,68 +516,33 @@ def mfred_to_aos(f: FiniteMultiring) -> tuple[SignSpace, CheckReport]:
 
 def _admissible_characters(f: FiniteMultiring) -> list[tuple[int, ...]]:
     """Sign characters of the nonzero part sending -1 to -1 whose kernel
-    swallows sums, sorted; these are the points of the derived space."""
+    swallows sums, sorted; these are the points of the derived space.
+
+    The nonzero part is an exponent-2 group: expr[x] holds, as bits, the
+    basis elements whose product is x, and an element of ``nz`` that no
+    product of the basis so far reaches joins the basis."""
     nz = [x for x in range(f.size) if x != f.zero]
     pos = {x: i for i, x in enumerate(nz)}
     minus = f.neg[f.one]
+    expr: dict[int, int] = {f.one: 0}
+    dim = 0
+    for x in nz:
+        if x not in expr:
+            expr.update({f.mul[y][x]: combo | (1 << dim) for y, combo in expr.items()})
+            dim += 1
     chars = []
-    for chi in _GroupView(f, nz).characters():
-        if chi[pos[minus]] != -1:
-            continue
-        ker = [nz[i] for i, v in enumerate(chi) if v == 1]
-        kmask = mask_of(ker)
-        closed = True
-        for a in ker:
-            for b in ker:
-                if f.add[a][b] & ~kmask:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            chars.append(chi)
+    for assign in itertools.product((1, -1), repeat=dim):
+        chi = []
+        for x in nz:
+            v = 1
+            for b in bits(expr[x]):
+                v *= assign[b]
+            chi.append(v)
+        if chi[pos[minus]] == -1 and _closed_under(
+                f.add, mask_of(x for x, v in zip(nz, chi) if v == 1)):
+            chars.append(tuple(chi))
     chars.sort()
     return chars
-
-
-class _GroupView:
-    """Exponent-2 group structure on the nonzero part of a multifield."""
-
-    def __init__(self, f: FiniteMultiring, nz: list[int]) -> None:
-        self.f = f
-        self.nz = nz
-        self.pos = {x: i for i, x in enumerate(nz)}
-
-    def characters(self) -> list[tuple[int, ...]]:
-        f, nz, pos = self.f, self.nz, self.pos
-        basis: list[tuple[int, int]] = []
-        decomp = []
-        # represent each element by which basis elements multiply to it
-        expr: dict[int, int] = {f.one: 0}
-        order = []
-        for x in nz:
-            if x in expr:
-                order.append(x)
-                continue
-            # new basis element
-            bid = len(basis)
-            basis.append((x, bid))
-            new_expr = dict(expr)
-            for y, combo in expr.items():
-                new_expr[f.mul[y][x]] = combo | (1 << bid)
-            expr = new_expr
-            order.append(x)
-        out = []
-        dim = len(basis)
-        for assign in itertools.product((1, -1), repeat=dim):
-            chi = []
-            for x in nz:
-                v = 1
-                for b in bits(expr[x]):
-                    v *= assign[b]
-                chi.append(v)
-            out.append(tuple(chi))
-        return out
 
 
 def ars_to_mrred(s: SignSpace) -> FiniteMultiring:

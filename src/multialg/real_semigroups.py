@@ -51,6 +51,7 @@ from .core import (
     Verdict,
     _CellUnion,
     _Elements,
+    _commutativity_defect,
     _freeze_tables,
     _lowest_bit,
     _map_defects,
@@ -287,11 +288,7 @@ def check_rs(s: RealSemigroup) -> CheckReport:
     # unions[S][v]: the union of D(u, v) over u in S, one per distinct S
     unions = _CellUnion.over(d, elements)
 
-    w0 = None
-    for b, c in itertools.combinations(range(n), 2):
-        if d[b][c] != d[c][b]:
-            w0 = (names[b], names[c])
-            break
+    w0 = _commutativity_defect(d, names)
 
     w1 = None
     for a, b in itertools.product(range(n), repeat=2):

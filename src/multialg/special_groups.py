@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .constructions import _adjoin_zero
 from .core import (
@@ -38,6 +38,7 @@ from .core import (
     StructureMap,
     Verdict,
     _associativity_defect,
+    _commutativity_defect,
     _freeze_tables,
     _lowest_bit,
     _map_defects,
@@ -75,9 +76,8 @@ class SpecialGroup:
                 raise InputError(f"not exponent 2 at {self.carrier.names[a]}")
         if _associativity_defect(self.mul) is not None:
             raise InputError("multiplication is not associative")
-        for a, b in itertools.combinations(range(n), 2):
-            if self.mul[a][b] != self.mul[b][a]:
-                raise InputError("multiplication is not commutative")
+        if _commutativity_defect(self.mul, self.carrier.names) is not None:
+            raise InputError("multiplication is not commutative")
         for q in self.iso:
             if len(q) != 4 or any(not 0 <= v < n for v in q):
                 raise InputError(f"isometry quadruple {q} outside carrier")
@@ -331,6 +331,7 @@ def _group_triple_rep(g: SpecialGroup, i: int) -> tuple[str, str, str]:
     raise AssertionError("empty pair class")
 
 
+@lru_cache(maxsize=None)
 def _sg6_witness(g: SpecialGroup) -> Optional[tuple]:
     _, rows = _triple_relation(g)
     for i, row in enumerate(rows):
@@ -590,6 +591,16 @@ def mf_to_sg(f: FiniteMultiring) -> SpecialGroup:
 # ---------------------------------------------------------------------------
 # morphisms and functor laws
 
+def _broken_isometries(g: SpecialGroup, h: SpecialGroup, m: Sequence[int]
+                       ) -> Iterator[tuple[int, int, int, int]]:
+    """The quadruples (a, b, c, d) of g's isometry relation whose images
+    (m(a), m(b)) and (m(c), m(d)) are not isometric in h, in no order: the
+    least is the witness, any one refutes the map."""
+    clsh, _ = _pair_classes(h)
+    return ((a, b, c, d) for (a, b, c, d) in g.iso
+            if clsh[m[a]][m[b]] != clsh[m[c]][m[d]])
+
+
 def check_sg_morphism(fmap: StructureMap) -> CheckReport:
     """Group homomorphism fixing -1 and preserving isometry forward; the
     reverse preservation is reported separately and not required."""
@@ -601,11 +612,8 @@ def check_sg_morphism(fmap: StructureMap) -> CheckReport:
     # The constants are (one, minus_one): position 1 is -1.
     missed, _, (w_hom,), _ = _map_defects(m, g, h)
     w_minus = (names[g.minus_one],) if 1 in missed else None
-    w_fwd = None
-    for (a, b, c, d) in sorted(g.iso):
-        if clsh[m[a]][m[b]] != clsh[m[c]][m[d]]:
-            w_fwd = (names[a], names[b], names[c], names[d])
-            break
+    broken = min(_broken_isometries(g, h, m), default=None)
+    w_fwd = broken and tuple(names[x] for x in broken)
     w_bwd = None
     clsg, _ = _pair_classes(g)
     for a, b, c, d in itertools.product(range(g.size), repeat=4):
@@ -627,13 +635,10 @@ def check_sg_morphism(fmap: StructureMap) -> CheckReport:
 def is_sg_morphism(fmap: StructureMap) -> bool:
     """The required part of check_sg_morphism: homomorphism, -1 and forward
     isometry, without the report's informational reverse scan."""
-    g: SpecialGroup = fmap.source  # type: ignore[assignment]
-    h: SpecialGroup = fmap.target  # type: ignore[assignment]
-    m = fmap.mapping
-    clsh, _ = _pair_classes(h)
+    g, h, m = fmap.source, fmap.target, fmap.mapping
     missed, _, (w_hom,), _ = _map_defects(m, g, h)
     return 1 not in missed and w_hom is None \
-        and all(clsh[m[a]][m[b]] == clsh[m[c]][m[d]] for (a, b, c, d) in g.iso)
+        and next(_broken_isometries(g, h, m), None) is None  # type: ignore[arg-type]
 
 
 def enumerate_sg_morphisms(g: SpecialGroup, h: SpecialGroup) -> list[StructureMap]:

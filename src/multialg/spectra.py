@@ -11,10 +11,13 @@ sign multifield, preorderings, real and real-reduced characterizations, and
 the componentwise evaluation embedding into a power of the sign multifield.
 
 Orderings come from ``_sign_cones``, a depth-first search over the pairs
-{x, -x} that ordering_spaces shares for the cones of abstract real spectra;
-each caller keeps its own leaf test.  Like the ideal list, the orderings
-are computed once per structure (``_orderings``), however many of the
-checks and functors that read them run.  The evaluation embedding meets,
+{x, -x} that ordering_spaces shares for the cones of abstract real spectra.
+It tests each leaf for closure under products and sums in full, and its
+callers test only the support: the orderings through ``Ideal`` and
+``is_prime_mask``, the cones of a sign space through ``_is_prime``, the one
+prime test, on the space's product table.  Like the ideal list, the
+orderings are computed once per structure (``_orderings``), however many of
+the checks and functors that read them run.  The evaluation embedding meets,
 for each pair (x, y), the preimages of sigma(x) + sigma(y) over the sign
 maps sigma of the orderings as one mask.
 """
@@ -86,14 +89,16 @@ def enumerate_ideals(a: FiniteMultiring) -> list[Ideal]:
     return list(_ideals(a))
 
 
+def _is_prime(mul: Sequence[Sequence[int]], one: int, members: int) -> bool:
+    """True when ``members`` misses ``one`` and no product xy of two
+    elements outside it falls inside it."""
+    outside = [x for x in range(len(mul)) if not (members >> x) & 1]
+    return not (members >> one) & 1 and not any(
+        (members >> mul[x][y]) & 1 for x in outside for y in outside)
+
+
 def is_prime_mask(a: FiniteMultiring, members: int) -> bool:
-    if (members >> a.one) & 1:
-        return False
-    for x, y in itertools.product(range(a.size), repeat=2):
-        if (members >> a.mul[x][y]) & 1:
-            if not (members >> x) & 1 and not (members >> y) & 1:
-                return False
-    return True
+    return _is_prime(a.mul, a.one, members)
 
 
 def enumerate_primes(a: FiniteMultiring) -> list[Ideal]:
@@ -283,12 +288,15 @@ def ordering_of_sign_map(f: StructureMap) -> Ordering:
 
 def _sign_cones(neg: Sequence[int], mul: Sequence[Sequence[int]],
                 cell: Sequence[Sequence[int]]) -> Iterator[int]:
-    """Candidate positive cones P as masks, in depth-first order.
+    """The masks P closed under ``mul`` and the cells of ``cell`` that hold
+    x or -x for each x, and x whenever x = -x, in depth-first order.
 
     P holds every fixed point of ``neg``; the pairs {x, -x} are walked in
     ascending order, and each adds x, -x or both.  A branch is cut when a
     decided product u*v or a cell of u+v (in either order), for u, v in P,
-    falls outside P.  The callers keep their own full leaf test."""
+    falls outside P.  That sees a violation only once both sides of a cell
+    are decided, so each leaf is tested in full once; the callers test the
+    support."""
     n = len(neg)
     singles = mask_of(x for x in range(n) if neg[x] == x)
     pairs = sorted({(min(x, neg[x]), max(x, neg[x]))
@@ -306,7 +314,10 @@ def _sign_cones(neg: Sequence[int], mul: Sequence[Sequence[int]],
 
     def dfs(i: int, p: int, decided: int) -> Iterator[int]:
         if i == len(pairs):
-            yield p
+            members = tuple(bits(p))
+            if not any(cell[u][v] & ~p or not (p >> mul[u][v]) & 1
+                       for u in members for v in members):
+                yield p
             return
         x, y = pairs[i]
         d = decided | (1 << x) | (1 << y)
@@ -321,16 +332,10 @@ def _sign_cones(neg: Sequence[int], mul: Sequence[Sequence[int]],
 
 @lru_cache(maxsize=None)
 def _orderings(a: FiniteMultiring) -> tuple[Ordering, ...]:
-    """The sign cones of ``_sign_cones`` that are closed under sums and
-    products and whose support is a prime ideal, in ascending mask order."""
+    """The sign cones of ``_sign_cones`` whose support is a prime ideal,
+    in ascending mask order."""
 
-    def is_ordering(p: int) -> bool:
-        # full re-verification: the search sees a violation only once both
-        # sides of a cell are decided
-        for x in bits(p):
-            for y in bits(p):
-                if a.add[x][y] & ~p or not (p >> a.mul[x][y]) & 1:
-                    return False
+    def prime_support(p: int) -> bool:
         supp = p & a.neg_mask(p)
         try:
             Ideal(a, supp)
@@ -338,7 +343,7 @@ def _orderings(a: FiniteMultiring) -> tuple[Ordering, ...]:
             return False
         return is_prime_mask(a, supp)
 
-    return tuple(Ordering(a, p) for p in sorted(filter(is_ordering,
+    return tuple(Ordering(a, p) for p in sorted(filter(prime_support,
                                                        _sign_cones(a.neg, a.mul, a.add))))
 
 
@@ -514,7 +519,7 @@ def is_real_reduced_mr(a: FiniteMultiring) -> CheckReport:
     for x, y in itertools.product(range(a.size), repeat=2):
         cell = a.add[x][a.mul[x][a.mul[y][y]]]
         if cell != 1 << x:
-            c = next(iter(bits(cell ^ (cell & (1 << x))))) if cell != 1 << x else x
+            c = next(iter(bits(cell ^ (cell & (1 << x)))))
             w_rigid = (names[x], names[y], names[c])
             break
     w_sq = None

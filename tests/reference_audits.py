@@ -7,7 +7,9 @@ real-semigroup audits ``check_rs`` and ``check_rs_derived`` and the
 sign-space audits ``check_aos``, ``check_ars`` and
 ``value_set_reassociation_check``.  They are kept verbatim as the naive
 reference that ``tests/test_audit_kernel.py`` pins the library's audits to:
-every verdict, witness, note and informational flag must agree.
+every verdict, witness, note and informational flag must agree.  Through
+them the shared table-audit helpers of ``core`` (reversibility, identity,
+commutativity), which replaced each audit's own loops, are pinned too.
 
 The special-group witnesses ``_sg6_witness`` to ``_sg9_witness`` are the
 versions that built the triple-isometry rows pair by pair through the cached
@@ -89,9 +91,13 @@ them, and ``check_rs`` to the ``check_rs`` above.
 ``check_morphism``, ``check_rs_morphism``, ``check_sg_morphism`` and
 ``is_sg_morphism`` are the morphism audits from before they read the one
 defect scan ``core._map_defects`` over the structures' ``tables``: each
-walked its own homomorphism, constant and cell loops.
-``tests/test_morphism_audits.py`` pins the library's reports to them, and
-the searches of ``reference_searches`` check their leaves with them.
+walked its own homomorphism, constant and cell loops; the two special-group
+ones also scan the isometry relation each in its own way, the first in
+sorted order.  ``tests/test_morphism_audits.py`` pins the library's reports
+to them, ``tests/test_shared_predicates.py`` pins the special-group ones,
+which share one generator of broken isometries, on maps to and from the
+sum-3 group, and the searches of ``reference_searches`` check their leaves
+with them.
 
 ``product``, ``rs_product``, ``sg_to_mf`` and ``aos_to_mfred`` are the
 constructions as they were before they read the two helpers of

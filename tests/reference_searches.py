@@ -51,6 +51,19 @@ the reference that ``tests/test_space_maps.py`` pins the library's one
 point-map search and one cone pullback to.  ``mr_map_to_ars_map`` here reads
 this module's ``enumerate_orderings``, which gives the library's orderings
 in the same order.
+
+``_sign_cones`` is the cone search as it was when it yielded every leaf
+untested, and ``sign_cone_orderings`` and ``sign_cone_ars_cones`` are
+``spectra._orderings`` and ``ordering_spaces._enumerate_ars_cones`` as they
+were when each re-tested closure at the leaves itself, the second with its
+own inline prime test.  ``is_prime_mask`` is the prime test as it was
+before it became the table-level ``spectra._is_prime``; this module's
+``enumerate_orderings`` reads it.  ``_admissible_characters`` and
+``_GroupView`` are the characters of a real reduced multifield as they were
+before the group view was folded into the function, with its own kernel
+loop; ``mf_map_to_aos_map`` here reads them.  All are kept verbatim except
+for the names of the two callers, and ``tests/test_shared_predicates.py``
+pins the library's search, its callers and characters to them.
 """
 
 import itertools
@@ -75,14 +88,14 @@ from multialg.enumeration import _involutions_fixing, _labels
 from multialg.ordering_spaces import (
     SignSpace,
     SpaceMap,
-    _admissible_characters,
+    _product_table,
     mfred_to_aos,
     mrred_to_ars,
     space_morphism_check,
     value_table,
 )
 from multialg.real_semigroups import RealSemigroup
-from multialg.spectra import Ordering, _satisfies_spec_relations, is_prime_mask
+from multialg.spectra import Ordering, _satisfies_spec_relations
 from multialg.special_groups import SpecialGroup
 from reference_audits import check_morphism, check_rs_morphism, is_sg_morphism
 
@@ -821,3 +834,172 @@ def find_space_isomorphism(s: SignSpace, t: SignSpace) -> Optional[tuple[int, ..
         return None
 
     return extend(0)
+
+
+# ---------------------------------------------------------------------------
+# the sign-cone leaf tests and the characters of a multifield, as they were
+# before _sign_cones tested its leaves and _GroupView was folded away
+
+
+def is_prime_mask(a: FiniteMultiring, members: int) -> bool:
+    if (members >> a.one) & 1:
+        return False
+    for x, y in itertools.product(range(a.size), repeat=2):
+        if (members >> a.mul[x][y]) & 1:
+            if not (members >> x) & 1 and not (members >> y) & 1:
+                return False
+    return True
+
+
+def _sign_cones(neg: Sequence[int], mul: Sequence[Sequence[int]],
+                cell: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Candidate positive cones P as masks, in depth-first order.
+
+    P holds every fixed point of ``neg``; the pairs {x, -x} are walked in
+    ascending order, and each adds x, -x or both.  A branch is cut when a
+    decided product u*v or a cell of u+v (in either order), for u, v in P,
+    falls outside P.  The callers keep their own full leaf test."""
+    n = len(neg)
+    singles = mask_of(x for x in range(n) if neg[x] == x)
+    pairs = sorted({(min(x, neg[x]), max(x, neg[x]))
+                    for x in range(n) if neg[x] != x})
+
+    def compatible(p: int, decided: int, new: int) -> bool:
+        for u in bits(new):
+            for v in bits(p):
+                w = mul[u][v]
+                if (decided >> w) & 1 and not (p >> w) & 1:
+                    return False
+                if (cell[u][v] | cell[v][u]) & decided & ~p:
+                    return False
+        return True
+
+    def dfs(i: int, p: int, decided: int) -> Iterator[int]:
+        if i == len(pairs):
+            yield p
+            return
+        x, y = pairs[i]
+        d = decided | (1 << x) | (1 << y)
+        for extra in (1 << x, 1 << y, (1 << x) | (1 << y)):
+            q = p | extra
+            if compatible(q, d, extra):
+                yield from dfs(i + 1, q, d)
+
+    if compatible(singles, singles, singles):
+        yield from dfs(0, singles, singles)
+
+
+def sign_cone_orderings(a: FiniteMultiring) -> tuple[Ordering, ...]:
+    """The sign cones of ``_sign_cones`` that are closed under sums and
+    products and whose support is a prime ideal, in ascending mask order."""
+
+    def is_ordering(p: int) -> bool:
+        # full re-verification: the search sees a violation only once both
+        # sides of a cell are decided
+        for x in bits(p):
+            for y in bits(p):
+                if a.add[x][y] & ~p or not (p >> a.mul[x][y]) & 1:
+                    return False
+        supp = p & a.neg_mask(p)
+        try:
+            Ideal(a, supp)
+        except InputError:
+            return False
+        return is_prime_mask(a, supp)
+
+    return tuple(Ordering(a, p) for p in sorted(filter(is_ordering,
+                                                       _sign_cones(a.neg, a.mul, a.add))))
+
+
+def sign_cone_ars_cones(s: SignSpace) -> list[int]:
+    """The sign cones of ``spectra._sign_cones`` over the function group with
+    -1 outside, 1 inside, closure under products and value sets, and a prime
+    support, in the search's depth-first order.  Needs AX1: closure under
+    products and the constants."""
+    n = s.nfunctions
+    dtab = value_table(s)
+    mul = _product_table(s)
+    neg = [s.index(s.negation(i)) for i in range(n)]
+    one = s.constant(1)
+    minus = s.constant(-1)
+
+    def is_cone(p: int) -> bool:
+        if (p >> minus) & 1 or not (p >> one) & 1:
+            return False
+        # full re-verification of closure and value-set stability
+        for i in bits(p):
+            for j in bits(p):
+                if not (p >> mul[i][j]) & 1 or dtab[i][j] & ~p:
+                    return False
+        supp = p & mask_of(neg[i] for i in bits(p))
+        return not any((supp >> mul[i][j]) & 1 and not (supp >> i) & 1
+                       and not (supp >> j) & 1
+                       for i, j in itertools.product(range(n), repeat=2))
+
+    return list(filter(is_cone, _sign_cones(neg, mul, dtab)))
+
+
+def _admissible_characters(f: FiniteMultiring) -> list[tuple[int, ...]]:
+    """Sign characters of the nonzero part sending -1 to -1 whose kernel
+    swallows sums, sorted; these are the points of the derived space."""
+    nz = [x for x in range(f.size) if x != f.zero]
+    pos = {x: i for i, x in enumerate(nz)}
+    minus = f.neg[f.one]
+    chars = []
+    for chi in _GroupView(f, nz).characters():
+        if chi[pos[minus]] != -1:
+            continue
+        ker = [nz[i] for i, v in enumerate(chi) if v == 1]
+        kmask = mask_of(ker)
+        closed = True
+        for a in ker:
+            for b in ker:
+                if f.add[a][b] & ~kmask:
+                    closed = False
+                    break
+            if not closed:
+                break
+        if closed:
+            chars.append(chi)
+    chars.sort()
+    return chars
+
+
+class _GroupView:
+    """Exponent-2 group structure on the nonzero part of a multifield."""
+
+    def __init__(self, f: FiniteMultiring, nz: list[int]) -> None:
+        self.f = f
+        self.nz = nz
+        self.pos = {x: i for i, x in enumerate(nz)}
+
+    def characters(self) -> list[tuple[int, ...]]:
+        f, nz, pos = self.f, self.nz, self.pos
+        basis: list[tuple[int, int]] = []
+        decomp = []
+        # represent each element by which basis elements multiply to it
+        expr: dict[int, int] = {f.one: 0}
+        order = []
+        for x in nz:
+            if x in expr:
+                order.append(x)
+                continue
+            # new basis element
+            bid = len(basis)
+            basis.append((x, bid))
+            new_expr = dict(expr)
+            for y, combo in expr.items():
+                new_expr[f.mul[y][x]] = combo | (1 << bid)
+            expr = new_expr
+            order.append(x)
+        out = []
+        dim = len(basis)
+        for assign in itertools.product((1, -1), repeat=dim):
+            chi = []
+            for x in nz:
+                v = 1
+                for b in bits(expr[x]):
+                    v *= assign[b]
+                chi.append(v)
+            out.append(tuple(chi))
+        return out

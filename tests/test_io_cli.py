@@ -187,7 +187,9 @@ class TestCli:
         path.write_text("", encoding="utf-8")
         assert main(["enumerate", "--kind", "multiring", "--order", "1",
                      "--out-dir", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("input error:")
+        out, err = capsys.readouterr()
+        assert err.startswith("input error:")
+        assert out == ""
 
     def test_jsonl_output_is_machine_readable(self, capsys):
         assert main(["check", corpus_path("q2"), "--format", "jsonl"]) == 0
