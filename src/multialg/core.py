@@ -410,6 +410,8 @@ def _validate_cell_table(what: str, table: Sequence[Sequence[int]], n: int) -> N
     for i, row in enumerate(table):
         if len(row) != n:
             raise InputError(f"{what} row {i} has {len(row)} cells, expected {n}")
+        if min(row) > 0 and max(row) <= top:  # the loop names the first bad cell
+            continue
         for j, cell in enumerate(row):
             if cell == 0:
                 raise InputError(f"empty {what} cell at ({i},{j})")
@@ -442,9 +444,28 @@ def _validate_value_table(what: str, table: Sequence[Sequence[int]], n: int) -> 
     for i, row in enumerate(table):
         if len(row) != n:
             raise InputError(f"{what} row {i} has {len(row)} cells, expected {n}")
+        if min(row) >= 0 and max(row) < n:  # the loop names the first bad cell
+            continue
         for j, v in enumerate(row):
             if not 0 <= v < n:
                 raise InputError(f"{what} cell at ({i},{j}) out of range")
+
+
+def _label_masks(carrier: Carrier, table: Sequence[Sequence[Sequence[str]]]
+                 ) -> tuple[tuple[int, ...], ...]:
+    """The cells of a table of label lists as masks, a row at a time in C.
+    On a label the carrier lacks, the labels are looked up again one at a
+    time, in order, only to raise the carrier's message for the first."""
+    bit = {name: 1 << i for i, name in enumerate(carrier.names)}.__getitem__
+    try:
+        return tuple(tuple(reduce(or_, map(bit, cell), 0) for cell in row)
+                     for row in table)
+    except (KeyError, TypeError):
+        for row in table:
+            for cell in row:
+                for label in cell:
+                    carrier.index(label)
+        raise
 
 
 def multigroup_from_labels(names: Sequence[str],
@@ -455,8 +476,7 @@ def multigroup_from_labels(names: Sequence[str],
     n = carrier.size
     if len(op) != n or any(len(r) != n for r in op):
         raise InputError("ragged hyperoperation table")
-    table = tuple(tuple(mask_of(carrier.index(l) for l in cell) for cell in row)
-                  for row in op)
+    table = _label_masks(carrier, op)
     invt = tuple(carrier.index(inv[name]) for name in names)
     return FiniteMultigroup(carrier, table, invt, carrier.index(identity))
 
@@ -494,6 +514,20 @@ def _multigroup_verdicts(op: Sequence[Sequence[int]], r: Sequence[int],
     )
 
 
+def _stray_tuple(tuples: Iterable[Sequence[int]], arity: int, n: int
+                 ) -> Optional[Sequence[int]]:
+    """The first of ``tuples`` that is not ``arity`` indices below n, or
+    None.  All are tested at once; only a failure is walked, to name it."""
+    try:
+        if set(map(len, tuples)) <= {arity} and set(
+                itertools.chain.from_iterable(tuples)) <= set(range(n)):
+            return None
+    except TypeError:
+        pass
+    return next((t for t in tuples
+                 if len(t) != arity or any(not 0 <= v < n for v in t)), None)
+
+
 # ---------------------------------------------------------------------------
 # relational presentation
 
@@ -511,15 +545,9 @@ class RelationalMultigroup:
         _validate_unary("inv", self.inv, n)
         if not 0 <= self.identity < n:
             raise InputError("identity index out of range")
-        try:  # all at once; the loop below names the first bad triple
-            valid = (set(map(len, self.pi)) <= {3} and set(
-                itertools.chain.from_iterable(self.pi)) <= set(range(n)))
-        except TypeError:
-            valid = False
-        if not valid:
-            for t in self.pi:
-                if len(t) != 3 or any(not 0 <= v < n for v in t):
-                    raise InputError(f"triple {t} outside carrier")
+        stray = _stray_tuple(self.pi, 3, n)
+        if stray is not None:
+            raise InputError(f"triple {stray} outside carrier")
 
     @property
     def size(self) -> int:
@@ -738,9 +766,8 @@ def multiring_from_labels(names: Sequence[str],
         raise InputError("ragged addition table")
     if len(mul) != n or any(len(r) != n for r in mul):
         raise InputError("ragged multiplication table")
-    addt = tuple(tuple(mask_of(carrier.index(l) for l in cell) for cell in row)
-                 for row in add)
-    mult = tuple(tuple(carrier.index(v) for v in row) for row in mul)
+    addt = _label_masks(carrier, add)
+    mult = tuple(tuple(map(carrier.index, row)) for row in mul)
     negt = tuple(carrier.index(neg[name]) for name in names)
     return FiniteMultiring(carrier, addt, mult, negt,
                            carrier.index(zero), carrier.index(one))

@@ -1,8 +1,13 @@
 """One text format for every structure kind, with a kind discriminator.
 
 Files are JSON with a fixed field order per kind; serialization is canonical
-(two-space indent, trailing newline) so parse/serialize round-trips are byte
-stable.  Parse errors carry line/column positions.
+(the layout of ``json.dumps(indent=2, ensure_ascii=False)``, trailing
+newline) so parse/serialize round-trips are byte stable.  ``serialize``
+writes that text itself: each label is encoded once and each distinct cell
+laid out once per call, and rows and tables are joined strings.
+``to_document`` is the text parsed back, so the layout is written down in
+one place; tests/reference_io.py keeps the document-building writer it is
+pinned to.  Parse errors carry line/column positions.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import json
 from functools import partial
 from itertools import chain, repeat
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .core import (
     FiniteMultigroup,
@@ -45,54 +50,90 @@ def kind_of(obj: Structure) -> str:
     raise InputError(f"unknown structure type {type(obj).__name__}")
 
 
-def to_document(obj: Structure, name: Optional[str] = None) -> dict[str, Any]:
-    doc: dict[str, Any] = {"kind": kind_of(obj)}
-    if name:
-        doc["name"] = name
-    if isinstance(obj, FiniteMultiring):
-        names = obj.names
-        doc["elements"] = list(names)
-        doc["zero"] = names[obj.zero]
-        doc["one"] = names[obj.one]
-        doc["neg"] = {names[i]: names[v] for i, v in enumerate(obj.neg)}
-        doc["mul"] = [[names[v] for v in row] for row in obj.mul]
-        doc["add"] = [[[names[c] for c in bits(cell)] for cell in row]
-                      for row in obj.add]
-    elif isinstance(obj, FiniteMultigroup):
-        names = obj.carrier.names
-        doc["elements"] = list(names)
-        doc["identity"] = names[obj.identity]
-        doc["inv"] = {names[i]: names[v] for i, v in enumerate(obj.inv)}
-        doc["op"] = [[[names[c] for c in bits(cell)] for cell in row]
-                     for row in obj.op]
-    elif isinstance(obj, SpecialGroup):
-        names = obj.names
-        doc["elements"] = list(names)
-        doc["one"] = names[obj.one]
-        doc["minus_one"] = names[obj.minus_one]
-        doc["mul"] = [[names[v] for v in row] for row in obj.mul]
-        doc["iso"] = sorted([names[a], names[b], names[c], names[d]]
-                            for (a, b, c, d) in obj.iso)
-    elif isinstance(obj, RealSemigroup):
-        names = obj.names
-        doc["elements"] = list(names)
-        doc["one"] = names[obj.one]
-        doc["zero"] = names[obj.zero]
-        doc["minus_one"] = names[obj.minus_one]
-        doc["mul"] = [[names[v] for v in row] for row in obj.mul]
-        doc["d"] = sorted([names[a], names[b], names[c]]
-                          for b in range(obj.size) for c in range(obj.size)
-                          for a in bits(obj.d[b][c]))
-    else:
-        doc["mode"] = obj.mode
-        doc["points"] = list(obj.points)
-        doc["functions"] = [list(f) for f in obj.functions]
-    return doc
+def _array(entries: list[str], indent: int) -> str:
+    """A JSON array of rendered entries, each on its own line ``indent``
+    spaces in, the closing bracket two spaces less; ``[]`` when empty."""
+    if not entries:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(entries) + pad[:-2] + "]"
+
+
+def _value_table(table: Sequence[Sequence[int]], label: list[str]) -> str:
+    return _array([_array(list(map(label.__getitem__, row)), 6)
+                   for row in table], 4)
+
+
+def _cell_table(table: Sequence[Sequence[int]], label: list[str]) -> str:
+    """The rows of label lists, each distinct cell rendered once."""
+    cell = {m: _array([label[c] for c in bits(m)], 8)
+            for m in set(chain.from_iterable(table))}
+    return _array([_array(list(map(cell.__getitem__, row)), 6)
+                   for row in table], 4)
+
+
+def _unary_map(table: Sequence[int], label: list[str]) -> str:
+    """The object mapping each element's label to its image's label."""
+    return ("{\n    " + ",\n    ".join(map("{}: {}".format, label,
+                                             map(label.__getitem__, table)))
+            + "\n  }")
+
+
+def _relation(tuples: Iterable[Sequence[int]], names: Sequence[str],
+              label: list[str]) -> str:
+    """The index tuples of a relation, in the order of their label lists."""
+    rows = sorted(tuples, key=lambda t: [names[i] for i in t])
+    return _array([_array([label[i] for i in t], 6) for t in rows], 4)
 
 
 def serialize(obj: Structure, name: Optional[str] = None) -> str:
-    return json.dumps(to_document(obj, name), indent=2,
-                      ensure_ascii=False) + "\n"
+    """The canonical file text: the kind's fields in a fixed order, laid out
+    as ``json.dumps(doc, indent=2, ensure_ascii=False)`` lays out that
+    document (every list entry and object member on its own line), and a
+    trailing newline.  Each label is encoded once."""
+    dumps = partial(json.dumps, ensure_ascii=False)
+    fields = [("kind", dumps(kind_of(obj)))]
+    if name:
+        fields.append(("name", dumps(name)))
+    if isinstance(obj, SignSpace):
+        fields += [("mode", dumps(obj.mode)),
+                   ("points", _array(list(map(dumps, obj.points)), 4)),
+                   ("functions", _array([_array(list(map(str, f)), 6)
+                                         for f in obj.functions], 4))]
+    else:
+        names = obj.carrier.names
+        label = list(map(dumps, names))
+        fields.append(("elements", _array(label, 4)))
+        if isinstance(obj, FiniteMultiring):
+            fields += [("zero", label[obj.zero]), ("one", label[obj.one]),
+                       ("neg", _unary_map(obj.neg, label)),
+                       ("mul", _value_table(obj.mul, label)),
+                       ("add", _cell_table(obj.add, label))]
+        elif isinstance(obj, FiniteMultigroup):
+            fields += [("identity", label[obj.identity]),
+                       ("inv", _unary_map(obj.inv, label)),
+                       ("op", _cell_table(obj.op, label))]
+        elif isinstance(obj, SpecialGroup):
+            fields += [("one", label[obj.one]),
+                       ("minus_one", label[obj.minus_one]),
+                       ("mul", _value_table(obj.mul, label)),
+                       ("iso", _relation(obj.iso, names, label))]
+        else:
+            n = obj.size
+            fields += [("one", label[obj.one]), ("zero", label[obj.zero]),
+                       ("minus_one", label[obj.minus_one]),
+                       ("mul", _value_table(obj.mul, label)),
+                       ("d", _relation([(a, b, c)
+                                        for b in range(n) for c in range(n)
+                                        for a in bits(obj.d[b][c])],
+                                       names, label))]
+    return ("{\n  " + ",\n  ".join(f'"{key}": {text}' for key, text in fields)
+            + "\n}\n")
+
+
+def to_document(obj: Structure, name: Optional[str] = None) -> dict[str, Any]:
+    """The parsed canonical text of ``obj``."""
+    return json.loads(serialize(obj, name))
 
 
 def _nested(v: Any, depth: int, leaf: type = str,

@@ -82,21 +82,16 @@ class RealSemigroup:
         n = self.carrier.size
         if len(self.mul) != n or any(len(r) != n for r in self.mul):
             raise InputError("ragged multiplication table")
-        for row in self.mul:
-            for v in row:
-                if not 0 <= v < n:
-                    raise InputError("multiplication entry out of range")
+        if min(map(min, self.mul)) < 0 or max(map(max, self.mul)) >= n:
+            raise InputError("multiplication entry out of range")
         for what, idx in (("one", self.one), ("zero", self.zero),
                           ("minus_one", self.minus_one)):
             if not 0 <= idx < n:
                 raise InputError(f"{what} out of range")
         if len(self.d) != n or any(len(r) != n for r in self.d):
             raise InputError("ragged representation table")
-        top = full_mask(n)
-        for row in self.d:
-            for cell in row:
-                if cell & ~top:
-                    raise InputError("representation set outside carrier")
+        if min(map(min, self.d)) < 0 or max(map(max, self.d)) > full_mask(n):
+            raise InputError("representation set outside carrier")
         _freeze_tables(self, "mul", "d")
 
     @property

@@ -42,6 +42,7 @@ from .core import (
     _freeze_tables,
     _lowest_bit,
     _map_defects,
+    _stray_tuple,
     _table_morphisms,
     bits,
     classify,
@@ -63,10 +64,8 @@ class SpecialGroup:
         n = self.carrier.size
         if len(self.mul) != n or any(len(r) != n for r in self.mul):
             raise InputError("ragged multiplication table")
-        for row in self.mul:
-            for v in row:
-                if not 0 <= v < n:
-                    raise InputError("multiplication entry out of range")
+        if min(map(min, self.mul)) < 0 or max(map(max, self.mul)) >= n:
+            raise InputError("multiplication entry out of range")
         if not 0 <= self.one < n or not 0 <= self.minus_one < n:
             raise InputError("distinguished element out of range")
         for a in range(n):
@@ -78,9 +77,9 @@ class SpecialGroup:
             raise InputError("multiplication is not associative")
         if _commutativity_defect(self.mul, self.carrier.names) is not None:
             raise InputError("multiplication is not commutative")
-        for q in self.iso:
-            if len(q) != 4 or any(not 0 <= v < n for v in q):
-                raise InputError(f"isometry quadruple {q} outside carrier")
+        stray = _stray_tuple(self.iso, 4, n)
+        if stray is not None:
+            raise InputError(f"isometry quadruple {stray} outside carrier")
         # An isometry relation given as a set is kept as a frozenset: the
         # per-group caches hash the group.
         _freeze_tables(self, "mul")
