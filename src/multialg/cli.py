@@ -226,34 +226,35 @@ def _parse_labels(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
+def _with_one(a: FiniteMultiring, labels: list[str]) -> cons.MultiplicativeSet:
+    """The multiplicative set of ``labels`` and 1."""
+    return cons.multiplicative_set(a, labels + [a.names[a.one]])
+
+
+# ``construct``'s operations by name: each builds the result from the
+# multiring read from its file (the list of them, for ``product``) and the
+# ``--set`` labels.
+_CONSTRUCTIONS = {
+    "product": lambda rings, labels: cons.product(rings),
+    "quotient": lambda a, labels: cons.quotient_by_ideal(
+        a, cons.ideal_generated(a, labels))[0],
+    "localize": lambda a, labels: cons.localization(a, _with_one(a, labels))[0],
+    "marshall": lambda a, labels: cons.marshall_quotient(a, _with_one(a, labels))[0],
+    "qred": lambda a, labels: cons.q_red(a)[0],
+    "ff": lambda a, labels: cons.fraction_multifield(a)[0],
+}
+
+
 def cmd_construct(args) -> int:
-    op = args.operation
-    if op == "product":
-        factors = [mio.read_structure(f) for f in args.files]
-        if not all(isinstance(f, FiniteMultiring) for f in factors):
-            raise InputError("product expects multiring files")
-        result = cons.product(factors)  # type: ignore[arg-type]
-    else:
-        obj = mio.read_structure(args.files[0])
-        if not isinstance(obj, FiniteMultiring):
-            raise InputError(f"{op} expects a multiring file")
-        if op == "quotient":
-            ideal = cons.ideal_generated(obj, _parse_labels(args.set or ""))
-            result, _ = cons.quotient_by_ideal(obj, ideal)
-        elif op == "localize":
-            s = cons.multiplicative_set(obj, _parse_labels(args.set or "")
-                                        + [obj.names[obj.one]])
-            result, _ = cons.localization(obj, s)
-        elif op == "marshall":
-            s = cons.multiplicative_set(obj, _parse_labels(args.set or "")
-                                        + [obj.names[obj.one]])
-            result, _ = cons.marshall_quotient(obj, s)
-        elif op == "qred":
-            result, _ = cons.q_red(obj)
-        elif op == "ff":
-            result, _ = cons.fraction_multifield(obj)
-        else:
-            raise InputError(f"unknown construction {op!r}")
+    op, files = args.operation, args.files
+    if op != "product" and len(files) > 1:
+        raise InputError(f"{op} takes one multiring file, got {len(files)}")
+    rings = [mio.read_structure(f) for f in files]
+    if not all(isinstance(a, FiniteMultiring) for a in rings):
+        raise InputError("product expects multiring files" if op == "product"
+                         else f"{op} expects a multiring file")
+    result = _CONSTRUCTIONS[op](rings if op == "product" else rings[0],
+                                _parse_labels(args.set or ""))
     return _write_result(result, args.out, f" ({result.size} elements)")
 
 
@@ -470,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("construct", help="build a new structure file")
-    p.add_argument("operation", choices=("product", "quotient", "localize",
-                                         "marshall", "qred", "ff"))
+    p.add_argument("operation", choices=tuple(_CONSTRUCTIONS))
     p.add_argument("files", nargs="+")
     p.add_argument("--set", help="comma separated labels (generators or a "
                                  "multiplicative set)")

@@ -7,7 +7,11 @@ of a group of exponent 2 serves both functors into multifields.
 Constructions that the theory assumes to be well defined (coset partitions,
 transitivity of the Marshall relation, representative independence) are
 verified on each instance; a violation raises StructuralAnomaly with the
-offending elements instead of silently producing garbage.
+offending elements instead of silently producing garbage.  Localizations
+and Marshall quotients partition through one helper, ``_partition``, which
+also audits transitivity; the quotients by an ideal and by the Marshall
+relation build the ring of classes and the projection through
+``_class_ring``.
 """
 
 from __future__ import annotations
@@ -201,15 +205,43 @@ def ideal_generated(a: FiniteMultiring, labels: Sequence[str]) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
-# quotient by an ideal
+# classes: the partition and the ring of classes
 
-def _class_setup(a: FiniteMultiring, class_of: list[int]) -> tuple[
-        list[int], dict[int, int], tuple[str, ...]]:
-    reps = sorted(set(class_of))
-    rep_index = {r: i for i, r in enumerate(reps)}
+def _partition(items: Sequence, related, anomaly) -> tuple[list[int], list]:
+    """The classes of ``items`` under ``related``: each item joins the class
+    of the first representative it is related to, or starts a class as its
+    representative.  Returns each item's class index and the representatives.
+    The relation must be an equivalence on this instance: at the first pair
+    p before q whose relatedness disagrees with their classes,
+    StructuralAnomaly(anomaly(p, q)) is raised."""
+    class_of: list[int] = []
+    reps: list = []
+    for p in items:
+        k = next((k for k, r in enumerate(reps) if related(p, r)), len(reps))
+        if k == len(reps):
+            reps.append(p)
+        class_of.append(k)
+    for (i, p), (j, q) in itertools.combinations(enumerate(items), 2):
+        if related(p, q) != (class_of[i] == class_of[j]):
+            raise StructuralAnomaly(anomaly(p, q))
+    return class_of, reps
+
+
+def _class_ring(a: FiniteMultiring, cls: Sequence[int], reps: Sequence[int],
+                add: Sequence[Sequence[int]]) -> tuple[FiniteMultiring, StructureMap]:
+    """The multiring on the classes ``cls`` of a's elements, named [r] by
+    their representatives ``reps``, with addition ``add`` and the operations
+    of the representatives, and the projection of a onto it."""
     names = tuple(f"[{a.names[r]}]" for r in reps)
-    return reps, rep_index, names
+    mul = tuple(tuple(cls[a.mul[x][y]] for y in reps) for x in reps)
+    neg = tuple(cls[a.neg[x]] for x in reps)
+    q = FiniteMultiring(Carrier(names), tuple(map(tuple, add)), mul, neg,
+                        cls[a.zero], cls[a.one])
+    return q, StructureMap(a, q, tuple(cls))
 
+
+# ---------------------------------------------------------------------------
+# quotient by an ideal
 
 def quotient_by_ideal(a: FiniteMultiring,
                       ideal: Ideal) -> tuple[FiniteMultiring, StructureMap]:
@@ -233,8 +265,8 @@ def quotient_by_ideal(a: FiniteMultiring,
                     f"without being equal")
             class_of[y] = x
         class_of[x] = x
-    reps, rep_index, names = _class_setup(a, class_of)
-    cls = [rep_index[class_of[x]] for x in range(n)]
+    reps = sorted(set(class_of))
+    cls = [reps.index(r) for r in class_of]
     images: dict[int, int] = {}
 
     def image(cell: int) -> int:
@@ -244,26 +276,22 @@ def quotient_by_ideal(a: FiniteMultiring,
             out = images[cell] = mask_of(cls[c] for c in bits(cell))
         return out
 
-    add = tuple(tuple(image(a.add[x][y]) for y in reps) for x in reps)
-    mul = tuple(tuple(cls[a.mul[x][y]] for y in reps) for x in reps)
+    q, proj = _class_ring(a, cls, reps,
+                          [[image(a.add[x][y]) for y in reps] for x in reps])
     # representative independence
     for x, y in itertools.product(range(n), repeat=2):
         i, j = cls[x], cls[y]
-        if image(a.add[x][y]) != add[i][j]:
+        if image(a.add[x][y]) != q.add[i][j]:
             raise StructuralAnomaly(
                 f"quotient sum depends on representatives at "
                 f"({a.names[x]},{a.names[y]})")
-        if cls[a.mul[x][y]] != mul[i][j]:
+        if cls[a.mul[x][y]] != q.mul[i][j]:
             raise StructuralAnomaly(
                 f"quotient product depends on representatives at "
                 f"({a.names[x]},{a.names[y]})")
-        if cls[a.neg[x]] != cls[a.neg[reps[i]]]:
+        if cls[a.neg[x]] != q.neg[i]:
             raise StructuralAnomaly(
                 f"quotient negation depends on representatives at {a.names[x]}")
-
-    neg = tuple(cls[a.neg[x]] for x in reps)
-    q = FiniteMultiring(Carrier(names), add, mul, neg, cls[a.zero], cls[a.one])
-    proj = StructureMap(a, q, tuple(cls))
     return q, proj
 
 
@@ -284,22 +312,9 @@ def localization(a: FiniteMultiring,
         y, w = q
         return any(a.mul[a.mul[x][w]][u] == a.mul[a.mul[y][t]][u] for u in svals)
 
-    cls_of: dict[tuple[int, int], int] = {}
-    reps: list[tuple[int, int]] = []
-    for p in pairs:
-        for i, r in enumerate(reps):
-            if pair_eq(p, r):
-                cls_of[p] = i
-                break
-        else:
-            cls_of[p] = len(reps)
-            reps.append(p)
-    # the pair relation must be an equivalence on this instance
-    for p, q in itertools.combinations(pairs, 2):
-        if (cls_of[p] == cls_of[q]) != pair_eq(p, q):
-            raise StructuralAnomaly(
-                f"fraction equality is not transitive at {p} ~ {q}")
-
+    class_of, reps = _partition(
+        pairs, pair_eq, lambda p, q: f"fraction equality is not transitive at {p} ~ {q}")
+    cls_of = dict(zip(pairs, class_of))
     k = len(reps)
     names = tuple(f"{a.names[x]}/{a.names[t]}" for x, t in reps)
 
@@ -370,27 +385,8 @@ def marshall_quotient(a: FiniteMultiring,
     def related(x: int, y: int) -> bool:
         return any(a.mul[x][u] == a.mul[y][v] for u in svals for v in svals)
 
-    class_of = [-1] * n
-    reps_raw: list[int] = []
-    for x in range(n):
-        for r in reps_raw:
-            if related(x, r):
-                class_of[x] = r
-                break
-        else:
-            class_of[x] = x
-            reps_raw.append(x)
-    for x, y in itertools.combinations(range(n), 2):
-        if related(x, y) != (class_of[x] == class_of[y]):
-            raise StructuralAnomaly(
-                f"Marshall relation is not transitive at "
-                f"({a.names[x]},{a.names[y]})")
-
-    reps, rep_index, names = _class_setup(a, class_of)
-
-    def cls(x: int) -> int:
-        return rep_index[class_of[x]]
-
+    cls, reps = _partition(range(n), related, lambda x, y: (
+        f"Marshall relation is not transitive at ({a.names[x]},{a.names[y]})"))
     k = len(reps)
 
     def sum_contains(c: int, x: int, y: int) -> bool:
@@ -403,16 +399,9 @@ def marshall_quotient(a: FiniteMultiring,
                         return True
         return False
 
-    add = [[0] * k for _ in range(k)]
-    for i, j in itertools.product(range(k), repeat=2):
-        add[i][j] = mask_of(cls(c) for c in range(n)
-                            if sum_contains(c, reps[i], reps[j]))
-    mul = tuple(tuple(cls(a.mul[x][y]) for y in reps) for x in reps)
-    neg = tuple(cls(a.neg[x]) for x in reps)
-    q = FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add), mul, neg,
-                        cls(a.zero), cls(a.one))
-    proj = StructureMap(a, q, tuple(cls(x) for x in range(n)))
-    return q, proj
+    add = [[mask_of(cls[c] for c in range(n) if sum_contains(c, reps[i], reps[j]))
+            for j in range(k)] for i in range(k)]
+    return _class_ring(a, cls, reps, add)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,17 @@ versions, the tuple unions and the distributivity rows over d that they
 are pinned to.
 ``classify`` audits each structure once however often its guard runs.
 
+Tables determined pointwise by the three-element sign structures come from
+one kernel, ``_pointwise_cells``: a sign space's value and transversal
+tables (a map per point), the evaluation table of ``sper_embedding_check``
+(a map per ordering) and the separation audit's D and D^t (a map per
+morphism into the three-element real semigroup).  Given maps m from n
+elements to k values and k x k tables ``allowed`` of value masks, cell
+(x, y) masks the c with m(c) in allowed[m(x)][m(y)] for every m.  Each
+map's preimages of the 2^k value sets (``_preimages``) are built once per
+call, for all its tables; row x is one AND per map, in C, of the line of
+preimages of allowed[m(x)][m(y)] over y.
+
 The searches for maps (morphisms, isomorphisms, and the other modules'
 morphisms and spectrum vectors) run on one kernel, ``_table_maps``.  Each
 variable's domain is a bitmask of target values; assigning f(x) narrows the
@@ -73,7 +84,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import compress, count
-from operator import itemgetter, ne, or_
+from operator import and_, itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 CARRIER_CAP = 64
@@ -282,6 +293,42 @@ def _reassociation_failures(table: Sequence[Sequence[int]], elements: _Elements
             missing = row_x[c] & ~left
             if missing:
                 yield _lowest_bit(missing), x, c, y, z
+
+
+def _preimages(m: Sequence[int], k: int) -> list[int]:
+    """pre[M]: the mask of the c with m[c] in M, the union of m's fibres
+    over M, for each subset M of the k values (M a mask)."""
+    fibres = [0] * k
+    for c, v in enumerate(m):
+        fibres[v] |= 1 << c
+    pre = [0]
+    for fibre in fibres:
+        pre += [p | fibre for p in pre]
+    return pre
+
+
+def _pointwise_cells(n: int, maps: Sequence[Sequence[int]],
+                     *tables: Sequence[Sequence[int]]
+                     ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each k x k table ``allowed`` of masks over the k values of the
+    maps, the n x n table whose cell (x, y) masks the c with m[c] in
+    allowed[m[x]][m[y]] for every map m in ``maps``; with no maps every
+    cell is full.  See the module docstring."""
+    full = (full_mask(n),) * n
+    pres = [_preimages(m, len(tables[0])) for m in maps]
+    out = []
+    for allowed in tables:
+        # lines[i][u]: over y, the c that map i sends into allowed[u][m_i(y)]
+        lines = [[tuple(map(pre.__getitem__, map(row.__getitem__, m)))
+                  for row in allowed] for m, pre in zip(maps, pres)]
+        rows = []
+        for x in range(n):
+            row = full
+            for m, line in zip(maps, lines):
+                row = tuple(map(and_, row, line[m[x]]))
+            rows.append(row)
+        out.append(tuple(rows))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 abstract real spectra ({-1,0,1}-valued), with value sets, axiom audits, and
 the constructions to and from real reduced multifields and multirings.
 
-The value and transversal tables are ANDs over the points of per-point
-masks, and the pointwise products are one cached table per space.
+The value and transversal tables are core's pointwise tables
+(``_pointwise_cells``, described there), with one map per point, each
+function to its sign at the point; the point-map search reads the same
+maps' preimages.  The pointwise products are one cached table per space.
 ``aos_to_mfred`` hands the value table, as D, to the zero adjunction of
 ``constructions``.
 
@@ -50,6 +52,8 @@ from .core import (
     Verdict,
     _Elements,
     _lowest_bit,
+    _pointwise_cells,
+    _preimages,
     _reassociation_defects,
     _reassociation_failures,
     bits,
@@ -160,38 +164,18 @@ def one_point_ars() -> SignSpace:
 # ---------------------------------------------------------------------------
 # value sets
 
-def _value_masks(s: SignSpace) -> list[dict[int, int]]:
-    """at[x][v]: the mask of the functions that take value v at point x."""
-    at = [dict.fromkeys((-1, 0, 1), 0) for _ in s.points]
-    for k, f in enumerate(s.functions):
-        for x, v in enumerate(f):
-            at[x][v] |= 1 << k
-    return at
+def _sign_maps(s: SignSpace) -> list[tuple[int, ...]]:
+    """For each point x, the map from function index k to s.functions[k][x]
+    + 1, the index of that sign in the three-element structures."""
+    return [tuple(v + 1 for v in column) for column in zip(*s.functions)]
 
 
 def _pointwise_table(s: SignSpace, allowed) -> tuple[tuple[int, ...], ...]:
     """Cell (a, b) masks the functions c with c(x) in allowed(a(x), b(x)) at
-    every point x: an AND over the points of per-point masks, each the OR of
-    the masks at[x][v] of ``_value_masks``."""
-    cells = []
-    for row in _value_masks(s):
-        cell = {}
-        for u, v in itertools.product((-1, 0, 1), repeat=2):
-            cell[u, v] = 0
-            for w in allowed(u, v):
-                cell[u, v] |= row[w]
-        cells.append(cell)
-    full = full_mask(s.nfunctions)
-    out = []
-    for a in s.functions:
-        row = []
-        for b in s.functions:
-            m = full
-            for cell, u, v in zip(cells, a, b):
-                m &= cell[u, v]
-            row.append(m)
-        out.append(tuple(row))
-    return tuple(out)
+    every point x, through core's ``_pointwise_cells``."""
+    signs = (-1, 0, 1)
+    cells = [[mask_of(w + 1 for w in allowed(u, v)) for v in signs] for u in signs]
+    return _pointwise_cells(s.nfunctions, _sign_maps(s), cells)[0]
 
 
 @lru_cache(maxsize=None)
@@ -653,8 +637,9 @@ def _point_maps(s: SignSpace, t: SignSpace,
     """The point maps s -> t whose pullbacks all lie in s, injective ones
     only if ``bijective``, in lexicographic order (see the module docstring)."""
     # cols[x][y][h]: the functions of s equal to h(y) at x
-    cols = [[tuple(row[h[y]] for h in t.functions) for y in range(t.npoints)]
-            for row in _value_masks(s)]
+    cols = [[tuple(pre[1 << (h[y] + 1)] for h in t.functions)
+             for y in range(t.npoints)]
+            for pre in (_preimages(m, 3) for m in _sign_maps(s))]
     alpha: list[int] = []
 
     def extend(agree: list[int]) -> Iterator[tuple[int, ...]]:

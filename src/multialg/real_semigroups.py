@@ -23,8 +23,9 @@ that fail there, from transposes, from the preimages pre[M][x] = {a : ax in
 M} (a ``_CellUnion`` over the fibres of x -> ax) and from the roots of each
 square; the pair and single-element ones are plain scans.
 docs/axioms.md gives each consequence's formula, witness order and mask.
-The separation audit meets the preimages of the three-element tables under
-each morphism, per (b, c).  Only a failing (b, c) is rescanned, so each
+The separation audit reads core's pointwise tables of the three-element
+D and D^t (``_pointwise_cells``), with one map per morphism into the
+three-element structure.  Only a failing (b, c) is rescanned, so each
 witness keeps the lexicographic order of the quantifier it comes from;
 tests/reference_audits.py keeps the nested loops they are pinned to.
 ``rs_product`` is the componentwise product of ``constructions``.
@@ -56,6 +57,7 @@ from .core import (
     _lowest_bit,
     _map_defects,
     _monoid_defects,
+    _pointwise_cells,
     _reassociation_failures,
     _table_morphisms,
     bits,
@@ -646,53 +648,32 @@ def hom_to_3(s: RealSemigroup) -> list[StructureMap]:
 
 def separation_audit(s: RealSemigroup) -> CheckReport:
     """Representation, transversal representation and point separation all
-    reduce to the morphisms into the three-element structure.
+    reduce to the morphisms h into the three-element structure.
 
-    For a morphism h, the a with h(a) in a mask M of the three-element
-    carrier are the union of h's fibres over M, kept for all eight M; so
-    the a that every h sends into the three-element table at (hb, hc) are
-    one AND per h, for each (b, c), a row of them at a time.  The witness is
-    the least differing (a, b, c), a first, so every row is scanned unless
-    a = 0 differs."""
+    D and D^t through the morphisms are core's pointwise tables of the
+    three-element D and D^t, one call for both; each witness is the least
+    differing (a, b, c), a first.  a and b are separated unless every h
+    sends them to one sign: the witness is the least a whose sign vector
+    over the h recurs, with the least b above it that repeats it."""
     three = canonical_3()
-    n = s.size
     names = s.names
-    top = full_mask(n)
-    # (h, the preimage under h of each subset of the three-element carrier)
-    maps = []
-    for h in (f.mapping for f in hom_to_3(s)):
-        fibres = [0, 0, 0]
-        for x, v in enumerate(h):
-            fibres[v] |= 1 << x
-        maps.append((h, [reduce(or_, (fibres[v] for v in bits(m)), 0)
-                         for m in range(8)]))
+    maps = [f.mapping for f in hom_to_3(s)]
+    via_d, via_dt = _pointwise_cells(s.size, maps, three.d, dt_table(three))
 
-    def differences(table, table3) -> Iterator[tuple[int, ...]]:
-        for b, row in enumerate(table):
-            via = (top,) * n
-            for h, preimage in maps:
-                via = tuple(map(and_, via, map(preimage.__getitem__,
-                                               map(table3[h[b]].__getitem__, h))))
-            yield tuple(map(xor, via, row))
-
-    def least_difference(table, table3) -> Optional[tuple[str, str, str]]:
-        found = _least_failure(differences(table, table3))
+    def least_difference(table, via) -> Optional[tuple[str, str, str]]:
+        found = _least_failure(tuple(map(xor, row, row_via))
+                               for row, row_via in zip(table, via))
         return found and tuple(names[i] for i in found)
 
-    w_d = least_difference(s.d, three.d)
-    w_dt = least_difference(dt_table(s), dt_table(three))
+    w_d = least_difference(s.d, via_d)
+    w_dt = least_difference(dt_table(s), via_dt)
 
-    # a and b are separated unless each h sends b to h(a); the witness is
-    # the least such a, with its least b above it.
-    w_sep = None
-    for a in range(n):
-        same = top
-        for h, preimage in maps:
-            same &= preimage[1 << h[a]]
-        above = same >> (a + 1)
-        if above:
-            w_sep = (names[a], names[a + 1 + _lowest_bit(above)])
-            break
+    # the points by their sign vectors, in order of their least point
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for x, vector in enumerate(zip(*maps) if maps else [()] * s.size):
+        classes.setdefault(vector, []).append(x)
+    same = next((c for c in classes.values() if len(c) > 1), None)
+    w_sep = same and (names[same[0]], names[same[1]])
 
     return CheckReport(
         subject="separation",

@@ -10,7 +10,6 @@ rational witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -59,12 +58,12 @@ class MembershipOracle:
         return [self.sample_sum(a, b, rng) for _ in range(count)]
 
 
-@dataclass
+_MAX_NUMERATOR = 24
+_MAX_DENOMINATOR = 8
+
+
 class TriangleOracle(MembershipOracle):
     """Nonnegative rationals; c in a+b iff |a-b| <= c <= a+b; x = -x."""
-
-    max_numerator: int = 24
-    max_denominator: int = 8
 
     def contains_sum(self, c: Fraction, a: Fraction, b: Fraction) -> bool:
         return abs(a - b) <= c <= a + b
@@ -81,8 +80,8 @@ class TriangleOracle(MembershipOracle):
         return 1 / a
 
     def sample(self, rng: random.Random) -> Fraction:
-        return Fraction(rng.randint(0, self.max_numerator),
-                        rng.randint(1, self.max_denominator))
+        return Fraction(rng.randint(0, _MAX_NUMERATOR),
+                        rng.randint(1, _MAX_DENOMINATOR))
 
     def sample_sum(self, a: Fraction, b: Fraction, rng: random.Random) -> Fraction:
         lo, hi = abs(a - b), a + b
@@ -104,7 +103,6 @@ class TriangleOracle(MembershipOracle):
         return out[:count]
 
 
-@dataclass
 class BrokenTriangleOracle(TriangleOracle):
     """Triangle oracle with the lower membership bound dropped (for testing
     that sampled checks do catch a bad oracle)."""

@@ -17,17 +17,16 @@ callers test only the support: the orderings through ``Ideal`` and
 ``is_prime_mask``, the cones of a sign space through ``_is_prime``, the one
 prime test, on the space's product table.  Like the ideal list, the
 orderings are computed once per structure (``_orderings``), however many of
-the checks and functors that read them run.  The evaluation embedding meets,
-for each pair (x, y), the preimages of sigma(x) + sigma(y) over the sign
-maps sigma of the orderings as one mask.
+the checks and functors that read them run.  The evaluation embedding
+reads core's pointwise table of the sign sums (``_pointwise_cells``), with
+one map per ordering, its sign map.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -38,6 +37,7 @@ from .core import (
     StructureMap,
     Verdict,
     _lowest_bit,
+    _pointwise_cells,
     _table_maps,
     bits,
     check_morphism,
@@ -592,23 +592,12 @@ def _evaluation_defects(a: FiniteMultiring, sigmas: Sequence[Sequence[int]]
     """The least (x, y, c) with c in x + y but outside E(x, y), where the
     evaluation at the sign maps ``sigmas`` is not a morphism, and the least
     with c in E(x, y) but outside x + y, where it is not strong.  E(x, y) is
-    the set of c whose sign lies in sigma(x) + sigma(y) at every sigma: the
-    meet over sigma of the preimages of the sign sums, one 3 x 3 table of
-    preimage masks per sigma."""
-    target = q2()
-    within = []
-    for s in sigmas:
-        preimage = [0] * target.size
-        for x, v in enumerate(s):
-            preimage[v] |= 1 << x
-        within.append([[reduce(or_, map(preimage.__getitem__, bits(cell)), 0)
-                        for cell in row] for row in target.add])
-    everything = full_mask(a.size)
+    the set of c whose sign lies in sigma(x) + sigma(y) at every sigma,
+    core's pointwise table of the sign sums (``_pointwise_cells``)."""
+    (within,) = _pointwise_cells(a.size, sigmas, q2().add)
     w_mor = w_strong = None
     for x, y in itertools.product(range(a.size), repeat=2):
-        agree = everything
-        for s, table in zip(sigmas, within):
-            agree &= table[s[x]][s[y]]
+        agree = within[x][y]
         cell = a.add[x][y]
         if w_mor is None and cell & ~agree:
             w_mor = x, y, _lowest_bit(cell & ~agree)

@@ -30,7 +30,12 @@ the product-fiber and membership masks of ``special_groups._smf_masks``;
 versions from before the worklist closure: the closure iterated absorption
 and an n^2 sum loop until nothing changed, ``enumerate_ideals`` reclosed
 every (ideal, element) pair from scratch on each call, and the quotient
-imaged every addition cell anew.  ``tests/test_ideal_lattice.py`` pins the
+imaged every addition cell anew.  ``localization`` and
+``marshall_quotient`` are the versions from before the constructions shared
+one partition helper and one builder of the ring of classes: each ran its
+own first-related-representative loop and transitivity audit, and the
+Marshall quotient and ``quotient_by_ideal`` each built their own classes
+through ``_class_setup``.  ``tests/test_ideal_lattice.py`` pins the
 library's ideal lattice and quotients to them.
 
 ``cellwise_reassociation_defects`` and ``cellwise_check_multiring`` are the
@@ -113,7 +118,7 @@ from functools import lru_cache
 from operator import getitem, itemgetter, or_
 from typing import Iterator, Optional, Sequence
 
-from multialg.constructions import Ideal, _class_setup
+from multialg.constructions import Ideal, MultiplicativeSet
 from multialg.core import (
     CARRIER_CAP,
     Carrier,
@@ -1269,6 +1274,14 @@ def enumerate_ideals(a: FiniteMultiring) -> list[Ideal]:
     return [Ideal(a, m) for m in masks]
 
 
+def _class_setup(a: FiniteMultiring, class_of: list[int]) -> tuple[
+        list[int], dict[int, int], tuple[str, ...]]:
+    reps = sorted(set(class_of))
+    rep_index = {r: i for i, r in enumerate(reps)}
+    names = tuple(f"[{a.names[r]}]" for r in reps)
+    return reps, rep_index, names
+
+
 def quotient_by_ideal(a: FiniteMultiring,
                       ideal: Ideal) -> tuple[FiniteMultiring, StructureMap]:
     """Cosets x + I as elements; returns the quotient and the projection.
@@ -1321,6 +1334,140 @@ def quotient_by_ideal(a: FiniteMultiring,
     neg = tuple(cls(a.neg[x]) for x in reps)
     q = FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add),
                         tuple(tuple(r) for r in mul), neg,
+                        cls(a.zero), cls(a.one))
+    proj = StructureMap(a, q, tuple(cls(x) for x in range(n)))
+    return q, proj
+
+
+def localization(a: FiniteMultiring,
+                 s: MultiplicativeSet) -> tuple[FiniteMultiring, StructureMap]:
+    """Classes of fractions x/s; sums via c/u in x/s + y/t iff
+    c s t v lies in x t u v + y s u v for some v in S."""
+    if s.parent is not a and s.parent != a:
+        raise InputError("multiplicative set does not belong to this multiring")
+    svals = list(bits(s.members))
+    pairs = [(x, t) for x in range(a.size) for t in svals]
+
+    def pair_eq(p: tuple[int, int], q: tuple[int, int]) -> bool:
+        x, t = p
+        y, w = q
+        return any(a.mul[a.mul[x][w]][u] == a.mul[a.mul[y][t]][u] for u in svals)
+
+    cls_of: dict[tuple[int, int], int] = {}
+    reps: list[tuple[int, int]] = []
+    for p in pairs:
+        for i, r in enumerate(reps):
+            if pair_eq(p, r):
+                cls_of[p] = i
+                break
+        else:
+            cls_of[p] = len(reps)
+            reps.append(p)
+    # the pair relation must be an equivalence on this instance
+    for p, q in itertools.combinations(pairs, 2):
+        if (cls_of[p] == cls_of[q]) != pair_eq(p, q):
+            raise StructuralAnomaly(
+                f"fraction equality is not transitive at {p} ~ {q}")
+
+    k = len(reps)
+    names = tuple(f"{a.names[x]}/{a.names[t]}" for x, t in reps)
+
+    def sum_contains(c_pair: tuple[int, int], p: tuple[int, int],
+                     q: tuple[int, int]) -> bool:
+        c, u = c_pair
+        x, sx = p
+        y, sy = q
+        cst = a.mul[a.mul[c][sx]][sy]
+        for v in svals:
+            left = a.mul[cst][v]
+            xt = a.mul[a.mul[a.mul[x][sy]][u]][v]
+            ys = a.mul[a.mul[a.mul[y][sx]][u]][v]
+            if (a.add[xt][ys] >> left) & 1:
+                return True
+        return False
+
+    add = [[0] * k for _ in range(k)]
+    for i, j in itertools.product(range(k), repeat=2):
+        add[i][j] = mask_of(c for c in range(k)
+                            if sum_contains(reps[c], reps[i], reps[j]))
+    mul = [[cls_of[(a.mul[reps[i][0]][reps[j][0]],
+                    a.mul[reps[i][1]][reps[j][1]])]
+            for j in range(k)] for i in range(k)]
+    neg = tuple(cls_of[(a.neg[x], t)] for x, t in reps)
+    # representative independence of the induced operations
+    for p, q in itertools.product(pairs, repeat=2):
+        i, j = cls_of[p], cls_of[q]
+        if cls_of[(a.mul[p[0]][q[0]], a.mul[p[1]][q[1]])] != mul[i][j]:
+            raise StructuralAnomaly(
+                f"localized product depends on representatives at {p},{q}")
+        got = mask_of(c for c in range(k) if sum_contains(reps[c], p, q))
+        if got != add[i][j]:
+            raise StructuralAnomaly(
+                f"localized sum depends on representatives at {p},{q}")
+
+    q_ring = FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add),
+                             tuple(tuple(r) for r in mul), neg,
+                             cls_of[(a.zero, a.one)], cls_of[(a.one, a.one)])
+    canonical = StructureMap(a, q_ring,
+                             tuple(cls_of[(x, a.one)] for x in range(a.size)))
+    return q_ring, canonical
+
+
+def marshall_quotient(a: FiniteMultiring,
+                      s: MultiplicativeSet) -> tuple[FiniteMultiring, StructureMap]:
+    """Quotient by x ~ y iff xs = yt for some s,t in S.
+
+    Transitivity of ~ is verified on the instance before quotienting.
+    Sums are c-bar in x-bar + y-bar iff cv lies in xs + yt for some s,t,v.
+    """
+    if s.parent is not a and s.parent != a:
+        raise InputError("multiplicative set does not belong to this multiring")
+    n = a.size
+    svals = list(bits(s.members))
+
+    def related(x: int, y: int) -> bool:
+        return any(a.mul[x][u] == a.mul[y][v] for u in svals for v in svals)
+
+    class_of = [-1] * n
+    reps_raw: list[int] = []
+    for x in range(n):
+        for r in reps_raw:
+            if related(x, r):
+                class_of[x] = r
+                break
+        else:
+            class_of[x] = x
+            reps_raw.append(x)
+    for x, y in itertools.combinations(range(n), 2):
+        if related(x, y) != (class_of[x] == class_of[y]):
+            raise StructuralAnomaly(
+                f"Marshall relation is not transitive at "
+                f"({a.names[x]},{a.names[y]})")
+
+    reps, rep_index, names = _class_setup(a, class_of)
+
+    def cls(x: int) -> int:
+        return rep_index[class_of[x]]
+
+    k = len(reps)
+
+    def sum_contains(c: int, x: int, y: int) -> bool:
+        for u in svals:
+            cv = a.mul[c][u]
+            for sv in svals:
+                xs = a.mul[x][sv]
+                for tv in svals:
+                    if (a.add[xs][a.mul[y][tv]] >> cv) & 1:
+                        return True
+        return False
+
+    add = [[0] * k for _ in range(k)]
+    for i, j in itertools.product(range(k), repeat=2):
+        add[i][j] = mask_of(cls(c) for c in range(n)
+                            if sum_contains(c, reps[i], reps[j]))
+    mul = tuple(tuple(cls(a.mul[x][y]) for y in reps) for x in reps)
+    neg = tuple(cls(a.neg[x]) for x in reps)
+    q = FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add), mul, neg,
                         cls(a.zero), cls(a.one))
     proj = StructureMap(a, q, tuple(cls(x) for x in range(n)))
     return q, proj

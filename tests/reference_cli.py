@@ -1,26 +1,31 @@
-"""The functor, round-trip and hom commands as they were before one table of
-functor pairs held them.
+"""The functor, round-trip, hom and construct commands as they were before
+one table of functor pairs, and one of constructions, held them.
 
-``_FUNCTORS``, ``_ROUNDTRIPS``, ``cmd_functor``, ``cmd_roundtrip`` and
-``cmd_hom`` are kept verbatim, with the ``functor`` name help and the
-``--pair`` choices the parser spelled out by hand.  ``tests/test_cli_table.py``
-runs ``cli.main`` with these commands in place of the library's and pins
-exit code, standard output and standard error to them over the corpus.
+``_FUNCTORS``, ``_ROUNDTRIPS``, ``cmd_functor``, ``cmd_roundtrip``,
+``cmd_hom`` and ``cmd_construct`` are kept verbatim, with the ``functor``
+name help, the ``--pair`` choices and the ``construct`` operations the
+parser spelled out by hand.  ``tests/test_cli_table.py`` runs ``cli.main``
+with these commands in place of the library's and pins exit code, standard
+output, standard error and written files to them over the corpus.
+``cmd_construct`` ignored every file after the first for the one-file
+operations; the library's refuses them, so those calls are not pinned.
 """
 
 from __future__ import annotations
 
+from multialg import constructions as cons
 from multialg import core
 from multialg import io as mio
 from multialg import ordering_spaces as osp
 from multialg import real_semigroups as rsg
 from multialg import special_groups as spg
-from multialg.cli import _emit_report, _write_result
-from multialg.core import InputError
+from multialg.cli import _emit_report, _parse_labels, _write_result
+from multialg.core import FiniteMultiring, InputError
 
 FUNCTOR_HELP = ("sg-mf, mf-sg, rs-mr, mr-rs, aos-mf, mf-aos, ars-mr, mr-ars "
                 "(-> also accepted)")
 PAIR_CHOICES = ("sg-smf", "rs-mr", "aos-mf", "ars-mr")
+CONSTRUCT_CHOICES = ("product", "quotient", "localize", "marshall", "qred", "ff")
 
 
 _FUNCTORS = {
@@ -92,3 +97,34 @@ def cmd_hom(args) -> int:
                          for x, v in enumerate(f.mapping))
         print(f"  f{i}: {desc}")
     return 0
+
+
+def cmd_construct(args) -> int:
+    op = args.operation
+    if op == "product":
+        factors = [mio.read_structure(f) for f in args.files]
+        if not all(isinstance(f, FiniteMultiring) for f in factors):
+            raise InputError("product expects multiring files")
+        result = cons.product(factors)  # type: ignore[arg-type]
+    else:
+        obj = mio.read_structure(args.files[0])
+        if not isinstance(obj, FiniteMultiring):
+            raise InputError(f"{op} expects a multiring file")
+        if op == "quotient":
+            ideal = cons.ideal_generated(obj, _parse_labels(args.set or ""))
+            result, _ = cons.quotient_by_ideal(obj, ideal)
+        elif op == "localize":
+            s = cons.multiplicative_set(obj, _parse_labels(args.set or "")
+                                        + [obj.names[obj.one]])
+            result, _ = cons.localization(obj, s)
+        elif op == "marshall":
+            s = cons.multiplicative_set(obj, _parse_labels(args.set or "")
+                                        + [obj.names[obj.one]])
+            result, _ = cons.marshall_quotient(obj, s)
+        elif op == "qred":
+            result, _ = cons.q_red(obj)
+        elif op == "ff":
+            result, _ = cons.fraction_multifield(obj)
+        else:
+            raise InputError(f"unknown construction {op!r}")
+    return _write_result(result, args.out, f" ({result.size} elements)")

@@ -132,6 +132,59 @@ def test_main_calls_the_library_function_bound_on_its_module(
     assert calls, f"{argv} did not call {module.__name__}.{name}"
 
 
+def _construct_cases() -> list:
+    """Every operation on the corpus: the one-file ones on each file, with
+    no --set and with three labels, and product on each file and on every
+    ordered pair of files."""
+    cases = [["construct", "product", path] for path in FILES]
+    cases += [["construct", "product", a, b] for a in FILES for b in FILES]
+    for op in reference_cli.CONSTRUCT_CHOICES[1:]:
+        sets = [[]] + ([["--set", label] for label in ("1", "2", "-1")]
+                       if op in ("quotient", "localize", "marshall") else [])
+        cases += [["construct", op, path, *flag] for path in FILES for flag in sets]
+    return cases
+
+
+def _construct_runs(capsys, cases, out) -> list:
+    """Each case printed, then written to ``out``: exit code, standard
+    output and standard error of both, and the bytes written, if any."""
+    runs = []
+    for argv in cases:
+        if os.path.exists(out):
+            os.remove(out)
+        printed = _run(capsys, argv)
+        written = _run(capsys, argv + ["-o", out])
+        data = open(out, "rb").read() if os.path.exists(out) else None
+        runs.append((printed, written, data))
+    return runs
+
+
+def test_construct_prints_and_writes_what_the_old_command_did(
+        capsys, monkeypatch, tmp_path):
+    assert tuple(_option("construct", "operation").choices) \
+        == reference_cli.CONSTRUCT_CHOICES
+    cases = _construct_cases()
+    assert len(cases) == 28 + 28 * 28 + 3 * 4 * 28 + 2 * 28
+    out = str(tmp_path / "out.mrs")
+    new = _construct_runs(capsys, cases, out)
+    monkeypatch.setattr(cli, "cmd_construct", reference_cli.cmd_construct)
+    old = _construct_runs(capsys, cases, out)
+    for argv, n, o in zip(cases, new, old):
+        assert n == o, argv
+    assert {printed[0] for printed, _, _ in new} == {0, 2}
+    assert sum(data is not None for _, _, data in new) > 100
+
+
+@pytest.mark.parametrize("op", reference_cli.CONSTRUCT_CHOICES[1:])
+def test_construct_refuses_files_past_the_first(op, capsys, tmp_path):
+    """A one-file operation given a second file, readable or not, is an
+    input error; it used to build from the first file and exit 0."""
+    for extra in (str(tmp_path / "missing.mrs"), corpus_path("z3")):
+        code, out, err = _run(capsys, ["construct", op, corpus_path("q2"), extra])
+        assert (code, out) == (2, "")
+        assert err == f"input error: {op} takes one multiring file, got 2\n"
+
+
 def test_every_command_has_an_argv_here():
     assert set(COMMANDS) == set(_subcommands())
 

@@ -18,6 +18,13 @@ pins run on seeded single-cell mutants of Z/8, q2^2 and the fan-3
 multifield that ``FiniteMultiring`` accepts but ``check_multiring`` rejects;
 changing one cell of ``add`` and not its mirror makes the addition
 non-commutative.
+
+``localization`` and ``marshall_quotient``, which share one partition
+helper with its transitivity audit and, for the Marshall quotient, the
+builder of the ring of classes that ``quotient_by_ideal`` reads, are
+pinned to their reference versions at every multiplicative set of every
+corpus multiring and every labelled multiring of order <= 3, and of seeded
+add and mul mutants of q2, K^2 and Z/4, some of which break transitivity.
 """
 
 import dataclasses
@@ -27,8 +34,14 @@ import random
 import pytest
 
 import reference_audits as reference
-from multialg import spectra
-from multialg.constructions import Ideal, ideal_generated, product, quotient_by_ideal
+from multialg import constructions, spectra
+from multialg.constructions import (
+    Ideal,
+    MultiplicativeSet,
+    ideal_generated,
+    product,
+    quotient_by_ideal,
+)
 from multialg.core import (
     InputError,
     StructuralAnomaly,
@@ -208,3 +221,50 @@ def test_enumerate_ideals_returns_a_fresh_list():
     assert list(spectra.spec_topology(a).primes) == spectra.enumerate_primes(a)
     assert spectra.enumerate_primes(a) == \
         [i for i in expected if spectra.is_prime_mask(a, i.members)]
+
+
+def _multiplicative_sets(a) -> list:
+    """Every subset of the carrier that contains 1 and is closed under
+    products, by mask."""
+    out = []
+    for mask in range(1 << a.size):
+        try:
+            out.append(MultiplicativeSet(a, mask))
+        except InputError:
+            pass
+    return out
+
+
+def _assert_fractions(a, label) -> int:
+    """``localization`` and ``marshall_quotient`` at every multiplicative
+    set: the tables, the projection and any exception's text equal the
+    reference's.  Returns how many calls raised a transitivity anomaly."""
+    broken = 0
+    for s in _multiplicative_sets(a):
+        for name in ("localization", "marshall_quotient"):
+            got = _outcome(getattr(constructions, name), a, s)
+            assert got == _outcome(getattr(reference, name), a, s), \
+                (label, name, s.labels)
+            broken += "not transitive" in str(got)
+    return broken
+
+
+def test_fractions_and_marshall_quotients_match_reference():
+    """Every corpus multiring and every labelled multiring of order <= 3."""
+    corpus = dict(corpus_multirings())
+    names = [name for name, r in STRUCTURES.items()
+             if name in corpus or r.size <= 3]
+    assert set(corpus) <= set(names)
+    for name in names:
+        _assert_fractions(STRUCTURES[name], name)
+
+
+def test_fraction_mutants_match_reference():
+    """Seeded add and mul mutants of q2, K^2 and Z/4; some break the
+    transitivity of fraction equality or of the Marshall relation."""
+    broken = 0
+    bases = {"q2": q2(), "k^2": product([krasner()] * 2), "z4": ring_multiring(4)}
+    for seed, (name, base) in enumerate(sorted(bases.items())):
+        for i, a in enumerate(_mutants(base, 100 + seed, 30)):
+            broken += _assert_fractions(a, (name, i))
+    assert broken

@@ -4,9 +4,11 @@ builders they replaced.
 ``reference_audits`` keeps the old builders: ``value_table`` and
 ``transversal_table`` tested every function at every point for every cell,
 ``mrred_to_rs`` tested every element against every pair, and the RS2 loop
-of ``check_rs`` walked (b, c), a and e.  Here the library's per-point value
-masks, its union over distinct squares and its cell images must give
-equal tables and the same RS2 verdict and witness.
+of ``check_rs`` walked (b, c), a and e.  Here the library's pointwise
+tables (core's ``_pointwise_cells``, one map per point), its union over
+distinct squares and its cell images must give equal tables and the same
+RS2 verdict and witness, on spaces of up to 81 functions, where masks
+exceed 64 bits.  The kernel itself is checked by brute force.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ from multialg.core import (
     InputError,
     StructuralAnomaly,
     Verdict,
+    _pointwise_cells,
     krasner,
     q2,
     ring_multiring,
@@ -60,6 +63,44 @@ def test_value_and_transversal_tables():
         if s.mode == ARS:
             assert ordering_spaces.transversal_table(s) \
                 == reference.transversal_table(s), s
+
+
+def test_value_tables_past_64_functions():
+    """Masks of more than 64 bits: 70 of the 128 sign vectors on seven
+    points, and the ars space of 81 sign vectors on four points."""
+    rng = random.Random(70)
+    chosen = rng.sample(fan_aos(7).functions, 70)
+    wide = make_sign_space(AOS, [f"x{i}" for i in range(7)], chosen)
+    full = make_sign_space(ARS, [f"x{i}" for i in range(4)],
+                           itertools.product((-1, 0, 1), repeat=4))
+    assert max(map(max, ordering_spaces.value_table(wide))) >= 1 << 64
+    assert ordering_spaces.value_table(wide) == reference.value_table(wide)
+    assert ordering_spaces.value_table(full) == reference.value_table(full)
+    assert ordering_spaces.transversal_table(full) \
+        == reference.transversal_table(full)
+
+
+def naive_cells(n, maps, allowed):
+    """Cell (x, y) holds c when every map m sends c into allowed[m[x]][m[y]]."""
+    return tuple(tuple(sum(1 << c for c in range(n)
+                           if all((allowed[m[x]][m[y]] >> m[c]) & 1 for m in maps))
+                       for y in range(n)) for x in range(n))
+
+
+def test_pointwise_cells_by_brute_force():
+    """Random maps into k = 2 and 3 values and random tables of masks, one
+    to three tables a call, on n = 1 to 9 elements, and no maps at all."""
+    rng = random.Random(25)
+    calls = 0
+    for k, n, count in itertools.product((2, 3), range(1, 10), range(4)):
+        maps = [tuple(rng.randrange(k) for _ in range(n)) for _ in range(count)]
+        tables = [[[rng.randrange(1 << k) for _ in range(k)] for _ in range(k)]
+                  for _ in range(rng.randint(1, 3))]
+        got = _pointwise_cells(n, maps, *tables)
+        assert got == tuple(naive_cells(n, maps, t) for t in tables), (k, n, maps)
+        calls += 1
+    assert calls == 72
+    assert _pointwise_cells(3, [], [[1]]) == (((7,) * 3,) * 3,)
 
 
 def scaling_multirings():
