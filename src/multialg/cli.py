@@ -253,6 +253,13 @@ def cmd_construct(args) -> int:
     if not all(isinstance(a, FiniteMultiring) for a in rings):
         raise InputError("product expects multiring files" if op == "product"
                          else f"{op} expects a multiring file")
+    for path, a in zip(files, rings):
+        failed = next((v for v in core.check_multiring(a).verdicts
+                       if not v.passed and not v.informational), None)
+        if failed is not None:
+            at = "" if failed.witness is None else \
+                f" at ({','.join(map(str, failed.witness))})"
+            raise InputError(f"{path}: fails the multiring audit: {failed.axiom}{at}")
     result = _CONSTRUCTIONS[op](rings if op == "product" else rings[0],
                                 _parse_labels(args.set or ""))
     return _write_result(result, args.out, f" ({result.size} elements)")

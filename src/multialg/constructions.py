@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import or_
+from typing import Callable, Sequence
 
 from .core import (
     CARRIER_CAP,
@@ -27,6 +30,9 @@ from .core import (
     InputError,
     StructureMap,
     StructuralAnomaly,
+    _CellUnion,
+    _Elements,
+    _bit_flags,
     bits,
     classify,
     full_mask,
@@ -48,6 +54,14 @@ class Ideal:
             raise InputError("ideal must contain 0")
         if m & ~full_mask(a.size):
             raise InputError("ideal members outside carrier")
+        # I + I and the products with I, read off whole rows at once; the
+        # loops below only name the first failing pair.
+        inside = _bit_flags(m)
+        sums = chain.from_iterable(map(compress, compress(a.add, inside),
+                                       repeat(inside)))
+        products = chain.from_iterable(map(compress, a.mul, repeat(inside)))
+        if not reduce(or_, sums, 0) & ~m and set(products) <= set(bits(m)):
+            return
         for x in bits(m):
             for y in bits(m):
                 if a.add[x][y] & ~m:
@@ -162,46 +176,39 @@ def _adjoin_zero(names: Sequence[str], mul: Sequence[Sequence[int]],
 # ---------------------------------------------------------------------------
 # ideals
 
-def _multiples(a: FiniteMultiring) -> list[int]:
-    """``multiples[y]``: the mask of x·y over every x in the carrier."""
-    return [mask_of(a.mul[x][y] for x in range(a.size)) for y in range(a.size)]
+def _ideal_closure(a: FiniteMultiring) -> Callable[..., int]:
+    """``close(members, closed=0)``: the mask of the least ideal of a
+    containing ``members``, 0 and the ideal ``closed``, whose members start
+    out expanded.  Each round ORs in the multiples of the elements reached
+    but not expanded, and their sums in both orders with every element
+    reached: entry e of the unions of add's rows and of its columns over
+    the reached set, built once here for every call.  It stops when a round
+    reaches nothing new.  Reading both orders keeps the closure exact on
+    tables that break the axioms."""
+    elements = _Elements()
+    multiples = list(map(mask_of, zip(*a.mul)))
+    rows = _CellUnion.over(a.add, elements)
+    columns = _CellUnion.over(tuple(zip(*a.add)), elements)
+    zero = 1 << a.zero
 
+    def close(members: int, closed: int = 0) -> int:
+        out = closed | members | zero
+        new = out & ~closed
+        while new:
+            picked = elements[new]
+            grown = reduce(or_, chain(map(multiples.__getitem__, picked),
+                                      map(rows[out].__getitem__, picked),
+                                      map(columns[out].__getitem__, picked)))
+            out, new = out | grown, grown & ~out
+        return out
 
-def _ideal_closure(a: FiniteMultiring, members: int, multiples: list[int],
-                   closed: int = 0) -> int:
-    """Mask of the least ideal containing ``members``, 0 and the ideal
-    ``closed``; ``multiples`` is ``_multiples(a)``.
-
-    A worklist expands each element once, lowest pending bit first, by ORing
-    in its multiples and its sums, in both orders, with itself and every
-    element expanded before it.  Invariant: for all expanded e and m the
-    result holds ``multiples[e]`` and ``add[e][m]``.  ``closed`` must already
-    be an ideal, so its members start out expanded.  Reading both orders
-    keeps the result the least set closed under absorption and sums even on
-    tables that break the axioms, non-commutative addition included."""
-    add = a.add
-    expanded = list(bits(closed))
-    done = closed
-    out = closed | members | (1 << a.zero)
-    pending = out & ~done
-    while pending:
-        low = pending & -pending
-        e = low.bit_length() - 1
-        done |= low
-        expanded.append(e)
-        row = add[e]
-        grown = multiples[e]
-        for m in expanded:
-            grown |= row[m] | add[m][e]
-        out |= grown
-        pending = out & ~done
-    return out
+    return close
 
 
 def ideal_generated(a: FiniteMultiring, labels: Sequence[str]) -> Ideal:
     """Least ideal containing the given elements."""
     members = mask_of(a.carrier.index(l) for l in labels)
-    return Ideal(a, _ideal_closure(a, members, _multiples(a)))
+    return Ideal(a, _ideal_closure(a)(members))
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +250,37 @@ def _class_ring(a: FiniteMultiring, cls: Sequence[int], reps: Sequence[int],
 # ---------------------------------------------------------------------------
 # quotient by an ideal
 
+class _ClassImages(dict):
+    """Cell mask -> the mask of the classes it meets, on first use, from
+    ``shifted[c]`` = 1 << (the class of c)."""
+
+    __slots__ = ("shifted",)
+
+    def __missing__(self, cell: int) -> int:
+        out = self[cell] = reduce(or_, compress(self.shifted, _bit_flags(cell)))
+        return out
+
+
 def quotient_by_ideal(a: FiniteMultiring,
                       ideal: Ideal) -> tuple[FiniteMultiring, StructureMap]:
     """Cosets x + I as elements; returns the quotient and the projection.
 
     The coset family is required to partition the carrier and the induced
-    operations to be representative independent; both are verified.
+    operations to be representative independent; both are verified, each
+    row x of add, mul and neg at once against the quotient's row of x's
+    class spread back over the classes.  Only a row that differs is walked.
     """
     if ideal.parent is not a and ideal.parent != a:
         raise InputError("ideal does not belong to this multiring")
     n = a.size
-    cosets = [a.add_masks(1 << x, ideal.members) for x in range(n)]
+    elements = _Elements()
+    # x + I over x: the union of add's columns over I
+    cosets = _CellUnion.over(tuple(zip(*a.add)), elements)[ideal.members]
     class_of = [-1] * n
     for x in range(n):
         if class_of[x] >= 0:
             continue
-        for y in bits(cosets[x]):
+        for y in elements[cosets[x]]:
             if cosets[y] != cosets[x]:
                 raise StructuralAnomaly(
                     f"cosets of {a.names[x]} and {a.names[y]} overlap "
@@ -267,31 +289,31 @@ def quotient_by_ideal(a: FiniteMultiring,
         class_of[x] = x
     reps = sorted(set(class_of))
     cls = [reps.index(r) for r in class_of]
-    images: dict[int, int] = {}
-
-    def image(cell: int) -> int:
-        """Mask of the classes meeting ``cell``, computed once per cell."""
-        out = images.get(cell)
-        if out is None:
-            out = images[cell] = mask_of(cls[c] for c in bits(cell))
-        return out
-
-    q, proj = _class_ring(a, cls, reps,
-                          [[image(a.add[x][y]) for y in reps] for x in reps])
-    # representative independence
-    for x, y in itertools.product(range(n), repeat=2):
-        i, j = cls[x], cls[y]
-        if image(a.add[x][y]) != q.add[i][j]:
-            raise StructuralAnomaly(
-                f"quotient sum depends on representatives at "
-                f"({a.names[x]},{a.names[y]})")
-        if cls[a.mul[x][y]] != q.mul[i][j]:
-            raise StructuralAnomaly(
-                f"quotient product depends on representatives at "
-                f"({a.names[x]},{a.names[y]})")
-        if cls[a.neg[x]] != q.neg[i]:
-            raise StructuralAnomaly(
-                f"quotient negation depends on representatives at {a.names[x]}")
+    images = _ClassImages()
+    images.shifted = [1 << c for c in cls]
+    q, proj = _class_ring(a, cls, reps, [[images[a.add[x][y]] for y in reps]
+                                         for x in reps])
+    spread_add = [tuple(map(row.__getitem__, cls)) for row in q.add]
+    spread_mul = [tuple(map(row.__getitem__, cls)) for row in q.mul]
+    for x in range(n):
+        i = cls[x]
+        sums = tuple(map(images.__getitem__, a.add[x]))
+        products = tuple(map(cls.__getitem__, a.mul[x]))
+        if sums == spread_add[i] and products == spread_mul[i] \
+                and cls[a.neg[x]] == q.neg[i]:
+            continue
+        for y in range(n):
+            if sums[y] != spread_add[i][y]:
+                raise StructuralAnomaly(
+                    f"quotient sum depends on representatives at "
+                    f"({a.names[x]},{a.names[y]})")
+            if products[y] != spread_mul[i][y]:
+                raise StructuralAnomaly(
+                    f"quotient product depends on representatives at "
+                    f"({a.names[x]},{a.names[y]})")
+            if cls[a.neg[x]] != q.neg[i]:
+                raise StructuralAnomaly(
+                    f"quotient negation depends on representatives at {a.names[x]}")
     return q, proj
 
 

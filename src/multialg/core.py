@@ -29,13 +29,16 @@ while a(bc) is row b translated through row a, compared inside C.
 multirings and ternary semigroups alike.  Reversibility, the identity and
 commutativity are one helper each (``_reversibility_defect``,
 ``_identity_defect``, ``_commutativity_defect``), shared by the multigroup,
-relational and monoid audits; real semigroups' RS0 and the special-group
-validation read the commutativity one, which compares each row with its
-column.  The multiring audit compares (a+b)d with ad+bd as rows over b, for
-each (a, d): (a+b)d is a step of the lazily transposed unions of the rows
-1 << cd, and ad+bd is one ``itemgetter`` call that gathers column d of mul
-from the addition row of ad; each witness is the least (b, d) at the first
-a where it fails.  The other axioms are per-pair mask tests.  The
+relational and monoid audits.  Above 16 elements reversibility is first
+tested on all rows and columns at once, as bit matrices transposed in one
+batch by the block swaps behind ``_transposed``, which real semigroups read.
+Real semigroups' RS0 and the special-group validation read the
+commutativity helper, which compares each row with its column.  The
+multiring audit compares (a+b)d with ad+bd as rows over b, for each (a, d):
+(a+b)d is a step of the lazily transposed unions of the rows 1 << cd, and
+ad+bd is one ``itemgetter`` call that gathers column d of mul from the
+addition row of ad; each witness is the least (b, d) at the first a where
+it fails.  The other axioms are per-pair mask tests.  The
 associativity audits of real semigroups and sign spaces read the same scan,
 strong associativity through ``_reassociation_failures``.  Witnesses stay
 the first violations in lexicographic order; tests/reference_audits.py
@@ -83,7 +86,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
 from operator import and_, itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -117,6 +120,16 @@ def mask_of(indices: Iterable[int]) -> int:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
+
+
+# Maps the digits of bin() to the bytes 0 and 1, for ``_bit_flags``.
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_flags(mask: int) -> bytes:
+    """Byte i is 1 when bit i of ``mask`` is set and 0 when not, up to its
+    highest bit: the selector of ``mask``'s entries for ``compress``."""
+    return bin(mask)[:1:-1].encode().translate(_FLAGS)
 
 
 def _lowest_bit(mask: int) -> int:
@@ -196,6 +209,53 @@ class _CellUnion(dict):
         return out
 
 
+# ---------------------------------------------------------------------------
+# bit-matrix transposition
+
+def _block_swaps(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) for each block size j = w/2, ..., 1 of a w x w bit
+    matrix packed row by row into one int, entry (x, t) at bit x w + t.
+    The mask marks the entries with bit j clear in x and set in t; each
+    trades places with (x + j, t - j), ``shift`` bits higher.  Swapping them
+    for every j moves (x, t) to (t, x)."""
+    swaps = []
+    j = w // 2
+    while j:
+        row = mask_of(t for t in range(w) if t & j)
+        swaps.append((j * (w - 1),
+                      sum(row << x * w for x in range(w) if not x & j)))
+        j //= 2
+    return tuple(swaps)
+
+
+# One codec and one swap list per width w: a matrix of n rows is padded to
+# w rows of w bits, w the least of 8, 16, 32 and 64 not below n.
+_TRANSPOSERS = {w: (struct.Struct(f"<{w}{field}"), _block_swaps(w))
+                for w, field in ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))}
+
+
+def _transpose_packed(m: int, w: int, count: int = 1) -> int:
+    """The ``count`` w x w bit matrices packed in ``m``, row by row, each
+    transposed by the block swaps of one, each mask repeated per matrix."""
+    for shift, mask in _TRANSPOSERS[w][1]:
+        if count > 1:
+            mask = int.from_bytes(mask.to_bytes(w * w // 8, "little") * count,
+                                  "little")
+        flip = ((m >> shift) ^ m) & mask
+        m ^= flip ^ (flip << shift)
+    return m
+
+
+def _transposed(rows: Sequence[int]) -> tuple[int, ...]:
+    """The n x n bit matrix ``rows`` transposed: entry t holds x iff rows[x]
+    holds t.  Each row is a mask below 2^n."""
+    n = len(rows)
+    w = max(8, 1 << (n - 1).bit_length())
+    codec = _TRANSPOSERS[w][0]
+    m = int.from_bytes(codec.pack(*rows, *repeat(0, w - n)), "little")
+    return codec.unpack(_transpose_packed(m, w).to_bytes(codec.size, "little"))[:n]
+
+
 def _first_difference(left: Sequence[int], right: Sequence[int]) -> int:
     """The first index at which two rows that differ differ."""
     return next(compress(count(), map(ne, left, right)))
@@ -270,7 +330,25 @@ def _identity_defect(line: Iterable[int], names: Sequence[str]
 def _reversibility_defect(op: Sequence[Sequence[int]], r: Sequence[int],
                           names: Sequence[str]) -> Optional[tuple[str, str, str]]:
     """The least (x, y, z) with z in xy but x outside z r(y) or y outside
-    r(x) z, in ``names``, or None."""
+    r(x) z, in ``names``, or None.
+
+    Above 16 elements every (x, y) is tested at once first: column y, the
+    bit matrix (x, z) of z in xy, must lie inside the transpose of column
+    r(y), and row x, over (y, z), inside that of row r(x); the 2n
+    transposes are one batch.  Only a failure is walked, to name it; up to
+    16 elements the walk alone costs less, as a failing table stops it."""
+    n = len(op)
+    if n > 16:
+        w = 1 << (n - 1).bit_length()
+        codec = struct.Struct(f"<{2 * n * w}{_TRANSPOSERS[w][0].format[-1]}")
+        pad, size = (0,) * (w - n), w * w // 8
+        data = codec.pack(*chain.from_iterable(
+            chain(line, pad) for line in chain(zip(*op), op)))
+        moved = b"".join(data[i * size:(i + 1) * size]
+                         for i in chain(r, (n + x for x in r)))
+        if not int.from_bytes(data, "little") & ~_transpose_packed(
+                int.from_bytes(moved, "little"), w, 2 * n):
+            return None
     for x, row in enumerate(op):
         back = op[r[x]]
         for y, cell in enumerate(row):

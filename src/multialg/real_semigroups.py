@@ -9,7 +9,7 @@ real reduced multirings (sums become transversal representation sets).
 The layer works on whole masks: D(b, c) is the mask of the a it represents,
 and each audit tests that mask, or a row of them, at once.  D^t is D cut by
 two transposes of D taken with rows indexed by -a, each an n x n bit matrix
-transposed in a few big-int operations (``_transposed``).  TS1 and TS4
+transposed in a few big-int operations (core's ``_transposed``).  TS1 and TS4
 are core's commutative-monoid audit of the multiplication table,
 ``_monoid_defects``.  In ``check_rs``, RS2 images each distinct cell
 under every x -> xe at once, through core's ``_CellUnion`` of the lines
@@ -34,7 +34,6 @@ tests/reference_audits.py keeps the nested loops they are pinned to.
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, repeat
@@ -60,6 +59,7 @@ from .core import (
     _pointwise_cells,
     _reassociation_failures,
     _table_morphisms,
+    _transposed,
     bits,
     full_mask,
     mask_of,
@@ -136,44 +136,6 @@ def make_real_semigroup(names: Sequence[str],
             raise
     return RealSemigroup(carrier, table, index(one), index(zero),
                          index(minus_one), tuple(map(tuple, d)))
-
-
-# ---------------------------------------------------------------------------
-# bit-matrix transposition
-
-def _block_swaps(w: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) for each block size j = w/2, ..., 1 of a w x w bit
-    matrix packed row by row into one int, entry (x, t) at bit x w + t.
-    The mask marks the entries with bit j clear in x and set in t; each
-    trades places with (x + j, t - j), ``shift`` bits higher.  Swapping them
-    for every j moves (x, t) to (t, x)."""
-    swaps = []
-    j = w // 2
-    while j:
-        row = mask_of(t for t in range(w) if t & j)
-        swaps.append((j * (w - 1),
-                      sum(row << x * w for x in range(w) if not x & j)))
-        j //= 2
-    return tuple(swaps)
-
-
-# One codec and one swap list per width w: a matrix of n rows is padded to
-# w rows of w bits, w the least of 8, 16, 32 and 64 not below n.
-_TRANSPOSERS = {w: (struct.Struct(f"<{w}{field}"), _block_swaps(w))
-                for w, field in ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))}
-
-
-def _transposed(rows: Sequence[int]) -> tuple[int, ...]:
-    """The n x n bit matrix ``rows`` transposed: entry t holds x iff rows[x]
-    holds t.  Each row is a mask below 2^n."""
-    n = len(rows)
-    w = max(8, 1 << (n - 1).bit_length())
-    codec, swaps = _TRANSPOSERS[w]
-    m = int.from_bytes(codec.pack(*rows, *repeat(0, w - n)), "little")
-    for shift, mask in swaps:
-        flip = ((m >> shift) ^ m) & mask
-        m ^= flip ^ (flip << shift)
-    return codec.unpack(m.to_bytes(codec.size, "little"))[:n]
 
 
 @lru_cache(maxsize=None)

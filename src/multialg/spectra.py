@@ -52,7 +52,6 @@ from .constructions import (
     Ideal,
     MultiplicativeSet,
     _ideal_closure,
-    _multiples,
     marshall_quotient,
     product,
     q_red,
@@ -65,18 +64,21 @@ from .constructions import (
 
 @lru_cache(maxsize=None)
 def _ideals(a: FiniteMultiring) -> tuple[Ideal, ...]:
-    """All ideals in (popcount, mask) order, by extending each reachable
-    ideal by one more generator; only the new elements get expanded."""
-    multiples = _multiples(a)
-    bottom = _ideal_closure(a, 0, multiples)
+    """All ideals in (popcount, mask) order, by joining each reachable ideal
+    I with each distinct principal ideal P(x), the closure of {x}, that it
+    does not contain.  Closing I and x is closing I and P(x), as closure is
+    a closure operator, and a P(x) that holds I is the join."""
+    close = _ideal_closure(a)
+    bottom = close(0)
+    principals = dict.fromkeys(close(1 << x, bottom) for x in range(a.size))
     seen = {bottom}
     queue = [bottom]
     while queue:
         current = queue.pop()
-        for x in range(a.size):
-            if (current >> x) & 1:
+        for p in principals:
+            if not p & ~current:
                 continue
-            grown = _ideal_closure(a, 1 << x, multiples, current)
+            grown = close(p, current) if current & ~p else p
             if grown not in seen:
                 seen.add(grown)
                 queue.append(grown)

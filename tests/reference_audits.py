@@ -35,8 +35,10 @@ imaged every addition cell anew.  ``localization`` and
 one partition helper and one builder of the ring of classes: each ran its
 own first-related-representative loop and transitivity audit, and the
 Marshall quotient and ``quotient_by_ideal`` each built their own classes
-through ``_class_setup``.  ``tests/test_ideal_lattice.py`` pins the
-library's ideal lattice and quotients to them.
+through ``_class_setup``.  ``check_ideal`` is the ``Ideal`` constructor's
+check as it was before it tested sums and products on whole rows: the
+element-by-element loops alone.  ``tests/test_ideal_lattice.py`` pins the
+library's ideal lattice, quotients and ``Ideal`` to them.
 
 ``cellwise_reassociation_defects`` and ``cellwise_check_multiring`` are the
 reassociation scan and the multiring audit as they were before they compared
@@ -1237,6 +1239,24 @@ def mf_to_sg(f: FiniteMultiring) -> SpecialGroup:
             quads.append((f.names[a], f.names[b], f.names[c], f.names[d]))
     return make_special_group(names, mul, f.names[f.neg[f.one]], quads,
                               one=f.names[f.one])
+
+
+def check_ideal(a: FiniteMultiring, m: int) -> None:
+    """Raise the InputError that ``Ideal(a, m)`` raises, by its old loops."""
+    if not (m >> a.zero) & 1:
+        raise InputError("ideal must contain 0")
+    if m & ~full_mask(a.size):
+        raise InputError("ideal members outside carrier")
+    for x in bits(m):
+        for y in bits(m):
+            if a.add[x][y] & ~m:
+                raise InputError(
+                    f"not sum-closed at ({a.names[x]},{a.names[y]})")
+    for x in range(a.size):
+        for y in bits(m):
+            if not (m >> a.mul[x][y]) & 1:
+                raise InputError(
+                    f"not absorbing at ({a.names[x]},{a.names[y]})")
 
 
 def _ideal_closure(a: FiniteMultiring, members: int) -> int:

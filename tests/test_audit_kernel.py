@@ -212,6 +212,85 @@ def test_single_cell_mutants(data):
         assert_multigroup_agrees(mutant.additive_multigroup())
 
 
+def _naive_reversibility(op, r, names):
+    """The least (x, y, z) with z in xy and x outside z r(y) or y outside
+    r(x) z, element by element."""
+    for x, y in itertools.product(range(len(op)), repeat=2):
+        for z in core.bits(op[x][y]):
+            if not (op[z][r[y]] >> x) & 1 or not (op[r[x]][z] >> y) & 1:
+                return names[x], names[y], names[z]
+    return None
+
+
+def test_reversibility_above_16_elements():
+    """Above 16 elements reversibility is first tested on whole transposed
+    bit matrices; the verdict and witness must equal the element-by-element
+    loop's on seeded mutants with 17, 27, 32 and 64 elements: one-bit flips
+    of a cell (non-commutative tables), changed inverses (r no longer an
+    involution) and both at once."""
+    rng = random.Random(26)
+    bases = [aos_to_mfred(fan_aos(4)), rs_to_mrred(rs_product([canonical_3()] * 3)),
+             core.ring_multiring(32), product([core.krasner()] * 6)]
+    failing = noncommutative = noninvolutive = 0
+    for base in bases:
+        m = base.additive_multigroup()
+        n = m.size
+        assert n in (17, 27, 32, 64)
+        assert core.check_multigroup(m).verdicts[0].passed
+        for trial in range(30):
+            g = m
+            if trial % 3 != 1:
+                i, j = rng.randrange(n), rng.randrange(n)
+                flipped = g.op[i][j] ^ (1 << rng.randrange(n))
+                if flipped:
+                    g = dataclasses.replace(g, op=_replace_cell(g.op, i, j, flipped))
+            if trial % 3 != 0:
+                inv = list(g.inv)
+                inv[rng.randrange(n)] = rng.randrange(n)
+                g = dataclasses.replace(g, inv=tuple(inv))
+            expected = _naive_reversibility(g.op, g.inv, g.carrier.names)
+            verdict = core.check_multigroup(g).verdicts[0]
+            assert (verdict.axiom, verdict.witness) == ("i-reversibility", expected)
+            failing += expected is not None
+            noncommutative += g.op != tuple(zip(*g.op))
+            noninvolutive += any(g.inv[g.inv[x]] != x for x in range(n))
+    assert failing > 60 and noncommutative > 60 and noninvolutive > 40
+
+
+def test_reversibility_halves_above_16_elements():
+    """Tables that meet one half of reversibility and not the other: random
+    triples (x, y, z), z in xy, closed under (x, y, z) -> (z, r(y), x), the
+    first half, or under (x, y, z) -> (r(x), z, y), the second, or both,
+    with r a random involution.  Cells may be empty, as in the relational
+    audit's tables."""
+    rng = random.Random(27)
+    halves = [lambda x, y, z, r: (z, r[y], x), lambda x, y, z, r: (r[x], z, y)]
+    for n in (17, 27, 32, 64):
+        for used in ([0], [1], [0, 1]):
+            r = list(range(n))
+            order = list(range(n))
+            rng.shuffle(order)
+            for x, y in zip(order[::2], order[1::2]):
+                r[x], r[y] = y, x
+            triples = {(rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                       for _ in range(3 * n)}
+            pending = list(triples)
+            while pending:
+                t = pending.pop()
+                for k in used:
+                    image = halves[k](*t, r)
+                    if image not in triples:
+                        triples.add(image)
+                        pending.append(image)
+            op = [[0] * n for _ in range(n)]
+            for x, y, z in triples:
+                op[x][y] |= 1 << z
+            names = tuple(map(str, range(n)))
+            expected = _naive_reversibility(op, r, names)
+            assert core._reversibility_defect(op, r, names) == expected
+            assert (expected is None) == (used == [0, 1]), (n, used)
+
+
 def _close_under_reversibility(pi, inv):
     pi = set(pi)
     todo = list(pi)

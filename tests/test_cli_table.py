@@ -3,12 +3,14 @@ printed, and every function it reaches is looked up where a rebinding (a
 monkeypatch, the benchmark's tracer) is seen."""
 
 import argparse
+import dataclasses
 import os
 
 import pytest
 
 import reference_cli
 from multialg import cli, core
+from multialg import io as mio
 from multialg import ordering_spaces as osp
 from multialg import real_semigroups as rsg
 from multialg import special_groups as spg
@@ -183,6 +185,31 @@ def test_construct_refuses_files_past_the_first(op, capsys, tmp_path):
         code, out, err = _run(capsys, ["construct", op, corpus_path("q2"), extra])
         assert (code, out) == (2, "")
         assert err == f"input error: {op} takes one multiring file, got 2\n"
+
+
+def _unaudited_z4(tmp_path) -> str:
+    """Z/4 with the product 2·1 changed to 3, which FiniteMultiring accepts
+    and check_multiring rejects, first at mul-associativity (2, 1, 2)."""
+    z4 = core.ring_multiring(4)
+    mul = [list(row) for row in z4.mul]
+    mul[2][1] = 3
+    path = str(tmp_path / "z4_mutant.mrs")
+    mio.write_structure(path, dataclasses.replace(z4, mul=tuple(map(tuple, mul))))
+    return path
+
+
+@pytest.mark.parametrize("op", reference_cli.CONSTRUCT_CHOICES)
+def test_construct_audits_each_multiring_file(op, capsys, tmp_path):
+    """Every operation refuses a file that fails the multiring audit, naming
+    the file and its first failing verdict with the witness; quotient and
+    product used to build from it, localize to raise a structural anomaly
+    and marshall an error about a cell of its own result."""
+    bad = _unaudited_z4(tmp_path)
+    message = (f"input error: {bad}: fails the multiring audit: "
+               f"mul-associativity at (2,1,2)\n")
+    files = [[bad]] + ([[corpus_path("q2"), bad]] if op == "product" else [])
+    for paths in files:
+        assert _run(capsys, ["construct", op, *paths]) == (2, "", message)
 
 
 def test_every_command_has_an_argv_here():

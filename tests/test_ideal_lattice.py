@@ -17,7 +17,9 @@ The closure must stay exact on tables that break the axioms, so the same
 pins run on seeded single-cell mutants of Z/8, q2^2 and the fan-3
 multifield that ``FiniteMultiring`` accepts but ``check_multiring`` rejects;
 changing one cell of ``add`` and not its mirror makes the addition
-non-commutative.
+non-commutative.  Those bases have 8 elements or more, so the closure's
+unions OR packed ints; seeded ``add`` mutants of Z/6 and q2 x K pin the
+tuple ORs below 8 elements.
 
 ``localization`` and ``marshall_quotient``, which share one partition
 helper with its transitivity audit and, for the Marshall quotient, the
@@ -43,6 +45,8 @@ from multialg.constructions import (
     quotient_by_ideal,
 )
 from multialg.core import (
+    Carrier,
+    FiniteMultiring,
     InputError,
     StructuralAnomaly,
     check_multiring,
@@ -54,6 +58,22 @@ from multialg.core import (
 from multialg.corpus import corpus_multirings
 from multialg.enumeration import enumerate_structures
 from multialg.ordering_spaces import aos_to_mfred, fan_aos
+
+
+def _square_zero_ring():
+    """F2[x, y]/(x, y)^2: a + bx + cy is element 4a + 2b + c, sums are
+    singletons.  Its ideal (x, y) is not principal, so the lattice needs
+    joins of principal ideals to reach it."""
+    names = tuple("+".join(t for t, on in zip(("1", "x", "y"), (a, b, c)) if on) or "0"
+                  for a, b, c in itertools.product((0, 1), repeat=3))
+
+    def times(u, v):
+        a, b, c, d, e, f = u >> 2, u >> 1 & 1, u & 1, v >> 2, v >> 1 & 1, v & 1
+        return 4 * (a & d) + 2 * ((a & e) ^ (b & d)) + ((a & f) ^ (c & d))
+
+    add = tuple(tuple(1 << (u ^ v) for v in range(8)) for u in range(8))
+    mul = tuple(tuple(times(u, v) for v in range(8)) for u in range(8))
+    return FiniteMultiring(Carrier(names), add, mul, tuple(range(8)), 0, 4)
 
 
 def _structures() -> dict:
@@ -71,6 +91,7 @@ def _structures() -> dict:
         named[f"q2^{j}"] = product([s] * j)
     named["q2xk^2"] = product([s, k, k])
     named["q2^2xk"] = product([s, s, k])
+    named["f2[x,y]/(x,y)^2"] = _square_zero_ring()
     first: dict = {}
     for name, r in named.items():
         first.setdefault(r, name)
@@ -82,15 +103,15 @@ SMALL = sorted(name for name, r in STRUCTURES.items() if r.size <= 3)
 LARGE = sorted(name for name, r in STRUCTURES.items() if r.size > 3)
 
 
-def _mutants(base, seed: int, count: int) -> list:
+def _mutants(base, seed: int, count: int, add_share: float = 0.7) -> list:
     """Seeded single-cell changes of ``add`` (one bit flipped, the cell kept
-    nonempty) or ``mul`` (one product replaced) that FiniteMultiring accepts
-    and check_multiring rejects."""
+    nonempty; a share ``add_share`` of the draws) or ``mul`` (one product
+    replaced) that FiniteMultiring accepts and check_multiring rejects."""
     rng = random.Random(seed)
     out: list = []
     while len(out) < count:
         i, j = rng.randrange(base.size), rng.randrange(base.size)
-        if rng.random() < 0.7:
+        if rng.random() < add_share:
             table, cell = "add", base.add[i][j] ^ (1 << rng.randrange(base.size))
         else:
             table, cell = "mul", rng.randrange(base.size)
@@ -114,6 +135,16 @@ MUTANT_BASES = {
 }
 MUTANTS = {name: _mutants(base, seed, 40)
            for seed, (name, base) in enumerate(sorted(MUTANT_BASES.items()))}
+# Add mutants below 8 elements, where core._CellUnion ORs tuples of lines
+# rather than lines packed into ints.
+SMALL_MUTANT_BASES = {
+    "z6": ring_multiring(6),
+    "q2xk": product([q2(), krasner()]),
+}
+MUTANTS.update(
+    (name, _mutants(base, 10 + seed, 40, add_share=1.0))
+    for seed, (name, base) in enumerate(sorted(SMALL_MUTANT_BASES.items())))
+MUTANTS["f2[x,y]/(x,y)^2"] = _mutants(_square_zero_ring(), 20, 40)
 
 
 def _outcome(call, *args):
@@ -200,7 +231,7 @@ def test_k6_ideals_are_coordinate_products():
     assert got == sorted(expected, key=lambda m: (m.bit_count(), m))
 
 
-@pytest.mark.parametrize("name", sorted(MUTANT_BASES))
+@pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutants_match_reference(name):
     noncommutative = 0
     for i, a in enumerate(MUTANTS[name]):
@@ -208,6 +239,59 @@ def test_mutants_match_reference(name):
         noncommutative += any(a.add[x][y] != a.add[y][x]
                               for x, y in itertools.combinations(range(a.size), 2))
     assert noncommutative, name
+
+
+def _negation_mutants(base) -> list:
+    """Every single change of ``neg`` that check_multiring rejects."""
+    out = []
+    for x, y in itertools.product(range(base.size), repeat=2):
+        if y != base.neg[x]:
+            neg = base.neg[:x] + (y,) + base.neg[x + 1:]
+            m = dataclasses.replace(base, neg=neg)
+            if not check_multiring(m).overall:
+                out.append(m)
+    return out
+
+
+def test_negation_mutants_match_reference():
+    """The quotient's negation check: ideal lists and quotients on every
+    single-entry neg mutant of Z/6 and q2 x K, some of which make the
+    quotient's negation depend on representatives."""
+    anomalies = 0
+    for name, base in sorted(SMALL_MUTANT_BASES.items()):
+        for i, a in enumerate(_negation_mutants(base)):
+            for ideal in _assert_lattice(a, (name, i)):
+                got = _outcome(quotient_by_ideal, a, ideal)
+                anomalies += "negation depends" in str(got)
+    assert anomalies
+
+
+def test_ideal_constructor_matches_its_loops():
+    """Ideal accepts a mask, or raises the same message, exactly as the
+    element-by-element loops do: every mask of the multirings of order <= 6
+    here, of the add mutants below 8 elements and of Z/8's mutants."""
+    rings = [r for r in STRUCTURES.values() if r.size <= 6]
+    rings += MUTANTS["z6"] + MUTANTS["q2xk"] + MUTANTS["z8"]
+    rejected = {}
+    for a in rings:
+        for m in range(1 << a.size):
+            got = _outcome(lambda: Ideal(a, m) and None)
+            assert got == _outcome(reference.check_ideal, a, m), (a.names, m)
+            if got:
+                rejected[got[1].split(" at ")[0]] = True
+    assert set(rejected) == {"ideal must contain 0", "not sum-closed",
+                             "not absorbing"}
+
+
+def test_some_ideals_are_not_principal():
+    """The lattice reaches ideals that no single element generates, so its
+    joins are pinned above, on the ring and on its mutants."""
+    def joins(a) -> int:
+        principal = {ideal_generated(a, [x]).members for x in a.names}
+        return sum(i.members not in principal for i in spectra.enumerate_ideals(a))
+
+    assert joins(STRUCTURES["f2[x,y]/(x,y)^2"]) == 1
+    assert sum(map(joins, MUTANTS["f2[x,y]/(x,y)^2"])) > 10
 
 
 def test_enumerate_ideals_returns_a_fresh_list():

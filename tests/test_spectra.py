@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import reference_audits as reference
 from multialg.core import (
     InputError,
     check_morphism,
+    check_multigroup,
     is_isomorphic,
     krasner,
     q2,
@@ -350,3 +352,16 @@ class TestProductPreordering:
             meet &= o.positive
         assert meet == t_mask
         assert preordering_intersection_check(qq, t).overall
+
+
+def test_quotient_and_multigroup_verdicts_are_documented():
+    """docs/axioms.md has a table row for every verdict that
+    check_quotient_characterizations and check_multigroup report."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "axioms.md")
+    with open(path, encoding="utf-8") as fh:
+        rows = {line.split("|")[1].strip() for line in fh if line.startswith("| `")}
+    reports = [check_quotient_characterizations(ring_multiring(6)),
+               check_multigroup(krasner().additive_multigroup())]
+    names = {f"`{v.axiom}`" for report in reports for v in report.verdicts}
+    assert len(names) == 7
+    assert names <= rows
