@@ -101,11 +101,11 @@ def _reports_for_level(obj, level: str) -> list:
         if level in ("derived", "all"):
             reports.append(core.check_relational_lemmas(obj))
     elif isinstance(obj, SpecialGroup):
-        reports.append(spg.check_sg(obj))
+        reports.append(sg := spg.check_sg(obj))
         if level in ("derived", "all"):
             reports.append(spg.check_sg789(obj))
             reports.append(_Classification(
-                {"reduced": spg.check_reduced(obj).overall}))
+                {"reduced": spg.check_reduced(obj, sg).overall}))
     elif isinstance(obj, RealSemigroup):
         reports.append(rsg.check_rs(obj))
         if level in ("derived", "all"):

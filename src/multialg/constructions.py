@@ -11,7 +11,9 @@ offending elements instead of silently producing garbage.  Localizations
 and Marshall quotients partition through one helper, ``_partition``, which
 also audits transitivity; the quotients by an ideal and by the Marshall
 relation build the ring of classes and the projection through
-``_class_ring``.
+``_class_ring``.  The ideal closure and the closure of the unit squares
+are core's ``_closure``, and the quotient images the addition cells through
+core's ``_Unions``; the core docstring describes both kernels.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from .core import (
     StructuralAnomaly,
     _CellUnion,
     _Elements,
+    _Unions,
     _bit_flags,
+    _closure,
     bits,
     classify,
     full_mask,
@@ -178,31 +182,9 @@ def _adjoin_zero(names: Sequence[str], mul: Sequence[Sequence[int]],
 
 def _ideal_closure(a: FiniteMultiring) -> Callable[..., int]:
     """``close(members, closed=0)``: the mask of the least ideal of a
-    containing ``members``, 0 and the ideal ``closed``, whose members start
-    out expanded.  Each round ORs in the multiples of the elements reached
-    but not expanded, and their sums in both orders with every element
-    reached: entry e of the unions of add's rows and of its columns over
-    the reached set, built once here for every call.  It stops when a round
-    reaches nothing new.  Reading both orders keeps the closure exact on
-    tables that break the axioms."""
-    elements = _Elements()
-    multiples = list(map(mask_of, zip(*a.mul)))
-    rows = _CellUnion.over(a.add, elements)
-    columns = _CellUnion.over(tuple(zip(*a.add)), elements)
-    zero = 1 << a.zero
-
-    def close(members: int, closed: int = 0) -> int:
-        out = closed | members | zero
-        new = out & ~closed
-        while new:
-            picked = elements[new]
-            grown = reduce(or_, chain(map(multiples.__getitem__, picked),
-                                      map(rows[out].__getitem__, picked),
-                                      map(columns[out].__getitem__, picked)))
-            out, new = out | grown, grown & ~out
-        return out
-
-    return close
+    containing ``members``, 0 and the ideal ``closed``: core's closure under
+    the sums, in both orders, and the multiples of each element."""
+    return _closure((a.add,), list(map(mask_of, zip(*a.mul))), 1 << a.zero)
 
 
 def ideal_generated(a: FiniteMultiring, labels: Sequence[str]) -> Ideal:
@@ -250,17 +232,6 @@ def _class_ring(a: FiniteMultiring, cls: Sequence[int], reps: Sequence[int],
 # ---------------------------------------------------------------------------
 # quotient by an ideal
 
-class _ClassImages(dict):
-    """Cell mask -> the mask of the classes it meets, on first use, from
-    ``shifted[c]`` = 1 << (the class of c)."""
-
-    __slots__ = ("shifted",)
-
-    def __missing__(self, cell: int) -> int:
-        out = self[cell] = reduce(or_, compress(self.shifted, _bit_flags(cell)))
-        return out
-
-
 def quotient_by_ideal(a: FiniteMultiring,
                       ideal: Ideal) -> tuple[FiniteMultiring, StructureMap]:
     """Cosets x + I as elements; returns the quotient and the projection.
@@ -289,8 +260,7 @@ def quotient_by_ideal(a: FiniteMultiring,
         class_of[x] = x
     reps = sorted(set(class_of))
     cls = [reps.index(r) for r in class_of]
-    images = _ClassImages()
-    images.shifted = [1 << c for c in cls]
+    images = _Unions([1 << c for c in cls])  # cell -> the classes it meets
     q, proj = _class_ring(a, cls, reps, [[images[a.add[x][y]] for y in reps]
                                          for x in reps])
     spread_add = [tuple(map(row.__getitem__, cls)) for row in q.add]
@@ -456,16 +426,9 @@ def units_mask(a: FiniteMultiring) -> int:
 
 
 def sum_of_squares_closure(a: FiniteMultiring) -> SquareClosure:
-    members = mask_of(a.mul[x][x] for x in bits(units_mask(a)))
-    while True:
-        grown = members
-        for x in bits(members):
-            for y in bits(members):
-                grown |= 1 << a.mul[x][y]
-                grown |= a.add[x][y]
-        if grown == members:
-            break
-        members = grown
+    products = [tuple(map((1).__lshift__, row)) for row in a.mul]
+    members = _closure((a.add, products))(
+        mask_of(a.mul[x][x] for x in bits(units_mask(a))))
     return SquareClosure(
         a, members,
         contains_zero=bool((members >> a.zero) & 1),

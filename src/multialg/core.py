@@ -47,6 +47,17 @@ versions, the tuple unions and the distributivity rows over d that they
 are pinned to.
 ``classify`` audits each structure once however often its guard runs.
 
+Fibres, unions of per-element values and closures each have one kernel,
+read by every module.  ``_fibres`` gives the preimage mask of each value
+under each line (a map on the n elements), one ``_transposed`` per line.
+``_Unions`` maps a mask to the OR of per-element values.  ``_closure(tables,
+lines, base)`` gives ``close(members, closed=0)``: the least mask holding
+the members, ``base``, the already closed mask ``closed``, every cell xy
+of each mask table for x, y in it, and lines[x] for x in it.  Each round
+ORs in, for the elements reached but not expanded, their lines and their
+entries in the ``_CellUnion`` over the reached set of one table holding,
+at (y, x), the cells xy and yx of every table, until a round adds nothing.
+
 Tables determined pointwise by the three-element sign structures come from
 one kernel, ``_pointwise_cells``: a sign space's value and transversal
 tables (a map per point), the evaluation table of ``sper_embedding_check``
@@ -85,7 +96,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain, compress, count, repeat
 from operator import and_, itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -254,6 +265,53 @@ def _transposed(rows: Sequence[int]) -> tuple[int, ...]:
     codec = _TRANSPOSERS[w][0]
     m = int.from_bytes(codec.pack(*rows, *repeat(0, w - n)), "little")
     return codec.unpack(_transpose_packed(m, w).to_bytes(codec.size, "little"))[:n]
+
+
+# ---------------------------------------------------------------------------
+# the mask kernels: fibres, unions and closures
+
+def _fibres(lines: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """For each line of n entries below n, its fibres: entry v is the mask
+    of the j with line[j] = v.  One transpose per line."""
+    return [_transposed(list(map(_SINGLETONS.__getitem__, line))) for line in lines]
+
+
+class _Unions(dict):
+    """Mask -> the OR of ``values`` over its elements (0 if none), on first use."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Sequence[int]) -> None:
+        super().__init__()
+        self.values = values
+
+    def __missing__(self, mask: int) -> int:
+        out = self[mask] = reduce(or_, compress(self.values, _bit_flags(mask)), 0)
+        return out
+
+
+def _closure(tables: Sequence[Sequence[Sequence[int]]], lines: Sequence[int] = (),
+             base: int = 0) -> Callable[..., int]:
+    """``close(members, closed=0)``, the least closed superset; see the
+    module docstring."""
+    elements = _Elements()
+    # both[y][x]: the cells xy and yx of every table
+    both = [tuple(reduce(partial(map, or_), group)) for group in zip(
+        *(t for table in tables for t in (table, tuple(zip(*table)))))]
+    unions = _CellUnion.over(both, elements)
+
+    def close(members: int, closed: int = 0) -> int:
+        out = closed | members | base
+        new = out & ~closed
+        while new:
+            picked = elements[new]
+            grown = reduce(or_, map(lines.__getitem__, picked), 0) if lines else 0
+            if both:
+                grown = reduce(or_, map(unions[out].__getitem__, picked), grown)
+            out, new = out | grown, grown & ~out
+        return out
+
+    return close
 
 
 def _first_difference(left: Sequence[int], right: Sequence[int]) -> int:
@@ -782,15 +840,10 @@ def check_relational_lemmas(rel: RelationalMultigroup | FiniteMultigroup
 
     # (x, y, z) in pi iff (r(y), r(x), r(z)) in pi: compare cell (x, y) with
     # the preimage under r of cell (r(y), r(x)); r need not be an involution.
-    preimage = [0] * n
-    for z in range(n):
-        preimage[r[z]] |= 1 << z
+    preimages = _Unions(_fibres([r])[0])
     wc = None
     for x, y in itertools.product(range(n), repeat=2):
-        back = 0
-        for z in elements[cell[r[y]][r[x]]]:
-            back |= preimage[z]
-        differ = cell[x][y] ^ back
+        differ = cell[x][y] ^ preimages[cell[r[y]][r[x]]]
         if differ:
             wc = (names[x], names[y], names[_lowest_bit(differ)])
             break
@@ -1238,13 +1291,12 @@ def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
             for j in range(n):
                 if j != i:
                     start[j] &= ~(1 << v)
-    # Each unary pair with its source preimage lists and target preimage masks.
-    unaries = [(src, tgt,
-                [[x for x in range(n) if src[x] == y] for y in range(n)],
-                [mask_of(w for w in range(m) if tgt[w] == v) for v in range(m)])
-               for src, tgt in unary]
-    outside = full_mask(n)
     elements = _Elements()
+    # Each unary pair with its source preimage lists and target preimage masks.
+    unaries = [(src, tgt, list(map(elements.__getitem__, back)), pre)
+               for (src, tgt), back, pre in zip(unary, _fibres(s for s, _ in unary),
+                                                _fibres(t for _, t in unary))]
+    outside = full_mask(n)
     vals = [0] * n
 
     def extend(i: int, dom: list[int]) -> Iterator[tuple[int, ...]]:

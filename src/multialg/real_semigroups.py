@@ -20,8 +20,9 @@ associativity RS3 (on D^t) and weak associativity xvi (on D) read core's
 O(n^3) reassociation scan through ``_reassociation_failures``.  The other
 consequences in ``check_rs_derived`` build, per (b, c), the mask of the a
 that fail there, from transposes, from the preimages pre[M][x] = {a : ax in
-M} (a ``_CellUnion`` over the fibres of x -> ax) and from the roots of each
-square; the pair and single-element ones are plain scans.
+M} (a ``_CellUnion`` over core's ``_fibres`` of x -> ax) and from the roots
+of each square, whose unions over a mask are core's ``_Unions``; the pair
+and single-element ones are plain scans.
 docs/axioms.md gives each consequence's formula, witness order and mask.
 The separation audit reads core's pointwise tables of the three-element
 D and D^t (``_pointwise_cells``), with one map per morphism into the
@@ -51,7 +52,9 @@ from .core import (
     Verdict,
     _CellUnion,
     _Elements,
+    _Unions,
     _commutativity_defect,
+    _fibres,
     _freeze_tables,
     _lowest_bit,
     _map_defects,
@@ -205,11 +208,6 @@ def _roots(mul: Sequence[Sequence[int]]) -> dict[int, int]:
     return roots
 
 
-def _fibres(mul: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """fibres[x][v] is the mask of the b with bx = v."""
-    return [_transposed(list(map(lshift, repeat(1), column))) for column in zip(*mul)]
-
-
 def _least_failure(table: Iterable[Sequence[int]]) -> Optional[tuple[int, int, int]]:
     """The least (a, b, c) with a in the mask ``table[b][c]``, or None: the
     least a of the first row whose union holds the least a over all rows,
@@ -229,8 +227,8 @@ def _least_failure(table: Iterable[Sequence[int]]) -> Optional[tuple[int, int, i
 
 def _agreements(mul: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """agree[a][b] is the mask of the x with ax = bx: for each a the masks
-    fibres[x][ax] over x, transposed, give the agreement sets of a."""
-    fibres = _fibres(mul)
+    fibres[x][ax] over x, fibres of the columns of mul, give those of a."""
+    fibres = _fibres(zip(*mul))
     return [_transposed(list(map(getitem, fibres, row))) for row in mul]
 
 
@@ -352,16 +350,11 @@ def check_rs(s: RealSemigroup) -> CheckReport:
             break
 
     # RS8: a in D(b, c) must have a^2 in D(b^2, c^2); the a whose square is
-    # in a mask M are the roots of the squares in M, kept per mask.
+    # in a mask M are the roots of the squares in M, one union per mask.
     w8 = None
-    square_roots: dict[int, int] = {}
+    square_roots = _Unions(list(map(roots.get, range(n), repeat(0))))
     for b, c in itertools.product(range(n), repeat=2):
-        target = d[mul[b][b]][mul[c][c]]
-        allowed = square_roots.get(target)
-        if allowed is None:
-            allowed = square_roots[target] = reduce(
-                or_, (m for q, m in roots.items() if (target >> q) & 1), 0)
-        bad = d[b][c] & ~allowed
+        bad = d[b][c] & ~square_roots[d[mul[b][b]][mul[c][c]]]
         if bad:
             w8 = (names[_lowest_bit(bad)], names[b], names[c])
             break
@@ -420,7 +413,7 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
     # under x -> xe of D^t(be, ce); pre[M][e] is that preimage of M, the
     # union of the fibres of x -> xe over M.  e is found at the least
     # failure only.
-    pre = _CellUnion.over(list(zip(*_fibres(mul))), elements)
+    pre = _CellUnion.over(list(zip(*_fibres(zip(*mul)))), elements)
     w3 = None
     below = -1  # the a that would improve on the failure so far
     for b, row in enumerate(dt):
@@ -487,11 +480,9 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
         for c in elements[cell] if d[b][c] & ~cell), default=None))
     # rooted[p][c]: the a with a^2 in D(p, c^2), for each square p
     squares = [row[x] for x, row in enumerate(mul)]
-    rooted = {}
-    for p in roots:
-        by_square = {q: reduce(or_, map(roots.get, bits(d[p][q]), repeat(0)), 0)
-                     for q in roots}
-        rooted[p] = tuple(map(by_square.__getitem__, squares))
+    square_roots = _Unions(list(map(roots.get, cells, repeat(0))))
+    rooted = {p: tuple(map(square_roots.__getitem__, map(d[p].__getitem__, squares)))
+              for p in roots}
 
     def product_forms() -> Iterator[tuple[int, ...]]:
         """xiv: a in D(b, c) iff ab and ac are in D(1, bc) and a^2 is in

@@ -7,11 +7,13 @@ binary relation through the usual existential expansion, which is what the
 3-transitivity axiom SG6 and the equivalent SG7/SG8/SG9 are audited against.
 One cached relation serves SG6, SG8 and SG9: triples are grouped by first
 element and tail pair class, and the k = n * ncls groups (ncls pair classes)
-get one k-bit row each, built by ORing per-(z, class) masks of groups.
+get one k-bit row each, built by ORing per-(z, class) masks of groups;
+SG8 closes them with core's ``_closure``.
 
 The special-multifield audit and the functor back to special groups read two
-tables over the nonzero elements, built once per call: ``fiber[x][v]``, the
-mask of y with xy = v, and ``inside[c][a]``, the mask of y with a in c + y.
+tables over the nonzero elements, built once per call from core's kernels:
+``fiber[x][v]``, the mask of y with xy = v (the fibres of row x of mul), and
+``inside[c][a]``, the mask of y with a in c + y (row c of add transposed).
 They are masks, not inverses, so they serve structures whose nonzero part is
 no group.  Property iii and ``mf_to_sg`` intersect one entry of each per
 triple; property iv keeps, per product fiber, the mask of pairs whose sum
@@ -19,7 +21,7 @@ holds each element; property v builds, per (a, c) on first use, the masks of
 d with a triple-isometry split from fiber and inside entries.  Witnesses are
 the lowest set bits, so they keep the lexicographic order of a scan over
 quadruples.  ``sg_to_mf`` hands the pair-class masks, as D, to the
-zero adjunction of ``constructions``.
+zero adjunction of ``constructions``.  docs/axioms.md states each verdict.
 """
 
 from __future__ import annotations
@@ -37,13 +39,18 @@ from .core import (
     InputError,
     StructureMap,
     Verdict,
+    _CellUnion,
+    _Elements,
     _associativity_defect,
+    _closure,
     _commutativity_defect,
+    _fibres,
     _freeze_tables,
     _lowest_bit,
     _map_defects,
     _stray_tuple,
     _table_morphisms,
+    _transposed,
     bits,
     classify,
     full_mask,
@@ -237,7 +244,7 @@ def check_psg(g: SpecialGroup) -> CheckReport:
     cls, _ = _pair_classes(g)
 
     w0 = None  # equivalence holds by closure; verify symmetry of storage
-    for (a, b, c, d) in g.iso:
+    for (a, b, c, d) in sorted(g.iso):
         if (c, d, a, b) not in g.iso:
             w0 = (names[a], names[b], names[c], names[d])
             break
@@ -344,39 +351,29 @@ def _sg6_witness(g: SpecialGroup) -> Optional[tuple]:
 
 
 def _sg7_witness(g: SpecialGroup) -> Optional[tuple]:
-    n = g.size
+    """The least (x, y) where the table U(y, x), the union of D(x, t) over t
+    in D(1, y), is not symmetric."""
     cls, reps = _pair_classes(g)
-    for x, y in itertools.product(range(n), repeat=2):
-        left = 0
-        for t in bits(reps[cls[g.one][y]]):
-            left |= reps[cls[x][t]]
-        right = 0
-        for s in bits(reps[cls[g.one][x]]):
-            right |= reps[cls[y][s]]
-        if left != right:
-            return (g.names[x], g.names[y])
-    return None
+    d = [list(map(reps.__getitem__, row)) for row in cls]
+    unions = _CellUnion.over(tuple(zip(*d)), _Elements())
+    return _commutativity_defect(list(map(unions.__getitem__, d[g.one])), g.names)
 
 
 def _sg8_witness(g: SpecialGroup) -> Optional[tuple]:
+    """The first group i that reaches another group of its first element.
+    The relation is symmetric and holds (i, i) when row i is not empty, so
+    i and what it reaches form its component, closed once."""
     ncls, rows = _triple_relation(g)
-    k = len(rows)
-    # reachability closure over chains
-    reach = list(rows)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            acc = reach[i]
-            for j in bits(acc):
-                acc |= reach[j]
-            if acc != reach[i]:
-                reach[i] = acc
-                changed = True
-    for i in range(k):
-        for j in bits(reach[i] | (1 << i)):
-            if i // ncls == j // ncls and i != j:
-                return (_group_triple_rep(g, i), _group_triple_rep(g, j))
+    close = _closure((), rows)
+    component: dict[int, int] = {}
+    for i in range(len(rows)):
+        if i not in component:
+            reach = close(1 << i)
+            component.update(dict.fromkeys(bits(reach), reach))
+        block = full_mask(ncls) << (i - i % ncls)  # the groups (a, c) of i's a
+        others = component[i] & block & ~(1 << i)
+        if others:
+            return (_group_triple_rep(g, i), _group_triple_rep(g, _lowest_bit(others)))
     return None
 
 
@@ -405,8 +402,9 @@ def check_sg(g: SpecialGroup) -> CheckReport:
     )
 
 
-def check_reduced(g: SpecialGroup) -> CheckReport:
-    sg = check_sg(g)
+def check_reduced(g: SpecialGroup, sg: Optional[CheckReport] = None) -> CheckReport:
+    """``sg`` (by default ``check_sg(g)``) and the two reduced verdicts."""
+    sg = check_sg(g) if sg is None else sg
     cls, _ = _pair_classes(g)
     w_distinct = None if g.one != g.minus_one else (g.names[g.one],)
     w_rigid = None
@@ -460,19 +458,13 @@ def sg_to_mf(g: SpecialGroup, zero_label: str = "0") -> FiniteMultiring:
                         g.one, [[reps[c] for c in row] for row in cls])
 
 
-def _smf_masks(f: FiniteMultiring, nz: list[int]
-               ) -> tuple[list[list[int]], list[list[int]]]:
-    """Masks over the nonzero elements: fiber[x][v] holds the y with xy = v,
-    inside[c][a] the y with a in c + y.  Rows of the zero stay empty."""
-    fiber = [[0] * f.size for _ in range(f.size)]
-    inside = [[0] * f.size for _ in range(f.size)]
-    for x in nz:
-        mrow, arow, frow, irow = f.mul[x], f.add[x], fiber[x], inside[x]
-        for y in nz:
-            frow[mrow[y]] |= 1 << y
-            for a in bits(arow[y]):
-                irow[a] |= 1 << y
-    return fiber, inside
+def _smf_masks(f: FiniteMultiring) -> tuple[list[tuple[int, ...]], ...]:
+    """Masks over the nonzero elements: fiber[x][v] holds the y with xy = v
+    (core's fibres of row x of mul), inside[c][a] the y with a in c + y (row
+    c of add transposed).  No caller reads the rows of the zero."""
+    keep = f.nonzero_mask()
+    return tuple([tuple(m & keep for m in line) for line in lines]
+                 for lines in (_fibres(f.mul), map(_transposed, f.add)))
 
 
 def _split_row(f: FiniteMultiring, nz: list[int], fiber: list[list[int]],
@@ -502,7 +494,7 @@ def check_smf(f: FiniteMultiring) -> CheckReport:
     names = f.names
     nz = [x for x in range(f.size) if x != f.zero]
     total = full_mask(f.size)
-    fiber, inside = _smf_masks(f, nz)
+    fiber, inside = _smf_masks(f)
 
     w1 = None
     for a in nz:
@@ -578,7 +570,7 @@ def mf_to_sg(f: FiniteMultiring) -> SpecialGroup:
     names = [f.names[x] for x in nz]
     back = {x: i for i, x in enumerate(nz)}
     mul = [[names[back[f.mul[x][y]]] for y in nz] for x in nz]
-    fiber, inside = _smf_masks(f, nz)
+    fiber, inside = _smf_masks(f)
     quads = []
     for a, b, c in itertools.product(nz, repeat=3):
         for d in bits(fiber[c][f.mul[a][b]] & inside[c][a]):

@@ -3,7 +3,8 @@
 The ideal list is computed once per structure (``_ideals``, a module-level
 cache) and shared by its four consumers: ``enumerate_primes``,
 ``enumerate_maximals``, ``check_quotient_characterizations`` and
-``spec_topology``.
+``spec_topology``.  The ideal closure it joins with and the sums of
+squares are core's ``_closure``.
 
 Prime/maximal enumeration, the patch-topology relations of the spectrum
 embedding into {0,1}^A, orderings and their bijection with morphisms to the
@@ -36,6 +37,7 @@ from .core import (
     InputError,
     StructureMap,
     Verdict,
+    _closure,
     _lowest_bit,
     _pointwise_cells,
     _table_maps,
@@ -467,16 +469,9 @@ def preordering_intersection_check(f: FiniteMultiring,
 # real and real reduced
 
 def sums_of_squares_set(a: FiniteMultiring) -> int:
-    """All elements reachable from squares by set-valued sums (0 included)."""
-    members = mask_of(a.mul[x][x] for x in range(a.size))
-    while True:
-        grown = members
-        for x in bits(members):
-            for y in bits(members):
-                grown |= a.add[x][y]
-        if grown == members:
-            return members
-        members = grown
+    """All elements reachable from squares by set-valued sums (0 included):
+    core's closure of the squares under the addition cells."""
+    return _closure((a.add,))(mask_of(a.mul[x][x] for x in range(a.size)))
 
 
 def is_real(a: FiniteMultiring) -> bool:

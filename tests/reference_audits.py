@@ -18,7 +18,11 @@ closure of ``_triple_iso_tables``, with ``check_sg``, ``check_reduced`` and
 library's single relation to them.  They read the pair classes from
 ``_pair_classes`` as it was before it grouped the isometry relation by its
 target pair, scanning the whole relation once per class; the same test file
-pins the library's grouping to it.
+pins the library's grouping to it.  ``relation_sg8_witness`` is the library's
+SG8 as it was before it closed the rows of the one triple relation with
+core's ``_closure``: it iterated a pass over all rows until none grew.  The
+same test file pins the library's SG8 to it on relations left unclosed,
+where the pairwise reference builds a different relation.
 
 ``check_smf``, with its existential helper ``_smf_block`` (up to n^3 steps
 for each of the n^4 quadruples of property v), and ``mf_to_sg`` are the
@@ -39,6 +43,11 @@ through ``_class_setup``.  ``check_ideal`` is the ``Ideal`` constructor's
 check as it was before it tested sums and products on whole rows: the
 element-by-element loops alone.  ``tests/test_ideal_lattice.py`` pins the
 library's ideal lattice, quotients and ``Ideal`` to them.
+``sums_of_squares_set`` and ``sum_of_squares_closure`` are the two
+sums-of-squares closures of ``spectra`` and ``constructions`` as they were
+before both became core's ``_closure``: each ORed in the cells of every pair
+of members until a pass added nothing.  ``tests/test_mask_kernels.py`` pins
+the library's closures to them.
 
 ``cellwise_reassociation_defects`` and ``cellwise_check_multiring`` are the
 reassociation scan and the multiring audit as they were before they compared
@@ -120,7 +129,7 @@ from functools import lru_cache
 from operator import getitem, itemgetter, or_
 from typing import Iterator, Optional, Sequence
 
-from multialg.constructions import Ideal, MultiplicativeSet
+from multialg.constructions import Ideal, MultiplicativeSet, SquareClosure, units_mask
 from multialg.core import (
     CARRIER_CAP,
     Carrier,
@@ -154,6 +163,8 @@ from multialg.real_semigroups import RealSemigroup, canonical_3, hom_to_3
 from multialg.spectra import is_real_reduced_mr
 from multialg.special_groups import (
     SpecialGroup,
+    _group_triple_rep as _relation_group_rep,
+    _triple_relation,
     check_psg,
     make_special_group,
     represented,
@@ -1095,6 +1106,28 @@ def _sg9_witness(g: SpecialGroup) -> Optional[tuple]:
     return None
 
 
+def relation_sg8_witness(g: SpecialGroup) -> Optional[tuple]:
+    ncls, rows = _triple_relation(g)
+    k = len(rows)
+    # reachability closure over chains
+    reach = list(rows)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k):
+            acc = reach[i]
+            for j in bits(acc):
+                acc |= reach[j]
+            if acc != reach[i]:
+                reach[i] = acc
+                changed = True
+    for i in range(k):
+        for j in bits(reach[i] | (1 << i)):
+            if i // ncls == j // ncls and i != j:
+                return (_relation_group_rep(g, i), _relation_group_rep(g, j))
+    return None
+
+
 def check_sg(g: SpecialGroup) -> CheckReport:
     psg = check_psg(g)
     w6 = _sg6_witness(g)
@@ -1292,6 +1325,37 @@ def enumerate_ideals(a: FiniteMultiring) -> list[Ideal]:
                 queue.append(grown)
     masks = sorted(seen, key=lambda m: (m.bit_count(), m))
     return [Ideal(a, m) for m in masks]
+
+
+def sums_of_squares_set(a: FiniteMultiring) -> int:
+    """All elements reachable from squares by set-valued sums (0 included)."""
+    members = mask_of(a.mul[x][x] for x in range(a.size))
+    while True:
+        grown = members
+        for x in bits(members):
+            for y in bits(members):
+                grown |= a.add[x][y]
+        if grown == members:
+            return members
+        members = grown
+
+
+def sum_of_squares_closure(a: FiniteMultiring) -> SquareClosure:
+    members = mask_of(a.mul[x][x] for x in bits(units_mask(a)))
+    while True:
+        grown = members
+        for x in bits(members):
+            for y in bits(members):
+                grown |= 1 << a.mul[x][y]
+                grown |= a.add[x][y]
+        if grown == members:
+            break
+        members = grown
+    return SquareClosure(
+        a, members,
+        contains_zero=bool((members >> a.zero) & 1),
+        contains_minus_one=bool((members >> a.neg[a.one]) & 1),
+    )
 
 
 def _class_setup(a: FiniteMultiring, class_of: list[int]) -> tuple[

@@ -109,6 +109,16 @@ class TestCli:
         assert main(["check", path, "--level", "all"]) == 0
         assert sum(r == f for r in audited) == 2
 
+    @pytest.mark.parametrize("level", ["axioms", "derived", "all"])
+    def test_check_audits_a_special_group_once(self, level, monkeypatch, capsys):
+        """check_reduced reads the report's own check_sg verdicts."""
+        from multialg import special_groups as spg
+        audited = []
+        audit = spg.check_psg
+        monkeypatch.setattr(spg, "check_psg", lambda g: audited.append(g) or audit(g))
+        assert main(["check", corpus_path("sg_z22_reduced"), "--level", level]) == 0
+        assert len(audited) == 1
+
     def test_check_fails_on_a_broken_file(self, tmp_path, capsys):
         doc = mio.to_document(q2())
         doc["add"][2][2] = ["-1"]  # 1+1 = {-1}

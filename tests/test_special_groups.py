@@ -1,4 +1,6 @@
 import itertools
+import os
+import random
 
 import pytest
 
@@ -15,6 +17,7 @@ from multialg.core import (
     same_tables,
 )
 from multialg.corpus import (
+    corpus_special_groups,
     fan2_multifield,
     sg_z2_reduced,
     sg_z2_trivial,
@@ -22,7 +25,9 @@ from multialg.corpus import (
     sg_z23_trivial,
     trivial_sg_multifield,
 )
+from multialg.ordering_spaces import aos_to_mfred, fan_aos
 from multialg.special_groups import (
+    SpecialGroup,
     check_psg,
     check_reduced,
     check_sg,
@@ -328,3 +333,39 @@ class TestOrder8:
 def test_multiring_equality_helper():
     assert same_tables(q2(), q2())
     assert not same_tables(q2(), krasner())
+
+
+def test_sg0_names_the_least_unmirrored_quadruple():
+    """With quadruples dropped from a closed relation, SG0's witness is the
+    least quadruple whose mirror is missing, as SG3-SG5 scan the relation in
+    sorted order too."""
+    groups = dict(corpus_special_groups())
+    groups["fan3"] = mf_to_sg(aos_to_mfred(fan_aos(3)))
+    failing = 0
+    for name, g in sorted(groups.items()):
+        rng = random.Random(name)
+        quads = sorted(g.iso)
+        for _ in range(40):
+            h = SpecialGroup(g.carrier, g.mul, g.one, g.minus_one,
+                             g.iso - set(rng.sample(quads, 3)))
+            least = min(((a, b, c, d) for a, b, c, d in h.iso
+                         if (c, d, a, b) not in h.iso), default=None)
+            verdict = check_psg(h).verdict("SG0-equivalence")
+            assert verdict.witness == (least and tuple(h.names[x] for x in least))
+            failing += least is not None
+    assert failing > 100
+
+
+def test_every_special_group_verdict_is_documented():
+    """docs/axioms.md has a table row for every verdict that check_sg,
+    check_sg789, check_reduced and check_smf report on the corpus."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "axioms.md")
+    with open(path, encoding="utf-8") as fh:
+        rows = {line.split("|")[1].strip() for line in fh if line.startswith("| `")}
+    names = set()
+    for _, g in corpus_special_groups().items():
+        for report in (check_sg(g), check_sg789(g), check_reduced(g),
+                       check_smf(sg_to_mf(g))):
+            names |= {f"`{v.axiom}`" for v in report.verdicts}
+    assert len(names) == 20
+    assert names <= rows

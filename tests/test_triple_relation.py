@@ -158,3 +158,26 @@ def test_pair_classes_match_reference():
             checked += 1
             failing += not spg.check_psg(h).overall
     assert checked > 100 and failing > 30
+
+
+def test_sg7_and_sg8_match_reference_on_unclosed_relations():
+    """On relations left unclosed, where D need not be symmetric, SG7 agrees
+    with the pairwise reference and SG8 with the reachability passes it
+    replaced, on the same triple relation; on closed ones, SG8 too."""
+    groups = dict(corpus_special_groups())
+    for k in (3, 4):
+        groups[f"fan{k}"] = spg.mf_to_sg(aos_to_mfred(fan_aos(k)))
+    asymmetric = failing7 = failing8 = 0
+    for name, g in sorted(groups.items()):
+        count = 5 if g.size > 8 else 20
+        mutants = _raw_mutants(g, name + "sg78", count) + _mutants(g, name + "sg8", count)
+        for h in mutants:
+            cls, _ = spg._pair_classes(h)
+            asymmetric += any(cls[a][b] != cls[b][a]
+                              for a in range(h.size) for b in range(h.size))
+            w7, w8 = spg._sg7_witness(h), spg._sg8_witness(h)
+            assert w7 == reference._sg7_witness(h), name
+            assert w8 == reference.relation_sg8_witness(h), name
+            failing7 += w7 is not None
+            failing8 += w8 is not None
+    assert asymmetric > 20 and failing7 > 10 and failing8 > 20
