@@ -406,10 +406,11 @@ def cmd_diagram(args) -> int:
         mf_red = spectra.is_real_reduced_mf(obj).overall
         edge("real reduced multifield", mf_red)
         if mf_red:
-            edge("mf -> sg -> mf table-exact", spg.smf_sg_roundtrip(obj).overall)
             g = spg.mf_to_sg(obj)
+            sg = spg.check_sg(g)
+            edge("mf -> sg -> mf table-exact", spg.smf_sg_roundtrip(obj, g, sg).overall)
             edge("sg reduced iff mf real reduced",
-                 spg.check_reduced(g).overall == mf_red)
+                 spg.check_reduced(g, sg).overall == mf_red)
             edge("mf -> aos -> mf up to isomorphism",
                  osp.mf_aos_roundtrip(obj).overall)
             aos_space, _ = osp.mfred_to_aos(obj)

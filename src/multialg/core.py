@@ -79,9 +79,15 @@ results come in lexicographic order of their mappings and find_isomorphism
 returns the first isomorphism in that order.  Each pair condition is applied
 when the later of its two variables is assigned and narrows every variable
 it names, assigned or not, so every map yielded meets every condition; with
-bijectivity, equal cell sizes plus injectivity give f(cell) = cell'.  The
-conditions are the structures' ``tables``, which ``_map_defects`` audits a
-given map against; tests/reference_searches.py keeps the replaced searches.
+bijectivity, equal cell sizes plus injectivity give f(cell) = cell'.  A
+value tried is cut as soon as the cheap narrowing empties a domain: first
+injectivity, neg and products, then the cells forward (c in cell(x, y)
+narrows f(c) to cell'(f(x), f(y))).  Only a value that survives both pays
+for the bijective reverse pass, which bans each later c outside a cell from
+its image per image element and applies the bans with one ``_transposed``.
+The conditions are the structures' ``tables``, which ``_map_defects`` audits
+a given map against; tests/reference_searches.py keeps the replaced searches
+and the kernel as it was before the reverse pass went through a transpose.
 
 Each structure declares its tables once, as ``tables``: (constants, unary
 tables, value tables, cell tables) and, for special groups, the isometry
@@ -98,7 +104,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain, compress, count, repeat
-from operator import and_, itemgetter, ne, or_
+from operator import and_, invert, itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 CARRIER_CAP = 64
@@ -1280,8 +1286,15 @@ def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
     The maps yielded are exactly those meeting every condition: each pair
     condition is applied when the later of its two variables is assigned and
     narrows every variable it names, assigned or not; an empty domain cuts
-    the branch.  With ``bijective``, equal popcounts plus injectivity give
-    f(cell) = cell'.
+    the branch.  Each value tried applies injectivity, the unary and the
+    value-table pairs, and cuts on an empty domain; then the cell pairs
+    forward (c in cell(x, y) narrows f(c) to cell'(f(x), f(y))), each order
+    of (x, y) once if the two differ, and cuts again; with ``bijective``,
+    unequal popcounts cut too (equal popcounts plus injectivity give f(cell)
+    = cell').  Only then, with ``bijective``, does each later c outside a
+    cell leave its image: each image element t gathers those c in ban[t],
+    and one ``_transposed`` of ban, max(n, m) rows square, gives every c the
+    mask it leaves.
     """
     start = [(1 << m) - 1] * n
     for i, v in fixed:
@@ -1297,7 +1310,40 @@ def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
                for (src, tgt), back, pre in zip(unary, _fibres(s for s, _ in unary),
                                                 _fibres(t for _, t in unary))]
     outside = full_mask(n)
+    width = max(n, m)  # ban's rows, as many as its columns
     vals = [0] * n
+
+    def cell_narrowed(i: int, v: int, d: list[int]) -> Optional[list[int]]:
+        """d narrowed by the cell pairs of f(i) = v, or None on a cut."""
+        pairs = []
+        for src, tgt in cells:
+            src_i, tgt_v = src[i], tgt[v]
+            for j in range(i + 1):
+                w = vals[j]
+                first, second = (src_i[j], tgt_v[w]), (src[j][i], tgt[w][v])
+                pairs.append(first)
+                if second != first:
+                    pairs.append(second)
+        for cell, image in pairs:
+            for c in elements[cell]:
+                d[c] &= image
+        if 0 in d:
+            return None
+        if bijective:
+            if any(cell.bit_count() != image.bit_count() for cell, image in pairs):
+                return None  # no bijection matches the two cells
+            later = outside >> (i + 1) << (i + 1)
+            ban = [0] * width
+            for cell, image in pairs:
+                rest = later & ~cell
+                if rest:
+                    for t in elements[image]:
+                        ban[t] |= rest
+            if any(ban):
+                d = list(map(and_, d, map(invert, _transposed(ban))))
+                if 0 in d:
+                    return None
+        return d
 
     def extend(i: int, dom: list[int]) -> Iterator[tuple[int, ...]]:
         if i == n:
@@ -1324,22 +1370,13 @@ def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
                     w = vals[j]
                     d[src_i[j]] &= 1 << tgt_v[w]
                     d[src[j][i]] &= 1 << tgt[w][v]
-            later = outside >> (i + 1) << (i + 1)
-            for src, tgt in cells:
-                src_i, tgt_v = src[i], tgt[v]
-                for j in range(i + 1):
-                    w = vals[j]
-                    # Both orders; a set, as the tables are mostly commutative.
-                    for cell, image in {(src_i[j], tgt_v[w]), (src[j][i], tgt[w][v])}:
-                        for c in elements[cell]:
-                            d[c] &= image
-                        if bijective:
-                            if cell.bit_count() != image.bit_count():
-                                d[i] = 0  # no bijection matches the two cells
-                            for c in elements[later & ~cell]:
-                                d[c] &= ~image
-            if 0 not in d:
-                yield from extend(i + 1, d)
+            if 0 in d:
+                continue
+            if cells:
+                d = cell_narrowed(i, v, d)
+                if d is None:
+                    continue
+            yield from extend(i + 1, d)
 
     return extend(0, start)
 

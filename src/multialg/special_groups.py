@@ -677,10 +677,13 @@ def sg_smf_roundtrip(g: SpecialGroup) -> CheckReport:
     )
 
 
-def smf_sg_roundtrip(f: FiniteMultiring) -> CheckReport:
-    """Through the special group and back: tables are restored exactly."""
-    g = mf_to_sg(f)
-    sg = check_sg(g)
+def smf_sg_roundtrip(f: FiniteMultiring, g: Optional[SpecialGroup] = None,
+                     sg: Optional[CheckReport] = None) -> CheckReport:
+    """Through the special group ``g`` (by default ``mf_to_sg(f)``) and back:
+    tables are restored exactly.  ``sg`` is g's ``check_sg`` report, run
+    here by default."""
+    g = mf_to_sg(f) if g is None else g
+    sg = check_sg(g) if sg is None else sg
     f2 = sg_to_mf(g, zero_label=f.names[f.zero])
     same = same_tables(f, f2)
     return CheckReport(

@@ -9,6 +9,12 @@ result lists in the same order, and the same first isomorphism.  Their
 leaves are checked by the old morphism audits of ``reference_audits``, not
 by the library's.
 
+``_table_maps`` is the library's search kernel as it was when each value
+tried ran every narrowing before its one test for an empty domain, and the
+bijective reverse pass walked every later element outside each cell.  It is
+kept verbatim as the reference that ``tests/test_search_kernel.py`` pins the
+kernel to: the same maps in the same order from the same search tree.
+
 The per-kind equalities ``sg_equal``, ``multiring_equal`` and ``rs_equal``,
 the canonical keys ``multiring_canonical_key`` and
 ``multigroup_canonical_key`` with ``_inv_perm_order``, and the two sign-cone
@@ -77,10 +83,13 @@ from multialg.core import (
     FiniteMultiring,
     InputError,
     StructureMap,
+    _Elements,
+    _fibres,
     _Table,
     bits,
     check_multigroup,
     check_multiring,
+    full_mask,
     mask_of,
 )
 from multialg.enumeration import _addition_tables as _pruned_addition_tables
@@ -322,6 +331,85 @@ def _enumerate_relation_vectors(a: FiniteMultiring) -> list[tuple[int, ...]]:
 
     extend(0)
     return out
+
+
+def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
+                unary: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
+                ops: Sequence[tuple[_Table, _Table]] = (),
+                cells: Sequence[tuple[_Table, _Table]] = (),
+                bijective: bool = False) -> Iterator[tuple[int, ...]]:
+    """Candidate maps {0..n-1} -> {0..m-1} in lexicographic order, as tuples.
+
+    Each (source, target) pair of tables is a condition every wanted map
+    meets: ``fixed`` pins f(i) = v, ``unary`` asks f(u(x)) = u'(f(x)),
+    ``ops`` asks f(xy) = f(x)f(y) on value tables and ``cells`` asks
+    f(cell(x, y)) <= cell'(f(x), f(y)) on mask tables; ``bijective`` adds
+    injectivity and f(c) in cell'(f(x), f(y)) only if c in cell(x, y).
+    The maps yielded are exactly those meeting every condition: each pair
+    condition is applied when the later of its two variables is assigned and
+    narrows every variable it names, assigned or not; an empty domain cuts
+    the branch.  With ``bijective``, equal popcounts plus injectivity give
+    f(cell) = cell'.
+    """
+    start = [(1 << m) - 1] * n
+    for i, v in fixed:
+        start[i] &= 1 << v
+    if bijective:
+        for i, v in fixed:
+            for j in range(n):
+                if j != i:
+                    start[j] &= ~(1 << v)
+    elements = _Elements()
+    # Each unary pair with its source preimage lists and target preimage masks.
+    unaries = [(src, tgt, list(map(elements.__getitem__, back)), pre)
+               for (src, tgt), back, pre in zip(unary, _fibres(s for s, _ in unary),
+                                                _fibres(t for _, t in unary))]
+    outside = full_mask(n)
+    vals = [0] * n
+
+    def extend(i: int, dom: list[int]) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(vals)
+            return
+        choices = dom[i]
+        while choices:
+            low = choices & -choices
+            choices ^= low
+            v = low.bit_length() - 1
+            vals[i] = v
+            d = dom.copy()
+            d[i] = low
+            if bijective:
+                for j in range(i + 1, n):
+                    d[j] &= ~low
+            for src, tgt, back, pre in unaries:
+                d[src[i]] &= 1 << tgt[v]
+                for x in back[i]:
+                    d[x] &= pre[v]
+            for src, tgt in ops:
+                src_i, tgt_v = src[i], tgt[v]
+                for j in range(i + 1):
+                    w = vals[j]
+                    d[src_i[j]] &= 1 << tgt_v[w]
+                    d[src[j][i]] &= 1 << tgt[w][v]
+            later = outside >> (i + 1) << (i + 1)
+            for src, tgt in cells:
+                src_i, tgt_v = src[i], tgt[v]
+                for j in range(i + 1):
+                    w = vals[j]
+                    # Both orders; a set, as the tables are mostly commutative.
+                    for cell, image in {(src_i[j], tgt_v[w]), (src[j][i], tgt[w][v])}:
+                        for c in elements[cell]:
+                            d[c] &= image
+                        if bijective:
+                            if cell.bit_count() != image.bit_count():
+                                d[i] = 0  # no bijection matches the two cells
+                            for c in elements[later & ~cell]:
+                                d[c] &= ~image
+            if 0 not in d:
+                yield from extend(i + 1, d)
+
+    return extend(0, start)
 
 
 def sg_equal(g: SpecialGroup, h: SpecialGroup) -> bool:

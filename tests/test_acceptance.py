@@ -11,11 +11,13 @@ import itertools
 import os
 import random
 import time
+from operator import and_
 
 from multialg import core, enumeration, io
 from multialg.cli import main
 from multialg.core import (
     RelationalMultigroup,
+    bits,
     check_multiring,
     check_relational_axioms,
     check_relational_lemmas,
@@ -421,15 +423,20 @@ def _shuffled(r, seed):
 
 def _relabels_into(a, b, f, onto):
     """f: a -> b preserves the constants, neg and mul, and maps every add
-    cell into (with ``onto``: onto) the image cell; checked on the tables."""
-    n = a.size
+    cell into (with ``onto``: onto) the image cell; checked on the tables,
+    a row x at a time over y."""
     ok = f[a.zero] == b.zero and f[a.one] == b.one
-    for x, y in itertools.product(range(n), repeat=2):
-        moved = sum(1 << v for v in {f[c] for c in range(n) if (a.add[x][y] >> c) & 1})
-        image = b.add[f[x]][f[y]]
-        ok = ok and f[a.neg[x]] == b.neg[f[x]] \
-            and f[a.mul[x][y]] == b.mul[f[x]][f[y]] \
-            and (moved == image if onto else moved & ~image == 0)
+    moved = {}  # each distinct add cell of a -> the mask of its images
+    for cell in set(itertools.chain.from_iterable(a.add)):
+        moved[cell] = 0
+        for c in bits(cell):
+            moved[cell] |= 1 << f[c]
+    for x, fx in enumerate(f):
+        moved_row = list(map(moved.__getitem__, a.add[x]))
+        image_row = list(map(b.add[fx].__getitem__, f))
+        ok = ok and f[a.neg[x]] == b.neg[fx] \
+            and list(map(f.__getitem__, a.mul[x])) == list(map(b.mul[fx].__getitem__, f)) \
+            and moved_row == (image_row if onto else list(map(and_, moved_row, image_row)))
     return ok
 
 
@@ -654,4 +661,26 @@ def test_c25_canonical_key_of_z10():
     key = multiring_canonical_key(z10)
     ok = key == multiring_canonical_key(_shuffled(z10, 25))
     gate(25, "canonical keys of Z/10 and a shuffled copy are equal", ok,
+         time.monotonic() - t0, 10.0)
+
+
+def test_c26_hom_sets_in_closed_form():
+    # A morphism K^a -> K^b or q2^a -> q2^b is a projection on each of the
+    # b factors, so there are a^b of them.  The kernel tried every value of
+    # a variable before cutting; K^5 -> K^5 took about 3.5 s of search.
+    from multialg.constructions import product
+
+    t0 = time.monotonic()
+    ok = True
+    for base, top in ((krasner(), 4), (q2(), 3)):
+        for a, b in itertools.product(range(1, top + 1), repeat=2):
+            homs = enumerate_multiring_morphisms(product([base] * a),
+                                                 product([base] * b))
+            ok = ok and len(homs) == a ** b
+    k5 = product([krasner()] * 5)
+    homs = enumerate_multiring_morphisms(k5, k5)
+    ok = ok and len(homs) == 3125 and all(
+        _relabels_into(k5, k5, f.mapping, onto=False) for f in homs)
+    gate(26, "|Hom(K^a, K^b)| = a^b for a, b <= 4 and |Hom(q2^a, q2^b)| = a^b "
+             "for a, b <= 3; the 3,125 maps K^5 -> K^5 are morphisms", ok,
          time.monotonic() - t0, 10.0)

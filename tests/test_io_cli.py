@@ -119,6 +119,20 @@ class TestCli:
         assert main(["check", corpus_path("sg_z22_reduced"), "--level", level]) == 0
         assert len(audited) == 1
 
+    def test_diagram_builds_the_special_group_once(self, tmp_path, monkeypatch,
+                                                   capsys):
+        """The sg-smf round-trip edge and the reduced edge share one
+        mf_to_sg and one check_sg."""
+        from multialg import special_groups as spg
+        path = str(tmp_path / "fan3mf.mrs")
+        mio.write_structure(path, aos_to_mfred(fan_aos(3)))
+        built, audited = [], []
+        build, audit = spg.mf_to_sg, spg.check_psg
+        monkeypatch.setattr(spg, "mf_to_sg", lambda f: built.append(f) or build(f))
+        monkeypatch.setattr(spg, "check_psg", lambda g: audited.append(g) or audit(g))
+        assert main(["diagram", path]) == 0
+        assert (len(built), len(audited)) == (1, 1)
+
     def test_check_fails_on_a_broken_file(self, tmp_path, capsys):
         doc = mio.to_document(q2())
         doc["add"][2][2] = ["-1"]  # 1+1 = {-1}

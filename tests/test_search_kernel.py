@@ -15,12 +15,22 @@ check except isometry for special groups.  ``test_kernel_results_are_final``
 pins that without any backtracking search: on small inputs they must
 return exactly the maps of ``itertools.product`` order that pass the old
 audits.
+
+``reference_searches._table_maps`` is the kernel as it was before it cut
+after the forward narrowing and gathered the bijective reverse pass into
+one transpose.  The last tests pin the kernel to it where that pass runs
+on wide transposes: the same maps, the same number of search nodes and
+the same number of values tried (most of them cut) on shuffles and
+non-isomorphic pairs of 24 to 64 elements, on addition mutants whose
+cells xy and yx differ, on bijective searches between unequal sizes and
+on three hom sets of 16 to 27 elements.
 """
 
 import dataclasses
 import functools
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -36,7 +46,7 @@ from multialg.corpus import (
     q2cube,
 )
 from multialg.enumeration import _involutions_fixing, _labels, _monoid_tables
-from multialg.real_semigroups import enumerate_rs_morphisms
+from multialg.real_semigroups import canonical_3, enumerate_rs_morphisms, rs_product
 from multialg.special_groups import check_sg_morphism, enumerate_sg_morphisms, is_sg_morphism
 from multialg.spectra import _enumerate_relation_vectors, _satisfies_spec_relations
 
@@ -272,3 +282,115 @@ def test_kernel_results_are_final():
         passing = [f for f in reference.every_map(s, semigroups["rs3"])
                    if reference_audits.check_rs_morphism(f).overall]
         assert mappings(enumerate_rs_morphisms(s, semigroups["rs3"])) == mappings(passing)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the moved kernel: same maps, same search tree
+
+def searched(kernel, a, b, bijective, limit=None):
+    """The first ``limit`` maps (all by default) of ``kernel`` from a to b,
+    the number of calls of its recursive ``extend``, one per node of the
+    search tree, and the number of values it tried, one ``dom.copy()``
+    each, counted through ``sys.setprofile``.  A generator's resumes are
+    profiled as calls too, so each frame counts once."""
+    frames, tried = {}, [0]
+
+    def profile(frame, event, arg):
+        if frame.f_code.co_name == "extend":
+            if event == "call":
+                frames[id(frame)] = frame  # held, so that no id is reused
+            elif event == "c_call" and arg.__name__ == "copy":
+                tried[0] += 1
+
+    args = (a.size, b.size, *core._table_pairs(a, b))
+    sys.setprofile(profile)
+    try:
+        maps = list(itertools.islice(kernel(*args, bijective=bijective), limit))
+    finally:
+        sys.setprofile(None)
+    return maps, len(frames), tried[0]
+
+
+def assert_same_search(a, b, bijective, limit=None):
+    new = searched(core._table_maps, a, b, bijective, limit)
+    assert new == searched(reference._table_maps, a, b, bijective, limit)
+    return new
+
+
+def _add_mutants(base, rng, count):
+    """Seeded mutants that flip one element of one cell (x, y), x != y, of
+    the addition, so that the cells xy and yx differ."""
+    n = base.size
+    while count:
+        x, y = rng.sample(range(n), 2)
+        flipped = base.add[x][y] ^ (1 << rng.randrange(n))
+        if flipped:
+            count -= 1
+            yield dataclasses.replace(base, add=_replace_cell(base.add, x, y, flipped))
+
+
+@functools.cache
+def cap_rings():
+    q2, k = core.q2(), core.krasner()
+    z = core.ring_multiring
+    return {"z64": z(64), "k6": product([k] * 6), "q2q2kk": product([q2, q2, k, k]),
+            "z24": z(24), "z2z32": product([z(2), z(32)]), "z4z16": product([z(4), z(16)])}
+
+
+@pytest.mark.parametrize("name, limit", [("z64", None), ("k6", 1), ("q2q2kk", None),
+                                         ("z24", None)])
+def test_isomorphisms_of_shuffles_above_16_elements(name, limit):
+    """The reverse pass transposes 32 and 64 rows.  K^6 has 720
+    automorphisms, so its search is pinned up to the first."""
+    r = cap_rings()[name]
+    for seed in range(2):
+        maps, nodes, tried = assert_same_search(r, shuffled(r, seed), True, limit)
+        assert maps and nodes > r.size and tried >= r.size
+
+
+@pytest.mark.parametrize("first, second", [("z64", "z2z32"), ("k6", "z64"),
+                                           ("z2z32", "z4z16")])
+def test_no_isomorphism_between_equal_sizes(first, second):
+    rings = cap_rings()
+    a, b = rings[first], rings[second]
+    for s, t in ((a, b), (b, a)):
+        assert assert_same_search(s, t, True)[0] == []
+
+
+def test_add_mutants_with_asymmetric_cells():
+    """Single-cell addition mutants of 24 to 64 elements, whose cells xy and
+    yx differ, to and from their base and a shuffled copy of themselves.
+    K^6's mutants are left out: their searches take up to 3 s here and 14 s
+    in the moved kernel."""
+    rng = random.Random(28)
+    searches = 0
+    for name, base in cap_rings().items():
+        if name == "k6":
+            continue
+        for mutant in _add_mutants(base, rng, 3):
+            for s, t in ((mutant, base), (base, mutant), (mutant, shuffled(mutant, 1))):
+                assert_same_search(s, t, True, 1)
+                searches += 1
+    assert searches == 45
+
+
+@pytest.mark.parametrize("name", ["k4", "q2k3", "rs3cube"])
+def test_hom_sets_to_themselves(name):
+    q2, k = core.q2(), core.krasner()
+    r = {"k4": lambda: product([k] * 4), "q2k3": lambda: product([q2, k, k, k]),
+         "rs3cube": lambda: rs_product([canonical_3()] * 3)}[name]()
+    maps, _, _ = assert_same_search(r, r, False)
+    assert len(maps) == {"k4": 256, "q2k3": 64, "rs3cube": 27}[name]
+
+
+def test_bijective_between_unequal_sizes():
+    """``_table_maps`` is shared, and find_isomorphism alone checks sizes:
+    with n != m the reverse pass transposes max(n, m) rows, as wide as the
+    source's masks, and the maps and the tree stay the moved kernel's."""
+    rings = cap_rings()
+    z = core.ring_multiring
+    pairs = [(rings["z64"], rings["z24"]), (rings["z24"], rings["q2q2kk"]),
+             (rings["q2q2kk"], rings["z24"]), (z(12), z(8)), (z(8), z(12)),
+             (product([core.q2()] * 2), rings["z24"])]
+    for a, b in pairs:
+        assert_same_search(a, b, True)
