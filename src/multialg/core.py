@@ -57,6 +57,8 @@ of each mask table for x, y in it, and lines[x] for x in it.  Each round
 ORs in, for the elements reached but not expanded, their lines and their
 entries in the ``_CellUnion`` over the reached set of one table holding,
 at (y, x), the cells xy and yx of every table, until a round adds nothing.
+Ideals, sums of squares, SG8's components and the isometry closure of
+special groups all read it; no module keeps a closure of its own.
 
 Tables determined pointwise by the three-element sign structures come from
 one kernel, ``_pointwise_cells``: a sign space's value and transversal

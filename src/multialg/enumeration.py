@@ -262,30 +262,23 @@ def enumerate_structures(kind: str, order: int, up_to_iso: bool = True):
         raise InputError(
             "enumeration is supported up to order 3 (the addition-table\n"
             "search space grows too fast beyond that)")
+    search, generate, canonical_key, from_key = (
+        (_multigroup_slice, generate_multigroups, multigroup_canonical_key,
+         multigroup_from_key) if kind == "multigroup" else
+        (_multiring_slice, generate_multirings, multiring_canonical_key,
+         multiring_from_key))
     out = []
     seen = set()
     for n in range(1, order + 1):
-        if kind == "multigroup":
-            for m in (_multigroup_slice if up_to_iso else generate_multigroups)(n):
-                if not up_to_iso:
-                    out.append(m)
-                    continue
-                key = multigroup_canonical_key(m)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(multigroup_from_key(key))
-            continue
-        for r in (_multiring_slice if up_to_iso else generate_multirings)(n):
-            flags = classify(r, verified=True)
-            if kind == "multidomain" and not flags.multidomain:
-                continue
-            if kind == "multifield" and not flags.multifield:
+        for s in (search if up_to_iso else generate)(n):
+            if kind in ("multidomain", "multifield") \
+                    and not getattr(classify(s, verified=True), kind):
                 continue
             if not up_to_iso:
-                out.append(r)
+                out.append(s)
                 continue
-            key = multiring_canonical_key(r)
+            key = canonical_key(s)
             if key not in seen:
                 seen.add(key)
-                out.append(multiring_from_key(key))
+                out.append(from_key(key))
     return out

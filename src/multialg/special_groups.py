@@ -2,9 +2,12 @@
 
 The isometry relation is stored closed under its own equivalence closure and
 argument swap; raw input is closed at load time and the number of added
-quadruples is reported on the structure.  Triple isometry is derived from the
-binary relation through the usual existential expansion, which is what the
-3-transitivity axiom SG6 and the equivalent SG7/SG8/SG9 are audited against.
+quadruples is reported on the structure.  The closure is core's
+``_closure`` on the n^2 pairs; ``mf_to_sg`` and ``trivial_special_group``
+build their relations on indices, with no labels.  Triple isometry is
+derived from the binary relation through the usual existential expansion,
+which is what the 3-transitivity axiom SG6 and the equivalent SG7/SG8/SG9
+are audited against.
 One cached relation serves SG6, SG8 and SG9: triples are grouped by first
 element and tail pair class, and the k = n * ncls groups (ncls pair classes)
 get one k-bit row each, built by ORing per-(z, class) masks of groups;
@@ -111,34 +114,24 @@ class SpecialGroup:
 
 def _close_iso(n: int, raw: Iterable[tuple[int, int, int, int]]
                ) -> tuple[frozenset[tuple[int, int, int, int]], int]:
-    """Equivalence-close the pair relation and add argument swaps."""
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(p: tuple[int, int]) -> tuple[int, int]:
-        root = p
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[p] != root:
-            parent[p], p = root, parent[p]
-        return root
-
-    def union(p: tuple[int, int], q: tuple[int, int]) -> None:
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[rp] = rq
-
-    raw_set = set(tuple(q) for q in raw)
-    for (a, b, c, d) in raw_set:
-        union((a, b), (c, d))
-    for a, b in itertools.product(range(n), repeat=2):
-        union((a, b), (b, a))
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a, b in itertools.product(range(n), repeat=2):
-        groups.setdefault(find((a, b)), []).append((a, b))
+    """Equivalence-close the pair relation and add argument swaps.  Pair
+    (a, b) is element a * n + b, linked to its swap and to every pair a raw
+    quadruple relates it to; each class is core's ``_closure`` of its least
+    unclaimed pair."""
+    raw_set = set(map(tuple, raw))
+    linked = [1 << (b * n + a) for a, b in itertools.product(range(n), repeat=2)]
+    for a, b, c, d in raw_set:
+        linked[a * n + b] |= 1 << (c * n + d)
+        linked[c * n + d] |= 1 << (a * n + b)
+    close = _closure((), linked)
     closed = set()
-    for members in groups.values():
-        for (a, b), (c, d) in itertools.product(members, repeat=2):
-            closed.add((a, b, c, d))
+    unclaimed = full_mask(n * n)
+    while unclaimed:
+        members = close(unclaimed & -unclaimed)
+        unclaimed &= ~members
+        pairs = [divmod(p, n) for p in bits(members)]
+        closed.update((a, b, c, d)
+                      for (a, b), (c, d) in itertools.product(pairs, repeat=2))
     return frozenset(closed), len(closed - raw_set)
 
 
@@ -151,7 +144,7 @@ def make_special_group(names: Sequence[str],
     n = carrier.size
     if len(mul) != n or any(len(r) != n for r in mul):
         raise InputError("ragged multiplication table")
-    table = tuple(tuple(carrier.index(v) for v in row) for row in mul)
+    table = tuple(tuple(map(carrier.index, row)) for row in mul)
     if one is None:
         candidates = [e for e in range(n)
                       if all(table[e][a] == a for a in range(n))]
@@ -160,7 +153,7 @@ def make_special_group(names: Sequence[str],
         one_i = candidates[0]
     else:
         one_i = carrier.index(one)
-    quads = [tuple(carrier.index(v) for v in q) for q in iso]
+    quads = [tuple(map(carrier.index, q)) for q in iso]
     closed, added = _close_iso(n, quads)  # type: ignore[arg-type]
     return SpecialGroup(carrier, table, one_i, carrier.index(minus_one),
                         closed, added)
@@ -169,12 +162,13 @@ def make_special_group(names: Sequence[str],
 def trivial_special_group(names: Sequence[str],
                           mul: Sequence[Sequence[str]],
                           minus_one: str) -> SpecialGroup:
-    """Isometry by equal products: the trivial special relation."""
+    """Isometry by equal products: the trivial special relation.  In an
+    exponent-2 group ab = v exactly when b = av, and the relation is already
+    closed."""
     g = make_special_group(names, mul, minus_one, iso=[])
-    quads = [(g.names[a], g.names[b], g.names[c], g.names[d])
-             for a, b, c, d in itertools.product(range(g.size), repeat=4)
-             if g.mul[a][b] == g.mul[c][d]]
-    return make_special_group(names, mul, minus_one, quads)
+    return SpecialGroup(g.carrier, g.mul, g.one, g.minus_one, frozenset(
+        (a, g.mul[a][v], c, g.mul[c][v])
+        for a, c, v in itertools.product(range(g.size), repeat=3)))
 
 
 def smallest_special_group(names: Sequence[str],
@@ -567,16 +561,17 @@ def mf_to_sg(f: FiniteMultiring) -> SpecialGroup:
     if any(f.mul[x][y] == f.zero for x in nz for y in nz):
         raise InputError("special group construction requires a multifield: "
                          "a product of nonzero elements is zero")
-    names = [f.names[x] for x in nz]
+    carrier = Carrier(tuple(f.names[x] for x in nz))
+    one = carrier.index(f.names[f.one])
     back = {x: i for i, x in enumerate(nz)}
-    mul = [[names[back[f.mul[x][y]]] for y in nz] for x in nz]
     fiber, inside = _smf_masks(f)
-    quads = []
-    for a, b, c in itertools.product(nz, repeat=3):
-        for d in bits(fiber[c][f.mul[a][b]] & inside[c][a]):
-            quads.append((f.names[a], f.names[b], f.names[c], f.names[d]))
-    return make_special_group(names, mul, f.names[f.neg[f.one]], quads,
-                              one=f.names[f.one])
+    closed, added = _close_iso(len(nz), [
+        (back[a], back[b], back[c], back[d])
+        for a, b, c in itertools.product(nz, repeat=3)
+        for d in bits(fiber[c][f.mul[a][b]] & inside[c][a])])
+    mul = tuple(tuple(back[f.mul[x][y]] for y in nz) for x in nz)
+    return SpecialGroup(carrier, mul, one, carrier.index(f.names[f.neg[f.one]]),
+                        closed, added)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,12 @@ for each of the n^4 quadruples of property v), and ``mf_to_sg`` are the
 versions that scanned every quadruple of nonzero elements, before both read
 the product-fiber and membership masks of ``special_groups._smf_masks``;
 ``tests/test_smf_masks.py`` pins the library's versions to them.
+``_close_iso`` is the isometry closure as it was before it read core's
+``_closure``: a union-find over the n^2 pairs.  ``trivial_special_group``
+is the trivial builder as it was when it named every quadruple of equal
+products by its labels and closed them again.  ``tests/test_special_groups.py``
+pins the library's closure and builder to them, and ``tests/test_smf_masks.py``
+the closure on every raw relation that ``mf_to_sg`` closes there.
 
 ``_ideal_closure``, ``enumerate_ideals`` and ``quotient_by_ideal`` are the
 versions from before the worklist closure: the closure iterated absorption
@@ -127,7 +133,7 @@ library's structures and error messages to them.
 import itertools
 from functools import lru_cache
 from operator import getitem, itemgetter, or_
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from multialg.constructions import Ideal, MultiplicativeSet, SquareClosure, units_mask
 from multialg.core import (
@@ -1272,6 +1278,50 @@ def mf_to_sg(f: FiniteMultiring) -> SpecialGroup:
             quads.append((f.names[a], f.names[b], f.names[c], f.names[d]))
     return make_special_group(names, mul, f.names[f.neg[f.one]], quads,
                               one=f.names[f.one])
+
+
+def _close_iso(n: int, raw: Iterable[tuple[int, int, int, int]]
+               ) -> tuple[frozenset[tuple[int, int, int, int]], int]:
+    """Equivalence-close the pair relation and add argument swaps."""
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def find(p: tuple[int, int]) -> tuple[int, int]:
+        root = p
+        while parent.setdefault(root, root) != root:
+            root = parent[root]
+        while parent[p] != root:
+            parent[p], p = root, parent[p]
+        return root
+
+    def union(p: tuple[int, int], q: tuple[int, int]) -> None:
+        rp, rq = find(p), find(q)
+        if rp != rq:
+            parent[rp] = rq
+
+    raw_set = set(tuple(q) for q in raw)
+    for (a, b, c, d) in raw_set:
+        union((a, b), (c, d))
+    for a, b in itertools.product(range(n), repeat=2):
+        union((a, b), (b, a))
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for a, b in itertools.product(range(n), repeat=2):
+        groups.setdefault(find((a, b)), []).append((a, b))
+    closed = set()
+    for members in groups.values():
+        for (a, b), (c, d) in itertools.product(members, repeat=2):
+            closed.add((a, b, c, d))
+    return frozenset(closed), len(closed - raw_set)
+
+
+def trivial_special_group(names: Sequence[str],
+                          mul: Sequence[Sequence[str]],
+                          minus_one: str) -> SpecialGroup:
+    """Isometry by equal products: the trivial special relation."""
+    g = make_special_group(names, mul, minus_one, iso=[])
+    quads = [(g.names[a], g.names[b], g.names[c], g.names[d])
+             for a, b, c, d in itertools.product(range(g.size), repeat=4)
+             if g.mul[a][b] == g.mul[c][d]]
+    return make_special_group(names, mul, minus_one, quads)
 
 
 def check_ideal(a: FiniteMultiring, m: int) -> None:

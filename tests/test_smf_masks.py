@@ -5,7 +5,7 @@ scanned every quadruple of nonzero elements, v through ``_smf_block`` with up
 to n^3 steps per quadruple, and ``mf_to_sg`` as it was when it scanned every
 quadruple for its isometry list.  The library's versions must give equal
 ``CheckReport``s -- verdicts and first witnesses -- and equal special groups,
-closure counts and quadruple lists, element for element, on the corpus
+closure counts and raw relations, element for element, on the corpus
 multifields, the fan multifields on 1-4 points, the multifields of the
 square classes of F_p for p <= 13, Z/p for p <= 13 and every multifield of
 order <= 3.  The same holds on mutants: the multifields of special groups
@@ -14,7 +14,9 @@ and every symmetric single-cell change of the addition (one bit) or of the
 multiplication (one product) of the fan-1..3 multifields and of Z/3, Z/5
 and Z/7.  Where a mutant is no multiring, or no multifield, both sides must
 raise the same ``InputError``; ``mf_to_sg`` still runs on those, and on the
-changed products its fibers hold more than one element.
+changed products its fibers hold more than one element.  Each raw relation
+``mf_to_sg`` closes is also closed by the union-find ``_close_iso`` of
+``reference_audits``, with the same relation and count of added quadruples.
 """
 
 import dataclasses
@@ -91,28 +93,32 @@ def _outcome(call, f):
 
 
 def _sg_outcome(module, f, monkeypatch) -> tuple:
-    """mf_to_sg's group, closure count and the quadruple list it hands to
-    make_special_group, or its InputError."""
-    quads: list = []
-    make = module.make_special_group
+    """mf_to_sg's group, closure count and the relations it hands to
+    ``special_groups._close_iso``, each with its size and as index
+    quadruples in scan order, or its InputError.  The reference reaches
+    ``_close_iso`` through the library's ``make_special_group``."""
+    raws: list = []
+    close = spg._close_iso
 
-    def capture(names, mul, minus_one, raw, **kwargs):
-        quads.append(list(raw))
-        return make(names, mul, minus_one, raw, **kwargs)
+    def capture(n, raw):
+        raws.append((n, list(raw)))
+        return close(*raws[-1])
 
-    monkeypatch.setattr(module, "make_special_group", capture)
+    monkeypatch.setattr(spg, "_close_iso", capture)
     g = _outcome(module.mf_to_sg, f)
     monkeypatch.undo()
     if isinstance(g, spg.SpecialGroup):
-        return g, g.closure_added, quads
-    return g, quads
+        return g, g.closure_added, raws
+    return g, raws
 
 
 def _assert_agrees(f, label, monkeypatch):
     report = _outcome(spg.check_smf, f)
     assert report == _outcome(reference.check_smf, f), label
-    assert _sg_outcome(spg, f, monkeypatch) == \
-        _sg_outcome(reference, f, monkeypatch), label
+    outcome = _sg_outcome(spg, f, monkeypatch)
+    assert outcome == _sg_outcome(reference, f, monkeypatch), label
+    for n, raw in outcome[-1]:
+        assert spg._close_iso(n, raw) == reference._close_iso(n, raw), label
     return report
 
 

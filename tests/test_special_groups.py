@@ -1,9 +1,14 @@
+import dataclasses
 import itertools
 import os
 import random
 
 import pytest
 
+import reference_audits as reference
+from multialg import io as mio
+from multialg import special_groups as spg
+from multialg.cli import main
 from multialg.core import (
     InputError,
     StructureMap,
@@ -16,6 +21,7 @@ from multialg.core import (
     ring_multiring,
     same_tables,
 )
+from multialg import corpus
 from multialg.corpus import (
     corpus_special_groups,
     fan2_multifield,
@@ -319,6 +325,134 @@ class TestFiniteFieldSpecialGroups:
         for bad in (2, 4, 9, 15, 63, 67):
             with pytest.raises(InputError):
                 sg_of_finite_field(bad)
+
+
+class TestClosureAgainstReference:
+    """``_close_iso`` reads core's ``_closure``; the union-find it replaced
+    is ``reference_audits._close_iso``.  Both must give the same closed
+    relation and the same count of added quadruples."""
+
+    @staticmethod
+    def closed_by(call, *args) -> list:
+        """The (size, raw relation) pairs that ``call(*args)`` closes."""
+        raws = []
+        close = spg._close_iso
+
+        def capture(n, raw):
+            raws.append((n, list(raw)))
+            return close(*raws[-1])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spg, "_close_iso", capture)
+            call(*args)
+        assert raws
+        return raws
+
+    @staticmethod
+    def assert_agrees(n, raw, label):
+        assert spg._close_iso(n, raw) == reference._close_iso(n, raw), label
+
+    def test_corpus_relations(self, special_groups):
+        for name, g in special_groups.items():
+            self.assert_agrees(g.size, g.iso, name)
+
+    def test_raw_relations_of_finite_fields(self):
+        for p in (3, 5, 7, 11, 13):
+            for n, raw in self.closed_by(sg_of_finite_field, p):
+                self.assert_agrees(n, raw, p)
+
+    def test_triple_relation_mutants(self):
+        from test_triple_relation import GROUPS, _mutants
+        for name, g in GROUPS.items():
+            count = 30 if g.size <= 4 else 10
+            for n, raw in self.closed_by(_mutants, g, name, count):
+                self.assert_agrees(n, raw, name)
+
+    def test_seeded_raw_relations_on_f2k(self):
+        """Relations on 1 to 16 elements: empty, sparse and dense, with
+        repeated quadruples and pairs related to themselves."""
+        for k in range(5):
+            n = 1 << k
+            rng = random.Random(k)
+            for size in (0, 1, 2, n, 2 * n, n * n):
+                raw = [tuple(rng.randrange(n) for _ in range(4)) for _ in range(size)]
+                raw += [(a, b, a, b) for a, b, _, _ in raw[:2]] + raw[:3]
+                self.assert_agrees(n, raw, (k, size))
+
+
+class TestTrivialBuilderAgainstReference:
+    """``trivial_special_group`` builds the relation of equal products at
+    index level; ``reference_audits.trivial_special_group`` named every
+    quadruple and closed them again."""
+
+    @staticmethod
+    def assert_agrees(names, mul, minus_one, expected=None):
+        g = trivial_special_group(names, mul, minus_one)
+        if expected is None:
+            expected = reference.trivial_special_group(names, mul, minus_one)
+        assert (g, g.closure_added) == (expected, expected.closure_added)
+
+    def test_f2k_for_every_minus_one(self):
+        """F_2^k, k <= 5, with the elements in a seeded order.  At order 32
+        the reference (0.2 s a call) runs once: -1 is only looked up, so
+        each choice is compared with it with -1 replaced."""
+        for k in range(6):
+            n = 1 << k
+            perm = list(range(n))
+            random.Random(k).shuffle(perm)
+            names = [f"e{x}" for x in perm]
+            index = {x: i for i, x in enumerate(perm)}
+            mul = [[names[index[x ^ y]] for y in perm] for x in perm]
+            once = reference.trivial_special_group(names, mul, names[0]) if k == 5 else None
+            for i, minus_one in enumerate(names):
+                self.assert_agrees(names, mul, minus_one,
+                                   once and dataclasses.replace(once, minus_one=i))
+
+    def test_corpus_trivial_groups(self):
+        for names, mul, minus_one in ((corpus._Z2_NAMES, corpus._Z2_MUL, "-1"),
+                                      (corpus._Z22_NAMES, corpus._Z22_MUL, "a"),
+                                      (corpus._Z23_NAMES, corpus._z23_mul(), "a")):
+            self.assert_agrees(names, mul, minus_one)
+
+    def test_invalid_tables_raise_as_before(self):
+        for names, mul in ((("1", "x"), [["1", "x"], ["x", "x"]]),
+                           (("1", "x"), [["1", "x"]]),
+                           (("1", "x"), [["1", "x"], ["x", "y"]])):
+            with pytest.raises(InputError) as new:
+                trivial_special_group(names, mul, "x")
+            with pytest.raises(InputError) as old:
+                reference.trivial_special_group(names, mul, "x")
+            assert str(new.value) == str(old.value)
+
+
+_K, _Q2 = krasner(), q2()
+DEGENERATE = {
+    # nothing but zero: the group would have no element
+    "one_element_ring": (ring_multiring(1), "carrier size 0 outside 1..64"),
+    "krasner_minus_one_zero": (dataclasses.replace(_K, neg=(_K.zero, _K.zero)),
+                               "unknown element label '0'"),
+    "q2_minus_one_zero": (dataclasses.replace(_Q2, neg=tuple(
+        _Q2.zero if x == _Q2.one else _Q2.neg[x] for x in range(_Q2.size))),
+        "unknown element label '0'"),
+    "q2_one_zero": (dataclasses.replace(_Q2, one=_Q2.zero), "unknown element label '0'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_multifields_are_input_errors(name, tmp_path, capsys):
+    """A multiring whose 1 or -1 is its zero has no special group: mf_to_sg
+    raises the label error of the missing element, and the two commands
+    that run it exit 2 with that error and no traceback."""
+    f, message = DEGENERATE[name]
+    with pytest.raises(InputError) as raised:
+        mf_to_sg(f)
+    assert str(raised.value) == message
+    path = tmp_path / f"{name}.mrs"
+    path.write_text(mio.serialize(f), encoding="utf-8")
+    for argv in (["functor", "mf-sg", str(path)],
+                 ["roundtrip", "--pair", "sg-smf", str(path)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"input error: {message}\n"), argv
 
 
 class TestOrder8:
