@@ -13,7 +13,10 @@ also audits transitivity; the quotients by an ideal and by the Marshall
 relation build the ring of classes and the projection through
 ``_class_ring``.  The ideal closure and the closure of the unit squares
 are core's ``_closure``, and the quotient images the addition cells through
-core's ``_Unions``; the core docstring describes both kernels.
+core's ``_Unions``; the core docstring describes both kernels.  The Marshall
+quotient works on the orbit masks xS: x ~ y when the orbits meet, and a sum
+is one ``_CellUnion`` of addition rows over xS read at yS, whose elements c
+with cS meeting it and their classes come from two ``_Unions``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .core import (
     _Unions,
     _bit_flags,
     _closure,
+    _transposed,
     bits,
     classify,
     full_mask,
@@ -364,35 +368,24 @@ def fraction_multifield(d: FiniteMultiring) -> tuple[FiniteMultiring, StructureM
 
 def marshall_quotient(a: FiniteMultiring,
                       s: MultiplicativeSet) -> tuple[FiniteMultiring, StructureMap]:
-    """Quotient by x ~ y iff xs = yt for some s,t in S.
-
-    Transitivity of ~ is verified on the instance before quotienting.
-    Sums are c-bar in x-bar + y-bar iff cv lies in xs + yt for some s,t,v.
+    """Quotient by x ~ y iff xs = yt for some s,t in S: the orbits xS and yS
+    meet.  Transitivity of ~ is verified on the instance before quotienting.
+    Sums are c-bar in x-bar + y-bar iff cS meets the cells xs + yt over s,t.
     """
     if s.parent is not a and s.parent != a:
         raise InputError("multiplicative set does not belong to this multiring")
-    n = a.size
-    svals = list(bits(s.members))
-
-    def related(x: int, y: int) -> bool:
-        return any(a.mul[x][u] == a.mul[y][v] for u in svals for v in svals)
-
-    cls, reps = _partition(range(n), related, lambda x, y: (
-        f"Marshall relation is not transitive at ({a.names[x]},{a.names[y]})"))
-    k = len(reps)
-
-    def sum_contains(c: int, x: int, y: int) -> bool:
-        for u in svals:
-            cv = a.mul[c][u]
-            for sv in svals:
-                xs = a.mul[x][sv]
-                for tv in svals:
-                    if (a.add[xs][a.mul[y][tv]] >> cv) & 1:
-                        return True
-        return False
-
-    add = [[mask_of(cls[c] for c in range(n) if sum_contains(c, reps[i], reps[j]))
-            for j in range(k)] for i in range(k)]
+    flags = _bit_flags(s.members)
+    orbit = [mask_of(compress(row, flags)) for row in a.mul]
+    cls, reps = _partition(range(a.size), lambda x, y: orbit[x] & orbit[y] != 0,
+                           lambda x, y: f"Marshall relation is not transitive at "
+                                        f"({a.names[x]},{a.names[y]})")
+    elements = _Elements()
+    rows = _CellUnion.over(a.add, elements)  # mask -> OR of add's rows over it
+    meeting = _Unions(_transposed(orbit))  # mask -> the c whose orbit meets it
+    images = _Unions([1 << c for c in cls])  # mask -> the classes it meets
+    add = [[images[meeting[reduce(or_, map(rows[orbit[x]].__getitem__,
+                                           elements[orbit[y]]))]]
+            for y in reps] for x in reps]
     return _class_ring(a, cls, reps, add)
 
 

@@ -4,7 +4,9 @@ The ideal list is computed once per structure (``_ideals``, a module-level
 cache) and shared by its four consumers: ``enumerate_primes``,
 ``enumerate_maximals``, ``check_quotient_characterizations`` and
 ``spec_topology``.  The ideal closure it joins with and the sums of
-squares are core's ``_closure``.
+squares are core's ``_closure``.  One walk, ``_closed_sets``, gives the
+ideals and the preorderings: the closed sets of the ideal closure and of
+the closure of the squares under sums and products.
 
 Prime/maximal enumeration, the patch-topology relations of the spectrum
 embedding into {0,1}^A, orderings and their bijection with morphisms to the
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
     CARRIER_CAP,
@@ -64,15 +66,13 @@ from .constructions import (
 # ---------------------------------------------------------------------------
 # ideal enumeration
 
-@lru_cache(maxsize=None)
-def _ideals(a: FiniteMultiring) -> tuple[Ideal, ...]:
-    """All ideals in (popcount, mask) order, by joining each reachable ideal
-    I with each distinct principal ideal P(x), the closure of {x}, that it
-    does not contain.  Closing I and x is closing I and P(x), as closure is
-    a closure operator, and a P(x) that holds I is the join."""
-    close = _ideal_closure(a)
+def _closed_sets(close: Callable[..., int], n: int) -> set[int]:
+    """The masks on n elements that ``close`` fixes, by joining each one
+    reached, C, with each distinct principal P(x), the closure of {x}, that
+    it does not hold.  Closing C and x is closing C and P(x), as ``close``
+    is a closure operator, and a P(x) that holds C is the join."""
     bottom = close(0)
-    principals = dict.fromkeys(close(1 << x, bottom) for x in range(a.size))
+    principals = dict.fromkeys(close(1 << x, bottom) for x in range(n))
     seen = {bottom}
     queue = [bottom]
     while queue:
@@ -84,7 +84,14 @@ def _ideals(a: FiniteMultiring) -> tuple[Ideal, ...]:
             if grown not in seen:
                 seen.add(grown)
                 queue.append(grown)
-    masks = sorted(seen, key=lambda m: (m.bit_count(), m))
+    return seen
+
+
+@lru_cache(maxsize=None)
+def _ideals(a: FiniteMultiring) -> tuple[Ideal, ...]:
+    """All ideals in (popcount, mask) order: the ideal closure's closed sets."""
+    masks = sorted(_closed_sets(_ideal_closure(a), a.size),
+                   key=lambda m: (m.bit_count(), m))
     return tuple(Ideal(a, m) for m in masks)
 
 
@@ -421,24 +428,21 @@ class Preordering:
 
 
 def enumerate_preorderings(a: FiniteMultiring) -> list[Preordering]:
+    """All preorderings: the closed sets of the squares' closure under sums
+    and products, by size, then by their non-squares in lexicographic order."""
     squares = mask_of(a.mul[x][x] for x in range(a.size))
-    out = []
-    n = a.size
-    free = [x for x in range(n) if not (squares >> x) & 1]
-    for extra in itertools.chain.from_iterable(
-            itertools.combinations(free, k) for k in range(len(free) + 1)):
-        t = squares | mask_of(extra)
-        try:
-            out.append(Preordering(a, t))
-        except InputError:
-            continue
-    return out
+    products = [tuple(map((1).__lshift__, row)) for row in a.mul]
+    cones = _closed_sets(_closure((a.add, products), base=squares), a.size)
+    return [Preordering(a, t) for t in sorted(
+        cones, key=lambda t: (t.bit_count(), tuple(bits(t & ~squares))))]
 
 
 def preordering_intersection_check(f: FiniteMultiring,
                                    t: Preordering) -> CheckReport:
     """A proper preordering equals the intersection of the orderings
     containing it."""
+    if t.parent is not f and t.parent != f:
+        raise InputError("preordering does not belong to this multiring")
     if not t.proper:
         return CheckReport(
             subject="preordering intersection",
@@ -661,6 +665,8 @@ def sper_embedding_check(a: FiniteMultiring) -> CheckReport:
 
 def q_t(a: FiniteMultiring, t: Preordering) -> tuple[FiniteMultiring, StructureMap]:
     """Marshall quotient at the nonzero part of a proper preordering."""
+    if t.parent is not a and t.parent != a:
+        raise InputError("preordering does not belong to this multiring")
     s_mask = t.cone & ~(1 << a.zero)
     s = MultiplicativeSet(a, s_mask)
     return marshall_quotient(a, s)

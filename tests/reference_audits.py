@@ -88,6 +88,11 @@ sign map.  ``tests/test_row_kernel.py`` pins the packed unions and the
 column-wise distributivity to the first two, and ``tests/test_spectra.py``
 pins the evaluation masks to the third.
 
+``_f2_decompositions`` and ``_characters`` are the library's character
+enumeration of a sign space, copied verbatim so that ``check_aos`` here
+does not read the library's: AX2's witness is the first character, in this
+order, whose kernel is closed and which is not a point.
+
 ``value_table`` and ``transversal_table`` are the sign-space table builders
 from before they became ANDs over the points of per-point value masks: each
 cell tested every function at every point, n^3 p steps.  ``_ax1_verdicts``
@@ -161,7 +166,6 @@ from multialg.ordering_spaces import (
     ARS,
     SignSpace,
     _ars_point_cones,
-    _characters,
     _product_table,
     function_label,
 )
@@ -832,6 +836,46 @@ def separation_audit(s: RealSemigroup) -> CheckReport:
             Verdict("iii-points-separated", w_sep is None, w_sep),
         ),
     )
+
+
+def _f2_decompositions(s: SignSpace) -> tuple[list[int], list[int]]:
+    """Greedy F2 basis of the function group; returns for each function the
+    basis-subset mask whose product it is, plus the list of basis indices."""
+    basis: list[tuple[int, int]] = []  # (vector as sign mask, basis id)
+    basis_ids: list[int] = []
+    decomp: list[int] = []
+    for idx, f in enumerate(s.functions):
+        vec = mask_of(i for i, v in enumerate(f) if v < 0)
+        combo = 0
+        for bvec, bid in basis:
+            low = bvec & -bvec
+            if vec & low:
+                vec ^= bvec
+                combo ^= 1 << bid
+        if vec:
+            bid = len(basis_ids)
+            basis.append((vec, bid))
+            basis.sort(key=lambda p: p[0] & -p[0])
+            basis_ids.append(idx)
+            combo ^= 1 << bid
+        decomp.append(combo)
+    return decomp, basis_ids
+
+
+def _characters(s: SignSpace) -> list[tuple[int, ...]]:
+    """All multiplicative maps from the function group to {-1,1}."""
+    decomp, basis_ids = _f2_decompositions(s)
+    dim = len(basis_ids)
+    out = []
+    for assign in itertools.product((1, -1), repeat=dim):
+        chi = []
+        for combo in decomp:
+            v = 1
+            for b in bits(combo):
+                v *= assign[b]
+            chi.append(v)
+        out.append(tuple(chi))
+    return out
 
 
 def check_aos(s: SignSpace) -> CheckReport:

@@ -70,6 +70,13 @@ before the group view was folded into the function, with its own kernel
 loop; ``mf_map_to_aos_map`` here reads them.  All are kept verbatim except
 for the names of the two callers, and ``tests/test_shared_predicates.py``
 pins the library's search, its callers and characters to them.
+
+``enumerate_preorderings`` is the preordering search as it was before it
+walked the closed sets of the closure of the squares: it tried every set of
+non-squares, smallest first and each size in lexicographic order, and kept
+those that the ``Preordering`` constructor accepts.  It is kept verbatim as
+the reference that ``tests/test_ideal_lattice.py`` pins the library's walk
+to: the same preorderings in the same order.
 """
 
 import itertools
@@ -104,7 +111,7 @@ from multialg.ordering_spaces import (
     value_table,
 )
 from multialg.real_semigroups import RealSemigroup
-from multialg.spectra import Ordering, _satisfies_spec_relations
+from multialg.spectra import Ordering, Preordering, _satisfies_spec_relations
 from multialg.special_groups import SpecialGroup
 from reference_audits import check_morphism, check_rs_morphism, is_sg_morphism
 
@@ -1091,3 +1098,18 @@ class _GroupView:
                 chi.append(v)
             out.append(tuple(chi))
         return out
+
+
+def enumerate_preorderings(a: FiniteMultiring) -> list[Preordering]:
+    squares = mask_of(a.mul[x][x] for x in range(a.size))
+    out = []
+    n = a.size
+    free = [x for x in range(n) if not (squares >> x) & 1]
+    for extra in itertools.chain.from_iterable(
+            itertools.combinations(free, k) for k in range(len(free) + 1)):
+        t = squares | mask_of(extra)
+        try:
+            out.append(Preordering(a, t))
+        except InputError:
+            continue
+    return out

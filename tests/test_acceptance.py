@@ -684,3 +684,32 @@ def test_c26_hom_sets_in_closed_form():
     gate(26, "|Hom(K^a, K^b)| = a^b for a, b <= 4 and |Hom(q2^a, q2^b)| = a^b "
              "for a, b <= 3; the 3,125 maps K^5 -> K^5 are morphisms", ok,
          time.monotonic() - t0, 10.0)
+
+
+def test_c27_marshall_quotients_and_preorderings_at_the_cap(tmp_path):
+    # The Marshall quotient tested x ~ y over every pair (s, t) and each sum
+    # over every (s, t, v): construct marshall at the units of Z/64 took
+    # about 7 s.  The preorderings tried every set of non-squares: 3.3 s on
+    # q2^3, and on the fan-5 multifield (2^31 sets) and Z/64 (2^52) they
+    # never finished.
+    from multialg.constructions import units_mask
+
+    t0 = time.monotonic()
+    z64 = core.ring_multiring(64)
+    path, out = str(tmp_path / "z64.mrs"), str(tmp_path / "marshall.mrs")
+    io.write_structure(path, z64)
+    units = ",".join(z64.carrier.labels(units_mask(z64)))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        ok = main(["construct", "marshall", path, f"--set={units}",
+                   "--out", out]) == 0
+    m = io.read_structure(out)
+    ok = ok and m.names == ("[0]", "[1]", "[2]", "[4]", "[8]", "[16]", "[32]") \
+        and check_multiring(m).overall
+    for r, count in ((q2cube(), 8), (aos_to_mfred(fan_aos(5)), 32), (z64, 1)):
+        cones = enumerate_preorderings(r)
+        ok = ok and len(cones) == count and all(
+            preordering_intersection_check(r, t).overall
+            for t in cones if t.proper)
+    gate(27, "construct marshall at the units of Z/64; the preorderings of "
+             "q2^3, the fan-5 multifield and Z/64 and their intersections",
+         ok, time.monotonic() - t0, 10.0)

@@ -24,6 +24,7 @@ versions of them apart.
 import dataclasses
 import functools
 import itertools
+import math
 import os
 import random
 
@@ -53,6 +54,7 @@ from multialg.ordering_spaces import (
     aos_to_mfred,
     ars_to_mrred,
     fan_aos,
+    function_label,
     make_sign_space,
     mrred_to_ars,
 )
@@ -517,6 +519,37 @@ def _space_mutants(s: SignSpace):
     if s.nfunctions > 1:
         for i in range(s.nfunctions):
             yield make_sign_space(s.mode, s.points, funcs[:i] + funcs[i + 1:])
+
+
+def _true_fan_with_a_point_dropped(k: int = 4) -> list:
+    """The rank-k true fan with each of its points dropped in turn.  Its
+    functions are the elements v of {-1, 1}^k and its points the characters
+    v -> prod(v[i] for i in S) with chi(-1) = -1, S of odd size; dropping
+    one point leaves a character of closed kernel that is not a point."""
+    points = [odd for odd in itertools.chain.from_iterable(
+        itertools.combinations(range(k), size) for size in range(1, k + 1, 2))]
+    vectors = list(itertools.product((-1, 1), repeat=k))
+    spaces = []
+    for dropped in range(len(points)):
+        kept = points[:dropped] + points[dropped + 1:]
+        spaces.append(make_sign_space(
+            AOS, ["x" + "".join(map(str, odd)) for odd in kept],
+            [[math.prod(v[i] for i in odd) for odd in kept] for v in vectors]))
+    return spaces
+
+
+def test_true_fan_with_a_point_dropped():
+    """Every one of the 8 spaces fails AX2 alone, and on one of them the
+    witness is the last character that ``_characters`` lists."""
+    last = 0
+    for s in _true_fan_with_a_point_dropped():
+        assert_space_agrees(s)
+        report = ordering_spaces.check_aos(s)
+        assert [v.axiom for v in report.failures()] == ["AX2-characters-are-points"]
+        witness = report.verdict("AX2-characters-are-points").witness
+        last += witness == ("character "
+                            + function_label(ordering_spaces._characters(s)[-1]),)
+    assert last == 1
 
 
 def test_sign_space_mutants():

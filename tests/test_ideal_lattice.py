@@ -27,6 +27,16 @@ builder of the ring of classes that ``quotient_by_ideal`` reads, are
 pinned to their reference versions at every multiplicative set of every
 corpus multiring and every labelled multiring of order <= 3, and of seeded
 add and mul mutants of q2, K^2 and Z/4, some of which break transitivity.
+The Marshall quotient, whose relation and sums are read off orbit masks, is
+pinned as well at the units, at {1} and at seeded multiplicative sets of
+Z/16, Z/24, Z/32, q2 x K^2 and K^4, and at the sums of squares of the fan-4
+multifield, through ``q_red``.
+
+``enumerate_preorderings`` walks the closed sets of the closure of the
+squares, as the ideal list walks those of the ideal closure; it is pinned
+to the subset search of ``reference_searches`` on every candidate multiring
+of order <= 3, the corpus multirings, the mutants above, the fan-3 and
+fan-4 multifields and Z/16: the same preorderings in the same order.
 """
 
 import dataclasses
@@ -36,6 +46,7 @@ import random
 import pytest
 
 import reference_audits as reference
+import reference_searches
 from multialg import constructions, spectra
 from multialg.constructions import (
     Ideal,
@@ -43,6 +54,7 @@ from multialg.constructions import (
     ideal_generated,
     product,
     quotient_by_ideal,
+    units_mask,
 )
 from multialg.core import (
     Carrier,
@@ -352,3 +364,44 @@ def test_fraction_mutants_match_reference():
         for i, a in enumerate(_mutants(base, 100 + seed, 30)):
             broken += _assert_fractions(a, (name, i))
     assert broken
+
+
+def _seeded_multiplicative_sets(a, seed: int, count: int = 4) -> list:
+    """{1}, the units and ``count`` seeded sets: one to three random
+    elements and 1, closed under products."""
+    rng = random.Random(seed)
+    masks = [1 << a.one, units_mask(a)]
+    for _ in range(count):
+        members = {a.one, *rng.sample(range(a.size), rng.randint(1, 3))}
+        grown = True
+        while grown:
+            products = {a.mul[x][y] for x in members for y in members}
+            grown = not products <= members
+            members |= products
+        masks.append(mask_of(members))
+    return [MultiplicativeSet(a, m) for m in dict.fromkeys(masks)]
+
+
+def test_marshall_quotients_at_the_cap_match_reference():
+    k = krasner()
+    bases = {"z16": ring_multiring(16), "z24": ring_multiring(24),
+             "z32": ring_multiring(32), "q2xk^2": product([q2(), k, k]),
+             "k^4": product([k] * 4)}
+    for seed, (name, a) in enumerate(sorted(bases.items())):
+        for s in _seeded_multiplicative_sets(a, 200 + seed):
+            assert _outcome(constructions.marshall_quotient, a, s) == \
+                _outcome(reference.marshall_quotient, a, s), (name, s.labels)
+    f = aos_to_mfred(fan_aos(4))
+    sums = reference.sum_of_squares_closure(f).as_multiplicative_set()
+    assert constructions.q_red(f) == reference.marshall_quotient(f, sums)
+
+
+def test_preorderings_match_reference():
+    rings = list(reference_searches.candidate_multirings())
+    rings += list(corpus_multirings().values())
+    rings += [m for name in sorted(MUTANTS) for m in MUTANTS[name]]
+    rings += [aos_to_mfred(fan_aos(3)), aos_to_mfred(fan_aos(4)), ring_multiring(16)]
+    assert len(rings) == 616 + len(corpus_multirings()) + 240 + 3
+    for i, a in enumerate(rings):
+        assert spectra.enumerate_preorderings(a) == \
+            reference_searches.enumerate_preorderings(a), (i, a.names)

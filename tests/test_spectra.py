@@ -182,6 +182,19 @@ class TestPreorderings:
         assert report.overall
         assert "skipped" in report.verdicts[0].note
 
+    def test_preordering_of_another_multiring_is_refused(self):
+        """Each proper preordering of q2 x q2 is refused on q2 by the
+        intersection check and by q_t, as a multiplicative set or an ideal
+        of another multiring is by the quotients."""
+        cones = [t for t in enumerate_preorderings(q2xq2()) if t.proper]
+        assert len(cones) == 3
+        for t in cones:
+            for call in (preordering_intersection_check, q_t):
+                with pytest.raises(InputError,
+                                   match="^preordering does not belong to "
+                                         "this multiring$"):
+                    call(q2(), t)
+
 
 class TestRealness:
     def test_reality_flags(self):
