@@ -9,14 +9,16 @@ transitivity of the Marshall relation, representative independence) are
 verified on each instance; a violation raises StructuralAnomaly with the
 offending elements instead of silently producing garbage.  Localizations
 and Marshall quotients partition through one helper, ``_partition``, which
-also audits transitivity; the quotients by an ideal and by the Marshall
-relation build the ring of classes and the projection through
-``_class_ring``.  The ideal closure and the closure of the unit squares
-are core's ``_closure``, and the quotient images the addition cells through
-core's ``_Unions``; the core docstring describes both kernels.  The Marshall
-quotient works on the orbit masks xS: x ~ y when the orbits meet, and a sum
-is one ``_CellUnion`` of addition rows over xS read at yS, whose elements c
-with cS meeting it and their classes come from two ``_Unions``.
+also audits transitivity.  The quotients by an ideal and by the Marshall
+relation (so ``q_red``) build the ring of classes and the projection through
+``_class_ring``, the one check of their representative independence;
+``localization``, on fraction pairs, keeps its own.  The ideal closure and
+the closure of the unit squares are core's ``_closure``, and the quotient
+images the addition cells through core's ``_Unions``; the core docstring
+describes both kernels.  The Marshall quotient works on the orbit masks xS:
+x ~ y when the orbits meet, and a sum is one ``_CellUnion`` of addition rows
+over xS read at yS, whose elements c with cS meeting it and their classes
+come from two ``_Unions``.
 """
 
 from __future__ import annotations
@@ -221,15 +223,38 @@ def _partition(items: Sequence, related, anomaly) -> tuple[list[int], list]:
 
 
 def _class_ring(a: FiniteMultiring, cls: Sequence[int], reps: Sequence[int],
-                add: Sequence[Sequence[int]]) -> tuple[FiniteMultiring, StructureMap]:
+                sums: Sequence[Sequence[int]]) -> tuple[FiniteMultiring, StructureMap]:
     """The multiring on the classes ``cls`` of a's elements, named [r] by
-    their representatives ``reps``, with addition ``add`` and the operations
-    of the representatives, and the projection of a onto it."""
+    their representatives ``reps``, where x + y meets the classes of mask
+    sums[x][y], and the projection of a onto it.  Each row x of sums,
+    products and negation must equal its class's row spread back over the
+    classes; only a row that differs is walked, to its first (x, y)."""
     names = tuple(f"[{a.names[r]}]" for r in reps)
     mul = tuple(tuple(cls[a.mul[x][y]] for y in reps) for x in reps)
     neg = tuple(cls[a.neg[x]] for x in reps)
-    q = FiniteMultiring(Carrier(names), tuple(map(tuple, add)), mul, neg,
-                        cls[a.zero], cls[a.one])
+    q = FiniteMultiring(Carrier(names),
+                        tuple(tuple(sums[x][y] for y in reps) for x in reps),
+                        mul, neg, cls[a.zero], cls[a.one])
+    spread_add = [[row[c] for c in cls] for row in q.add]
+    spread_mul = [[row[c] for c in cls] for row in q.mul]
+    for x, row in enumerate(sums):
+        i = cls[x]
+        products = [cls[c] for c in a.mul[x]]
+        if row == spread_add[i] and products == spread_mul[i] \
+                and cls[a.neg[x]] == q.neg[i]:
+            continue
+        for y in range(a.size):
+            if row[y] != spread_add[i][y]:
+                raise StructuralAnomaly(
+                    f"quotient sum depends on representatives at "
+                    f"({a.names[x]},{a.names[y]})")
+            if products[y] != spread_mul[i][y]:
+                raise StructuralAnomaly(
+                    f"quotient product depends on representatives at "
+                    f"({a.names[x]},{a.names[y]})")
+            if cls[a.neg[x]] != q.neg[i]:
+                raise StructuralAnomaly(
+                    f"quotient negation depends on representatives at {a.names[x]}")
     return q, StructureMap(a, q, tuple(cls))
 
 
@@ -239,12 +264,7 @@ def _class_ring(a: FiniteMultiring, cls: Sequence[int], reps: Sequence[int],
 def quotient_by_ideal(a: FiniteMultiring,
                       ideal: Ideal) -> tuple[FiniteMultiring, StructureMap]:
     """Cosets x + I as elements; returns the quotient and the projection.
-
-    The coset family is required to partition the carrier and the induced
-    operations to be representative independent; both are verified, each
-    row x of add, mul and neg at once against the quotient's row of x's
-    class spread back over the classes.  Only a row that differs is walked.
-    """
+    The cosets are verified to partition the carrier."""
     if ideal.parent is not a and ideal.parent != a:
         raise InputError("ideal does not belong to this multiring")
     n = a.size
@@ -265,30 +285,7 @@ def quotient_by_ideal(a: FiniteMultiring,
     reps = sorted(set(class_of))
     cls = [reps.index(r) for r in class_of]
     images = _Unions([1 << c for c in cls])  # cell -> the classes it meets
-    q, proj = _class_ring(a, cls, reps, [[images[a.add[x][y]] for y in reps]
-                                         for x in reps])
-    spread_add = [tuple(map(row.__getitem__, cls)) for row in q.add]
-    spread_mul = [tuple(map(row.__getitem__, cls)) for row in q.mul]
-    for x in range(n):
-        i = cls[x]
-        sums = tuple(map(images.__getitem__, a.add[x]))
-        products = tuple(map(cls.__getitem__, a.mul[x]))
-        if sums == spread_add[i] and products == spread_mul[i] \
-                and cls[a.neg[x]] == q.neg[i]:
-            continue
-        for y in range(n):
-            if sums[y] != spread_add[i][y]:
-                raise StructuralAnomaly(
-                    f"quotient sum depends on representatives at "
-                    f"({a.names[x]},{a.names[y]})")
-            if products[y] != spread_mul[i][y]:
-                raise StructuralAnomaly(
-                    f"quotient product depends on representatives at "
-                    f"({a.names[x]},{a.names[y]})")
-            if cls[a.neg[x]] != q.neg[i]:
-                raise StructuralAnomaly(
-                    f"quotient negation depends on representatives at {a.names[x]}")
-    return q, proj
+    return _class_ring(a, cls, reps, [[images[c] for c in row] for row in a.add])
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +380,10 @@ def marshall_quotient(a: FiniteMultiring,
     rows = _CellUnion.over(a.add, elements)  # mask -> OR of add's rows over it
     meeting = _Unions(_transposed(orbit))  # mask -> the c whose orbit meets it
     images = _Unions([1 << c for c in cls])  # mask -> the classes it meets
-    add = [[images[meeting[reduce(or_, map(rows[orbit[x]].__getitem__,
-                                           elements[orbit[y]]))]]
-            for y in reps] for x in reps]
-    return _class_ring(a, cls, reps, add)
+    distinct = dict.fromkeys(orbit)  # x + y reads only the orbits xS, yS
+    sums = {o: {p: images[meeting[reduce(or_, map(rows[o].__getitem__, elements[p]))]]
+                for p in distinct} for o in distinct}
+    return _class_ring(a, cls, reps, [[sums[o][p] for p in orbit] for o in orbit])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,14 @@ builder of the ring of classes that ``quotient_by_ideal`` reads, are
 pinned to their reference versions at every multiplicative set of every
 corpus multiring and every labelled multiring of order <= 3, and of seeded
 add and mul mutants of q2, K^2 and Z/4, some of which break transitivity.
+That builder, ``_class_ring``, checks that the class operations do not
+depend on the representatives, which the reference Marshall quotient never
+did: on the mutants it now raises where the oracle at the end of this file
+finds a dependence.  The oracle recomputes every class sum, product and
+negation pair by pair, with plain loops over the tables, for every quotient
+by an ideal, Marshall quotient, ``q_red`` and ``q_t`` of the multirings of
+order <= 3, of those mutants and their neg mutants, and of criterion 27's
+cases at the cap.
 The Marshall quotient, whose relation and sums are read off orbit masks, is
 pinned as well at the units, at {1} and at seeded multiplicative sets of
 Z/16, Z/24, Z/32, q2 x K^2 and K^4, and at the sums of squares of the fan-4
@@ -39,6 +47,7 @@ of order <= 3, the corpus multirings, the mutants above, the fan-3 and
 fan-4 multifields and Z/16: the same preorderings in the same order.
 """
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -67,7 +76,7 @@ from multialg.core import (
     q2,
     ring_multiring,
 )
-from multialg.corpus import corpus_multirings
+from multialg.corpus import corpus_multirings, q2cube
 from multialg.enumeration import enumerate_structures
 from multialg.ordering_spaces import aos_to_mfred, fan_aos
 
@@ -355,15 +364,44 @@ def test_fractions_and_marshall_quotients_match_reference():
         _assert_fractions(STRUCTURES[name], name)
 
 
+def _fraction_mutants() -> dict:
+    bases = {"q2": q2(), "k^2": product([krasner()] * 2), "z4": ring_multiring(4)}
+    return {name: _mutants(base, 100 + seed, 30)
+            for seed, (name, base) in enumerate(sorted(bases.items()))}
+
+
+FRACTION_MUTANTS = _fraction_mutants()
+
+
 def test_fraction_mutants_match_reference():
     """Seeded add and mul mutants of q2, K^2 and Z/4; some break the
-    transitivity of fraction equality or of the Marshall relation."""
-    broken = 0
-    bases = {"q2": q2(), "k^2": product([krasner()] * 2), "z4": ring_multiring(4)}
-    for seed, (name, base) in enumerate(sorted(bases.items())):
-        for i, a in enumerate(_mutants(base, 100 + seed, 30)):
-            broken += _assert_fractions(a, (name, i))
+    transitivity of fraction equality or of the Marshall relation.  The
+    reference Marshall quotient read the class operations at the
+    representatives only; where the oracle below finds one that depends on
+    them, ``marshall_quotient`` raises at the first pair instead, unless the
+    quotient's constructor raises InputError first, as the reference did."""
+    broken, raised = 0, collections.Counter()
+    for name, mutants in FRACTION_MUTANTS.items():
+        for i, a in enumerate(mutants):
+            for s in _multiplicative_sets(a):
+                got = _outcome(constructions.localization, a, s)
+                assert got == _outcome(reference.localization, a, s), (name, i)
+                broken += "not transitive" in str(got)
+                got = _outcome(constructions.marshall_quotient, a, s)
+                old = _outcome(reference.marshall_quotient, a, s)
+                broken += "not transitive" in str(got)
+                expected = _expected_marshall_quotient(a, s.members)
+                if isinstance(expected, str) and expected != "partition" \
+                        and old[0] != "InputError":
+                    assert got == ("StructuralAnomaly", expected), (name, i)
+                    raised[name, expected.split()[1]] += 1
+                else:
+                    assert got == old, (name, i, s.labels)
     assert broken
+    assert raised == {("k^2", "sum"): 19, ("k^2", "product"): 6,
+                      ("q2", "sum"): 2, ("q2", "product"): 5,
+                      ("z4", "sum"): 2, ("z4", "product"): 4}, raised
+    assert sum(raised.values()) == 38
 
 
 def _seeded_multiplicative_sets(a, seed: int, count: int = 4) -> list:
@@ -405,3 +443,187 @@ def test_preorderings_match_reference():
     for i, a in enumerate(rings):
         assert spectra.enumerate_preorderings(a) == \
             reference_searches.enumerate_preorderings(a), (i, a.names)
+
+
+# ---------------------------------------------------------------------------
+# An oracle for every quotient, in plain loops over the tables
+
+def _members(mask: int) -> list:
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
+def _expected_quotient(a, classes, meets):
+    """What a quotient of ``a`` must give, recomputed pair by pair: the
+    classes ``classes`` (sets of elements, or None when the relation does
+    not partition a), [x] + [y] the classes of the elements ``meets(x, y)``,
+    [x][y] = [xy] and -[x] = [-x].  Returns "partition" when there are no
+    classes; else the message naming the first (x, y), in row order, where
+    the sum, then the product, then the negation read at x and y differs
+    from the one read at their least representatives; else the quotient's
+    names, tables and projection."""
+    if classes is None:
+        return "partition"
+    ordered = sorted(classes, key=min)
+    cls = {x: k for k, c in enumerate(ordered) for x in c}
+    reps = [min(c) for c in ordered]
+
+    def sum_classes(x, y):
+        return {cls[c] for c in meets(x, y)}
+
+    for x in range(a.size):
+        r = reps[cls[x]]
+        for y in range(a.size):
+            s = reps[cls[y]]
+            at = f"({a.names[x]},{a.names[y]})"
+            if sum_classes(x, y) != sum_classes(r, s):
+                return f"quotient sum depends on representatives at {at}"
+            if cls[a.mul[x][y]] != cls[a.mul[r][s]]:
+                return f"quotient product depends on representatives at {at}"
+            if cls[a.neg[x]] != cls[a.neg[r]]:
+                return f"quotient negation depends on representatives at {a.names[x]}"
+    return (tuple(f"[{a.names[r]}]" for r in reps),
+            tuple(tuple(sum(1 << k for k in sum_classes(r, s)) for s in reps)
+                  for r in reps),
+            tuple(tuple(cls[a.mul[r][s]] for s in reps) for r in reps),
+            tuple(cls[a.neg[r]] for r in reps), cls[a.zero], cls[a.one],
+            tuple(cls[x] for x in range(a.size)))
+
+
+def _expected_ideal_quotient(a, ideal: int):
+    """A/I: the cosets x + I, which must partition a, and [x] + [y] the
+    classes that x + y meets."""
+    cosets = [frozenset(c for i in _members(ideal) for c in _members(a.add[x][i]))
+              for x in range(a.size)]
+    if any(x not in cosets[x] for x in range(a.size)) or any(
+            p != q and p & q for p in cosets for q in cosets):
+        return "partition"
+    return _expected_quotient(a, set(cosets), lambda x, y: _members(a.add[x][y]))
+
+
+def _expected_marshall_quotient(a, s: int):
+    """A/S: x ~ y when the orbits xS and yS meet, which must be transitive,
+    and [c] in [x] + [y] when cS meets xs + yt for some s, t in S."""
+    orbits = [frozenset(a.mul[x][u] for u in _members(s)) for x in range(a.size)]
+    related = [frozenset(y for y in range(a.size) if orbits[x] & orbits[y])
+               for x in range(a.size)]
+    if any(related[x] != related[y] for x in range(a.size) for y in related[x]):
+        return "partition"
+    sums: dict = {}
+
+    def meets(x, y):
+        key = orbits[x], orbits[y]
+        if key not in sums:
+            cells = {c for u in orbits[x] for v in orbits[y]
+                     for c in _members(a.add[u][v])}
+            sums[key] = [c for c in range(a.size) if orbits[c] & cells]
+        return sums[key]
+
+    return _expected_quotient(a, set(related), meets)
+
+
+def _square_sums(a) -> int:
+    """The closure of the unit squares under products and sums."""
+    members = {a.mul[x][x] for x in range(a.size) if a.one in a.mul[x]}
+    while True:
+        grown = members | {a.mul[x][y] for x in members for y in members} | {
+            c for x in members for y in members for c in _members(a.add[x][y])}
+        if grown == members:
+            return sum(1 << c for c in members)
+        members = grown
+
+
+def _outcome_or_tables(call, *args):
+    """The StructuralAnomaly's message, or the quotient's names, tables and
+    projection; an InputError propagates."""
+    try:
+        q, proj = call(*args)
+    except StructuralAnomaly as exc:
+        return str(exc)
+    return q.names, q.add, q.mul, q.neg, q.zero, q.one, proj.mapping
+
+
+def _assert_quotient(expect, call, *args) -> str:
+    """Unless the call raises InputError ("skipped"), it gives what the
+    oracle ``expect()`` expects: its anomaly, its quotient, or an anomaly of
+    the partition.  Returns the anomaly's kind, or "" when none."""
+    try:
+        got = _outcome_or_tables(call, *args)
+    except InputError:
+        return "skipped"
+    expected = expect()
+    if expected == "partition":
+        assert isinstance(got, str) and ("overlap" in got or "transitive" in got), got
+        return ""
+    assert got == expected, (call.__name__, got, expected)
+    return expected.split()[1] if isinstance(expected, str) else ""
+
+
+def _assert_quotients(a) -> collections.Counter:
+    """Every quotient of ``a`` against the oracle: by each ideal, at each
+    multiplicative set, q_red and q_t at each preordering."""
+    kinds = collections.Counter()
+    for mask in range(1 << a.size):
+        try:
+            ideal = Ideal(a, mask)
+        except InputError:
+            continue
+        kinds[_assert_quotient(lambda: _expected_ideal_quotient(a, mask),
+                               quotient_by_ideal, a, ideal)] += 1
+    for s in _multiplicative_sets(a):
+        kinds[_assert_quotient(lambda: _expected_marshall_quotient(a, s.members),
+                               constructions.marshall_quotient, a, s)] += 1
+    kinds.update(_assert_cones(a, spectra.enumerate_preorderings(a)))
+    return kinds
+
+
+def _assert_cones(a, cones) -> collections.Counter:
+    """q_red, and q_t at each of the preorderings ``cones``."""
+    squares = _square_sums(a)
+    if squares >> a.zero & 1 or squares >> a.neg[a.one] & 1:
+        with pytest.raises(InputError, match="not real"):
+            constructions.q_red(a)
+        kinds = collections.Counter(["skipped"])
+    else:
+        kinds = collections.Counter([_assert_quotient(
+            lambda: _expected_marshall_quotient(a, squares), constructions.q_red, a)])
+    for t in cones:
+        kinds[_assert_quotient(
+            lambda: _expected_marshall_quotient(a, t.cone & ~(1 << a.zero)),
+            spectra.q_t, a, t)] += 1
+    return kinds
+
+
+def test_quotients_match_oracle_on_small_multirings_and_mutants():
+    """Every multiring of order <= 3, the seeded mutants of q2, K^2 and Z/4
+    and their single-entry neg mutants: every quotient raises exactly where
+    a class operation depends on the representatives, at the first pair,
+    and is the oracle's elsewhere."""
+    kinds = collections.Counter()
+    for name in SMALL:
+        kinds += _assert_quotients(STRUCTURES[name])
+    assert set(kinds) <= {"", "skipped"}, kinds
+    mutants = [a for name in sorted(FRACTION_MUTANTS) for a in FRACTION_MUTANTS[name]]
+    for base in (q2(), product([krasner()] * 2), ring_multiring(4)):
+        mutants += _negation_mutants(base)
+    for a in mutants:
+        kinds += _assert_quotients(a)
+    assert kinds["sum"] and kinds["product"] and kinds["negation"], kinds
+    assert kinds[""] > 1000, kinds
+
+
+def test_quotients_match_oracle_at_the_cap():
+    """Criterion 27's cases: the Marshall quotient at the units of Z/64, and
+    q_red and q_t at every preordering of q2^3, the fan-5 multifield and
+    Z/64."""
+    z64 = ring_multiring(64)
+    s = MultiplicativeSet(z64, units_mask(z64))
+    assert _assert_quotient(lambda: _expected_marshall_quotient(z64, s.members),
+                            constructions.marshall_quotient, z64, s) == ""
+    kinds = collections.Counter()
+    for a, count in ((q2cube(), 8), (aos_to_mfred(fan_aos(5)), 32), (z64, 1)):
+        cones = spectra.enumerate_preorderings(a)
+        assert len(cones) == count
+        kinds += _assert_cones(a, cones)
+    # q_t refuses q2^3's cones and Z/64's, whose nonzero part is not
+    # multiplicatively closed, and q_red refuses Z/64, which is not real.
+    assert kinds == {"": 34, "skipped": 10}, kinds
