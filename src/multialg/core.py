@@ -33,14 +33,15 @@ relational and monoid audits.  Above 16 elements reversibility is first
 tested on all rows and columns at once, as bit matrices transposed in one
 batch by the block swaps behind ``_transposed``, which real semigroups read.
 Real semigroups' RS0 and the special-group validation read the
-commutativity helper, which compares each row with its column.  The
-multiring audit compares (a+b)d with ad+bd as rows over b, for each (a, d):
+commutativity helper, which compares each row with its column.
+``_distributivity_defects``, read by the multiring audit and the multiring
+enumeration, compares (a+b)d with ad+bd as rows over b, for each (a, d):
 (a+b)d is a step of the lazily transposed unions of the rows 1 << cd, and
 ad+bd is one ``itemgetter`` call that gathers column d of mul from the
 addition row of ad; each witness is the least (b, d) at the first a where
-it fails.  The other axioms are per-pair mask tests.  The
-associativity audits of real semigroups and sign spaces read the same scan,
-strong associativity through ``_reassociation_failures``.  Witnesses stay
+it fails.  The other axioms are per-pair mask tests.  The associativity
+audits of real semigroups and sign spaces read the same scan, strong
+associativity through ``_reassociation_failures``.  Witnesses stay
 the first violations in lexicographic order; tests/reference_audits.py
 keeps the naive audits, the cell-at-a-time and row-through-a-getter
 versions, the tuple unions and the distributivity rows over d that they
@@ -1014,28 +1015,16 @@ def _monoid_defects(table: Sequence[Sequence[int]], one: int, zero: int,
     )
 
 
-def check_multiring(r: FiniteMultiring) -> CheckReport:
-    """Audit the multiring axioms.
-
-    Weak distributivity (a+b)d <= ad+bd is the axiom; equality is reported
-    as an extra informational verdict so multifields can be recognised.
-    """
-    n = r.size
-    names = r.names
-    verdicts = list(_multigroup_verdicts(r.add, r.neg, r.zero, names, "add-"))
-
-    mul, add = r.mul, r.add
-    verdicts += map(_verdict_all, ("mul-associativity", "mul-commutativity",
-                                   "mul-identity", "zero-absorbing"),
-                    _monoid_defects(mul, r.one, r.zero, names))
-
+def _distributivity_defects(add: Sequence, mul: Sequence) -> tuple:
+    """(weak, full): the least index triple (a, b, d), or None, with (a+b)d
+    not in ad+bd and with (a+b)d != ad+bd, the least (b, d) at the first a."""
     # Rows over b, for each (a, d): (a+b)d is step d of the transposed ORs
     # of the rows 1 << cd over the cells c in a+b, and ad+bd gathers column
     # d of mul from the addition row of ad in one call.  With n = 1
     # itemgetter would return the entry, not a row; the one row is whole.
     shifted = [tuple(map((1).__lshift__, row)) for row in mul]
     lefts = _CellUnion.over(shifted, _Elements())
-    gathers = list(map(itemgetter, *mul)) if n > 1 else [tuple]
+    gathers = list(map(itemgetter, *mul)) if len(mul) > 1 else [tuple]
     w_weak = None
     w_full = None
     for a, row_a in enumerate(add):
@@ -1056,15 +1045,30 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
                     if weak is None or b < weak[0]:
                         weak = b, d
         if full:
-            w_full = (names[a], names[full[0]], names[full[1]])
+            w_full = (a,) + full
         if weak:
-            w_weak = (names[a], names[weak[0]], names[weak[1]])
+            w_weak = (a,) + weak
         if w_weak and w_full:
             break
-    verdicts.append(_verdict_all("distributivity-weak", w_weak))
-    verdicts.append(_verdict_all("distributivity-full", w_full,
-                                 note="informational", informational=True))
+    return w_weak, w_full
 
+
+def check_multiring(r: FiniteMultiring) -> CheckReport:
+    """Audit the multiring axioms.
+
+    Weak distributivity (a+b)d <= ad+bd is the axiom; equality is reported
+    as an extra informational verdict so multifields can be recognised.
+    """
+    names = r.names
+    verdicts = list(_multigroup_verdicts(r.add, r.neg, r.zero, names, "add-"))
+    verdicts += map(_verdict_all, ("mul-associativity", "mul-commutativity",
+                                   "mul-identity", "zero-absorbing"),
+                    _monoid_defects(r.mul, r.one, r.zero, names))
+    weak, full = (w and tuple(map(names.__getitem__, w))
+                  for w in _distributivity_defects(r.add, r.mul))
+    verdicts.append(_verdict_all("distributivity-weak", weak))
+    verdicts.append(_verdict_all("distributivity-full", full,
+                                 note="informational", informational=True))
     return CheckReport("multiring", tuple(verdicts))
 
 

@@ -2,16 +2,20 @@
 
 Only one placement of the constants per order is searched and audited: the
 slice with the zero at 0 and the one at 1, or the identity at 0.  The
-search walks negation, multiplication and then the free addition cells in
+multigroup search walks the involutions and then the free addition cells in
 depth-first order, pruning with the axiom fragments that are sound to apply
 early (forced identity rows, zero membership exactly at opposite pairs, and
 full reversibility between decided cells), and every table that survives
-goes through the full audit.  The structures on any other placement are the
-slice's moved along one bijection that sends the constants there, so they
-are relabelled copies, sorted into the depth-first order their own search
-would give, which is lexicographic order on the tables; each placement's
-one ``_Moved`` serves all of the slice's structures.  Survivors are
-canonicalized by the lexicographically least serialization over the
+goes through the full audit.  Multirings follow their definition: for each
+negation in turn, each multiplication from ``_monoid_tables`` (listed once)
+meets each addition of the audited multigroup slice, and only the pairs that
+``_distributivity_defects`` finds weakly distributive get the full audit,
+which every other pair would fail.  The structures on any other placement
+are the slice's moved along one bijection that sends the constants there, so
+they are relabelled copies, sorted into the depth-first order their own
+search would give, which is lexicographic order on the tables; each
+placement's one ``_Moved`` serves all of the slice's structures.  Survivors
+are canonicalized by the lexicographically least serialization over the
 relabelings that send the constants to their least indices, narrowed one
 whole table at a time, each candidate's image of a table built by
 ``itemgetter``, ``chain`` and ``map`` in C.
@@ -30,6 +34,7 @@ from .core import (
     InputError,
     _Moved,
     _associativity_defect,
+    _distributivity_defects,
     _relabel,
     _rows,
     bits,
@@ -140,9 +145,10 @@ def _multiring_slice(n: int) -> Iterator[FiniteMultiring]:
     if n == 1:
         yield FiniteMultiring(carrier, ((1,),), ((0,),), (0,), 0, 0)
         return
-    for neg in _involutions_fixing(n, 0):
-        for mul in _monoid_tables(n, 0, 1):
-            for add in _addition_tables(n, 0, neg):
+    muls = list(_monoid_tables(n, 0, 1))
+    for neg, group in itertools.groupby(_multigroup_slice(n), lambda m: m.inv):
+        for mul, add in itertools.product(muls, [m.op for m in group]):
+            if _distributivity_defects(add, mul)[0] is None:
                 cand = FiniteMultiring(carrier, add, mul, neg, 0, 1)
                 if check_multiring(cand).overall:
                     yield cand

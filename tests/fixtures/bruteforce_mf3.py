@@ -1,4 +1,5 @@
-"""Independent brute-force enumeration of multifields with up to 3 elements.
+"""Independent brute-force enumeration of multirings, multidomains and
+multifields with up to 3 elements.
 
 Deliberately self-contained: no imports from the package under test.  Tables
 are generated by raw loops (commutativity enters as symmetric generation and
@@ -23,6 +24,23 @@ def subsets(xs):
 
 
 def check_multifield(n, zero, one, neg, mul, add) -> bool:
+    # nonzero elements invertible
+    for a in range(n):
+        if a != zero and not any(mul[a][b] == one for b in range(n)):
+            return False
+    return check_multiring(n, zero, one, neg, mul, add)
+
+
+def check_multidomain(n, zero, one, neg, mul, add) -> bool:
+    # no zero divisors
+    for a in range(n):
+        for b in range(n):
+            if a != zero and b != zero and mul[a][b] == zero:
+                return False
+    return check_multiring(n, zero, one, neg, mul, add)
+
+
+def check_multiring(n, zero, one, neg, mul, add) -> bool:
     rng = range(n)
     # multiplication: commutative monoid with absorbing zero
     for a in rng:
@@ -34,10 +52,6 @@ def check_multifield(n, zero, one, neg, mul, add) -> bool:
             for c in rng:
                 if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
                     return False
-    # nonzero elements invertible
-    for a in rng:
-        if a != zero and not any(mul[a][b] == one for b in rng):
-            return False
     # addition: commutative multigroup
     for a in rng:
         if add[zero][a] != frozenset([a]):
@@ -53,7 +67,7 @@ def check_multifield(n, zero, one, neg, mul, add) -> bool:
                 right = frozenset().union(*(add[t][c] for t in add[a][b]))
                 if left != right:
                     return False
-    # distributivity (subset form suffices; fields force equality anyway)
+    # weak distributivity (a + b)d <= ad + bd, the multiring axiom
     for a in rng:
         for b in rng:
             for d in rng:
@@ -82,6 +96,12 @@ def canonical(n, zero, one, neg, mul, add) -> str:
 
 
 def enumerate_multifields(max_order: int) -> set[str]:
+    return enumerate_classes(max_order, check_multifield)
+
+
+def enumerate_classes(max_order: int, check) -> set[str]:
+    """The canonical keys of the structures with up to max_order elements
+    passing check, one of the three checks above."""
     found = set()
     for n in range(1, max_order + 1):
         rng = list(range(n))
@@ -130,15 +150,15 @@ def enumerate_multifields(max_order: int) -> set[str]:
                             for (x, y), s in zip(cells, combo):
                                 add[x][y] = s
                                 add[y][x] = s
-                            if check_multifield(n, zero, one, tuple(neg),
-                                                mul, add):
+                            if check(n, zero, one, tuple(neg), mul, add):
                                 found.add(canonical(n, zero, one, tuple(neg),
                                                     mul, add))
     return found
 
 
 if __name__ == "__main__":
-    result = enumerate_multifields(3)
-    print(len(result))
-    for key in sorted(result):
-        print(key)
+    for check in (check_multiring, check_multidomain, check_multifield):
+        result = enumerate_classes(3, check)
+        print(check.__name__, len(result))
+        for key in sorted(result):
+            print(key)

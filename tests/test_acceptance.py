@@ -13,6 +13,8 @@ import random
 import time
 from operator import and_
 
+import pytest
+
 from multialg import core, enumeration, io
 from multialg.cli import main
 from multialg.core import (
@@ -361,31 +363,48 @@ def test_c11_triangle_multifield_sampler():
          ok, time.monotonic() - t0, 120.0)
 
 
-def test_c12_enumeration_oracle():
-    t0 = time.monotonic()
+def _bruteforce_fixture():
     fixture_path = os.path.join(os.path.dirname(__file__), "fixtures",
                                 "bruteforce_mf3.py")
     spec = importlib.util.spec_from_file_location("bruteforce_mf3",
                                                   fixture_path)
     fixture = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fixture)
+    return fixture
+
+
+def _as_fixture_tables(r):
+    add = [[frozenset(core.bits(cell)) for cell in row] for row in r.add]
+    return (r.size, r.zero, r.one, r.neg, [list(row) for row in r.mul], add)
+
+
+def test_c12_enumeration_oracle():
+    t0 = time.monotonic()
+    fixture = _bruteforce_fixture()
 
     expected = fixture.enumerate_multifields(3)
 
-    def as_fixture_tables(r):
-        add = [[frozenset(core.bits(cell)) for cell in row] for row in r.add]
-        return (r.size, r.zero, r.one, r.neg,
-                [list(row) for row in r.mul], add)
-
-    found = {fixture.canonical(*as_fixture_tables(r))
+    found = {fixture.canonical(*_as_fixture_tables(r))
              for r in enumerate_structures("multifield", 3, up_to_iso=True)}
     ok = found == expected
     from multialg.corpus import trivial_sg_multifield
     for landmark in (q2(), krasner(), trivial_sg_multifield()):
-        ok = ok and fixture.canonical(*as_fixture_tables(landmark)) in expected
+        ok = ok and fixture.canonical(*_as_fixture_tables(landmark)) in expected
     gate(12, f"enumeration matches the independent brute force "
              f"({len(expected)} classes) and contains the landmarks",
          ok, time.monotonic() - t0, 120.0)
+
+
+@pytest.mark.parametrize("kind, classes", [("multiring", 17), ("multidomain", 14)])
+def test_enumeration_oracle_for_multirings_and_multidomains(kind, classes):
+    # The brute force's own multiring and multidomain checks, with no import
+    # from the library, against enumerate_structures up to isomorphism.
+    fixture = _bruteforce_fixture()
+    expected = fixture.enumerate_classes(3, getattr(fixture, "check_" + kind))
+    found = [fixture.canonical(*_as_fixture_tables(r))
+             for r in enumerate_structures(kind, 3, up_to_iso=True)]
+    assert len(found) == len(set(found)) == len(expected) == classes
+    assert set(found) == expected
 
 
 def test_c13_core_audits_at_the_carrier_cap():

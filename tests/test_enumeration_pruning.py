@@ -18,9 +18,13 @@ relabeling; the library must give the same lists in the same order (all
 1,560 multigroups of order 4, the multirings of order <= 3 and the 428 of
 order 4 on the slice), the same canonical keys, and the same
 ``enumerate_structures`` when that searches the slice only.  The number of
-audits is pinned.  The orbit-stabilizer count, the sum of n!/|Aut| over the
-classes with the automorphisms found by the map search, checks that each
-labelled list holds every labelled structure exactly once.
+audits is pinned: the multiring slice audits each addition once as a
+multigroup, scans each (multiplication, addition) pair for weak
+distributivity, and gives the full audit only to the pairs passing that
+scan, so at order 4 the full audits are exactly the 428 structures found.
+The orbit-stabilizer count, the sum of n!/|Aut| over the classes with the
+automorphisms found by the map search, checks that each labelled list holds
+every labelled structure exactly once.
 """
 
 import itertools
@@ -138,21 +142,25 @@ def test_involutions_in_lexicographic_order(n):
 
 
 def _audits(monkeypatch, generate, orders):
-    calls = [0]
-    for name in ("check_multigroup", "check_multiring"):
-        def counted(s, _audit=getattr(core, name)):
-            calls[0] += 1
-            return _audit(s)
+    """The calls made to each audit, looked up through ``enumeration``, and
+    the structures yielded."""
+    calls = dict.fromkeys(("check_multigroup", "_distributivity_defects",
+                           "check_multiring"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _audit=getattr(core, name)):
+            calls[_name] += 1
+            return _audit(*args)
         monkeypatch.setattr(enumeration, name, counted)
-    for n in orders:
-        for _ in generate(n):
-            pass
-    return calls[0]
+    found = sum(1 for n in orders for _ in generate(n))
+    return list(calls.values()), found
 
 
 def test_audits_made(monkeypatch):
-    assert _audits(monkeypatch, generate_multigroups, [4]) == 878
-    assert _audits(monkeypatch, generate_multirings, [1, 2, 3]) == 47
+    assert _audits(monkeypatch, generate_multigroups, [4]) == ([878, 0, 0], 1560)
+    assert _audits(monkeypatch, generate_multirings, [1, 2, 3]) == ([17, 47, 16], 89)
+    calls, found = _audits(monkeypatch, enumeration._multiring_slice, [4])
+    assert calls == [878, 7410, 428]
+    assert found == calls[2] == 428  # every full audit passes
 
 
 @pytest.mark.parametrize("generate, n, labelled, classes", [
