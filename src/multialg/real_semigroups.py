@@ -11,18 +11,19 @@ and each audit tests that mask, or a row of them, at once.  D^t is D cut by
 two transposes of D taken with rows indexed by -a, each an n x n bit matrix
 transposed in a few big-int operations (core's ``_transposed``).  TS1 and TS4
 are core's commutative-monoid audit of the multiplication table,
-``_monoid_defects``.  In ``check_rs``, RS2 images each distinct cell
-under every x -> xe at once, through core's ``_CellUnion`` of the lines
-(1 << xe) over e; RS4 and RS5 test the union of D over the scaled sets
+``_monoid_defects``.  Two row builders over a table T serve every audit of
+their shape: ``_scaling_failures`` (the a in T(b, c) with some ae outside
+T(be, ce)) is RS2 on D and iii on D^t, and ``_square_transversals`` (the a
+in T(a^2 b, a^2 c)) is D in ``mrred_to_rs``, T the addition, and RS6 and
+xvii on D^t.  RS4 and RS5 test the union of D over the scaled sets
 {q x : q a square} and over the agreement sets {x : ax = bx}, one union per
-distinct set; RS6 and RS8 group the c of D(a, b) by their square.  Strong
+distinct set; RS8 groups the a of D(b, c) by their square.  Strong
 associativity RS3 (on D^t) and weak associativity xvi (on D) read core's
 O(n^3) reassociation scan through ``_reassociation_failures``.  The other
 consequences in ``check_rs_derived`` build, per (b, c), the mask of the a
-that fail there, from transposes, from the preimages pre[M][x] = {a : ax in
-M} (a ``_CellUnion`` over core's ``_fibres`` of x -> ax) and from the roots
-of each square, whose unions over a mask are core's ``_Unions``; the pair
-and single-element ones are plain scans.
+that fail there, from transposes, from preimages under x -> ax (core's
+``_fibres``) and from the roots of each square (core's ``_Unions``); the
+pair and single-element ones are plain scans.
 docs/axioms.md gives each consequence's formula, witness order and mask.
 The separation audit reads core's pointwise tables of the three-element
 D and D^t (``_pointwise_cells``), with one map per morphism into the
@@ -225,11 +226,56 @@ def _least_failure(table: Iterable[Sequence[int]]) -> Optional[tuple[int, int, i
     return found
 
 
-def _agreements(mul: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def _agreements(mul: Sequence[Sequence[int]], fibres: Sequence[Sequence[int]]
+                ) -> list[tuple[int, ...]]:
     """agree[a][b] is the mask of the x with ax = bx: for each a the masks
     fibres[x][ax] over x, fibres of the columns of mul, give those of a."""
-    fibres = _fibres(zip(*mul))
     return [_transposed(list(map(getitem, fibres, row))) for row in mul]
+
+
+def _scaling_failures(table: Sequence[Sequence[int]], mul: Sequence[Sequence[int]],
+                      elements: _Elements, pre: _CellUnion) -> Iterator[tuple[int, ...]]:
+    """Row b of bad(b, c) = {a in table[b][c] : ae not in table[be][ce] for
+    some e}, over c.  A row is tested whole first: the images of its cells
+    under every x -> xe (unions of the lines (1 << xe)_e) must lie in
+    (table[be][ce])_e, gathered with one getter per column e of mul.  A
+    passing row is zeros; in a failing one each failing cell is split, less
+    the meet over e of pre[table[be][ce]][e], pre[M][x] = {a : ax in M}."""
+    n = len(mul)
+    cells = range(n)
+    images = _CellUnion.over([tuple(map(lshift, repeat(1), row)) for row in mul],
+                             elements)
+    # With one element, an itemgetter of one index would return a scalar.
+    columns = [itemgetter(*column) if n > 1 else tuple for column in zip(*mul)]
+    for b, row in enumerate(table):
+        scaled = [table[be] for be in mul[b]]
+        targets = tuple(chain.from_iterable(
+            zip(*[column(line) for column, line in zip(columns, scaled)])))
+        imaged = chain.from_iterable(map(images.__getitem__, row))
+        merged = tuple(map(or_, imaged, targets))
+        if merged == targets:
+            yield (0,) * n
+            continue
+        yield tuple(cell & ~reduce(and_, map(getitem, map(
+            pre.__getitem__, map(getitem, scaled, mul[c])), cells))
+            if merged[c * n:c * n + n] != targets[c * n:c * n + n] else 0
+            for c, cell in enumerate(row))
+
+
+def _square_transversals(table: Sequence[Sequence[int]],
+                         mul: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """The rows ({a : a in table[a^2 b][a^2 c]})_c: a counts only through
+    q = a^2, so row b is the union over the distinct squares q of roots(q)
+    cut by (table[qb][qc])_c."""
+    n = len(mul)
+    # With one element, an itemgetter of one index would return a scalar.
+    squares = [(itemgetter(*mul[q]) if n > 1 else tuple, mul[q], root_mask)
+               for q, root_mask in _roots(mul).items()]
+    for b in range(n):
+        row = (0,) * n
+        for gather, line, root_mask in squares:
+            row = tuple(map(or_, row, map(root_mask.__and__, gather(table[line[b]]))))
+        yield row
 
 
 def check_rs(s: RealSemigroup) -> CheckReport:
@@ -244,6 +290,9 @@ def check_rs(s: RealSemigroup) -> CheckReport:
     roots = _roots(mul)
     # unions[S][v]: the union of D(u, v) over u in S, one per distinct S
     unions = _CellUnion.over(d, elements)
+    # fibres[x][v]: the a with ax = v; pre[M][x]: the a with ax in M
+    fibres = _fibres(zip(*mul))
+    pre = _CellUnion.over(list(zip(*fibres)), elements)
 
     w0 = _commutativity_defect(d, names)
 
@@ -253,26 +302,14 @@ def check_rs(s: RealSemigroup) -> CheckReport:
             w1 = (names[a], names[b])
             break
 
-    # RS2: (b, c) fails iff, for some e, the image of D(b, c) under
-    # x -> xe leaves D(be, ce).  images[cell] holds those images over e,
-    # the union of the lines (1 << xe)_e over x in the cell.  Each b
-    # compares them with (D(be, ce))_e for every c at once, gathering
-    # D(be, ce) over c with one getter per column e of mul; only the first
-    # failing b is rescanned, for the least c, a and e.
-    w2 = None
-    images = _CellUnion.over([tuple(map(lshift, repeat(1), row)) for row in mul],
-                             elements)
-    # With one element, an itemgetter of one index would return a scalar.
-    columns = [itemgetter(*column) if n > 1 else tuple for column in zip(*mul)]
-    for b, row in enumerate(d):
-        targets = tuple(chain.from_iterable(
-            zip(*[column(d[be]) for column, be in zip(columns, mul[b])])))
-        imaged = chain.from_iterable(map(images.__getitem__, row))
-        if tuple(map(or_, imaged, targets)) != targets:
-            w2 = next((names[a], names[b], names[c], names[e])
-                      for c in range(n) for a in bits(row[c]) for e in range(n)
-                      if not (d[mul[b][e]][mul[c][e]] >> mul[a][e]) & 1)
-            break
+    # RS2: the first failing scaling row of D, its least c, a and then e.
+    w2 = next(((_lowest_bit(cell), b, c)
+               for b, row in enumerate(_scaling_failures(d, mul, elements, pre))
+               for c, cell in enumerate(row) if cell), None)
+    if w2 is not None:
+        a, b, c = w2
+        e = next(e for e in range(n) if not (d[mul[b][e]][mul[c][e]] >> mul[a][e]) & 1)
+        w2 = (names[a], names[b], names[c], names[e])
 
     # RS3: the least (b, c, a, d, e) with a in D^t(b, c), c in D^t(d, e)
     # and a outside the union of D^t(x, e) over x in D^t(b, d); b is the
@@ -315,7 +352,7 @@ def check_rs(s: RealSemigroup) -> CheckReport:
     # the first failing (a, b).
     w5 = None
     inner: dict[int, int] = {}
-    for a, row in enumerate(_agreements(mul)):
+    for a, row in enumerate(_agreements(mul, fibres)):
         for b, agree in enumerate(row):
             union = inner.get(agree)
             if union is None:
@@ -331,17 +368,11 @@ def check_rs(s: RealSemigroup) -> CheckReport:
         if w5:
             break
 
-    # RS6: each c in D(a, b) must lie in D^t(c^2 a, c^2 b); the c with
-    # square q fail at D(a, b) & roots(q) less D^t(qa, qb).
-    w6 = None
-    for a, b in itertools.product(range(n), repeat=2):
-        cell = d[a][b]
-        bad = 0
-        for q, root_mask in roots.items():
-            bad |= cell & root_mask & ~dt[mul[q][a]][mul[q][b]]
-        if bad:
-            w6 = (names[_lowest_bit(bad)], names[a], names[b])
-            break
+    # RS6: the c in D(a, b) outside the square-transversal row of D^t.
+    w6 = next(((names[_lowest_bit(bad)], names[a], names[b])
+               for a, (row, lifted) in enumerate(zip(d, _square_transversals(dt, mul)))
+               for b, bad in enumerate(map(and_, row, map(invert, lifted))) if bad),
+              None)
 
     w7 = None
     for a, b in itertools.product(range(n), repeat=2):
@@ -409,24 +440,10 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
         tuple(map(and_, row, map(invert, map(itemgetter(neg[b]), shifted))))
         for b, row in enumerate(dt)))
     first("ii-zero-represented", ((a, b) for a, b in pairs if not (d[a][b] >> zero) & 1))
-    # iii: bad(b, c) is D^t(b, c) less the meet over e of the preimages
-    # under x -> xe of D^t(be, ce); pre[M][e] is that preimage of M, the
-    # union of the fibres of x -> xe over M.  e is found at the least
-    # failure only.
+    # iii: the scaling rows of D^t, with pre[M][x] = {a : ax in M}, which xiv
+    # reads too; e is found at the least failure only.
     pre = _CellUnion.over(list(zip(*_fibres(zip(*mul)))), elements)
-    w3 = None
-    below = -1  # the a that would improve on the failure so far
-    for b, row in enumerate(dt):
-        scaled = [dt[be] for be in mul[b]]
-        for c, cell in enumerate(row):
-            if cell & below:
-                bad = cell & below & ~reduce(and_, map(getitem, map(
-                    pre.__getitem__, map(getitem, scaled, mul[c])), cells))
-                if bad:
-                    w3 = (_lowest_bit(bad), b, c)
-                    below = (bad & -bad) - 1
-        if not below:
-            break
+    w3 = _least_failure(_scaling_failures(dt, mul, elements, pre))
     if w3 is not None:
         a, b, c = w3
         w3 += (next(e for e in cells
@@ -499,17 +516,10 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
     first("xv-transversal-nonempty", ((a, b) for a, b in pairs if not dt[a][b]))
     report("xvi-weak-associativity",
            min(_reassociation_failures(d, elements), default=None))
-
-    def square_transversals() -> Iterator[tuple[int, ...]]:
-        """xvii: a in D(b, c) iff a in D^t(a^2 b, a^2 c); the right side is,
-        over the squares q, the roots of q in D^t(qb, qc)."""
-        for b, row in enumerate(d):
-            for q, root_mask in roots.items():
-                row = tuple(map(xor, row, map(and_, map(dt[mul[q][b]].__getitem__, mul[q]),
-                                              repeat(root_mask))))
-            yield row
-
-    report("xvii-square-transversal", _least_failure(square_transversals()))
+    # xvii: D against the square-transversal rows of D^t.
+    report("xvii-square-transversal", _least_failure(
+        tuple(map(xor, row, lifted))
+        for row, lifted in zip(d, _square_transversals(dt, mul))))
     return CheckReport("real semigroup consequences", tuple(verdicts))
 
 
@@ -656,26 +666,14 @@ def rs_to_mrred(s: RealSemigroup) -> FiniteMultiring:
 
 @lru_cache(maxsize=None)
 def mrred_to_rs(a: FiniteMultiring) -> RealSemigroup:
-    """Representation from scaled sums: d in D(x,y) iff d in d^2 x + d^2 y;
-    the derived transversal sets must reproduce the original addition.
+    """Representation from scaled sums: d in D(x,y) iff d in d^2 x + d^2 y,
+    the square-transversal rows of the addition; the derived transversal
+    sets must reproduce the original addition.
     Built once per structure: ``diagram`` reads it after the round-trip."""
     if not is_real_reduced_mr(a).overall:
         raise InputError("semigroup construction requires a real reduced input")
-    # Whether c is in D(x, y) depends on c only through q = c^2, so row x
-    # of D is the union over the distinct squares q of the row (qx + qy)_y
-    # cut down to the elements whose square is q.
-    n = a.size
-    add, mul = a.add, a.mul
-    roots = _roots(mul).items()
-    d = []
-    for x in range(n):
-        row = (0,) * n
-        for q, root_mask in roots:
-            sums = add[mul[q][x]]
-            row = tuple(map(or_, row, map(and_, map(sums.__getitem__, mul[q]),
-                                          repeat(root_mask))))
-        d.append(row)
-    s = RealSemigroup(a.carrier, a.mul, a.one, a.zero, a.neg[a.one], tuple(d))
+    s = RealSemigroup(a.carrier, a.mul, a.one, a.zero, a.neg[a.one],
+                      tuple(_square_transversals(a.add, a.mul)))
     if dt_table(s) != a.add:
         raise StructuralAnomaly(
             "derived transversal sets do not match the addition table")

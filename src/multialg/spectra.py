@@ -664,7 +664,12 @@ def sper_embedding_check(a: FiniteMultiring) -> CheckReport:
 
 
 def q_t(a: FiniteMultiring, t: Preordering) -> tuple[FiniteMultiring, StructureMap]:
-    """Marshall quotient at the nonzero part of a proper preordering."""
+    """Marshall quotient at the nonzero part of a proper preordering.
+
+    q_T needs the nonzero part of T to be multiplicatively closed.  On a
+    ring with zero divisors it need not be, and ``MultiplicativeSet`` then
+    refuses it with ``InputError`` "not multiplicatively closed at (x,y)",
+    as for every preordering of q2^3 and the one of Z/64."""
     if t.parent is not a and t.parent != a:
         raise InputError("preordering does not belong to this multiring")
     s_mask = t.cone & ~(1 << a.zero)
