@@ -15,10 +15,11 @@ table's columns over the cells yz: for each y the column ORs of row y are
 transposed lazily, one ``zip`` per y, and each step of it yields x(yz)
 over z for the next x, so the scan's n^3 steps run inside ``zip``,
 ``map`` and tuple comparison.  Each OR is built once per distinct cell, in
-``_CellUnion``.  On tables of 8 to 64 lines, each line (row or column)
-that a cell of two or more elements needs is packed into one int, 64 bits
-per entry, so a union is one ``reduce`` of ints, unpacked once; smaller
-tables, and sign-space tables of more functions than the cap, OR tuples.
+``_CellUnion``; a symmetric table shares one for its rows and columns.
+On lines of 8 to 64 entries, each line (row or column) that a cell of two
+or more elements needs is packed into one int, 64 bits per entry, so a
+union is one ``reduce`` of ints, unpacked once; shorter lines, and those
+of sign-space tables of more functions than the cap, OR tuples.
 The multiring audit reads its addition through the multigroup audit's
 verdicts, named ``add-``, without building the additive multigroup.
 Associativity of a value table (multiring multiplication, ternary
@@ -39,7 +40,13 @@ enumeration, compares (a+b)d with ad+bd as rows over b, for each (a, d):
 (a+b)d is a step of the lazily transposed unions of the rows 1 << cd, and
 ad+bd is one ``itemgetter`` call that gathers column d of mul from the
 addition row of ad; each witness is the least (b, d) at the first a where
-it fails.  The other axioms are per-pair mask tests.  The associativity
+it fails.  With mul associative, both distributivity verdicts hold once
+they hold at a set generating (R, .), since (a+b)de lies in (ad+bd)e,
+inside ade+bde (docs/axioms.md).  So above 16 elements the multiring
+audit, when its mul-associativity verdict passed, first tests
+``_distributes_at`` on the ``_generators`` of mul, the same rows for every
+generator g at once, and scans every d only when that fails.  The other
+axioms are per-pair mask tests.  The associativity
 audits of real semigroups and sign spaces read the same scan, strong
 associativity through ``_reassociation_failures``.  Witnesses stay
 the first violations in lexicographic order; tests/reference_audits.py
@@ -50,7 +57,7 @@ are pinned to.
 
 Fibres, unions of per-element values and closures each have one kernel,
 read by every module.  ``_fibres`` gives the preimage mask of each value
-under each line (a map on the n elements), one ``_transposed`` per line.
+under each line (a map on the n elements), one pass over the line.
 ``_Unions`` maps a mask to the OR of per-element values.  ``_closure(tables,
 lines, base)`` gives ``close(members, closed=0)``: the least mask holding
 the members, ``base``, the already closed mask ``closed``, every cell xy
@@ -196,9 +203,9 @@ class _CellUnion(dict):
     a tuple, on first use; an empty cell gives a line of zeros, and the
     singleton cells are prefilled with their lines.
 
-    A table with a codec in ``_CODECS`` packs each line that a larger cell
-    needs into one int, so that the union is one OR of ints, unpacked once;
-    other tables OR tuples entry by entry."""
+    Lines whose length has a codec in ``_CODECS`` are packed, each that a
+    larger cell needs into one int, so that the union is one OR of ints,
+    unpacked once; other lines are ORed as tuples entry by entry."""
 
     __slots__ = ("lines", "elements", "packed")
 
@@ -208,17 +215,17 @@ class _CellUnion(dict):
         Not ``__init__``: a Python ``__init__`` on a dict subclass slows each
         construction, and the n <= 4 audits build two per scan."""
         out = cls(zip(_SINGLETONS, map(tuple, lines)))
+        width = len(lines[0]) if lines else 0
+        out[0] = (0,) * width
         out.lines, out.elements = lines, elements
-        codec = _CODECS.get(len(lines))
+        codec = _CODECS.get(width)
         out.packed = _PackedLines(lines, codec) if codec else None
         return out
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
         picked = self.elements[mask]
         lines, packed = self.lines, self.packed
-        if not picked:
-            out = (0,) * len(lines)
-        elif packed is None:
+        if packed is None:
             out = tuple(lines[picked[0]])
             for a in picked[1:]:
                 out = tuple(map(or_, out, lines[a]))
@@ -281,8 +288,14 @@ def _transposed(rows: Sequence[int]) -> tuple[int, ...]:
 
 def _fibres(lines: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     """For each line of n entries below n, its fibres: entry v is the mask
-    of the j with line[j] = v.  One transpose per line."""
-    return [_transposed(list(map(_SINGLETONS.__getitem__, line))) for line in lines]
+    of the j with line[j] = v."""
+    out = []
+    for line in lines:
+        fibres = [0] * len(line)
+        for j, v in enumerate(line):
+            fibres[v] |= 1 << j
+        out.append(tuple(fibres))
+    return out
 
 
 class _Unions(dict):
@@ -341,7 +354,9 @@ def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
     n = len(table)
     columns = list(zip(*table))
     lefts = _CellUnion.over(table, elements)
-    rights = _CellUnion.over(columns, elements)
+    # A symmetric table's column unions are its row unions.
+    rights = lefts if columns == list(map(tuple, table)) \
+        else _CellUnion.over(columns, elements)
     over_columns = rights.__getitem__
     # Step x of right_rows[y] is the row x(yz) over z.
     right_rows = [zip(*map(over_columns, row_y)) for row_y in table]
@@ -687,17 +702,17 @@ def group_as_multigroup(names: Sequence[str],
 def check_multigroup(m: FiniteMultigroup) -> CheckReport:
     """Audit the four multigroup axioms; commutativity is reported separately."""
     return CheckReport(subject="multigroup", verdicts=_multigroup_verdicts(
-        m.op, m.inv, m.identity, m.carrier.names, ""))
+        m.op, m.inv, m.identity, m.carrier.names, "", _Elements()))
 
 
 def _multigroup_verdicts(op: Sequence[Sequence[int]], r: Sequence[int],
-                         identity: int, names: Sequence[str], prefix: str
-                         ) -> tuple[Verdict, ...]:
+                         identity: int, names: Sequence[str], prefix: str,
+                         elements: _Elements) -> tuple[Verdict, ...]:
     """The verdicts of ``check_multigroup`` on a validated table, each axiom
-    named with ``prefix``: the multiring audit reads its addition here
-    without building the additive multigroup."""
+    named with ``prefix``, the cells expanded in ``elements``: the multiring
+    audit reads its addition here without building the additive multigroup."""
     w_assoc = next(((names[x], names[y], names[z]) for x, y, z, _, _
-                    in _reassociation_defects(op, _Elements())), None)
+                    in _reassociation_defects(op, elements)), None)
     return (
         _verdict_all(prefix + "i-reversibility", _reversibility_defect(op, r, names)),
         _verdict_all(prefix + "ii-identity", _identity_defect(op[identity], names)),
@@ -1053,19 +1068,62 @@ def _distributivity_defects(add: Sequence, mul: Sequence) -> tuple:
     return w_weak, w_full
 
 
+def _generators(mul: Sequence[Sequence[int]]) -> list[int]:
+    """Elements whose products give every element of the value table: in
+    order of decreasing |dR|, then by index, each d not yet a product of
+    those taken, until the products reach the whole carrier."""
+    n, whole = len(mul), full_mask(len(mul))
+    close = _closure([[list(map(_SINGLETONS.__getitem__, row)) for row in mul]])
+    taken, reached = [], 0
+    for d in sorted(range(n), key=lambda d: -len(set(mul[d]))):
+        if not reached >> d & 1:
+            taken.append(d)
+            reached = close(1 << d, reached)
+            if reached == whole:
+                break
+    return taken
+
+
+def _distributes_at(add: Sequence, mul: Sequence, gens: Sequence[int],
+                    elements: _Elements) -> bool:
+    """Whether (a+b)g = ag+bg for every a, b and every g in ``gens``, on
+    n > 1 elements.  With mul associative and ``gens`` generating it, this
+    holds iff both distributivity verdicts pass (docs/axioms.md).
+
+    For each a the rows over b are compared for every g at once: (a+b)g
+    over g is the union of the lines (1 << cg) over the cell a+b, and
+    ag+bg gathers column g of mul from the addition row of ag."""
+    images = _CellUnion.over([tuple(1 << row[g] for g in gens) for row in mul],
+                             elements)
+    gathers = [itemgetter(*(row[g] for row in mul)) for g in gens]
+    for row_a, products in zip(add, mul):
+        rights = [gather(add[products[g]]) for g, gather in zip(gens, gathers)]
+        if list(map(images.__getitem__, row_a)) != list(zip(*rights)):
+            return False
+    return True
+
+
 def check_multiring(r: FiniteMultiring) -> CheckReport:
     """Audit the multiring axioms.
 
     Weak distributivity (a+b)d <= ad+bd is the axiom; equality is reported
     as an extra informational verdict so multifields can be recognised.
+    Above 16 elements, with mul associative, both pass at once when they
+    hold at the generators of mul; otherwise every (a, b, d) is scanned.
     """
     names = r.names
-    verdicts = list(_multigroup_verdicts(r.add, r.neg, r.zero, names, "add-"))
+    elements = _Elements()
+    verdicts = list(_multigroup_verdicts(r.add, r.neg, r.zero, names, "add-",
+                                         elements))
+    monoid = _monoid_defects(r.mul, r.one, r.zero, names)
     verdicts += map(_verdict_all, ("mul-associativity", "mul-commutativity",
-                                   "mul-identity", "zero-absorbing"),
-                    _monoid_defects(r.mul, r.one, r.zero, names))
-    weak, full = (w and tuple(map(names.__getitem__, w))
-                  for w in _distributivity_defects(r.add, r.mul))
+                                   "mul-identity", "zero-absorbing"), monoid)
+    if r.size > 16 and monoid[0] is None \
+            and _distributes_at(r.add, r.mul, _generators(r.mul), elements):
+        weak = full = None
+    else:
+        weak, full = (w and tuple(map(names.__getitem__, w))
+                      for w in _distributivity_defects(r.add, r.mul))
     verdicts.append(_verdict_all("distributivity-weak", weak))
     verdicts.append(_verdict_all("distributivity-full", full,
                                  note="informational", informational=True))
