@@ -223,7 +223,15 @@ def cmd_real_check(args) -> int:
 
 
 def _parse_labels(raw: str) -> list[str]:
-    return [part.strip() for part in raw.split(",") if part.strip()]
+    """The comma separated labels; commas inside parentheses, as in (-1,1), stay."""
+    parts, depth = [""], 0
+    for ch in raw:
+        if ch == "," and not depth:
+            parts.append("")
+        else:
+            parts[-1] += ch
+            depth = max(depth + (ch == "(") - (ch == ")"), 0)
+    return [part.strip() for part in parts if part.strip()]
 
 
 def _with_one(a: FiniteMultiring, labels: list[str]) -> cons.MultiplicativeSet:

@@ -35,24 +35,25 @@ tested on all rows and columns at once, as bit matrices transposed in one
 batch by the block swaps behind ``_transposed``, which real semigroups read.
 Real semigroups' RS0 and the special-group validation read the
 commutativity helper, which compares each row with its column.
-``_distributivity_defects``, read by the multiring audit and the multiring
-enumeration, compares (a+b)d with ad+bd as rows over b, for each (a, d):
-(a+b)d is a step of the lazily transposed unions of the rows 1 << cd, and
-ad+bd is one ``itemgetter`` call that gathers column d of mul from the
-addition row of ad; each witness is the least (b, d) at the first a where
-it fails.  With mul associative, both distributivity verdicts hold once
-they hold at a set generating (R, .), since (a+b)de lies in (ad+bd)e,
-inside ade+bde (docs/axioms.md).  So above 16 elements the multiring
-audit, when its mul-associativity verdict passed, first tests
-``_distributes_at`` on the ``_generators`` of mul, the same rows for every
-generator g at once, and scans every d only when that fails.  The other
+Weak distributivity (a+b)d <= ad+bd, and real semigroups' RS2 on D and
+iii on D^t, are one scaling condition T(b, c)e <= T(be, ce) on a mask
+table T.  ``_scaling_rows`` builds its rows: for each b and column e,
+(T(b, c)e)_c is a step of the lazily transposed unions of the lines
+(1 << xe)_e, and (T(be, ce))_c one ``itemgetter`` call on row be of T.
+``_distributivity_defects``, read by the multiring audit and enumeration,
+compares them on the addition; each witness is the least (b, d) at the
+first a where it fails.  With mul associative, both distributivity
+verdicts hold once they hold at a set generating (R, .), since (a+b)de
+lies in (ad+bd)e, inside ade+bde (docs/axioms.md).  So above 16 elements
+the multiring audit, when mul-associativity passed, first runs that scan
+over the columns of the ``_generators`` of mul only.  The other
 axioms are per-pair mask tests.  The associativity
-audits of real semigroups and sign spaces read the same scan, strong
-associativity through ``_reassociation_failures``.  Witnesses stay
+audits of real semigroups and sign spaces read the reassociation scan,
+strong associativity through ``_reassociation_failures``.  Witnesses stay
 the first violations in lexicographic order; tests/reference_audits.py
 keeps the naive audits, the cell-at-a-time and row-through-a-getter
-versions, the tuple unions and the distributivity rows over d that they
-are pinned to.
+versions, the tuple unions and the distributivity rows over d and at the
+generators that they are pinned to.
 ``classify`` audits each structure once however often its guard runs.
 
 Fibres, unions of per-element values and closures each have one kernel,
@@ -1030,23 +1031,38 @@ def _monoid_defects(table: Sequence[Sequence[int]], one: int, zero: int,
     )
 
 
-def _distributivity_defects(add: Sequence, mul: Sequence) -> tuple:
+def _picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """itemgetter(*indices), which gives a tuple for one index too."""
+    return itemgetter(*indices) if len(indices) != 1 else lambda seq: (seq[indices[0]],)
+
+
+def _scaling_rows(table: Sequence[Sequence[int]], mul: Sequence[Sequence[int]],
+                  columns: Optional[Sequence[int]] = None,
+                  elements: Optional[_Elements] = None) -> Iterator[tuple]:
+    """For each row b of the mask table T, the rows ((T(b, c)e)_c)_e and
+    ((T(be, ce))_c)_e over the columns e of mul (all by default): T(b, c)e
+    ORs the lines (1 << xe)_e over the x in T(b, c), transposed lazily, and
+    (T(be, ce))_c gathers column e of mul from row be of T in one call."""
+    mul = mul if columns is None else [[row[e] for e in columns] for row in mul]
+    images = _CellUnion.over([_picker(row)(_SINGLETONS) for row in mul],
+                             _Elements() if elements is None else elements)
+    gathers = list(map(_picker, zip(*mul)))
+    for row, products in zip(table, mul):
+        yield (zip(*map(images.__getitem__, row)),
+               [gather(table[p]) for gather, p in zip(gathers, products)])
+
+
+def _distributivity_defects(add: Sequence, mul: Sequence,
+                            columns: Optional[Sequence[int]] = None,
+                            elements: Optional[_Elements] = None) -> tuple:
     """(weak, full): the least index triple (a, b, d), or None, with (a+b)d
-    not in ad+bd and with (a+b)d != ad+bd, the least (b, d) at the first a."""
-    # Rows over b, for each (a, d): (a+b)d is step d of the transposed ORs
-    # of the rows 1 << cd over the cells c in a+b, and ad+bd gathers column
-    # d of mul from the addition row of ad in one call.  With n = 1
-    # itemgetter would return the entry, not a row; the one row is whole.
-    shifted = [tuple(map((1).__lshift__, row)) for row in mul]
-    lefts = _CellUnion.over(shifted, _Elements())
-    gathers = list(map(itemgetter, *mul)) if len(mul) > 1 else [tuple]
+    not in ad+bd and with (a+b)d != ad+bd, the least (b, d) at the first a,
+    d among ``columns`` (all by default), on the scaling rows of add."""
     w_weak = None
     w_full = None
-    for a, row_a in enumerate(add):
+    for a, (lefts, rights) in enumerate(_scaling_rows(add, mul, columns, elements)):
         full = weak = None  # the least (b, d) of each, for this a
-        lefts_by_d = zip(*map(lefts.__getitem__, row_a))
-        for d, (left, ad, gather) in enumerate(zip(lefts_by_d, mul[a], gathers)):
-            right = gather(add[ad])
+        for d, left, right in zip(columns or range(len(mul)), lefts, rights):
             if left == right:
                 continue
             if w_full is None:
@@ -1084,25 +1100,6 @@ def _generators(mul: Sequence[Sequence[int]]) -> list[int]:
     return taken
 
 
-def _distributes_at(add: Sequence, mul: Sequence, gens: Sequence[int],
-                    elements: _Elements) -> bool:
-    """Whether (a+b)g = ag+bg for every a, b and every g in ``gens``, on
-    n > 1 elements.  With mul associative and ``gens`` generating it, this
-    holds iff both distributivity verdicts pass (docs/axioms.md).
-
-    For each a the rows over b are compared for every g at once: (a+b)g
-    over g is the union of the lines (1 << cg) over the cell a+b, and
-    ag+bg gathers column g of mul from the addition row of ag."""
-    images = _CellUnion.over([tuple(1 << row[g] for g in gens) for row in mul],
-                             elements)
-    gathers = [itemgetter(*(row[g] for row in mul)) for g in gens]
-    for row_a, products in zip(add, mul):
-        rights = [gather(add[products[g]]) for g, gather in zip(gens, gathers)]
-        if list(map(images.__getitem__, row_a)) != list(zip(*rights)):
-            return False
-    return True
-
-
 def check_multiring(r: FiniteMultiring) -> CheckReport:
     """Audit the multiring axioms.
 
@@ -1118,8 +1115,8 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     monoid = _monoid_defects(r.mul, r.one, r.zero, names)
     verdicts += map(_verdict_all, ("mul-associativity", "mul-commutativity",
                                    "mul-identity", "zero-absorbing"), monoid)
-    if r.size > 16 and monoid[0] is None \
-            and _distributes_at(r.add, r.mul, _generators(r.mul), elements):
+    if r.size > 16 and monoid[0] is None and _distributivity_defects(
+            r.add, r.mul, _generators(r.mul), elements) == (None, None):
         weak = full = None
     else:
         weak, full = (w and tuple(map(names.__getitem__, w))

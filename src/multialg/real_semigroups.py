@@ -13,13 +13,14 @@ transposed in a few big-int operations (core's ``_transposed``).  TS1 and TS4
 are core's commutative-monoid audit of the multiplication table,
 ``_monoid_defects``.  Two row builders over a table T serve every audit of
 their shape: ``_scaling_failures`` (the a in T(b, c) with some ae outside
-T(be, ce)) is RS2 on D and iii on D^t, and ``_square_transversals`` (the a
-in T(a^2 b, a^2 c)) is D in ``mrred_to_rs``, T the addition, and RS6 and
-xvii on D^t.  RS4 and RS5 test the union of D over the scaled sets
-{q x : q a square} and over the agreement sets {x : ax = bx}, one union per
-distinct set; RS8 groups the a of D(b, c) by their square.  Strong
-associativity RS3 (on D^t) and weak associativity xvi (on D) read core's
-O(n^3) reassociation scan through ``_reassociation_failures``.  The other
+T(be, ce), on core's ``_scaling_rows`` as weak distributivity) is RS2 on D
+and iii on D^t, and ``_square_transversals`` (the a in T(a^2 b, a^2 c)) is
+D in ``mrred_to_rs``, T the addition, and RS6 and xvii on D^t.  RS4 and RS5
+test the union of D over the scaled sets {q x : q a square} and over the
+agreement sets {x : ax = bx}, one union per distinct set; RS8 groups the
+a of D(b, c) by their square.  Strong associativity RS3 (on D^t) and weak
+associativity xvi (on D) read core's O(n^3) reassociation scan through
+``_reassociation_failures``.  The other
 consequences in ``check_rs_derived`` build, per (b, c), the mask of the a
 that fail there, from transposes, from preimages under x -> ax (core's
 ``_fibres``) and from the roots of each square (core's ``_Unions``); the
@@ -38,8 +39,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, repeat
-from operator import and_, getitem, invert, itemgetter, lshift, or_, xor
+from itertools import compress, repeat
+from operator import and_, getitem, invert, itemgetter, or_, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .constructions import _product_tables
@@ -60,8 +61,10 @@ from .core import (
     _lowest_bit,
     _map_defects,
     _monoid_defects,
+    _picker,
     _pointwise_cells,
     _reassociation_failures,
+    _scaling_rows,
     _table_morphisms,
     _transposed,
     bits,
@@ -236,30 +239,22 @@ def _agreements(mul: Sequence[Sequence[int]], fibres: Sequence[Sequence[int]]
 def _scaling_failures(table: Sequence[Sequence[int]], mul: Sequence[Sequence[int]],
                       elements: _Elements, pre: _CellUnion) -> Iterator[tuple[int, ...]]:
     """Row b of bad(b, c) = {a in table[b][c] : ae not in table[be][ce] for
-    some e}, over c.  A row is tested whole first: the images of its cells
-    under every x -> xe (unions of the lines (1 << xe)_e) must lie in
-    (table[be][ce])_e, gathered with one getter per column e of mul.  A
-    passing row is zeros; in a failing one each failing cell is split, less
-    the meet over e of pre[table[be][ce]][e], pre[M][x] = {a : ax in M}."""
-    n = len(mul)
-    cells = range(n)
-    images = _CellUnion.over([tuple(map(lshift, repeat(1), row)) for row in mul],
-                             elements)
-    # With one element, an itemgetter of one index would return a scalar.
-    columns = [itemgetter(*column) if n > 1 else tuple for column in zip(*mul)]
-    for b, row in enumerate(table):
-        scaled = [table[be] for be in mul[b]]
-        targets = tuple(chain.from_iterable(
-            zip(*[column(line) for column, line in zip(columns, scaled)])))
-        imaged = chain.from_iterable(map(images.__getitem__, row))
-        merged = tuple(map(or_, imaged, targets))
-        if merged == targets:
-            yield (0,) * n
+    some e}, over c.  A row is tested whole first: for every e, core's
+    scaling rows (table[b][c] e)_c must lie in (table[be][ce])_c.  A passing
+    row is zeros; in a failing one each cell failing at some e is split,
+    less the meet over e of pre[table[be][ce]][e], pre[M][x] = {a : ax in M}."""
+    cells = range(len(mul))
+    for row, (images, targets) in zip(table, _scaling_rows(table, mul, None, elements)):
+        failing = set()
+        for image, target in zip(images, targets):
+            if tuple(map(or_, image, target)) != target:
+                failing.update(compress(cells, map(and_, image, map(invert, target))))
+        if not failing:
+            yield (0,) * len(cells)
             continue
         yield tuple(cell & ~reduce(and_, map(getitem, map(
-            pre.__getitem__, map(getitem, scaled, mul[c])), cells))
-            if merged[c * n:c * n + n] != targets[c * n:c * n + n] else 0
-            for c, cell in enumerate(row))
+            pre.__getitem__, map(itemgetter(c), targets)), cells))
+            if c in failing else 0 for c, cell in enumerate(row))
 
 
 def _square_transversals(table: Sequence[Sequence[int]],
@@ -268,8 +263,7 @@ def _square_transversals(table: Sequence[Sequence[int]],
     q = a^2, so row b is the union over the distinct squares q of roots(q)
     cut by (table[qb][qc])_c."""
     n = len(mul)
-    # With one element, an itemgetter of one index would return a scalar.
-    squares = [(itemgetter(*mul[q]) if n > 1 else tuple, mul[q], root_mask)
+    squares = [(_picker(mul[q]), mul[q], root_mask)
                for q, root_mask in _roots(mul).items()]
     for b in range(n):
         row = (0,) * n

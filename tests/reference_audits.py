@@ -87,6 +87,13 @@ was before it met per-ordering preimage masks: one probe per (x, y, c) and
 sign map.  ``tests/test_row_kernel.py`` pins the packed unions and the
 column-wise distributivity to the first two, and ``tests/test_spectra.py``
 pins the evaluation masks to the third.
+``_distributes_at`` is ``check_multiring``'s generator pre-check as it was
+before it became the distributivity scan over the generator columns: for
+each a it compared the rows over b for every generator at once, the unions
+of the lines (1 << cg) over g against one getter per generator column.  It
+is verbatim but for the name of core's packed ``_CellUnion``, which the
+tuple one here shadows; ``tests/test_distributivity_generators.py`` pins
+the scan over the generator columns to it.
 
 ``_f2_decompositions`` and ``_characters`` are the library's character
 enumeration of a sign space, copied verbatim so that ``check_aos`` here
@@ -153,6 +160,7 @@ from multialg.core import (
     StructureMap,
     Verdict,
     _SINGLETONS,
+    _CellUnion as _PackedCellUnion,
     _Elements,
     _verdict_all,
     bits,
@@ -1787,6 +1795,25 @@ def rowwise_distributivity(r: FiniteMultiring
         if w_weak and w_full:
             break
     return w_weak, w_full
+
+
+def _distributes_at(add: Sequence, mul: Sequence, gens: Sequence[int],
+                    elements: _Elements) -> bool:
+    """Whether (a+b)g = ag+bg for every a, b and every g in ``gens``, on
+    n > 1 elements.  With mul associative and ``gens`` generating it, this
+    holds iff both distributivity verdicts pass (docs/axioms.md).
+
+    For each a the rows over b are compared for every g at once: (a+b)g
+    over g is the union of the lines (1 << cg) over the cell a+b, and
+    ag+bg gathers column g of mul from the addition row of ag."""
+    images = _PackedCellUnion.over([tuple(1 << row[g] for g in gens) for row in mul],
+                                   elements)
+    gathers = [itemgetter(*(row[g] for row in mul)) for g in gens]
+    for row_a, products in zip(add, mul):
+        rights = [gather(add[products[g]]) for g, gather in zip(gens, gathers)]
+        if list(map(images.__getitem__, row_a)) != list(zip(*rights)):
+            return False
+    return True
 
 
 def evaluation_witnesses(a: FiniteMultiring, sigmas: Sequence[Sequence[int]]

@@ -9,6 +9,10 @@ with these commands in place of the library's and pins exit code, standard
 output, standard error and written files to them over the corpus.
 ``cmd_construct`` ignored every file after the first for the one-file
 operations; the library's refuses them, so those calls are not pinned.
+``_parse_labels`` is the ``--set`` parser that ``cmd_construct`` read, kept
+verbatim: it split at every comma, so a product label such as (-1,1) came
+apart.  The library's splits only outside parentheses, and
+``tests/test_cli_table.py`` pins it to this one on lists without them.
 """
 
 from __future__ import annotations
@@ -19,13 +23,17 @@ from multialg import io as mio
 from multialg import ordering_spaces as osp
 from multialg import real_semigroups as rsg
 from multialg import special_groups as spg
-from multialg.cli import _emit_report, _parse_labels, _write_result
+from multialg.cli import _emit_report, _write_result
 from multialg.core import FiniteMultiring, InputError
 
 FUNCTOR_HELP = ("sg-mf, mf-sg, rs-mr, mr-rs, aos-mf, mf-aos, ars-mr, mr-ars "
                 "(-> also accepted)")
 PAIR_CHOICES = ("sg-smf", "rs-mr", "aos-mf", "ars-mr")
 CONSTRUCT_CHOICES = ("product", "quotient", "localize", "marshall", "qred", "ff")
+
+
+def _parse_labels(raw: str) -> list[str]:
+    return [part.strip() for part in raw.split(",") if part.strip()]
 
 
 _FUNCTORS = {

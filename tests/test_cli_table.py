@@ -5,6 +5,7 @@ monkeypatch, the benchmark's tracer) is seen."""
 import argparse
 import dataclasses
 import os
+import random
 
 import pytest
 
@@ -185,6 +186,46 @@ def test_construct_refuses_files_past_the_first(op, capsys, tmp_path):
         code, out, err = _run(capsys, ["construct", op, corpus_path("q2"), extra])
         assert (code, out) == (2, "")
         assert err == f"input error: {op} takes one multiring file, got 2\n"
+
+
+def test_set_labels_split_as_before_outside_parentheses():
+    """``--set`` splits only at commas outside parentheses: without them it
+    splits as the old parser did, and every corpus label comes back whole
+    of a multiring file from the list of all of them."""
+    rng = random.Random(35)
+    for _ in range(3000):
+        raw = "".join(rng.choice("ab1-, ") for _ in range(rng.randrange(14)))
+        assert cli._parse_labels(raw) == reference_cli._parse_labels(raw), raw
+    plain = with_parentheses = 0
+    for path in FILES:
+        obj = mio.read_structure(path)
+        if not isinstance(obj, core.FiniteMultiring):
+            continue
+        names = list(obj.names)
+        raw = ",".join(names)
+        assert cli._parse_labels(raw) == names, path
+        if "(" in raw:
+            with_parentheses += 1
+        else:
+            plain += 1
+            assert reference_cli._parse_labels(raw) == names, path
+    assert plain and with_parentheses
+    assert cli._parse_labels(" ((1,-1),0) ,1,, (0,(1,1))") == \
+        ["((1,-1),0)", "1", "(0,(1,1))"]
+
+
+@pytest.mark.parametrize("op", ["quotient", "localize", "marshall"])
+def test_construct_reads_product_labels(op, capsys):
+    """Product labels in ``--set``, which the old parser split apart."""
+    a = mio.read_structure(corpus_path("q2xq2"))
+    labels = ["(-1,-1)", "(1,1)"]
+    result = cli._CONSTRUCTIONS[op](a, labels)
+    assert _run(capsys, ["construct", op, corpus_path("q2xq2"),
+                         "--set=" + ",".join(labels)]) == (0, mio.serialize(result), "")
+    code, out, err = _run(capsys, ["construct", op, corpus_path("q2xq2"),
+                                   "--set=(-1,-1)"])
+    assert code == 0 and err == ""
+    assert out == mio.serialize(cli._CONSTRUCTIONS[op](a, ["(-1,-1)"]))
 
 
 def _unaudited_z4(tmp_path) -> str:

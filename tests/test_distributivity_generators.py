@@ -4,16 +4,20 @@ With mul associative, write m_d(x) = xd; then m_de = m_e after m_d, so
 (a+b)de = m_e((a+b)d) lies in m_e(ad+bd), which lies in ade+bde, and each
 inclusion is an equality in the full case.  Both distributivity verdicts
 therefore pass as soon as they pass at a set of elements that generates
-(R, .).  ``core._distributes_at`` tests full equality at such a set, given
-by ``core._generators``, and ``core.check_multiring`` reads it above 16
-elements when its own mul-associativity verdict passed; otherwise, and
-whenever the pre-check fails, the full scan ``_distributivity_defects``
-names the witnesses.
+(R, .).  ``core.check_multiring`` runs the distributivity scan
+``_distributivity_defects`` over the columns of such a set, given by
+``core._generators``, above 16 elements when its own mul-associativity
+verdict passed, and reads a ``(None, None)`` result as a pass; otherwise,
+and whenever that pre-check fails, the scan over every column names the
+witnesses.
 
 Pinned here:
 - on every (mul, add) pair of orders 2-4 (``_monoid_tables`` x
-  ``_multigroup_slice``), the pre-check, called below its threshold, is
-  true exactly when the full scan finds no defect;
+  ``_multigroup_slice``), the pre-check, called below its threshold, gives
+  the verdict of the moved pre-check ``reference_audits._distributes_at``
+  and passes exactly when the full scan finds no defect;
+- the scaling rows over given columns (single ones, all of them reversed
+  and the generators) are the images and gathered sums they stand for;
 - ``_generators`` is the greedy choice it documents, recomputed with a
   naive product closure, and its products reach every element, on Z/17 to
   Z/64, K^5, K^6, q2^3 and the fan-4 and fan-5 multifields;
@@ -79,11 +83,34 @@ def test_pre_check_decides_full_distributivity_on_small_pairs():
         for mul in _monoid_tables(n, 0, 1):
             gens = core._generators(mul)
             for add in adds:
-                passed = core._distributes_at(add, mul, gens, core._Elements())
+                passed = core._distributivity_defects(
+                    add, mul, gens, core._Elements()) == (None, None)
+                assert passed == reference._distributes_at(add, mul, gens,
+                                                           core._Elements())
                 assert passed == (core._distributivity_defects(add, mul)
                                   == (None, None))
                 outcomes[passed] += 1
     assert outcomes == {True: 38, False: 7419}
+
+
+def test_scaling_rows_over_given_columns():
+    """The kernel's rows over a given list of columns, a single column
+    included, are (T(b, c)e)_c and (T(be, ce))_c for each e in that order."""
+    tables = [(m.op, mul) for n in (2, 3) for mul in _monoid_tables(n, 0, 1)
+              for m in _multigroup_slice(n)]
+    tables += [(r.add, r.mul) for r in (core.ring_multiring(1), STRUCTURES["Z/17"],
+                                        STRUCTURES["q2^3"])]
+    for add, mul in tables:
+        n = len(mul)
+        for columns in ([e] for e in range(n)), [list(range(n))[::-1]], [core._generators(mul)]:
+            for cols in columns:
+                rows = [(list(lefts), rights) for lefts, rights in
+                        core._scaling_rows(add, mul, cols, core._Elements())]
+                assert rows == [(
+                    [tuple(sum({1 << mul[x][e] for x in range(n) if add[b][c] >> x & 1})
+                           for c in range(n)) for e in cols],
+                    [tuple(add[mul[b][e]][mul[c][e]] for c in range(n)) for e in cols])
+                    for b in range(n)]
 
 
 def test_generators_reach_every_element():
@@ -128,14 +155,16 @@ def _mutant(base, rng):
 
 
 def test_mutants_match_the_references(monkeypatch):
-    calls = []
-    pre_check = core._distributes_at
+    calls = []  # the pass or fail of each pre-check, a scan over given columns
+    scan = core._distributivity_defects
 
-    def counted(*args):
-        calls.append(pre_check(*args))
-        return calls[-1]
+    def counted(add, mul, columns=None, elements=None):
+        found = scan(add, mul, columns, elements)
+        if columns is not None:
+            calls.append(found == (None, None))
+        return found
 
-    monkeypatch.setattr(core, "_distributes_at", counted)
+    monkeypatch.setattr(core, "_distributivity_defects", counted)
     rng = random.Random(34)
     seen = {"add": 0, "mul": 0, "fallback": 0}
     for name in ("Z/32", "q2^3", "fan5mf"):
