@@ -22,6 +22,17 @@ union is one ``reduce`` of ints, unpacked once; shorter lines, and those
 of sign-space tables of more functions than the cap, OR tuples.
 The multiring audit reads its addition through the multigroup audit's
 verdicts, named ``add-``, without building the additive multigroup.
+Above 16 elements a table whose every cell is a singleton {v}, such as the
+addition of a ring, is read as byte rows of v + 1 instead (``_byte_rows``),
+decided once per table per audit and given up at the first row with an
+empty or larger cell.  Rows are then compared inside C by translation:
+the reassociation scan compares, for each x, the rows xy joined over y
+with the whole table translated through row x; reversibility translates
+column y through column r(y) and row x through row r(x), against 1..n;
+the distributivity scan translates row a through column d of mul against
+column d through row ad, where the weak and full witnesses coincide.
+Only a row that differs is walked, so defects and witnesses are those of
+the masks.
 Associativity of a value table (multiring multiplication, ternary
 semigroups, special groups, the enumerated monoids) is one audit,
 ``_associativity_defect``: the rows are bytes, and (ab)c over c is row ab
@@ -30,9 +41,10 @@ while a(bc) is row b translated through row a, compared inside C.
 multirings and ternary semigroups alike.  Reversibility, the identity and
 commutativity are one helper each (``_reversibility_defect``,
 ``_identity_defect``, ``_commutativity_defect``), shared by the multigroup,
-relational and monoid audits.  Above 16 elements reversibility is first
-tested on all rows and columns at once, as bit matrices transposed in one
-batch by the block swaps behind ``_transposed``, which real semigroups read.
+relational and monoid audits.  Above 16 elements reversibility of a table
+with a larger cell is first tested on all rows and columns at once, as bit
+matrices transposed in one batch by the block swaps behind ``_transposed``,
+which real semigroups read.
 Real semigroups' RS0 and the special-group validation read the
 commutativity helper, which compares each row with its column.
 Weak distributivity (a+b)d <= ad+bd, and real semigroups' RS2 on D and
@@ -342,7 +354,33 @@ def _first_difference(left: Sequence[int], right: Sequence[int]) -> int:
     return next(compress(count(), map(ne, left, right)))
 
 
-def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
+# Sends byte v to v + 1: a line of values becomes a line of byte-row entries.
+_SUCCESSOR = bytes(range(1, 256)) + b"\0"
+
+
+def _byte_rows(table: Sequence[Sequence[int]]) -> Optional[list[bytes]]:
+    """The rows of a mask table whose every cell is a singleton {v}, as
+    bytes of v + 1, or None, found at the first row with an empty or a
+    larger cell.  No entry is byte 0, which the translation tables of
+    ``_through`` leave unused."""
+    ones = b"\1" * len(table)
+    rows = []
+    for row in table:
+        if bytes(map(int.bit_count, row)) != ones:
+            return None
+        rows.append(bytes(map(int.bit_length, row)))
+    return rows
+
+
+def _through(lines: Iterable[bytes], n: int) -> list[bytes]:
+    """For each line of n byte-row entries, the translation table that
+    sends byte v + 1 to entry v of the line."""
+    pad = bytes(255 - n)
+    return [b"\0" + line + pad for line in lines]
+
+
+def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements,
+                           rows: Optional[list[bytes]] = None
                            ) -> Iterator[tuple[int, int, int, int, int]]:
     """Yield (x, y, z, (xy)z, x(yz)) for each triple, in lexicographic order,
     whose two bracketings differ.  Cells of the n x n mask table may be
@@ -351,8 +389,23 @@ def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
     Each (x, y) compares whole rows over z: (xy)z is the OR of the table's
     rows over the cell xy, and x(yz) is the next step of the transposed ORs
     of its columns over the cells of row y; each OR is built once per
-    distinct cell.  Only rows that differ are scanned z by z."""
+    distinct cell.  Only rows that differ are scanned z by z.
+
+    Given the table's ``_byte_rows``, each x compares all (y, z) at once:
+    the rows xy, joined over y, against the joined rows translated through
+    row x; only an x whose two differ is walked."""
     n = len(table)
+    if rows:
+        by_byte = [b""] + rows  # row v at byte v + 1
+        whole = b"".join(rows)
+        for x, (row_x, through_x) in enumerate(zip(rows, _through(rows, n))):
+            lefts = b"".join(map(by_byte.__getitem__, row_x))
+            rights = whole.translate(through_x)
+            if lefts != rights:
+                for i in compress(count(), map(ne, lefts, rights)):
+                    yield (x, *divmod(i, n), _SINGLETONS[lefts[i] - 1],
+                           _SINGLETONS[rights[i] - 1])
+        return
     columns = list(zip(*table))
     lefts = _CellUnion.over(table, elements)
     # A symmetric table's column unions are its row unions.
@@ -411,16 +464,34 @@ def _identity_defect(line: Iterable[int], names: Sequence[str]
 
 
 def _reversibility_defect(op: Sequence[Sequence[int]], r: Sequence[int],
-                          names: Sequence[str]) -> Optional[tuple[str, str, str]]:
+                          names: Sequence[str], rows: Optional[list[bytes]] = None
+                          ) -> Optional[tuple[str, str, str]]:
     """The least (x, y, z) with z in xy but x outside z r(y) or y outside
     r(x) z, in ``names``, or None.
 
-    Above 16 elements every (x, y) is tested at once first: column y, the
-    bit matrix (x, z) of z in xy, must lie inside the transpose of column
-    r(y), and row x, over (y, z), inside that of row r(x); the 2n
-    transposes are one batch.  Only a failure is walked, to name it; up to
-    16 elements the walk alone costs less, as a failing table stops it."""
+    Given the table's ``_byte_rows``, z = xy is one value: column y
+    translated through column r(y) must read x + 1 at x, and row x through
+    row r(x) read y + 1 at y.  The least failure of each column and row
+    gives the least (x, y).  Otherwise, above 16 elements every (x, y) is
+    tested at once first: column y, the bit matrix (x, z) of z in xy, must
+    lie inside the transpose of column r(y), and row x, over (y, z), inside
+    that of row r(x); the 2n transposes are one batch.  Only a failure is
+    walked, to name it; up to 16 elements the walk alone costs less, as a
+    failing table stops it."""
     n = len(op)
+    if rows:
+        ident = bytes(range(1, n + 1))
+        columns = list(map(bytes, zip(*rows)))
+        failed = [(_first_difference(moved, ident), y) for y, moved in enumerate(
+            map(bytes.translate, columns, _through(map(columns.__getitem__, r), n)))
+            if moved != ident]
+        failed += [(x, _first_difference(moved, ident)) for x, moved in enumerate(
+            map(bytes.translate, rows, _through(map(rows.__getitem__, r), n)))
+            if moved != ident]
+        if not failed:
+            return None
+        x, y = min(failed)
+        return names[x], names[y], names[rows[x][y] - 1]
     if n > 16:
         w = 1 << (n - 1).bit_length()
         codec = struct.Struct(f"<{2 * n * w}{_TRANSPOSERS[w][0].format[-1]}")
@@ -702,20 +773,25 @@ def group_as_multigroup(names: Sequence[str],
 
 def check_multigroup(m: FiniteMultigroup) -> CheckReport:
     """Audit the four multigroup axioms; commutativity is reported separately."""
+    op = m.op
     return CheckReport(subject="multigroup", verdicts=_multigroup_verdicts(
-        m.op, m.inv, m.identity, m.carrier.names, "", _Elements()))
+        op, m.inv, m.identity, m.carrier.names, "", _Elements(),
+        len(op) > 16 and _byte_rows(op)))
 
 
 def _multigroup_verdicts(op: Sequence[Sequence[int]], r: Sequence[int],
                          identity: int, names: Sequence[str], prefix: str,
-                         elements: _Elements) -> tuple[Verdict, ...]:
+                         elements: _Elements, rows: Optional[list[bytes]]
+                         ) -> tuple[Verdict, ...]:
     """The verdicts of ``check_multigroup`` on a validated table, each axiom
-    named with ``prefix``, the cells expanded in ``elements``: the multiring
-    audit reads its addition here without building the additive multigroup."""
+    named with ``prefix``, the cells expanded in ``elements`` and the table
+    read through ``rows``, its ``_byte_rows`` or None: the multiring audit
+    reads its addition here without building the additive multigroup."""
     w_assoc = next(((names[x], names[y], names[z]) for x, y, z, _, _
-                    in _reassociation_defects(op, elements)), None)
+                    in _reassociation_defects(op, elements, rows)), None)
     return (
-        _verdict_all(prefix + "i-reversibility", _reversibility_defect(op, r, names)),
+        _verdict_all(prefix + "i-reversibility",
+                     _reversibility_defect(op, r, names, rows)),
         _verdict_all(prefix + "ii-identity", _identity_defect(op[identity], names)),
         _verdict_all(prefix + "iii-associativity", w_assoc),
         _verdict_all(prefix + "iv-commutativity", _commutativity_defect(op, names)),
@@ -798,11 +874,12 @@ def _relational_audit(rel: RelationalMultigroup, cell: list[list[int]],
     lemma (e)'s witness whenever III passes, as the scan then runs to the end."""
     n = rel.size
     names = rel.carrier.names
-    w1 = _reversibility_defect(cell, rel.inv, names)
+    rows = n > 16 and _byte_rows(cell)
+    w1 = _reversibility_defect(cell, rel.inv, names, rows)
     w2 = _identity_defect(map(itemgetter(rel.identity), cell), names)
 
     w3 = we = None
-    for u, v, w, left, right in _reassociation_defects(cell, elements):
+    for u, v, w, left, right in _reassociation_defects(cell, elements, rows):
         if we is None and right & ~left:
             we = (names[u], names[v], names[w], names[_lowest_bit(right & ~left)])
         if left & ~right:
@@ -1054,10 +1131,31 @@ def _scaling_rows(table: Sequence[Sequence[int]], mul: Sequence[Sequence[int]],
 
 def _distributivity_defects(add: Sequence, mul: Sequence,
                             columns: Optional[Sequence[int]] = None,
-                            elements: Optional[_Elements] = None) -> tuple:
+                            elements: Optional[_Elements] = None,
+                            rows: Optional[list[bytes]] = None) -> tuple:
     """(weak, full): the least index triple (a, b, d), or None, with (a+b)d
     not in ad+bd and with (a+b)d != ad+bd, the least (b, d) at the first a,
-    d among ``columns`` (all by default), on the scaling rows of add."""
+    d among ``columns`` (all by default), on the scaling rows of add.
+
+    Given add's ``_byte_rows``, both sides are single values, so the two
+    witnesses coincide: for each a and d, (a+b)d over b is row a translated
+    through column d of mul, and ad+bd is column d translated through row
+    ad of add."""
+    if rows:
+        n = len(rows)
+        if columns is not None:
+            mul = [[row[e] for e in columns] for row in mul]
+        lines = [bytes(column).translate(_SUCCESSOR) for column in zip(*mul)]
+        by_line, by_row = _through(lines, n), _through(rows, n)
+        for a, (row_a, products) in enumerate(zip(rows, mul)):
+            lefts = list(map(row_a.translate, by_line))
+            rights = list(map(bytes.translate, lines, map(by_row.__getitem__, products)))
+            if lefts != rights:
+                b, i = min((_first_difference(left, right), i) for i, (left, right)
+                           in enumerate(zip(lefts, rights)) if left != right)
+                found = a, b, (i if columns is None else columns[i])
+                return found, found
+        return None, None
     w_weak = None
     w_full = None
     for a, (lefts, rights) in enumerate(_scaling_rows(add, mul, columns, elements)):
@@ -1108,19 +1206,20 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     Above 16 elements, with mul associative, both pass at once when they
     hold at the generators of mul; otherwise every (a, b, d) is scanned.
     """
-    names = r.names
+    n, names = r.size, r.names
     elements = _Elements()
+    rows = n > 16 and _byte_rows(r.add)
     verdicts = list(_multigroup_verdicts(r.add, r.neg, r.zero, names, "add-",
-                                         elements))
+                                         elements, rows))
     monoid = _monoid_defects(r.mul, r.one, r.zero, names)
     verdicts += map(_verdict_all, ("mul-associativity", "mul-commutativity",
                                    "mul-identity", "zero-absorbing"), monoid)
-    if r.size > 16 and monoid[0] is None and _distributivity_defects(
-            r.add, r.mul, _generators(r.mul), elements) == (None, None):
+    if n > 16 and monoid[0] is None and _distributivity_defects(
+            r.add, r.mul, _generators(r.mul), elements, rows) == (None, None):
         weak = full = None
     else:
         weak, full = (w and tuple(map(names.__getitem__, w))
-                      for w in _distributivity_defects(r.add, r.mul))
+                      for w in _distributivity_defects(r.add, r.mul, None, None, rows))
     verdicts.append(_verdict_all("distributivity-weak", weak))
     verdicts.append(_verdict_all("distributivity-full", full,
                                  note="informational", informational=True))

@@ -66,6 +66,7 @@ from multialg.real_semigroups import (
     rs_to_mrred,
 )
 from multialg.special_groups import SpecialGroup, sg_to_mf
+from test_row_kernel import single_valued_tables
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -291,6 +292,85 @@ def test_reversibility_halves_above_16_elements():
             expected = _naive_reversibility(op, r, names)
             assert core._reversibility_defect(op, r, names) == expected
             assert (expected is None) == (used == [0, 1]), (n, used)
+
+
+def _random_involution(rng, n):
+    r = list(range(n))
+    order = list(range(n))
+    rng.shuffle(order)
+    for x, y in zip(order[::2], order[1::2]):
+        r[x], r[y] = y, x
+    return r
+
+
+def _value_moves(table, rng, count):
+    """The table, then ``count`` seeded copies with one cell {v} moved to
+    another singleton."""
+    yield table
+    n = len(table)
+    for _ in range(count):
+        i, j = rng.randrange(n), rng.randrange(n)
+        value = rng.choice([v for v in range(n) if 1 << v != table[i][j]])
+        yield _replace_cell(table, i, j, 1 << value)
+
+
+def test_reversibility_on_byte_rows():
+    """Tables of singletons of 16 to 64 elements, which above 16 elements
+    are read as byte rows, and 30 seeded one-cell value moves of each: the
+    witness must equal the element-by-element loop's, with r the ring's
+    negation (for an addition), a random involution and a random map.  Some
+    witnesses fail only the column condition, x outside z r(y)."""
+    rng = random.Random(38)
+    failing = column_only = 0
+    for ring, table in single_valued_tables(rng):
+        n = len(table)
+        names = tuple(map(str, range(n)))
+        inverses = [_random_involution(rng, n), [rng.randrange(n) for _ in range(n)]]
+        if table == ring.add:
+            inverses.append(ring.neg)
+        for op in _value_moves(table, rng, 30):
+            rows = n > 16 and core._byte_rows(op)
+            assert (n > 16) == bool(rows)
+            for r in inverses:
+                expected = _naive_reversibility(op, r, names)
+                assert core._reversibility_defect(op, r, names, rows) == expected
+                assert core._reversibility_defect(op, r, names) == expected
+                failing += expected is not None
+                if expected:
+                    x, y, z = map(int, expected)
+                    column_only += bool(op[r[x]][z] >> y & 1)
+    assert failing > 800 and column_only > 40
+
+
+def test_distributivity_on_byte_rows():
+    """The additions of ``single_valued_tables`` with the multiplication of
+    their ring and 17 seeded one-cell moves of it: over every column the
+    byte-row scan gives the witnesses of the moved row scan
+    ``reference_audits.rowwise_distributivity``, and over the columns of
+    ``_generators`` it passes exactly when the moved pre-check
+    ``reference_audits._distributes_at`` does; both equal the mask scan."""
+    rng = random.Random(39)
+    failing = compared = 0
+    for ring, add in single_valued_tables(rng):
+        n = len(add)
+        rows = n > 16 and core._byte_rows(add)
+        base = ring.mul
+        for k in range(18):
+            mul = base if not k else _replace_cell(
+                base, rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            r = core.FiniteMultiring(ring.carrier, add, mul, ring.neg, ring.zero, ring.one)
+            found = core._distributivity_defects(add, mul, None, None, rows)
+            assert found == core._distributivity_defects(add, mul)
+            assert tuple(w and tuple(r.names[i] for i in w) for w in found) \
+                == reference.rowwise_distributivity(r)
+            gens = core._generators(mul)
+            at_gens = core._distributivity_defects(add, mul, gens, core._Elements(), rows)
+            assert at_gens == core._distributivity_defects(add, mul, gens, core._Elements())
+            assert (at_gens == (None, None)) \
+                == reference._distributes_at(add, mul, gens, core._Elements())
+            compared += 2
+            failing += found != (None, None)
+    assert compared == 13 * 18 * 2 and failing > 150
 
 
 def _close_under_reversibility(pi, inv):

@@ -158,8 +158,8 @@ def test_mutants_match_the_references(monkeypatch):
     calls = []  # the pass or fail of each pre-check, a scan over given columns
     scan = core._distributivity_defects
 
-    def counted(add, mul, columns=None, elements=None):
-        found = scan(add, mul, columns, elements)
+    def counted(add, mul, columns=None, elements=None, rows=None):
+        found = scan(add, mul, columns, elements, rows)
         if columns is not None:
             calls.append(found == (None, None))
         return found

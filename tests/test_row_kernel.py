@@ -82,12 +82,14 @@ def assert_scan_agrees(table):
     found = defects(core._reassociation_defects, table)
     assert found == defects(reference.cellwise_reassociation_defects, table)
     assert found == defects(reference.rowwise_reassociation_defects, table)
-    # A consumer that stops at the first defect, then a whole scan that
-    # shares its cell expansions.
+    # The scan as the audits call it, on byte rows for a table of more than
+    # 16 singletons: a consumer that stops at the first defect, then a whole
+    # scan that shares its cell expansions.
+    rows = len(table) > 16 and core._byte_rows(table)
     elements = core._Elements()
-    assert next(core._reassociation_defects(table, elements), None) \
+    assert next(core._reassociation_defects(table, elements, rows), None) \
         == (found[0] if found else None)
-    assert list(core._reassociation_defects(table, elements)) == found
+    assert list(core._reassociation_defects(table, elements, rows)) == found
 
 
 def shifted(mul):
@@ -130,6 +132,47 @@ def test_cyclic_rings():
             assert_associativity_agrees(r)
             assert_scan_agrees(r.add)
             assert_scan_agrees(shifted(r.mul))
+
+
+def single_valued_tables(rng):
+    """(r, table) for tables of singletons of 16 to 64 elements: the
+    additions of Z/n and Z/2 x Z/32, as shifted value tables, and seeded
+    random value tables, neither commutative nor associative, each with the
+    ring r whose addition it is or, if random, with Z/n of its size."""
+    for n in (16, 17, 24, 32, 48, 64):
+        r = core.ring_multiring(n)
+        yield r, shifted([[(x + y) % n for y in range(n)] for x in range(n)])
+        yield r, shifted([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    r = product([core.ring_multiring(2), core.ring_multiring(32)])
+    yield r, r.add
+
+
+def test_single_valued_tables():
+    """Above 16 elements a table of singletons is scanned as byte rows: the
+    whole defect stream must equal the references' on each table of
+    ``single_valued_tables`` and on two one-cell value moves of it.  One
+    empty cell, or one cell of two elements, sends the table back to the
+    masks."""
+    rng = random.Random(38)
+    singletons = 0
+    for r, table in single_valued_tables(rng):
+        n = len(table)
+        if table != r.add:
+            assert table != tuple(zip(*table)) and defects(core._reassociation_defects, table)
+        assert_scan_agrees(table)
+        singletons += core._byte_rows(table) is not None
+        for _ in range(2):
+            i, j = rng.randrange(n), rng.randrange(n)
+            value = rng.choice([v for v in range(n) if 1 << v != table[i][j]])
+            moved = _replace_cell(table, i, j, 1 << value)
+            assert_scan_agrees(moved)
+            singletons += core._byte_rows(moved) is not None
+            v = moved[j][i].bit_length() - 1
+            for cell in (0, moved[j][i] | 1 << (v + 1) % n):
+                t = _replace_cell(moved, j, i, cell)
+                assert core._byte_rows(t) is None
+                assert_scan_agrees(t)
+    assert singletons == 13 * 3
 
 
 def test_krasner_powers():
