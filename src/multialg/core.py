@@ -56,9 +56,11 @@ table T.  ``_scaling_rows`` builds its rows: for each b and column e,
 compares them on the addition; each witness is the least (b, d) at the
 first a where it fails.  With mul associative, both distributivity
 verdicts hold once they hold at a set generating (R, .), since (a+b)de
-lies in (ad+bd)e, inside ade+bde (docs/axioms.md).  So above 16 elements
-the multiring audit, when mul-associativity passed, first runs that scan
-over the columns of the ``_generators`` of mul only.  The other
+lies in (ad+bd)e, inside ade+bde (docs/axioms.md).  So above 16 elements,
+on a multivalued addition, the multiring audit, when mul-associativity
+passed, first runs that scan over the columns of the ``_generators`` of
+mul only; on byte rows the full scan costs no more than finding the
+generators, and runs alone.  The other
 axioms are per-pair mask tests.  The associativity
 audits of real semigroups and sign spaces read the reassociation scan,
 strong associativity through ``_reassociation_failures``.  Witnesses stay
@@ -730,20 +732,52 @@ def _validate_value_table(what: str, table: Sequence[Sequence[int]], n: int) -> 
                 raise InputError(f"{what} cell at ({i},{j}) out of range")
 
 
+def _label_values(carrier: Carrier, rows: Sequence[Sequence[str]]
+                  ) -> tuple[tuple[int, ...], ...]:
+    """Rows of labels as rows of indices, each row one ``map`` in C.  On a
+    label the carrier lacks, the labels are read again one at a time, in
+    order, only to raise the carrier's message for the first; so ``rows``
+    must be a sequence, not a one-pass iterator."""
+    position = carrier._positions.__getitem__
+    try:
+        return tuple(tuple(map(position, row)) for row in rows)
+    except (KeyError, TypeError):
+        for row in rows:
+            for label in row:
+                carrier.index(label)
+        raise
+
+
+class _LabelCells(dict):
+    """Label tuple -> the mask of its labels, reduced on first use, so a
+    table is reduced once per distinct cell."""
+
+    __slots__ = ("bit",)
+
+    def __init__(self, bit: Callable[[str], int]) -> None:
+        super().__init__()
+        self.bit = bit
+
+    def __missing__(self, cell: tuple) -> int:
+        out = self[cell] = reduce(or_, map(self.bit, cell), 0)
+        return out
+
+
 def _label_masks(carrier: Carrier, table: Sequence[Sequence[Sequence[str]]]
                  ) -> tuple[tuple[int, ...], ...]:
     """The cells of a table of label lists as masks, a row at a time in C.
-    On a label the carrier lacks, the labels are looked up again one at a
-    time, in order, only to raise the carrier's message for the first."""
-    bit = {name: 1 << i for i, name in enumerate(carrier.names)}.__getitem__
+    Each cell's labels, as a tuple, go through a per-call ``_LabelCells``,
+    which reduces each distinct cell once (Z/64 has 64 distinct cells of
+    4,096).  On a label the carrier lacks, ``_label_values`` reads the
+    cells again, in order, only to raise the carrier's message for the
+    first."""
+    cells = _LabelCells(
+        {name: 1 << i for i, name in enumerate(carrier.names)}.__getitem__)
     try:
-        return tuple(tuple(reduce(or_, map(bit, cell), 0) for cell in row)
+        return tuple(tuple(map(cells.__getitem__, map(tuple, row)))
                      for row in table)
     except (KeyError, TypeError):
-        for row in table:
-            for cell in row:
-                for label in cell:
-                    carrier.index(label)
+        _label_values(carrier, [cell for row in table for cell in row])
         raise
 
 
@@ -1047,7 +1081,7 @@ def multiring_from_labels(names: Sequence[str],
     if len(mul) != n or any(len(r) != n for r in mul):
         raise InputError("ragged multiplication table")
     addt = _label_masks(carrier, add)
-    mult = tuple(tuple(map(carrier.index, row)) for row in mul)
+    mult = _label_values(carrier, mul)
     negt = tuple(carrier.index(neg[name]) for name in names)
     return FiniteMultiring(carrier, addt, mult, negt,
                            carrier.index(zero), carrier.index(one))
@@ -1203,8 +1237,9 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
 
     Weak distributivity (a+b)d <= ad+bd is the axiom; equality is reported
     as an extra informational verdict so multifields can be recognised.
-    Above 16 elements, with mul associative, both pass at once when they
-    hold at the generators of mul; otherwise every (a, b, d) is scanned.
+    Above 16 elements, with mul associative and an addition that is not
+    read as byte rows, both pass at once when they hold at the generators
+    of mul; otherwise every (a, b, d) is scanned.
     """
     n, names = r.size, r.names
     elements = _Elements()
@@ -1214,7 +1249,7 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     monoid = _monoid_defects(r.mul, r.one, r.zero, names)
     verdicts += map(_verdict_all, ("mul-associativity", "mul-commutativity",
                                    "mul-identity", "zero-absorbing"), monoid)
-    if n > 16 and monoid[0] is None and _distributivity_defects(
+    if n > 16 and not rows and monoid[0] is None and _distributivity_defects(
             r.add, r.mul, _generators(r.mul), elements, rows) == (None, None):
         weak = full = None
     else:

@@ -8,6 +8,16 @@ laid out once per call, and rows and tables are joined strings.
 ``to_document`` is the text parsed back, so the layout is written down in
 one place; tests/reference_io.py keeps the document-building writer it is
 pinned to.  Parse errors carry line/column positions.
+
+Reading checks each field's JSON shape (``_nested``, with every level's
+types and the tuple arities tested in C), then turns labels into indices
+through one kernel, core's ``_label_values``: each row of a value table
+and each ``iso`` quadruple is one ``map`` over the carrier's positions.
+Tables of label lists go through core's ``_label_masks``, which reduces
+each distinct cell once per call.  The real-semigroup ``d`` triples keep
+one dict lookup per label.  An unknown label raises the carrier's message
+for the first such label in file order; tests/reference_io.py keeps the
+label-at-a-time readers and shape checks the readers are pinned to.
 """
 
 from __future__ import annotations
@@ -145,7 +155,7 @@ def _nested(v: Any, depth: int, leaf: type = str,
     for d in range(depth):
         if not all(map(isinstance, level, repeat(list))) or (
                 arity is not None and d == depth - 1
-                and any(len(x) != arity for x in level)):
+                and not set(map(len, level)) <= {arity}):
             return False
         level = list(chain.from_iterable(level))
     return set(map(type, level)) <= {leaf}
@@ -209,7 +219,7 @@ def from_document(doc: dict[str, Any]) -> Structure:
             elements,
             _require(doc, "mul", kind, _LABEL_TABLE),
             _require(doc, "minus_one", kind),
-            [tuple(q) for q in _require(doc, "iso", kind, _QUADRUPLES)],
+            _require(doc, "iso", kind, _QUADRUPLES),
             one=_require(doc, "one", kind),
         )
     if kind == "real_semigroup":
@@ -219,7 +229,7 @@ def from_document(doc: dict[str, Any]) -> Structure:
             _require(doc, "one", kind),
             _require(doc, "zero", kind),
             _require(doc, "minus_one", kind),
-            [tuple(t) for t in _require(doc, "d", kind, _TRIPLES)],
+            _require(doc, "d", kind, _TRIPLES),
         )
     return make_sign_space(
         _require(doc, "mode", kind),

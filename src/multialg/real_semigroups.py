@@ -58,6 +58,7 @@ from .core import (
     _commutativity_defect,
     _fibres,
     _freeze_tables,
+    _label_values,
     _lowest_bit,
     _map_defects,
     _monoid_defects,
@@ -130,7 +131,7 @@ def make_real_semigroup(names: Sequence[str],
     if len(mul) != n or any(len(r) != n for r in mul):
         raise InputError("ragged multiplication table")
     index = carrier.index
-    table = tuple(tuple(map(index, row)) for row in mul)
+    table = _label_values(carrier, mul)
     # One dict lookup per label; a label it lacks is looked up again, in
     # the order (b, c, a), to raise the carrier's own error.
     position = carrier._positions

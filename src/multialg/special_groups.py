@@ -49,6 +49,7 @@ from .core import (
     _commutativity_defect,
     _fibres,
     _freeze_tables,
+    _label_values,
     _lowest_bit,
     _map_defects,
     _stray_tuple,
@@ -144,7 +145,7 @@ def make_special_group(names: Sequence[str],
     n = carrier.size
     if len(mul) != n or any(len(r) != n for r in mul):
         raise InputError("ragged multiplication table")
-    table = tuple(tuple(map(carrier.index, row)) for row in mul)
+    table = _label_values(carrier, mul)
     if one is None:
         candidates = [e for e in range(n)
                       if all(table[e][a] == a for a in range(n))]
@@ -153,7 +154,7 @@ def make_special_group(names: Sequence[str],
         one_i = candidates[0]
     else:
         one_i = carrier.index(one)
-    quads = [tuple(map(carrier.index, q)) for q in iso]
+    quads = _label_values(carrier, list(iso))
     closed, added = _close_iso(n, quads)  # type: ignore[arg-type]
     return SpecialGroup(carrier, table, one_i, carrier.index(minus_one),
                         closed, added)

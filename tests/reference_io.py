@@ -9,23 +9,28 @@ and the library's ``to_document`` to its documents.
 
 ``multigroup_from_labels`` and ``multiring_from_labels`` are the readers
 that looked each label up in a Python loop, and ``validate_cell_table`` and
-``validate_value_table`` the validators that tested each entry in one.  The
-``LoopChecked`` classes are the multigroup, multiring and real semigroup
-with the validation they had then; the special group's is
-``reference_audits.LoopCheckedSpecialGroup``.  ``parse`` is the library's
-reader with these in place of the library's, so its error messages are the
-old reader's.
+``validate_value_table`` the validators that tested each entry in one.
+``make_special_group`` and ``make_real_semigroup`` are the readers that
+looked up each value-table label, and each isometry label, through
+``Carrier.index``, and ``nested`` the field shape test that checked each
+tuple's arity in a Python loop.  The ``LoopChecked`` classes are the
+multigroup, multiring and real semigroup with the validation they had then;
+the special group's is ``reference_audits.LoopCheckedSpecialGroup``.
+``parse`` is the library's reader with these in place of the library's, so
+its structures and error messages are the old reader's.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import ExitStack
-from typing import Any, Optional, Sequence
+from functools import partial
+from itertools import chain, repeat
+from typing import Any, Iterable, Optional, Sequence
 from unittest import mock
 
 from multialg import io as mio
-from multialg import real_semigroups, special_groups
+from multialg.special_groups import _close_iso
 from multialg.core import (
     Carrier,
     FiniteMultigroup,
@@ -198,13 +203,80 @@ def multiring_from_labels(names: Sequence[str],
                                 carrier.index(zero), carrier.index(one))
 
 
+def make_special_group(names: Sequence[str],
+                       mul: Sequence[Sequence[str]],
+                       minus_one: str,
+                       iso: Iterable[tuple[str, str, str, str]],
+                       one: Optional[str] = None) -> SpecialGroup:
+    carrier = Carrier(tuple(names))
+    n = carrier.size
+    if len(mul) != n or any(len(r) != n for r in mul):
+        raise InputError("ragged multiplication table")
+    table = tuple(tuple(map(carrier.index, row)) for row in mul)
+    if one is None:
+        candidates = [e for e in range(n)
+                      if all(table[e][a] == a for a in range(n))]
+        if not candidates:
+            raise InputError("no identity element in multiplication table")
+        one_i = candidates[0]
+    else:
+        one_i = carrier.index(one)
+    quads = [tuple(map(carrier.index, q)) for q in iso]
+    closed, added = _close_iso(n, quads)
+    return LoopCheckedSpecialGroup(carrier, table, one_i,
+                                   carrier.index(minus_one), closed, added)
+
+
+def make_real_semigroup(names: Sequence[str],
+                        mul: Sequence[Sequence[str]],
+                        one: str, zero: str, minus_one: str,
+                        d_triples: Iterable[tuple[str, str, str]]
+                        ) -> RealSemigroup:
+    carrier = Carrier(tuple(names))
+    n = carrier.size
+    if len(mul) != n or any(len(r) != n for r in mul):
+        raise InputError("ragged multiplication table")
+    index = carrier.index
+    table = tuple(tuple(index(v) for v in row) for row in mul)
+    d = [[0] * n for _ in range(n)]
+    for a, b, c in d_triples:
+        ib, ic, ia = index(b), index(c), index(a)
+        d[ib][ic] |= 1 << ia
+    return LoopCheckedRealSemigroup(carrier, table, index(one), index(zero),
+                                    index(minus_one), tuple(map(tuple, d)))
+
+
+def nested(v: Any, depth: int, leaf: type = str,
+           arity: Optional[int] = None) -> bool:
+    level = [v]
+    for d in range(depth):
+        if not all(map(isinstance, level, repeat(list))) or (
+                arity is not None and d == depth - 1
+                and any(len(x) != arity for x in level)):
+            return False
+        level = list(chain.from_iterable(level))
+    return set(map(type, level)) <= {leaf}
+
+
+# The library's field shapes, each with the message text it keeps.
+_SHAPES = {"_LABELS": partial(nested, depth=1),
+           "_LABEL_TABLE": partial(nested, depth=2),
+           "_CELL_TABLE": partial(nested, depth=3),
+           "_QUADRUPLES": partial(nested, depth=2, arity=4),
+           "_TRIPLES": partial(nested, depth=2, arity=3),
+           "_SIGNS": partial(nested, depth=2, leaf=int)}
+
+
 def parse(text: str) -> Structure:
-    """``io.parse`` with the label readers and constructors above."""
+    """``io.parse`` with the label readers, constructors and shape tests
+    above."""
     with ExitStack() as stack:
-        for module, attr, old in (
-                (mio, "multigroup_from_labels", multigroup_from_labels),
-                (mio, "multiring_from_labels", multiring_from_labels),
-                (real_semigroups, "RealSemigroup", LoopCheckedRealSemigroup),
-                (special_groups, "SpecialGroup", LoopCheckedSpecialGroup)):
-            stack.enter_context(mock.patch.object(module, attr, old))
+        for attr, old in (("multigroup_from_labels", multigroup_from_labels),
+                          ("multiring_from_labels", multiring_from_labels),
+                          ("make_special_group", make_special_group),
+                          ("make_real_semigroup", make_real_semigroup)):
+            stack.enter_context(mock.patch.object(mio, attr, old))
+        for attr, shape in _SHAPES.items():
+            stack.enter_context(mock.patch.object(
+                mio, attr, (shape, getattr(mio, attr)[1])))
         return mio.parse(text)

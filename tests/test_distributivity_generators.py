@@ -26,13 +26,16 @@ Pinned here:
   on those structures and on seeded single-cell mutants of Z/32, q2^3 and
   the fan-5 multifield.  The ``add`` mutants keep mul associative and reach the full
   scan when the pre-check fails; the ``mul`` mutants that break
-  associativity never call the pre-check.
+  associativity never call the pre-check, and neither does an addition
+  read as byte rows (every cell a singleton, as in Z/64 and F_64), where
+  the full scan costs no more than the pre-check.
 """
 
 import dataclasses
 import random
 
 import reference_audits as reference
+from test_finite_fields import finite_fields
 from multialg import core
 from multialg.constructions import product
 from multialg.corpus import q2cube
@@ -165,8 +168,12 @@ def test_mutants_match_the_references(monkeypatch):
         return found
 
     monkeypatch.setattr(core, "_distributivity_defects", counted)
+    for r in (STRUCTURES["Z/64"], finite_fields.finite_field(64)):
+        report = core.check_multiring(r)
+        assert report.overall and calls == []
+        assert _witnesses(report) == reference.rowwise_distributivity(r)
     rng = random.Random(34)
-    seen = {"add": 0, "mul": 0, "fallback": 0}
+    seen = {"add": 0, "mul": 0, "fallback": 0, "bytes": 0}
     for name in ("Z/32", "q2^3", "fan5mf"):
         for i in range(30):
             table, r = _mutant(STRUCTURES[name], rng)
@@ -177,11 +184,14 @@ def test_mutants_match_the_references(monkeypatch):
             if i < 6:
                 assert report == reference.cellwise_check_multiring(r)
             associative = report.verdict("mul-associativity").passed
-            assert len(calls) == associative
+            singletons = all(c & (c - 1) == 0 for row in r.add for c in row)
+            assert len(calls) == (associative and not singletons)
             if table == "add":
                 assert associative
                 seen["add"] += 1
                 seen["fallback"] += calls == [False]
             else:
                 seen["mul"] += not associative
+            seen["bytes"] += singletons
     assert seen["add"] > 30 and seen["mul"] > 30 and seen["fallback"] > 20
+    assert seen["bytes"] > 5

@@ -22,6 +22,7 @@ import dataclasses
 import json
 import random
 import time
+from itertools import chain
 
 import pytest
 
@@ -61,9 +62,15 @@ from multialg.real_semigroups import (
     rs_product,
     rs_to_mrred,
 )
-from multialg.special_groups import SpecialGroup, mf_to_sg, sg_to_mf
+from multialg.special_groups import (
+    SpecialGroup,
+    make_special_group,
+    mf_to_sg,
+    sg_to_mf,
+)
 
 import reference_io as reference
+from test_finite_fields import finite_fields
 from reference_audits import LoopCheckedSpecialGroup
 
 NAMES = (None, "", "q2", 'a "quoted" name', "back\\slash", "tab\tnew\nline",
@@ -294,20 +301,102 @@ def malformed_documents(rng: random.Random, count: int):
             else:
                 row.pop()
             yield doc
+        yield from type_faults(base, rng, count)
+
+
+def type_faults(base, rng: random.Random, count: int):
+    """Seeded copies of ``base`` with a value of the wrong JSON type or
+    shape: an integer, null, true or a list for a label, a string or a dict
+    for a row or an iso or d tuple, a string for a cell, a tuple one label
+    too long, and a cell that repeats a label (which is well formed)."""
+    fields = _LABEL_FIELDS[base["kind"]]
+    tables = sorted(k for k, d in fields.items() if d >= 2)
+    for _ in range(count):
+        for label in (1, None, True, [base["elements"][0]]):
+            doc = json.loads(json.dumps(base))
+            key = rng.choice(sorted(fields))
+            _put(doc, key, fields[key], rng, label)
+            yield doc
+        for fault in ("string row", "dict row", "string cell", "long tuple",
+                      "repeated label"):
+            doc = json.loads(json.dumps(base))
+            key = rng.choice(tables)
+            rows = doc[key]
+            i = rng.randrange(len(rows))
+            if fault == "string row":
+                rows[i] = "".join(map(str, chain.from_iterable(rows[i])))
+            elif fault == "dict row":
+                rows[i] = dict.fromkeys(base["elements"][:2], base["elements"][0])
+            elif fault == "long tuple" and key in ("iso", "d"):
+                rows[i].append(rows[i][0])
+            elif fault in ("string cell", "repeated label") and fields[key] == 3:
+                j = rng.randrange(len(rows[i]))
+                if fault == "string cell":
+                    rows[i][j] = "".join(rows[i][j])
+                else:
+                    rows[i][j].append(rows[i][j][0])
+            else:
+                continue
+            yield doc
 
 
 def test_parse_messages_on_malformed_documents():
-    messages = set()
+    messages, full, built = set(), set(), 0
     for doc in malformed_documents(random.Random(24), 6):
         text = json.dumps(doc, indent=2)
         got = _outcome(mio.parse, text)
         assert got == _outcome(reference.parse, text)
         if isinstance(got, str):
             messages.add(got.split(" at ")[0].split(" '")[0])
+            full.add(got)
+        else:
+            built += 1
     assert {"unknown element label", "ragged addition table",
             "empty addition cell", "ragged hyperoperation table",
             "ragged multiplication table", "empty hyperoperation cell",
             } <= messages
+    assert {"multiring field 'add' must be a list of rows of label lists",
+            "multigroup field 'op' must be a list of rows of label lists",
+            "multiring field 'mul' must be a list of rows of labels",
+            "special_group field 'iso' must be a list of label quadruples",
+            "real_semigroup field 'd' must be a list of label triples",
+            "unknown element label 1", "unknown element label None",
+            "unknown element label True",
+            } <= full
+    assert built > 0
+
+
+def test_parse_the_largest_files():
+    """Full parses of the largest files of each reading path agree with the
+    label-at-a-time reader: singleton and multivalued cells, a value table
+    with the triples of D and with the isometry quadruples.  The fan-5
+    multifield's cells are built from sign functions, not read from labels."""
+    k = krasner()
+    for obj in (ring_multiring(64), product([k] * 6),
+                finite_fields.finite_field(64), aos_to_mfred(fan_aos(5)),
+                rs_product([canonical_3()] * 3),
+                mf_to_sg(aos_to_mfred(fan_aos(5)))):
+        text = mio.serialize(obj)
+        assert mio.parse(text) == obj
+        assert _outcome(mio.parse, text) == _outcome(reference.parse, text)
+
+
+def test_special_group_isometries_read_from_an_iterator():
+    """An unknown label in isometry quadruples given as a one-pass iterator
+    raises the message it raises in a list."""
+    g = corpus_special_groups()["sg_z23_trivial"]
+    names = g.names
+    mul = [[names[v] for v in row] for row in g.mul]
+    quads = [[names[v] for v in q] for q in sorted(g.iso)]
+    quads[len(quads) // 2][2] = "?"
+    args = (names, mul, names[g.minus_one])
+    with pytest.raises(InputError) as listed:
+        make_special_group(*args, quads)
+    with pytest.raises(InputError) as iterated:
+        make_special_group(*args, iter(quads))
+    assert str(iterated.value) == str(listed.value) == "unknown element label '?'"
+    assert (make_special_group(*args, (q for q in quads if "?" not in q))
+            == make_special_group(*args, [q for q in quads if "?" not in q]))
 
 
 def _bad_tables(table, rng, values):
