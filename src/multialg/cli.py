@@ -69,25 +69,25 @@ class _Classification:
 
 def _reports_for_level(obj, level: str) -> list:
     reports: list[CheckReport] = []
+    derived = level in ("derived", "all")
     if isinstance(obj, FiniteMultiring):
-        axioms = core.check_multiring(obj)
-        reports.append(axioms)
-        if level in ("derived", "all"):
-            reports.append(core.check_relational_lemmas(obj.additive_multigroup()))
-            if axioms.overall:
-                flags = core.classify(obj, verified=True)
-                info = {
-                    "multidomain": flags.multidomain,
-                    "multifield": flags.multifield,
-                    "real": spectra.is_real(obj),
-                    "real-reduced-multiring":
-                        spectra.is_real_reduced_mr(obj).overall,
-                }
-                if flags.multifield:
-                    info["real-reduced-multifield"] = \
-                        spectra.is_real_reduced_mf(obj).overall
-                    info["special-multifield"] = spg.check_smf(obj).overall
-                reports.append(_Classification(info))
+        # The axioms and the lemmas read one audit of the addition table.
+        reports += core._axioms_and_lemmas(obj) if derived else [core.check_multiring(obj)]
+        axioms = reports[0]
+        if derived and axioms.overall:
+            flags = core.classify(obj, verified=True)
+            info = {
+                "multidomain": flags.multidomain,
+                "multifield": flags.multifield,
+                "real": spectra.is_real(obj),
+                "real-reduced-multiring":
+                    spectra.is_real_reduced_mr(obj).overall,
+            }
+            if flags.multifield:
+                info["real-reduced-multifield"] = \
+                    spectra.is_real_reduced_mf(obj).overall
+                info["special-multifield"] = spg.check_smf(obj).overall
+            reports.append(_Classification(info))
         if level == "all" and axioms.overall:
             reports.append(spectra.check_quotient_characterizations(obj))
             reports.append(spectra.spec_topology(obj).report)
@@ -97,25 +97,23 @@ def _reports_for_level(obj, level: str) -> list:
             if spectra.is_real_reduced_mr(obj).overall:
                 reports.append(spectra.sper_embedding_check(obj))
     elif isinstance(obj, FiniteMultigroup):
-        reports.append(core.check_multigroup(obj))
-        if level in ("derived", "all"):
-            reports.append(core.check_relational_lemmas(obj))
+        reports += core._axioms_and_lemmas(obj) if derived else [core.check_multigroup(obj)]
     elif isinstance(obj, SpecialGroup):
         reports.append(sg := spg.check_sg(obj))
-        if level in ("derived", "all"):
+        if derived:
             reports.append(spg.check_sg789(obj))
             reports.append(_Classification(
                 {"reduced": spg.check_reduced(obj, sg).overall}))
     elif isinstance(obj, RealSemigroup):
         reports.append(rsg.check_rs(obj))
-        if level in ("derived", "all"):
+        if derived:
             reports.append(rsg.check_rs_derived(obj))
         if level == "all":
             reports.append(rsg.separation_audit(obj))
     elif isinstance(obj, SignSpace):
         reports.append(osp.check_aos(obj) if obj.mode == osp.AOS
                        else osp.check_ars(obj))
-        if level in ("derived", "all"):
+        if derived:
             reports.append(osp.value_set_reassociation_check(obj))
             if obj.mode == osp.ARS:
                 reports.append(osp.ars_bridge_check(obj))

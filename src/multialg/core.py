@@ -22,6 +22,11 @@ union is one ``reduce`` of ints, unpacked once; shorter lines, and those
 of sign-space tables of more functions than the cap, OR tuples.
 The multiring audit reads its addition through the multigroup audit's
 verdicts, named ``add-``, without building the additive multigroup.
+Reversibility and the reassociation scan of a table run once for its
+multigroup axioms i and iii and its relational axioms I and III and lemma
+(e) alike (``_additive_scans``): ``check`` at ``derived`` and ``all`` gets
+both reports from one audit (``_axioms_and_lemmas``), the lemmas resuming
+the scan from its first defect.
 Above 16 elements a table whose every cell is a singleton {v}, such as the
 addition of a ring, is read as byte rows of v + 1 instead (``_byte_rows``),
 decided once per table per audit and given up at the first row with an
@@ -807,27 +812,38 @@ def group_as_multigroup(names: Sequence[str],
 
 def check_multigroup(m: FiniteMultigroup) -> CheckReport:
     """Audit the four multigroup axioms; commutativity is reported separately."""
-    op = m.op
+    op, names = m.op, m.carrier.names
     return CheckReport(subject="multigroup", verdicts=_multigroup_verdicts(
-        op, m.inv, m.identity, m.carrier.names, "", _Elements(),
-        len(op) > 16 and _byte_rows(op)))
+        op, m.identity, names, "", _additive_scans(op, m.inv, names, _Elements())))
 
 
-def _multigroup_verdicts(op: Sequence[Sequence[int]], r: Sequence[int],
-                         identity: int, names: Sequence[str], prefix: str,
-                         elements: _Elements, rows: Optional[list[bytes]]
+def _additive_scans(op: Sequence[Sequence[int]], r: Sequence[int],
+                    names: Sequence[str], elements: _Elements) -> tuple:
+    """(rows, w_rev, first, defects): the ``_byte_rows`` of the mask table
+    ``op`` or a false value (decided above 16 elements only), the
+    ``_reversibility_defect`` of ``op`` under ``r``, and its
+    ``_reassociation_defects`` scan as its first defect (None if there is
+    none) and the iterator that yields the rest.  Axioms i and I read
+    w_rev; iii reads the first defect, and III and lemma (e) the first and
+    then the rest, so one scan serves both presentations of one table."""
+    rows = len(op) > 16 and _byte_rows(op)
+    defects = _reassociation_defects(op, elements, rows)
+    return rows, _reversibility_defect(op, r, names, rows), next(defects, None), defects
+
+
+def _multigroup_verdicts(op: Sequence[Sequence[int]], identity: int,
+                         names: Sequence[str], prefix: str, scans: tuple
                          ) -> tuple[Verdict, ...]:
     """The verdicts of ``check_multigroup`` on a validated table, each axiom
-    named with ``prefix``, the cells expanded in ``elements`` and the table
-    read through ``rows``, its ``_byte_rows`` or None: the multiring audit
-    reads its addition here without building the additive multigroup."""
-    w_assoc = next(((names[x], names[y], names[z]) for x, y, z, _, _
-                    in _reassociation_defects(op, elements, rows)), None)
+    named with ``prefix``, from the table's ``_additive_scans``: the
+    multiring audit reads its addition here without building the additive
+    multigroup."""
+    _, w_rev, first, _ = scans
     return (
-        _verdict_all(prefix + "i-reversibility",
-                     _reversibility_defect(op, r, names, rows)),
+        _verdict_all(prefix + "i-reversibility", w_rev),
         _verdict_all(prefix + "ii-identity", _identity_defect(op[identity], names)),
-        _verdict_all(prefix + "iii-associativity", w_assoc),
+        _verdict_all(prefix + "iii-associativity",
+                     first and (names[first[0]], names[first[1]], names[first[2]])),
         _verdict_all(prefix + "iv-commutativity", _commutativity_defect(op, names)),
     )
 
@@ -900,20 +916,18 @@ def from_relational(rel: RelationalMultigroup) -> FiniteMultigroup:
                             rel.inv, rel.identity)
 
 
-def _relational_audit(rel: RelationalMultigroup, cell: list[list[int]],
-                      elements: _Elements
-                      ) -> tuple[tuple[Verdict, ...], Optional[tuple]]:
-    """Verdicts of axioms I-IV on the mask table ``cell`` of ``rel``, and the
-    first (u, v, w, x) met by the III scan with x in u(vw) but not in (uv)w:
-    lemma (e)'s witness whenever III passes, as the scan then runs to the end."""
-    n = rel.size
-    names = rel.carrier.names
-    rows = n > 16 and _byte_rows(cell)
-    w1 = _reversibility_defect(cell, rel.inv, names, rows)
-    w2 = _identity_defect(map(itemgetter(rel.identity), cell), names)
+def _relational_audit(cell: Sequence[Sequence[int]], e: int, names: Sequence[str],
+                      scans: tuple) -> tuple[tuple[Verdict, ...], Optional[tuple]]:
+    """Verdicts of axioms I-IV on the mask table ``cell`` with identity e,
+    from its ``_additive_scans``, and the first (u, v, w, x) met by the III
+    scan with x in u(vw) but not in (uv)w: lemma (e)'s witness whenever III
+    passes, as the scan then runs to the end."""
+    _, w1, first, defects = scans
+    w2 = _identity_defect(map(itemgetter(e), cell), names)
 
     w3 = we = None
-    for u, v, w, left, right in _reassociation_defects(cell, elements, rows):
+    # The scan from its start: the first defect, then the rest.
+    for u, v, w, left, right in chain((first,) if first else (), defects):
         if we is None and right & ~left:
             we = (names[u], names[v], names[w], names[_lowest_bit(right & ~left)])
         if left & ~right:
@@ -921,7 +935,7 @@ def _relational_audit(rel: RelationalMultigroup, cell: list[list[int]],
             break
 
     w4 = None
-    for x, y in itertools.product(range(n), repeat=2):
+    for x, y in itertools.product(range(len(cell)), repeat=2):
         missing = cell[x][y] & ~cell[y][x]
         if missing:
             w4 = (names[x], names[y], names[_lowest_bit(missing)])
@@ -938,7 +952,9 @@ def _relational_audit(rel: RelationalMultigroup, cell: list[list[int]],
 
 def check_relational_axioms(rel: RelationalMultigroup) -> CheckReport:
     """Audit axioms I-IV of the triple presentation."""
-    verdicts, _ = _relational_audit(rel, _relational_table(rel), _Elements())
+    cell, names = _relational_table(rel), rel.carrier.names
+    verdicts, _ = _relational_audit(cell, rel.identity, names,
+                                    _additive_scans(cell, rel.inv, names, _Elements()))
     return CheckReport(subject="relational multigroup", verdicts=verdicts)
 
 
@@ -946,25 +962,32 @@ def check_relational_lemmas(rel: RelationalMultigroup | FiniteMultigroup
                             ) -> CheckReport:
     """Audit the six consequences (a)-(f) of axioms I-III.
 
-    Axioms I-III are re-verified first; on a precondition failure the lemma
-    scan is skipped and the axiom verdicts carry the report.  Lemma (e)
-    comes from the same reassociation scan as axiom III.  A FiniteMultigroup,
+    Axioms I-III are audited first, on the table's ``_additive_scans``,
+    which ``check`` shares with the multigroup or multiring audit of the
+    same table; on a precondition failure the lemma scan is skipped and the
+    axiom verdicts carry the report.  Lemma (e) comes from the same
+    reassociation scan as axiom III.  A FiniteMultigroup,
     whose fields carry the same names, is audited on its own ``op`` table,
     the mask table of ``to_relational(rel)``.
     """
     cell = rel.op if isinstance(rel, FiniteMultigroup) else _relational_table(rel)
-    elements = _Elements()
-    axioms, we = _relational_audit(rel, cell, elements)
+    r, names = rel.inv, rel.carrier.names
+    return _lemmas_report(cell, r, rel.identity, names,
+                          _additive_scans(cell, r, names, _Elements()))
+
+
+def _lemmas_report(cell: Sequence[Sequence[int]], r: Sequence[int], e: int,
+                   names: Sequence[str], scans: tuple) -> CheckReport:
+    """``check_relational_lemmas`` on the mask table ``cell`` with inverse r
+    and identity e, from its ``_additive_scans``."""
+    axioms, we = _relational_audit(cell, e, names, scans)
     pre = [v for v in axioms if v.axiom != "IV-commutativity"]
     if not all(v.passed for v in pre):
         note = Verdict("lemmas", False, None,
                        "skipped: axioms I-III failed", informational=True)
         return CheckReport("relational lemmas", tuple(pre) + (note,))
 
-    n = rel.size
-    names = rel.carrier.names
-    r = rel.inv
-    e = rel.identity
+    n = len(cell)
 
     wa = None if r[e] == e else (names[e],)
 
@@ -1241,11 +1264,17 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     read as byte rows, both pass at once when they hold at the generators
     of mul; otherwise every (a, b, d) is scanned.
     """
-    n, names = r.size, r.names
     elements = _Elements()
-    rows = n > 16 and _byte_rows(r.add)
-    verdicts = list(_multigroup_verdicts(r.add, r.neg, r.zero, names, "add-",
-                                         elements, rows))
+    return _multiring_report(r, elements,
+                             _additive_scans(r.add, r.neg, r.names, elements))
+
+
+def _multiring_report(r: FiniteMultiring, elements: _Elements, scans: tuple
+                      ) -> CheckReport:
+    """``check_multiring(r)``, its addition read from ``_additive_scans``
+    with the cells expanded in ``elements``."""
+    n, names, rows = r.size, r.names, scans[0]
+    verdicts = list(_multigroup_verdicts(r.add, r.zero, names, "add-", scans))
     monoid = _monoid_defects(r.mul, r.one, r.zero, names)
     verdicts += map(_verdict_all, ("mul-associativity", "mul-commutativity",
                                    "mul-identity", "zero-absorbing"), monoid)
@@ -1259,6 +1288,22 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     verdicts.append(_verdict_all("distributivity-full", full,
                                  note="informational", informational=True))
     return CheckReport("multiring", tuple(verdicts))
+
+
+def _axioms_and_lemmas(s: FiniteMultiring | FiniteMultigroup
+                       ) -> tuple[CheckReport, CheckReport]:
+    """(``check_multiring(s)``, ``check_relational_lemmas`` of its additive
+    multigroup) for a multiring, (``check_multigroup(s)``,
+    ``check_relational_lemmas(s)``) for a multigroup: both reports read one
+    ``_additive_scans`` of the (additive) table, so its byte rows are
+    decided, its reversibility walked and its reassociation scan run once."""
+    ring = isinstance(s, FiniteMultiring)
+    op, r, e = (s.add, s.neg, s.zero) if ring else (s.op, s.inv, s.identity)
+    elements, names = _Elements(), s.carrier.names
+    scans = _additive_scans(op, r, names, elements)
+    axioms = _multiring_report(s, elements, scans) if ring else CheckReport(
+        "multigroup", _multigroup_verdicts(op, e, names, "", scans))
+    return axioms, _lemmas_report(op, r, e, names, scans)
 
 
 @dataclass(frozen=True)

@@ -82,11 +82,23 @@ def assert_multigroup_agrees(m):
     assert_relational_agrees(rel)
     # The lemmas on the multigroup's own table, as the CLI audits them.
     assert core.check_relational_lemmas(m) == core.check_relational_lemmas(rel)
+    assert_shared_scans_agree(m)
 
 
 def assert_multiring_agrees(r):
     assert core.check_multiring(r) == reference.check_multiring(r)
+    assert_shared_scans_agree(r)
     assert_multigroup_agrees(r.additive_multigroup())
+
+
+def assert_shared_scans_agree(s):
+    """The axioms and lemmas reports that ``check`` takes from one audit of
+    the (additive) table equal the two standalone audits."""
+    if isinstance(s, core.FiniteMultiring):
+        expected = core.check_multiring(s), core.check_relational_lemmas(s.additive_multigroup())
+    else:
+        expected = core.check_multigroup(s), core.check_relational_lemmas(s)
+    assert core._axioms_and_lemmas(s) == expected
 
 
 def as_audited(obj):
@@ -213,6 +225,71 @@ def test_single_cell_mutants(data):
     assert core.check_multiring(mutant) == reference.check_multiring(mutant)
     if table != "mul":
         assert_multigroup_agrees(mutant.additive_multigroup())
+
+
+def _seeded_mutant(base, rng):
+    """One cell of the (additive) table with an element flipped (a flip that
+    would empty it leaves it), or above 16 elements moved to another single
+    value, so that the table is still read as byte rows; or a moved product
+    or inverse."""
+    n = base.size
+    i, j, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    ring = isinstance(base, core.FiniteMultiring)
+    table, inverse = ("add", "neg") if ring else ("op", "inv")
+    kind = rng.choice(("cell", "cell", "inverse") + (("mul",) if ring else ()))
+    if kind == "mul":
+        return dataclasses.replace(base, mul=_replace_cell(base.mul, i, j, v))
+    if kind == "inverse":
+        moved = list(getattr(base, inverse))
+        moved[i] = v
+        return dataclasses.replace(base, **{inverse: tuple(moved)})
+    cells = getattr(base, table)
+    value = 1 << v if n > 16 else cells[i][j] ^ (1 << v)
+    return dataclasses.replace(base, **{table: _replace_cell(cells, i, j, value or 1 << v)})
+
+
+def test_shared_scans_on_seeded_mutants():
+    """``check``'s one audit of a table for both reports, and up to 16
+    elements the naive references, on seeded single-cell mutants of Z/8,
+    Z/12, q2 x K^2, the fan-3 multifield, the corpus multigroups, and Z/17
+    and Z/32 read as byte rows, and on the fan-3 multifield with 8 added to
+    each cell of row 8.  Among them are
+    tables whose first reassociation defect (iii's) comes before III's
+    first, tables whose defects all leave (uv)w inside u(vw), so that only
+    lemma (e) reads them, and tables whose identity row and column differ,
+    so that ii and II disagree."""
+    rng = random.Random(40)
+    q2, k = core.q2(), core.krasner()
+    fan3 = aos_to_mfred(fan_aos(3))
+    bases = [core.ring_multiring(8), core.ring_multiring(12), product([q2, k, k]), fan3,
+             *corpus_multigroups().values(), core.ring_multiring(17),
+             core.ring_multiring(32)]
+    # The references take longest from 9 to 16 elements.
+    mutants = [_seeded_mutant(base, rng) for base in bases
+               for _ in range(12 if 8 < base.size <= 16 else 40)]
+    # 8 added to each cell of row 8 of the fan-3 multifield: on all but one
+    # every defect leaves (uv)w inside u(vw).
+    mutants += [dataclasses.replace(fan3, add=_replace_cell(fan3.add, 8, y, cell | 1 << 8))
+                for y, cell in enumerate(fan3.add[8])]
+    seen = dict.fromkeys(("iii before III", "reverse only", "ii vs II", "byte rows"), 0)
+    for mutant in mutants:
+        ring = isinstance(mutant, core.FiniteMultiring)
+        m = mutant.additive_multigroup() if ring else mutant
+        if m.size > 16:  # the naive references take seconds here
+            assert_shared_scans_agree(mutant)
+            assert_shared_scans_agree(m)
+        else:
+            (assert_multiring_agrees if ring else assert_multigroup_agrees)(mutant)
+        op, e = m.op, m.identity
+        defects = list(core._reassociation_defects(op, core._Elements()))
+        forward = [left & ~right for *_, left, right in defects]
+        seen["iii before III"] += bool(defects) and not forward[0] and any(forward)
+        seen["reverse only"] += bool(defects) and not any(forward)
+        singleton = [1 << x for x in range(m.size)]
+        seen["ii vs II"] += (list(op[e]) == singleton) != ([row[e] for row in op] == singleton)
+        seen["byte rows"] += m.size > 16 and core._byte_rows(op) is not None \
+            and not core.check_multigroup(m).overall
+    assert all(count >= 5 for count in seen.values()), seen
 
 
 def _naive_reversibility(op, r, names):
@@ -448,8 +525,8 @@ def test_lemma_witnesses_past_failed_axioms(monkeypatch):
     def passing(verdicts):
         return tuple(dataclasses.replace(v, passed=True, witness=None) for v in verdicts)
 
-    def audit_passing(rel, cell, elements):
-        verdicts, we = audit(rel, cell, elements)
+    def audit_passing(*args):
+        verdicts, we = audit(*args)
         return passing(verdicts), we
 
     def axioms_passing(rel):

@@ -9,8 +9,13 @@ output under the tracer.  Here its ``Spans`` and then its ``Counts`` are
 installed over the imported library, and ``check --format jsonl`` must give
 the stdout and exit code of the untraced run: on Z/32 and q2^3 at ``all``,
 Z/64 at ``axioms`` (byte rows at the cap), the special group of the fan-3
-multifield at ``all`` and one seeded rs3 x rs3 mutant.  The test only reads
-``bench/``.
+multifield at ``all`` and one seeded rs3 x rs3 mutant.  At ``derived`` and
+``all`` the axioms of a multiring or multigroup and its lemmas read one
+reassociation scan, the lemmas resuming it after the axioms' first defect;
+three inputs guard that under the tracer: a multigroup mutant whose scan
+runs to its end for lemma (e), an addition mutant whose first defect comes
+before III's, and a multiplication mutant whose addition passes.  The test
+only reads ``bench/``.
 """
 
 import contextlib
@@ -57,6 +62,25 @@ def _rs_mutant():
     return dataclasses.replace(s, d=tuple(map(tuple, rows)))
 
 
+def _with_cell(table, i, j, cell):
+    return tuple(row if x != i else row[:j] + (cell,) + row[j + 1:]
+                 for x, row in enumerate(table))
+
+
+def _scan_mutants():
+    fan3 = aos_to_mfred(fan_aos(3)).additive_multigroup()
+    z8, z12 = core.ring_multiring(8), core.ring_multiring(12)
+    group = dataclasses.replace(fan3, op=_with_cell(fan3.op, 8, 0, fan3.op[8][0] | 1 << 8))
+    added = dataclasses.replace(z8, add=_with_cell(z8.add, 0, 2, z8.add[0][2] | 1))
+    forward = [left & ~right for *_, left, right
+               in core._reassociation_defects(added.add, core._Elements())]
+    assert not forward[0] and any(forward)
+    assert not any(left & ~right for *_, left, right
+                   in core._reassociation_defects(group.op, core._Elements()))
+    return [("fan3_group_mutant", group), ("z8_add_mutant", added),
+            ("z12_mul_mutant", dataclasses.replace(z12, mul=_with_cell(z12.mul, 2, 3, 5)))]
+
+
 def test_traced_check_prints_the_untraced_output(tmp_path):
     tracer = _tracer()
     mods = types.SimpleNamespace(**{layer: importlib.import_module(f"multialg.{layer}")
@@ -72,6 +96,11 @@ def test_traced_check_prints_the_untraced_output(tmp_path):
         path = str(tmp_path / f"{name}.mrs")
         mio.write_structure(path, obj)
         cases.append(["check", path, "--level", level, "--format", "jsonl"])
+    for name, obj in _scan_mutants():
+        path = str(tmp_path / f"{name}.mrs")
+        mio.write_structure(path, obj)
+        cases += [["check", path, "--level", level, "--format", "jsonl"]
+                  for level in ("derived", "all")]
 
     def run(argv):
         for cache in caches:
@@ -82,7 +111,7 @@ def test_traced_check_prints_the_untraced_output(tmp_path):
         return code, out.getvalue()
 
     untraced = [run(argv) for argv in cases]
-    assert [code for code, _ in untraced] == [0, 0, 0, 0, 1]
+    assert [code for code, _ in untraced] == [0, 0, 0, 0] + [1] * 7
     for instrument in (tracer.Spans(mods, clock=time.perf_counter), tracer.Counts(mods)):
         instrument.install()
         try:

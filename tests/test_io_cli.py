@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -95,19 +96,47 @@ class TestCli:
 
     def test_check_all_audits_a_multifield_once_for_its_guards(self, tmp_path,
                                                                monkeypatch, capsys):
-        """The report's own check_multiring, then one audit behind every
+        """The report's own multiring audit, then one audit behind every
         classify guard of check_smf, is_real_reduced_mf and
-        reduced_characterizations_check."""
+        reduced_characterizations_check.  ``_multiring_report`` is the
+        audit behind check_multiring and the report's shared scans alike."""
         f = aos_to_mfred(fan_aos(3))
         path = str(tmp_path / "fan3mf.mrs")
         mio.write_structure(path, f)
         audited = []
-        audit = core.check_multiring
-        monkeypatch.setattr(core, "check_multiring",
-                            lambda r: audited.append(r) or audit(r))
+        audit = core._multiring_report
+        monkeypatch.setattr(core, "_multiring_report",
+                            lambda r, *scans: audited.append(r) or audit(r, *scans))
         core._passes_multiring_audit.cache_clear()
         assert main(["check", path, "--level", "all"]) == 0
         assert sum(r == f for r in audited) == 2
+
+    def test_check_derived_scans_each_table_once(self, tmp_path, monkeypatch, capsys):
+        """At ``derived`` the axioms and the lemmas read one reversibility
+        walk and one reassociation scan of the (additive) table, on a
+        passing multiring, an addition mutant and a multigroup, and the
+        axioms report comes first."""
+        z12 = core.ring_multiring(12)
+        mutant = dataclasses.replace(z12, add=tuple(
+            row if x != 3 else (row[0] | 1 << 5,) + row[1:] for x, row in enumerate(z12.add)))
+        scanned = []
+        for name in ("_reversibility_defect", "_reassociation_defects"):
+            monkeypatch.setattr(core, name, lambda table, *args, _name=name,
+                                _scan=getattr(core, name): scanned.append((_name, table))
+                                or _scan(table, *args))
+        for s, table, code in ((z12, z12.add, 0), (mutant, mutant.add, 1),
+                               (z12.additive_multigroup(), z12.add, 0)):
+            path = str(tmp_path / "s.mrs")
+            mio.write_structure(path, s)
+            scanned.clear()
+            assert main(["check", path, "--level", "derived"]) == code
+            assert sorted(name for name, t in scanned if t == table) \
+                == ["_reassociation_defects", "_reversibility_defect"]
+            ring = isinstance(s, core.FiniteMultiring)
+            axioms = core.check_multiring(s) if ring else core.check_multigroup(s)
+            lemmas = core.check_relational_lemmas(s.additive_multigroup() if ring else s)
+            assert capsys.readouterr().out.startswith(
+                f"{axioms.render()}\n{lemmas.render()}\n")
 
     @pytest.mark.parametrize("level", ["axioms", "derived", "all"])
     def test_check_audits_a_special_group_once(self, level, monkeypatch, capsys):
