@@ -75,7 +75,7 @@ def _reports_for_level(obj, level: str) -> list:
         reports += core._axioms_and_lemmas(obj) if derived else [core.check_multiring(obj)]
         axioms = reports[0]
         if derived and axioms.overall:
-            flags = core.classify(obj, verified=True)
+            flags = core.classify(obj)
             info = {
                 "multidomain": flags.multidomain,
                 "multifield": flags.multifield,
@@ -92,18 +92,18 @@ def _reports_for_level(obj, level: str) -> list:
             reports.append(spectra.check_quotient_characterizations(obj))
             reports.append(spectra.spec_topology(obj).report)
             reports.append(spectra.ordering_hom_bijection_check(obj))
-            if core.classify(obj, verified=True).multifield:
+            if core.classify(obj).multifield:
                 reports.append(spectra.reduced_characterizations_check(obj))
             if spectra.is_real_reduced_mr(obj).overall:
                 reports.append(spectra.sper_embedding_check(obj))
     elif isinstance(obj, FiniteMultigroup):
         reports += core._axioms_and_lemmas(obj) if derived else [core.check_multigroup(obj)]
     elif isinstance(obj, SpecialGroup):
-        reports.append(sg := spg.check_sg(obj))
+        reports.append(spg.check_sg(obj))
         if derived:
             reports.append(spg.check_sg789(obj))
             reports.append(_Classification(
-                {"reduced": spg.check_reduced(obj, sg).overall}))
+                {"reduced": spg.check_reduced(obj).overall}))
     elif isinstance(obj, RealSemigroup):
         reports.append(rsg.check_rs(obj))
         if derived:
@@ -153,7 +153,7 @@ def cmd_classify(args) -> int:
     if not report.overall:
         _emit_report(report, args.format)
         return 1
-    flags = core.classify(obj, verified=True)
+    flags = core.classify(obj)
     full = report.verdict("distributivity-full").passed
     info = {
         "multiring": flags.multiring,
@@ -412,11 +412,9 @@ def cmd_diagram(args) -> int:
         mf_red = spectra.is_real_reduced_mf(obj).overall
         edge("real reduced multifield", mf_red)
         if mf_red:
-            g = spg.mf_to_sg(obj)
-            sg = spg.check_sg(g)
-            edge("mf -> sg -> mf table-exact", spg.smf_sg_roundtrip(obj, g, sg).overall)
+            edge("mf -> sg -> mf table-exact", spg.smf_sg_roundtrip(obj).overall)
             edge("sg reduced iff mf real reduced",
-                 spg.check_reduced(g, sg).overall == mf_red)
+                 spg.check_reduced(spg.mf_to_sg(obj)).overall == mf_red)
             edge("mf -> aos -> mf up to isomorphism",
                  osp.mf_aos_roundtrip(obj).overall)
             aos_space, _ = osp.mfred_to_aos(obj)

@@ -1,8 +1,9 @@
 """Finite multigroups and multirings as explicit tables.
 
 Set-valued cells are stored as bitmasks over carrier indices; carriers are
-capped at 64 elements.  Structures are immutable after construction and all
-checks are pure functions returning a CheckReport with one verdict per axiom.
+capped at 64 elements.  Structures are immutable after construction; the
+tables derived from one and its audit reports are kept on the object
+(``_kept``).  Every check returns a CheckReport with one verdict per axiom.
 The first violation in lexicographic index order is reported as the witness.
 
 The table audits (multigroup, multiring, and the relational axioms and
@@ -132,12 +133,13 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, partial, reduce, wraps
 from itertools import chain, compress, count, repeat
 from operator import and_, invert, itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 CARRIER_CAP = 64
+_AUDITED = "multialg.core.check_multiring"  # the key of the kept multiring audit
 
 
 class InputError(ValueError):
@@ -707,13 +709,28 @@ def _validate_cell_table(what: str, table: Sequence[Sequence[int]], n: int) -> N
 
 def _freeze_tables(obj, *names: str) -> None:
     """Keep the named tables of a frozen structure as tuples of tuples, so
-    that rows given as lists still let the per-structure caches (classify's
-    audit, spectra's ideals and orderings, dt_table) hash it.  Tables that
+    that the values kept on it (``_kept``, the audit reports) can not go
+    stale through a row given as a list and changed later.  Tables that
     are tuples already stay shared with their source."""
     for name in names:
         table = getattr(obj, name)
         if type(table) is not tuple or any(type(row) is not tuple for row in table):
             object.__setattr__(obj, name, tuple(map(tuple, table)))
+
+
+def _kept(build: Callable) -> Callable:
+    """``build(s)``, kept in the ``__dict__`` of the structure object ``s``
+    as ``cached_property`` keeps a value: an equal copy builds its own, and
+    ``==``, ``hash`` and ``repr`` read the fields only.  The key is fixed
+    here; its dots make it no field or attribute name."""
+    key = f"{build.__module__}.{build.__name__}"
+
+    @wraps(build)
+    def kept(s):
+        if key not in s.__dict__:
+            s.__dict__[key] = build(s)
+        return s.__dict__[key]
+    return kept
 
 
 def _validate_unary(what: str, table: Sequence[int], n: int) -> None:
@@ -1256,7 +1273,7 @@ def _generators(mul: Sequence[Sequence[int]]) -> list[int]:
 
 
 def check_multiring(r: FiniteMultiring) -> CheckReport:
-    """Audit the multiring axioms.
+    """Audit the multiring axioms; the report is kept on ``r`` for ``classify``.
 
     Weak distributivity (a+b)d <= ad+bd is the axiom; equality is reported
     as an extra informational verdict so multifields can be recognised.
@@ -1272,7 +1289,7 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
 def _multiring_report(r: FiniteMultiring, elements: _Elements, scans: tuple
                       ) -> CheckReport:
     """``check_multiring(r)``, its addition read from ``_additive_scans``
-    with the cells expanded in ``elements``."""
+    with the cells expanded in ``elements``; the report is kept on ``r``."""
     n, names, rows = r.size, r.names, scans[0]
     verdicts = list(_multigroup_verdicts(r.add, r.zero, names, "add-", scans))
     monoid = _monoid_defects(r.mul, r.one, r.zero, names)
@@ -1287,7 +1304,8 @@ def _multiring_report(r: FiniteMultiring, elements: _Elements, scans: tuple
     verdicts.append(_verdict_all("distributivity-weak", weak))
     verdicts.append(_verdict_all("distributivity-full", full,
                                  note="informational", informational=True))
-    return CheckReport("multiring", tuple(verdicts))
+    report = r.__dict__[_AUDITED] = CheckReport("multiring", tuple(verdicts))
+    return report
 
 
 def _axioms_and_lemmas(s: FiniteMultiring | FiniteMultigroup
@@ -1314,34 +1332,17 @@ class MultiringKind:
 
 
 def _classify_unchecked(r: FiniteMultiring) -> MultiringKind:
-    n = r.size
-    z = r.zero
-    domain = True
-    for a, b in itertools.product(range(n), repeat=2):
-        if a != z and b != z and r.mul[a][b] == z:
-            domain = False
-            break
-    fieldlike = True
-    for a in range(n):
-        if a == z:
-            continue
-        if not any(r.mul[a][b] == r.one for b in range(n)):
-            fieldlike = False
-            break
-    return MultiringKind(True, domain, fieldlike)
+    """``classify(r)`` for an audited ``r``, or a relabelled copy of one."""
+    nonzero = [x for x in range(r.size) if x != r.zero]
+    domain = all(r.mul[a][b] != r.zero for a in nonzero for b in nonzero)
+    return MultiringKind(True, domain, all(r.one in r.mul[a] for a in nonzero))
 
 
-@lru_cache(maxsize=None)
-def _passes_multiring_audit(r: FiniteMultiring) -> bool:
-    """check_multiring(r).overall, audited once per structure for the
-    guards of classify."""
-    return check_multiring(r).overall
-
-
-def classify(r: FiniteMultiring, *, verified: bool = False) -> MultiringKind:
-    """Flag multidomain / multifield status.  Requires the axioms to hold;
-    pass verified=True to skip the re-audit."""
-    if not verified and not _passes_multiring_audit(r):
+def classify(r: FiniteMultiring) -> MultiringKind:
+    """Flag multidomain / multifield status.  Requires the axioms to hold:
+    reads the multiring audit kept on ``r``, and audits ``r`` only when
+    none is kept."""
+    if not (r.__dict__.get(_AUDITED) or check_multiring(r)).overall:
         raise InputError("classify: structure fails the multiring audit")
     return _classify_unchecked(r)
 

@@ -34,13 +34,13 @@ from .core import (
     InputError,
     _Moved,
     _associativity_defect,
+    _classify_unchecked,
     _distributivity_defects,
     _relabel,
     _rows,
     bits,
     check_multigroup,
     check_multiring,
-    classify,
     mask_of,
 )
 
@@ -278,7 +278,7 @@ def enumerate_structures(kind: str, order: int, up_to_iso: bool = True):
     for n in range(1, order + 1):
         for s in (search if up_to_iso else generate)(n):
             if kind in ("multidomain", "multifield") \
-                    and not getattr(classify(s, verified=True), kind):
+                    and not getattr(_classify_unchecked(s), kind):
                 continue
             if not up_to_iso:
                 out.append(s)

@@ -5,7 +5,7 @@ the constructions to and from real reduced multifields and multirings.
 The value and transversal tables are core's pointwise tables
 (``_pointwise_cells``, described there), with one map per point, each
 function to its sign at the point; the point-map search reads the same
-maps' preimages.  The pointwise products are one cached table per space.
+maps' preimages.  The pointwise products are one table kept per space.
 ``aos_to_mfred`` hands the value table, as D, to the zero adjunction of
 ``constructions``.
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import or_
 from typing import Iterator, Optional, Sequence
 
@@ -51,6 +51,7 @@ from .core import (
     StructureMap,
     Verdict,
     _Elements,
+    _kept,
     _lowest_bit,
     _pointwise_cells,
     _preimages,
@@ -178,7 +179,7 @@ def _pointwise_table(s: SignSpace, allowed) -> tuple[tuple[int, ...], ...]:
     return _pointwise_cells(s.nfunctions, _sign_maps(s), cells)[0]
 
 
-@lru_cache(maxsize=None)
+@_kept
 def value_table(s: SignSpace) -> tuple[tuple[int, ...], ...]:
     """D(a,b) as masks over function indices: c takes a value of a or b at
     each point, or, in ars mode, zero."""
@@ -187,7 +188,7 @@ def value_table(s: SignSpace) -> tuple[tuple[int, ...], ...]:
     return _pointwise_table(s, lambda u, v: {0, u, v})
 
 
-@lru_cache(maxsize=None)
+@_kept
 def transversal_table(s: SignSpace) -> tuple[tuple[int, ...], ...]:
     """D^t(a,b): as D but a zero of c forces b = -a at that point."""
     if s.mode != ARS:
@@ -196,7 +197,7 @@ def transversal_table(s: SignSpace) -> tuple[tuple[int, ...], ...]:
         s, lambda u, v: {w for w in (u, v) if w} | ({0} if u == -v else set()))
 
 
-@lru_cache(maxsize=None)
+@_kept
 def _product_table(s: SignSpace) -> tuple[tuple[Optional[int], ...], ...]:
     """Index of the pointwise product of functions i and j; None where the
     product leaves the function set."""
@@ -465,13 +466,13 @@ def aos_to_mfred(s: SignSpace) -> FiniteMultiring:
                         prod, neg_index, one, value_table(s))
 
 
-@lru_cache(maxsize=None)
+@_kept
 def mfred_to_aos(f: FiniteMultiring) -> tuple[SignSpace, CheckReport]:
     """Points are the characters of the nonzero part whose kernel swallows
     sums; functions are the element evaluations.  The bijection audits
     compare the points with the orderings and the functions with the
-    nonzero elements.  Built once per structure: ``diagram`` reads it after
-    the round-trip."""
+    nonzero elements.  Kept on ``f``: ``diagram`` reads it after the
+    round-trip."""
     if not is_real_reduced_mf(f).overall:
         raise InputError("space construction requires a real reduced multifield")
     nz = [x for x in range(f.size) if x != f.zero]

@@ -58,6 +58,7 @@ from .core import (
     _commutativity_defect,
     _fibres,
     _freeze_tables,
+    _kept,
     _label_values,
     _lowest_bit,
     _map_defects,
@@ -146,7 +147,7 @@ def make_real_semigroup(names: Sequence[str],
                          index(minus_one), tuple(map(tuple, d)))
 
 
-@lru_cache(maxsize=None)
+@_kept
 def dt_table(s: RealSemigroup) -> tuple[tuple[int, ...], ...]:
     """Transversal representation, derived: a in D^t(b,c) iff a in D(b,c),
     -b in D(-a,c) and -c in D(b,-a).
@@ -659,12 +660,12 @@ def rs_to_mrred(s: RealSemigroup) -> FiniteMultiring:
     return FiniteMultiring(s.carrier, dt, s.mul, neg, s.zero, s.one)
 
 
-@lru_cache(maxsize=None)
+@_kept
 def mrred_to_rs(a: FiniteMultiring) -> RealSemigroup:
     """Representation from scaled sums: d in D(x,y) iff d in d^2 x + d^2 y,
     the square-transversal rows of the addition; the derived transversal
     sets must reproduce the original addition.
-    Built once per structure: ``diagram`` reads it after the round-trip."""
+    Kept on ``a``: ``diagram`` reads it after the round-trip."""
     if not is_real_reduced_mr(a).overall:
         raise InputError("semigroup construction requires a real reduced input")
     s = RealSemigroup(a.carrier, a.mul, a.one, a.zero, a.neg[a.one],

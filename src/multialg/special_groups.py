@@ -8,10 +8,10 @@ build their relations on indices, with no labels.  Triple isometry is
 derived from the binary relation through the usual existential expansion,
 which is what the 3-transitivity axiom SG6 and the equivalent SG7/SG8/SG9
 are audited against.
-One cached relation serves SG6, SG8 and SG9: triples are grouped by first
-element and tail pair class, and the k = n * ncls groups (ncls pair classes)
-get one k-bit row each, built by ORing per-(z, class) masks of groups;
-SG8 closes them with core's ``_closure``.
+One relation, kept on the group, serves SG6, SG8 and SG9: triples are
+grouped by first element and tail pair class, and the k = n * ncls groups
+(ncls pair classes) get one k-bit row each, built by ORing per-(z, class)
+masks of groups; SG8 closes them with core's ``_closure``.
 
 The special-multifield audit and the functor back to special groups read two
 tables over the nonzero elements, built once per call from core's kernels:
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .constructions import _adjoin_zero
@@ -49,6 +48,7 @@ from .core import (
     _commutativity_defect,
     _fibres,
     _freeze_tables,
+    _kept,
     _label_values,
     _lowest_bit,
     _map_defects,
@@ -60,6 +60,8 @@ from .core import (
     full_mask,
     same_tables,
 )
+
+_AUDITED = "multialg.special_groups.check_sg"  # the key of the kept check_sg
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,8 @@ class SpecialGroup:
         stray = _stray_tuple(self.iso, 4, n)
         if stray is not None:
             raise InputError(f"isometry quadruple {stray} outside carrier")
-        # An isometry relation given as a set is kept as a frozenset: the
-        # per-group caches hash the group.
+        # An isometry relation given as a set is kept as a frozenset, so that
+        # the values kept on the group can not go stale and it stays hashable.
         _freeze_tables(self, "mul")
         if type(self.iso) is not frozenset:
             object.__setattr__(self, "iso", frozenset(map(tuple, self.iso)))
@@ -198,7 +200,7 @@ def smallest_special_group(names: Sequence[str],
 # ---------------------------------------------------------------------------
 # pair classes and representation sets
 
-@lru_cache(maxsize=None)
+@_kept
 def _pair_classes(g: SpecialGroup) -> tuple[tuple[tuple[int, ...], ...],
                                             tuple[int, ...]]:
     """Class id per ordered pair, plus the mask of first components (the
@@ -290,7 +292,7 @@ def check_psg(g: SpecialGroup) -> CheckReport:
     )
 
 
-@lru_cache(maxsize=None)
+@_kept
 def _triple_relation(g: SpecialGroup) -> tuple[int, tuple[int, ...]]:
     """Existential triple isometry between triple groups, as bit rows.
 
@@ -332,7 +334,7 @@ def _group_triple_rep(g: SpecialGroup, i: int) -> tuple[str, str, str]:
     raise AssertionError("empty pair class")
 
 
-@lru_cache(maxsize=None)
+@_kept
 def _sg6_witness(g: SpecialGroup) -> Optional[tuple]:
     _, rows = _triple_relation(g)
     for i, row in enumerate(rows):
@@ -389,17 +391,19 @@ def _sg9_witness(g: SpecialGroup) -> Optional[tuple]:
 
 
 def check_sg(g: SpecialGroup) -> CheckReport:
+    """SG0-SG6; the report is kept on ``g``, for the guards that read it."""
     psg = check_psg(g)
     w6 = _sg6_witness(g)
-    return CheckReport(
+    report = g.__dict__[_AUDITED] = CheckReport(
         subject="special group",
         verdicts=psg.verdicts + (Verdict("SG6-3-transitivity", w6 is None, w6),),
     )
+    return report
 
 
-def check_reduced(g: SpecialGroup, sg: Optional[CheckReport] = None) -> CheckReport:
-    """``sg`` (by default ``check_sg(g)``) and the two reduced verdicts."""
-    sg = check_sg(g) if sg is None else sg
+def check_reduced(g: SpecialGroup) -> CheckReport:
+    """The kept (or a new) ``check_sg(g)`` and the two reduced verdicts."""
+    sg = g.__dict__.get(_AUDITED) or check_sg(g)
     cls, _ = _pair_classes(g)
     w_distinct = None if g.one != g.minus_one else (g.names[g.one],)
     w_rigid = None
@@ -556,8 +560,10 @@ def check_smf(f: FiniteMultiring) -> CheckReport:
     )
 
 
+@_kept
 def mf_to_sg(f: FiniteMultiring) -> SpecialGroup:
-    """Nonzero part with isometry: equal products plus membership a in c+d."""
+    """Nonzero part with isometry: equal products plus membership a in c+d.
+    Kept on ``f``: ``diagram`` reads it after the round-trip."""
     nz = [x for x in range(f.size) if x != f.zero]
     if any(f.mul[x][y] == f.zero for x in nz for y in nz):
         raise InputError("special group construction requires a multifield: "
@@ -673,13 +679,11 @@ def sg_smf_roundtrip(g: SpecialGroup) -> CheckReport:
     )
 
 
-def smf_sg_roundtrip(f: FiniteMultiring, g: Optional[SpecialGroup] = None,
-                     sg: Optional[CheckReport] = None) -> CheckReport:
-    """Through the special group ``g`` (by default ``mf_to_sg(f)``) and back:
-    tables are restored exactly.  ``sg`` is g's ``check_sg`` report, run
-    here by default."""
-    g = mf_to_sg(f) if g is None else g
-    sg = check_sg(g) if sg is None else sg
+def smf_sg_roundtrip(f: FiniteMultiring) -> CheckReport:
+    """Through the kept ``mf_to_sg(f)``, read with its kept (or a new)
+    ``check_sg`` report, and back: tables are restored exactly."""
+    g = mf_to_sg(f)
+    sg = g.__dict__.get(_AUDITED) or check_sg(g)
     f2 = sg_to_mf(g, zero_label=f.names[f.zero])
     same = same_tables(f, f2)
     return CheckReport(

@@ -1,7 +1,7 @@
 """Ideal and ordering spectra of finite multirings.
 
-The ideal list is computed once per structure (``_ideals``, a module-level
-cache) and shared by its four consumers: ``enumerate_primes``,
+The ideal list is kept on the structure object (``_ideals``, through
+core's ``_kept``) and shared by its four consumers: ``enumerate_primes``,
 ``enumerate_maximals``, ``check_quotient_characterizations`` and
 ``spec_topology``.  The ideal closure it joins with and the sums of
 squares are core's ``_closure``.  One walk, ``_closed_sets``, gives the
@@ -19,7 +19,7 @@ It tests each leaf for closure under products and sums in full, and its
 callers test only the support: the orderings through ``Ideal`` and
 ``is_prime_mask``, the cones of a sign space through ``_is_prime``, the one
 prime test, on the space's product table.  Like the ideal list, the
-orderings are computed once per structure (``_orderings``), however many of
+orderings are kept on the structure (``_orderings``), however many of
 the checks and functors that read them run.  The evaluation embedding
 reads core's pointwise table of the sign sums (``_pointwise_cells``), with
 one map per ordering, its sign map.
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
@@ -40,6 +39,7 @@ from .core import (
     StructureMap,
     Verdict,
     _closure,
+    _kept,
     _lowest_bit,
     _pointwise_cells,
     _table_maps,
@@ -87,7 +87,7 @@ def _closed_sets(close: Callable[..., int], n: int) -> set[int]:
     return seen
 
 
-@lru_cache(maxsize=None)
+@_kept
 def _ideals(a: FiniteMultiring) -> tuple[Ideal, ...]:
     """All ideals in (popcount, mask) order: the ideal closure's closed sets."""
     masks = sorted(_closed_sets(_ideal_closure(a), a.size),
@@ -341,7 +341,7 @@ def _sign_cones(neg: Sequence[int], mul: Sequence[Sequence[int]],
         yield from dfs(0, singles, singles)
 
 
-@lru_cache(maxsize=None)
+@_kept
 def _orderings(a: FiniteMultiring) -> tuple[Ordering, ...]:
     """The sign cones of ``_sign_cones`` whose support is a prime ideal,
     in ascending mask order."""

@@ -9,9 +9,13 @@ output under the tracer.  Here its ``Spans`` and then its ``Counts`` are
 installed over the imported library, and ``check --format jsonl`` must give
 the stdout and exit code of the untraced run: on Z/32 and q2^3 at ``all``,
 Z/64 at ``axioms`` (byte rows at the cap), the special group of the fan-3
-multifield at ``all`` and one seeded rs3 x rs3 mutant.  At ``derived`` and
-``all`` the axioms of a multiring or multigroup and its lemmas read one
-reassociation scan, the lemmas resuming it after the axioms' first defect;
+multifield at ``all``, the fan-4 multifield at ``all`` (where the guards
+behind ``classify`` read the multiring audit kept on the structure) and one
+seeded rs3 x rs3 mutant; ``diagram`` on the fan-3 multifield reads the
+kept ``check_sg`` report, ``mf_to_sg`` and ``mfred_to_aos`` twice each.
+At ``derived`` and ``all`` the axioms of a multiring or multigroup and its
+lemmas read one reassociation scan, the lemmas resuming it after the
+axioms' first defect;
 three inputs guard that under the tracer: a multigroup mutant whose scan
 runs to its end for lemma (e), an addition mutant whose first defect comes
 before III's, and a multiplication mutant whose addition passes.  The test
@@ -92,10 +96,14 @@ def test_traced_check_prints_the_untraced_output(tmp_path):
             ("z64", core.ring_multiring(64), "axioms"),
             ("q2cube", q2cube(), "all"),
             ("sg_fan3", mf_to_sg(aos_to_mfred(fan_aos(3))), "all"),
+            ("fan4", aos_to_mfred(fan_aos(4)), "all"),
             ("rs3x3_mutant", _rs_mutant(), "all")):
         path = str(tmp_path / f"{name}.mrs")
         mio.write_structure(path, obj)
         cases.append(["check", path, "--level", level, "--format", "jsonl"])
+    path = str(tmp_path / "fan3.mrs")
+    mio.write_structure(path, aos_to_mfred(fan_aos(3)))
+    cases.insert(-1, ["diagram", path])
     for name, obj in _scan_mutants():
         path = str(tmp_path / f"{name}.mrs")
         mio.write_structure(path, obj)
@@ -111,7 +119,7 @@ def test_traced_check_prints_the_untraced_output(tmp_path):
         return code, out.getvalue()
 
     untraced = [run(argv) for argv in cases]
-    assert [code for code, _ in untraced] == [0, 0, 0, 0] + [1] * 7
+    assert [code for code, _ in untraced] == [0] * 6 + [1] * 7
     for instrument in (tracer.Spans(mods, clock=time.perf_counter), tracer.Counts(mods)):
         instrument.install()
         try:

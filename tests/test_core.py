@@ -1,8 +1,14 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from multialg import core
+from multialg import io as mio
+from multialg import ordering_spaces as osp
+from multialg import real_semigroups as rsg
+from multialg import special_groups as spg
+from multialg import spectra
 from multialg.constructions import product
 from multialg.core import (
     Carrier,
@@ -374,3 +380,70 @@ class TestPresentationEquivalence:
             assert table_ok == rel_ok
             checked += 1
         assert checked >= 40
+
+
+class TestKeptValues:
+    """Derived tables, constructions and audit reports are kept on the
+    structure object they come from (``core._kept``), never on an equal
+    copy, and the public audits run on every call."""
+
+    def test_values_are_kept_per_object(self):
+        f = osp.aos_to_mfred(osp.fan_aos(3))
+        copy = dataclasses.replace(f)
+        before = (hash(f), repr(f), mio.serialize(f))
+        g, (space, _), s = spg.mf_to_sg(f), osp.mfred_to_aos(f), rsg.mrred_to_rs(f)
+        ars, _ = osp.mrred_to_ars(f)
+        readers = (
+            (f, (check_multiring, spectra._ideals, spectra._orderings, spg.mf_to_sg,
+                 osp.mfred_to_aos, rsg.mrred_to_rs)),
+            (g, (spg.check_sg, spg._pair_classes, spg._triple_relation, spg._sg6_witness)),
+            (space, (osp.value_table, osp._product_table)),
+            (ars, (osp.value_table, osp.transversal_table, osp._product_table)),
+            (s, (rsg.dt_table,)))
+        keys = []
+        for obj, reads in readers:
+            values = [read(obj) for read in reads]
+            names = {field.name for field in dataclasses.fields(obj)}
+            kept = [key for key in vars(obj) if key not in names]
+            assert len(kept) == len(reads), (type(obj).__name__, kept)
+            keys += kept
+            # a second read returns the kept value itself; an audit runs again
+            for read, value in zip(reads, values):
+                if read not in (check_multiring, spg.check_sg):
+                    assert read(obj) is value, read.__name__
+        # the twelve kept values and the two kept audit reports: 14 keys
+        assert len(set(keys)) == 14 and len(keys) == 16
+        assert (hash(f), repr(f), mio.serialize(f)) == before
+        assert f == copy and hash(f) == hash(copy)
+        assert set(vars(copy)) == {field.name for field in dataclasses.fields(copy)}
+        g2 = spg.mf_to_sg(copy)
+        assert g2 == g and g2 is not g
+
+    def test_public_audits_run_on_every_call(self, monkeypatch):
+        audited = []
+        report = core._multiring_report
+        monkeypatch.setattr(core, "_multiring_report",
+                            lambda r, *scans: audited.append(r) or report(r, *scans))
+        r = ring_multiring(6)
+        assert check_multiring(r) == check_multiring(r) and len(audited) == 2
+        classify(r)  # reads the kept report
+        assert len(audited) == 2
+        fresh = ring_multiring(6)
+        classify(fresh)
+        classify(fresh)
+        assert len(audited) == 3
+        bad = FiniteMultiring(fresh.carrier, fresh.add, tuple(
+            row if x != 2 else (row[0] ^ 1,) + row[1:] for x, row in enumerate(fresh.mul)),
+            fresh.neg, fresh.zero, fresh.one)
+        for _ in range(2):
+            with pytest.raises(InputError):
+                classify(bad)
+        assert len(audited) == 4
+
+        checked = []
+        psg = spg.check_psg
+        monkeypatch.setattr(spg, "check_psg", lambda g: checked.append(g) or psg(g))
+        g = spg.mf_to_sg(osp.aos_to_mfred(osp.fan_aos(2)))
+        assert spg.check_sg(g) == spg.check_sg(g) and len(checked) == 2
+        spg.check_reduced(g)
+        assert len(checked) == 2

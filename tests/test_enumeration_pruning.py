@@ -163,6 +163,18 @@ def test_audits_made(monkeypatch):
     assert found == calls[2] == 428  # every full audit passes
 
 
+@pytest.mark.parametrize("kind, found", [("multifield", 35), ("multidomain", 71)])
+def test_kind_filter_audits_no_placed_copy(monkeypatch, kind, found):
+    """The multidomain and multifield filter reads structures the slices
+    audited, or relabelled copies of them, so it audits none again: the 16
+    multiring audits are the slices' of orders 1-3, as for every kind."""
+    audits, audit = [], core.check_multiring
+    for module in (core, enumeration):
+        monkeypatch.setattr(module, "check_multiring", lambda r: audits.append(r) or audit(r))
+    assert len(enumeration.enumerate_structures(kind, 3, up_to_iso=False)) == found
+    assert len(audits) == 16
+
+
 @pytest.mark.parametrize("generate, n, labelled, classes", [
     (generate_multigroups, 4, 1560, 97),
     (generate_multirings, 2, 4, 2),

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -96,10 +97,11 @@ class TestCli:
 
     def test_check_all_audits_a_multifield_once_for_its_guards(self, tmp_path,
                                                                monkeypatch, capsys):
-        """The report's own multiring audit, then one audit behind every
-        classify guard of check_smf, is_real_reduced_mf and
-        reduced_characterizations_check.  ``_multiring_report`` is the
-        audit behind check_multiring and the report's shared scans alike."""
+        """The report's own multiring audit is kept on the structure, and
+        every classify guard (of check_smf, is_real_reduced_mf and
+        reduced_characterizations_check) reads it: one audit in all.
+        ``_multiring_report`` is the audit behind check_multiring and the
+        report's shared scans alike."""
         f = aos_to_mfred(fan_aos(3))
         path = str(tmp_path / "fan3mf.mrs")
         mio.write_structure(path, f)
@@ -107,9 +109,8 @@ class TestCli:
         audit = core._multiring_report
         monkeypatch.setattr(core, "_multiring_report",
                             lambda r, *scans: audited.append(r) or audit(r, *scans))
-        core._passes_multiring_audit.cache_clear()
         assert main(["check", path, "--level", "all"]) == 0
-        assert sum(r == f for r in audited) == 2
+        assert sum(r == f for r in audited) == 1
 
     def test_check_derived_scans_each_table_once(self, tmp_path, monkeypatch, capsys):
         """At ``derived`` the axioms and the lemmas read one reversibility
@@ -140,7 +141,7 @@ class TestCli:
 
     @pytest.mark.parametrize("level", ["axioms", "derived", "all"])
     def test_check_audits_a_special_group_once(self, level, monkeypatch, capsys):
-        """check_reduced reads the report's own check_sg verdicts."""
+        """check_reduced reads the check_sg report kept on the group."""
         from multialg import special_groups as spg
         audited = []
         audit = spg.check_psg
@@ -148,16 +149,50 @@ class TestCli:
         assert main(["check", corpus_path("sg_z22_reduced"), "--level", level]) == 0
         assert len(audited) == 1
 
+    def test_counted_work_repeats_in_one_process(self, tmp_path, monkeypatch, capsys):
+        """Derived tables and audit reports are kept on the structure a
+        command reads, so running ``check --level all`` twice and then
+        ``diagram`` twice on one file, in one process and clearing no
+        cache, makes the same kernel calls each time.  Z/12 is not real
+        reduced, so its ``diagram`` stops before any of them."""
+        names = ("_reversibility_defect", "_reassociation_defects", "_closed_sets",
+                 "_sign_cones", "_close_iso", "_pair_classes", "_triple_relation")
+        calls = collections.Counter()
+        modules = [m for name, m in sys.modules.items() if name.startswith("multialg.")]
+        for name in names:
+            fn = next(vars(m)[name] for m in modules if name in vars(m))
+            counted = (lambda *args, _fn=fn, _name=name:
+                       calls.update([_name]) or _fn(*args))
+            for m in modules:
+                if vars(m).get(name) is fn:
+                    monkeypatch.setattr(m, name, counted)
+        made = {}
+        for name, s in (("sum3", aos_to_mfred(fan_aos(3))), ("z12", core.ring_multiring(12))):
+            path = str(tmp_path / f"{name}.mrs")
+            mio.write_structure(path, s)
+            for argv in (["check", path, "--level", "all"], ["diagram", path]):
+                runs = []
+                for _ in range(2):
+                    calls.clear()
+                    main(argv)
+                    runs.append(dict(calls))
+                assert runs[0] == runs[1], (name, argv[0])
+                made[name, argv[0]] = sum(runs[0].values())
+        capsys.readouterr()
+        assert made[("z12", "diagram")] == 0 and all(
+            made[key] for key in (("sum3", "check"), ("sum3", "diagram"), ("z12", "check")))
+
     def test_diagram_builds_the_special_group_once(self, tmp_path, monkeypatch,
                                                    capsys):
         """The sg-smf round-trip edge and the reduced edge share one
-        mf_to_sg and one check_sg."""
+        mf_to_sg and one check_sg.  mf_to_sg's build is the one call of
+        ``_close_iso`` in ``diagram``."""
         from multialg import special_groups as spg
         path = str(tmp_path / "fan3mf.mrs")
         mio.write_structure(path, aos_to_mfred(fan_aos(3)))
         built, audited = [], []
-        build, audit = spg.mf_to_sg, spg.check_psg
-        monkeypatch.setattr(spg, "mf_to_sg", lambda f: built.append(f) or build(f))
+        build, audit = spg._close_iso, spg.check_psg
+        monkeypatch.setattr(spg, "_close_iso", lambda n, raw: built.append(n) or build(n, raw))
         monkeypatch.setattr(spg, "check_psg", lambda g: audited.append(g) or audit(g))
         assert main(["diagram", path]) == 0
         assert (len(built), len(audited)) == (1, 1)

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from multialg import ordering_spaces as osp
 from multialg.cli import main
 from multialg.core import InputError, check_morphism, is_isomorphic, q2
 from multialg.corpus import ars_q2xq2, q2xq2
@@ -297,11 +298,15 @@ class TestInducedPointMaps:
                 assert left.point_map == composed
 
 
-def test_diagram_builds_the_space_once():
-    # The round-trip builds the space; the point count then reads the cache.
+def test_diagram_builds_the_space_once(monkeypatch):
+    # The round-trip builds the space; the point count then reads the one
+    # kept on the multifield.  A build finds the characters once.
     path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "fan2mf.mrs")
-    mfred_to_aos.cache_clear()
+    built, read = [], []
+    characters = osp._admissible_characters
+    monkeypatch.setattr(osp, "_admissible_characters",
+                        lambda f: built.append(f) or characters(f))
+    monkeypatch.setattr(osp, "mfred_to_aos", lambda f: read.append(f) or mfred_to_aos(f))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["diagram", path]) == 0
-    info = mfred_to_aos.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (len(built), len(read)) == (1, 2)

@@ -119,19 +119,14 @@ def outcome(construct, a):
 def scaled_sums(module, a, monkeypatch):
     """The D table that ``module.mrred_to_rs`` builds from a, with the real
     reduced guard and the closing transversal check stubbed out, so that the
-    loop runs on any multiring.  The library keeps one image per structure,
-    so its cache is emptied before the stubbed call and after it."""
+    loop runs on any multiring.  The library keeps one image per structure
+    object, so the stubbed call builds on a fresh equal copy of a."""
     built = []
-    clear = getattr(module.mrred_to_rs, "cache_clear", lambda: None)
     monkeypatch.setattr(module, "is_real_reduced_mr",
                         lambda _: CheckReport("stub", ()))
     monkeypatch.setattr(module, "dt_table",
                         lambda s: built.append(s.d) or a.add)
-    clear()
-    try:
-        module.mrred_to_rs(a)
-    finally:
-        clear()
+    module.mrred_to_rs(dataclasses.replace(a))
     return built[0]
 
 

@@ -96,7 +96,9 @@ def _sg_outcome(module, f, monkeypatch) -> tuple:
     """mf_to_sg's group, closure count and the relations it hands to
     ``special_groups._close_iso``, each with its size and as index
     quadruples in scan order, or its InputError.  The reference reaches
-    ``_close_iso`` through the library's ``make_special_group``."""
+    ``_close_iso`` through the library's ``make_special_group``.  The library
+    keeps one group per structure object, so f is a fresh equal copy."""
+    f = dataclasses.replace(f)
     raws: list = []
     close = spg._close_iso
 

@@ -183,7 +183,7 @@ class TestFunctorToMultifields:
         for name, g in special_groups.items():
             f = sg_to_mf(g)
             assert check_multiring(f).overall, name
-            assert classify(f, verified=True).multifield, name
+            assert classify(f).multifield, name
             assert check_smf(f).overall, name
 
     def test_zero_label_collision_is_an_input_error(self):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import reference_audits as reference
+from multialg import spectra
 from multialg.core import (
     InputError,
     check_morphism,
@@ -37,7 +38,6 @@ from multialg.spectra import (
     sper_embedding_check,
     sums_of_squares_set,
     _evaluation_defects,
-    _orderings,
 )
 
 
@@ -146,15 +146,21 @@ class TestOrderings:
         with pytest.raises(InputError):
             Ordering(q2(), 0b111)  # everything: support is not prime
 
-    def test_computed_once_per_structure(self):
-        """Each call gets its own list of the one cached tuple."""
-        a = q2cube()
-        _orderings.cache_clear()
+    def test_computed_once_per_structure(self, monkeypatch):
+        """Each call gets its own list of the one tuple kept on the
+        structure, found by one cone search; an equal copy searches anew."""
+        a = dataclasses.replace(q2cube())
+        searched = []
+        search = spectra._sign_cones
+        monkeypatch.setattr(spectra, "_sign_cones",
+                            lambda *tables: searched.append(tables) or search(*tables))
         first = enumerate_orderings(a)
         first.clear()
         again = enumerate_orderings(a)
         assert len(again) == 3 and again is not enumerate_orderings(a)
-        assert _orderings.cache_info().misses == 1
+        assert len(searched) == 1
+        assert enumerate_orderings(dataclasses.replace(a)) == again
+        assert len(searched) == 2
 
 
 class TestPreorderings:
