@@ -88,14 +88,14 @@ def _reports_for_level(obj, level: str) -> list:
                     spectra.is_real_reduced_mf(obj).overall
                 info["special-multifield"] = spg.check_smf(obj).overall
             reports.append(_Classification(info))
-        if level == "all" and axioms.overall:
-            reports.append(spectra.check_quotient_characterizations(obj))
-            reports.append(spectra.spec_topology(obj).report)
-            reports.append(spectra.ordering_hom_bijection_check(obj))
-            if core.classify(obj).multifield:
-                reports.append(spectra.reduced_characterizations_check(obj))
-            if spectra.is_real_reduced_mr(obj).overall:
-                reports.append(spectra.sper_embedding_check(obj))
+            if level == "all":
+                reports.append(spectra.check_quotient_characterizations(obj))
+                reports.append(spectra.spec_topology(obj).report)
+                reports.append(spectra.ordering_hom_bijection_check(obj))
+                if flags.multifield:
+                    reports.append(spectra.reduced_characterizations_check(obj))
+                if info["real-reduced-multiring"]:
+                    reports.append(spectra.sper_embedding_check(obj))
     elif isinstance(obj, FiniteMultigroup):
         reports += core._axioms_and_lemmas(obj) if derived else [core.check_multigroup(obj)]
     elif isinstance(obj, SpecialGroup):

@@ -17,10 +17,10 @@ transposed lazily, one ``zip`` per y, and each step of it yields x(yz)
 over z for the next x, so the scan's n^3 steps run inside ``zip``,
 ``map`` and tuple comparison.  Each OR is built once per distinct cell, in
 ``_CellUnion``; a symmetric table shares one for its rows and columns.
-On lines of 8 to 64 entries, each line (row or column) that a cell of two
+On lines of up to 64 entries, each line (row or column) that a cell of two
 or more elements needs is packed into one int, 64 bits per entry, so a
-union is one ``reduce`` of ints, unpacked once; shorter lines, and those
-of sign-space tables of more functions than the cap, OR tuples.
+union is one ``reduce`` of ints, unpacked once; the lines of sign-space
+tables of more functions than the cap OR tuples.
 The multiring audit reads its addition through the multigroup audit's
 verdicts, named ``add-``, without building the additive multigroup.
 Reversibility and the reassociation scan of a table run once for its
@@ -28,8 +28,8 @@ multigroup axioms i and iii and its relational axioms I and III and lemma
 (e) alike (``_additive_scans``): ``check`` at ``derived`` and ``all`` gets
 both reports from one audit (``_axioms_and_lemmas``), the lemmas resuming
 the scan from its first defect.
-Above 16 elements a table whose every cell is a singleton {v}, such as the
-addition of a ring, is read as byte rows of v + 1 instead (``_byte_rows``),
+A table whose every cell is a singleton {v}, such as the addition of a
+ring, is read as byte rows of v + 1 instead (``_byte_rows``),
 decided once per table per audit and given up at the first row with an
 empty or larger cell.  Rows are then compared inside C by translation:
 the reassociation scan compares, for each x, the rows xy joined over y
@@ -41,18 +41,20 @@ Only a row that differs is walked, so defects and witnesses are those of
 the masks.
 Associativity of a value table (multiring multiplication, ternary
 semigroups, special groups, the enumerated monoids) is one audit,
-``_associativity_defect``: the rows are bytes, and (ab)c over c is row ab
-while a(bc) is row b translated through row a, compared inside C.
-``_monoid_defects`` adds commutativity, the unit and the absorbing zero, for
-multirings and ternary semigroups alike.  Reversibility, the identity and
-commutativity are one helper each (``_reversibility_defect``,
-``_identity_defect``, ``_commutativity_defect``), shared by the multigroup,
-relational and monoid audits.  Above 16 elements reversibility of a table
+``_associativity_defect``: the first defect of the reassociation scan on
+the table's byte rows.  ``_monoid_defects`` adds commutativity, the unit
+and the absorbing zero, for multirings and ternary semigroups alike, and
+``_cube_defect`` is a^3 = a for ternary semigroups and the real reduced
+audits.  Reversibility, the identity and commutativity are one helper each
+(``_reversibility_defect``, ``_identity_defect``,
+``_commutativity_defect``), shared by the multigroup, relational and monoid
+audits.  Above 16 elements reversibility of a table
 with a larger cell is first tested on all rows and columns at once, as bit
 matrices transposed in one batch by the block swaps behind ``_transposed``,
 which real semigroups read.
-Real semigroups' RS0 and the special-group validation read the
-commutativity helper, which compares each row with its column.
+Real semigroups' RS0, the special-group validation and SG1 on the pair
+classes read the commutativity helper, which compares each row with its
+column.
 Weak distributivity (a+b)d <= ad+bd, and real semigroups' RS2 on D and
 iii on D^t, are one scaling condition T(b, c)e <= T(be, ce) on a mask
 table T.  ``_scaling_rows`` builds its rows: for each b and column e,
@@ -199,11 +201,9 @@ _SINGLETONS = tuple(1 << i for i in range(CARRIER_CAP))
 
 
 # One little-endian codec per table size that packs: a line of n masks, each
-# below 2^64, packs into n 64-bit fields of one int.  Below 8 lines, ORing
-# the few short tuples of a cell costs less than packing its lines (the scan
-# of a 3-line table takes about 20% longer packed, and the two break even
-# near 8 lines); beyond the cap, sign-space masks do not fit in 64 bits.
-_CODECS = {n: struct.Struct(f"<{n}Q") for n in range(8, CARRIER_CAP + 1)}
+# below 2^64, packs into n 64-bit fields of one int.  Beyond the cap,
+# sign-space masks do not fit in 64 bits.
+_CODECS = {n: struct.Struct(f"<{n}Q") for n in range(1, CARRIER_CAP + 1)}
 
 
 class _PackedLines(dict):
@@ -388,12 +388,13 @@ def _through(lines: Iterable[bytes], n: int) -> list[bytes]:
     return [b"\0" + line + pad for line in lines]
 
 
-def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements,
+def _reassociation_defects(table: Sequence[Sequence[int]], elements: Optional[_Elements],
                            rows: Optional[list[bytes]] = None
                            ) -> Iterator[tuple[int, int, int, int, int]]:
     """Yield (x, y, z, (xy)z, x(yz)) for each triple, in lexicographic order,
     whose two bracketings differ.  Cells of the n x n mask table may be
-    empty; ``elements`` expands each distinct cell once.
+    empty; ``elements`` expands each distinct cell once (unread given
+    ``rows``).
 
     Each (x, y) compares whole rows over z: (xy)z is the OR of the table's
     rows over the cell xy, and x(yz) is the next step of the transposed ORs
@@ -407,9 +408,9 @@ def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements,
     if rows:
         by_byte = [b""] + rows  # row v at byte v + 1
         whole = b"".join(rows)
-        for x, (row_x, through_x) in enumerate(zip(rows, _through(rows, n))):
-            lefts = b"".join(map(by_byte.__getitem__, row_x))
-            rights = whole.translate(through_x)
+        for x, row_x in enumerate(rows):
+            lefts = b"".join([by_byte[v] for v in row_x])
+            rights = whole.translate((b"\0" + row_x).ljust(256, b"\0"))  # row x's _through
             if lefts != rights:
                 for i in compress(count(), map(ne, lefts, rights)):
                     yield (x, *divmod(i, n), _SINGLETONS[lefts[i] - 1],
@@ -434,19 +435,12 @@ def _reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements,
 
 def _associativity_defect(table: Sequence[Sequence[int]]
                           ) -> Optional[tuple[int, int, int]]:
-    """The least (a, b, c) with (ab)c != a(bc) in the value table, or None.
-
-    Each (a, b) compares whole rows over c as bytes: (ab)c is row ab, and
-    a(bc) is row b translated through row a.  Entries are carrier indices,
-    below 64, so each fits in a byte."""
-    rows = list(map(bytes, table))
-    for a, row_a in enumerate(rows):
-        through_a = row_a.ljust(256, b"\0")
-        for b, ab in enumerate(row_a):
-            left, right = rows[ab], rows[b].translate(through_a)
-            if left != right:
-                return a, b, _first_difference(left, right)
-    return None
+    """The least (a, b, c) with (ab)c != a(bc) in the value table, or None:
+    the first defect of ``_reassociation_defects`` on its byte rows.
+    Entries are carrier indices, below 64, so each fits in a byte."""
+    rows = [bytes(row).translate(_SUCCESSOR) for row in table]
+    found = next(_reassociation_defects(table, None, rows), None)
+    return found and found[:3]
 
 
 def _commutativity_defect(table: Sequence[Sequence[int]], names: Sequence[str]
@@ -470,6 +464,13 @@ def _identity_defect(line: Iterable[int], names: Sequence[str]
         if stray:
             return names[x], names[_lowest_bit(stray)]
     return None
+
+
+def _cube_defect(mul: Sequence[Sequence[int]], names: Sequence[str]
+                 ) -> Optional[tuple[str]]:
+    """(a,) for the least a with (aa)a != a in the value table, in
+    ``names``, or None."""
+    return next(((names[a],) for a, row in enumerate(mul) if mul[row[a]][a] != a), None)
 
 
 def _reversibility_defect(op: Sequence[Sequence[int]], r: Sequence[int],
@@ -837,13 +838,12 @@ def check_multigroup(m: FiniteMultigroup) -> CheckReport:
 def _additive_scans(op: Sequence[Sequence[int]], r: Sequence[int],
                     names: Sequence[str], elements: _Elements) -> tuple:
     """(rows, w_rev, first, defects): the ``_byte_rows`` of the mask table
-    ``op`` or a false value (decided above 16 elements only), the
-    ``_reversibility_defect`` of ``op`` under ``r``, and its
-    ``_reassociation_defects`` scan as its first defect (None if there is
-    none) and the iterator that yields the rest.  Axioms i and I read
+    ``op`` or None, the ``_reversibility_defect`` of ``op`` under ``r``, and
+    its ``_reassociation_defects`` scan as its first defect (None if there
+    is none) and the iterator that yields the rest.  Axioms i and I read
     w_rev; iii reads the first defect, and III and lemma (e) the first and
     then the rest, so one scan serves both presentations of one table."""
-    rows = len(op) > 16 and _byte_rows(op)
+    rows = _byte_rows(op)
     defects = _reassociation_defects(op, elements, rows)
     return rows, _reversibility_defect(op, r, names, rows), next(defects, None), defects
 
@@ -1295,6 +1295,8 @@ def _multiring_report(r: FiniteMultiring, elements: _Elements, scans: tuple
     monoid = _monoid_defects(r.mul, r.one, r.zero, names)
     verdicts += map(_verdict_all, ("mul-associativity", "mul-commutativity",
                                    "mul-identity", "zero-absorbing"), monoid)
+    # The pre-check pays on check-ladder's cap rungs and costs more than it
+    # saves on enumerate's and check-mutants' tables of 16 or fewer elements.
     if n > 16 and not rows and monoid[0] is None and _distributivity_defects(
             r.add, r.mul, _generators(r.mul), elements, rows) == (None, None):
         weak = full = None

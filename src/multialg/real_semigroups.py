@@ -56,6 +56,7 @@ from .core import (
     _Elements,
     _Unions,
     _commutativity_defect,
+    _cube_defect,
     _fibres,
     _freeze_tables,
     _kept,
@@ -177,11 +178,7 @@ def check_ts(s: RealSemigroup) -> CheckReport:
     names = s.names
 
     w_assoc, w_comm, w_unit, w_zero = _monoid_defects(s.mul, s.one, s.zero, names)
-    w_cube = None
-    for a in range(n):
-        if s.mul[s.mul[a][a]][a] != a:
-            w_cube = (names[a],)
-            break
+    w_cube = _cube_defect(s.mul, names)
     w_sign = None
     if s.minus_one == s.one or s.mul[s.minus_one][s.minus_one] != s.one:
         w_sign = (names[s.minus_one],)

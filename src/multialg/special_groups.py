@@ -239,18 +239,15 @@ def check_psg(g: SpecialGroup) -> CheckReport:
     n = g.size
     names = g.names
     cls, _ = _pair_classes(g)
+    quadruples = sorted(g.iso)
 
     w0 = None  # equivalence holds by closure; verify symmetry of storage
-    for (a, b, c, d) in sorted(g.iso):
+    for (a, b, c, d) in quadruples:
         if (c, d, a, b) not in g.iso:
             w0 = (names[a], names[b], names[c], names[d])
             break
 
-    w1 = None
-    for a, b in itertools.product(range(n), repeat=2):
-        if cls[a][b] != cls[b][a]:
-            w1 = (names[a], names[b])
-            break
+    w1 = _commutativity_defect(cls, names)
 
     w2 = None
     for a in range(n):
@@ -259,19 +256,19 @@ def check_psg(g: SpecialGroup) -> CheckReport:
             break
 
     w3 = None
-    for (a, b, c, d) in sorted(g.iso):
+    for (a, b, c, d) in quadruples:
         if g.mul[a][b] != g.mul[c][d]:
             w3 = (names[a], names[b], names[c], names[d])
             break
 
     w4 = None
-    for (a, b, c, d) in sorted(g.iso):
+    for (a, b, c, d) in quadruples:
         if cls[a][g.neg(c)] != cls[g.neg(b)][d]:
             w4 = (names[a], names[b], names[c], names[d])
             break
 
     w5 = None
-    for (a, b, c, d) in sorted(g.iso):
+    for (a, b, c, d) in quadruples:
         for e in range(n):
             if cls[g.mul[e][a]][g.mul[e][b]] != cls[g.mul[e][c]][g.mul[e][d]]:
                 w5 = (names[e], names[a], names[b], names[c], names[d])

@@ -39,6 +39,7 @@ from .core import (
     StructureMap,
     Verdict,
     _closure,
+    _cube_defect,
     _kept,
     _lowest_bit,
     _pointwise_cells,
@@ -171,24 +172,11 @@ class SpectrumReport:
     report: CheckReport
 
 
-def _satisfies_spec_relations(a: FiniteMultiring, vec: tuple[int, ...]) -> bool:
-    """vec in {0,1}^A belongs to the closed image iff its zero set is a prime
-    ideal: x_0=0, x_1=1, x_ab = x_a and x_b, and x_a=x_b=0 forces x_c=0 on
-    every c in a+b."""
-    if vec[a.zero] != 0 or vec[a.one] != 1:
-        return False
-    for x, y in itertools.product(range(a.size), repeat=2):
-        if vec[a.mul[x][y]] != (vec[x] & vec[y]):
-            return False
-        if vec[x] == 0 and vec[y] == 0:
-            for c in bits(a.add[x][y]):
-                if vec[c] != 0:
-                    return False
-    return True
-
-
 def _enumerate_relation_vectors(a: FiniteMultiring) -> list[tuple[int, ...]]:
-    """The vectors passing _satisfies_spec_relations, in lexicographic order."""
+    """The vectors in {0,1}^A that satisfy the relations of the closed image,
+    in lexicographic order: x_0=0, x_1=1, x_ab = x_a and x_b, and x_a=x_b=0
+    forces x_c=0 on every c in a+b.  A vector satisfies them iff its zero set
+    is a prime ideal."""
     return list(_table_maps(a.size, 2, ((a.zero, 0), (a.one, 1)),
                             ops=((a.mul, ((0, 0), (0, 1))),),
                             cells=((a.add, ((1, 3), (3, 3))),)))
@@ -207,12 +195,10 @@ def spec_topology(a: FiniteMultiring) -> SpectrumReport:
         return tuple(0 if (p.members >> i) & 1 else 1 for i in range(a.size))
 
     prime_vectors = [vector(p) for p in primes]
-    w_fwd = None
-    for p, v in zip(primes, prime_vectors):
-        if not _satisfies_spec_relations(a, v):
-            w_fwd = p.labels
-            break
     relation_vectors = _enumerate_relation_vectors(a)
+    satisfying = set(relation_vectors)
+    w_fwd = next((p.labels for p, v in zip(primes, prime_vectors)
+                  if v not in satisfying), None)
     w_bwd = None
     for v in relation_vectors:
         if v not in prime_vectors:
@@ -487,11 +473,7 @@ def is_real_reduced_mf(f: FiniteMultiring) -> CheckReport:
     if not classify(f).multifield:
         raise InputError("real reduced multifield check requires a multifield")
     names = f.names
-    w_cube = None
-    for x in range(f.size):
-        if f.mul[f.mul[x][x]][x] != x:
-            w_cube = (names[x],)
-            break
+    w_cube = _cube_defect(f.mul, names)
     w_sum = None
     for c in bits(f.add[f.one][f.one]):
         if c != f.one:
@@ -511,11 +493,7 @@ def is_real_reduced_mr(a: FiniteMultiring) -> CheckReport:
     singleton."""
     names = a.names
     w_nz = None if a.one != a.zero else (names[a.one],)
-    w_cube = None
-    for x in range(a.size):
-        if a.mul[a.mul[x][x]][x] != x:
-            w_cube = (names[x],)
-            break
+    w_cube = _cube_defect(a.mul, names)
     w_rigid = None
     for x, y in itertools.product(range(a.size), repeat=2):
         cell = a.add[x][a.mul[x][a.mul[y][y]]]

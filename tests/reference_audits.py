@@ -14,11 +14,14 @@ commutativity), which replaced each audit's own loops, are pinned too.
 The special-group witnesses ``_sg6_witness`` to ``_sg9_witness`` are the
 versions that built the triple-isometry rows pair by pair through the cached
 closure of ``_triple_iso_tables``, with ``check_sg``, ``check_reduced`` and
-``check_sg789`` built on them; ``tests/test_triple_relation.py`` pins the
+``check_sg789`` built on them and on ``check_psg``, the pre-special audit
+as it was when it sorted the relation once per verdict and scanned SG1 over
+every ordered pair; ``tests/test_triple_relation.py`` pins the
 library's single relation to them.  They read the pair classes from
 ``_pair_classes`` as it was before it grouped the isometry relation by its
 target pair, scanning the whole relation once per class; the same test file
-pins the library's grouping to it.  ``relation_sg8_witness`` is the library's
+pins the library's grouping, and ``check_psg`` on core's
+``_commutativity_defect``, to them.  ``relation_sg8_witness`` is the library's
 SG8 as it was before it closed the rows of the one triple relation with
 core's ``_closure``: it iterated a pass over all rows until none grew.  The
 same test file pins the library's SG8 to it on relations left unclosed,
@@ -71,10 +74,12 @@ loop as it was before the byte compare, reading a(bc) through row a's
 ``__getitem__``, and ``associativity_defect`` is the triple loop that
 ``check_ts``, ``SpecialGroup`` and the monoid-table generator each ran.
 ``check_ts`` and ``LoopCheckedSpecialGroup`` are the ternary-semigroup
-audit and the special-group validation with that loop; ``check_rs`` here
-reads this ``check_ts``.  ``tests/test_row_kernel.py`` pins the
-transposed scan and ``core._associativity_defect``, with its four callers,
-to them.
+audit, with its own TS2 cube loop, and the special-group validation with
+that loop; ``check_rs`` here reads this ``check_ts``.
+``tests/test_row_kernel.py`` pins the transposed scan,
+``core._associativity_defect`` (the scan's first defect on byte rows) with
+its callers ``_monoid_defects``, ``SpecialGroup`` and the monoid-table
+search, and ``check_ts`` on ``core._cube_defect``, to them.
 
 ``_CellUnion`` is the cell-union cache as it was before it packed each
 line into one int: a union ORed the tuples of the cell's lines element by
@@ -133,6 +138,16 @@ which share one generator of broken isometries, on maps to and from the
 sum-3 group, and the searches of ``reference_searches`` check their leaves
 with them.
 
+``is_real_reduced_mr`` and ``is_real_reduced_mf`` are the real reduced
+audits as they were when each ran its own a^3 = a loop, and
+``spec_topology`` is the spectrum audit as it was when it tested each prime
+vector with ``_satisfies_spec_relations``, the relations a second time; it
+imports that predicate from ``reference_searches`` when it runs.
+``mrred_to_rs`` and ``squarewise_mrred_to_rs`` here read this
+``is_real_reduced_mr``.
+``tests/test_spectra.py`` pins the library's audits on ``core._cube_defect``
+and on the relation vectors to them.
+
 ``product``, ``rs_product``, ``sg_to_mf`` and ``aos_to_mfred`` are the
 constructions as they were before they read the two helpers of
 ``constructions``: each product built its own tables, ``rs_product`` by one
@@ -178,12 +193,11 @@ from multialg.ordering_spaces import (
     function_label,
 )
 from multialg.real_semigroups import RealSemigroup, canonical_3, hom_to_3
-from multialg.spectra import is_real_reduced_mr
+from multialg.spectra import SpectrumReport, _enumerate_relation_vectors, enumerate_primes
 from multialg.special_groups import (
     SpecialGroup,
     _group_triple_rep as _relation_group_rep,
     _triple_relation,
-    check_psg,
     make_special_group,
     represented,
 )
@@ -1184,6 +1198,63 @@ def relation_sg8_witness(g: SpecialGroup) -> Optional[tuple]:
             if i // ncls == j // ncls and i != j:
                 return (_relation_group_rep(g, i), _relation_group_rep(g, j))
     return None
+
+
+def check_psg(g: SpecialGroup) -> CheckReport:
+    n = g.size
+    names = g.names
+    cls, _ = _pair_classes(g)
+
+    w0 = None  # equivalence holds by closure; verify symmetry of storage
+    for (a, b, c, d) in sorted(g.iso):
+        if (c, d, a, b) not in g.iso:
+            w0 = (names[a], names[b], names[c], names[d])
+            break
+
+    w1 = None
+    for a, b in itertools.product(range(n), repeat=2):
+        if cls[a][b] != cls[b][a]:
+            w1 = (names[a], names[b])
+            break
+
+    w2 = None
+    for a in range(n):
+        if cls[a][g.neg(a)] != cls[g.one][g.minus_one]:
+            w2 = (names[a],)
+            break
+
+    w3 = None
+    for (a, b, c, d) in sorted(g.iso):
+        if g.mul[a][b] != g.mul[c][d]:
+            w3 = (names[a], names[b], names[c], names[d])
+            break
+
+    w4 = None
+    for (a, b, c, d) in sorted(g.iso):
+        if cls[a][g.neg(c)] != cls[g.neg(b)][d]:
+            w4 = (names[a], names[b], names[c], names[d])
+            break
+
+    w5 = None
+    for (a, b, c, d) in sorted(g.iso):
+        for e in range(n):
+            if cls[g.mul[e][a]][g.mul[e][b]] != cls[g.mul[e][c]][g.mul[e][d]]:
+                w5 = (names[e], names[a], names[b], names[c], names[d])
+                break
+        if w5:
+            break
+
+    return CheckReport(
+        subject="pre-special group",
+        verdicts=(
+            Verdict("SG0-equivalence", w0 is None, w0),
+            Verdict("SG1-swap", w1 is None, w1),
+            Verdict("SG2-hyperbolic", w2 is None, w2),
+            Verdict("SG3-discriminant", w3 is None, w3),
+            Verdict("SG4-cross-shift", w4 is None, w4),
+            Verdict("SG5-translation", w5 is None, w5),
+        ),
+    )
 
 
 def check_sg(g: SpecialGroup) -> CheckReport:
@@ -2195,3 +2266,103 @@ def aos_to_mfred(s: SignSpace, zero_label: str = "0") -> FiniteMultiring:
     neg = tuple(neg_index) + (zero,)
     return FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add),
                            tuple(mul), neg, zero, one)
+
+
+def is_real_reduced_mf(f: FiniteMultiring) -> CheckReport:
+    """Multifield form: a^3 = a, and membership in 1+1 pins the element to 1."""
+    if not classify(f).multifield:
+        raise InputError("real reduced multifield check requires a multifield")
+    names = f.names
+    w_cube = None
+    for x in range(f.size):
+        if f.mul[f.mul[x][x]][x] != x:
+            w_cube = (names[x],)
+            break
+    w_sum = None
+    for c in bits(f.add[f.one][f.one]):
+        if c != f.one:
+            w_sum = (names[c],)
+            break
+    return CheckReport(
+        subject="real reduced multifield",
+        verdicts=(
+            Verdict("cube-identity", w_cube is None, w_cube),
+            Verdict("one-plus-one-rigid", w_sum is None, w_sum),
+        ),
+    )
+
+
+def is_real_reduced_mr(a: FiniteMultiring) -> CheckReport:
+    """Multiring form: 1 != 0, a^3 = a, a + a b^2 = {a}, and a^2 + b^2 is a
+    singleton."""
+    names = a.names
+    w_nz = None if a.one != a.zero else (names[a.one],)
+    w_cube = None
+    for x in range(a.size):
+        if a.mul[a.mul[x][x]][x] != x:
+            w_cube = (names[x],)
+            break
+    w_rigid = None
+    for x, y in itertools.product(range(a.size), repeat=2):
+        cell = a.add[x][a.mul[x][a.mul[y][y]]]
+        if cell != 1 << x:
+            c = next(iter(bits(cell ^ (cell & (1 << x)))))
+            w_rigid = (names[x], names[y], names[c])
+            break
+    w_sq = None
+    for x, y in itertools.product(range(a.size), repeat=2):
+        cell = a.add[a.mul[x][x]][a.mul[y][y]]
+        if cell.bit_count() != 1:
+            w_sq = (names[x], names[y], a.carrier.labels(cell))
+            break
+    return CheckReport(
+        subject="real reduced multiring",
+        verdicts=(
+            Verdict("one-nonzero", w_nz is None, w_nz),
+            Verdict("cube-identity", w_cube is None, w_cube),
+            Verdict("rigid-sums", w_rigid is None, w_rigid),
+            Verdict("squares-sum-singleton", w_sq is None, w_sq),
+        ),
+    )
+
+
+def spec_topology(a: FiniteMultiring) -> SpectrumReport:
+    """Basic opens D(a) on the prime spectrum plus the finite-instance audit
+    of the {0,1}^A embedding: every prime vector satisfies the relations and
+    every relation vector comes from a prime; T0 separation."""
+    primes = enumerate_primes(a)
+    opens = {name: tuple(i for i, p in enumerate(primes)
+                         if not (p.members >> idx) & 1)
+             for idx, name in enumerate(a.names)}
+
+    def vector(p: Ideal) -> tuple[int, ...]:
+        return tuple(0 if (p.members >> i) & 1 else 1 for i in range(a.size))
+
+    # Imported here: reference_searches imports this module's audits.
+    from reference_searches import _satisfies_spec_relations
+    prime_vectors = [vector(p) for p in primes]
+    w_fwd = None
+    for p, v in zip(primes, prime_vectors):
+        if not _satisfies_spec_relations(a, v):
+            w_fwd = p.labels
+            break
+    relation_vectors = _enumerate_relation_vectors(a)
+    w_bwd = None
+    for v in relation_vectors:
+        if v not in prime_vectors:
+            w_bwd = v
+            break
+    w_t0 = None
+    for (i, u), (j, v) in itertools.combinations(enumerate(prime_vectors), 2):
+        if u == v:
+            w_t0 = (primes[i].labels, primes[j].labels)
+            break
+    report = CheckReport(
+        subject="spectrum topology",
+        verdicts=(
+            Verdict("prime-vectors-satisfy-relations", w_fwd is None, w_fwd),
+            Verdict("relation-vectors-are-primes", w_bwd is None, w_bwd),
+            Verdict("t0-separation", w_t0 is None, w_t0),
+        ),
+    )
+    return SpectrumReport(a, tuple(primes), opens, report)

@@ -5,7 +5,12 @@ The five backtracking searches ``enumerate_multiring_morphisms``,
 and ``_enumerate_relation_vectors`` are kept verbatim, each with its own
 assign/consistent/extend loop, as the reference that
 ``tests/test_search_kernel.py`` pins the library's searches to: the same
-result lists in the same order, and the same first isomorphism.  Their
+result lists in the same order, and the same first isomorphism.
+``_satisfies_spec_relations``, the relations of the spectrum embedding
+stated as a predicate on one vector, is kept verbatim too: the last of the
+five tests its leaves with it, the brute force of the same test file
+filters every vector with it, and ``reference_audits.spec_topology`` reads
+it.  Their
 leaves are checked by the old morphism audits of ``reference_audits``, not
 by the library's.
 
@@ -111,7 +116,7 @@ from multialg.ordering_spaces import (
     value_table,
 )
 from multialg.real_semigroups import RealSemigroup
-from multialg.spectra import Ordering, Preordering, _satisfies_spec_relations
+from multialg.spectra import Ordering, Preordering
 from multialg.special_groups import SpecialGroup
 from reference_audits import check_morphism, check_rs_morphism, is_sg_morphism
 
@@ -298,6 +303,22 @@ def enumerate_rs_morphisms(s: RealSemigroup, t: RealSemigroup) -> list[Structure
 
     extend(0)
     return out
+
+
+def _satisfies_spec_relations(a: FiniteMultiring, vec: tuple[int, ...]) -> bool:
+    """vec in {0,1}^A belongs to the closed image iff its zero set is a prime
+    ideal: x_0=0, x_1=1, x_ab = x_a and x_b, and x_a=x_b=0 forces x_c=0 on
+    every c in a+b."""
+    if vec[a.zero] != 0 or vec[a.one] != 1:
+        return False
+    for x, y in itertools.product(range(a.size), repeat=2):
+        if vec[a.mul[x][y]] != (vec[x] & vec[y]):
+            return False
+        if vec[x] == 0 and vec[y] == 0:
+            for c in bits(a.add[x][y]):
+                if vec[c] != 0:
+                    return False
+    return True
 
 
 def _enumerate_relation_vectors(a: FiniteMultiring) -> list[tuple[int, ...]]:

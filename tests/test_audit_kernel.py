@@ -287,7 +287,7 @@ def test_shared_scans_on_seeded_mutants():
         seen["reverse only"] += bool(defects) and not any(forward)
         singleton = [1 << x for x in range(m.size)]
         seen["ii vs II"] += (list(op[e]) == singleton) != ([row[e] for row in op] == singleton)
-        seen["byte rows"] += m.size > 16 and core._byte_rows(op) is not None \
+        seen["byte rows"] += core._byte_rows(op) is not None \
             and not core.check_multigroup(m).overall
     assert all(count >= 5 for count in seen.values()), seen
 
@@ -392,8 +392,8 @@ def _value_moves(table, rng, count):
 
 
 def test_reversibility_on_byte_rows():
-    """Tables of singletons of 16 to 64 elements, which above 16 elements
-    are read as byte rows, and 30 seeded one-cell value moves of each: the
+    """Tables of singletons of 16 to 64 elements, which are read as byte
+    rows, and 30 seeded one-cell value moves of each: the
     witness must equal the element-by-element loop's, with r the ring's
     negation (for an addition), a random involution and a random map.  Some
     witnesses fail only the column condition, x outside z r(y)."""
@@ -406,8 +406,8 @@ def test_reversibility_on_byte_rows():
         if table == ring.add:
             inverses.append(ring.neg)
         for op in _value_moves(table, rng, 30):
-            rows = n > 16 and core._byte_rows(op)
-            assert (n > 16) == bool(rows)
+            rows = core._byte_rows(op)
+            assert rows
             for r in inverses:
                 expected = _naive_reversibility(op, r, names)
                 assert core._reversibility_defect(op, r, names, rows) == expected
@@ -430,7 +430,7 @@ def test_distributivity_on_byte_rows():
     failing = compared = 0
     for ring, add in single_valued_tables(rng):
         n = len(add)
-        rows = n > 16 and core._byte_rows(add)
+        rows = core._byte_rows(add)
         base = ring.mul
         for k in range(18):
             mul = base if not k else _replace_cell(

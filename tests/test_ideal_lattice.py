@@ -17,9 +17,8 @@ The closure must stay exact on tables that break the axioms, so the same
 pins run on seeded single-cell mutants of Z/8, q2^2 and the fan-3
 multifield that ``FiniteMultiring`` accepts but ``check_multiring`` rejects;
 changing one cell of ``add`` and not its mirror makes the addition
-non-commutative.  Those bases have 8 elements or more, so the closure's
-unions OR packed ints; seeded ``add`` mutants of Z/6 and q2 x K pin the
-tuple ORs below 8 elements.
+non-commutative; seeded ``add`` mutants of Z/6 and q2 x K add bases of
+fewer than 8 elements.
 
 ``localization`` and ``marshall_quotient``, which share one partition
 helper with its transitivity audit and, for the Marshall quotient, the
@@ -156,8 +155,7 @@ MUTANT_BASES = {
 }
 MUTANTS = {name: _mutants(base, seed, 40)
            for seed, (name, base) in enumerate(sorted(MUTANT_BASES.items()))}
-# Add mutants below 8 elements, where core._CellUnion ORs tuples of lines
-# rather than lines packed into ints.
+# Add mutants below 8 elements.
 SMALL_MUTANT_BASES = {
     "z6": ring_multiring(6),
     "q2xk": product([q2(), krasner()]),

@@ -82,10 +82,10 @@ def assert_scan_agrees(table):
     found = defects(core._reassociation_defects, table)
     assert found == defects(reference.cellwise_reassociation_defects, table)
     assert found == defects(reference.rowwise_reassociation_defects, table)
-    # The scan as the audits call it, on byte rows for a table of more than
-    # 16 singletons: a consumer that stops at the first defect, then a whole
+    # The scan as the audits call it, on byte rows for a table of
+    # singletons: a consumer that stops at the first defect, then a whole
     # scan that shares its cell expansions.
-    rows = len(table) > 16 and core._byte_rows(table)
+    rows = core._byte_rows(table)
     elements = core._Elements()
     assert next(core._reassociation_defects(table, elements, rows), None) \
         == (found[0] if found else None)
@@ -148,7 +148,7 @@ def single_valued_tables(rng):
 
 
 def test_single_valued_tables():
-    """Above 16 elements a table of singletons is scanned as byte rows: the
+    """A table of singletons is scanned as byte rows: the
     whole defect stream must equal the references' on each table of
     ``single_valued_tables`` and on two one-cell value moves of it.  One
     empty cell, or one cell of two elements, sends the table back to the

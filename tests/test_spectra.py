@@ -5,17 +5,31 @@ import random
 import pytest
 
 import reference_audits as reference
+import reference_searches
 from multialg import spectra
 from multialg.core import (
+    Carrier,
+    FiniteMultiring,
     InputError,
+    bits,
+    check_multiring,
     check_morphism,
     check_multigroup,
     is_isomorphic,
     krasner,
+    mask_of,
     q2,
     ring_multiring,
 )
-from multialg.corpus import fan2_multifield, q2cube, q2xq2, trivial_sg_multifield
+from multialg.corpus import (
+    corpus_multirings,
+    corpus_real_reduced_multifields,
+    fan2_multifield,
+    q2cube,
+    q2xq2,
+    trivial_sg_multifield,
+)
+from multialg.enumeration import enumerate_structures
 from multialg.ordering_spaces import aos_to_mfred, fan_aos
 from multialg.spectra import (
     Ordering,
@@ -224,6 +238,80 @@ class TestRealness:
     def test_multifield_required(self):
         with pytest.raises(InputError):
             is_real_reduced_mf(ring_multiring(6))
+
+
+def _shuffled(r, rng):
+    """Copy of multiring r with element x moved to a seeded index perm[x]."""
+    n = r.size
+    perm = rng.sample(range(n), n)
+    old = sorted(range(n), key=perm.__getitem__)
+    return FiniteMultiring(
+        Carrier(tuple(r.names[x] for x in old)),
+        tuple(tuple(mask_of(perm[c] for c in bits(r.add[x][y])) for y in old)
+              for x in old),
+        tuple(tuple(perm[r.mul[x][y]] for y in old) for x in old),
+        tuple(perm[r.neg[x]] for x in old), perm[r.zero], perm[r.one])
+
+
+def _cell_mutants(base, rng, count):
+    """Seeded copies of base with one add or one mul cell changed."""
+    n = base.size
+    for _ in range(count):
+        i, j = rng.randrange(n), rng.randrange(n)
+        field = "add" if rng.random() < 0.5 else "mul"
+        value = rng.randrange(1, 1 << n) if field == "add" else rng.randrange(n)
+        table = [list(row) for row in getattr(base, field)]
+        table[i][j] = value
+        yield dataclasses.replace(base, **{field: tuple(map(tuple, table))})
+
+
+def _moved_audit_inputs():
+    """The corpus, every labelled multiring of order <= 3 and every
+    candidate table the enumeration audits there, shuffled prime fields and
+    seeded one-cell mutants, most of which fail ``check_multiring``."""
+    rng = random.Random(42)
+    bases = [*corpus_multirings().values(), *corpus_real_reduced_multifields().values()]
+    inputs = bases + enumerate_structures("multiring", 3, up_to_iso=False)
+    inputs += reference_searches.candidate_multirings()
+    inputs += [_shuffled(ring_multiring(p), rng) for p in (5, 7, 11, 13) for _ in range(4)]
+    for base in bases:
+        inputs += _cell_mutants(base, rng, 30)
+    return inputs
+
+
+def _outcome(audit, a):
+    try:
+        return audit(a)
+    except InputError as error:
+        return str(error)
+
+
+class TestMovedAudits:
+    """``is_real_reduced_mr`` and ``is_real_reduced_mf`` read core's
+    ``_cube_defect``, and ``spec_topology`` tests each prime vector for
+    membership among the relation vectors of ``_enumerate_relation_vectors``.
+    Each must return the report of its moved loop in ``reference_audits``."""
+
+    def test_real_reduced_audits(self):
+        cubes, mf_cubes = set(), set()
+        for a in _moved_audit_inputs():
+            report = is_real_reduced_mr(a)
+            assert report == reference.is_real_reduced_mr(a)
+            mf = _outcome(is_real_reduced_mf, a)
+            assert mf == _outcome(reference.is_real_reduced_mf, a)
+            cubes.add(report.verdict("cube-identity").witness)
+            if not isinstance(mf, str):
+                mf_cubes.add(mf.verdict("cube-identity").witness)
+        assert len(cubes) > 8 and len(mf_cubes) > 4
+
+    def test_spec_topology(self):
+        failing = forward = 0
+        for a in _moved_audit_inputs():
+            found = spec_topology(a)
+            assert found == reference.spec_topology(a)
+            failing += not check_multiring(a).overall
+            forward += not found.report.verdict("prime-vectors-satisfy-relations").passed
+        assert failing > 500 and forward > 10
 
 
 class TestReducedCharacterizations:

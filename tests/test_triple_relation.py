@@ -16,6 +16,8 @@ is compared instead.
 give the same classes and representation masks as the reference's scan of
 the whole relation per class, on the corpus groups, the fan-3, fan-4 and
 fan-5 groups and seeded mutants of their relations, re-closed or not.
+On the same inputs ``check_psg`` must return the report of the moved audit
+``reference_audits.check_psg``.
 """
 
 import itertools
@@ -145,19 +147,25 @@ def _raw_mutants(g, seed: str, count: int) -> list:
 
 def test_pair_classes_match_reference():
     """Grouping the relation by target pair gives the classes and
-    representation masks of the per-class scan, malformed relations too."""
+    representation masks of the per-class scan, malformed relations too,
+    and ``check_psg`` the moved audit's report, whose SG1 witnesses vary."""
     groups = dict(corpus_special_groups())
     for k in (3, 4, 5):
         groups[f"fan{k}"] = spg.mf_to_sg(aos_to_mfred(fan_aos(k)))
     checked = failing = 0
+    swaps = set()
     for name, g in groups.items():
         count = 3 if g.size > 16 else 10
         for h in [g] + _mutants(g, name, count) + _raw_mutants(g, name, count):
             assert spg._pair_classes.__wrapped__(h) == \
-                reference._pair_classes.__wrapped__(h), name
+                reference._pair_classes(h), name
+            report = spg.check_psg(h)
+            assert report == reference.check_psg(h), name
             checked += 1
-            failing += not spg.check_psg(h).overall
-    assert checked > 100 and failing > 30
+            failing += not report.overall
+            swaps.add(report.verdict("SG1-swap").witness)
+        reference._pair_classes.cache_clear()
+    assert checked > 100 and failing > 30 and len(swaps) > 5
 
 
 def test_sg7_and_sg8_match_reference_on_unclosed_relations():
