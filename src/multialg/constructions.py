@@ -13,9 +13,13 @@ also audits transitivity.  The quotients by an ideal and by the Marshall
 relation (so ``q_red``) build the ring of classes and the projection through
 ``_class_ring``, the one check of their representative independence;
 ``localization``, on fraction pairs, keeps its own.  The ideal closure and
-the closure of the unit squares are core's ``_closure``, and the quotient
-images the addition cells through core's ``_Unions``; the core docstring
-describes both kernels.  The Marshall quotient works on the orbit masks xS:
+the closure of the unit squares are core's ``_closure``; the core docstring
+describes it.  The quotients by ideals of one multiring share one expansion
+of its addition, kept on it (``_addition_cells``): each distinct cell with
+its elements, the table as indices of those cells, and the unions of its
+columns, which give the cosets x + I.  Each quotient images the distinct
+cells with one ``reduce`` over ``map`` of the class bits, and the rows with
+``map``.  The Marshall quotient works on the orbit masks xS:
 x ~ y when the orbits meet, and a sum is one ``_CellUnion`` of addition rows
 over xS read at yS, whose elements c with cS meeting it and their classes
 come from two ``_Unions``.
@@ -26,8 +30,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, repeat
-from operator import or_
+from itertools import chain, compress, count, repeat
+from operator import ne, or_
 from typing import Callable, Sequence
 
 from .core import (
@@ -42,6 +46,7 @@ from .core import (
     _Unions,
     _bit_flags,
     _closure,
+    _kept,
     _transposed,
     bits,
     classify,
@@ -230,25 +235,24 @@ def _class_ring(a: FiniteMultiring, cls: Sequence[int], reps: Sequence[int],
     products and negation must equal its class's row spread back over the
     classes; only a row that differs is walked, to its first (x, y)."""
     names = tuple(f"[{a.names[r]}]" for r in reps)
-    mul = tuple(tuple(cls[a.mul[x][y]] for y in reps) for x in reps)
+    classes = bytes(cls).ljust(256, b"\0")  # element -> class, for translate
+    products = [bytes(row).translate(classes) for row in a.mul]
+    add, mul = (tuple(tuple(map(table[x].__getitem__, reps)) for x in reps)
+                for table in (sums, products))
     neg = tuple(cls[a.neg[x]] for x in reps)
-    q = FiniteMultiring(Carrier(names),
-                        tuple(tuple(sums[x][y] for y in reps) for x in reps),
-                        mul, neg, cls[a.zero], cls[a.one])
-    spread_add = [[row[c] for c in cls] for row in q.add]
-    spread_mul = [[row[c] for c in cls] for row in q.mul]
-    for x, row in enumerate(sums):
-        i = cls[x]
-        products = [cls[c] for c in a.mul[x]]
-        if row == spread_add[i] and products == spread_mul[i] \
-                and cls[a.neg[x]] == q.neg[i]:
-            continue
+    q = FiniteMultiring(Carrier(names), add, mul, neg, cls[a.zero], cls[a.one])
+    spread_add = [list(map(row.__getitem__, cls)) for row in q.add]
+    spread_mul = [bytes(map(row.__getitem__, cls)) for row in q.mul]
+    rows = zip(sums, products, map(cls.__getitem__, a.neg))
+    spread = zip(*(map(table.__getitem__, cls) for table in (spread_add, spread_mul, q.neg)))
+    for x in compress(count(), map(ne, rows, spread)):
+        i, row = cls[x], sums[x]
         for y in range(a.size):
             if row[y] != spread_add[i][y]:
                 raise StructuralAnomaly(
                     f"quotient sum depends on representatives at "
                     f"({a.names[x]},{a.names[y]})")
-            if products[y] != spread_mul[i][y]:
+            if products[x][y] != spread_mul[i][y]:
                 raise StructuralAnomaly(
                     f"quotient product depends on representatives at "
                     f"({a.names[x]},{a.names[y]})")
@@ -268,9 +272,9 @@ def quotient_by_ideal(a: FiniteMultiring,
     if ideal.parent is not a and ideal.parent != a:
         raise InputError("ideal does not belong to this multiring")
     n = a.size
-    elements = _Elements()
-    # x + I over x: the union of add's columns over I
-    cosets = _CellUnion.over(tuple(zip(*a.add)), elements)[ideal.members]
+    cells, rows, columns = _addition_cells(a)
+    elements = columns.elements
+    cosets = columns[ideal.members]  # x + I over x
     class_of = [-1] * n
     for x in range(n):
         if class_of[x] >= 0:
@@ -284,8 +288,23 @@ def quotient_by_ideal(a: FiniteMultiring,
         class_of[x] = x
     reps = sorted(set(class_of))
     cls = [reps.index(r) for r in class_of]
-    images = _Unions([1 << c for c in cls])  # cell -> the classes it meets
-    return _class_ring(a, cls, reps, [[images[c] for c in row] for row in a.add])
+    classes = [1 << c for c in cls]
+    # the image of each distinct cell: the classes it meets
+    images = list(map(reduce, repeat(or_), map(map, repeat(classes.__getitem__), cells)))
+    return _class_ring(a, cls, reps, [list(map(images.__getitem__, row)) for row in rows])
+
+
+@_kept
+def _addition_cells(a: FiniteMultiring) -> tuple[list[tuple[int, ...]], list[list[int]],
+                                                  _CellUnion]:
+    """The elements of each distinct addition cell of a, the addition table
+    with each cell given by its index in that list, and the unions of its
+    columns over a mask.  Kept on ``a``: every quotient by an ideal reads
+    its cosets from the unions and images the cells."""
+    index: dict[int, int] = {}
+    rows = [[index.setdefault(cell, len(index)) for cell in row] for row in a.add]
+    return (list(map(tuple, map(bits, index))), rows,
+            _CellUnion.over(tuple(zip(*a.add)), _Elements()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,24 +13,30 @@ grouped by first element and tail pair class, and the k = n * ncls groups
 (ncls pair classes) get one k-bit row each, built by ORing per-(z, class)
 masks of groups; SG8 closes them with core's ``_closure``.
 
-The special-multifield audit and the functor back to special groups read two
-tables over the nonzero elements, built once per call from core's kernels:
-``fiber[x][v]``, the mask of y with xy = v (the fibres of row x of mul), and
-``inside[c][a]``, the mask of y with a in c + y (row c of add transposed).
-They are masks, not inverses, so they serve structures whose nonzero part is
-no group.  Property iii and ``mf_to_sg`` intersect one entry of each per
-triple; property iv keeps, per product fiber, the mask of pairs whose sum
-holds each element; property v builds, per (a, c) on first use, the masks of
-d with a triple-isometry split from fiber and inside entries.  Witnesses are
-the lowest set bits, so they keep the lexicographic order of a scan over
-quadruples.  ``sg_to_mf`` hands the pair-class masks, as D, to the
-zero adjunction of ``constructions``.  docs/axioms.md states each verdict.
+The functor back to special groups reads two tables over the nonzero
+elements, built once per call from core's kernels: ``fiber[x][v]``, the
+mask of y with xy = v (the fibres of row x of mul), and ``inside[c][a]``,
+the mask of y with a in c + y (row c of add transposed).  They are masks,
+not inverses, so they serve structures whose nonzero part is no group;
+``mf_to_sg`` intersects one entry of each per triple.  The special-multifield
+audit runs on a multifield only, whose nonzero elements form a group, so a
+pair with product v is (x, v/x) and the audit reads lookups: the sums
+x + v/x and, per product fibre v, the mask of the x whose sum holds each
+element (core's ``_transposed`` of the sums).  Property iii reads one such
+mask per (a, b), iv walks the masks, and v builds, per c on first use and
+only for the a with a^2 = c^2, the masks of d with a triple-isometry split,
+comparing each row with its column in C.  Witnesses are the lowest set
+bits, so they keep the lexicographic order of a scan over quadruples.
+``sg_to_mf`` hands the pair-class masks, as D, to the zero adjunction of
+``constructions``.  docs/axioms.md states each verdict.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import and_, invert, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .constructions import _adjoin_zero
@@ -463,87 +469,97 @@ def _smf_masks(f: FiniteMultiring) -> tuple[list[tuple[int, ...]], ...]:
                  for lines in (_fibres(f.mul), map(_transposed, f.add)))
 
 
-def _split_row(f: FiniteMultiring, nz: list[int], fiber: list[list[int]],
-               inside: list[list[int]], a: int, c: int) -> list[int]:
-    """For nonzero b, row[b] is the mask of the nonzero d with a
-    triple-isometry split between (a,b,ab) and (c,d,cd): some nonzero x,y,z
-    with ax=cy, a in c+y, a=xz, c=yz, b in x+z and d in y+z."""
-    nzmask = full_mask(f.size) & ~(1 << f.zero)
-    row = [0] * f.size
-    for x in nz:
-        for y in bits(fiber[c][f.mul[a][x]] & inside[c][a]):
-            for z in bits(fiber[x][a] & fiber[y][c]):
-                ds = f.add[y][z] & nzmask
-                for b in bits(f.add[x][z]):
-                    row[b] |= ds
-    return row
+def _split_witness(f: FiniteMultiring, nz: list[int], inv: dict[int, int],
+                   sums: dict[int, list[int]]) -> Optional[tuple[int, int, int, int]]:
+    """Property v's least failing (a, b, c), with the lowest d, or None.  A
+    split between (a, b) and (c, d) is fixed by w = z^-1: x = aw, y = cw,
+    so ax = cy holds iff a^2 = c^2, and a in c + y iff a/c in 1 + w.  Then
+    b is in x + a/x and d in y + c/y.  The table of c, built on first use,
+    has a row only for each a with a^2 = c^2: for each b, the mask of such
+    d.  A bit of row a's entry b that entry a of row b lacks is a failure,
+    so per a each such c compares row a with column a, in C."""
+    n, mul, keep = f.size, f.mul, f.nonzero_mask()
+    ones = _transposed(f.add[f.one])  # ones[e]: the w with e in 1 + w
+    elements = _Elements()
+    tables: dict[int, list] = {}
+
+    def table(c: int) -> list:
+        if c not in tables:
+            rows = tables[c] = [(0,) * n] * n
+            for a in nz:
+                if mul[a][a] == mul[c][c]:
+                    row = rows[a] = [0] * n
+                    for w in elements[ones[mul[a][inv[c]]] & keep]:
+                        ds = sums[c][mul[c][w]]
+                        for b in elements[sums[a][mul[a][w]]]:
+                            row[b] |= ds
+        return tables[c]
+
+    for a in nz:
+        found = []
+        for c in nz:
+            if mul[c][c] == mul[a][a]:
+                rows = table(c)
+                ds = list(map(and_, rows[a], map(invert, map(itemgetter(a), rows))))
+                b = next(compress(count(), ds), None)
+                if b is not None:
+                    found.append((a, b, c, _lowest_bit(ds[b])))
+        if found:
+            return min(found)
+    return None
 
 
 def check_smf(f: FiniteMultiring) -> CheckReport:
     """The five representation-theoretic properties that make the nonzero
-    part a special group.  iii reads the ``_smf_masks`` tables, iv one mask
-    of pairs per element within each product fiber, and v one
-    ``_split_row`` per (a, c), built from those tables on first use; every
-    witness is the first in lexicographic order over the nonzero elements."""
+    part a special group.  f is a multifield, so its nonzero elements form
+    a group and a pair with product v is (x, v/x).  iii and iv read, per
+    product fibre v, holds[v][e]: the x with e in x + v/x; v reads the sums
+    x + v/x through ``_split_witness``.  Every witness is the first in
+    lexicographic order over the nonzero elements; iv's fibres are taken in
+    the order of their first pairs."""
     if not classify(f).multifield:
         raise InputError("special multifield check requires a multifield")
-    names = f.names
+    names, mul, keep = f.names, f.mul, f.nonzero_mask()
     nz = [x for x in range(f.size) if x != f.zero]
-    total = full_mask(f.size)
-    fiber, inside = _smf_masks(f)
+    inv = {x: mul[x].index(f.one) for x in nz}
+    sums = {v: [f.add[x][mul[v][inv[x]]] & keep if x in inv else 0
+                for x in range(f.size)] for v in nz}  # sums[v][x] = x + v/x
+    holds = {v: _transposed(row) for v, row in sums.items()}
 
     w1 = None
     for a in nz:
-        if f.mul[a][a] != f.one:
+        if mul[a][a] != f.one:
             w1 = (names[a],)
             break
 
     w2 = None
     for a in nz:
-        if f.add[a][f.neg[a]] != total:
+        if f.add[a][f.neg[a]] != full_mask(f.size):
             w2 = (names[a],)
             break
 
     w3 = None
-    for a, b, c in itertools.product(nz, repeat=3):
-        if not (f.add[a][b] >> c) & 1:
-            ds = fiber[c][f.mul[a][b]] & inside[c][a]
-            if ds:
-                w3 = (names[a], names[b], names[c], names[_lowest_bit(ds)])
-                break
+    for a, b in itertools.product(nz, repeat=2):
+        cs = holds[mul[a][b]][a] & ~f.add[a][b]  # a in c + ab/c, c not in a + b
+        if cs:
+            c = _lowest_bit(cs)
+            w3 = (names[a], names[b], names[c], names[mul[mul[a][b]][inv[c]]])
+            break
 
     w4 = None
-    fibers: dict[int, list[tuple[int, int]]] = {}
-    for x, y in itertools.product(nz, repeat=2):
-        fibers.setdefault(f.mul[x][y], []).append((x, y))
-    for pairs in fibers.values():
-        holds = [0] * f.size  # holds[e]: the pairs k with e in their sum
-        for k, (x, y) in enumerate(pairs):
-            for e in bits(f.add[x][y]):
-                holds[e] |= 1 << k
-        for (a, b), (j, (c, d)) in itertools.product(pairs, enumerate(pairs)):
-            ks = holds[c] & ~holds[a]
-            if (holds[a] >> j) & 1 and ks:
-                e, h = pairs[_lowest_bit(ks)]
-                w4 = (names[a], names[b], names[c], names[d], names[e], names[h])
+    for v in (mul[nz[0]][y] for y in nz):  # the fibres in order of their first pair
+        for a, c in ((a, c) for a in nz for c in bits(holds[v][a])):
+            es = holds[v][c] & ~holds[v][a]  # c in e + v/e, a not
+            if es:
+                e = _lowest_bit(es)
+                w4 = tuple(names[x] for x in (a, mul[v][inv[a]], c, mul[v][inv[c]],
+                                              e, mul[v][inv[e]]))
                 break
         if w4:
             break
 
-    w5 = None
-    split: dict[tuple[int, int], list[int]] = {}
-
-    def row(a: int, c: int) -> list[int]:
-        if (a, c) not in split:
-            split[a, c] = _split_row(f, nz, fiber, inside, a, c)
-        return split[a, c]
-
-    for a, b, c in itertools.product(nz, repeat=3):
-        ds = row(a, c)[b]
-        ds = ds and ds & ~row(b, c)[a]
-        if ds:
-            w5 = (names[a], names[b], names[c], names[_lowest_bit(ds)])
-            break
+    split = _split_witness(f, nz, inv, sums)
+    w5 = split and tuple(names[x] for x in split)
 
     return CheckReport(
         subject="special multifield",

@@ -38,6 +38,7 @@ from .core import (
     InputError,
     StructureMap,
     Verdict,
+    _AUDITED,
     _closure,
     _cube_defect,
     _kept,
@@ -138,10 +139,14 @@ def check_quotient_characterizations(a: FiniteMultiring) -> CheckReport:
     primes = {i.members for i in ideals if is_prime_mask(a, i.members)}
     maximals = {i.members for i in _maximal_ideals(ideals)}
     w_prime = w_max = w_chain = None
+    kept = a.__dict__.get(_AUDITED)
     for ideal in ideals:
-        q, _ = quotient_by_ideal(a, ideal)
-        kind = classify(q)
-        nondeg = q.one != q.zero
+        if ideal.members == 1 << a.zero and kept and kept.overall:
+            # x + 0 = {x}: a/{0} is a relabelled copy of a
+            kind, nondeg = classify(a), a.one != a.zero
+        else:
+            q, _ = quotient_by_ideal(a, ideal)
+            kind, nondeg = classify(q), q.one != q.zero
         if w_prime is None and ((ideal.members in primes)
                                 != (kind.multidomain and nondeg)):
             w_prime = ideal.labels
@@ -468,8 +473,11 @@ def is_real(a: FiniteMultiring) -> bool:
     return not (sums_of_squares_set(a) >> a.neg[a.one]) & 1
 
 
+@_kept
 def is_real_reduced_mf(f: FiniteMultiring) -> CheckReport:
-    """Multifield form: a^3 = a, and membership in 1+1 pins the element to 1."""
+    """Multifield form: a^3 = a, and membership in 1+1 pins the element to 1.
+    Kept on ``f``, like the multiring form: ``check`` and ``diagram`` read
+    each more than once."""
     if not classify(f).multifield:
         raise InputError("real reduced multifield check requires a multifield")
     names = f.names
@@ -488,9 +496,10 @@ def is_real_reduced_mf(f: FiniteMultiring) -> CheckReport:
     )
 
 
+@_kept
 def is_real_reduced_mr(a: FiniteMultiring) -> CheckReport:
     """Multiring form: 1 != 0, a^3 = a, a + a b^2 = {a}, and a^2 + b^2 is a
-    singleton."""
+    singleton.  Kept on ``a``."""
     names = a.names
     w_nz = None if a.one != a.zero else (names[a.one],)
     w_cube = _cube_defect(a.mul, names)

@@ -32,6 +32,12 @@ for each of the n^4 quadruples of property v), and ``mf_to_sg`` are the
 versions that scanned every quadruple of nonzero elements, before both read
 the product-fiber and membership masks of ``special_groups._smf_masks``;
 ``tests/test_smf_masks.py`` pins the library's versions to them.
+``split_row_check_smf``, with ``_split_row``, is ``check_smf`` as it was
+before it read lookups in the group of nonzero elements: iii and iv read the
+product-fiber and membership masks, and v built, per (a, c) on first use,
+the split masks of every b from them and scanned every (a, b, c) in Python.  It reaches the
+64-element cap, which the quadruple scan does not, so the same test file pins
+the library's ``check_smf`` to it there.
 ``_close_iso`` is the isometry closure as it was before it read core's
 ``_closure``: a union-find over the n^2 pairs.  ``trivial_special_group``
 is the trivial builder as it was when it named every quadruple of equal
@@ -177,6 +183,7 @@ from multialg.core import (
     _SINGLETONS,
     _CellUnion as _PackedCellUnion,
     _Elements,
+    _lowest_bit,
     _verdict_all,
     bits,
     classify,
@@ -197,6 +204,7 @@ from multialg.spectra import SpectrumReport, _enumerate_relation_vectors, enumer
 from multialg.special_groups import (
     SpecialGroup,
     _group_triple_rep as _relation_group_rep,
+    _smf_masks,
     _triple_relation,
     make_special_group,
     represented,
@@ -1372,6 +1380,100 @@ def check_smf(f: FiniteMultiring) -> CheckReport:
     for a, b, c, d in itertools.product(nz, repeat=4):
         if _smf_block(f, nz, a, b, c, d) and not _smf_block(f, nz, b, a, c, d):
             w5 = (names[a], names[b], names[c], names[d])
+            break
+
+    return CheckReport(
+        subject="special multifield",
+        verdicts=(
+            Verdict("i-unit-squares", w1 is None, w1),
+            Verdict("ii-full-opposite-sums", w2 is None, w2),
+            Verdict("iii-symmetry", w3 is None, w3),
+            Verdict("iv-transitivity", w4 is None, w4),
+            Verdict("v-triple-split-swap", w5 is None, w5),
+        ),
+    )
+
+
+def _split_row(f: FiniteMultiring, nz: list[int], fiber: list[list[int]],
+               inside: list[list[int]], a: int, c: int) -> list[int]:
+    """For nonzero b, row[b] is the mask of the nonzero d with a
+    triple-isometry split between (a,b,ab) and (c,d,cd): some nonzero x,y,z
+    with ax=cy, a in c+y, a=xz, c=yz, b in x+z and d in y+z."""
+    nzmask = full_mask(f.size) & ~(1 << f.zero)
+    row = [0] * f.size
+    for x in nz:
+        for y in bits(fiber[c][f.mul[a][x]] & inside[c][a]):
+            for z in bits(fiber[x][a] & fiber[y][c]):
+                ds = f.add[y][z] & nzmask
+                for b in bits(f.add[x][z]):
+                    row[b] |= ds
+    return row
+
+
+def split_row_check_smf(f: FiniteMultiring) -> CheckReport:
+    """The five representation-theoretic properties that make the nonzero
+    part a special group.  iii reads the ``_smf_masks`` tables, iv one mask
+    of pairs per element within each product fiber, and v one
+    ``_split_row`` per (a, c), built from those tables on first use; every
+    witness is the first in lexicographic order over the nonzero elements."""
+    if not classify(f).multifield:
+        raise InputError("special multifield check requires a multifield")
+    names = f.names
+    nz = [x for x in range(f.size) if x != f.zero]
+    total = full_mask(f.size)
+    fiber, inside = _smf_masks(f)
+
+    w1 = None
+    for a in nz:
+        if f.mul[a][a] != f.one:
+            w1 = (names[a],)
+            break
+
+    w2 = None
+    for a in nz:
+        if f.add[a][f.neg[a]] != total:
+            w2 = (names[a],)
+            break
+
+    w3 = None
+    for a, b, c in itertools.product(nz, repeat=3):
+        if not (f.add[a][b] >> c) & 1:
+            ds = fiber[c][f.mul[a][b]] & inside[c][a]
+            if ds:
+                w3 = (names[a], names[b], names[c], names[_lowest_bit(ds)])
+                break
+
+    w4 = None
+    fibers: dict[int, list[tuple[int, int]]] = {}
+    for x, y in itertools.product(nz, repeat=2):
+        fibers.setdefault(f.mul[x][y], []).append((x, y))
+    for pairs in fibers.values():
+        holds = [0] * f.size  # holds[e]: the pairs k with e in their sum
+        for k, (x, y) in enumerate(pairs):
+            for e in bits(f.add[x][y]):
+                holds[e] |= 1 << k
+        for (a, b), (j, (c, d)) in itertools.product(pairs, enumerate(pairs)):
+            ks = holds[c] & ~holds[a]
+            if (holds[a] >> j) & 1 and ks:
+                e, h = pairs[_lowest_bit(ks)]
+                w4 = (names[a], names[b], names[c], names[d], names[e], names[h])
+                break
+        if w4:
+            break
+
+    w5 = None
+    split: dict[tuple[int, int], list[int]] = {}
+
+    def row(a: int, c: int) -> list[int]:
+        if (a, c) not in split:
+            split[a, c] = _split_row(f, nz, fiber, inside, a, c)
+        return split[a, c]
+
+    for a, b, c in itertools.product(nz, repeat=3):
+        ds = row(a, c)[b]
+        ds = ds and ds & ~row(b, c)[a]
+        if ds:
+            w5 = (names[a], names[b], names[c], names[_lowest_bit(ds)])
             break
 
     return CheckReport(

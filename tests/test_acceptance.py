@@ -779,3 +779,25 @@ def test_c28_distributivity_at_the_generators(tmp_path, capsys):
     gate(28, "check --level axioms on K^6 and Z/64 and --level all on the "
              "fan-5 multifield, reports unchanged; 40 add mutants at the cap "
              "get the full scan's witnesses", ok, time.monotonic() - t0, 10.0)
+
+
+def test_c29_special_multifield_audit_on_finite_fields(tmp_path, capsys):
+    # Property v built a split row for every (a, c) of nonzero elements and
+    # scanned every (a, b, c) in Python: check_smf was 134 of the 165 ms of
+    # check --level all on F_64, though only the 63 rows with a^2 = c^2 can
+    # hold a split.  F_49 fails v.  The digests are of the reports before.
+    from test_finite_fields import finite_fields
+
+    t0 = time.monotonic()
+    ok = True
+    for q, digest, split in ((64, "a100b62d0595", None),
+                             (49, "f098c086d771", ("3", "4", "4", "2"))):
+        f = finite_fields.finite_field(q)
+        ok = ok and check_smf(f).verdict("v-triple-split-swap").witness == split
+        path = str(tmp_path / f"f{q}.mrs")
+        io.write_structure(path, f)
+        ok = ok and main(["check", "--level", "all", "--format", "jsonl", path]) == 0
+        out = capsys.readouterr().out.encode()
+        ok = ok and hashlib.sha256(out).hexdigest().startswith(digest)
+    gate(29, "check --level all on F_64 and F_49, reports unchanged; F_49 "
+             "fails property v", ok, time.monotonic() - t0, 10.0)

@@ -395,7 +395,8 @@ class TestKeptValues:
         ars, _ = osp.mrred_to_ars(f)
         readers = (
             (f, (check_multiring, spectra._ideals, spectra._orderings, spg.mf_to_sg,
-                 osp.mfred_to_aos, rsg.mrred_to_rs)),
+                 osp.mfred_to_aos, rsg.mrred_to_rs, spectra.is_real_reduced_mr,
+                 spectra.is_real_reduced_mf)),
             (g, (spg.check_sg, spg._pair_classes, spg._triple_relation, spg._sg6_witness)),
             (space, (osp.value_table, osp._product_table)),
             (ars, (osp.value_table, osp.transversal_table, osp._product_table)),
@@ -411,8 +412,8 @@ class TestKeptValues:
             for read, value in zip(reads, values):
                 if read not in (check_multiring, spg.check_sg):
                     assert read(obj) is value, read.__name__
-        # the twelve kept values and the two kept audit reports: 14 keys
-        assert len(set(keys)) == 14 and len(keys) == 16
+        # the fourteen kept values and the two kept audit reports: 16 keys
+        assert len(set(keys)) == 16 and len(keys) == 18
         assert (hash(f), repr(f), mio.serialize(f)) == before
         assert f == copy and hash(f) == hash(copy)
         assert set(vars(copy)) == {field.name for field in dataclasses.fields(copy)}

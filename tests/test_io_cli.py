@@ -112,6 +112,31 @@ class TestCli:
         assert main(["check", path, "--level", "all"]) == 0
         assert sum(r == f for r in audited) == 1
 
+    def test_check_all_and_diagram_run_each_report_once(self, tmp_path, monkeypatch,
+                                                        capsys):
+        """On the fan-3 multifield, ``check --level all`` audits two
+        multirings: the structure and its one-element quotient.  The
+        quotient by {0} is a relabelled copy of the structure, so it is
+        classified from the structure's kept audit.  The real reduced
+        multiring and multifield reports are kept on the structure, so
+        ``check --level all`` and ``diagram`` each run them once; each runs
+        ``_cube_defect`` once, which counts them here."""
+        from multialg import spectra
+        path = str(tmp_path / "fan3mf.mrs")
+        mio.write_structure(path, aos_to_mfred(fan_aos(3)))
+        audited, runs = [], collections.Counter()
+        audit, cube = core._multiring_report, spectra._cube_defect
+        monkeypatch.setattr(core, "_multiring_report",
+                            lambda r, *scans: audited.append(r.size) or audit(r, *scans))
+        monkeypatch.setattr(spectra, "_cube_defect", lambda *args: runs.update(
+            [sys._getframe(1).f_code.co_name]) or cube(*args))
+        assert main(["check", path, "--level", "all"]) == 0
+        assert sorted(audited) == [1, 9]
+        assert runs == {"is_real_reduced_mr": 1, "is_real_reduced_mf": 1}
+        runs.clear()
+        assert main(["diagram", path]) == 0
+        assert runs == {"is_real_reduced_mr": 1, "is_real_reduced_mf": 1}
+
     def test_check_derived_scans_each_table_once(self, tmp_path, monkeypatch, capsys):
         """At ``derived`` the axioms and the lemmas read one reversibility
         walk and one reassociation scan of the (additive) table, on a

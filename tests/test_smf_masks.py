@@ -1,4 +1,5 @@
-"""check_smf and mf_to_sg on product-fiber masks agree with the quadruple scan.
+"""check_smf on group lookups and mf_to_sg on product-fiber masks agree with
+the quadruple scan.
 
 ``reference_audits`` holds ``check_smf`` as it was when properties iii-v
 scanned every quadruple of nonzero elements, v through ``_smf_block`` with up
@@ -17,6 +18,16 @@ raise the same ``InputError``; ``mf_to_sg`` still runs on those, and on the
 changed products its fibers hold more than one element.  Each raw relation
 ``mf_to_sg`` closes is also closed by the union-find ``_close_iso`` of
 ``reference_audits``, with the same relation and count of added quadruples.
+
+At the cap the quadruple scan is out of reach, so ``check_smf`` is also
+pinned to ``reference_audits.split_row_check_smf``, which read iii and iv
+from the fiber and membership masks, built property v's split masks per
+(a, c) from them and scanned every (a, b, c).  The inputs are F_32, F_49 and F_64 from the fixture, Z/p for
+every prime p <= 61, the sum-5 multifield, every multifield of order 4
+with zero e0 and one e1 (the enumeration's slice: every class of order 4 has
+a member there), and seeded shuffles of F_49, Z/61 and the sum-5 multifield,
+whose first nonzero element is not 1, so that the product fibres come in
+another order.  Between them they give 21 distinct property-v witnesses.
 """
 
 import dataclasses
@@ -26,10 +37,12 @@ import pytest
 
 import reference_audits as reference
 from multialg import special_groups as spg
-from multialg.core import InputError, ring_multiring
+from multialg.core import InputError, classify, ring_multiring
 from multialg.corpus import corpus_multifields, corpus_special_groups
-from multialg.enumeration import enumerate_structures
+from multialg.enumeration import _multiring_slice, enumerate_structures
 from multialg.ordering_spaces import aos_to_mfred, fan_aos
+from test_finite_fields import finite_fields
+from test_search_kernel import shuffled
 from test_triple_relation import _mutants
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -152,3 +165,31 @@ def test_every_property_fails_on_some_input():
             failed |= {v.axiom for v in report.failures()}
     assert failed == {"i-unit-squares", "ii-full-opposite-sums", "iii-symmetry",
                       "iv-transitivity", "v-triple-split-swap"}
+
+
+def _cap_multifields() -> dict:
+    named = {f"f{q}": finite_fields.finite_field(q) for q in (32, 49, 64)}
+    named.update((f"z{p}", ring_multiring(p)) for p in range(2, 62)
+                 if all(p % d for d in range(2, p)))
+    named["sum5"] = aos_to_mfred(fan_aos(5))
+    order4 = (r for r in _multiring_slice(4) if classify(r).multifield)
+    named.update((f"mf4_{i}", r) for i, r in enumerate(order4))
+    for name in ("f49", "z61", "sum5"):  # 1 is not the first nonzero element
+        named[f"{name}_shuffled"] = shuffled(named[name], 43)
+    return named
+
+
+CAP_MULTIFIELDS = _cap_multifields()
+
+
+@pytest.mark.parametrize("name", sorted(CAP_MULTIFIELDS))
+def test_reports_match_split_rows_at_the_cap(name):
+    f = CAP_MULTIFIELDS[name]
+    assert spg.check_smf(f) == reference.split_row_check_smf(f), name
+
+
+def test_split_witnesses_at_the_cap():
+    witnesses = {spg.check_smf(f).verdict("v-triple-split-swap").witness
+                 for f in CAP_MULTIFIELDS.values()}
+    assert len(witnesses - {None}) == 21
+    assert len(CAP_MULTIFIELDS) == 34
