@@ -76,7 +76,7 @@ the first violations in lexicographic order; tests/reference_audits.py
 keeps the naive audits, the cell-at-a-time and row-through-a-getter
 versions, the tuple unions and the distributivity rows over d and at the
 generators that they are pinned to.
-``classify`` audits each structure once however often its guard runs.
+``classify`` is kept and audits a structure once however often it runs.
 
 Fibres, unions of per-element values and closures each have one kernel,
 read by every module.  ``_fibres`` gives the preimage mask of each value
@@ -141,7 +141,6 @@ from operator import and_, invert, itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 CARRIER_CAP = 64
-_AUDITED = "multialg.core.check_multiring"  # the key of the kept multiring audit
 
 
 class InputError(ValueError):
@@ -722,14 +721,15 @@ def _freeze_tables(obj, *names: str) -> None:
 def _kept(build: Callable) -> Callable:
     """``build(s)``, kept in the ``__dict__`` of the structure object ``s``
     as ``cached_property`` keeps a value: an equal copy builds its own, and
-    ``==``, ``hash`` and ``repr`` read the fields only.  The key is fixed
-    here; its dots make it no field or attribute name."""
+    ``==``, ``hash`` and ``repr`` read the fields only.  ``kept(s, v)`` keeps
+    and returns v, made elsewhere (an audit's report).  The key is fixed here;
+    its dots make it no field name, and nothing else touches ``__dict__``."""
     key = f"{build.__module__}.{build.__name__}"
 
     @wraps(build)
-    def kept(s):
-        if key not in s.__dict__:
-            s.__dict__[key] = build(s)
+    def kept(s, *value):
+        if value or key not in s.__dict__:
+            s.__dict__[key] = value[0] if value else build(s)
         return s.__dict__[key]
     return kept
 
@@ -1211,14 +1211,12 @@ def _distributivity_defects(add: Sequence, mul: Sequence,
     not in ad+bd and with (a+b)d != ad+bd, the least (b, d) at the first a,
     d among ``columns`` (all by default), on the scaling rows of add.
 
-    Given add's ``_byte_rows``, both sides are single values, so the two
-    witnesses coincide: for each a and d, (a+b)d over b is row a translated
-    through column d of mul, and ad+bd is column d translated through row
-    ad of add."""
+    Given add's ``_byte_rows``, over all columns, both sides are single
+    values, so the two witnesses coincide: for each a and d, (a+b)d over b
+    is row a translated through column d of mul, and ad+bd is column d
+    translated through row ad of add."""
     if rows:
         n = len(rows)
-        if columns is not None:
-            mul = [[row[e] for e in columns] for row in mul]
         lines = [bytes(column).translate(_SUCCESSOR) for column in zip(*mul)]
         by_line, by_row = _through(lines, n), _through(rows, n)
         for a, (row_a, products) in enumerate(zip(rows, mul)):
@@ -1227,8 +1225,7 @@ def _distributivity_defects(add: Sequence, mul: Sequence,
             if lefts != rights:
                 b, i = min((_first_difference(left, right), i) for i, (left, right)
                            in enumerate(zip(lefts, rights)) if left != right)
-                found = a, b, (i if columns is None else columns[i])
-                return found, found
+                return (a, b, i), (a, b, i)
         return None, None
     w_weak = None
     w_full = None
@@ -1286,6 +1283,9 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
                              _additive_scans(r.add, r.neg, r.names, elements))
 
 
+_audit = _kept(check_multiring)  # the report kept by its last run, or a new one
+
+
 def _multiring_report(r: FiniteMultiring, elements: _Elements, scans: tuple
                       ) -> CheckReport:
     """``check_multiring(r)``, its addition read from ``_additive_scans``
@@ -1306,8 +1306,7 @@ def _multiring_report(r: FiniteMultiring, elements: _Elements, scans: tuple
     verdicts.append(_verdict_all("distributivity-weak", weak))
     verdicts.append(_verdict_all("distributivity-full", full,
                                  note="informational", informational=True))
-    report = r.__dict__[_AUDITED] = CheckReport("multiring", tuple(verdicts))
-    return report
+    return _audit(r, CheckReport("multiring", tuple(verdicts)))
 
 
 def _axioms_and_lemmas(s: FiniteMultiring | FiniteMultigroup
@@ -1340,11 +1339,12 @@ def _classify_unchecked(r: FiniteMultiring) -> MultiringKind:
     return MultiringKind(True, domain, all(r.one in r.mul[a] for a in nonzero))
 
 
+@_kept
 def classify(r: FiniteMultiring) -> MultiringKind:
-    """Flag multidomain / multifield status.  Requires the axioms to hold:
-    reads the multiring audit kept on ``r``, and audits ``r`` only when
-    none is kept."""
-    if not (r.__dict__.get(_AUDITED) or check_multiring(r)).overall:
+    """Flag multidomain / multifield status, kept on ``r``.  Requires the
+    axioms to hold: reads the multiring audit kept on ``r``, and audits
+    ``r`` only when none is kept."""
+    if not _audit(r).overall:
         raise InputError("classify: structure fails the multiring audit")
     return _classify_unchecked(r)
 

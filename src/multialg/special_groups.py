@@ -67,8 +67,6 @@ from .core import (
     same_tables,
 )
 
-_AUDITED = "multialg.special_groups.check_sg"  # the key of the kept check_sg
-
 
 @dataclass(frozen=True)
 class SpecialGroup:
@@ -397,16 +395,18 @@ def check_sg(g: SpecialGroup) -> CheckReport:
     """SG0-SG6; the report is kept on ``g``, for the guards that read it."""
     psg = check_psg(g)
     w6 = _sg6_witness(g)
-    report = g.__dict__[_AUDITED] = CheckReport(
+    return _sg_audit(g, CheckReport(
         subject="special group",
         verdicts=psg.verdicts + (Verdict("SG6-3-transitivity", w6 is None, w6),),
-    )
-    return report
+    ))
+
+
+_sg_audit = _kept(check_sg)  # the report kept by its last run, or a new one
 
 
 def check_reduced(g: SpecialGroup) -> CheckReport:
-    """The kept (or a new) ``check_sg(g)`` and the two reduced verdicts."""
-    sg = g.__dict__.get(_AUDITED) or check_sg(g)
+    """The kept ``check_sg(g)`` report (``_sg_audit``) and the reduced verdicts."""
+    sg = _sg_audit(g)
     cls, _ = _pair_classes(g)
     w_distinct = None if g.one != g.minus_one else (g.names[g.one],)
     w_rigid = None
@@ -693,10 +693,10 @@ def sg_smf_roundtrip(g: SpecialGroup) -> CheckReport:
 
 
 def smf_sg_roundtrip(f: FiniteMultiring) -> CheckReport:
-    """Through the kept ``mf_to_sg(f)``, read with its kept (or a new)
-    ``check_sg`` report, and back: tables are restored exactly."""
+    """Through the kept ``mf_to_sg(f)``, read with the ``check_sg`` report
+    kept on it (``_sg_audit``), and back: tables are restored exactly."""
     g = mf_to_sg(f)
-    sg = g.__dict__.get(_AUDITED) or check_sg(g)
+    sg = _sg_audit(g)
     f2 = sg_to_mf(g, zero_label=f.names[f.zero])
     same = same_tables(f, f2)
     return CheckReport(

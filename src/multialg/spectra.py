@@ -38,7 +38,7 @@ from .core import (
     InputError,
     StructureMap,
     Verdict,
-    _AUDITED,
+    _audit,
     _closure,
     _cube_defect,
     _kept,
@@ -139,10 +139,9 @@ def check_quotient_characterizations(a: FiniteMultiring) -> CheckReport:
     primes = {i.members for i in ideals if is_prime_mask(a, i.members)}
     maximals = {i.members for i in _maximal_ideals(ideals)}
     w_prime = w_max = w_chain = None
-    kept = a.__dict__.get(_AUDITED)
     for ideal in ideals:
-        if ideal.members == 1 << a.zero and kept and kept.overall:
-            # x + 0 = {x}: a/{0} is a relabelled copy of a
+        if ideal.members == 1 << a.zero and _audit(a).overall:
+            # x + 0 = {x}: a/{0} is a relabelled copy of a, and fails as a does
             kind, nondeg = classify(a), a.one != a.zero
         else:
             q, _ = quotient_by_ideal(a, ideal)

@@ -394,9 +394,9 @@ class TestKeptValues:
         g, (space, _), s = spg.mf_to_sg(f), osp.mfred_to_aos(f), rsg.mrred_to_rs(f)
         ars, _ = osp.mrred_to_ars(f)
         readers = (
-            (f, (check_multiring, spectra._ideals, spectra._orderings, spg.mf_to_sg,
-                 osp.mfred_to_aos, rsg.mrred_to_rs, spectra.is_real_reduced_mr,
-                 spectra.is_real_reduced_mf)),
+            (f, (check_multiring, classify, spectra._ideals, spectra._orderings,
+                 spg.mf_to_sg, osp.mfred_to_aos, rsg.mrred_to_rs,
+                 spectra.is_real_reduced_mr, spectra.is_real_reduced_mf)),
             (g, (spg.check_sg, spg._pair_classes, spg._triple_relation, spg._sg6_witness)),
             (space, (osp.value_table, osp._product_table)),
             (ars, (osp.value_table, osp.transversal_table, osp._product_table)),
@@ -412,8 +412,8 @@ class TestKeptValues:
             for read, value in zip(reads, values):
                 if read not in (check_multiring, spg.check_sg):
                     assert read(obj) is value, read.__name__
-        # the fourteen kept values and the two kept audit reports: 16 keys
-        assert len(set(keys)) == 16 and len(keys) == 18
+        # the fifteen kept values and the two kept audit reports: 17 keys
+        assert len(set(keys)) == 17 and len(keys) == 19
         assert (hash(f), repr(f), mio.serialize(f)) == before
         assert f == copy and hash(f) == hash(copy)
         assert set(vars(copy)) == {field.name for field in dataclasses.fields(copy)}

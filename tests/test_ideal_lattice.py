@@ -66,10 +66,13 @@ from multialg.constructions import (
 )
 from multialg.core import (
     Carrier,
+    CheckReport,
     FiniteMultiring,
     InputError,
     StructuralAnomaly,
+    Verdict,
     check_multiring,
+    classify,
     krasner,
     mask_of,
     q2,
@@ -258,6 +261,49 @@ def test_mutants_match_reference(name):
         noncommutative += any(a.add[x][y] != a.add[y][x]
                               for x, y in itertools.combinations(range(a.size), 2))
     assert noncommutative, name
+
+
+def _characterizations_at_every_quotient(a):
+    """``check_quotient_characterizations`` with no shortcut at {0}: every
+    quotient is built and classified, which raises when it fails the
+    multiring audit."""
+    ideals = spectra.enumerate_ideals(a)
+    primes = {i.members for i in ideals if spectra.is_prime_mask(a, i.members)}
+    maximals = {i.members for i in spectra._maximal_ideals(ideals)}
+    w_prime = w_max = w_chain = None
+    for ideal in ideals:
+        q, _ = quotient_by_ideal(a, ideal)
+        kind, nondeg = classify(q), q.one != q.zero
+        if w_prime is None and (ideal.members in primes) != (kind.multidomain and nondeg):
+            w_prime = ideal.labels
+        if w_max is None and (ideal.members in maximals) != (kind.multifield and nondeg):
+            w_max = ideal.labels
+        if w_chain is None and ideal.members in maximals - primes:
+            w_chain = ideal.labels
+    return CheckReport("quotient characterizations", tuple(
+        Verdict(axiom, w is None, w) for axiom, w in (
+            ("prime-iff-multidomain", w_prime), ("maximal-iff-multifield", w_max),
+            ("maximal-implies-prime", w_chain))))
+
+
+def test_zero_ideal_shortcut_matches_every_quotient():
+    """The quotient by {0} is classified from the structure itself when the
+    structure passes its audit; on the corpus multirings, every labelled
+    multiring of order <= 3 and the seeded add and mul mutants, each run on
+    a fresh copy and on one already audited, the report (or the exception)
+    equals the one of classifying every quotient."""
+    inputs = list(corpus_multirings().values()) + [
+        STRUCTURES[name] for name in SMALL if name.startswith("mr")]
+    inputs += [m for name in sorted(MUTANTS) for m in MUTANTS[name]]
+    outcomes = collections.Counter()
+    for i, a in enumerate(inputs):
+        expected = _outcome(_characterizations_at_every_quotient, dataclasses.replace(a))
+        audited = dataclasses.replace(a)
+        check_multiring(audited)
+        for b in (dataclasses.replace(a), audited):
+            assert _outcome(spectra.check_quotient_characterizations, b) == expected, i
+        outcomes[type(expected).__name__] += 1
+    assert outcomes["CheckReport"] > 40 and outcomes["tuple"] > 100, outcomes
 
 
 def _negation_mutants(base) -> list:

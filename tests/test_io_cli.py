@@ -137,6 +137,31 @@ class TestCli:
         assert main(["diagram", path]) == 0
         assert runs == {"is_real_reduced_mr": 1, "is_real_reduced_mf": 1}
 
+    def test_commands_classify_each_multiring_once(self, tmp_path, monkeypatch, capsys):
+        """``classify`` is kept on the structure, so its guards derive the
+        flags once per multiring: on a multifield ``check --level all``
+        derives them for the structure (its quotient by {0} reads them) and
+        for its one-element quotient, ``diagram`` and ``real-check`` for
+        the structure alone."""
+        from test_finite_fields import finite_fields
+        classified = []
+        unchecked = core._classify_unchecked
+        monkeypatch.setattr(core, "_classify_unchecked",
+                            lambda r: classified.append(r.size) or unchecked(r))
+        for name, f in (("sum3", aos_to_mfred(fan_aos(3))),
+                        ("f64", finite_fields.finite_field(64))):
+            path = str(tmp_path / f"{name}.mrs")
+            mio.write_structure(path, f)
+            commands = [["check", path, "--level", "all"], ["real-check", path]]
+            if name == "sum3":
+                commands.append(["diagram", path])
+            for argv in commands:
+                classified.clear()
+                assert main(argv) == 0, (name, argv[0])
+                assert sorted(classified) == sorted(
+                    [f.size, 1] if argv[0] == "check" else [f.size]), (name, argv[0])
+        capsys.readouterr()
+
     def test_check_derived_scans_each_table_once(self, tmp_path, monkeypatch, capsys):
         """At ``derived`` the axioms and the lemmas read one reversibility
         walk and one reassociation scan of the (additive) table, on a
