@@ -1,23 +1,21 @@
 """One text format for every structure kind, with a kind discriminator.
 
-Files are JSON with a fixed field order per kind; serialization is canonical
-(the layout of ``json.dumps(indent=2, ensure_ascii=False)``, trailing
-newline) so parse/serialize round-trips are byte stable.  ``serialize``
-writes that text itself: each label is encoded once and each distinct cell
-laid out once per call, and rows and tables are joined strings.
-``to_document`` is the text parsed back, so the layout is written down in
-one place; tests/reference_io.py keeps the document-building writer it is
-pinned to.  Parse errors carry line/column positions.
+``_KINDS`` has one entry per kind: its class, the label builder the reader
+calls and its fields after ``elements`` in file order, each with a
+``_Shape``: the reader's JSON check, how a message names it and the writer
+of the field's text.  ``serialize``, ``from_document``, ``kind_of`` and
+``KINDS`` all read it.  The text is canonical (the layout of
+``json.dumps(indent=2, ensure_ascii=False)``, trailing newline), so
+parse/serialize round-trips are byte stable; each label is encoded once and
+each distinct cell laid out once per call.
 
-Reading checks each field's JSON shape (``_nested``, with every level's
-types and the tuple arities tested in C), then turns labels into indices
-through one kernel, core's ``_label_values``: each row of a value table
-and each ``iso`` quadruple is one ``map`` over the carrier's positions.
-Tables of label lists go through core's ``_label_masks``, which reduces
-each distinct cell once per call.  The real-semigroup ``d`` triples keep
-one dict lookup per label.  An unknown label raises the carrier's message
-for the first such label in file order; tests/reference_io.py keeps the
-label-at-a-time readers and shape checks the readers are pinned to.
+The reader checks the fields in file order, each for presence and then for
+its JSON shape (``_nested`` tests every level's types and the tuple arities
+in C), so a message names the first bad field in the file.  The builders
+read labels through core's ``_label_values`` and ``_label_masks``; an
+unknown label raises the carrier's message for the first one the builder
+meets.  tests/reference_io.py keeps the writer and readers these are pinned
+to.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import json
 from functools import partial
 from itertools import chain, repeat
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     FiniteMultigroup,
@@ -42,22 +40,7 @@ from .special_groups import SpecialGroup, make_special_group
 Structure = Union[FiniteMultigroup, FiniteMultiring, SpecialGroup,
                   RealSemigroup, SignSpace]
 
-KINDS = ("multigroup", "multiring", "special_group", "real_semigroup",
-         "sign_space")
-
-
-def kind_of(obj: Structure) -> str:
-    if isinstance(obj, FiniteMultiring):
-        return "multiring"
-    if isinstance(obj, FiniteMultigroup):
-        return "multigroup"
-    if isinstance(obj, SpecialGroup):
-        return "special_group"
-    if isinstance(obj, RealSemigroup):
-        return "real_semigroup"
-    if isinstance(obj, SignSpace):
-        return "sign_space"
-    raise InputError(f"unknown structure type {type(obj).__name__}")
+_dumps = partial(json.dumps, ensure_ascii=False)
 
 
 def _array(entries: list[str], indent: int) -> str:
@@ -69,81 +52,30 @@ def _array(entries: list[str], indent: int) -> str:
     return "[" + pad + ("," + pad).join(entries) + pad[:-2] + "]"
 
 
-def _value_table(table: Sequence[Sequence[int]], label: list[str]) -> str:
+def _value_table(table: Sequence[Sequence[int]], label, _) -> str:
     return _array([_array(list(map(label.__getitem__, row)), 6)
                    for row in table], 4)
 
 
-def _cell_table(table: Sequence[Sequence[int]], label: list[str]) -> str:
+def _cell_table(table: Sequence[Sequence[int]], label: list[str], _) -> str:
     """The rows of label lists, each distinct cell rendered once."""
     cell = {m: _array([label[c] for c in bits(m)], 8)
             for m in set(chain.from_iterable(table))}
-    return _array([_array(list(map(cell.__getitem__, row)), 6)
-                   for row in table], 4)
+    return _value_table(table, cell, None)
 
 
-def _unary_map(table: Sequence[int], label: list[str]) -> str:
+def _unary_map(table: Sequence[int], label: list[str], _) -> str:
     """The object mapping each element's label to its image's label."""
     return ("{\n    " + ",\n    ".join(map("{}: {}".format, label,
                                              map(label.__getitem__, table)))
             + "\n  }")
 
 
-def _relation(tuples: Iterable[Sequence[int]], names: Sequence[str],
-              label: list[str]) -> str:
+def _relation(tuples: Iterable[Sequence[int]], label: list[str],
+              names: Sequence[str]) -> str:
     """The index tuples of a relation, in the order of their label lists."""
     rows = sorted(tuples, key=lambda t: [names[i] for i in t])
     return _array([_array([label[i] for i in t], 6) for t in rows], 4)
-
-
-def serialize(obj: Structure, name: Optional[str] = None) -> str:
-    """The canonical file text: the kind's fields in a fixed order, laid out
-    as ``json.dumps(doc, indent=2, ensure_ascii=False)`` lays out that
-    document (every list entry and object member on its own line), and a
-    trailing newline.  Each label is encoded once."""
-    dumps = partial(json.dumps, ensure_ascii=False)
-    fields = [("kind", dumps(kind_of(obj)))]
-    if name:
-        fields.append(("name", dumps(name)))
-    if isinstance(obj, SignSpace):
-        fields += [("mode", dumps(obj.mode)),
-                   ("points", _array(list(map(dumps, obj.points)), 4)),
-                   ("functions", _array([_array(list(map(str, f)), 6)
-                                         for f in obj.functions], 4))]
-    else:
-        names = obj.carrier.names
-        label = list(map(dumps, names))
-        fields.append(("elements", _array(label, 4)))
-        if isinstance(obj, FiniteMultiring):
-            fields += [("zero", label[obj.zero]), ("one", label[obj.one]),
-                       ("neg", _unary_map(obj.neg, label)),
-                       ("mul", _value_table(obj.mul, label)),
-                       ("add", _cell_table(obj.add, label))]
-        elif isinstance(obj, FiniteMultigroup):
-            fields += [("identity", label[obj.identity]),
-                       ("inv", _unary_map(obj.inv, label)),
-                       ("op", _cell_table(obj.op, label))]
-        elif isinstance(obj, SpecialGroup):
-            fields += [("one", label[obj.one]),
-                       ("minus_one", label[obj.minus_one]),
-                       ("mul", _value_table(obj.mul, label)),
-                       ("iso", _relation(obj.iso, names, label))]
-        else:
-            n = obj.size
-            fields += [("one", label[obj.one]), ("zero", label[obj.zero]),
-                       ("minus_one", label[obj.minus_one]),
-                       ("mul", _value_table(obj.mul, label)),
-                       ("d", _relation([(a, b, c)
-                                        for b in range(n) for c in range(n)
-                                        for a in bits(obj.d[b][c])],
-                                       names, label))]
-    return ("{\n  " + ",\n  ".join(f'"{key}": {text}' for key, text in fields)
-            + "\n}\n")
-
-
-def to_document(obj: Structure, name: Optional[str] = None) -> dict[str, Any]:
-    """The parsed canonical text of ``obj``."""
-    return json.loads(serialize(obj, name))
 
 
 def _nested(v: Any, depth: int, leaf: type = str,
@@ -161,81 +93,120 @@ def _nested(v: Any, depth: int, leaf: type = str,
     return set(map(type, level)) <= {leaf}
 
 
-def _label_map(elements: list) -> Callable[[Any], bool]:
-    return lambda v: isinstance(v, dict) and all(
-        isinstance(v.get(e), str) for e in elements)
+class _Shape(NamedTuple):
+    """``check(value, elements)``, None where the builder checks the value;
+    the shape in a message; ``write(attribute, encoded labels, labels)``."""
+    check: Optional[Callable[[Any, Any], bool]]
+    name: str
+    write: Callable[[Any, Any, Any], str]
 
 
-# JSON shapes of the fields, each with how a message names it.
-_LABELS = partial(_nested, depth=1), "a list of labels"
-_LABEL_TABLE = partial(_nested, depth=2), "a list of rows of labels"
-_CELL_TABLE = partial(_nested, depth=3), "a list of rows of label lists"
-_QUADRUPLES = partial(_nested, depth=2, arity=4), "a list of label quadruples"
-_TRIPLES = partial(_nested, depth=2, arity=3), "a list of label triples"
-_SIGNS = partial(_nested, depth=2, leaf=int), "a list of lists of integer values"
+_LABEL = _Shape(None, "a label", lambda v, label, _: label[v])
+_LABEL_MAP = _Shape(lambda v, elements: isinstance(v, dict) and all(
+    isinstance(v.get(e), str) for e in elements),
+    "an object mapping every element to a label", _unary_map)
+_LABEL_TABLE = _Shape(lambda v, _: _nested(v, 2), "a list of rows of labels",
+                      _value_table)
+_CELL_TABLE = _Shape(lambda v, _: _nested(v, 3),
+                     "a list of rows of label lists", _cell_table)
+_QUADRUPLES = _Shape(lambda v, _: _nested(v, 2, arity=4),
+                     "a list of label quadruples", _relation)
+# written from the representation table: a is in D(b, c) for the triple (a, b, c)
+_TRIPLES = _Shape(lambda v, _: _nested(v, 2, arity=3), "a list of label triples",
+                  lambda d, label, names: _relation(
+                      [(a, b, c) for b, row in enumerate(d)
+                       for c, cell in enumerate(row) for a in bits(cell)],
+                      label, names))
+_MODE = _Shape(None, "a mode", lambda v, *_: _dumps(v))
+_LABELS = _Shape(lambda v, _: _nested(v, 1), "a list of labels",
+                 lambda v, *_: _array(list(map(_dumps, v)), 4))
+_SIGNS = _Shape(lambda v, _: _nested(v, 2, leaf=int),
+                "a list of lists of integer values",
+                lambda v, *_: _array([_array(list(map(str, f)), 6) for f in v], 4))
 
 
-def _require(doc: dict, key: str, kind: str,
-             shape: Optional[tuple[Callable[[Any], bool], str]] = None) -> Any:
-    if key not in doc:
-        raise InputError(f"{kind} file is missing field {key!r}")
-    if shape is not None and not shape[0](doc[key]):
-        raise InputError(f"{kind} field {key!r} must be {shape[1]}")
-    return doc[key]
+class _Kind(NamedTuple):
+    """The builder takes the fields by name (the elements as ``names``
+    when ``labelled``); a field is ``(key, shape)``, or ``(key, shape,
+    parameter)`` when the builder's parameter has another name."""
+    cls: type
+    build: Callable[..., Structure]
+    fields: tuple[tuple, ...]
+    labelled: bool = True
+
+
+_KINDS = {
+    "multigroup": _Kind(FiniteMultigroup, multigroup_from_labels, (
+        ("identity", _LABEL), ("inv", _LABEL_MAP), ("op", _CELL_TABLE))),
+    "multiring": _Kind(FiniteMultiring, multiring_from_labels, (
+        ("zero", _LABEL), ("one", _LABEL), ("neg", _LABEL_MAP),
+        ("mul", _LABEL_TABLE), ("add", _CELL_TABLE))),
+    "special_group": _Kind(SpecialGroup, make_special_group, (
+        ("one", _LABEL), ("minus_one", _LABEL), ("mul", _LABEL_TABLE),
+        ("iso", _QUADRUPLES))),
+    "real_semigroup": _Kind(RealSemigroup, make_real_semigroup, (
+        ("one", _LABEL), ("zero", _LABEL), ("minus_one", _LABEL),
+        ("mul", _LABEL_TABLE), ("d", _TRIPLES, "d_triples"))),
+    "sign_space": _Kind(SignSpace, make_sign_space, (
+        ("mode", _MODE), ("points", _LABELS), ("functions", _SIGNS)), False),
+}
+
+KINDS = tuple(_KINDS)
+
+
+def kind_of(obj: Structure) -> str:
+    for kind, entry in _KINDS.items():
+        if isinstance(obj, entry.cls):
+            return kind
+    raise InputError(f"unknown structure type {type(obj).__name__}")
+
+
+def serialize(obj: Structure, name: Optional[str] = None) -> str:
+    """The canonical file text: the kind's fields in a fixed order, laid out
+    as ``json.dumps(doc, indent=2, ensure_ascii=False)`` lays out that
+    document (every list entry and object member on its own line), and a
+    trailing newline.  Each label is encoded once."""
+    kind = kind_of(obj)
+    entry = _KINDS[kind]
+    fields = [("kind", _dumps(kind))]
+    if name:
+        fields.append(("name", _dumps(name)))
+    names = obj.carrier.names if entry.labelled else ()
+    label = list(map(_dumps, names))
+    if names:
+        fields.append(("elements", _array(label, 4)))
+    fields += [(key, shape.write(getattr(obj, key), label, names))
+               for key, shape, *_ in entry.fields]
+    return ("{\n  " + ",\n  ".join(f'"{key}": {text}' for key, text in fields)
+            + "\n}\n")
+
+
+def to_document(obj: Structure, name: Optional[str] = None) -> dict[str, Any]:
+    """The parsed canonical text of ``obj``."""
+    return json.loads(serialize(obj, name))
 
 
 def from_document(doc: dict[str, Any]) -> Structure:
     if not isinstance(doc, dict):
         raise InputError("structure file must contain a JSON object")
-    kind = _require(doc, "kind", "structure")
+    if "kind" not in doc:
+        raise InputError("structure file is missing field 'kind'")
+    kind = doc["kind"]
     if kind not in KINDS:
         raise InputError(f"unknown kind {kind!r}; expected one of "
                          + ", ".join(KINDS))
-    elements = doc.get("elements")
-    if kind != "sign_space":
-        if not isinstance(elements, list) or not all(
-                isinstance(e, str) for e in elements):
-            raise InputError("elements must be a list of labels")
-    label_map = (_label_map(elements),
-                 "an object mapping every element to a label")
-    if kind == "multiring":
-        return multiring_from_labels(
-            elements,
-            _require(doc, "add", kind, _CELL_TABLE),
-            _require(doc, "mul", kind, _LABEL_TABLE),
-            _require(doc, "neg", kind, label_map),
-            _require(doc, "zero", kind),
-            _require(doc, "one", kind),
-        )
-    if kind == "multigroup":
-        return multigroup_from_labels(
-            elements,
-            _require(doc, "op", kind, _CELL_TABLE),
-            _require(doc, "inv", kind, label_map),
-            _require(doc, "identity", kind),
-        )
-    if kind == "special_group":
-        return make_special_group(
-            elements,
-            _require(doc, "mul", kind, _LABEL_TABLE),
-            _require(doc, "minus_one", kind),
-            _require(doc, "iso", kind, _QUADRUPLES),
-            one=_require(doc, "one", kind),
-        )
-    if kind == "real_semigroup":
-        return make_real_semigroup(
-            elements,
-            _require(doc, "mul", kind, _LABEL_TABLE),
-            _require(doc, "one", kind),
-            _require(doc, "zero", kind),
-            _require(doc, "minus_one", kind),
-            _require(doc, "d", kind, _TRIPLES),
-        )
-    return make_sign_space(
-        _require(doc, "mode", kind),
-        _require(doc, "points", kind, _LABELS),
-        _require(doc, "functions", kind, _SIGNS),
-    )
+    entry, elements = _KINDS[kind], doc.get("elements")
+    if entry.labelled and not (isinstance(elements, list)
+                               and all(isinstance(e, str) for e in elements)):
+        raise InputError("elements must be a list of labels")
+    args = {"names": elements} if entry.labelled else {}
+    for key, shape, *parameter in entry.fields:
+        if key not in doc:
+            raise InputError(f"{kind} file is missing field {key!r}")
+        if shape.check is not None and not shape.check(doc[key], elements):
+            raise InputError(f"{kind} field {key!r} must be {shape.name}")
+        args[parameter[0] if parameter else key] = doc[key]
+    return entry.build(**args)
 
 
 def parse(text: str) -> Structure:
@@ -267,15 +238,8 @@ def write_structure(path: str, obj: Structure, name: Optional[str] = None) -> No
 def corpus_documents() -> dict[str, Structure]:
     """The named structures shipped as files under corpus/."""
     from . import corpus as c
-    out: dict[str, Structure] = {}
-    out.update(c.corpus_multirings())
-    for name, g in c.corpus_special_groups().items():
-        out[name] = g
-    for name, s in c.corpus_real_semigroups().items():
-        out[name] = s
-    for name, s in c.corpus_sign_spaces().items():
-        out[name] = s
-    return out
+    return {**c.corpus_multirings(), **c.corpus_special_groups(),
+            **c.corpus_real_semigroups(), **c.corpus_sign_spaces()}
 
 
 def write_corpus(directory: str) -> list[str]:

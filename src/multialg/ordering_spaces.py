@@ -5,7 +5,7 @@ the constructions to and from real reduced multifields and multirings.
 The value and transversal tables are core's pointwise tables
 (``_pointwise_cells``, described there), with one map per point, each
 function to its sign at the point; the point-map search reads the same
-maps' preimages.  The pointwise products are one table kept per space.
+maps' preimages.  Products, negations and positions are kept per space.
 ``aos_to_mfred`` hands the value table, as D, to the zero adjunction of
 ``constructions``.
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Iterator, Optional, Sequence
 
@@ -112,10 +112,19 @@ class SignSpace:
     def nfunctions(self) -> int:
         return len(self.functions)
 
+    @cached_property
+    def _positions(self) -> dict[tuple[int, ...], int]:
+        return {f: i for i, f in enumerate(self.functions)}
+
+    @cached_property
+    def _negations(self) -> tuple[Optional[int], ...]:
+        """Index of each function's negation; None where it is missing."""
+        return tuple(map(self.index, map(self.negation, range(self.nfunctions))))
+
     def index(self, f: tuple[int, ...]) -> Optional[int]:
         try:
-            return self.functions.index(f)
-        except ValueError:
+            return self._positions.get(f)
+        except TypeError:  # unhashable, a list say: no function
             return None
 
     def constant(self, v: int) -> Optional[int]:
@@ -201,9 +210,9 @@ def transversal_table(s: SignSpace) -> tuple[tuple[int, ...], ...]:
 def _product_table(s: SignSpace) -> tuple[tuple[Optional[int], ...], ...]:
     """Index of the pointwise product of functions i and j; None where the
     product leaves the function set."""
-    index = {f: k for k, f in enumerate(s.functions)}
+    index = s._positions.get
     n = s.nfunctions
-    return tuple(tuple(index.get(s.pointwise_mul(i, j)) for j in range(n))
+    return tuple(tuple(index(s.pointwise_mul(i, j)) for j in range(n))
                  for i in range(n))
 
 
@@ -347,10 +356,9 @@ def _enumerate_ars_cones(s: SignSpace) -> list[int]:
     closed under products and value sets, with -1 outside, 1 inside and a
     prime support, in the search's depth-first order.  Needs AX1: closure
     under products and the constants."""
-    n = s.nfunctions
     dtab = value_table(s)
     mul = _product_table(s)
-    neg = [s.index(s.negation(i)) for i in range(n)]
+    neg = s._negations
     one = s.constant(1)
     minus = s.constant(-1)
 
@@ -453,8 +461,8 @@ def aos_to_mfred(s: SignSpace) -> FiniteMultiring:
     forced zero and opposite cases."""
     if s.mode != AOS:
         raise InputError("multifield construction needs a two-valued space")
-    neg_index = [s.index(s.negation(i)) for i in range(s.nfunctions)]
-    if any(v is None for v in neg_index):
+    neg_index = s._negations
+    if None in neg_index:
         raise InputError("function set is not closed under negation")
     prod = _product_table(s)
     if any(k is None for row in prod for k in row):
@@ -545,15 +553,15 @@ def ars_to_mrred(s: SignSpace) -> FiniteMultiring:
     mul = _product_table(s)
     if any(k is None for row in mul for k in row):
         raise InputError("function set is not closed under products")
-    neg = tuple(s.index(s.negation(i)) for i in range(n))
-    if any(v is None for v in neg):
+    neg = s._negations
+    if None in neg:
         raise InputError("function set is not closed under negation")
     zero = s.constant(0)
     one = s.constant(1)
     if zero is None or one is None:
         raise InputError("function set lacks a constant")
     return FiniteMultiring(Carrier(names), dt, mul,
-                           tuple(neg), zero, one)  # type: ignore[arg-type]
+                           neg, zero, one)  # type: ignore[arg-type]
 
 
 def mrred_to_ars(a: FiniteMultiring) -> tuple[SignSpace, CheckReport]:
@@ -574,7 +582,7 @@ def mrred_to_ars(a: FiniteMultiring) -> tuple[SignSpace, CheckReport]:
 
     dt = transversal_table(space)
     w_dt = None
-    vec_index = {v: space.index(v) for v in vectors}
+    vec_index = space._positions
     for x, y in itertools.product(range(a.size), repeat=2):
         got = dt[vec_index[vectors[x]]][vec_index[vectors[y]]]
         want = mask_of(vec_index[vectors[c]] for c in bits(a.add[x][y]))

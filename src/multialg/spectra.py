@@ -15,8 +15,8 @@ the componentwise evaluation embedding into a power of the sign multifield.
 
 Orderings come from ``_sign_cones``, a depth-first search over the pairs
 {x, -x} that ordering_spaces shares for the cones of abstract real spectra.
-It tests each leaf for closure under products and sums in full, and its
-callers test only the support: the orderings through ``Ideal`` and
+It tests each leaf for closure under products and sums in full and yields
+each mask once, and its callers test only the support: the orderings through ``Ideal`` and
 ``is_prime_mask``, the cones of a sign space through ``_is_prime``, the one
 prime test, on the space's product table.  Like the ideal list, the
 orderings are kept on the structure (``_orderings``), however many of
@@ -297,8 +297,10 @@ def _sign_cones(neg: Sequence[int], mul: Sequence[Sequence[int]],
     decided product u*v or a cell of u+v (in either order), for u, v in P,
     falls outside P.  That sees a violation only once both sides of a cell
     are decided, so each leaf is tested in full once; the callers test the
-    support."""
+    support.  Each mask is yielded once (overlapping pairs, where ``neg`` is
+    no involution, can reach it twice)."""
     n = len(neg)
+    found: set[int] = set()
     singles = mask_of(x for x in range(n) if neg[x] == x)
     pairs = sorted({(min(x, neg[x]), max(x, neg[x]))
                     for x in range(n) if neg[x] != x})
@@ -316,8 +318,9 @@ def _sign_cones(neg: Sequence[int], mul: Sequence[Sequence[int]],
     def dfs(i: int, p: int, decided: int) -> Iterator[int]:
         if i == len(pairs):
             members = tuple(bits(p))
-            if not any(cell[u][v] & ~p or not (p >> mul[u][v]) & 1
-                       for u in members for v in members):
+            if p not in found and not any(cell[u][v] & ~p or not (p >> mul[u][v]) & 1
+                                          for u in members for v in members):
+                found.add(p)
                 yield p
             return
         x, y = pairs[i]

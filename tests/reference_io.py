@@ -16,15 +16,14 @@ looked up each value-table label, and each isometry label, through
 tuple's arity in a Python loop.  The ``LoopChecked`` classes are the
 multigroup, multiring and real semigroup with the validation they had then;
 the special group's is ``reference_audits.LoopCheckedSpecialGroup``.
-``parse`` is the library's reader with these in place of the library's, so
-its structures and error messages are the old reader's.
+``parse`` is the library's reader with these in place of the library's
+builders and shape test, so its structures, and the messages they raise, are
+the old reader's.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
-from functools import partial
 from itertools import chain, repeat
 from typing import Any, Iterable, Optional, Sequence
 from unittest import mock
@@ -258,25 +257,15 @@ def nested(v: Any, depth: int, leaf: type = str,
     return set(map(type, level)) <= {leaf}
 
 
-# The library's field shapes, each with the message text it keeps.
-_SHAPES = {"_LABELS": partial(nested, depth=1),
-           "_LABEL_TABLE": partial(nested, depth=2),
-           "_CELL_TABLE": partial(nested, depth=3),
-           "_QUADRUPLES": partial(nested, depth=2, arity=4),
-           "_TRIPLES": partial(nested, depth=2, arity=3),
-           "_SIGNS": partial(nested, depth=2, leaf=int)}
-
-
 def parse(text: str) -> Structure:
-    """``io.parse`` with the label readers, constructors and shape tests
-    above."""
-    with ExitStack() as stack:
-        for attr, old in (("multigroup_from_labels", multigroup_from_labels),
-                          ("multiring_from_labels", multiring_from_labels),
-                          ("make_special_group", make_special_group),
-                          ("make_real_semigroup", make_real_semigroup)):
-            stack.enter_context(mock.patch.object(mio, attr, old))
-        for attr, shape in _SHAPES.items():
-            stack.enter_context(mock.patch.object(
-                mio, attr, (shape, getattr(mio, attr)[1])))
+    """``io.parse`` with the label readers above as the builders of the
+    kinds table, and ``nested`` as the field shape test."""
+    old = {"multigroup": multigroup_from_labels,
+           "multiring": multiring_from_labels,
+           "special_group": make_special_group,
+           "real_semigroup": make_real_semigroup}
+    kinds = {kind: entry._replace(build=old.get(kind, entry.build))
+             for kind, entry in mio._KINDS.items()}
+    with mock.patch.dict(mio._KINDS, kinds), \
+            mock.patch.object(mio, "_nested", nested):
         return mio.parse(text)

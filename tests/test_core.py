@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import operator
 
 import pytest
 
@@ -393,13 +394,15 @@ class TestKeptValues:
         before = (hash(f), repr(f), mio.serialize(f))
         g, (space, _), s = spg.mf_to_sg(f), osp.mfred_to_aos(f), rsg.mrred_to_rs(f)
         ars, _ = osp.mrred_to_ars(f)
+        positions = operator.attrgetter("_positions")  # a cached_property
         readers = (
             (f, (check_multiring, classify, spectra._ideals, spectra._orderings,
                  spg.mf_to_sg, osp.mfred_to_aos, rsg.mrred_to_rs,
                  spectra.is_real_reduced_mr, spectra.is_real_reduced_mf)),
             (g, (spg.check_sg, spg._pair_classes, spg._triple_relation, spg._sg6_witness)),
-            (space, (osp.value_table, osp._product_table)),
-            (ars, (osp.value_table, osp.transversal_table, osp._product_table)),
+            (space, (osp.value_table, osp._product_table, positions)),
+            (ars, (osp.value_table, osp.transversal_table, osp._product_table,
+                   positions)),
             (s, (rsg.dt_table,)))
         keys = []
         for obj, reads in readers:
@@ -412,8 +415,9 @@ class TestKeptValues:
             for read, value in zip(reads, values):
                 if read not in (check_multiring, spg.check_sg):
                     assert read(obj) is value, read.__name__
-        # the fifteen kept values and the two kept audit reports: 17 keys
-        assert len(set(keys)) == 17 and len(keys) == 19
+        # the fifteen kept values, the two kept audit reports and the
+        # spaces' function positions: 18 keys
+        assert len(set(keys)) == 18 and len(keys) == 21
         assert (hash(f), repr(f), mio.serialize(f)) == before
         assert f == copy and hash(f) == hash(copy)
         assert set(vars(copy)) == {field.name for field in dataclasses.fields(copy)}

@@ -60,6 +60,34 @@ class TestValueSets:
             value_set(fan_aos(1), (1,), (0,))
 
 
+class TestFunctionIndex:
+    def _index(self, s, f):
+        """The linear search ``SignSpace.index`` was."""
+        try:
+            return s.functions.index(f)
+        except ValueError:
+            return None
+
+    def test_index_and_constant_match_the_linear_search(self):
+        for s in (fan_aos(3), ars_q2xq2(), one_point_ars(),
+                  make_sign_space("aos", ["x", "y"], [[1, 1], [-1, 1]])):
+            args = [*s.functions, *map(list, s.functions), (2,) * s.npoints,
+                    (1.0,) * s.npoints, (True,) * s.npoints, ([1],) * s.npoints,
+                    (), 1, "+", None]
+            for f in args:
+                assert s.index(f) == self._index(s, f), f
+            for v in (1, 0, -1, 2):
+                assert s.constant(v) == self._index(s, (v,) * s.npoints)
+
+    def test_negations_are_one_kept_table(self):
+        for s in (fan_aos(3), ars_q2xq2(),
+                  make_sign_space("aos", ["x", "y"], [[1, 1], [-1, 1]])):
+            table = s._negations
+            assert table == tuple(self._index(s, tuple(-v for v in f))
+                                  for f in s.functions)
+            assert s._negations is table
+
+
 class TestWronglyTypedInput:
     @pytest.mark.parametrize("points, functions, message", [
         (["a"], [[1.5], [True]], "function value 1.5 is not an integer"),

@@ -21,7 +21,7 @@ import random
 import pytest
 
 import reference_searches as reference
-from multialg import core
+from multialg import core, spectra
 from multialg.constructions import product
 from multialg.corpus import (
     corpus_multirings,
@@ -222,13 +222,18 @@ def test_multigroup_keys(order):
 
 
 def assert_orderings_agree(a):
+    """The orderings of a are the reference's, each cone taken once (the
+    reference repeats a cone when ``neg`` is no involution); returns
+    whether the reference repeated one."""
     try:
         old = [o.positive for o in reference.enumerate_orderings(a)]
     except core.InputError as exc:
         with pytest.raises(type(exc)):
             enumerate_orderings(a)
-        return
-    assert [o.positive for o in enumerate_orderings(a)] == old
+        return False
+    once = list(dict.fromkeys(old))
+    assert [o.positive for o in enumerate_orderings(a)] == once
+    return len(once) < len(old)
 
 
 def test_orderings_on_named_multirings():
@@ -246,9 +251,25 @@ def test_orderings_on_shuffles_and_mutants():
     """Mutants of the addition table are not commutative: the pruning must
     read a cell in both orders as before."""
     rng = random.Random(23)
+    repeated = 0
     for base in (core.q2(), product([core.q2(), core.q2()]), q2cube()):
         for variant in [shuffled(base, 0)] + [mutant(base, rng) for _ in range(40)]:
-            assert_orderings_agree(variant)
+            repeated += assert_orderings_agree(variant)
+    assert repeated > 0
+
+
+def test_each_ordering_once_when_neg_is_no_involution():
+    """q2 x q2 with one entry of neg changed: the pairs {x, -x} overlap and
+    the search finds the one cone on two branches; it is listed once."""
+    a = product([core.q2(), core.q2()])
+    a = dataclasses.replace(a, neg=(1, 7, 6, 5, 4, 3, 2, 1, 0))
+    old = [o.positive for o in reference.enumerate_orderings(a)]
+    assert len(old) == 2 and old[0] == old[1]
+    assert [o.positive for o in enumerate_orderings(a)] == old[:1]
+    cones = list(spectra._sign_cones(a.neg, a.mul, a.add))
+    assert len(cones) == len(set(cones))
+    counts = spectra.ordering_hom_bijection_check(a).verdicts[0]
+    assert (counts.axiom, counts.witness) == ("counts-equal", (1, 0))
 
 
 def test_orderings_of_every_candidate_of_order_at_most_three():
