@@ -265,9 +265,7 @@ def enumerate_structures(kind: str, order: int, up_to_iso: bool = True):
     if order < 1:
         raise InputError("order must be positive")
     if order > 3:
-        raise InputError(
-            "enumeration is supported up to order 3 (the addition-table\n"
-            "search space grows too fast beyond that)")
+        raise InputError("enumeration is supported up to order 3")
     search, generate, canonical_key, from_key = (
         (_multigroup_slice, generate_multigroups, multigroup_canonical_key,
          multigroup_from_key) if kind == "multigroup" else

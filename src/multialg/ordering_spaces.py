@@ -12,9 +12,12 @@ maps' preimages.  Products, negations and positions are kept per space.
 The character condition AX2 is audited by exhaustive enumeration: characters
 of the function group in the two-valued case, candidate cones over sign
 pairs in the three-valued case.  Every admissible candidate must come from a
-point.  A character is admissible when its kernel is closed under the value
-sets, ``_closed_under``, the test that also picks the characters of a real
-reduced multifield by their kernels' sums.  The cones are searched by
+point.  A character is admissible when it sends -1 to -1 and its kernel is
+closed under the value sets.  One generator, ``_admissible``, lists these
+characters for AX2, over the basis of ``_echelon_basis``, and, with the
+sums in place of the value sets, the points of a real reduced multifield's
+space.  Its kernel test reads only the row of 1, which stands for every row
+by translation on both inputs (see there).  The cones are searched by
 ``spectra._sign_cones``, the search that also yields the orderings of a
 multiring and tests each leaf for closure; the cones' supports meet
 ``spectra._is_prime``, the prime test behind ``is_prime_mask``.
@@ -159,7 +162,8 @@ def make_sign_space(mode: str, points: Sequence[str],
 
 
 def fan_aos(k: int) -> SignSpace:
-    """All sign vectors on k points."""
+    """All sign vectors on k points: the direct sum of k one-point spaces.
+    This is not Marshall's fan of rank k, which has 2^(k-1) points."""
     if k < 1:
         raise InputError("fan needs at least one point")
     pts = tuple(f"x{i}" for i in range(k))
@@ -234,53 +238,61 @@ def transversal_value_set(s: SignSpace, a: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# characters (two-valued case)
+# characters
 
-def _f2_decompositions(s: SignSpace) -> tuple[list[int], list[int]]:
-    """Greedy F2 basis of the function group; returns for each function the
-    basis-subset mask whose product it is, plus the list of basis indices."""
-    basis: list[tuple[int, int]] = []  # (vector as sign mask, basis id)
-    basis_ids: list[int] = []
-    decomp: list[int] = []
-    for idx, f in enumerate(s.functions):
-        vec = mask_of(i for i, v in enumerate(f) if v < 0)
-        combo = 0
-        for bvec, bid in basis:
-            low = bvec & -bvec
-            if vec & low:
-                vec ^= bvec
-                combo ^= 1 << bid
-        if vec:
-            bid = len(basis_ids)
-            basis.append((vec, bid))
-            basis.sort(key=lambda p: p[0] & -p[0])
-            basis_ids.append(idx)
-            combo ^= 1 << bid
-        decomp.append(combo)
-    return decomp, basis_ids
+def _admissible(mul: Sequence[Sequence[int]], one: int, minus: int,
+                generators: Sequence[int],
+                cells: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """The sign characters of the exponent-2 group that ``generators`` span
+    under the product table ``mul``, with identity ``one``, that send
+    ``minus`` to -1 and whose kernel is closed under ``cells``, each as its
+    signs on the group's elements in increasing order.
 
-
-def _characters(s: SignSpace) -> list[tuple[int, ...]]:
-    """All multiplicative maps from the function group to {-1,1}."""
-    decomp, basis_ids = _f2_decompositions(s)
-    dim = len(basis_ids)
-    out = []
-    for assign in itertools.product((1, -1), repeat=dim):
-        chi = []
-        for combo in decomp:
-            v = 1
-            for b in bits(combo):
-                v *= assign[b]
-            chi.append(v)
-        out.append(tuple(chi))
-    return out
+    expr[x] holds, as bits, the basis elements whose product is x: a
+    generator that no product of the basis so far reaches joins the basis.
+    The basis signs run in ``itertools.product((1, -1))`` order, and the sign
+    of x is the parity of its basis elements set to -1.  The kernel K is a
+    group and the callers' cells are translates of the row of ``one``:
+    D(a, b) = a D(1, ab) on a space whose functions form a group, and
+    a + b = a(1 + a^-1 b) in a multifield.  So K is closed when that row
+    sends K into K."""
+    expr = {one: 0}
+    dim = 0
+    for x in generators:
+        if x not in expr:
+            expr.update({mul[y][x]: combo | (1 << dim) for y, combo in expr.items()})
+            dim += 1
+    group = sorted(expr)
+    codes = [expr[x] for x in group]
+    row = cells[one]
+    for signs in itertools.product((0, 1), repeat=dim):
+        down = mask_of(b for b, sign in enumerate(signs) if sign)
+        if not (expr[minus] & down).bit_count() & 1:
+            continue
+        ker = mask_of(x for x, code in zip(group, codes)
+                      if not (code & down).bit_count() & 1)
+        if not reduce(or_, map(row.__getitem__, bits(ker))) & ~ker:
+            yield tuple(1 if (ker >> x) & 1 else -1 for x in group)
 
 
-def _closed_under(cells: Sequence[Sequence[int]], mask: int) -> bool:
-    """True when every cell (x, y) of x, y in ``mask`` lies inside it."""
-    members = tuple(bits(mask))
-    return not any(reduce(or_, map(cells[x].__getitem__, members)) & ~mask
-                   for x in members)
+def _echelon_basis(s: SignSpace) -> list[int]:
+    """The basis AX2 runs the characters over, as function indices; AX1
+    makes the functions a group.  Each function in index order is
+    multiplied, pivot by pivot upwards, by the basis element of each pivot
+    point where it is negative, and what is left, unless it is 1, joins the
+    basis, pivoted at its least negative point: Gaussian elimination on the
+    sign masks.  With the functions themselves as the basis, the characters
+    come in another order, and AX2's witness changes where more than one
+    character of closed kernel is no point."""
+    mul = _product_table(s)
+    basis: dict[int, int] = {}  # pivot point -> function index
+    for f in range(s.nfunctions):
+        for point in sorted(basis):
+            if s.functions[f][point] < 0:
+                f = mul[f][basis[point]]
+        if -1 in s.functions[f]:
+            basis[s.functions[f].index(-1)] = f
+    return list(basis.values())
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +332,11 @@ def check_aos(s: SignSpace) -> CheckReport:
 
     ax1_ok = all(v.passed for v in verdicts[:2])
     if ax1_ok:
-        minus = s.constant(-1)
-        w2 = None
         evaluations = {tuple(f[x] for f in s.functions) for x in range(s.npoints)}
-        for chi in _characters(s):
-            if chi[minus] != -1:
-                continue
-            ker = mask_of(i for i, v in enumerate(chi) if v == 1)
-            if _closed_under(dtab, ker) and chi not in evaluations:
-                w2 = ("character " + function_label(chi),)
-                break
+        w2 = next((("character " + function_label(chi),)
+                   for chi in _admissible(_product_table(s), s.constant(1),
+                                          s.constant(-1), _echelon_basis(s), dtab)
+                   if chi not in evaluations), None)
         verdicts.append(Verdict("AX2-characters-are-points", w2 is None, w2))
     else:
         verdicts.append(Verdict("AX2-characters-are-points", False, None,
@@ -508,34 +515,11 @@ def mfred_to_aos(f: FiniteMultiring) -> tuple[SignSpace, CheckReport]:
 
 
 def _admissible_characters(f: FiniteMultiring) -> list[tuple[int, ...]]:
-    """Sign characters of the nonzero part sending -1 to -1 whose kernel
-    swallows sums, sorted; these are the points of the derived space.
-
-    The nonzero part is an exponent-2 group: expr[x] holds, as bits, the
-    basis elements whose product is x, and an element of ``nz`` that no
-    product of the basis so far reaches joins the basis."""
+    """The characters of ``_admissible`` on the nonzero part, the sums as
+    cells, sorted; these are the points of the derived space.  The row of 1
+    stands for all since f is a real reduced multifield."""
     nz = [x for x in range(f.size) if x != f.zero]
-    pos = {x: i for i, x in enumerate(nz)}
-    minus = f.neg[f.one]
-    expr: dict[int, int] = {f.one: 0}
-    dim = 0
-    for x in nz:
-        if x not in expr:
-            expr.update({f.mul[y][x]: combo | (1 << dim) for y, combo in expr.items()})
-            dim += 1
-    chars = []
-    for assign in itertools.product((1, -1), repeat=dim):
-        chi = []
-        for x in nz:
-            v = 1
-            for b in bits(expr[x]):
-                v *= assign[b]
-            chi.append(v)
-        if chi[pos[minus]] == -1 and _closed_under(
-                f.add, mask_of(x for x, v in zip(nz, chi) if v == 1)):
-            chars.append(tuple(chi))
-    chars.sort()
-    return chars
+    return sorted(_admissible(f.mul, f.one, f.neg[f.one], nz, f.add))
 
 
 def ars_to_mrred(s: SignSpace) -> FiniteMultiring:

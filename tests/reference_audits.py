@@ -106,10 +106,11 @@ is verbatim but for the name of core's packed ``_CellUnion``, which the
 tuple one here shadows; ``tests/test_distributivity_generators.py`` pins
 the scan over the generator columns to it.
 
-``_f2_decompositions`` and ``_characters`` are the library's character
-enumeration of a sign space, copied verbatim so that ``check_aos`` here
-does not read the library's: AX2's witness is the first character, in this
-order, whose kernel is closed and which is not a point.
+``_f2_decompositions`` and ``_characters`` are the character enumeration
+of a sign space as it was before ``ordering_spaces._admissible`` walked the
+basis of ``_echelon_basis``, copied verbatim: AX2's witness is the first
+character, in this order, whose kernel is closed and which is not a point,
+and ``tests/test_shared_predicates.py`` pins the library's order to it.
 
 ``value_table`` and ``transversal_table`` are the sign-space table builders
 from before they became ANDs over the points of per-point value masks: each

@@ -446,6 +446,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "multifield structures of order <= 3 up to isomorphism: 8" in out
 
+    def test_enumerate_past_order_three_exits_2(self, capsys):
+        assert main(["enumerate", "--kind", "multiring", "--order", "4"]) == 2
+        assert capsys.readouterr() == ("", "input error: enumeration is supported "
+                                           "up to order 3\n")
+
     def test_diagram_q2(self, capsys):
         assert main(["diagram", corpus_path("q2")]) == 0
         out = capsys.readouterr().out

@@ -12,9 +12,16 @@ Here the orderings, with their exceptions, must agree on every candidate
 multiring of order <= 3 and on seeded mutants, the leaves of the new search
 must be the old leaves that are closed, the cones of sign spaces must come
 in the same order, and the admissible characters must agree on the real
-reduced multifields of the corpus and the sum-k multifields, k <= 5.  The
-kernel closure test shared by AX2 and the characters must agree with the
-old loop on arbitrary tables.
+reduced multifields of the corpus and the sum-k multifields, k <= 5.
+
+``ordering_spaces._admissible`` lists the characters for AX2 and for the
+points of a real reduced multifield.  On a seeded sweep of two-valued
+spaces ``check_aos`` must give the reports of ``reference_audits``, whose
+character enumeration is the old one, witnesses included, and the
+multifields of those spaces the characters of ``reference_searches``.  The
+generator's kernel test reads one row, which is exact only on groups whose
+cells are translates of that row: on the sweep, for every character, it
+must agree with a test of every row.
 
 ``check_sg_morphism`` and ``is_sg_morphism`` share one generator of broken
 isometry quadruples; their reports and decisions must equal the old audits
@@ -42,15 +49,26 @@ from multialg import io as mio
 from multialg import special_groups as spg
 from multialg.cli import main
 from multialg.constructions import product
-from multialg.corpus import corpus_real_reduced_multifields, corpus_special_groups
+from multialg.corpus import (
+    corpus_real_reduced_multifields,
+    corpus_sign_spaces,
+    corpus_special_groups,
+)
 from multialg.ordering_spaces import (
+    AOS,
+    _admissible,
     _admissible_characters,
     _ax1_verdicts,
-    _closed_under,
+    _echelon_basis,
     _enumerate_ars_cones,
+    _product_table,
     aos_to_mfred,
+    check_aos,
     fan_aos,
+    make_sign_space,
+    value_table,
 )
+from test_audit_kernel import true_fan
 from test_relabel_and_cones import mutant, sign_spaces
 
 
@@ -125,21 +143,90 @@ def test_admissible_characters():
         assert _admissible_characters(f) == reference._admissible_characters(f)
 
 
-def test_kernel_closure_on_arbitrary_tables():
-    """On the value sets of a space and the sums of a multifield one row of
-    a kernel stands for all, by translation; on tables without that
-    structure every row counts.  The loop is the old one of AX2."""
-    rng = random.Random(37)
-    for n in (1, 2, 3, 5):
-        for _ in range(40):
-            cells = [[rng.randrange(1 << n) for _ in range(n)] for _ in range(n)]
-            for ker in range(1 << n):
-                closed = True
-                for i in core.bits(ker):
-                    for j in core.bits(ker):
-                        if cells[i][j] & ~ker:
-                            closed = False
-                assert _closed_under(cells, ker) == closed
+def subgroup(rng, k):
+    """The span of -1 (four times in five) and of one to k seeded sign
+    vectors, as the functions of a space on k points, less one seeded
+    function three times in ten."""
+    generators = [tuple(rng.choice((-1, 1)) for _ in range(k))
+                  for _ in range(rng.randint(1, k))]
+    if rng.random() < 0.8:
+        generators.append((-1,) * k)
+    group = {(1,) * k}
+    for g in generators:
+        group |= {tuple(a * b for a, b in zip(g, h)) for h in group}
+    functions = sorted(group)
+    if rng.random() < 0.3 and len(functions) > 1:
+        functions.remove(rng.choice(functions))
+    return make_sign_space(AOS, [f"x{i}" for i in range(k)], functions)
+
+
+@functools.cache
+def sweep():
+    """The sums fan_aos(1..4) and the corpus's two-valued spaces; 300 seeded
+    subgroups of {-1, 1}^k, k <= 4; the true fans of rank 3 and 4 less one
+    point, those of rank 4 also in two seeded point orders each; and true
+    fans of rank 5 less 2 and 4 points, which have that many characters of
+    closed kernel that are no points, so that AX2's witness depends on the
+    order of the characters.  Returns the spaces and the real reduced
+    multifields ``aos_to_mfred`` makes of them."""
+    rng = random.Random(46)
+    spaces = [fan_aos(k) for k in range(1, 5)]
+    spaces += [s for s in corpus_sign_spaces().values() if s.mode == AOS]
+    spaces += [subgroup(rng, rng.randint(1, 4)) for _ in range(300)]
+    spaces += [true_fan(k, (p,)) for k in (3, 4) for p in range(2 ** (k - 1))]
+    spaces += [true_fan(4, (p,), rng) for p in range(8) for _ in range(2)]
+    spaces += [true_fan(5, rng.sample(range(16), d)) for d in (2, 4)]
+    fields = []
+    for s in spaces:
+        f = outcome(aos_to_mfred, s)
+        if isinstance(f, core.FiniteMultiring) and spectra.is_real_reduced_mf(f).overall:
+            fields.append(f)
+    return spaces, fields
+
+
+def test_characters_on_the_seeded_sweep():
+    spaces, fields = sweep()
+    witnesses = 0
+    for s in spaces:
+        report = check_aos(s)
+        assert report == reference_audits.check_aos(s)
+        witnesses += report.verdict("AX2-characters-are-points").witness is not None
+    for f in fields:
+        assert _admissible_characters(f) == reference._admissible_characters(f)
+    assert witnesses >= 20 and len(fields) > 100
+
+
+def test_one_row_kernel_test_on_every_character():
+    """Each group of the sweep, and of twelve seeded true fans of rank 5
+    less one to four points in seeded point orders, with its cells,
+    generators and every character in the old enumeration's order.  For each
+    element m other than 1, the generator must list the characters with
+    chi(m) = -1 whose kernel K has every cell (x, y), x and y in K, inside K;
+    every character but the trivial one sends some m to -1."""
+    spaces, fields = sweep()
+    rng = random.Random(47)
+    spaces = [s for s in spaces if all(v.passed for v in _ax1_verdicts(s)[:2])]
+    spaces += [true_fan(5, rng.sample(range(16), rng.randint(1, 4)), rng)
+               for _ in range(12)]
+    groups = [(_product_table(s), s.constant(1), _echelon_basis(s), value_table(s),
+               range(s.nfunctions), reference_audits._characters(s)) for s in spaces]
+    for f in fields:
+        nz = [x for x in range(f.size) if x != f.zero]
+        groups.append((f.mul, f.one, nz, f.add, nz,
+                       reference._GroupView(f, nz).characters()))
+    checked = 0
+    for mul, one, generators, cells, elements, characters in groups:
+        kernels = [core.mask_of(x for x, v in zip(elements, chi) if v == 1)
+                   for chi in characters]
+        closed = [all(not cells[x][y] & ~ker
+                      for x in core.bits(ker) for y in core.bits(ker))
+                  for ker in kernels]
+        for i, m in enumerate(elements):
+            if m != one:
+                assert list(_admissible(mul, one, m, generators, cells)) == [
+                    chi for chi, ok in zip(characters, closed) if ok and chi[i] == -1]
+        checked += len(characters)
+    assert len(groups) > 400 and checked > 2500
 
 
 def assert_sg_reports_agree(maps):
