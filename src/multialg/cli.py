@@ -23,10 +23,7 @@ from . import real_semigroups as rsg
 from . import sampling
 from . import special_groups as spg
 from . import spectra
-from .core import CheckReport, FiniteMultigroup, FiniteMultiring, InputError
-from .ordering_spaces import SignSpace
-from .real_semigroups import RealSemigroup
-from .special_groups import SpecialGroup
+from .core import CheckReport, FiniteMultiring, InputError
 
 
 # One encoder for every verdict line; ``json.dumps`` builds a new one per
@@ -70,7 +67,8 @@ class _Classification:
 def _reports_for_level(obj, level: str) -> list:
     reports: list[CheckReport] = []
     derived = level in ("derived", "all")
-    if isinstance(obj, FiniteMultiring):
+    kind = mio.kind_of(obj)
+    if kind == "multiring":
         # The axioms and the lemmas read one audit of the addition table.
         reports += core._axioms_and_lemmas(obj) if derived else [core.check_multiring(obj)]
         axioms = reports[0]
@@ -96,21 +94,21 @@ def _reports_for_level(obj, level: str) -> list:
                     reports.append(spectra.reduced_characterizations_check(obj))
                 if info["real-reduced-multiring"]:
                     reports.append(spectra.sper_embedding_check(obj))
-    elif isinstance(obj, FiniteMultigroup):
+    elif kind == "multigroup":
         reports += core._axioms_and_lemmas(obj) if derived else [core.check_multigroup(obj)]
-    elif isinstance(obj, SpecialGroup):
+    elif kind == "special_group":
         reports.append(spg.check_sg(obj))
         if derived:
             reports.append(spg.check_sg789(obj))
             reports.append(_Classification(
                 {"reduced": spg.check_reduced(obj).overall}))
-    elif isinstance(obj, RealSemigroup):
+    elif kind == "real_semigroup":
         reports.append(rsg.check_rs(obj))
         if derived:
             reports.append(rsg.check_rs_derived(obj))
         if level == "all":
             reports.append(rsg.separation_audit(obj))
-    elif isinstance(obj, SignSpace):
+    elif kind == "sign_space":
         reports.append(osp.check_aos(obj) if obj.mode == osp.AOS
                        else osp.check_ars(obj))
         if derived:
@@ -135,7 +133,7 @@ def cmd_check(args) -> int:
 
 def _read_multiring(args) -> FiniteMultiring:
     obj = mio.read_structure(args.file)
-    if not isinstance(obj, FiniteMultiring):
+    if mio.kind_of(obj) != "multiring":
         raise InputError(f"{args.command} expects a multiring file")
     return obj
 
@@ -207,11 +205,12 @@ def cmd_orderings(args) -> int:
 
 def cmd_real_check(args) -> int:
     obj = _read_multiring(args)
+    multifield = core.classify(obj).multifield
     print(f"real: {spectra.is_real(obj)}")
     report = spectra.is_real_reduced_mr(obj)
     _emit_report(report, args.format)
     ok = True
-    if core.classify(obj).multifield:
+    if multifield:
         mf = spectra.is_real_reduced_mf(obj)
         _emit_report(mf, args.format)
         rc = spectra.reduced_characterizations_check(obj)
@@ -256,7 +255,7 @@ def cmd_construct(args) -> int:
     if op != "product" and len(files) > 1:
         raise InputError(f"{op} takes one multiring file, got {len(files)}")
     rings = [mio.read_structure(f) for f in files]
-    if not all(isinstance(a, FiniteMultiring) for a in rings):
+    if any(mio.kind_of(a) != "multiring" for a in rings):
         raise InputError("product expects multiring files" if op == "product"
                          else f"{op} expects a multiring file")
     for path, a in zip(files, rings):
@@ -377,7 +376,7 @@ def cmd_enumerate(args) -> int:
         if args.out_dir:
             path = os.path.join(args.out_dir, f"{args.kind}_{i:03d}.mrs")
             mio.write_structure(path, s)
-        if isinstance(s, FiniteMultiring):
+        if mio.kind_of(s) == "multiring":
             print(f"  #{i}: order {s.size}, zero={s.names[s.zero]}, "
                   f"one={s.names[s.one]}, "
                   f"1+1={{{','.join(s.carrier.labels(s.add[s.one][s.one]))}}}")
@@ -396,6 +395,8 @@ def cmd_diagram(args) -> int:
         ok = ok and passed
 
     reduced_mr = spectra.is_real_reduced_mr(obj).overall
+    # The kept audit refuses a non-multiring before any edge is printed.
+    multifield = reduced_mr and core.classify(obj).multifield
     edge("real reduced multiring", reduced_mr)
     if not reduced_mr:
         print("input is not a real reduced multiring; diagram stops here")
@@ -408,7 +409,7 @@ def cmd_diagram(args) -> int:
     edge("rs/ars points agree with Sper",
          len(rsg.hom_to_3(rsg.mrred_to_rs(obj))) == points)
 
-    if core.classify(obj).multifield:
+    if multifield:
         mf_red = spectra.is_real_reduced_mf(obj).overall
         edge("real reduced multifield", mf_red)
         if mf_red:
@@ -462,25 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="axioms")
     add_format(p)
 
-    p = sub.add_parser("classify", help="multiring flags and realness")
-    p.add_argument("file")
-    add_format(p)
-
-    p = sub.add_parser("spec", help="prime spectrum and patch relations")
-    p.add_argument("file")
-    add_format(p)
-
-    p = sub.add_parser("sper", help="orderings and the evaluation embedding")
-    p.add_argument("file")
-    add_format(p)
-
-    p = sub.add_parser("orderings", help="orderings and the hom bijection")
-    p.add_argument("file")
-    add_format(p)
-
-    p = sub.add_parser("real-check", help="real and real reduced audits")
-    p.add_argument("file")
-    add_format(p)
+    for name, text in (("classify", "multiring flags and realness"),
+                       ("spec", "prime spectrum and patch relations"),
+                       ("sper", "orderings and the evaluation embedding"),
+                       ("orderings", "orderings and the hom bijection"),
+                       ("real-check", "real and real reduced audits")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        add_format(p)
 
     p = sub.add_parser("construct", help="build a new structure file")
     p.add_argument("operation", choices=tuple(_CONSTRUCTIONS))

@@ -122,6 +122,9 @@ The conditions are the structures' ``tables``, which ``_map_defects`` audits
 a given map against; tests/reference_searches.py keeps the replaced searches
 and the kernel as it was before the reverse pass went through a transpose.
 
+Multigroups (tabled and relational), multirings, special groups and real
+semigroups derive from ``_OnCarrier``: its ``carrier`` is their first field
+and it alone defines ``size`` and ``names``.
 Each structure declares its tables once, as ``tables``: (constants, unary
 tables, value tables, cell tables) and, for special groups, the isometry
 relation.  ``_relabel`` moves them along a bijection, a whole table at a
@@ -649,6 +652,22 @@ class CheckReport:
         return "\n".join([head] + ["  " + v.render() for v in self.verdicts])
 
 
+@dataclass(frozen=True)
+class _OnCarrier:
+    """A structure's labelled carrier, its first field, which ``size`` and
+    ``names`` read."""
+
+    carrier: Carrier
+
+    @property
+    def size(self) -> int:
+        return self.carrier.size
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.carrier.names
+
+
 def _verdict_all(axiom: str, found: Optional[tuple], note: str = "",
                  informational: bool = False) -> Verdict:
     return Verdict(axiom, found is None, found, note, informational)
@@ -658,10 +677,9 @@ def _verdict_all(axiom: str, found: Optional[tuple], note: str = "",
 # multigroups
 
 @dataclass(frozen=True)
-class FiniteMultigroup:
+class FiniteMultigroup(_OnCarrier):
     """(G, *, r, e) with a set-valued operation given as an n x n mask table."""
 
-    carrier: Carrier
     op: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     identity: int
@@ -672,10 +690,6 @@ class FiniteMultigroup:
         _validate_unary("inv", self.inv, n)
         if not 0 <= self.identity < n:
             raise InputError("identity index out of range")
-
-    @property
-    def size(self) -> int:
-        return self.carrier.size
 
     @property
     def tables(self) -> tuple:
@@ -883,10 +897,9 @@ def _stray_tuple(tuples: Iterable[Sequence[int]], arity: int, n: int
 # relational presentation
 
 @dataclass(frozen=True)
-class RelationalMultigroup:
+class RelationalMultigroup(_OnCarrier):
     """(G, Pi, r, i) with the operation presented as a set of triples."""
 
-    carrier: Carrier
     pi: frozenset[tuple[int, int, int]]
     inv: tuple[int, ...]
     identity: int
@@ -899,10 +912,6 @@ class RelationalMultigroup:
         stray = _stray_tuple(self.pi, 3, n)
         if stray is not None:
             raise InputError(f"triple {stray} outside carrier")
-
-    @property
-    def size(self) -> int:
-        return self.carrier.size
 
 
 def to_relational(m: FiniteMultigroup) -> RelationalMultigroup:
@@ -1049,10 +1058,9 @@ def _lemmas_report(cell: Sequence[Sequence[int]], r: Sequence[int], e: int,
 # multirings
 
 @dataclass(frozen=True)
-class FiniteMultiring:
+class FiniteMultiring(_OnCarrier):
     """(R, +, ., -, 0, 1): set-valued addition, single-valued multiplication."""
 
-    carrier: Carrier
     add: tuple[tuple[int, ...], ...]
     mul: tuple[tuple[int, ...], ...]
     neg: tuple[int, ...]
@@ -1069,14 +1077,6 @@ class FiniteMultiring:
                 raise InputError(f"{what} index out of range")
         _freeze_tables(self, "add", "mul")
         object.__setattr__(self, "neg", tuple(self.neg))
-
-    @property
-    def size(self) -> int:
-        return self.carrier.size
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.carrier.names
 
     @property
     def tables(self) -> tuple:

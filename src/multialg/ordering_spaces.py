@@ -557,7 +557,6 @@ def mrred_to_ars(a: FiniteMultiring) -> tuple[SignSpace, CheckReport]:
     if not orderings:
         raise InputError("empty real spectrum")
     sigmas = [o.sign_map().mapping for o in orderings]
-    q2names = ("-1", "0", "1")
     tovals = {0: -1, 1: 0, 2: 1}
     vectors = [tuple(tovals[s[x]] for s in sigmas) for x in range(a.size)]
     w_inj = None if len(set(vectors)) == a.size else (a.size, len(set(vectors)))

@@ -54,6 +54,7 @@ from .core import (
     Verdict,
     _CellUnion,
     _Elements,
+    _OnCarrier,
     _Unions,
     _commutativity_defect,
     _cube_defect,
@@ -79,11 +80,10 @@ from .spectra import is_real_reduced_mr
 
 
 @dataclass(frozen=True)
-class RealSemigroup:
+class RealSemigroup(_OnCarrier):
     """Carrier with commutative multiplication, constants, and D given as
     masks: d[b][c] is the set {a : a in D(b,c)}."""
 
-    carrier: Carrier
     mul: tuple[tuple[int, ...], ...]
     one: int
     zero: int
@@ -105,14 +105,6 @@ class RealSemigroup:
         if min(map(min, self.d)) < 0 or max(map(max, self.d)) > full_mask(n):
             raise InputError("representation set outside carrier")
         _freeze_tables(self, "mul", "d")
-
-    @property
-    def size(self) -> int:
-        return self.carrier.size
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.carrier.names
 
     @property
     def tables(self) -> tuple:
@@ -545,35 +537,19 @@ def unique_rs_search_on_3() -> tuple[int, Optional[RealSemigroup]]:
     semigroup, pruned by symmetry and reflexivity, and count the survivors
     of the full real semigroup audit."""
     base = canonical_3()
-    n = 3
-    unordered = [(b, c) for b in range(n) for c in range(b, n)]
-    free_bits = []
-    for (b, c) in unordered:
-        forced = (1 << b) | (1 << c)
-        free = [a for a in range(n) if not (forced >> a) & 1]
-        free_bits.append((b, c, forced, free))
+    cells = [(b, c) for b in range(3) for c in range(b, 3)]
+    # D(b, c) holds b and c and any subset of the other elements.
+    choices = [[m for m in range(8) if m >> b & m >> c & 1] for b, c in cells]
     survivors = []
-    count = 0
-    total_choices = 1
-    for (_, _, _, free) in free_bits:
-        total_choices *= 1 << len(free)
-    for choice in range(total_choices):
-        d = [[0] * n for _ in range(n)]
-        rem = choice
-        for (b, c, forced, free) in free_bits:
-            cell = forced
-            for a in free:
-                if rem & 1:
-                    cell |= 1 << a
-                rem >>= 1
-            d[b][c] = cell
-            d[c][b] = cell
+    for chosen in itertools.product(*choices):
+        d = [[0] * 3 for _ in range(3)]
+        for (b, c), cell in zip(cells, chosen):
+            d[b][c] = d[c][b] = cell
         cand = RealSemigroup(base.carrier, base.mul, base.one, base.zero,
-                             base.minus_one, tuple(tuple(r) for r in d))
+                             base.minus_one, tuple(map(tuple, d)))
         if check_rs(cand).overall:
-            count += 1
             survivors.append(cand)
-    return count, survivors[0] if survivors else None
+    return len(survivors), survivors[0] if survivors else None
 
 
 # ---------------------------------------------------------------------------

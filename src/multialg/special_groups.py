@@ -49,6 +49,7 @@ from .core import (
     Verdict,
     _CellUnion,
     _Elements,
+    _OnCarrier,
     _associativity_defect,
     _closure,
     _commutativity_defect,
@@ -69,8 +70,7 @@ from .core import (
 
 
 @dataclass(frozen=True)
-class SpecialGroup:
-    carrier: Carrier
+class SpecialGroup(_OnCarrier):
     mul: tuple[tuple[int, ...], ...]
     one: int
     minus_one: int
@@ -102,14 +102,6 @@ class SpecialGroup:
         _freeze_tables(self, "mul")
         if type(self.iso) is not frozenset:
             object.__setattr__(self, "iso", frozenset(map(tuple, self.iso)))
-
-    @property
-    def size(self) -> int:
-        return self.carrier.size
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.carrier.names
 
     @property
     def tables(self) -> tuple:

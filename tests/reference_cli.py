@@ -13,18 +13,39 @@ operations; the library's refuses them, so those calls are not pinned.
 verbatim: it split at every comma, so a product label such as (-1,1) came
 apart.  The library's splits only outside parentheses, and
 ``tests/test_cli_table.py`` pins it to this one on lists without them.
+
+``_reports_for_level`` and ``build_parser`` are kept verbatim from before
+``cli`` named a structure's kind only by ``io.kind_of``: the first tested
+the class of the structure, and the second spelled out the parser entries
+of the five one-multiring commands one by one.  ``tests/test_cli_table.py``
+pins ``check`` at every level and format, and every ``--help``, to them.
 """
 
 from __future__ import annotations
 
+import argparse
+
 from multialg import constructions as cons
 from multialg import core
+from multialg import enumeration
 from multialg import io as mio
 from multialg import ordering_spaces as osp
 from multialg import real_semigroups as rsg
+from multialg import sampling
 from multialg import special_groups as spg
-from multialg.cli import _emit_report, _write_result
-from multialg.core import FiniteMultiring, InputError
+from multialg import spectra
+from multialg.cli import (
+    _CONSTRUCTIONS,
+    _PAIRS,
+    _SIDES,
+    _Classification,
+    _emit_report,
+    _write_result,
+)
+from multialg.core import CheckReport, FiniteMultigroup, FiniteMultiring, InputError
+from multialg.ordering_spaces import SignSpace
+from multialg.real_semigroups import RealSemigroup
+from multialg.special_groups import SpecialGroup
 
 FUNCTOR_HELP = ("sg-mf, mf-sg, rs-mr, mr-rs, aos-mf, mf-aos, ars-mr, mr-ars "
                 "(-> also accepted)")
@@ -136,3 +157,142 @@ def cmd_construct(args) -> int:
         else:
             raise InputError(f"unknown construction {op!r}")
     return _write_result(result, args.out, f" ({result.size} elements)")
+
+
+def _reports_for_level(obj, level: str) -> list:
+    reports: list[CheckReport] = []
+    derived = level in ("derived", "all")
+    if isinstance(obj, FiniteMultiring):
+        # The axioms and the lemmas read one audit of the addition table.
+        reports += core._axioms_and_lemmas(obj) if derived else [core.check_multiring(obj)]
+        axioms = reports[0]
+        if derived and axioms.overall:
+            flags = core.classify(obj)
+            info = {
+                "multidomain": flags.multidomain,
+                "multifield": flags.multifield,
+                "real": spectra.is_real(obj),
+                "real-reduced-multiring":
+                    spectra.is_real_reduced_mr(obj).overall,
+            }
+            if flags.multifield:
+                info["real-reduced-multifield"] = \
+                    spectra.is_real_reduced_mf(obj).overall
+                info["special-multifield"] = spg.check_smf(obj).overall
+            reports.append(_Classification(info))
+            if level == "all":
+                reports.append(spectra.check_quotient_characterizations(obj))
+                reports.append(spectra.spec_topology(obj).report)
+                reports.append(spectra.ordering_hom_bijection_check(obj))
+                if flags.multifield:
+                    reports.append(spectra.reduced_characterizations_check(obj))
+                if info["real-reduced-multiring"]:
+                    reports.append(spectra.sper_embedding_check(obj))
+    elif isinstance(obj, FiniteMultigroup):
+        reports += core._axioms_and_lemmas(obj) if derived else [core.check_multigroup(obj)]
+    elif isinstance(obj, SpecialGroup):
+        reports.append(spg.check_sg(obj))
+        if derived:
+            reports.append(spg.check_sg789(obj))
+            reports.append(_Classification(
+                {"reduced": spg.check_reduced(obj).overall}))
+    elif isinstance(obj, RealSemigroup):
+        reports.append(rsg.check_rs(obj))
+        if derived:
+            reports.append(rsg.check_rs_derived(obj))
+        if level == "all":
+            reports.append(rsg.separation_audit(obj))
+    elif isinstance(obj, SignSpace):
+        reports.append(osp.check_aos(obj) if obj.mode == osp.AOS
+                       else osp.check_ars(obj))
+        if derived:
+            reports.append(osp.value_set_reassociation_check(obj))
+            if obj.mode == osp.ARS:
+                reports.append(osp.ars_bridge_check(obj))
+    return reports
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="multialg",
+        description="Finite multivalued algebra: audits, constructions, "
+                    "functors and round-trip checks.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_format(p) -> None:
+        p.add_argument("--format", choices=("text", "jsonl"), default="text")
+
+    p = sub.add_parser("check", help="run the kind-appropriate audits")
+    p.add_argument("file")
+    p.add_argument("--level", choices=("axioms", "derived", "all"),
+                   default="axioms")
+    add_format(p)
+
+    p = sub.add_parser("classify", help="multiring flags and realness")
+    p.add_argument("file")
+    add_format(p)
+
+    p = sub.add_parser("spec", help="prime spectrum and patch relations")
+    p.add_argument("file")
+    add_format(p)
+
+    p = sub.add_parser("sper", help="orderings and the evaluation embedding")
+    p.add_argument("file")
+    add_format(p)
+
+    p = sub.add_parser("orderings", help="orderings and the hom bijection")
+    p.add_argument("file")
+    add_format(p)
+
+    p = sub.add_parser("real-check", help="real and real reduced audits")
+    p.add_argument("file")
+    add_format(p)
+
+    p = sub.add_parser("construct", help="build a new structure file")
+    p.add_argument("operation", choices=tuple(_CONSTRUCTIONS))
+    p.add_argument("files", nargs="+")
+    p.add_argument("--set", help="comma separated labels (generators or a "
+                                 "multiplicative set)")
+    p.add_argument("-o", "--out")
+
+    p = sub.add_parser("functor", help="apply one of the eight functors")
+    p.add_argument("name", help=", ".join(_SIDES) + " (-> also accepted)")
+    p.add_argument("file")
+    p.add_argument("-o", "--out")
+
+    p = sub.add_parser("roundtrip", help="equivalence round-trip audit")
+    p.add_argument("--pair", required=True, choices=tuple(_PAIRS))
+    p.add_argument("file")
+    add_format(p)
+
+    p = sub.add_parser("hom", help="enumerate morphisms between two files")
+    p.add_argument("file_a")
+    p.add_argument("file_b")
+
+    p = sub.add_parser("enumerate", help="all structures of a kind and order")
+    p.add_argument("--kind", required=True, choices=enumeration.ENUMERABLE_KINDS)
+    p.add_argument("--order", required=True, type=int,
+                   help="maximum order (all orders up to this are produced)")
+    p.add_argument("--up-to-iso", action="store_true")
+    p.add_argument("--out-dir")
+
+    p = sub.add_parser("diagram", help="walk the functor diagram from a "
+                                       "real reduced multiring or multifield")
+    p.add_argument("file")
+
+    sub.add_parser("rs-unique3", help="uniqueness search for the "
+                                      "three-element real semigroup")
+
+    p = sub.add_parser("sample", help="seeded membership-oracle trials for "
+                                      "the triangle multifield")
+    p.add_argument("--axiom", required=True, choices=sampling.SAMPLED_AXIOMS)
+    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--broken", action="store_true",
+                   help="use the deliberately broken oracle")
+    add_format(p)
+
+    p = sub.add_parser("corpus", help="write the bundled corpus files")
+    p.add_argument("--out", default="corpus")
+
+    return parser

@@ -15,6 +15,8 @@ from multialg import io as mio
 from multialg import ordering_spaces as osp
 from multialg import real_semigroups as rsg
 from multialg import special_groups as spg
+from multialg.constructions import product
+from test_io_kernel import mutants
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 FILES = [os.path.join(CORPUS, f) for f in sorted(os.listdir(CORPUS))]
@@ -264,3 +266,61 @@ def test_main_calls_the_command_bound_on_cli(command, monkeypatch):
                         lambda args: calls.append(args.command) or 0)
     assert cli.main(COMMANDS[command]) == 0
     assert calls == [command]
+
+
+def _ladder() -> dict:
+    """The nine structures of the benchmark's check ladder, by rung name."""
+    q2, k = core.q2(), core.krasner()
+    return {
+        "z8": core.ring_multiring(8),
+        "z16": core.ring_multiring(16),
+        "z32": core.ring_multiring(32),
+        "q2cube": product([q2, q2, q2]),
+        "fan4mf": osp.aos_to_mfred(osp.fan_aos(4)),
+        "sg_fan3": spg.mf_to_sg(osp.aos_to_mfred(osp.fan_aos(3))),
+        "aos_fan4": osp.fan_aos(4),
+        "z64": core.ring_multiring(64),
+        "k6": product([k] * 6),
+    }
+
+
+def test_check_prints_what_the_class_tests_printed(capsys, monkeypatch, tmp_path):
+    """``check`` at every level and in both formats, over the corpus, the
+    check ladder and seeded one-cell mutants of every kind: exit code,
+    standard output and standard error equal those of the reports chosen
+    by the class of the structure."""
+    written = {**_ladder(), **{f"mutant{i}": m for i, m in
+                               enumerate(mutants(random.Random(47), 4))}}
+    assert {mio.kind_of(obj) for obj in written.values()} == set(mio.KINDS)
+    paths = list(FILES)
+    for name, obj in written.items():
+        paths.append(str(tmp_path / f"{name}.mrs"))
+        mio.write_structure(paths[-1], obj)
+    cases = [["check", path, "--level", level, "--format", fmt]
+             for path in paths for level in ("axioms", "derived", "all")
+             for fmt in ("text", "jsonl")]
+    new = [_run(capsys, argv) for argv in cases]
+    monkeypatch.setattr(cli, "_reports_for_level", reference_cli._reports_for_level)
+    old = [_run(capsys, argv) for argv in cases]
+    for argv, n, o in zip(cases, new, old):
+        assert n == o, argv
+    assert {code for code, _, _ in new} == {0, 1}
+
+
+def test_help_and_usage_errors_are_the_old_parsers(capsys):
+    """``--help`` of the top level and of every command, and the usage
+    error of an unknown option, as the parser that spelled out each
+    one-multiring command printed them."""
+    assert len(COMMANDS) == 15
+    old = reference_cli.build_parser()
+    cases = [[], ["--help"]] + [[command, flag] for command in sorted(COMMANDS)
+                                for flag in ("--help", "--bogus")]
+    for argv in cases:
+        new_run = _run(capsys, argv)
+        try:
+            old.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert new_run == (code, captured.out, captured.err), argv
+        assert new_run[0] == (0 if "--help" in argv else 2), argv

@@ -459,6 +459,21 @@ class TestCli:
     def test_diagram_stops_on_non_reduced(self, capsys):
         assert main(["diagram", corpus_path("z6")]) == 1
 
+    @pytest.mark.parametrize("command", ["diagram", "real-check"])
+    def test_refuses_a_real_reduced_table_that_fails_the_audit(
+            self, command, tmp_path, capsys):
+        """q2 x q2 with this neg passes the real reduced table test and
+        fails add-i-reversibility.  Both commands used to print edges or
+        PASS reports for it before ``classify`` refused it."""
+        bad = dataclasses.replace(mio.read_structure(corpus_path("q2xq2")),
+                                  neg=(1, 7, 6, 5, 4, 3, 2, 1, 0))
+        assert not core.check_multiring(bad).overall
+        path = str(tmp_path / "bad.mrs")
+        mio.write_structure(path, bad)
+        assert main([command, path]) == 2
+        assert capsys.readouterr() == (
+            "", "input error: classify: structure fails the multiring audit\n")
+
     def test_rs_unique3(self, capsys):
         assert main(["rs-unique3"]) == 0
         assert "structures on the sign ternary semigroup: 1" \
