@@ -130,7 +130,10 @@ tables, value tables, cell tables) and, for special groups, the isometry
 relation.  ``_relabel`` moves them along a bijection, a whole table at a
 time through ``_Moved``'s row picker in C; it is the one relabel behind
 ``same_tables`` and enumeration's placed copies, and the canonical keys
-image their tables with the same picker.
+image their tables with the same picker.  A key is kept on its structure
+(``_kept``), and a placed copy inherits the key of the slice structure it
+was moved from, the same least image: enumeration computes each slice
+structure's key once and no copy's.
 """
 
 from __future__ import annotations

@@ -18,13 +18,18 @@ placement's one ``_Moved`` serves all of the slice's structures.  Survivors
 are canonicalized by the lexicographically least serialization over the
 relabelings that send the constants to their least indices, narrowed one
 whole table at a time, each candidate's image of a table built by
-``itemgetter``, ``chain`` and ``map`` in C.
+``itemgetter``, ``chain`` and ``map`` in C.  A key is kept on its structure
+(``core._kept``), and a placed copy keeps the slice structure it was moved
+from, whose key it inherits on first use: isomorphic structures have the
+same set of relabelled images, so the same least one.  Keying a generated
+list thus runs the search for the least image once per slice structure.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator
 
 from .core import (
@@ -36,6 +41,7 @@ from .core import (
     _associativity_defect,
     _classify_unchecked,
     _distributivity_defects,
+    _kept,
     _relabel,
     _rows,
     bits,
@@ -138,10 +144,17 @@ def _labels(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
+@lru_cache(maxsize=None)
+def _carrier(n: int) -> Carrier:
+    """The one carrier e0, ..., e(n-1) that every enumerated structure of
+    order n shares."""
+    return Carrier(_labels(n))
+
+
 def _multiring_slice(n: int) -> Iterator[FiniteMultiring]:
     """The labeled multirings on n elements with zero 0 and one 1 (one 0
     when n = 1) passing the full audit, in depth-first order."""
-    carrier = Carrier(_labels(n))
+    carrier = _carrier(n)
     if n == 1:
         yield FiniteMultiring(carrier, ((1,),), ((0,),), (0,), 0, 0)
         return
@@ -157,7 +170,7 @@ def _multiring_slice(n: int) -> Iterator[FiniteMultiring]:
 def _multigroup_slice(n: int) -> Iterator[FiniteMultigroup]:
     """The labeled multigroups on n elements with identity 0 passing the
     full audit, in depth-first order."""
-    carrier = Carrier(_labels(n))
+    carrier = _carrier(n)
     for inv in _involutions_fixing(n, 0):
         for op in _addition_tables(n, 0, inv):
             cand = FiniteMultigroup(carrier, op, inv, 0)
@@ -172,14 +185,33 @@ def _placed(n: int, k: int, found: list, from_key) -> Iterator:
     along f: i -> c[i] for i < k, the other elements to the rest in
     increasing order, and sorted by their tables.  That is the depth-first
     order of the search on c, since it takes the involutions, the table
-    cells in row-major order and each cell's values in increasing order."""
+    cells in row-major order and each cell's values in increasing order.
+    Each copy keeps the slice structure it was moved from (``_origin``)."""
     yield from found
     for placement in itertools.permutations(range(n), k):
         if placement != tuple(range(k)):
             f = list(placement) + [x for x in range(n) if x not in placement]
             moved = _Moved(sorted(range(n), key=f.__getitem__))
-            for tables in sorted(_relabel(moved, s.tables) for s in found):
-                yield from_key((n,) + tables)
+            for tables, s in sorted(((_relabel(moved, s.tables), s) for s in found),
+                                    key=itemgetter(0)):
+                copy = from_key((n,) + tables)
+                _origin(copy, s)
+                yield copy
+
+
+@_kept
+def _origin(s) -> object:
+    """The slice structure that ``_placed`` moved s from; None for any
+    structure it did not place."""
+    return None
+
+
+@_kept
+def _class_key(s) -> tuple:
+    """s's canonical key: its origin's, which is the same since s is a
+    relabelled copy of it, or else ``_canonical_key``'s."""
+    origin = _origin(s)
+    return _canonical_key(s) if origin is None else _class_key(origin)
 
 
 def generate_multirings(n: int) -> Iterator[FiniteMultiring]:
@@ -235,21 +267,21 @@ def _relabelings(n: int, fixed: tuple[int, ...]) -> list[_Moved]:
 
 
 def multiring_canonical_key(r: FiniteMultiring) -> tuple:
-    return _canonical_key(r)
+    return _class_key(r)
 
 
 def multigroup_canonical_key(m: FiniteMultigroup) -> tuple:
-    return _canonical_key(m)
+    return _class_key(m)
 
 
 def multiring_from_key(key: tuple) -> FiniteMultiring:
     n, (zero, one), (neg,), (mul,), (add,) = key
-    return FiniteMultiring(Carrier(_labels(n)), add, mul, neg, zero, one)
+    return FiniteMultiring(_carrier(n), add, mul, neg, zero, one)
 
 
 def multigroup_from_key(key: tuple) -> FiniteMultigroup:
     n, (identity,), (inv,), _, (op,) = key
-    return FiniteMultigroup(Carrier(_labels(n)), op, inv, identity)
+    return FiniteMultigroup(_carrier(n), op, inv, identity)
 
 
 def enumerate_structures(kind: str, order: int, up_to_iso: bool = True):

@@ -213,11 +213,14 @@ def transversal_table(s: SignSpace) -> tuple[tuple[int, ...], ...]:
 @_kept
 def _product_table(s: SignSpace) -> tuple[tuple[Optional[int], ...], ...]:
     """Index of the pointwise product of functions i and j; None where the
-    product leaves the function set."""
-    index = s._positions.get
-    n = s.nfunctions
-    return tuple(tuple(index(s.pointwise_mul(i, j)) for j in range(n))
-                 for i in range(n))
+    product leaves the function set.  Each function is read as two masks
+    over the points, its negative and its zero points: the product is zero
+    where either factor is and negative where exactly one is."""
+    signs = [(mask_of(x for x, v in enumerate(f) if v < 0),
+              mask_of(x for x, v in enumerate(f) if v == 0)) for f in s.functions]
+    index = {m: k for k, m in enumerate(signs)}.get
+    return tuple(tuple([index(((ni ^ nj) & ~(zi | zj), zi | zj)) for nj, zj in signs])
+                 for ni, zi in signs)
 
 
 def value_set(s: SignSpace, a: tuple[int, ...],

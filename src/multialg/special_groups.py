@@ -574,6 +574,10 @@ def mf_to_sg(f: FiniteMultiring) -> SpecialGroup:
         raise InputError("special group construction requires a multifield: "
                          "a product of nonzero elements is zero")
     carrier = Carrier(tuple(f.names[x] for x in nz))
+    for name, x in (("1", f.one), ("-1", f.neg[f.one])):
+        if x == f.zero:
+            raise InputError("special group construction requires a multifield: "
+                             f"{name} is the zero")
     one = carrier.index(f.names[f.one])
     back = {x: i for i, x in enumerate(nz)}
     fiber, inside = _smf_masks(f)

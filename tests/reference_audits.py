@@ -116,7 +116,11 @@ and ``tests/test_shared_predicates.py`` pins the library's order to it.
 from before they became ANDs over the points of per-point value masks: each
 cell tested every function at every point, n^3 p steps.  ``_ax1_verdicts``
 is AX1 from before the cached product table, finding each product with a
-linear ``tuple.index``.  The sign-space audits here read these three.
+linear ``tuple.index``.  ``_product_table`` is the product table from
+before it was read off the functions' negative and zero masks: each of the
+n^2 products was built as a tuple through ``SignSpace.pointwise_mul`` and
+looked up in the space's positions.  The sign-space audits here read these
+four.
 ``mrred_to_rs`` is the version that tested every element c against every
 pair (x, y), before D became a union over the distinct squares.
 ``_rs2_witness``, which ``check_rs`` here reads, is the RS2 loop over
@@ -197,7 +201,6 @@ from multialg.ordering_spaces import (
     ARS,
     SignSpace,
     _ars_point_cones,
-    _product_table,
     function_label,
 )
 from multialg.real_semigroups import RealSemigroup, canonical_3, hom_to_3
@@ -737,6 +740,16 @@ def transversal_table(s: SignSpace) -> tuple[tuple[int, ...], ...]:
                 m |= 1 << k
         out[i][j] = m
     return tuple(tuple(r) for r in out)
+
+
+@lru_cache(maxsize=None)
+def _product_table(s: SignSpace) -> tuple[tuple[Optional[int], ...], ...]:
+    """Index of the pointwise product of functions i and j; None where the
+    product leaves the function set."""
+    index = s._positions.get
+    n = s.nfunctions
+    return tuple(tuple(index(s.pointwise_mul(i, j)) for j in range(n))
+                 for i in range(n))
 
 
 def _ax1_verdicts(s: SignSpace) -> list[Verdict]:

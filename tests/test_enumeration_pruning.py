@@ -16,8 +16,11 @@ placement as relabelled copies of the slice's survivors.
 ``_canonical_key`` search and audit every placement and try every candidate
 relabeling; the library must give the same lists in the same order (all
 1,560 multigroups of order 4, the multirings of order <= 3 and the 428 of
-order 4 on the slice), the same canonical keys, and the same
-``enumerate_structures`` when that searches the slice only.  The number of
+order 4 on the slice), the same canonical keys (all 5,136 multirings of
+order 4 included), and the same ``enumerate_structures`` when that searches
+the slice only, where the patched reference key must run.  A placed copy
+inherits its slice structure's key, so the library keys exactly the 390
+and 428 slice structures of order 4.  The number of
 audits is pinned: the multiring slice audits each addition once as a
 multigroup, scans each (multiplication, addition) pair for weak
 distributivity, and gives the full audit only to the pairs passing that
@@ -109,8 +112,27 @@ def test_multirings_of_order_four_with_zero_zero_and_one_one():
     assert found == list(itertools.takewhile(on_slice,
                                              reference.generate_multirings(4)))
     assert len(found) == 428
-    assert [multiring_canonical_key(r) for r in found] == \
-        [reference._canonical_key(r) for r in found]
+
+
+@pytest.mark.parametrize("generate, canonical_key, runs", [
+    (generate_multigroups, multigroup_canonical_key, 390),
+    (generate_multirings, multiring_canonical_key, 428),
+])
+def test_keys_computed_once_per_slice_structure(monkeypatch, generate,
+                                                canonical_key, runs):
+    """A placed copy inherits the key of the slice structure it was moved
+    from, so at order 4 only the slice structures are keyed, each once, and
+    every labelled structure's key, all 5,136 multirings' included, is the
+    reference's."""
+    keyed = []
+    key = enumeration._canonical_key
+    monkeypatch.setattr(enumeration, "_canonical_key",
+                        lambda s: keyed.append(s) or key(s))
+    found = list(generate(4))
+    keys = [canonical_key(s) for s in found]
+    assert keys == [canonical_key(s) for s in found]
+    assert len(keyed) == runs and keyed == found[:runs]
+    assert keys == [reference._canonical_key(s) for s in found]
 
 
 @pytest.mark.parametrize("up_to_iso", [True, False])
@@ -125,11 +147,16 @@ def test_enumerated_structures_of_order_three(kind, up_to_iso, monkeypatch):
 @pytest.mark.parametrize("kind", enumeration.ENUMERABLE_KINDS)
 def test_enumerated_structures_match_every_placement(kind, up_to_iso, monkeypatch):
     found = enumeration.enumerate_structures(kind, 3, up_to_iso)
-    for name in ("generate_multigroups", "generate_multirings", "_canonical_key"):
+    for name in ("generate_multigroups", "generate_multirings"):
         monkeypatch.setattr(enumeration, name, getattr(reference, name))
+    keyed = []
+    monkeypatch.setattr(enumeration, "_canonical_key",
+                        lambda s: keyed.append(s) or reference._canonical_key(s))
     monkeypatch.setattr(enumeration, "_multigroup_slice", reference.generate_multigroups)
     monkeypatch.setattr(enumeration, "_multiring_slice", reference.generate_multirings)
     assert found == enumeration.enumerate_structures(kind, 3, up_to_iso)
+    # the reference key ran on every structure kept up to isomorphism
+    assert bool(keyed) == up_to_iso
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

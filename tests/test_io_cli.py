@@ -298,6 +298,18 @@ class TestCli:
         assert capsys.readouterr().err \
             == f"input error: unknown element label {zero!r}\n"
 
+    def test_one_at_the_zero_has_no_special_group(self, tmp_path, capsys):
+        with open(corpus_path("q2"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        path = tmp_path / "one_zero.mrs"
+        path.write_text(json.dumps(dict(doc, one=doc["zero"])), encoding="utf-8")
+        for argv in (["functor", "mf-sg", str(path)],
+                     ["roundtrip", "--pair", "sg-smf", str(path)]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                "input error: special group construction requires a "
+                "multifield: 1 is the zero\n"), argv
+
     def test_missing_file_exits_2(self):
         assert main(["check", "no/such/file.mrs"]) == 2
 

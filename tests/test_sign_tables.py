@@ -8,7 +8,10 @@ of ``check_rs`` walked (b, c), a and e.  Here the library's pointwise
 tables (core's ``_pointwise_cells``, one map per point), its union over
 distinct squares and its cell images must give equal tables and the same
 RS2 verdict and witness, on spaces of up to 81 functions, where masks
-exceed 64 bits.  The kernel itself is checked by brute force.
+exceed 64 bits.  The kernel itself is checked by brute force.  The product
+table read off the functions' negative and zero masks must equal the one
+that built every product as a tuple, on spaces up to fan_aos(7) and on
+function sets that are not closed under products.
 """
 
 import dataclasses
@@ -78,6 +81,16 @@ def test_value_tables_past_64_functions():
     assert ordering_spaces.value_table(full) == reference.value_table(full)
     assert ordering_spaces.transversal_table(full) \
         == reference.transversal_table(full)
+
+
+def test_product_tables():
+    spaces = table_inputs() + [fan_aos(6), fan_aos(7)]
+    unclosed = 0
+    for s in spaces:
+        table = ordering_spaces._product_table(s)
+        assert table == reference._product_table(s), s
+        unclosed += any(None in row for row in table)
+    assert unclosed == 196
 
 
 def naive_cells(n, maps, allowed):

@@ -426,23 +426,25 @@ class TestTrivialBuilderAgainstReference:
 
 
 _K, _Q2 = krasner(), q2()
+_NOT_A_MULTIFIELD = "special group construction requires a multifield: "
 DEGENERATE = {
     # nothing but zero: the group would have no element
     "one_element_ring": (ring_multiring(1), "carrier size 0 outside 1..64"),
     "krasner_minus_one_zero": (dataclasses.replace(_K, neg=(_K.zero, _K.zero)),
-                               "unknown element label '0'"),
+                               f"{_NOT_A_MULTIFIELD}-1 is the zero"),
     "q2_minus_one_zero": (dataclasses.replace(_Q2, neg=tuple(
         _Q2.zero if x == _Q2.one else _Q2.neg[x] for x in range(_Q2.size))),
-        "unknown element label '0'"),
-    "q2_one_zero": (dataclasses.replace(_Q2, one=_Q2.zero), "unknown element label '0'"),
+        f"{_NOT_A_MULTIFIELD}-1 is the zero"),
+    "q2_one_zero": (dataclasses.replace(_Q2, one=_Q2.zero),
+                    f"{_NOT_A_MULTIFIELD}1 is the zero"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_degenerate_multifields_are_input_errors(name, tmp_path, capsys):
     """A multiring whose 1 or -1 is its zero has no special group: mf_to_sg
-    raises the label error of the missing element, and the two commands
-    that run it exit 2 with that error and no traceback."""
+    raises an input error naming the constant, and the two commands that
+    run it exit 2 with that error and no traceback."""
     f, message = DEGENERATE[name]
     with pytest.raises(InputError) as raised:
         mf_to_sg(f)
