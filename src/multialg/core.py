@@ -80,8 +80,12 @@ generators that they are pinned to.
 
 Fibres, unions of per-element values and closures each have one kernel,
 read by every module.  ``_fibres`` gives the preimage mask of each value
-under each line (a map on the n elements), one pass over the line.
-``_Unions`` maps a mask to the OR of per-element values.  ``_closure(tables,
+under each line (a map on the n elements, whose values may run past n),
+one pass over the line.  ``_Unions`` maps a mask to the OR of per-element
+values; over a line's fibres it gives the preimage of each set of values.
+The reflection scans of ``embedding_kind`` and ``check_sg_morphism``, the
+point maps and cones of sign spaces and the roots of squares in real
+semigroups read their preimages this way.  ``_closure(tables,
 lines, base)`` gives ``close(members, closed=0)``: the least mask holding
 the members, ``base``, the already closed mask ``closed``, every cell xy
 of each mask table for x, y in it, and lines[x] for x in it.  Each round
@@ -89,7 +93,8 @@ ORs in, for the elements reached but not expanded, their lines and their
 entries in the ``_CellUnion`` over the reached set of one table holding,
 at (y, x), the cells xy and yx of every table, until a round adds nothing.
 Ideals, sums of squares, SG8's components and the isometry closure of
-special groups all read it; no module keeps a closure of its own.
+special groups all read it, the least special group through one isometry
+closure; no module keeps a closure of its own.
 
 Tables determined pointwise by the three-element sign structures come from
 one kernel, ``_pointwise_cells``: a sign space's value and transversal
@@ -98,9 +103,9 @@ tables (a map per point), the evaluation table of ``sper_embedding_check``
 morphism into the three-element real semigroup).  Given maps m from n
 elements to k values and k x k tables ``allowed`` of value masks, cell
 (x, y) masks the c with m(c) in allowed[m(x)][m(y)] for every m.  Each
-map's preimages of the 2^k value sets (``_preimages``) are built once per
-call, for all its tables; row x is one AND per map, in C, of the line of
-preimages of allowed[m(x)][m(y)] over y.
+map's preimages of value sets are the ``_Unions`` of its ``_fibres``, one
+per call for all its tables, each set ORed on first use; row x is one AND
+per map, in C, of the line of preimages of allowed[m(x)][m(y)] over y.
 
 The searches for maps (morphisms, isomorphisms, and the other modules'
 morphisms and spectrum vectors) run on one kernel, ``_table_maps``.  Each
@@ -314,11 +319,14 @@ def _transposed(rows: Sequence[int]) -> tuple[int, ...]:
 # the mask kernels: fibres, unions and closures
 
 def _fibres(lines: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    """For each line of n entries below n, its fibres: entry v is the mask
-    of the j with line[j] = v."""
+    """For each line of n entries, its fibres: entry v is the mask of the j
+    with line[j] = v, for v below n or up to the largest value if that is
+    larger.  A line whose values are all below n has exactly n fibres; the
+    unary tables that ``_table_maps`` reads, and its copy in
+    tests/reference_searches.py, are such lines."""
     out = []
     for line in lines:
-        fibres = [0] * len(line)
+        fibres = [0] * max(len(line), max(line, default=-1) + 1)
         for j, v in enumerate(line):
             fibres[v] |= 1 << j
         out.append(tuple(fibres))
@@ -542,18 +550,6 @@ def _reassociation_failures(table: Sequence[Sequence[int]], elements: _Elements
                 yield _lowest_bit(missing), x, c, y, z
 
 
-def _preimages(m: Sequence[int], k: int) -> list[int]:
-    """pre[M]: the mask of the c with m[c] in M, the union of m's fibres
-    over M, for each subset M of the k values (M a mask)."""
-    fibres = [0] * k
-    for c, v in enumerate(m):
-        fibres[v] |= 1 << c
-    pre = [0]
-    for fibre in fibres:
-        pre += [p | fibre for p in pre]
-    return pre
-
-
 def _pointwise_cells(n: int, maps: Sequence[Sequence[int]],
                      *tables: Sequence[Sequence[int]]
                      ) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -562,7 +558,7 @@ def _pointwise_cells(n: int, maps: Sequence[Sequence[int]],
     allowed[m[x]][m[y]] for every map m in ``maps``; with no maps every
     cell is full.  See the module docstring."""
     full = (full_mask(n),) * n
-    pres = [_preimages(m, len(tables[0])) for m in maps]
+    pres = list(map(_Unions, _fibres(maps)))
     out = []
     for allowed in tables:
         # lines[i][u]: over y, the c that map i sends into allowed[u][m_i(y)]
@@ -1423,16 +1419,9 @@ def embedding_kind(f: StructureMap) -> str:
     fm = f.mapping
     if not f.is_injective():
         return "not_injective"
-    reflects = True
-    for x, y in itertools.product(range(a.size), repeat=2):
-        cell = b.add[fm[x]][fm[y]]
-        for c in range(a.size):
-            if (cell >> fm[c]) & 1 and not (a.add[x][y] >> c) & 1:
-                reflects = False
-                break
-        if not reflects:
-            break
-    if not reflects:
+    pre = _Unions(_fibres([fm])[0])  # mask of b -> the c that f sends into it
+    if any(pre[b.add[fm[x]][fm[y]]] & ~a.add[x][y]
+           for x, y in itertools.product(range(a.size), repeat=2)):
         return "embedded"
     image = mask_of(fm)
     for x, y in itertools.product(range(a.size), repeat=2):

@@ -4,8 +4,9 @@ the constructions to and from real reduced multifields and multirings.
 
 The value and transversal tables are core's pointwise tables
 (``_pointwise_cells``, described there), with one map per point, each
-function to its sign at the point; the point-map search reads the same
-maps' preimages.  Products, negations and positions are kept per space.
+function to its sign at the point; the point-map search and the point
+cones of ``check_ars`` read the same maps' preimages, core's ``_Unions``
+of their ``_fibres``.  Products, negations and positions are kept per space.
 ``aos_to_mfred`` hands the value table, as D, to the zero adjunction of
 ``constructions``.
 
@@ -34,7 +35,8 @@ mask of the source functions equal to h o alpha on the points assigned so
 far.  An empty mask cuts the branch.  The source functions are distinct, so
 at a leaf each mask holds exactly one function, the pullback h o alpha:
 every leaf is a morphism and needs no further check.  The induced point
-maps of morphisms of multifields and multirings share one cone pullback.
+maps of morphisms of multifields and multirings share one cone pullback,
+the ``_Unions`` of the fibres of the map.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ from .core import (
     StructureMap,
     Verdict,
     _Elements,
+    _Unions,
+    _fibres,
     _kept,
     _lowest_bit,
     _pointwise_cells,
-    _preimages,
     _reassociation_defects,
     _reassociation_failures,
     bits,
@@ -355,10 +358,9 @@ def check_aos(s: SignSpace) -> CheckReport:
 
 
 def _ars_point_cones(s: SignSpace) -> set[int]:
-    cones = set()
-    for x in range(s.npoints):
-        cones.add(mask_of(i for i, f in enumerate(s.functions) if f[x] >= 0))
-    return cones
+    """Each point's cone: the functions in {0, +1} there (values 1 and 2 of
+    its sign map)."""
+    return {_Unions(pre)[0b110] for pre in _fibres(_sign_maps(s))}
 
 
 def _enumerate_ars_cones(s: SignSpace) -> list[int]:
@@ -634,7 +636,7 @@ def _point_maps(s: SignSpace, t: SignSpace,
     # cols[x][y][h]: the functions of s equal to h(y) at x
     cols = [[tuple(pre[1 << (h[y] + 1)] for h in t.functions)
              for y in range(t.npoints)]
-            for pre in (_preimages(m, 3) for m in _sign_maps(s))]
+            for pre in map(_Unions, _fibres(_sign_maps(s)))]
     alpha: list[int] = []
 
     def extend(agree: list[int]) -> Iterator[tuple[int, ...]]:
@@ -667,9 +669,9 @@ def _induced_point_map(sigma: StructureMap, space, cones,
     space_a, _ = space(a)
     space_b, _ = space(b)
     a_index = {p: i for i, p in enumerate(cones(a))}
+    pullback = _Unions(_fibres([sigma.mapping])[0])
     point_map = []
-    for p in cones(b):
-        pre = mask_of(x for x in range(a.size) if (p >> sigma.mapping[x]) & 1)
+    for pre in map(pullback.__getitem__, cones(b)):
         if pre not in a_index:
             raise InputError("preimage of an ordering is not an ordering; "
                              f"the map is not a morphism of real reduced {kind}")

@@ -22,8 +22,10 @@ a of D(b, c) by their square.  Strong associativity RS3 (on D^t) and weak
 associativity xvi (on D) read core's O(n^3) reassociation scan through
 ``_reassociation_failures``.  The other
 consequences in ``check_rs_derived`` build, per (b, c), the mask of the a
-that fail there, from transposes, from preimages under x -> ax (core's
-``_fibres``) and from the roots of each square (core's ``_Unions``); the
+that fail there, from transposes, from preimages under x -> ax and from
+the roots of each square.  Both are core's ``_fibres``, of the columns of
+the multiplication and of its line of squares; RS8 and xiv read the roots
+of the squares in a mask as core's ``_Unions`` over those fibres.  The
 pair and single-element ones are plain scans.
 docs/axioms.md gives each consequence's formula, witness order and mask.
 The separation audit reads core's pointwise tables of the three-element
@@ -194,13 +196,10 @@ def check_ts(s: RealSemigroup) -> CheckReport:
     )
 
 
-def _roots(mul: Sequence[Sequence[int]]) -> dict[int, int]:
-    """Each square q -> the mask of the c with c^2 = q."""
-    roots: dict[int, int] = {}
-    for c, row in enumerate(mul):
-        q = row[c]
-        roots[q] = roots.get(q, 0) | 1 << c
-    return roots
+def _roots(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Entry q is the mask of the c with c^2 = q (core's ``_fibres`` of the
+    squares); it is 0 where q is no square."""
+    return _fibres([[row[c] for c, row in enumerate(mul)]])[0]
 
 
 def _least_failure(table: Iterable[Sequence[int]]) -> Optional[tuple[int, int, int]]:
@@ -255,7 +254,7 @@ def _square_transversals(table: Sequence[Sequence[int]],
     cut by (table[qb][qc])_c."""
     n = len(mul)
     squares = [(_picker(mul[q]), mul[q], root_mask)
-               for q, root_mask in _roots(mul).items()]
+               for q, root_mask in enumerate(_roots(mul)) if root_mask]
     for b in range(n):
         row = (0,) * n
         for gather, line, root_mask in squares:
@@ -313,7 +312,7 @@ def check_rs(s: RealSemigroup) -> CheckReport:
     # S_a x S_b, S_x = {q x : q a square}; it is built once per distinct
     # pair of sets, and (c, e) is scanned only at the first failing (a, b).
     w4 = None
-    scaled = [mask_of(mul[q][x] for q in roots) for x in range(n)]
+    scaled = [mask_of(mul[q][x] for q in compress(range(n), roots)) for x in range(n)]
     lhs_of: dict[tuple[int, int], int] = {}
     for a, b in itertools.product(range(n), repeat=2):
         key = scaled[a], scaled[b]
@@ -368,7 +367,7 @@ def check_rs(s: RealSemigroup) -> CheckReport:
     # RS8: a in D(b, c) must have a^2 in D(b^2, c^2); the a whose square is
     # in a mask M are the roots of the squares in M, one union per mask.
     w8 = None
-    square_roots = _Unions(list(map(roots.get, range(n), repeat(0))))
+    square_roots = _Unions(roots)
     for b, c in itertools.product(range(n), repeat=2):
         bad = d[b][c] & ~square_roots[d[mul[b][b]][mul[c][c]]]
         if bad:
@@ -482,9 +481,9 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
         for c in elements[cell] if d[b][c] & ~cell), default=None))
     # rooted[p][c]: the a with a^2 in D(p, c^2), for each square p
     squares = [row[x] for x, row in enumerate(mul)]
-    square_roots = _Unions(list(map(roots.get, cells, repeat(0))))
+    square_roots = _Unions(roots)
     rooted = {p: tuple(map(square_roots.__getitem__, map(d[p].__getitem__, squares)))
-              for p in roots}
+              for p in compress(cells, roots)}
 
     def product_forms() -> Iterator[tuple[int, ...]]:
         """xiv: a in D(b, c) iff ab and ac are in D(1, bc) and a^2 is in

@@ -128,10 +128,13 @@ def _ok(axiom: str, trials: int) -> CheckReport:
 
 def sampled_check(oracle: MembershipOracle, axiom: str, trials: int,
                   seed: int) -> CheckReport:
-    """Run seeded random trials of one axiom against a membership oracle."""
+    """Run seeded random trials of one axiom against a membership oracle;
+    a pass needs at least one trial."""
     if axiom not in SAMPLED_AXIOMS:
         raise InputError(f"unknown sampled axiom {axiom!r}; "
                          f"expected one of {', '.join(SAMPLED_AXIOMS)}")
+    if trials < 1:
+        raise InputError(f"sampling needs at least one trial, got {trials}")
     rng = random.Random(seed)
     check = {
         "commutativity": _trial_commutativity,

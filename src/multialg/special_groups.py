@@ -173,24 +173,16 @@ def trivial_special_group(names: Sequence[str],
 def smallest_special_group(names: Sequence[str],
                            mul: Sequence[Sequence[str]],
                            minus_one: str) -> SpecialGroup:
-    """Least relation containing the forced pairs and closed under SG0-SG5."""
+    """Least relation containing the forced pairs and closed under SG0-SG5:
+    the equivalence closure with swaps of <a, -a> = <1, -1>.  Its classes
+    are the swap pairs {(a, b), (b, a)} with ab != -1 and the one class of
+    all pairs of product -1.  Translation by e (SG5) and the map
+    (a, b, c, d) -> (a, -c, -b, d) (SG4) send each class into one class,
+    so neither adds a quadruple."""
     g = make_special_group(names, mul, minus_one, iso=[])
-    n = g.size
-    quads: set[tuple[int, int, int, int]] = set()
-    for a in range(n):
-        quads.add((a, g.neg(a), g.one, g.minus_one))
-    current, _ = _close_iso(n, quads)
-    while True:
-        grown = set(current)
-        for (a, b, c, d) in current:
-            grown.add((a, g.neg(c), g.neg(b), d))
-            for e in range(n):
-                grown.add((g.mul[e][a], g.mul[e][b], g.mul[e][c], g.mul[e][d]))
-        closed, _ = _close_iso(n, grown)
-        if closed == current:
-            break
-        current = closed
-    return SpecialGroup(g.carrier, g.mul, g.one, g.minus_one, current, 0)
+    closed, _ = _close_iso(g.size, [(a, g.neg(a), g.one, g.minus_one)
+                                    for a in range(g.size)])
+    return SpecialGroup(g.carrier, g.mul, g.one, g.minus_one, closed, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +608,17 @@ def check_sg_morphism(fmap: StructureMap) -> CheckReport:
     w_minus = (names[g.minus_one],) if 1 in missed else None
     broken = min(_broken_isometries(g, h, m), default=None)
     w_fwd = broken and tuple(names[x] for x in broken)
-    w_bwd = None
+    # reflects: pair (a, b) is a * n + b; the least (a, b), then (c, d),
+    # whose images share a class of h while the pairs share none of g
+    n = g.size
     clsg, _ = _pair_classes(g)
-    for a, b, c, d in itertools.product(range(g.size), repeat=4):
-        if clsh[m[a]][m[b]] == clsh[m[c]][m[d]] and clsg[a][b] != clsg[c][d]:
-            w_bwd = (names[a], names[b], names[c], names[d])
-            break
+    pairs = list(itertools.product(range(n), repeat=2))
+    image = [clsh[m[a]][m[b]] for a, b in pairs]
+    classes = [clsg[a][b] for a, b in pairs]
+    into, within = _fibres((image, classes))
+    bad = (into[t] & ~within[c] for t, c in zip(image, classes))
+    w_bwd = next((tuple(names[x] for x in (a, b, *divmod(_lowest_bit(mask), n)))
+                  for (a, b), mask in zip(pairs, bad) if mask), None)
     return CheckReport(
         subject="special group morphism",
         verdicts=(

@@ -119,8 +119,16 @@ is AX1 from before the cached product table, finding each product with a
 linear ``tuple.index``.  ``_product_table`` is the product table from
 before it was read off the functions' negative and zero masks: each of the
 n^2 products was built as a tuple through ``SignSpace.pointwise_mul`` and
-looked up in the space's positions.  The sign-space audits here read these
-four.
+looked up in the space's positions.  ``_ars_point_cones`` is the point
+cones of ``check_ars`` as they were when each point scanned every function,
+before they became unions of the fibres of the sign maps.  The sign-space
+audits here read these five.
+``_pointwise_cells`` is core's pointwise table kernel as it was when each
+map's preimages of all 2^k value sets were built eagerly by ``_preimages``,
+before they became unions of the map's fibres on first use;
+``tests/test_preimage_scans.py`` pins the kernel to it on every call of the
+sign-space tables, of the evaluation of ``sper`` and of the separation
+audit, and the point cones to the copy above.
 ``mrred_to_rs`` is the version that tested every element c against every
 pair (x, y), before D became a union over the distinct squares.
 ``_rs2_witness``, which ``check_rs`` here reads, is the RS2 loop over
@@ -143,7 +151,13 @@ them, and ``check_rs`` to the ``check_rs`` above.
 defect scan ``core._map_defects`` over the structures' ``tables``: each
 walked its own homomorphism, constant and cell loops; the two special-group
 ones also scan the isometry relation each in its own way, the first in
-sorted order.  ``tests/test_morphism_audits.py`` pins the library's reports
+sorted order, and ``check_sg_morphism`` scans all n^4 quadruples for its
+reflection verdict.  ``embedding_kind`` is core's as it was when it tested
+reflection one element at a time for each cell, and
+``smallest_special_group`` is the least special group as it was when it
+iterated SG4 and SG5 with a closure to a fixpoint; it reads the union-find
+``_close_iso`` here.  ``tests/test_preimage_scans.py`` pins the library's
+reflection scans, which read fibres, and its single closure to them.  ``tests/test_morphism_audits.py`` pins the library's reports
 to them, ``tests/test_shared_predicates.py`` pins the special-group ones,
 which share one generator of broken isometries, on maps to and from the
 sum-3 group, and the searches of ``reference_searches`` check their leaves
@@ -170,7 +184,7 @@ library's structures and error messages to them.
 
 import itertools
 from functools import lru_cache
-from operator import getitem, itemgetter, or_
+from operator import and_, getitem, itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from multialg.constructions import Ideal, MultiplicativeSet, SquareClosure, units_mask
@@ -200,7 +214,6 @@ from multialg.ordering_spaces import (
     AOS,
     ARS,
     SignSpace,
-    _ars_point_cones,
     function_label,
 )
 from multialg.real_semigroups import RealSemigroup, canonical_3, hom_to_3
@@ -704,6 +717,42 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
     return CheckReport("real semigroup consequences", tuple(verdicts))
 
 
+def _preimages(m: Sequence[int], k: int) -> list[int]:
+    """pre[M]: the mask of the c with m[c] in M, the union of m's fibres
+    over M, for each subset M of the k values (M a mask)."""
+    fibres = [0] * k
+    for c, v in enumerate(m):
+        fibres[v] |= 1 << c
+    pre = [0]
+    for fibre in fibres:
+        pre += [p | fibre for p in pre]
+    return pre
+
+
+def _pointwise_cells(n: int, maps: Sequence[Sequence[int]],
+                     *tables: Sequence[Sequence[int]]
+                     ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each k x k table ``allowed`` of masks over the k values of the
+    maps, the n x n table whose cell (x, y) masks the c with m[c] in
+    allowed[m[x]][m[y]] for every map m in ``maps``; with no maps every
+    cell is full.  See the module docstring."""
+    full = (full_mask(n),) * n
+    pres = [_preimages(m, len(tables[0])) for m in maps]
+    out = []
+    for allowed in tables:
+        # lines[i][u]: over y, the c that map i sends into allowed[u][m_i(y)]
+        lines = [[tuple(map(pre.__getitem__, map(row.__getitem__, m)))
+                  for row in allowed] for m, pre in zip(maps, pres)]
+        rows = []
+        for x in range(n):
+            row = full
+            for m, line in zip(maps, lines):
+                row = tuple(map(and_, row, line[m[x]]))
+            rows.append(row)
+        out.append(tuple(rows))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def value_table(s: SignSpace) -> tuple[tuple[int, ...], ...]:
     """D(a,b) as masks over function indices."""
@@ -971,6 +1020,13 @@ def check_aos(s: SignSpace) -> CheckReport:
     verdicts.append(Verdict("AX3-associativity", w3 is None, w3))
     return CheckReport("abstract ordering space", tuple(verdicts))
 
+
+
+def _ars_point_cones(s: SignSpace) -> set[int]:
+    cones = set()
+    for x in range(s.npoints):
+        cones.add(mask_of(i for i, f in enumerate(s.functions) if f[x] >= 0))
+    return cones
 
 
 def check_ars(s: SignSpace) -> CheckReport:
@@ -1561,6 +1617,29 @@ def trivial_special_group(names: Sequence[str],
              for a, b, c, d in itertools.product(range(g.size), repeat=4)
              if g.mul[a][b] == g.mul[c][d]]
     return make_special_group(names, mul, minus_one, quads)
+
+
+def smallest_special_group(names: Sequence[str],
+                           mul: Sequence[Sequence[str]],
+                           minus_one: str) -> SpecialGroup:
+    """Least relation containing the forced pairs and closed under SG0-SG5."""
+    g = make_special_group(names, mul, minus_one, iso=[])
+    n = g.size
+    quads: set[tuple[int, int, int, int]] = set()
+    for a in range(n):
+        quads.add((a, g.neg(a), g.one, g.minus_one))
+    current, _ = _close_iso(n, quads)
+    while True:
+        grown = set(current)
+        for (a, b, c, d) in current:
+            grown.add((a, g.neg(c), g.neg(b), d))
+            for e in range(n):
+                grown.add((g.mul[e][a], g.mul[e][b], g.mul[e][c], g.mul[e][d]))
+        closed, _ = _close_iso(n, grown)
+        if closed == current:
+            break
+        current = closed
+    return SpecialGroup(g.carrier, g.mul, g.one, g.minus_one, current, 0)
 
 
 def check_ideal(a: FiniteMultiring, m: int) -> None:
@@ -2169,6 +2248,37 @@ def check_morphism(f: StructureMap) -> CheckReport:
             _verdict_all("v-one", w5),
         ),
     )
+
+
+def embedding_kind(f: StructureMap) -> str:
+    """Classify a morphism along the substructure chain.
+
+    Returns the maximal label among not_injective, embedded,
+    strongly_embedded, submultiring.
+    """
+    if not check_morphism(f).overall:
+        raise InputError("embedding_kind: map is not a morphism")
+    a: FiniteMultiring = f.source  # type: ignore[assignment]
+    b: FiniteMultiring = f.target  # type: ignore[assignment]
+    fm = f.mapping
+    if not f.is_injective():
+        return "not_injective"
+    reflects = True
+    for x, y in itertools.product(range(a.size), repeat=2):
+        cell = b.add[fm[x]][fm[y]]
+        for c in range(a.size):
+            if (cell >> fm[c]) & 1 and not (a.add[x][y] >> c) & 1:
+                reflects = False
+                break
+        if not reflects:
+            break
+    if not reflects:
+        return "embedded"
+    image = mask_of(fm)
+    for x, y in itertools.product(range(a.size), repeat=2):
+        if b.add[fm[x]][fm[y]] & ~image:
+            return "strongly_embedded"
+    return "submultiring"
 
 
 def check_rs_morphism(fmap: StructureMap) -> CheckReport:

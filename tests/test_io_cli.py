@@ -497,6 +497,20 @@ class TestCli:
         assert main(["sample", "--axiom", "reversibility", "--trials", "5000",
                      "--seed", "3", "--broken"]) == 1
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    @pytest.mark.parametrize("broken", [[], ["--broken"]])
+    def test_sample_refuses_fewer_than_one_trial(self, capsys, trials, broken):
+        """No trials give no verdict: the command refuses with exit 2
+        instead of printing a statistical pass."""
+        assert main(["sample", "--axiom", "reversibility", "--trials", trials,
+                     *broken]) == 2
+        assert capsys.readouterr() == (
+            "", f"input error: sampling needs at least one trial, got {trials}\n")
+
+    def test_sample_runs_one_trial(self, capsys):
+        assert main(["sample", "--axiom", "reversibility", "--trials", "1"]) == 0
+        assert "statistical pass only (1 trials)" in capsys.readouterr().out
+
 
 class TestStability:
     def test_every_corpus_file_passes_check_level_all(self, capsys):

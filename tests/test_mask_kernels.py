@@ -3,7 +3,7 @@ closures built on them against the loops they replaced.
 
 ``_fibres``, ``_Unions`` and ``_closure`` are checked against direct
 definitions on seeded random tables of 1 to 64 elements: lines with
-arbitrary values, mask tables with empty cells and no symmetry, so the
+arbitrary values, some past the line's length, mask tables with empty cells and no symmetry, so the
 closure must read each table in both orders, and ``closed`` masks that are
 themselves closures.
 
@@ -61,6 +61,21 @@ def test_fibres_are_the_preimages_of_each_value(n):
                       for v in range(n)) for line in lines]
     assert _fibres(lines) == expected
     assert _fibres(iter(lines)) == expected
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_fibres_run_to_the_largest_value(n):
+    """Lines whose values run past their length, as a sign map on one or
+    two functions or a map into a larger carrier: one fibre per value up to
+    the largest, empty where no entry takes it."""
+    rng = random.Random(200 + n)
+    lines = [[rng.randrange(3 * n) for _ in range(n)] for _ in range(4)]
+    lines += [[n] * n, [2 * n + 1] + [0] * (n - 1), []]
+    expected = [tuple(sum(1 << j for j in range(len(line)) if line[j] == v)
+                      for v in range(max(len(line), max(line, default=-1) + 1)))
+                for line in lines]
+    assert _fibres(lines) == expected
+    assert [len(f) for f in expected[4:]] == [n + 1, 2 * n + 2, 0]
 
 
 @pytest.mark.parametrize("n", SIZES)
