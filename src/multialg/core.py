@@ -689,6 +689,9 @@ class FiniteMultigroup(_OnCarrier):
         _validate_unary("inv", self.inv, n)
         if not 0 <= self.identity < n:
             raise InputError("identity index out of range")
+        _freeze_tables(self, "op")
+        if type(self.inv) is not tuple:
+            object.__setattr__(self, "inv", tuple(self.inv))
 
     @property
     def tables(self) -> tuple:
@@ -911,6 +914,11 @@ class RelationalMultigroup(_OnCarrier):
         stray = _stray_tuple(self.pi, 3, n)
         if stray is not None:
             raise InputError(f"triple {stray} outside carrier")
+        # A set or list pi and a list inv are frozen, so kept values stay true.
+        if type(self.pi) is not frozenset:
+            object.__setattr__(self, "pi", frozenset(map(tuple, self.pi)))
+        if type(self.inv) is not tuple:
+            object.__setattr__(self, "inv", tuple(self.inv))
 
 
 def to_relational(m: FiniteMultigroup) -> RelationalMultigroup:
@@ -937,8 +945,7 @@ def from_relational(rel: RelationalMultigroup) -> FiniteMultigroup:
             raise InputError(
                 f"non-total hyperoperation: no triple for "
                 f"({rel.carrier.names[x]},{rel.carrier.names[y]})")
-    return FiniteMultigroup(rel.carrier, tuple(tuple(r) for r in table),
-                            rel.inv, rel.identity)
+    return FiniteMultigroup(rel.carrier, table, rel.inv, rel.identity)
 
 
 def _relational_audit(cell: Sequence[Sequence[int]], e: int, names: Sequence[str],

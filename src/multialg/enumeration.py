@@ -54,45 +54,34 @@ ENUMERABLE_KINDS = ("multigroup", "multiring", "multidomain", "multifield")
 
 
 def _involutions_fixing(n: int, fixed: int) -> Iterator[tuple[int, ...]]:
-    """All involutions of range(n) fixing the given element."""
-    elems = [x for x in range(n) if x != fixed]
-
-    def build(rest: list[int], acc: dict[int, int]) -> Iterator[dict[int, int]]:
-        if not rest:
-            yield dict(acc)
-            return
-        x = rest[0]
-        yield from build(rest[1:], {**acc, x: x})
-        for y in rest[1:]:
-            yield from build([r for r in rest[1:] if r != y],
-                             {**acc, x: y, y: x})
-
-    for mapping in build(elems, {fixed: fixed}):
-        yield tuple(mapping[i] for i in range(n))
+    """All involutions of range(n) fixing the given element: the
+    permutations p with p[fixed] = fixed and p[p[x]] = x, filtered from
+    ``itertools.permutations``.  Their lexicographic order is the depth-first
+    order of pairing each least unpaired element with itself or a greater
+    one, which ``_placed``'s sort relies on."""
+    for p in itertools.permutations(range(n)):
+        if p[fixed] == fixed and all(p[y] == x for x, y in enumerate(p)):
+            yield p
 
 
 def _monoid_tables(n: int, zero: int, one: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Commutative, associative tables with forced unit and absorbing zero."""
+    """Commutative, associative tables with forced unit and absorbing zero:
+    each ``itertools.product`` of values for the free cells on and above the
+    diagonal, written into both (x, y) and (y, x), kept when
+    ``_associativity_defect`` finds nothing.  Their lexicographic order is
+    the depth-first order of filling the cells in turn, which ``_placed``'s
+    sort relies on."""
     free = [x for x in range(n) if x not in (zero, one)]
     cells = [(x, y) for i, x in enumerate(free) for y in free[i:]]
-
-    def fill(idx: int, table: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if idx == len(cells):
-            if _associativity_defect(table) is None:
-                yield tuple(tuple(r) for r in table)
-            return
-        x, y = cells[idx]
-        for v in range(n):
-            table[x][y] = v
-            table[y][x] = v
-            yield from fill(idx + 1, table)
-        table[x][y] = table[y][x] = -1
-
-    base = [[-1] * n for _ in range(n)]
+    table = [[-1] * n for _ in range(n)]
     for a in range(n):
-        base[zero][a] = base[a][zero] = zero
-        base[one][a] = base[a][one] = a
-    yield from fill(0, base)
+        table[zero][a] = table[a][zero] = zero
+        table[one][a] = table[a][one] = a
+    for values in itertools.product(range(n), repeat=len(cells)):
+        for (x, y), v in zip(cells, values):
+            table[x][y] = table[y][x] = v
+        if _associativity_defect(table) is None:
+            yield tuple(map(tuple, table))
 
 
 def _addition_tables(n: int, zero: int,

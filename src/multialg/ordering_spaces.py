@@ -98,17 +98,22 @@ class SignSpace:
         if len(set(self.points)) != len(self.points):
             raise InputError("duplicate point labels")
         allowed = (-1, 1) if self.mode == AOS else (-1, 0, 1)
-        seen = set()
+        seen: dict[tuple[int, ...], None] = {}
         for f in self.functions:
             if len(f) != len(self.points):
                 raise InputError("function arity does not match points")
-            if any(v not in allowed for v in _integers(f)):
+            f = _integers(f)
+            if any(v not in allowed for v in f):
                 raise InputError(f"function value outside {allowed}")
             if f in seen:
                 raise InputError(f"duplicate function {f}")
-            seen.add(f)
-        if not self.functions:
+            seen[f] = None
+        if not seen:
             raise InputError("empty function set")
+        # Lists are kept as tuples, in the given order, so that the space
+        # stays hashable and its cached values can not go stale.
+        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "functions", tuple(seen))
 
     @property
     def npoints(self) -> int:
@@ -161,7 +166,7 @@ def make_sign_space(mode: str, points: Sequence[str],
                     functions: Sequence[Sequence[int]]) -> SignSpace:
     if isinstance(points, str):
         raise InputError("points must be a sequence of labels, not a string")
-    return SignSpace(mode, tuple(points), tuple(sorted(map(_integers, functions))))
+    return SignSpace(mode, tuple(points), sorted(map(_integers, functions)))
 
 
 def fan_aos(k: int) -> SignSpace:
@@ -500,7 +505,7 @@ def mfred_to_aos(f: FiniteMultiring) -> tuple[SignSpace, CheckReport]:
     chars = _admissible_characters(f)
     points = tuple(f"P{i}" for i in range(len(chars)))
     functions = sorted(tuple(chi[pos[x]] for chi in chars) for x in nz)
-    space = SignSpace(AOS, points, tuple(functions))
+    space = SignSpace(AOS, points, functions)
 
     orderings = enumerate_orderings(f)
     signs_from_orderings = sorted(
@@ -566,7 +571,7 @@ def mrred_to_ars(a: FiniteMultiring) -> tuple[SignSpace, CheckReport]:
     vectors = [tuple(tovals[s[x]] for s in sigmas) for x in range(a.size)]
     w_inj = None if len(set(vectors)) == a.size else (a.size, len(set(vectors)))
     points = tuple(f"P{i}" for i in range(len(orderings)))
-    space = SignSpace(ARS, points, tuple(sorted(set(vectors))))
+    space = SignSpace(ARS, points, sorted(set(vectors)))
 
     dt = transversal_table(space)
     w_dt = None

@@ -33,8 +33,11 @@ pruned on full reversibility.  It prunes less, so it still yields the
 failing candidate tables that the audit and search tests run on, and
 ``tests/test_enumeration_pruning.py`` pins the pruned generator, after the
 full audit, to it.  ``_monoid_tables`` is the multiplication-table
-generator as it was when its leaves ran the associativity triple loop; the
-generators here read it.  ``candidate_multirings`` builds those candidates, and
+generator as it was when its leaves ran the associativity triple loop, and
+``_involutions_fixing`` the involution generator as it was when it built
+each involution by a recursive depth-first pairing; the generators here
+read both, and ``tests/test_enumeration_pruning.py`` pins the library's
+``itertools`` filters to them, order included.  ``candidate_multirings`` builds those candidates, and
 ``every_map`` lists every map between two structures for brute-force pins.
 
 ``generate_multirings``, ``generate_multigroups`` and ``_canonical_key`` are
@@ -105,7 +108,7 @@ from multialg.core import (
     mask_of,
 )
 from multialg.enumeration import _addition_tables as _pruned_addition_tables
-from multialg.enumeration import _involutions_fixing, _labels
+from multialg.enumeration import _labels
 from multialg.ordering_spaces import (
     SignSpace,
     SpaceMap,
@@ -538,6 +541,24 @@ def every_map(s, t) -> Iterator[StructureMap]:
     """Every map s -> t, in ``itertools.product`` order: no search at all."""
     for mp in itertools.product(range(t.size), repeat=s.size):
         yield StructureMap(s, t, mp)
+
+
+def _involutions_fixing(n: int, fixed: int) -> Iterator[tuple[int, ...]]:
+    """All involutions of range(n) fixing the given element."""
+    elems = [x for x in range(n) if x != fixed]
+
+    def build(rest: list[int], acc: dict[int, int]) -> Iterator[dict[int, int]]:
+        if not rest:
+            yield dict(acc)
+            return
+        x = rest[0]
+        yield from build(rest[1:], {**acc, x: x})
+        for y in rest[1:]:
+            yield from build([r for r in rest[1:] if r != y],
+                             {**acc, x: y, y: x})
+
+    for mapping in build(elems, {fixed: fixed}):
+        yield tuple(mapping[i] for i in range(n))
 
 
 def _monoid_tables(n: int, zero: int, one: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -7,7 +7,12 @@ generators yield, in the same order: every multigroup of order <= 3 and of
 order 4 with identity 0, and every multiring of order <= 3.  The same holds
 for ``enumerate_structures`` of every kind at order 3, with and without
 ``up_to_iso``, when its generator is swapped for the reference.  The number
-of tables the pruned search reaches is pinned too.
+of tables the pruned search reaches is pinned too.  The involutions and the
+monoid tables, ``itertools`` filters in the library, must equal the
+recursive searches kept in ``reference_searches``, order included: the
+involutions of every n <= 7 fixing any element, and the monoid tables of
+every 2 <= n <= 5 with the zero and the one on any two distinct elements,
+and of n = 1.
 
 The library audits one placement of the constants per order, the slice with
 the identity at 0 or the zero at 0 and the one at 1, and gives every other
@@ -52,7 +57,7 @@ from multialg.enumeration import (
 def reference_multigroups(n, identities):
     carrier = core.Carrier(_labels(n))
     for identity in identities:
-        for inv in _involutions_fixing(n, identity):
+        for inv in reference._involutions_fixing(n, identity):
             for op in reference._addition_tables(n, identity, inv):
                 cand = core.FiniteMultigroup(carrier, op, inv, identity)
                 if core.check_multigroup(cand).overall:
@@ -65,8 +70,8 @@ def reference_multirings(n):
         return
     carrier = core.Carrier(_labels(n))
     for zero, one in itertools.permutations(range(n), 2):
-        for neg in _involutions_fixing(n, zero):
-            for mul in _monoid_tables(n, zero, one):
+        for neg in reference._involutions_fixing(n, zero):
+            for mul in reference._monoid_tables(n, zero, one):
                 for add in reference._addition_tables(n, zero, neg):
                     cand = core.FiniteMultiring(carrier, add, mul, neg, zero, one)
                     if core.check_multiring(cand).overall:
@@ -166,6 +171,20 @@ def test_involutions_in_lexicographic_order(n):
     for fixed in range(n):
         involutions = list(_involutions_fixing(n, fixed))
         assert involutions == sorted(set(involutions))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_involutions_match_the_recursive_reference(n):
+    for fixed in range(n):
+        assert list(_involutions_fixing(n, fixed)) \
+            == list(reference._involutions_fixing(n, fixed))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_monoid_tables_match_the_recursive_reference(n):
+    for zero, one in itertools.permutations(range(n), 2) if n > 1 else [(0, 0)]:
+        assert list(_monoid_tables(n, zero, one)) \
+            == list(reference._monoid_tables(n, zero, one))
 
 
 def _audits(monkeypatch, generate, orders):

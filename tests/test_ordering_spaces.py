@@ -108,6 +108,17 @@ class TestWronglyTypedInput:
         with pytest.raises(InputError):
             SignSpace("aos", points, functions)
 
+    def test_sign_space_keeps_lists_as_tuples_in_the_given_order(self):
+        listed = SignSpace("aos", ["x", "y"], [[1, 1], [-1, -1], [1, -1]])
+        given = SignSpace("aos", ("x", "y"), ((1, 1), (-1, -1), (1, -1)))
+        assert listed == given and hash(listed) == hash(given)
+        assert listed.functions == ((1, 1), (-1, -1), (1, -1))
+        assert listed.index((1, -1)) == 2
+
+    def test_sign_space_rejects_duplicate_list_functions(self):
+        with pytest.raises(InputError, match=r"duplicate function \(1,\)"):
+            SignSpace("aos", ("x",), [[1], [-1], [1]])
+
 
 class TestAxioms:
     def test_fans_pass(self):
