@@ -363,8 +363,7 @@ def localization(a: FiniteMultiring,
             raise StructuralAnomaly(
                 f"localized sum depends on representatives at {p},{q}")
 
-    q_ring = FiniteMultiring(Carrier(names), tuple(tuple(r) for r in add),
-                             tuple(tuple(r) for r in mul), neg,
+    q_ring = FiniteMultiring(Carrier(names), add, mul, neg,
                              cls_of[(a.zero, a.one)], cls_of[(a.one, a.one)])
     canonical = StructureMap(a, q_ring,
                              tuple(cls_of[(x, a.one)] for x in range(a.size)))

@@ -114,9 +114,11 @@ domains it reaches through neg, products, addition cells and injectivity,
 and a branch with an empty domain is cut.  Variables go in index order and
 values in ascending order, and only subtrees without a solution are cut, so
 results come in lexicographic order of their mappings and find_isomorphism
-returns the first isomorphism in that order.  Each pair condition is applied
-when the later of its two variables is assigned and narrows every variable
-it names, assigned or not, so every map yielded meets every condition; with
+returns the first isomorphism in that order.  Each pair of value or cell
+tables is applied when the later of its two variables is assigned and
+narrows every variable it names, assigned or not; a unary pair narrows
+f(u(x)) when x is assigned, which cuts it when the later of x and u(x) is,
+so every map yielded meets every condition; with
 bijectivity, equal cell sizes plus injectivity give f(cell) = cell'.  A
 value tried is cut as soon as the cheap narrowing empties a domain: first
 injectivity, neg and products, then the cells forward (c in cell(x, y)
@@ -322,8 +324,8 @@ def _fibres(lines: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     """For each line of n entries, its fibres: entry v is the mask of the j
     with line[j] = v, for v below n or up to the largest value if that is
     larger.  A line whose values are all below n has exactly n fibres; the
-    unary tables that ``_table_maps`` reads, and its copy in
-    tests/reference_searches.py, are such lines."""
+    unary tables that the reference kernel in tests/reference_searches.py
+    reads are such lines."""
     out = []
     for line in lines:
         fibres = [0] * max(len(line), max(line, default=-1) + 1)
@@ -1526,17 +1528,18 @@ def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
     f(cell(x, y)) <= cell'(f(x), f(y)) on mask tables; ``bijective`` adds
     injectivity and f(c) in cell'(f(x), f(y)) only if c in cell(x, y).
     The maps yielded are exactly those meeting every condition: each pair
-    condition is applied when the later of its two variables is assigned and
-    narrows every variable it names, assigned or not; an empty domain cuts
-    the branch.  Each value tried applies injectivity, the unary and the
-    value-table pairs, and cuts on an empty domain; then the cell pairs
-    forward (c in cell(x, y) narrows f(c) to cell'(f(x), f(y))), each order
-    of (x, y) once if the two differ, and cuts again; with ``bijective``,
-    unequal popcounts cut too (equal popcounts plus injectivity give f(cell)
-    = cell').  Only then, with ``bijective``, does each later c outside a
-    cell leave its image: each image element t gathers those c in ban[t],
-    and one ``_transposed`` of ban, max(n, m) rows square, gives every c the
-    mask it leaves.
+    of value or cell tables is applied when the later of its two variables
+    is assigned and narrows every variable it names, assigned or not; a
+    unary pair narrows forward only, f(x) = v narrowing f(u(x)) to u'(v);
+    an empty domain cuts the branch.  Each value tried applies injectivity,
+    the unary and the value-table pairs, and cuts on an empty domain; then
+    the cell pairs forward (c in cell(x, y) narrows f(c) to cell'(f(x),
+    f(y))), each order of (x, y) once if the two differ, and cuts again;
+    with ``bijective``, unequal popcounts cut too (equal popcounts plus
+    injectivity give f(cell) = cell').  Only then, with ``bijective``, does
+    each later c outside a cell leave its image: each image element t
+    gathers those c in ban[t], and one ``_transposed`` of ban, max(n, m)
+    rows square, gives every c the mask it leaves.
     """
     start = [(1 << m) - 1] * n
     for i, v in fixed:
@@ -1547,10 +1550,6 @@ def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
                 if j != i:
                     start[j] &= ~(1 << v)
     elements = _Elements()
-    # Each unary pair with its source preimage lists and target preimage masks.
-    unaries = [(src, tgt, list(map(elements.__getitem__, back)), pre)
-               for (src, tgt), back, pre in zip(unary, _fibres(s for s, _ in unary),
-                                                _fibres(t for _, t in unary))]
     outside = full_mask(n)
     width = max(n, m)  # ban's rows, as many as its columns
     vals = [0] * n
@@ -1602,10 +1601,8 @@ def _table_maps(n: int, m: int, fixed: Sequence[tuple[int, int]],
             if bijective:
                 for j in range(i + 1, n):
                     d[j] &= ~low
-            for src, tgt, back, pre in unaries:
+            for src, tgt in unary:
                 d[src[i]] &= 1 << tgt[v]
-                for x in back[i]:
-                    d[x] &= pre[v]
             for src, tgt in ops:
                 src_i, tgt_v = src[i], tgt[v]
                 for j in range(i + 1):

@@ -139,7 +139,7 @@ def make_real_semigroup(names: Sequence[str],
             index(b), index(c), index(a)
             raise
     return RealSemigroup(carrier, table, index(one), index(zero),
-                         index(minus_one), tuple(map(tuple, d)))
+                         index(minus_one), d)
 
 
 @_kept
@@ -545,7 +545,7 @@ def unique_rs_search_on_3() -> tuple[int, Optional[RealSemigroup]]:
         for (b, c), cell in zip(cells, chosen):
             d[b][c] = d[c][b] = cell
         cand = RealSemigroup(base.carrier, base.mul, base.one, base.zero,
-                             base.minus_one, tuple(map(tuple, d)))
+                             base.minus_one, d)
         if check_rs(cand).overall:
             survivors.append(cand)
     return len(survivors), survivors[0] if survivors else None

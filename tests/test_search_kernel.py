@@ -23,7 +23,10 @@ on wide transposes: the same maps, the same number of search nodes and
 the same number of values tried (most of them cut) on shuffles, searched
 from and to the base, and non-isomorphic pairs of 24 to 64 elements, on
 addition mutants whose cells xy and yx differ, on bijective searches
-between unequal sizes and on three hom sets of 16 to 27 elements.
+between unequal sizes and on three hom sets of 16 to 27 elements.  The
+moved kernel also narrowed unary pairs backward, which prunes nothing more
+where both negations are involutions; on negation mutants, where they need
+not be, the maps and their order stay its own.
 """
 
 import dataclasses
@@ -47,7 +50,7 @@ from multialg.corpus import (
 )
 from multialg.enumeration import _involutions_fixing, _labels, _monoid_tables
 from multialg.real_semigroups import canonical_3, enumerate_rs_morphisms, rs_product
-from multialg.special_groups import check_sg_morphism, enumerate_sg_morphisms, is_sg_morphism
+from multialg.special_groups import check_sg_morphism, enumerate_sg_morphisms
 from multialg.spectra import _enumerate_relation_vectors
 
 
@@ -108,23 +111,30 @@ def test_corpus_special_group_pairs():
 
 
 def test_sg_leaf_check_matches_the_report():
-    """The reference search calls is_sg_morphism too, so its decision is
-    pinned to check_sg_morphism's report here: on every kernel leaf of the
-    corpus pairs, and on every map between groups of at most four elements.
-    Both also equal their old versions in reference_audits."""
+    """The reference search keeps a map when reference_audits'
+    is_sg_morphism passes it, so that decision is pinned to
+    check_sg_morphism's report here: on every kernel leaf of the corpus
+    pairs, and on every map between groups of at most four elements.  The
+    report also equals its old version in reference_audits, and a kernel
+    leaf is among enumerate_sg_morphisms' maps exactly when its report
+    passes."""
     groups = corpus_special_groups()
     seen = 0
     for g, h in itertools.product(groups.values(), repeat=2):
-        maps = list(core._table_maps(g.size, h.size,
-                                     ((g.one, h.one), (g.minus_one, h.minus_one)),
-                                     ops=((g.mul, h.mul),)))
+        leaves = list(core._table_maps(g.size, h.size,
+                                       ((g.one, h.one), (g.minus_one, h.minus_one)),
+                                       ops=((g.mul, h.mul),)))
+        kept = set(mappings(enumerate_sg_morphisms(g, h)))
+        maps = list(leaves)
         if g.size <= 4 and h.size <= 4:
             maps += itertools.product(range(h.size), repeat=g.size)
-        for mp in maps:
+        for i, mp in enumerate(maps):
             f = core.StructureMap(g, h, tuple(mp))
-            assert is_sg_morphism(f) == check_sg_morphism(f).overall
-            assert is_sg_morphism(f) == reference_audits.is_sg_morphism(f)
-            assert check_sg_morphism(f) == reference_audits.check_sg_morphism(f)
+            report = check_sg_morphism(f)
+            assert report == reference_audits.check_sg_morphism(f)
+            assert report.overall == reference_audits.is_sg_morphism(f)
+            if i < len(leaves):
+                assert (f.mapping in kept) == report.overall
             seen += 1
     assert seen == 1646
 
@@ -401,3 +411,45 @@ def test_bijective_between_unequal_sizes():
              (product([core.q2()] * 2), rings["z24"])]
     for a, b in pairs:
         assert_same_search(a, b, True)
+
+
+def _neg_mutants(base, rng, count):
+    """Seeded mutants that send one element x to another value under neg;
+    most leave neg no involution."""
+    n = base.size
+    while count:
+        x, value = rng.randrange(n), rng.randrange(n)
+        if value != base.neg[x]:
+            count -= 1
+            neg = list(base.neg)
+            neg[x] = value
+            yield dataclasses.replace(base, neg=tuple(neg))
+
+
+def test_neg_mutants_on_both_sides():
+    """The kernel applies a unary pair f(u(x)) = u'(f(x)) forward only, when
+    x is assigned; the moved kernel also narrowed each x with u(x) = i to
+    the preimage under u' of f(i).  Where both negations are involutions
+    that is the same narrowing, so the trees above are pinned equal.  On
+    negation mutants, from and to their base, q2 and a shuffled copy of
+    themselves, with and without bijectivity, the maps and their order must
+    stay the moved kernel's, while the nodes and the values tried may only
+    grow."""
+    rng = random.Random(51)
+    q2, k = core.q2(), core.krasner()
+    searches = involutive = found = grown = 0
+    for base in (core.ring_multiring(8), product([q2, q2]), product([q2, k, k])):
+        for mutant in _neg_mutants(base, rng, 6):
+            involutive += all(mutant.neg[y] == x for x, y in enumerate(mutant.neg))
+            for s, t in ((mutant, base), (base, mutant), (mutant, q2), (q2, mutant),
+                         (mutant, shuffled(mutant, searches))):
+                for bijective in (False, True):
+                    maps, nodes, tried = searched(core._table_maps, s, t, bijective)
+                    old_maps, old_nodes, old_tried = searched(
+                        reference._table_maps, s, t, bijective)
+                    assert maps == old_maps
+                    assert nodes >= old_nodes and tried >= old_tried
+                    found += bool(maps)
+                    grown += tried > old_tried
+                    searches += 1
+    assert searches == 180 and involutive < 6 and found > 30 and grown > 30

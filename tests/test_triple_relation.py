@@ -17,7 +17,12 @@ give the same classes and representation masks as the reference's scan of
 the whole relation per class, on the corpus groups, the fan-3, fan-4 and
 fan-5 groups and seeded mutants of their relations, re-closed or not.
 On the same inputs ``check_psg`` must return the report of the moved audit
-``reference_audits.check_psg``.
+``reference_audits.check_psg``; so must it at the 32-element cap on the
+true fan-5 group and the trivial group of order 32, next to the sum-5 group
+above, and on re-closed mutants of the sum-4 group that fail SG5.  SG5
+compares, per quadruple, the tuples of the classes of the two pairs'
+translates, so its e is the first index where they differ; the reference
+tried each e in turn.
 """
 
 import itertools
@@ -31,6 +36,7 @@ from multialg.core import InputError
 from multialg.corpus import corpus_special_groups
 from multialg.enumeration import enumerate_structures
 from multialg.ordering_spaces import aos_to_mfred, fan_aos
+from test_audit_kernel import true_fan
 
 
 def _groups() -> dict:
@@ -189,3 +195,43 @@ def test_sg7_and_sg8_match_reference_on_unclosed_relations():
             failing7 += w7 is not None
             failing8 += w8 is not None
     assert asymmetric > 20 and failing7 > 10 and failing8 > 20
+
+
+def _trivial_group(k: int) -> spg.SpecialGroup:
+    """The trivial special group on F_2^k, with -1 the first generator."""
+    names = [f"e{x}" for x in range(1 << k)]
+    return spg.trivial_special_group(
+        names, [[names[x ^ y] for y in range(1 << k)] for x in range(1 << k)], "e1")
+
+
+@pytest.mark.parametrize("name", ["true_fan5", "trivial32"])
+def test_check_psg_at_the_cap(name):
+    g = {"true_fan5": lambda: spg.mf_to_sg(aos_to_mfred(true_fan(5))),
+         "trivial32": lambda: _trivial_group(5)}[name]()
+    assert g.size == 32
+    report = spg.check_psg(g)
+    assert report == reference.check_psg(g) and report.overall
+    reference._pair_classes.cache_clear()
+
+
+def test_sg5_witnesses_on_reclosed_mutants():
+    """One seeded quadruple q added to the sum-4 group's relation and closed
+    again: SG5 fails at e = -1, index 0.  With q's translate by element 0
+    added too, the translates by element 0 stay isometric, so the witness
+    has its e further on."""
+    g = spg.mf_to_sg(aos_to_mfred(fan_aos(4)))
+    rng = random.Random("sg5 translated")
+    translated = []
+    for _ in range(10):
+        q = tuple(rng.randrange(g.size) for _ in range(4))
+        iso, added = spg._close_iso(g.size, g.iso | {q, tuple(g.mul[0][x] for x in q)})
+        translated.append(spg.SpecialGroup(g.carrier, g.mul, g.one, g.minus_one, iso, added))
+    es = []
+    for h in _mutants(g, "sg5", 10) + translated:
+        report = spg.check_psg(h)
+        assert report == reference.check_psg(h)
+        witness = report.verdict("SG5-translation").witness
+        if witness:
+            es.append(h.carrier.index(witness[0]))
+    reference._pair_classes.cache_clear()
+    assert len(es) > 15 and 0 in es and max(es) > 0
