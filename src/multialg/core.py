@@ -687,11 +687,10 @@ class FiniteMultigroup(_OnCarrier):
 
     def __post_init__(self) -> None:
         n = self.carrier.size
-        _validate_cell_table("hyperoperation", self.op, n)
+        object.__setattr__(self, "op", _validate_cell_table("hyperoperation", self.op, n))
         _validate_unary("inv", self.inv, n)
         if not 0 <= self.identity < n:
             raise InputError("identity index out of range")
-        _freeze_tables(self, "op")
         if type(self.inv) is not tuple:
             object.__setattr__(self, "inv", tuple(self.inv))
 
@@ -709,13 +708,17 @@ class FiniteMultigroup(_OnCarrier):
         return out
 
 
-def _validate_cell_table(what: str, table: Sequence[Sequence[int]], n: int) -> None:
+def _validate_cell_table(what: str, table: Sequence[Sequence[int]], n: int) -> tuple:
+    """The n x n mask table, frozen as ``_square_table`` freezes, once every
+    cell is a nonempty subset of the carrier."""
     if len(table) != n:
         raise InputError(f"{what} table has {len(table)} rows, carrier has {n}")
     top = full_mask(n)
+    tuples = type(table) is tuple
     for i, row in enumerate(table):
         if len(row) != n:
             raise InputError(f"{what} row {i} has {len(row)} cells, expected {n}")
+        tuples = tuples and type(row) is tuple
         if min(row) > 0 and max(row) <= top:  # the loop names the first bad cell
             continue
         for j, cell in enumerate(row):
@@ -723,17 +726,23 @@ def _validate_cell_table(what: str, table: Sequence[Sequence[int]], n: int) -> N
                 raise InputError(f"empty {what} cell at ({i},{j})")
             if cell & ~top:
                 raise InputError(f"{what} cell at ({i},{j}) indexes outside carrier")
+    return table if tuples else tuple(map(tuple, table))
 
 
-def _freeze_tables(obj, *names: str) -> None:
-    """Keep the named tables of a frozen structure as tuples of tuples, so
-    that the values kept on it (``_kept``, the audit reports) can not go
-    stale through a row given as a list and changed later.  Tables that
-    are tuples already stay shared with their source."""
-    for name in names:
-        table = getattr(obj, name)
-        if type(table) is not tuple or any(type(row) is not tuple for row in table):
-            object.__setattr__(obj, name, tuple(map(tuple, table)))
+def _square_table(table: Sequence[Sequence[int]], n: int, ragged: str) -> tuple:
+    """The table, InputError(ragged) unless it has n rows of n entries, as a
+    tuple of tuples, so that the values kept on its structure (``_kept``,
+    the audit reports) can not go stale through a row given as a list and
+    changed later.  The row loop finds whether the table and its rows are
+    tuples already; such a table stays shared with its source."""
+    if len(table) != n:
+        raise InputError(ragged)
+    tuples = type(table) is tuple
+    for row in table:
+        if len(row) != n:
+            raise InputError(ragged)
+        tuples = tuples and type(row) is tuple
+    return table if tuples else tuple(map(tuple, table))
 
 
 def _kept(build: Callable) -> Callable:
@@ -760,17 +769,22 @@ def _validate_unary(what: str, table: Sequence[int], n: int) -> None:
             raise InputError(f"{what}({i}) out of range")
 
 
-def _validate_value_table(what: str, table: Sequence[Sequence[int]], n: int) -> None:
+def _validate_value_table(what: str, table: Sequence[Sequence[int]], n: int) -> tuple:
+    """The n x n table, frozen as ``_square_table`` freezes, once every
+    entry is in range."""
     if len(table) != n:
         raise InputError(f"{what} table has {len(table)} rows, carrier has {n}")
+    tuples = type(table) is tuple
     for i, row in enumerate(table):
         if len(row) != n:
             raise InputError(f"{what} row {i} has {len(row)} cells, expected {n}")
+        tuples = tuples and type(row) is tuple
         if min(row) >= 0 and max(row) < n:  # the loop names the first bad cell
             continue
         for j, v in enumerate(row):
             if not 0 <= v < n:
                 raise InputError(f"{what} cell at ({i},{j}) out of range")
+    return table if tuples else tuple(map(tuple, table))
 
 
 def _label_values(carrier: Carrier, rows: Sequence[Sequence[str]]
@@ -1077,13 +1091,12 @@ class FiniteMultiring(_OnCarrier):
 
     def __post_init__(self) -> None:
         n = self.carrier.size
-        _validate_cell_table("addition", self.add, n)
-        _validate_value_table("multiplication", self.mul, n)
+        object.__setattr__(self, "add", _validate_cell_table("addition", self.add, n))
+        object.__setattr__(self, "mul", _validate_value_table("multiplication", self.mul, n))
         _validate_unary("neg", self.neg, n)
         for idx, what in ((self.zero, "zero"), (self.one, "one")):
             if not 0 <= idx < n:
                 raise InputError(f"{what} index out of range")
-        _freeze_tables(self, "add", "mul")
         object.__setattr__(self, "neg", tuple(self.neg))
 
     @property

@@ -5,10 +5,15 @@ slice with the zero at 0 and the one at 1, or the identity at 0.  The
 multigroup search walks the involutions and then the free addition cells in
 depth-first order, pruning with the axiom fragments that are sound to apply
 early (forced identity rows, zero membership exactly at opposite pairs, and
-full reversibility between decided cells), and every table that survives
-goes through the full audit.  Multirings follow their definition: for each
+full reversibility between decided cells).  Within the slice it audits one
+member of each orbit of the relabelings that fix the identity, the least:
+it searches only the least involution of each conjugacy class, and a table
+that survives goes through the full audit only when no relabeling that
+commutes with its involution moves it to a smaller one.  The rest of each
+orbit are that survivor's relabelled copies, which inherit its key as the
+placed copies below do.  Multirings follow their definition: for each
 negation in turn, each multiplication from ``_monoid_tables`` (listed once)
-meets each addition of the audited multigroup slice, and only the pairs that
+meets each addition of the multigroup slice, and only the pairs that
 ``_distributivity_defects`` finds weakly distributive get the full audit,
 which every other pair would fail.  The structures on any other placement
 are the slice's moved along one bijection that sends the constants there, so
@@ -22,7 +27,9 @@ whole table at a time, each candidate's image of a table built by
 (``core._kept``), and a placed copy keeps the slice structure it was moved
 from, whose key it inherits on first use: isomorphic structures have the
 same set of relabelled images, so the same least one.  Keying a generated
-list thus runs the search for the least image once per slice structure.
+list thus runs the search for the least image once per multiring of the
+slice, and once per isomorphism class of multigroups: an isomorphism of
+multigroups fixes the identity, so each class is one orbit of the slice.
 """
 
 from __future__ import annotations
@@ -156,15 +163,39 @@ def _multiring_slice(n: int) -> Iterator[FiniteMultiring]:
                     yield cand
 
 
-def _multigroup_slice(n: int) -> Iterator[FiniteMultigroup]:
+def _multigroup_slice(n: int) -> list[FiniteMultigroup]:
     """The labeled multigroups on n elements with identity 0 passing the
-    full audit, in depth-first order."""
+    full audit, in depth-first order, which is lexicographic order on the
+    tables.
+
+    Only the least member of each orbit of the relabelings that fix 0 is
+    audited.  An involution is searched only when no such relabeling sends
+    it to a smaller one, so only the least of each conjugacy class is, and
+    a table is audited only when no relabeling that commutes with the
+    involution moves it to a smaller one, row-major.  Each survivor's images
+    under the other relabelings that fix 0 are the rest of its orbit, and
+    each keeps the survivor as its ``_origin``."""
     carrier = _carrier(n)
+    moves = _relabelings(n, (0,))[1:]  # the identity is first
+    found = {}
     for inv in _involutions_fixing(n, 0):
+        others = [(m, tuple(map(m.f.__getitem__, m.pick(inv)))) for m in moves]
+        if any(image < inv for _, image in others):
+            continue
+        centralizer = [m for m, image in others if image == inv]
         for op in _addition_tables(n, 0, inv):
+            if any(_rows(m.flat(op, m.__getitem__), n) < op for m in centralizer):
+                continue
             cand = FiniteMultigroup(carrier, op, inv, 0)
-            if check_multigroup(cand).overall:
-                yield cand
+            if not check_multigroup(cand).overall:
+                continue
+            found[inv, op] = cand
+            for m, image in others:
+                moved = _rows(m.flat(op, m.__getitem__), n)
+                if (image, moved) not in found:
+                    copy = found[image, moved] = FiniteMultigroup(carrier, moved, image, 0)
+                    _origin(copy, cand)
+    return [found[tables] for tables in sorted(found)]
 
 
 def _placed(n: int, k: int, found: list, from_key) -> Iterator:
@@ -190,8 +221,9 @@ def _placed(n: int, k: int, found: list, from_key) -> Iterator:
 
 @_kept
 def _origin(s) -> object:
-    """The slice structure that ``_placed`` moved s from; None for any
-    structure it did not place."""
+    """The structure s is a relabelled copy of: the slice structure that
+    ``_placed`` moved it from, or the audited survivor whose orbit
+    ``_multigroup_slice`` listed it in; None for any other structure."""
     return None
 
 
@@ -211,7 +243,7 @@ def generate_multirings(n: int) -> Iterator[FiniteMultiring]:
 
 def generate_multigroups(n: int) -> Iterator[FiniteMultigroup]:
     """All labeled commutative multigroups on n elements."""
-    yield from _placed(n, 1, list(_multigroup_slice(n)), multigroup_from_key)
+    yield from _placed(n, 1, _multigroup_slice(n), multigroup_from_key)
 
 
 def _canonical_key(s) -> tuple:

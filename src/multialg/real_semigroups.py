@@ -61,7 +61,6 @@ from .core import (
     _commutativity_defect,
     _cube_defect,
     _fibres,
-    _freeze_tables,
     _kept,
     _label_values,
     _lowest_bit,
@@ -71,6 +70,7 @@ from .core import (
     _pointwise_cells,
     _reassociation_failures,
     _scaling_rows,
+    _square_table,
     _table_morphisms,
     _transposed,
     bits,
@@ -94,19 +94,18 @@ class RealSemigroup(_OnCarrier):
 
     def __post_init__(self) -> None:
         n = self.carrier.size
-        if len(self.mul) != n or any(len(r) != n for r in self.mul):
-            raise InputError("ragged multiplication table")
+        object.__setattr__(self, "mul", _square_table(
+            self.mul, n, "ragged multiplication table"))
         if min(map(min, self.mul)) < 0 or max(map(max, self.mul)) >= n:
             raise InputError("multiplication entry out of range")
         for what, idx in (("one", self.one), ("zero", self.zero),
                           ("minus_one", self.minus_one)):
             if not 0 <= idx < n:
                 raise InputError(f"{what} out of range")
-        if len(self.d) != n or any(len(r) != n for r in self.d):
-            raise InputError("ragged representation table")
+        object.__setattr__(self, "d", _square_table(
+            self.d, n, "ragged representation table"))
         if min(map(min, self.d)) < 0 or max(map(max, self.d)) > full_mask(n):
             raise InputError("representation set outside carrier")
-        _freeze_tables(self, "mul", "d")
 
     @property
     def tables(self) -> tuple:

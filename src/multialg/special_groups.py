@@ -55,11 +55,11 @@ from .core import (
     _commutativity_defect,
     _fibres,
     _first_difference,
-    _freeze_tables,
     _kept,
     _label_values,
     _lowest_bit,
     _map_defects,
+    _square_table,
     _stray_tuple,
     _table_morphisms,
     _transposed,
@@ -80,8 +80,8 @@ class SpecialGroup(_OnCarrier):
 
     def __post_init__(self) -> None:
         n = self.carrier.size
-        if len(self.mul) != n or any(len(r) != n for r in self.mul):
-            raise InputError("ragged multiplication table")
+        object.__setattr__(self, "mul", _square_table(
+            self.mul, n, "ragged multiplication table"))
         if min(map(min, self.mul)) < 0 or max(map(max, self.mul)) >= n:
             raise InputError("multiplication entry out of range")
         if not 0 <= self.one < n or not 0 <= self.minus_one < n:
@@ -100,7 +100,6 @@ class SpecialGroup(_OnCarrier):
             raise InputError(f"isometry quadruple {stray} outside carrier")
         # An isometry relation given as a set is kept as a frozenset, so that
         # the values kept on the group can not go stale and it stays hashable.
-        _freeze_tables(self, "mul")
         if type(self.iso) is not frozenset:
             object.__setattr__(self, "iso", frozenset(map(tuple, self.iso)))
 

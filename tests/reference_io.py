@@ -16,6 +16,8 @@ looked up each value-table label, and each isometry label, through
 tuple's arity in a Python loop.  The ``LoopChecked`` classes are the
 multigroup, multiring and real semigroup with the validation they had then;
 the special group's is ``reference_audits.LoopCheckedSpecialGroup``.
+``_freeze_tables`` is the step that froze their tables then, a scan of its
+own after the validation; it is kept verbatim for them.
 ``parse`` is the library's reader with these in place of the library's
 builders and shape test, so its structures, and the messages they raise, are
 the old reader's.
@@ -35,7 +37,6 @@ from multialg.core import (
     FiniteMultigroup,
     FiniteMultiring,
     InputError,
-    _freeze_tables,
     _validate_unary,
     bits,
     full_mask,
@@ -121,6 +122,17 @@ def validate_value_table(what: str, table: Sequence[Sequence[int]], n: int) -> N
         for j, v in enumerate(row):
             if not 0 <= v < n:
                 raise InputError(f"{what} cell at ({i},{j}) out of range")
+
+
+def _freeze_tables(obj, *names: str) -> None:
+    """Keep the named tables of a frozen structure as tuples of tuples, so
+    that the values kept on it (``_kept``, the audit reports) can not go
+    stale through a row given as a list and changed later.  Tables that
+    are tuples already stay shared with their source."""
+    for name in names:
+        table = getattr(obj, name)
+        if type(table) is not tuple or any(type(row) is not tuple for row in table):
+            object.__setattr__(obj, name, tuple(map(tuple, table)))
 
 
 class LoopCheckedMultigroup(FiniteMultigroup):

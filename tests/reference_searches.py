@@ -40,6 +40,13 @@ read both, and ``tests/test_enumeration_pruning.py`` pins the library's
 ``itertools`` filters to them, order included.  ``candidate_multirings`` builds those candidates, and
 ``every_map`` lists every map between two structures for brute-force pins.
 
+``_multigroup_slice`` is the multigroup slice as it was when it audited
+every candidate the search reached, not one per orbit of the relabelings
+that fix the identity.  It is kept verbatim, except that it calls the
+library's pruned addition-table generator as ``_pruned_addition_tables``,
+as the reference that ``tests/test_enumeration_pruning.py`` pins the
+library's slice to, order included.
+
 ``generate_multirings``, ``generate_multigroups`` and ``_canonical_key`` are
 the generators and canonical key as they were when the generators searched
 and audited every placement of the constants, and the key tried every
@@ -108,7 +115,7 @@ from multialg.core import (
     mask_of,
 )
 from multialg.enumeration import _addition_tables as _pruned_addition_tables
-from multialg.enumeration import _labels
+from multialg.enumeration import _carrier, _labels
 from multialg.ordering_spaces import (
     SignSpace,
     SpaceMap,
@@ -612,6 +619,17 @@ def generate_multirings(n: int) -> Iterator[FiniteMultiring]:
                     cand = FiniteMultiring(carrier, add, mul, neg, zero, one)
                     if check_multiring(cand).overall:
                         yield cand
+
+
+def _multigroup_slice(n: int) -> Iterator[FiniteMultigroup]:
+    """The labeled multigroups on n elements with identity 0 passing the
+    full audit, in depth-first order."""
+    carrier = _carrier(n)
+    for inv in _involutions_fixing(n, 0):
+        for op in _pruned_addition_tables(n, 0, inv):
+            cand = FiniteMultigroup(carrier, op, inv, 0)
+            if check_multigroup(cand).overall:
+                yield cand
 
 
 def generate_multigroups(n: int) -> Iterator[FiniteMultigroup]:

@@ -24,10 +24,20 @@ relabeling; the library must give the same lists in the same order (all
 order 4 on the slice), the same canonical keys (all 5,136 multirings of
 order 4 included), and the same ``enumerate_structures`` when that searches
 the slice only, where the patched reference key must run.  A placed copy
-inherits its slice structure's key, so the library keys exactly the 390
-and 428 slice structures of order 4.  The number of
-audits is pinned: the multiring slice audits each addition once as a
-multigroup, scans each (multiplication, addition) pair for weak
+inherits its slice structure's key, so the library keys exactly the 428
+multiring slice structures of order 4.
+
+Within the multigroup slice the library audits one member of each orbit of
+the relabelings that fix the identity 0, and lists the rest as relabelled
+copies of it.  ``reference_searches._multigroup_slice`` audits every
+candidate; the library's slice must equal it, order included, at every
+order n <= 4.  A leaf is audited exactly when it is the least of its
+orbit, which ``reference_searches._canonical_key``, a key the slice does
+not call, says; each copy's origin is an audited survivor; and since a
+copy inherits its origin's key, order-4 generation keys exactly the 97
+audited survivors, each once.  The number of audits is pinned: the
+multigroup slice audits 198 of the 878 order-4 leaves with identity 0;
+the multiring slice scans each (multiplication, addition) pair for weak
 distributivity, and gives the full audit only to the pairs passing that
 scan, so at order 4 the full audits are exactly the 428 structures found.
 The orbit-stabilizer count, the sum of n!/|Aut| over the classes with the
@@ -119,25 +129,64 @@ def test_multirings_of_order_four_with_zero_zero_and_one_one():
     assert len(found) == 428
 
 
-@pytest.mark.parametrize("generate, canonical_key, runs", [
-    (generate_multigroups, multigroup_canonical_key, 390),
-    (generate_multirings, multiring_canonical_key, 428),
+@pytest.mark.parametrize("generate, canonical_key, audit, runs", [
+    (generate_multigroups, multigroup_canonical_key, "check_multigroup", 97),
+    (generate_multirings, multiring_canonical_key, "check_multiring", 428),
 ])
 def test_keys_computed_once_per_slice_structure(monkeypatch, generate,
-                                                canonical_key, runs):
-    """A placed copy inherits the key of the slice structure it was moved
-    from, so at order 4 only the slice structures are keyed, each once, and
-    every labelled structure's key, all 5,136 multirings' included, is the
-    reference's."""
+                                                canonical_key, audit, runs):
+    """A copy inherits the key of the structure it was moved from, so at
+    order 4 only the multiring slice structures, and only the audited
+    multigroups, are keyed, each once, and every labelled structure's key,
+    all 5,136 multirings' included, is the reference's."""
     keyed = []
     key = enumeration._canonical_key
     monkeypatch.setattr(enumeration, "_canonical_key",
                         lambda s: keyed.append(s) or key(s))
+    audited = _audited(monkeypatch, audit)
     found = list(generate(4))
     keys = [canonical_key(s) for s in found]
     assert keys == [canonical_key(s) for s in found]
-    assert len(keyed) == runs and keyed == found[:runs]
+    assert len(keyed) == runs
+    assert keyed == [s for s, passed in audited if passed]
     assert keys == [reference._canonical_key(s) for s in found]
+
+
+def _audited(monkeypatch, name: str) -> list:
+    """The structures given to the named audit through ``enumeration``,
+    each with its verdict, collected in order."""
+    audited, audit = [], getattr(enumeration, name)
+
+    def collected(s):
+        report = audit(s)
+        audited.append((s, report.overall))
+        return report
+    monkeypatch.setattr(enumeration, name, collected)
+    return audited
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_multigroup_slice_matches_the_reference(n):
+    assert enumeration._multigroup_slice(n) == list(reference._multigroup_slice(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_multigroup_slice_audits_the_least_of_each_orbit(monkeypatch, n):
+    """A leaf is audited exactly when no relabeling fixing 0 makes it
+    smaller, and every other structure of the slice is a copy of an audited
+    survivor."""
+    audited = _audited(monkeypatch, "check_multigroup")
+    found = enumeration._multigroup_slice(n)
+    carrier = core.Carrier(_labels(n))
+    least = [cand.tables for cand in (
+        core.FiniteMultigroup(carrier, op, inv, 0)
+        for inv in _involutions_fixing(n, 0) for op in _addition_tables(n, 0, inv))
+        if reference._canonical_key(cand) == (n,) + cand.tables]
+    assert [m.tables for m, _ in audited] == least
+    survivors = [m for m, passed in audited if passed]
+    for s in found:
+        origin = enumeration._origin(s)
+        assert any(s is m if origin is None else origin is m for m in survivors)
 
 
 @pytest.mark.parametrize("up_to_iso", [True, False])
@@ -202,10 +251,10 @@ def _audits(monkeypatch, generate, orders):
 
 
 def test_audits_made(monkeypatch):
-    assert _audits(monkeypatch, generate_multigroups, [4]) == ([878, 0, 0], 1560)
-    assert _audits(monkeypatch, generate_multirings, [1, 2, 3]) == ([17, 47, 16], 89)
+    assert _audits(monkeypatch, generate_multigroups, [4]) == ([198, 0, 0], 1560)
+    assert _audits(monkeypatch, generate_multirings, [1, 2, 3]) == ([12, 47, 16], 89)
     calls, found = _audits(monkeypatch, enumeration._multiring_slice, [4])
-    assert calls == [878, 7410, 428]
+    assert calls == [198, 7410, 428]
     assert found == calls[2] == 428  # every full audit passes
 
 
