@@ -6,12 +6,13 @@ multigroup search walks the involutions and then the free addition cells in
 depth-first order, pruning with the axiom fragments that are sound to apply
 early (forced identity rows, zero membership exactly at opposite pairs, and
 full reversibility between decided cells).  Within the slice it audits one
-member of each orbit of the relabelings that fix the identity, the least:
-it searches only the least involution of each conjugacy class, and a table
-that survives goes through the full audit only when no relabeling that
-commutes with its involution moves it to a smaller one.  The rest of each
-orbit are that survivor's relabelled copies, which inherit its key as the
-placed copies below do.  Multirings follow their definition: for each
+member of each orbit of the relabelings that fix the identity, the least: it
+searches only the least involution of each conjugacy class, and cuts each
+subtree as soon as a relabeling that commutes with that involution sends the
+decided part of the table lower (orderly generation), so every table it
+reaches is the least of its orbit and goes through the full audit.  The rest
+of each orbit are that survivor's relabelled copies, which inherit its key
+as the placed copies below do.  Multirings follow their definition: for each
 negation in turn, each multiplication from ``_monoid_tables`` (listed once)
 meets each addition of the multigroup slice, and only the pairs that
 ``_distributivity_defects`` finds weakly distributive get the full audit,
@@ -91,49 +92,81 @@ def _monoid_tables(n: int, zero: int, one: int) -> Iterator[tuple[tuple[int, ...
             yield tuple(map(tuple, table))
 
 
-def _addition_tables(n: int, zero: int,
-                     neg: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _addition_tables(n: int, zero: int, neg: tuple[int, ...],
+                     centralizer: list[_Moved]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Commutative set-valued tables with the zero row forced, zero membership
-    exactly at opposite pairs, and full reversibility on decided cells.
+    exactly at opposite pairs, and full reversibility on decided cells, that
+    no relabeling of ``centralizer`` sends to a smaller table, row-major.
 
     Given commutativity and the involution neg, reversibility is the bit
     equation z in x + y <=> x in z + neg(y).  Each new cell is tested against
     every decided cell that equation pairs it with, so only subtrees in which
     every table fails reversibility are cut, and the survivors keep their
-    depth-first order."""
+    depth-first order.
+
+    The cells are filled row-major and mirrored, so the decided cells always
+    include the table's row-major prefix up to the last one filled.  Each
+    relabeling m still pending compares its image with the table, entry by
+    entry in row-major order from where its last comparison stopped: the
+    image entry (i, j) is m's image of the cell (m^-1 i, m^-1 j), read only
+    when that cell and (i, j) are both decided.  A first difference with the
+    image lower cuts the subtree, since every table in it has a smaller
+    image; one with the image higher drops m for the whole subtree; the first
+    undecided entry keeps m pending from there.  At a leaf every cell is
+    decided, so the tables yielded are exactly the leaves that no relabeling
+    of ``centralizer`` sends lower, in depth-first order."""
+    nn = n * n
     nonzero = [x for x in range(n) if x != zero]
     cells = [(x, y) for i, x in enumerate(nonzero) for y in nonzero[i:]]
-    table = [[0] * n for _ in range(n)]
+    table = [0] * nn  # row-major; an undecided cell is 0
     for a in range(n):
-        table[zero][a] = 1 << a
-        table[a][zero] = 1 << a
+        table[zero * n + a] = table[a * n + zero] = 1 << a
     subsets = [mask_of(nonzero[i] for i in bits(sub))
                for sub in range(1 << len(nonzero))]
     with_zero = [m | (1 << zero) for m in subsets]
     nonempty = subsets[1:]
 
     def reversible(x: int, y: int) -> bool:
-        # an undecided cell is 0; every decided one holds some element
-        cell = table[x][y]
+        # every decided cell holds some element
+        cell = table[x * n + y]
         for z in range(n):
-            for a, other in ((x, table[z][neg[y]]), (y, table[z][neg[x]])):
+            for a, other in ((x, table[z * n + neg[y]]), (y, table[z * n + neg[x]])):
                 if other and (other >> a & 1) != (cell >> z & 1):
                     return False
         return True
 
-    def fill(idx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def pending_after(pending: list) -> list | None:
+        # each (m, source, p): m's image entry q is m[table[source[q]]], and
+        # entries before p are equal to the table's
+        kept = []
+        for m, source, p in pending:
+            for p in range(p, nn):
+                cell, pre = table[p], table[source[p]]
+                if not (cell and pre):
+                    kept.append((m, source, p))
+                    break
+                image = m[pre]
+                if image < cell:
+                    return None
+                if image != cell:
+                    break
+        return kept
+
+    def fill(idx: int, pending: list) -> Iterator[tuple[tuple[int, ...], ...]]:
         if idx == len(cells):
-            yield tuple(tuple(r) for r in table)
+            yield _rows(table, n)
             return
         x, y = cells[idx]
         for cell in with_zero if y == neg[x] else nonempty:
-            table[x][y] = cell
-            table[y][x] = cell
+            table[x * n + y] = table[y * n + x] = cell
             if reversible(x, y):
-                yield from fill(idx + 1)
-        table[x][y] = table[y][x] = 0
+                kept = pending_after(pending)
+                if kept is not None:
+                    yield from fill(idx + 1, kept)
+        table[x * n + y] = table[y * n + x] = 0
 
-    yield from fill(0)
+    yield from fill(0, [(m, [a * n + b for a in back for b in back], 0)
+                        for m in centralizer for back in [m.pick(range(n))]])
 
 
 def _labels(n: int) -> tuple[str, ...]:
@@ -171,10 +204,10 @@ def _multigroup_slice(n: int) -> list[FiniteMultigroup]:
     Only the least member of each orbit of the relabelings that fix 0 is
     audited.  An involution is searched only when no such relabeling sends
     it to a smaller one, so only the least of each conjugacy class is, and
-    a table is audited only when no relabeling that commutes with the
-    involution moves it to a smaller one, row-major.  Each survivor's images
-    under the other relabelings that fix 0 are the rest of its orbit, and
-    each keeps the survivor as its ``_origin``."""
+    ``_addition_tables`` yields only the tables that no relabeling commuting
+    with the involution moves to a smaller one, row-major; each is audited.
+    Each survivor's images under the other relabelings that fix 0 are the
+    rest of its orbit, and each keeps the survivor as its ``_origin``."""
     carrier = _carrier(n)
     moves = _relabelings(n, (0,))[1:]  # the identity is first
     found = {}
@@ -183,9 +216,7 @@ def _multigroup_slice(n: int) -> list[FiniteMultigroup]:
         if any(image < inv for _, image in others):
             continue
         centralizer = [m for m, image in others if image == inv]
-        for op in _addition_tables(n, 0, inv):
-            if any(_rows(m.flat(op, m.__getitem__), n) < op for m in centralizer):
-                continue
+        for op in _addition_tables(n, 0, inv, centralizer):
             cand = FiniteMultigroup(carrier, op, inv, 0)
             if not check_multigroup(cand).overall:
                 continue

@@ -40,19 +40,23 @@ read both, and ``tests/test_enumeration_pruning.py`` pins the library's
 ``itertools`` filters to them, order included.  ``candidate_multirings`` builds those candidates, and
 ``every_map`` lists every map between two structures for brute-force pins.
 
-``_multigroup_slice`` is the multigroup slice as it was when it audited
-every candidate the search reached, not one per orbit of the relabelings
-that fix the identity.  It is kept verbatim, except that it calls the
-library's pruned addition-table generator as ``_pruned_addition_tables``,
-as the reference that ``tests/test_enumeration_pruning.py`` pins the
-library's slice to, order included.
+``_pruned_addition_tables`` is the library's addition-table generator as
+it was when it pruned on full reversibility only, before it took the
+relabelings that commute with the involution and cut the subtrees they send
+lower; it is kept verbatim except for its name.  ``_multigroup_slice`` is
+the multigroup slice as it was when it audited every candidate the search
+reached, not one per orbit of the relabelings that fix the identity.  It is
+kept verbatim, except that it calls ``_pruned_addition_tables`` in place of
+the library's generator, as the reference that
+``tests/test_enumeration_pruning.py`` pins the library's slice to, order
+included.
 
 ``generate_multirings``, ``generate_multigroups`` and ``_canonical_key`` are
 the generators and canonical key as they were when the generators searched
 and audited every placement of the constants, and the key tried every
 relabeling that sends the constants to the least indices.  They are kept
-verbatim, except that they call the library's pruned addition-table
-generator as ``_pruned_addition_tables``, as the reference that
+verbatim, except that they call ``_pruned_addition_tables`` in place of the
+library's addition-table generator, as the reference that
 ``tests/test_enumeration_pruning.py`` pins the relabelled placements, the
 slice-only ``enumerate_structures`` and the narrowed key to.  That key reads
 ``_relabel``, the table mover as it was when it gathered each row through
@@ -114,7 +118,6 @@ from multialg.core import (
     full_mask,
     mask_of,
 )
-from multialg.enumeration import _addition_tables as _pruned_addition_tables
 from multialg.enumeration import _carrier, _labels
 from multialg.ordering_spaces import (
     SignSpace,
@@ -542,6 +545,52 @@ def _addition_tables(n: int, zero: int,
         table[x][y] = table[y][x] = 0
 
     yield from fill(0)
+
+
+def _pruned_addition_tables(n: int, zero: int,
+                            neg: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Commutative set-valued tables with the zero row forced, zero membership
+    exactly at opposite pairs, and full reversibility on decided cells.
+
+    Given commutativity and the involution neg, reversibility is the bit
+    equation z in x + y <=> x in z + neg(y).  Each new cell is tested against
+    every decided cell that equation pairs it with, so only subtrees in which
+    every table fails reversibility are cut, and the survivors keep their
+    depth-first order."""
+    nonzero = [x for x in range(n) if x != zero]
+    cells = [(x, y) for i, x in enumerate(nonzero) for y in nonzero[i:]]
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        table[zero][a] = 1 << a
+        table[a][zero] = 1 << a
+    subsets = [mask_of(nonzero[i] for i in bits(sub))
+               for sub in range(1 << len(nonzero))]
+    with_zero = [m | (1 << zero) for m in subsets]
+    nonempty = subsets[1:]
+
+    def reversible(x: int, y: int) -> bool:
+        # an undecided cell is 0; every decided one holds some element
+        cell = table[x][y]
+        for z in range(n):
+            for a, other in ((x, table[z][neg[y]]), (y, table[z][neg[x]])):
+                if other and (other >> a & 1) != (cell >> z & 1):
+                    return False
+        return True
+
+    def fill(idx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if idx == len(cells):
+            yield tuple(tuple(r) for r in table)
+            return
+        x, y = cells[idx]
+        for cell in with_zero if y == neg[x] else nonempty:
+            table[x][y] = cell
+            table[y][x] = cell
+            if reversible(x, y):
+                yield from fill(idx + 1)
+        table[x][y] = table[y][x] = 0
+
+    yield from fill(0)
+
 
 
 def every_map(s, t) -> Iterator[StructureMap]:

@@ -1,18 +1,19 @@
 """The generators agree with the unpruned and the all-placement references.
 
-``reference_searches._addition_tables`` is the addition-table generator as it
-was when it pruned on one direction of reversibility only.  Run through the
-full audit, its tables must be exactly the structures the library's
+``reference_searches._addition_tables`` is the addition-table generator as
+it was when it pruned on one direction of reversibility only.  Run through
+the full audit, its tables must be exactly the structures the library's
 generators yield, in the same order: every multigroup of order <= 3 and of
 order 4 with identity 0, and every multiring of order <= 3.  The same holds
 for ``enumerate_structures`` of every kind at order 3, with and without
-``up_to_iso``, when its generator is swapped for the reference.  The number
-of tables the pruned search reaches is pinned too.  The involutions and the
-monoid tables, ``itertools`` filters in the library, must equal the
-recursive searches kept in ``reference_searches``, order included: the
-involutions of every n <= 7 fixing any element, and the monoid tables of
-every 2 <= n <= 5 with the zero and the one on any two distinct elements,
-and of n = 1.
+``up_to_iso``, when its generator is swapped for the reference, which
+ignores the relabelings, so the slice audits every leaf.  The number of
+tables the pruned search reaches with no relabelings to compare is pinned
+too.  The involutions and the monoid tables, ``itertools`` filters in the
+library, must equal the recursive searches kept in ``reference_searches``,
+order included: the involutions of every n <= 7 fixing any element, and the
+monoid tables of every 2 <= n <= 5 with the zero and the one on any two
+distinct elements, and of n = 1.
 
 The library audits one placement of the constants per order, the slice with
 the identity at 0 or the zero at 0 and the one at 1, and gives every other
@@ -30,21 +31,27 @@ multiring slice structures of order 4.
 Within the multigroup slice the library audits one member of each orbit of
 the relabelings that fix the identity 0, and lists the rest as relabelled
 copies of it.  ``reference_searches._multigroup_slice`` audits every
-candidate; the library's slice must equal it, order included, at every
-order n <= 4.  A leaf is audited exactly when it is the least of its
-orbit, which ``reference_searches._canonical_key``, a key the slice does
-not call, says; each copy's origin is an audited survivor; and since a
-copy inherits its origin's key, order-4 generation keys exactly the 97
-audited survivors, each once.  The number of audits is pinned: the
-multigroup slice audits 198 of the 878 order-4 leaves with identity 0;
-the multiring slice scans each (multiplication, addition) pair for weak
-distributivity, and gives the full audit only to the pairs passing that
-scan, so at order 4 the full audits are exactly the 428 structures found.
-The orbit-stabilizer count, the sum of n!/|Aut| over the classes with the
-automorphisms found by the map search, checks that each labelled list holds
-every labelled structure exactly once.
+candidate; the library's slice must equal it, order included, at every order
+n <= 4.  A leaf is audited exactly when it is the least of its orbit, which
+``reference_searches._canonical_key``, a key the slice does not call, says;
+each copy's origin is an audited survivor; and since a copy inherits its
+origin's key, order-4 generation keys exactly the 97 audited survivors, each
+once.  The search cuts every subtree that a relabeling commuting with the
+involution sends lower, so the leaves it yields are exactly the audited
+ones, in order: 1, 2, 10 and 198 at orders 1-4.  Past the reference's reach,
+the 72,112 structures of the order-5 slice and their order are pinned by a
+digest of their tables, taken when the slice still tested each finished leaf
+against those relabelings.  The number of audits is pinned: the multigroup
+slice audits 198 of the 878 order-4 leaves with identity 0 that the search
+reaches without those relabelings; the multiring slice scans each
+(multiplication, addition) pair for weak distributivity, and gives the full
+audit only to the pairs passing that scan, so at order 4 the full audits are
+exactly the 428 structures found.  The orbit-stabilizer count, the sum of
+n!/|Aut| over the classes with the automorphisms found by the map search,
+checks that each labelled list holds every labelled structure exactly once.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -180,7 +187,7 @@ def test_multigroup_slice_audits_the_least_of_each_orbit(monkeypatch, n):
     carrier = core.Carrier(_labels(n))
     least = [cand.tables for cand in (
         core.FiniteMultigroup(carrier, op, inv, 0)
-        for inv in _involutions_fixing(n, 0) for op in _addition_tables(n, 0, inv))
+        for inv in _involutions_fixing(n, 0) for op in _addition_tables(n, 0, inv, []))
         if reference._canonical_key(cand) == (n,) + cand.tables]
     assert [m.tables for m, _ in audited] == least
     survivors = [m for m, passed in audited if passed]
@@ -189,11 +196,36 @@ def test_multigroup_slice_audits_the_least_of_each_orbit(monkeypatch, n):
         assert any(s is m if origin is None else origin is m for m in survivors)
 
 
+@pytest.mark.parametrize("n, leaves", [(1, 1), (2, 2), (3, 10), (4, 198)])
+def test_multigroup_search_yields_only_the_audited_leaves(monkeypatch, n, leaves):
+    """The search cuts every subtree that a relabeling commuting with the
+    involution sends lower, so each leaf it yields is audited, in order."""
+    yielded, search = [], enumeration._addition_tables
+    monkeypatch.setattr(enumeration, "_addition_tables",
+                        lambda *args: (yielded.append(op) or op for op in search(*args)))
+    audited = _audited(monkeypatch, "check_multigroup")
+    enumeration._multigroup_slice(n)
+    assert [m.op for m, _ in audited] == yielded
+    assert len(yielded) == leaves
+
+
+def test_multigroup_slice_of_order_five():
+    """The 72,112 structures of the order-5 slice, in order, as the slice
+    gave them when it tested each leaf of the search against the relabelings
+    commuting with its involution."""
+    found = enumeration._multigroup_slice(5)
+    assert len(found) == 72112
+    assert hashlib.sha256(repr([(m.inv, m.op) for m in found]).encode()).hexdigest() \
+        == "a4f2e5f8f8007ce1b8eaf7c27a3b36c5870235e1cab75409f1a1cc4c3c8d2e81"
+
+
 @pytest.mark.parametrize("up_to_iso", [True, False])
 @pytest.mark.parametrize("kind", enumeration.ENUMERABLE_KINDS)
 def test_enumerated_structures_of_order_three(kind, up_to_iso, monkeypatch):
     pruned = enumeration.enumerate_structures(kind, 3, up_to_iso)
-    monkeypatch.setattr(enumeration, "_addition_tables", reference._addition_tables)
+    monkeypatch.setattr(enumeration, "_addition_tables",
+                        lambda n, zero, neg, centralizer:
+                        reference._addition_tables(n, zero, neg))
     assert pruned == enumeration.enumerate_structures(kind, 3, up_to_iso)
 
 
@@ -287,14 +319,14 @@ def test_orbit_stabilizer(generate, n, labelled, classes):
 
 def _multigroup_leaves(n):
     return sum(1 for identity in range(n) for inv in _involutions_fixing(n, identity)
-               for _ in _addition_tables(n, identity, inv))
+               for _ in _addition_tables(n, identity, inv, []))
 
 
 def _multiring_leaves(n):
     return sum(1 for zero, one in itertools.permutations(range(n), 2)
                for neg in _involutions_fixing(n, zero)
                for mul in _monoid_tables(n, zero, one)
-               for _ in _addition_tables(n, zero, neg))
+               for _ in _addition_tables(n, zero, neg, []))
 
 
 def test_tables_reached():
