@@ -7,20 +7,22 @@ tables derived from one and its audit reports are kept on the object
 The first violation in lexicographic index order is reported as the witness.
 
 The table audits (multigroup, multiring, and the relational axioms and
-lemmas) cost O(n^3) mask operations on an n-element carrier, done a row at
-a time: for each pair (x, y) one scan compares the whole rows (xy)z and
-x(yz) over z as tuples, and only rows that differ are walked z by z, so
-defects still come in lexicographic order of (x, y, z).  (xy)z is the OR
-of the table's rows over the cell xy.  x(yz) comes from the ORs of the
-table's columns over the cells yz: for each y the column ORs of row y are
-transposed lazily, one ``zip`` per y, and each step of it yields x(yz)
-over z for the next x, so the scan's n^3 steps run inside ``zip``,
-``map`` and tuple comparison.  Each OR is built once per distinct cell, in
-``_CellUnion``; a symmetric table shares one for its rows and columns.
-On lines of up to 64 entries, each line (row or column) that a cell of two
-or more elements needs is packed into one int, 64 bits per entry, so a
-union is one ``reduce`` of ints, unpacked once; the lines of sign-space
-tables of more functions than the cap OR tuples.
+lemmas) cost O(n^3) mask operations on an n-element carrier, compared
+inside C a block at a time (``_reassociation_defects``).  Each entry is
+packed as w native 64-bit words, w = 1 up to the cap; only the tables of
+sign spaces of more functions than the cap need more.  For each cell the
+OR of the table's columns over it is one packed line, x -> x(cell), built
+once per distinct cell (``_PackedUnion``: a singleton cell reads its column
+as packed, a larger cell ORs as ints the columns its bit flags select).
+Joined over the cells (y, z) in row-major order, these lines form a tensor
+of n^3 entries whose entry (yn + z)n + x is x(yz), so x(yz) over all
+(y, z) is the stride-n ``array`` slice from x, one per word.  (xy)z over
+all (y, z) is block x: row x's cells mapped to the ORs of the table's rows
+and joined.  A symmetric table's row ORs are its column ORs, so its block x
+is the tensor's own x-th block of n^2 entries; on any other table block x
+is built when the scan reaches it, so a failing table stops as early.  Only
+an x whose two sides differ is walked, so defects still come in
+lexicographic order of (x, y, z).
 The multiring audit reads its addition through the multigroup audit's
 verdicts, named ``add-``, without building the additive multigroup.
 Reversibility and the reassociation scan of a table run once for its
@@ -73,9 +75,9 @@ axioms are per-pair mask tests.  The associativity
 audits of real semigroups and sign spaces read the reassociation scan,
 strong associativity through ``_reassociation_failures``.  Witnesses stay
 the first violations in lexicographic order; tests/reference_audits.py
-keeps the naive audits, the cell-at-a-time and row-through-a-getter
-versions, the tuple unions and the distributivity rows over d and at the
-generators that they are pinned to.
+keeps the naive audits, the cell-at-a-time, row-through-a-getter and
+lazily transposed scans, the tuple unions and the distributivity rows over
+d and at the generators that they are pinned to.
 ``classify`` is kept and audits a structure once however often it runs.
 
 Fibres, unions of per-element values and closures each have one kernel,
@@ -147,10 +149,11 @@ from __future__ import annotations
 
 import itertools
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce, wraps
-from itertools import chain, compress, count, repeat
-from operator import and_, invert, itemgetter, ne, or_
+from itertools import chain, compress, count, repeat, starmap
+from operator import and_, invert, itemgetter, lshift, ne, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 CARRIER_CAP = 64
@@ -212,10 +215,10 @@ class _Elements(dict):
 _SINGLETONS = tuple(1 << i for i in range(CARRIER_CAP))
 
 
-# One little-endian codec per table size that packs: a line of n masks, each
-# below 2^64, packs into n 64-bit fields of one int.  Beyond the cap,
-# sign-space masks do not fit in 64 bits.
-_CODECS = {n: struct.Struct(f"<{n}Q") for n in range(1, CARRIER_CAP + 1)}
+# One codec per table size that packs: a line of n masks, each below 2^64,
+# packs into n native 64-bit words, as ``array("Q")`` reads them.
+_CODECS = {n: struct.Struct(f"={n}Q") for n in range(CARRIER_CAP + 1)}
+_WORD = (1 << 64) - 1
 
 
 class _PackedLines(dict):
@@ -237,11 +240,11 @@ class _CellUnion(dict):
     a tuple, on first use; an empty cell gives a line of zeros, and the
     singleton cells are prefilled with their lines.
 
-    Lines whose length has a codec in ``_CODECS`` are packed, each that a
-    larger cell needs into one int, so that the union is one OR of ints,
-    unpacked once; other lines are ORed as tuples entry by entry."""
+    Lines have at most 64 entries, each below 2^64.  Each line that a cell
+    of two or more elements needs is packed into one int, so that the union
+    is one OR of ints, unpacked once."""
 
-    __slots__ = ("lines", "elements", "packed")
+    __slots__ = ("elements", "packed")
 
     @classmethod
     def over(cls, lines: Sequence[Sequence[int]], elements: _Elements) -> _CellUnion:
@@ -251,22 +254,38 @@ class _CellUnion(dict):
         out = cls(zip(_SINGLETONS, map(tuple, lines)))
         width = len(lines[0]) if lines else 0
         out[0] = (0,) * width
-        out.lines, out.elements = lines, elements
-        codec = _CODECS.get(width)
-        out.packed = _PackedLines(lines, codec) if codec else None
+        out.elements = elements
+        out.packed = _PackedLines(lines, _CODECS[width])
         return out
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
-        picked = self.elements[mask]
-        lines, packed = self.lines, self.packed
-        if packed is None:
-            out = tuple(lines[picked[0]])
-            for a in picked[1:]:
-                out = tuple(map(or_, out, lines[a]))
-        else:
-            union = reduce(or_, map(packed.__getitem__, picked))
-            out = packed.codec.unpack(union.to_bytes(packed.codec.size, "little"))
+        packed = self.packed
+        union = reduce(or_, map(packed.__getitem__, self.elements[mask]))
+        out = packed.codec.unpack(union.to_bytes(packed.codec.size, "little"))
         self[mask] = out
+        return out
+
+
+class _PackedUnion(dict):
+    """Cell mask -> elementwise OR of ``lines`` over the cell's elements, on
+    first use, where the lines are bytes of equal length.  The singleton
+    cells are prefilled with their lines as they are; the first larger or
+    empty cell reads every line as one int, and each ORs the ints its
+    ``_bit_flags`` select."""
+
+    __slots__ = ("lines", "ints")
+
+    @classmethod
+    def over(cls, lines: Sequence[bytes]) -> _PackedUnion:
+        out = cls(zip(_SINGLETONS, lines))
+        out.lines, out.ints = lines, None
+        return out
+
+    def __missing__(self, mask: int) -> bytes:
+        if self.ints is None:
+            self.ints = [int.from_bytes(line, "little") for line in self.lines]
+        union = reduce(or_, compress(self.ints, _bit_flags(mask)), 0)
+        out = self[mask] = union.to_bytes(len(self.lines[0]), "little")
         return out
 
 
@@ -403,22 +422,37 @@ def _through(lines: Iterable[bytes], n: int) -> list[bytes]:
     return [b"\0" + line + pad for line in lines]
 
 
+def _pack_wide(w: int, *masks: int) -> bytes:
+    """The masks as w native 64-bit words each, the low word first."""
+    return struct.pack(f"={len(masks) * w}Q", *[
+        mask >> shift & _WORD for mask in masks for shift in range(0, 64 * w, 64)])
+
+
+def _entries(planes: Sequence[Sequence[int]]) -> Sequence[int]:
+    """Entry i is the int whose 64-bit word k is planes[k][i]."""
+    out = planes[0]
+    for k in range(1, len(planes)):
+        out = list(map(or_, out, map(lshift, planes[k], repeat(64 * k))))
+    return out
+
+
 def _reassociation_defects(table: Sequence[Sequence[int]], elements: Optional[_Elements],
                            rows: Optional[list[bytes]] = None
                            ) -> Iterator[tuple[int, int, int, int, int]]:
     """Yield (x, y, z, (xy)z, x(yz)) for each triple, in lexicographic order,
     whose two bracketings differ.  Cells of the n x n mask table may be
-    empty; ``elements`` expands each distinct cell once (unread given
-    ``rows``).
+    empty.  ``elements`` is unread: the cells are read through their bit
+    flags.
 
-    Each (x, y) compares whole rows over z: (xy)z is the OR of the table's
-    rows over the cell xy, and x(yz) is the next step of the transposed ORs
-    of its columns over the cells of row y; each OR is built once per
-    distinct cell.  Only rows that differ are scanned z by z.
+    Each x compares all (y, z) at once.  The right side is the stride-n
+    slice from x of the tensor of column ORs, entry (yn + z)n + x = x(yz),
+    one slice per 64-bit word of an entry; the left side is block x, the
+    ORs of the rows over row x's cells joined, which on a symmetric table
+    is the tensor's block x.  Each OR is built once per distinct cell.
 
-    Given the table's ``_byte_rows``, each x compares all (y, z) at once:
-    the rows xy, joined over y, against the joined rows translated through
-    row x; only an x whose two differ is walked."""
+    Given the table's ``_byte_rows``, each x compares the rows xy, joined
+    over y, against the joined rows translated through row x.  Either way
+    only an x whose two sides differ is walked."""
     n = len(table)
     if rows:
         by_byte = [b""] + rows  # row v at byte v + 1
@@ -431,21 +465,39 @@ def _reassociation_defects(table: Sequence[Sequence[int]], elements: Optional[_E
                     yield (x, *divmod(i, n), _SINGLETONS[lefts[i] - 1],
                            _SINGLETONS[rights[i] - 1])
         return
-    columns = list(zip(*table))
-    lefts = _CellUnion.over(table, elements)
-    # A symmetric table's column unions are its row unions.
-    rights = lefts if columns == list(map(tuple, table)) \
-        else _CellUnion.over(columns, elements)
-    over_columns = rights.__getitem__
-    # Step x of right_rows[y] is the row x(yz) over z.
-    right_rows = [zip(*map(over_columns, row_y)) for row_y in table]
+    w = (n + 63) // 64  # 64-bit words an entry
+    pack = _CODECS[n].pack if w == 1 else partial(_pack_wide, w)
+    columns = list(map(pack, *table))
+    over_columns = _PackedUnion.over(columns)
+    # Entry (yn + z)n + x of the tensor is x(yz).  It grows a row of cells
+    # at a time, so that no second copy of its n^3 entries is made.
+    words = array("Q")
+    for row in table:
+        words.frombytes(b"".join(map(over_columns.__getitem__, row)))
+    # A symmetric table's row unions are its column unions.
+    lines = list(starmap(pack, table))
+    symmetric = lines == columns
+    over_rows = over_columns if symmetric else _PackedUnion.over(lines)
+    planes, block, stride = range(w), n * n * w, n * w
     for x, row_x in enumerate(table):
-        for y, (cell, right) in enumerate(zip(row_x, map(next, right_rows))):
-            left = lefts[cell]
-            if left != right:
-                for z in range(n):
-                    if left[z] != right[z]:
-                        yield x, y, z, left[z], right[z]
+        if symmetric:
+            left, at = words, x * block
+        else:
+            left, at = array("Q", b"".join(map(over_rows.__getitem__, row_x))), 0
+        # Word k of every entry of block x against the stride-n slice from x.
+        for k in planes:
+            if left[at + k:at + block:w] != words[x * w + k::stride]:
+                break
+        else:
+            continue
+        lefts = _entries([left[at + k:at + block:w] for k in planes])
+        rights = _entries([words[x * w + k::stride] for k in planes])
+        # Only a row over z that differs is walked.
+        for y in range(n):
+            left_y, right_y = lefts[y * n:(y + 1) * n], rights[y * n:(y + 1) * n]
+            if left_y != right_y:
+                for z in compress(count(), map(ne, left_y, right_y)):
+                    yield x, y, z, left_y[z], right_y[z]
 
 
 def _associativity_defect(table: Sequence[Sequence[int]]

@@ -75,6 +75,10 @@ additive multigroup audit is the naive ``check_multigroup`` above.
 ``rowwise_reassociation_defects`` is the row-at-a-time scan as it was
 before x(yz) came from lazily transposed column unions: each (x, y) read
 entry x of every column union of row y through an ``itemgetter``.
+``transposed_reassociation_defects`` is the scan as it was before it
+compared block x with a stride-n slice of a packed tensor: each (x, y)
+compared tuples, x(yz) over z being the next step of one ``zip`` per y over
+the column unions of row y; its unions here are the tuple ones below.
 ``rowwise_mul_associativity`` is ``check_multiring``'s mul-associativity
 loop as it was before the byte compare, reading a(bc) through row a's
 ``__getitem__``, and ``associativity_defect`` is the triple loop that
@@ -82,14 +86,15 @@ loop as it was before the byte compare, reading a(bc) through row a's
 ``check_ts`` and ``LoopCheckedSpecialGroup`` are the ternary-semigroup
 audit, with its own TS2 cube loop, and the special-group validation with
 that loop; ``check_rs`` here reads this ``check_ts``.
-``tests/test_row_kernel.py`` pins the transposed scan,
+``tests/test_row_kernel.py`` pins the library's scan,
 ``core._associativity_defect`` (the scan's first defect on byte rows) with
 its callers ``_monoid_defects``, ``SpecialGroup`` and the monoid-table
 search, and ``check_ts`` on ``core._cube_defect``, to them.
 
 ``_CellUnion`` is the cell-union cache as it was before it packed each
 line into one int: a union ORed the tuples of the cell's lines element by
-element; ``rowwise_reassociation_defects`` reads it.
+element; ``rowwise_reassociation_defects`` and
+``transposed_reassociation_defects`` read it.
 ``rowwise_distributivity`` is ``check_multiring``'s distributivity loop as
 it was before it compared rows over b for each (a, d): each (a, b) gathered
 ad+bd over d through ``map(getitem, ...)``.  ``evaluation_witnesses`` is
@@ -2132,6 +2137,41 @@ def rowwise_reassociation_defects(table: Sequence[Sequence[int]], elements: _Ele
         for y, cell in enumerate(row_x):
             left = lefts[cell]
             right = tuple(map(at_x, map(over_columns, table[y])))
+            if left != right:
+                for z in range(n):
+                    if left[z] != right[z]:
+                        yield x, y, z, left[z], right[z]
+
+
+def _tuple_unions(lines: Sequence[Sequence[int]], elements: _Elements) -> _CellUnion:
+    """The tuple unions of ``lines``, with ``elements`` expanding the cells."""
+    out = _CellUnion(zip(_SINGLETONS, map(tuple, lines)))
+    out.lines, out.elements = lines, elements
+    return out
+
+
+def transposed_reassociation_defects(table: Sequence[Sequence[int]], elements: _Elements
+                                     ) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (x, y, z, (xy)z, x(yz)) for each triple, in lexicographic order,
+    whose two bracketings differ.  Cells of the n x n mask table may be
+    empty; ``elements`` expands each distinct cell once.
+
+    Each (x, y) compares whole rows over z: (xy)z is the OR of the table's
+    rows over the cell xy, and x(yz) is the next step of the transposed ORs
+    of its columns over the cells of row y; each OR is built once per
+    distinct cell.  Only rows that differ are scanned z by z."""
+    n = len(table)
+    columns = list(zip(*table))
+    lefts = _tuple_unions(table, elements)
+    # A symmetric table's column unions are its row unions.
+    rights = lefts if columns == list(map(tuple, table)) \
+        else _tuple_unions(columns, elements)
+    over_columns = rights.__getitem__
+    # Step x of right_rows[y] is the row x(yz) over z.
+    right_rows = [zip(*map(over_columns, row_y)) for row_y in table]
+    for x, row_x in enumerate(table):
+        for y, (cell, right) in enumerate(zip(row_x, map(next, right_rows))):
+            left = lefts[cell]
             if left != right:
                 for z in range(n):
                     if left[z] != right[z]:

@@ -1,11 +1,13 @@
-"""The row-at-a-time reassociation scan, the byte-compare associativity
-audit and the multiring audit agree with the versions they replaced.
+"""The reassociation scan, the byte-compare associativity audit and the
+multiring audit agree with the versions they replaced.
 
 ``reference_audits.cellwise_reassociation_defects`` and
 ``cellwise_check_multiring`` are the scan and the audit as they were when
-each (x, y, z), (a, b, c) and (a, b, d) was probed on its own, and
+each (x, y, z), (a, b, c) and (a, b, d) was probed on its own,
 ``rowwise_reassociation_defects`` is the scan as it was when x(yz) was read
-entry by entry through an ``itemgetter``.  Here
+entry by entry through an ``itemgetter``, and
+``transposed_reassociation_defects`` the scan as it was when x(yz) over z
+came from lazily transposed column unions.  Here
 ``core._reassociation_defects`` must yield the same defects in the same
 order -- every tuple, not only the first, and the first alone to a consumer
 that stops there -- and ``core.check_multiring`` must return an equal
@@ -13,13 +15,15 @@ that stops there -- and ``core.check_multiring`` must return an equal
 table of order <= 3 and on seeded single-cell ``add`` and ``mul`` mutants
 of Z/8, q2 x K^2 and the fan-3 multifield.  The mutants include
 non-commutative cells and, for the scan alone, emptied cells, which
-relational tables have.
+relational tables have.  At the cap, seeded flips of K^6's addition, which
+are not symmetric, and K^6 with an emptied cell reach the scan's joined
+row unions and its stride over 64 elements; sign spaces of more than 64
+functions give entries of two 64-bit words.
 
-``core._CellUnion`` packs lines into ints on tables of 8 to 64 lines; on
-every table scanned, its union of every cell, rows and columns, must equal
-that of the moved tuple version ``reference_audits._CellUnion``.  Sign
-spaces of more than 64 functions keep tuple unions: their scans, AX3 and
-value-set witnesses must match the moved row-at-a-time scan.
+``core._CellUnion`` packs lines into ints, and ``core._PackedUnion`` ORs
+packed lines; on every table scanned, each union of every cell, rows and
+columns, must equal that of the moved tuple version
+``reference_audits._CellUnion``.
 ``check_multiring``'s distributivity witnesses, now the least (b, d) over
 rows for each (a, d), must equal those of the moved per-(a, b) loop
 ``reference_audits.rowwise_distributivity`` on the inputs above, on
@@ -37,6 +41,7 @@ range.
 import dataclasses
 import itertools
 import random
+from array import array
 
 import reference_audits as reference
 import reference_searches
@@ -65,14 +70,15 @@ def defects(scan, table):
 
 
 def assert_unions_agree(lines, cells):
-    """The cell unions, packed or not, equal the moved tuple unions on every
-    cell and on the cell of all lines."""
+    """The cell unions, as tuples and as packed lines, equal the moved tuple
+    unions on every cell and on the cell of all lines."""
     elements = core._Elements()
     unions = core._CellUnion.over(lines, elements)
+    packed = core._PackedUnion.over([core._CODECS[len(line)].pack(*line) for line in lines])
     moved = reference._CellUnion(zip(core._SINGLETONS, map(tuple, lines)))
     moved.lines, moved.elements = lines, elements
     for cell in [*cells, (1 << len(lines)) - 1]:
-        assert unions[cell] == moved[cell]
+        assert unions[cell] == moved[cell] == tuple(array("Q", packed[cell]))
 
 
 def assert_scan_agrees(table):
@@ -82,9 +88,10 @@ def assert_scan_agrees(table):
     found = defects(core._reassociation_defects, table)
     assert found == defects(reference.cellwise_reassociation_defects, table)
     assert found == defects(reference.rowwise_reassociation_defects, table)
+    assert found == defects(reference.transposed_reassociation_defects, table)
     # The scan as the audits call it, on byte rows for a table of
     # singletons: a consumer that stops at the first defect, then a whole
-    # scan that shares its cell expansions.
+    # scan.
     rows = core._byte_rows(table)
     elements = core._Elements()
     assert next(core._reassociation_defects(table, elements, rows), None) \
@@ -286,22 +293,58 @@ def test_tables_as_list_rows():
             base, add=[list(row) for row in base.add])) == spectra.enumerate_orderings(base)
 
 
+def assert_full_scan_agrees(table, *scans):
+    """The scan equals the moved transposed scan and ``scans``, whole, and
+    gives its first defect alone to a consumer that stops there."""
+    found = defects(core._reassociation_defects, table)
+    for scan in (reference.transposed_reassociation_defects, *scans):
+        assert found == defects(scan, table)
+    assert next(core._reassociation_defects(table, core._Elements()), None) \
+        == (found[0] if found else None)
+    return found
+
+
+def test_krasner_power_six_mutants():
+    """Twenty seeded flips of one off-diagonal cell of K^6's addition, which
+    leave it not symmetric, and K^6 with one emptied cell: 64 elements, the
+    cap, so the stride runs over every element and each block x is joined
+    from the row unions.  Every mutant fails; the emptied one and the first
+    flip are also scanned row by row and cell by cell."""
+    rng = random.Random(54)
+    add = product([core.krasner()] * 6).add
+    mutants = []
+    for _ in range(20):
+        i, j = rng.sample(range(64), 2)
+        mutants.append(_replace_cell(add, i, j, add[i][j] ^ 1 << rng.randrange(64)))
+    mutants.append(_replace_cell(add, *rng.sample(range(64), 2), 0))
+    for i, table in enumerate(mutants):
+        assert table != tuple(zip(*table))
+        assert assert_full_scan_agrees(table, *(
+            (reference.rowwise_reassociation_defects,
+             reference.cellwise_reassociation_defects) if i in (0, 20) else ()))
+
+
 def test_sign_space_tables_beyond_the_cap():
     """A sign space may have more functions than the carrier cap, and its
-    tables masks wider than 64 bits: their unions stay tuple ORs.  The fan
-    on seven points (128 functions) passes.  On two of its subsets of more
-    than 64 functions the scan equals the moved row-at-a-time scan, and the
-    AX3 and value-set witnesses come from its first defects; on the
+    tables masks wider than 64 bits: entries of two 64-bit words.  The fan
+    on seven points (128 functions) passes, and its whole value table
+    scans clean, but not with one bit past 64 flipped.  On two of its
+    subsets of more than 64 functions the scan equals the moved scans, and
+    the AX3 and value-set witnesses come from its first defects; on the
     three-valued space of all 81 sign vectors on four points less one, the
-    transversal scan equals it and AX3 fails."""
+    transversal scan equals them and AX3 fails."""
     fan = fan_aos(7)
     assert fan.nfunctions > core.CARRIER_CAP
     assert check_aos(fan).overall and value_set_reassociation_check(fan).overall
+    table = value_table(fan)
+    assert assert_full_scan_agrees(table) == []
+    # Bit 100 flipped in one cell: at 64 of the 112 x that fail, the two
+    # sides differ in the high word alone.
+    assert assert_full_scan_agrees(_replace_cell(table, 3, 5, table[3][5] ^ 1 << 100))
     for keep in (fan.functions[1:73], fan.functions[:5] + fan.functions[6:80]):
         s = make_sign_space(fan.mode, fan.points, keep)
-        table = value_table(s)
-        found = defects(core._reassociation_defects, table)
-        assert found and found == defects(reference.rowwise_reassociation_defects, table)
+        found = assert_full_scan_agrees(value_table(s), reference.rowwise_reassociation_defects)
+        assert found
         ax3 = next(((a, b, c, core._lowest_bit(right & ~left))
                     for a, b, c, left, right in found if right & ~left), None)
         for verdict, want in ((check_aos(s).verdict("AX3-associativity"), ax3),
@@ -311,9 +354,7 @@ def test_sign_space_tables_beyond_the_cap():
 
     vectors = list(itertools.product((-1, 0, 1), repeat=4))
     s = make_sign_space(ARS, ["p0", "p1", "p2", "p3"], vectors[:40] + vectors[41:])
-    table = transversal_table(s)
-    assert defects(core._reassociation_defects, table) \
-        == defects(reference.rowwise_reassociation_defects, table)
+    assert_full_scan_agrees(transversal_table(s), reference.rowwise_reassociation_defects)
     assert not check_ars(s).verdict("AX3-strong-associativity").passed
 
 
