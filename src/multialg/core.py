@@ -66,10 +66,13 @@ table T.  ``_scaling_rows`` builds its rows: for each b and column e,
 compares them on the addition; each witness is the least (b, d) at the
 first a where it fails.  With mul associative, both distributivity
 verdicts hold once they hold at a set generating (R, .), since (a+b)de
-lies in (ad+bd)e, inside ade+bde (docs/axioms.md).  So above 16 elements,
-on a multivalued addition, the multiring audit, when mul-associativity
-passed, first runs that scan over the columns of the ``_generators`` of
-mul only; on byte rows the full scan costs no more than finding the
+lies in (ad+bd)e, inside ade+bde (docs/axioms.md); the same holds for any
+mask table T.  So above 16 elements, with mul associative, one gate,
+``_holds_at_generators``, first runs that scan over the columns of the
+``_generators`` of mul only: on a multivalued addition for the multiring
+audit, on D for RS2 and on D^t for iii.  A pass there is the verdict; a
+failure falls to the scan over every column, which names the witness.  On
+byte rows the full distributivity scan costs no more than finding the
 generators, and runs alone.  The other
 axioms are per-pair mask tests.  The associativity
 audits of real semigroups and sign spaces read the reassociation scan,
@@ -151,7 +154,7 @@ import itertools
 import struct
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce, wraps
+from functools import cached_property, lru_cache, partial, reduce, wraps
 from itertools import chain, compress, count, repeat, starmap
 from operator import and_, invert, itemgetter, lshift, ne, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -436,13 +439,12 @@ def _entries(planes: Sequence[Sequence[int]]) -> Sequence[int]:
     return out
 
 
-def _reassociation_defects(table: Sequence[Sequence[int]], elements: Optional[_Elements],
+def _reassociation_defects(table: Sequence[Sequence[int]],
                            rows: Optional[list[bytes]] = None
                            ) -> Iterator[tuple[int, int, int, int, int]]:
     """Yield (x, y, z, (xy)z, x(yz)) for each triple, in lexicographic order,
     whose two bracketings differ.  Cells of the n x n mask table may be
-    empty.  ``elements`` is unread: the cells are read through their bit
-    flags.
+    empty; they are read through their bit flags.
 
     Each x compares all (y, z) at once.  The right side is the stride-n
     slice from x of the tensor of column ORs, entry (yn + z)n + x = x(yz),
@@ -506,7 +508,7 @@ def _associativity_defect(table: Sequence[Sequence[int]]
     the first defect of ``_reassociation_defects`` on its byte rows.
     Entries are carrier indices, below 64, so each fits in a byte."""
     rows = [bytes(row).translate(_SUCCESSOR) for row in table]
-    found = next(_reassociation_defects(table, None, rows), None)
+    found = next(_reassociation_defects(table, rows), None)
     return found and found[:3]
 
 
@@ -590,15 +592,15 @@ def _reversibility_defect(op: Sequence[Sequence[int]], r: Sequence[int],
     return None
 
 
-def _reassociation_failures(table: Sequence[Sequence[int]], elements: _Elements
+def _reassociation_failures(table: Sequence[Sequence[int]]
                             ) -> Iterator[tuple[int, int, int, int, int]]:
     """Yield (a, x, c, y, z) for each c in table[y][z] and a in table[x][c]
     with a outside (xy)z, taking only the least such a per c: the failures
     of strong associativity x(yz) inside (xy)z.  (x, y, z) go in
     lexicographic order, and c ascending."""
-    for x, y, z, left, _ in _reassociation_defects(table, elements):
+    for x, y, z, left, _ in _reassociation_defects(table):
         row_x = table[x]
-        for c in elements[table[y][z]]:
+        for c in bits(table[y][z]):
             missing = row_x[c] & ~left
             if missing:
                 yield _lowest_bit(missing), x, c, y, z
@@ -916,11 +918,11 @@ def check_multigroup(m: FiniteMultigroup) -> CheckReport:
     """Audit the four multigroup axioms; commutativity is reported separately."""
     op, names = m.op, m.carrier.names
     return CheckReport(subject="multigroup", verdicts=_multigroup_verdicts(
-        op, m.identity, names, "", _additive_scans(op, m.inv, names, _Elements())))
+        op, m.identity, names, "", _additive_scans(op, m.inv, names)))
 
 
 def _additive_scans(op: Sequence[Sequence[int]], r: Sequence[int],
-                    names: Sequence[str], elements: _Elements) -> tuple:
+                    names: Sequence[str]) -> tuple:
     """(rows, w_rev, first, defects): the ``_byte_rows`` of the mask table
     ``op`` or None, the ``_reversibility_defect`` of ``op`` under ``r``, and
     its ``_reassociation_defects`` scan as its first defect (None if there
@@ -928,7 +930,7 @@ def _additive_scans(op: Sequence[Sequence[int]], r: Sequence[int],
     w_rev; iii reads the first defect, and III and lemma (e) the first and
     then the rest, so one scan serves both presentations of one table."""
     rows = _byte_rows(op)
-    defects = _reassociation_defects(op, elements, rows)
+    defects = _reassociation_defects(op, rows)
     return rows, _reversibility_defect(op, r, names, rows), next(defects, None), defects
 
 
@@ -1054,7 +1056,7 @@ def check_relational_axioms(rel: RelationalMultigroup) -> CheckReport:
     """Audit axioms I-IV of the triple presentation."""
     cell, names = _relational_table(rel), rel.carrier.names
     verdicts, _ = _relational_audit(cell, rel.identity, names,
-                                    _additive_scans(cell, rel.inv, names, _Elements()))
+                                    _additive_scans(cell, rel.inv, names))
     return CheckReport(subject="relational multigroup", verdicts=verdicts)
 
 
@@ -1073,7 +1075,7 @@ def check_relational_lemmas(rel: RelationalMultigroup | FiniteMultigroup
     cell = rel.op if isinstance(rel, FiniteMultigroup) else _relational_table(rel)
     r, names = rel.inv, rel.carrier.names
     return _lemmas_report(cell, r, rel.identity, names,
-                          _additive_scans(cell, r, names, _Elements()))
+                          _additive_scans(cell, r, names))
 
 
 def _lemmas_report(cell: Sequence[Sequence[int]], r: Sequence[int], e: int,
@@ -1211,8 +1213,10 @@ def ring_multiring(n: int) -> FiniteMultiring:
     return FiniteMultiring(Carrier(names), add, mul, neg, 0, 1 % n)
 
 
+@lru_cache(maxsize=None)
 def q2() -> FiniteMultiring:
-    """The three-element sign multifield {-1,0,1}."""
+    """The three-element sign multifield {-1,0,1}; built once, as every
+    sign map, morphism search into it and evaluation embedding reads it."""
     return multiring_from_labels(
         names=("-1", "0", "1"),
         add=[
@@ -1342,6 +1346,27 @@ def _generators(mul: Sequence[Sequence[int]]) -> list[int]:
     return taken
 
 
+def _holds_at_generators(table: Sequence[Sequence[int]], mul: Sequence[Sequence[int]],
+                         associative: Optional[bool] = None, full: bool = False) -> bool:
+    """Whether the scaling condition T(b, c)e <= T(be, ce) on the mask
+    table T (with ``full``, also its equality form) is decided to hold by
+    ``_distributivity_defects`` over the columns of mul's ``_generators``:
+    with mul associative it then holds at every e, their products.  The
+    test is made only above 16 elements, as it costs more than it saves on
+    enumerate's and check-mutants' tables, and only when mul is
+    associative: ``associative`` when the caller has audited it, else
+    tested here.  False means undecided: the scan over every column
+    decides, and names the witness."""
+    if len(mul) <= 16:
+        return False
+    if associative is None:
+        associative = _associativity_defect(mul) is None
+    if not associative:
+        return False
+    weak, equal = _distributivity_defects(table, mul, _generators(mul))
+    return weak is None and (equal is None or not full)
+
+
 def check_multiring(r: FiniteMultiring) -> CheckReport:
     """Audit the multiring axioms; the report is kept on ``r`` for ``classify``.
 
@@ -1349,29 +1374,23 @@ def check_multiring(r: FiniteMultiring) -> CheckReport:
     as an extra informational verdict so multifields can be recognised.
     Above 16 elements, with mul associative and an addition that is not
     read as byte rows, both pass at once when they hold at the generators
-    of mul; otherwise every (a, b, d) is scanned.
+    of mul (``_holds_at_generators``); otherwise every (a, b, d) is scanned.
     """
-    elements = _Elements()
-    return _multiring_report(r, elements,
-                             _additive_scans(r.add, r.neg, r.names, elements))
+    return _multiring_report(r, _additive_scans(r.add, r.neg, r.names))
 
 
 _audit = _kept(check_multiring)  # the report kept by its last run, or a new one
 
 
-def _multiring_report(r: FiniteMultiring, elements: _Elements, scans: tuple
-                      ) -> CheckReport:
-    """``check_multiring(r)``, its addition read from ``_additive_scans``
-    with the cells expanded in ``elements``; the report is kept on ``r``."""
-    n, names, rows = r.size, r.names, scans[0]
+def _multiring_report(r: FiniteMultiring, scans: tuple) -> CheckReport:
+    """``check_multiring(r)``, its addition read from ``_additive_scans``;
+    the report is kept on ``r``."""
+    names, rows = r.names, scans[0]
     verdicts = list(_multigroup_verdicts(r.add, r.zero, names, "add-", scans))
     monoid = _monoid_defects(r.mul, r.one, r.zero, names)
     verdicts += map(_verdict_all, ("mul-associativity", "mul-commutativity",
                                    "mul-identity", "zero-absorbing"), monoid)
-    # The pre-check pays on check-ladder's cap rungs and costs more than it
-    # saves on enumerate's and check-mutants' tables of 16 or fewer elements.
-    if n > 16 and not rows and monoid[0] is None and _distributivity_defects(
-            r.add, r.mul, _generators(r.mul), elements, rows) == (None, None):
+    if not rows and _holds_at_generators(r.add, r.mul, monoid[0] is None, full=True):
         weak = full = None
     else:
         weak, full = (w and tuple(map(names.__getitem__, w))
@@ -1391,9 +1410,9 @@ def _axioms_and_lemmas(s: FiniteMultiring | FiniteMultigroup
     decided, its reversibility walked and its reassociation scan run once."""
     ring = isinstance(s, FiniteMultiring)
     op, r, e = (s.add, s.neg, s.zero) if ring else (s.op, s.inv, s.identity)
-    elements, names = _Elements(), s.carrier.names
-    scans = _additive_scans(op, r, names, elements)
-    axioms = _multiring_report(s, elements, scans) if ring else CheckReport(
+    names = s.carrier.names
+    scans = _additive_scans(op, r, names)
+    axioms = _multiring_report(s, scans) if ring else CheckReport(
         "multigroup", _multigroup_verdicts(op, e, names, "", scans))
     return axioms, _lemmas_report(op, r, e, names, scans)
 

@@ -8,7 +8,10 @@ function to its sign at the point; the point-map search and the point
 cones of ``check_ars`` read the same maps' preimages, core's ``_Unions``
 of their ``_fibres``.  Products, negations and positions are kept per space.
 ``aos_to_mfred`` hands the value table, as D, to the zero adjunction of
-``constructions``.
+``constructions``.  ``mrred_to_ars`` reads the transversal table through
+the evaluation index, rows and columns in one ``itemgetter`` each, and
+compares it with the addition's cells imaged through that index a row at a
+time; only a row that differs is walked for its witness.
 
 The character condition AX2 is audited by exhaustive enumeration: characters
 of the function group in the two-valued case, candidate cones over sign
@@ -55,11 +58,13 @@ from .core import (
     InputError,
     StructureMap,
     Verdict,
-    _Elements,
+    _SINGLETONS,
     _Unions,
     _fibres,
+    _first_difference,
     _kept,
     _lowest_bit,
+    _picker,
     _pointwise_cells,
     _reassociation_defects,
     _reassociation_failures,
@@ -356,7 +361,7 @@ def check_aos(s: SignSpace) -> CheckReport:
     # AX3: a(bc) inside (ab)c; the witness is the least element outside.
     w3 = next((tuple(function_label(s.functions[i])
                      for i in (a, b, c, _lowest_bit(right & ~left)))
-               for a, b, c, left, right in _reassociation_defects(dtab, _Elements())
+               for a, b, c, left, right in _reassociation_defects(dtab)
                if right & ~left), None)
     verdicts.append(Verdict("AX3-associativity", w3 is None, w3))
     return CheckReport("abstract ordering space", tuple(verdicts))
@@ -414,8 +419,7 @@ def check_ars(s: SignSpace) -> CheckReport:
     # AX3: a(bc) inside (ab)c; the witness p is the least element of D^t(a, q)
     # outside (ab)c for the least q in D^t(b, c) that has one.
     w3 = next((tuple(function_label(s.functions[i]) for i in (a, b, c, p))
-               for p, a, _, b, c in _reassociation_failures(transversal_table(s),
-                                                            _Elements())), None)
+               for p, a, _, b, c in _reassociation_failures(transversal_table(s))), None)
     verdicts.append(Verdict("AX3-strong-associativity", w3 is None, w3))
     return CheckReport("abstract real spectrum", tuple(verdicts))
 
@@ -425,7 +429,7 @@ def value_set_reassociation_check(s: SignSpace) -> CheckReport:
     associativity of the derived multifield sums.  The value table is
     symmetric, so the unions are (ab)c and a(bc) of the scan."""
     w = next((tuple(function_label(s.functions[i]) for i in (a, b, c))
-              for a, b, c, _, _ in _reassociation_defects(value_table(s), _Elements())),
+              for a, b, c, _, _ in _reassociation_defects(value_table(s))),
              None)
     return CheckReport("value set reassociation",
                        (Verdict("union-reassociation", w is None, w),))
@@ -573,15 +577,17 @@ def mrred_to_ars(a: FiniteMultiring) -> tuple[SignSpace, CheckReport]:
     points = tuple(f"P{i}" for i in range(len(orderings)))
     space = SignSpace(ARS, points, sorted(set(vectors)))
 
-    dt = transversal_table(space)
-    w_dt = None
-    vec_index = space._positions
-    for x, y in itertools.product(range(a.size), repeat=2):
-        got = dt[vec_index[vectors[x]]][vec_index[vectors[y]]]
-        want = mask_of(vec_index[vectors[c]] for c in bits(a.add[x][y]))
-        if got != want:
-            w_dt = (a.names[x], a.names[y])
-            break
+    # Element x evaluates to function index[x]: the transversal table read
+    # through the index, rows and columns, against the addition's cells
+    # imaged through it, a row at a time; only a differing row is walked.
+    index = list(map(space._positions.__getitem__, vectors))
+    pick = _picker(index)
+    image = _Unions(list(map(_SINGLETONS.__getitem__, index)))
+    w_dt = next(((a.names[x], a.names[_first_difference(got, want)])
+                 for x, (got, want) in enumerate(zip(
+                     map(pick, pick(transversal_table(space))),
+                     (tuple(map(image.__getitem__, row)) for row in a.add)))
+                 if got != want), None)
     report = CheckReport(
         subject="evaluation space",
         verdicts=(

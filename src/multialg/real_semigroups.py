@@ -15,12 +15,21 @@ are core's commutative-monoid audit of the multiplication table,
 their shape: ``_scaling_failures`` (the a in T(b, c) with some ae outside
 T(be, ce), on core's ``_scaling_rows`` as weak distributivity) is RS2 on D
 and iii on D^t, and ``_square_transversals`` (the a in T(a^2 b, a^2 c)) is
-D in ``mrred_to_rs``, T the addition, and RS6 and xvii on D^t.  RS4 and RS5
-test the union of D over the scaled sets {q x : q a square} and over the
-agreement sets {x : ax = bx}, one union per distinct set; RS8 groups the
-a of D(b, c) by their square.  Strong associativity RS3 (on D^t) and weak
-associativity xvi (on D) read core's O(n^3) reassociation scan through
-``_reassociation_failures``.  The other
+D in ``mrred_to_rs``, T the addition, and RS6 and xvii on D^t.  RS2 and iii
+pass at once when the scaling condition holds at the generators of the
+multiplication, above 16 elements with the multiplication associative
+(core's ``_holds_at_generators``, the gate of multiring distributivity);
+only otherwise are the rows split.  RS6 and xvii read the square-transversal
+rows of D^t kept on the structure (``_lifted_rows``), which ``mrred_to_rs``
+keeps as D itself once it has checked that D^t is the addition.  RS4 and
+RS5 test the union of D over the scaled sets {q x : q a square} and over
+the agreement sets {x : ax = bx}, one union per distinct set; RS4 builds
+the unions over b as one row per distinct scaled set of a and compares it
+with row a of D.  RS8 groups the a of D(b, c) by their square.  Strong
+associativity RS3 (on D^t) reads core's O(n^3) reassociation scan through
+``_reassociation_failures``; weak associativity xvi (on D) reads one mask
+of failing a per row of that scan, b(yz) less (by)z, and walks only the
+row that holds the least a.  The other
 consequences in ``check_rs_derived`` build, per (b, c), the mask of the a
 that fail there, from transposes, from preimages under x -> ax and from
 the roots of each square.  Both are core's ``_fibres``, of the columns of
@@ -61,6 +70,8 @@ from .core import (
     _commutativity_defect,
     _cube_defect,
     _fibres,
+    _first_difference,
+    _holds_at_generators,
     _kept,
     _label_values,
     _lowest_bit,
@@ -68,6 +79,7 @@ from .core import (
     _monoid_defects,
     _picker,
     _pointwise_cells,
+    _reassociation_defects,
     _reassociation_failures,
     _scaling_rows,
     _square_table,
@@ -261,6 +273,40 @@ def _square_transversals(table: Sequence[Sequence[int]],
         yield row
 
 
+@_kept
+def _lifted_rows(s: RealSemigroup) -> tuple[tuple[int, ...], ...]:
+    """The ``_square_transversals`` of D^t, which RS6 and xvii compare with
+    D.  ``mrred_to_rs`` keeps D itself, made as those rows of the addition
+    it has checked D^t against."""
+    return tuple(_square_transversals(dt_table(s), s.mul))
+
+
+def _weak_associativity_failure(d: Sequence[Sequence[int]]
+                                ) -> Optional[tuple[int, int, int, int, int]]:
+    """The least (a, b, c, y, z) with a in D(b, c), c in D(y, z) and a
+    outside (by)z, or None.  Such an a is in b(yz) less (by)z, so each row
+    b of the reassociation scan gives one mask of the failing a, and the
+    least a comes from the first b whose mask holds it; the scan stops
+    after the first row that holds a = 0.  Only that row's defects are
+    walked for (c, y, z)."""
+    found = None
+    for b, defects in itertools.groupby(_reassociation_defects(d), itemgetter(0)):
+        defects = list(defects)
+        failing = reduce(or_, (right & ~left for *_, left, right in defects))
+        if failing and (found is None or _lowest_bit(failing) < found[0]):
+            found = _lowest_bit(failing), b, defects
+            if not found[0]:
+                break
+    if found is None:
+        return None
+    a, b, defects = found
+    # the c with a in D(b, c), then the least (c, y, z) among the defects
+    reach = mask_of(c for c, cell in enumerate(d[b]) if (cell >> a) & 1)
+    c, y, z = min((_lowest_bit(d[y][z] & reach), y, z)
+                  for _, y, z, left, right in defects if (right & ~left) >> a & 1)
+    return a, b, c, y, z
+
+
 def check_rs(s: RealSemigroup) -> CheckReport:
     """TS1-TS5 followed by RS0-RS8, with D^t derived internally."""
     ts = check_ts(s)
@@ -273,9 +319,8 @@ def check_rs(s: RealSemigroup) -> CheckReport:
     roots = _roots(mul)
     # unions[S][v]: the union of D(u, v) over u in S, one per distinct S
     unions = _CellUnion.over(d, elements)
-    # fibres[x][v]: the a with ax = v; pre[M][x]: the a with ax in M
+    # fibres[x][v]: the a with ax = v
     fibres = _fibres(zip(*mul))
-    pre = _CellUnion.over(list(zip(*fibres)), elements)
 
     w0 = _commutativity_defect(d, names)
 
@@ -285,10 +330,14 @@ def check_rs(s: RealSemigroup) -> CheckReport:
             w1 = (names[a], names[b])
             break
 
-    # RS2: the first failing scaling row of D, its least c, a and then e.
-    w2 = next(((_lowest_bit(cell), b, c)
-               for b, row in enumerate(_scaling_failures(d, mul, elements, pre))
-               for c, cell in enumerate(row) if cell), None)
+    # RS2: passed when it holds at the generators; otherwise the first
+    # failing scaling row of D, its least c, a and then e.
+    w2 = None
+    if not _holds_at_generators(d, mul, ts.verdict("TS1-assoc").passed):
+        pre = _CellUnion.over(list(zip(*fibres)), elements)  # {a : ax in M} at [M][x]
+        w2 = next(((_lowest_bit(cell), b, c)
+                   for b, row in enumerate(_scaling_failures(d, mul, elements, pre))
+                   for c, cell in enumerate(row) if cell), None)
     if w2 is not None:
         a, b, c = w2
         e = next(e for e in range(n) if not (d[mul[b][e]][mul[c][e]] >> mul[a][e]) & 1)
@@ -298,7 +347,7 @@ def check_rs(s: RealSemigroup) -> CheckReport:
     # and a outside the union of D^t(x, e) over x in D^t(b, d); b is the
     # first row of the scan with a failure.
     w3 = None
-    for a, b, c, dd, e in _reassociation_failures(dt, _Elements()):
+    for a, b, c, dd, e in _reassociation_failures(dt):
         if w3 is not None and b != w3[0]:
             break
         if w3 is None or (b, c, a, dd, e) < w3:
@@ -308,19 +357,21 @@ def check_rs(s: RealSemigroup) -> CheckReport:
         w3 = (names[a], names[b], names[c], names[dd], names[e])
 
     # RS4: the union of D(c^2 a, e^2 b) over (c, e) is the union of D over
-    # S_a x S_b, S_x = {q x : q a square}; it is built once per distinct
-    # pair of sets, and (c, e) is scanned only at the first failing (a, b).
+    # S_a x S_b, S_x = {q x : q a square}.  Over b it is one row, built once
+    # per distinct S_a and compared with row a of D; (c, e) is scanned only
+    # at the first failing (a, b).
     w4 = None
     scaled = [mask_of(mul[q][x] for q in compress(range(n), roots)) for x in range(n)]
-    lhs_of: dict[tuple[int, int], int] = {}
-    for a, b in itertools.product(range(n), repeat=2):
-        key = scaled[a], scaled[b]
-        lhs = lhs_of.get(key)
+    lhs_of: dict[int, tuple[int, ...]] = {}
+    for a, row in enumerate(d):
+        lhs = lhs_of.get(scaled[a])
         if lhs is None:
-            lhs = lhs_of[key] = reduce(
-                or_, map(unions[key[0]].__getitem__, elements[key[1]]), 0)
-        if not lhs & ~d[a][b]:
+            over = _Unions(unions[scaled[a]])
+            lhs = lhs_of[scaled[a]] = tuple(map(over.__getitem__, scaled))
+        joined = tuple(map(or_, lhs, row))
+        if joined == row:
             continue
+        b = _first_difference(joined, row)
         for c, e in itertools.product(range(n), repeat=2):
             missing = d[mul[mul[c][c]][a]][mul[mul[e][e]][b]] & ~d[a][b]
             if missing:
@@ -353,7 +404,7 @@ def check_rs(s: RealSemigroup) -> CheckReport:
 
     # RS6: the c in D(a, b) outside the square-transversal row of D^t.
     w6 = next(((names[_lowest_bit(bad)], names[a], names[b])
-               for a, (row, lifted) in enumerate(zip(d, _square_transversals(dt, mul)))
+               for a, (row, lifted) in enumerate(zip(d, _lifted_rows(s)))
                for b, bad in enumerate(map(and_, row, map(invert, lifted))) if bad),
               None)
 
@@ -426,7 +477,9 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
     # iii: the scaling rows of D^t, with pre[M][x] = {a : ax in M}, which xiv
     # reads too; e is found at the least failure only.
     pre = _CellUnion.over(list(zip(*_fibres(zip(*mul)))), elements)
-    w3 = _least_failure(_scaling_failures(dt, mul, elements, pre))
+    w3 = None
+    if not _holds_at_generators(dt, mul):
+        w3 = _least_failure(_scaling_failures(dt, mul, elements, pre))
     if w3 is not None:
         a, b, c = w3
         w3 += (next(e for e in cells
@@ -497,12 +550,10 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
 
     report("xiv-product-form", _least_failure(product_forms()))
     first("xv-transversal-nonempty", ((a, b) for a, b in pairs if not dt[a][b]))
-    report("xvi-weak-associativity",
-           min(_reassociation_failures(d, elements), default=None))
+    report("xvi-weak-associativity", _weak_associativity_failure(d))
     # xvii: D against the square-transversal rows of D^t.
     report("xvii-square-transversal", _least_failure(
-        tuple(map(xor, row, lifted))
-        for row, lifted in zip(d, _square_transversals(dt, mul))))
+        tuple(map(xor, row, lifted)) for row, lifted in zip(d, _lifted_rows(s))))
     return CheckReport("real semigroup consequences", tuple(verdicts))
 
 
@@ -644,6 +695,8 @@ def mrred_to_rs(a: FiniteMultiring) -> RealSemigroup:
     if dt_table(s) != a.add:
         raise StructuralAnomaly(
             "derived transversal sets do not match the addition table")
+    # D^t is the addition, so D, its square-transversal rows, are D^t's.
+    _lifted_rows(s, s.d)
     return s
 
 

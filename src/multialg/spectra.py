@@ -20,15 +20,22 @@ each mask once, and its callers test only the support: the orderings through ``I
 ``is_prime_mask``, the cones of a sign space through ``_is_prime``, the one
 prime test, on the space's product table.  Like the ideal list, the
 orderings are kept on the structure (``_orderings``), however many of
-the checks and functors that read them run.  The evaluation embedding
+the checks and functors that read them run.  ``Ordering`` and
+``Preordering`` test closure under sums and products on whole rows, as
+``constructions.Ideal`` does, and walk pairs only to name a failure
+(``_check_closed_cone``).  The evaluation embedding
 reads core's pointwise table of the sign sums (``_pointwise_cells``), with
-one map per ordering, its sign map.
+one map per ordering, its sign map; the sign multifield is built once
+(core's ``q2`` is cached).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import or_
 from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
@@ -39,6 +46,7 @@ from .core import (
     StructureMap,
     Verdict,
     _audit,
+    _bit_flags,
     _closure,
     _cube_defect,
     _kept,
@@ -227,6 +235,24 @@ def spec_topology(a: FiniteMultiring) -> SpectrumReport:
 # ---------------------------------------------------------------------------
 # orderings and morphisms to the sign multifield
 
+def _check_closed_cone(a: FiniteMultiring, p: int) -> None:
+    """InputError unless the cone p is closed under sums and products.  The
+    sums and products over p are read off whole rows at once, as
+    ``constructions.Ideal`` reads them; the loop only names the first
+    failing pair."""
+    inside = _bit_flags(p)
+    sums = chain.from_iterable(map(compress, compress(a.add, inside), repeat(inside)))
+    products = chain.from_iterable(map(compress, compress(a.mul, inside), repeat(inside)))
+    if not reduce(or_, sums, 0) & ~p and set(products) <= set(bits(p)):
+        return
+    for x in bits(p):
+        for y in bits(p):
+            if a.add[x][y] & ~p:
+                raise InputError("cone not closed under sums")
+            if not (p >> a.mul[x][y]) & 1:
+                raise InputError("cone not closed under products")
+
+
 @dataclass(frozen=True)
 class Ordering:
     """Positive cone: sum- and product-closed, P or -P is everything, and the
@@ -240,12 +266,7 @@ class Ordering:
         p = self.positive
         if p & ~full_mask(a.size):
             raise InputError("cone outside carrier")
-        for x in bits(p):
-            for y in bits(p):
-                if a.add[x][y] & ~p:
-                    raise InputError("cone not closed under sums")
-                if not (p >> a.mul[x][y]) & 1:
-                    raise InputError("cone not closed under products")
+        _check_closed_cone(a, p)
         if p | a.neg_mask(p) != full_mask(a.size):
             raise InputError("cone union its negative misses elements")
         supp = self.support
@@ -403,12 +424,7 @@ class Preordering:
         for x in range(a.size):
             if not (t >> a.mul[x][x]) & 1:
                 raise InputError("cone misses a square")
-        for x in bits(t):
-            for y in bits(t):
-                if a.add[x][y] & ~t:
-                    raise InputError("cone not closed under sums")
-                if not (t >> a.mul[x][y]) & 1:
-                    raise InputError("cone not closed under products")
+        _check_closed_cone(a, t)
 
     @property
     def proper(self) -> bool:

@@ -139,7 +139,18 @@ pair (x, y), before D became a union over the distinct squares.
 ``_rs2_witness``, which ``check_rs`` here reads, is the RS2 loop over
 (b, c), a and e that the library's cell images replaced.
 ``tests/test_sign_tables.py`` pins the library's tables, ``mrred_to_rs``
-and RS2 to them.
+and RS2 to them.  ``_rs6_witness`` is ``check_rs``'s RS6 loop, moved out of
+it verbatim, and ``check_rs_derived(s, only)`` runs only the named
+quantifiers.  ``squarewise_rs4_witness`` and ``cellwise_xvi_witness`` are
+naive loops over the cells that can fail: RS4 walks (c, e) only at an
+(a, b) that fails for some pair of squares, and xvi ORs D(x, e) over x in
+D(b, d) for each (b, d, e).  ``pairwise_mrred_to_ars`` is ``mrred_to_ars``
+as it was when it compared the transversal table with the addition one
+(x, y) at a time, and ``LoopCheckedOrdering`` and ``LoopCheckedPreordering``
+are the cones with the pair loops they had before they tested closure on
+whole rows.  ``tests/test_real_reduced_passes.py`` pins RS2, RS4, RS6, iii,
+xvi and xvii above 16 elements, ``mrred_to_ars`` and the cones to them, and
+the two cell loops to the verbatim ones on the rs3 x rs3 mutant pool.
 
 ``dt_table``, ``squarewise_mrred_to_rs``, ``rs_to_mrred`` and
 ``separation_audit`` are the real-semigroup layer as it was before it
@@ -222,7 +233,15 @@ from multialg.ordering_spaces import (
     function_label,
 )
 from multialg.real_semigroups import RealSemigroup, canonical_3, hom_to_3
-from multialg.spectra import SpectrumReport, _enumerate_relation_vectors, enumerate_primes
+from multialg import ordering_spaces, spectra
+from multialg.spectra import (
+    Ordering,
+    Preordering,
+    SpectrumReport,
+    _enumerate_relation_vectors,
+    enumerate_primes,
+    is_prime_mask,
+)
 from multialg.special_groups import (
     SpecialGroup,
     _group_triple_rep as _relation_group_rep,
@@ -545,6 +564,61 @@ def _rs2_witness(s: RealSemigroup) -> Optional[tuple[str, ...]]:
     return w2
 
 
+def _rs6_witness(s: RealSemigroup) -> Optional[tuple[str, ...]]:
+    n = s.size
+    names = s.names
+    d = s.d
+    dt = dt_table(s)
+    w6 = None
+    for a, b in itertools.product(range(n), repeat=2):
+        for c in bits(d[a][b]):
+            c2 = s.mul[c][c]
+            if not (dt[s.mul[c2][a]][s.mul[c2][b]] >> c) & 1:
+                w6 = (names[c], names[a], names[b])
+                break
+        if w6:
+            break
+    return w6
+
+
+def squarewise_rs4_witness(s: RealSemigroup) -> Optional[tuple[str, ...]]:
+    """RS4 of ``check_rs`` with its loop over (c, e) run only at the first
+    (a, b) where some D(qa, rb), q and r squares, leaves D(a, b): D(c^2 a,
+    e^2 b) depends on c and e through their squares alone."""
+    n = s.size
+    names = s.names
+    d = s.d
+    mul = s.mul
+    squares = sorted({mul[c][c] for c in range(n)})
+    for a, b in itertools.product(range(n), repeat=2):
+        if not any(d[mul[q][a]][mul[r][b]] & ~d[a][b] for q in squares for r in squares):
+            continue
+        for c, e in itertools.product(range(n), repeat=2):
+            lhs = d[mul[mul[c][c]][a]][mul[mul[e][e]][b]]
+            for x in bits(lhs):
+                if not (d[a][b] >> x) & 1:
+                    return (names[x], names[a], names[b], names[c], names[e])
+    return None
+
+
+def cellwise_xvi_witness(s: RealSemigroup) -> Optional[tuple[str, ...]]:
+    """xvi of ``check_rs_derived`` over the cells that can fail: for each
+    (b, d, e), the a in D(b, c) for some c in D(d, e) that lie in no D(x, e)
+    with x in D(b, d); the least (a, b, c, d, e) of them."""
+    n = s.size
+    d = s.d
+    found = None
+    for b, dd, e in itertools.product(range(n), repeat=3):
+        reach = 0
+        for x in bits(d[b][dd]):
+            reach |= d[x][e]
+        for c in bits(d[dd][e]):
+            bad = d[b][c] & ~reach
+            if bad and (found is None or (_lowest_bit(bad), b, c, dd, e) < found):
+                found = (_lowest_bit(bad), b, c, dd, e)
+    return found and tuple(s.names[i] for i in found)
+
+
 def check_rs(s: RealSemigroup) -> CheckReport:
     """TS1-TS5 followed by RS0-RS8, with D^t derived internally."""
     ts = check_ts(s)
@@ -606,15 +680,7 @@ def check_rs(s: RealSemigroup) -> CheckReport:
         if w5:
             break
 
-    w6 = None
-    for a, b in itertools.product(range(n), repeat=2):
-        for c in bits(d[a][b]):
-            c2 = s.mul[c][c]
-            if not (dt[s.mul[c2][a]][s.mul[c2][b]] >> c) & 1:
-                w6 = (names[c], names[a], names[b])
-                break
-        if w6:
-            break
+    w6 = _rs6_witness(s)
 
     w7 = None
     for a, b in itertools.product(range(n), repeat=2):
@@ -647,8 +713,9 @@ def check_rs(s: RealSemigroup) -> CheckReport:
     )
 
 
-def check_rs_derived(s: RealSemigroup) -> CheckReport:
-    """Seventeen consequences that must hold in any real semigroup."""
+def check_rs_derived(s: RealSemigroup, only: Optional[set] = None) -> CheckReport:
+    """Seventeen consequences that must hold in any real semigroup; with
+    ``only``, the verdicts it names alone, the other quantifiers not run."""
     n = s.size
     names = s.names
     d = s.d
@@ -658,6 +725,8 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
     verdicts = []
 
     def quantify(axiom: str, pred, arity: int) -> None:
+        if only is not None and axiom not in only:
+            return
         witness = None
         for combo in itertools.product(range(n), repeat=arity):
             if not pred(*combo):
@@ -719,7 +788,8 @@ def check_rs_derived(s: RealSemigroup) -> CheckReport:
              lambda a, b, c: ((d[b][c] >> a) & 1)
              == ((dt[mul[mul[a][a]][b]][mul[mul[a][a]][c]] >> a) & 1), 3)
 
-    return CheckReport("real semigroup consequences", tuple(verdicts))
+    return CheckReport("real semigroup consequences", tuple(
+        v for v in verdicts if only is None or v.axiom in only))
 
 
 def _preimages(m: Sequence[int], k: int) -> list[int]:
@@ -2632,3 +2702,83 @@ def spec_topology(a: FiniteMultiring) -> SpectrumReport:
         ),
     )
     return SpectrumReport(a, tuple(primes), opens, report)
+
+
+def pairwise_mrred_to_ars(a: FiniteMultiring):
+    """``mrred_to_ars`` as it was before it compared the transversal table
+    with the addition a row at a time: one (x, y) at a time, each cell of
+    the addition imaged through the evaluation index by ``mask_of``.  It
+    reads the library's orderings and ``transversal_table`` through their
+    modules, at call time."""
+    if not spectra.is_real_reduced_mr(a).overall:
+        raise InputError("space construction requires a real reduced multiring")
+    orderings = spectra.enumerate_orderings(a)
+    if not orderings:
+        raise InputError("empty real spectrum")
+    sigmas = [o.sign_map().mapping for o in orderings]
+    tovals = {0: -1, 1: 0, 2: 1}
+    vectors = [tuple(tovals[s[x]] for s in sigmas) for x in range(a.size)]
+    w_inj = None if len(set(vectors)) == a.size else (a.size, len(set(vectors)))
+    points = tuple(f"P{i}" for i in range(len(orderings)))
+    space = SignSpace(ARS, points, sorted(set(vectors)))
+
+    dt = ordering_spaces.transversal_table(space)
+    w_dt = None
+    vec_index = space._positions
+    for x, y in itertools.product(range(a.size), repeat=2):
+        got = dt[vec_index[vectors[x]]][vec_index[vectors[y]]]
+        want = mask_of(vec_index[vectors[c]] for c in bits(a.add[x][y]))
+        if got != want:
+            w_dt = (a.names[x], a.names[y])
+            break
+    report = CheckReport(
+        subject="evaluation space",
+        verdicts=(
+            Verdict("evaluations-injective", w_inj is None, w_inj),
+            Verdict("transversal-matches-addition", w_dt is None, w_dt),
+        ),
+    )
+    return space, report
+
+
+class LoopCheckedOrdering(Ordering):
+    """``Ordering`` with the validation it had when closure under sums and
+    products was tested one pair at a time."""
+
+    def __post_init__(self) -> None:
+        a = self.parent
+        p = self.positive
+        if p & ~full_mask(a.size):
+            raise InputError("cone outside carrier")
+        for x in bits(p):
+            for y in bits(p):
+                if a.add[x][y] & ~p:
+                    raise InputError("cone not closed under sums")
+                if not (p >> a.mul[x][y]) & 1:
+                    raise InputError("cone not closed under products")
+        if p | a.neg_mask(p) != full_mask(a.size):
+            raise InputError("cone union its negative misses elements")
+        supp = self.support
+        Ideal(a, supp)
+        if not is_prime_mask(a, supp):
+            raise InputError("support is not a prime ideal")
+
+
+class LoopCheckedPreordering(Preordering):
+    """``Preordering`` with the validation it had when closure under sums
+    and products was tested one pair at a time."""
+
+    def __post_init__(self) -> None:
+        a = self.parent
+        t = self.cone
+        if t & ~full_mask(a.size):
+            raise InputError("cone outside carrier")
+        for x in range(a.size):
+            if not (t >> a.mul[x][x]) & 1:
+                raise InputError("cone misses a square")
+        for x in bits(t):
+            for y in bits(t):
+                if a.add[x][y] & ~t:
+                    raise InputError("cone not closed under sums")
+                if not (t >> a.mul[x][y]) & 1:
+                    raise InputError("cone not closed under products")

@@ -801,3 +801,22 @@ def test_c29_special_multifield_audit_on_finite_fields(tmp_path, capsys):
         ok = ok and hashlib.sha256(out).hexdigest().startswith(digest)
     gate(29, "check --level all on F_64 and F_49, reports unchanged; F_49 "
              "fails property v", ok, time.monotonic() - t0, 10.0)
+
+
+def test_c30_real_reduced_round_trips_above_16_elements(tmp_path, capsys):
+    # RS2, iii, RS4, RS6, xvi and xvii and the evaluation space's transversal
+    # check decide a pass on whole tables or rows; the digests are of the
+    # outputs before.
+    t0 = time.monotonic()
+    ok = True
+    for name, s, argv, digest in (
+            ("sum5mf.mrs", aos_to_mfred(fan_aos(5)), ["diagram"], "cca5b1d28295"),
+            ("rs3cube.rs", rs_product([canonical_3()] * 3),
+             ["roundtrip", "--pair", "rs-mr"], "e57c4f3dd063")):
+        path = str(tmp_path / name)
+        io.write_structure(path, s)
+        ok = ok and main(argv + [path]) == 0
+        out = capsys.readouterr().out.encode()
+        ok = ok and hashlib.sha256(out).hexdigest().startswith(digest)
+    gate(30, "diagram on the sum-5 multifield and roundtrip --pair rs-mr on "
+             "rs3^3, outputs unchanged", ok, time.monotonic() - t0, 5.0)

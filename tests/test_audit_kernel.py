@@ -281,7 +281,7 @@ def test_shared_scans_on_seeded_mutants():
         else:
             (assert_multiring_agrees if ring else assert_multigroup_agrees)(mutant)
         op, e = m.op, m.identity
-        defects = list(core._reassociation_defects(op, core._Elements()))
+        defects = list(core._reassociation_defects(op))
         forward = [left & ~right for *_, left, right in defects]
         seen["iii before III"] += bool(defects) and not forward[0] and any(forward)
         seen["reverse only"] += bool(defects) and not any(forward)

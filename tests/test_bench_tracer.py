@@ -77,10 +77,10 @@ def _scan_mutants():
     group = dataclasses.replace(fan3, op=_with_cell(fan3.op, 8, 0, fan3.op[8][0] | 1 << 8))
     added = dataclasses.replace(z8, add=_with_cell(z8.add, 0, 2, z8.add[0][2] | 1))
     forward = [left & ~right for *_, left, right
-               in core._reassociation_defects(added.add, core._Elements())]
+               in core._reassociation_defects(added.add)]
     assert not forward[0] and any(forward)
     assert not any(left & ~right for *_, left, right
-                   in core._reassociation_defects(group.op, core._Elements()))
+                   in core._reassociation_defects(group.op))
     return [("fan3_group_mutant", group), ("z8_add_mutant", added),
             ("z12_mul_mutant", dataclasses.replace(z12, mul=_with_cell(z12.mul, 2, 3, 5)))]
 

@@ -403,7 +403,7 @@ class TestKeptValues:
             (space, (osp.value_table, osp._product_table, positions)),
             (ars, (osp.value_table, osp.transversal_table, osp._product_table,
                    positions)),
-            (s, (rsg.dt_table,)))
+            (s, (rsg.dt_table, rsg._lifted_rows)))
         keys = []
         for obj, reads in readers:
             values = [read(obj) for read in reads]
@@ -415,9 +415,9 @@ class TestKeptValues:
             for read, value in zip(reads, values):
                 if read not in (check_multiring, spg.check_sg):
                     assert read(obj) is value, read.__name__
-        # the fifteen kept values, the two kept audit reports and the
-        # spaces' function positions: 18 keys
-        assert len(set(keys)) == 18 and len(keys) == 21
+        # the sixteen kept values, the two kept audit reports and the
+        # spaces' function positions: 19 keys
+        assert len(set(keys)) == 19 and len(keys) == 22
         assert (hash(f), repr(f), mio.serialize(f)) == before
         assert f == copy and hash(f) == hash(copy)
         assert set(vars(copy)) == {field.name for field in dataclasses.fields(copy)}
